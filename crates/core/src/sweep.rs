@@ -15,6 +15,7 @@ use crate::result::{LoopEstimate, NodeStabilityResult};
 use loopscope_netlist::{Circuit, NodeId};
 use loopscope_spice::batch::{driving_point_batch, BatchVariant};
 use loopscope_spice::mna::MnaLayout;
+use std::sync::Mutex;
 
 /// The outcome of one sweep/corner point.
 #[derive(Debug, Clone)]
@@ -112,13 +113,22 @@ pub fn sweep_node<I>(
 where
     I: IntoIterator<Item = (String, Circuit)>,
 {
-    let variants: Vec<(String, Circuit)> = variants.into_iter().collect();
     // Per-variant preparation (validation, AC-source zeroing, DC operating
-    // point), chunked across workers; the lowest-index failure aborts.
-    let (prepared, _) = loopscope_spice::par::sweep_chunks_owned(
-        variants,
+    // point), chunked across workers; the lowest-index failure aborts. Each
+    // step moves its variant out of its own slot, so no circuit is cloned.
+    let slots: Vec<Mutex<Option<(String, Circuit)>>> = variants
+        .into_iter()
+        .map(|variant| Mutex::new(Some(variant)))
+        .collect();
+    let (prepared, _) = loopscope_spice::par::sweep_chunks(
+        &slots,
         || (),
-        |(), _idx, (label, circuit)| -> Result<(String, StabilityAnalyzer), StabilityError> {
+        |(), _idx, slot| -> Result<(String, StabilityAnalyzer), StabilityError> {
+            let (label, circuit) = slot
+                .lock()
+                .expect("no step panics while holding a slot")
+                .take()
+                .expect("each variant is prepared exactly once");
             let analyzer = StabilityAnalyzer::new(circuit, options)?;
             Ok((label, analyzer))
         },

@@ -262,8 +262,8 @@ proptest! {
     }
 
     /// Refactorization over an *ordered* symbolic pattern (the production
-    /// configuration of `CachedMna`) must match a fresh factorization on any
-    /// same-pattern system, through the allocation-free in-place path.
+    /// configuration of `SolveContext`) must match a fresh factorization on
+    /// any same-pattern system, through the allocation-free in-place path.
     #[test]
     fn ordered_refactor_into_matches_fresh_factor(
         n in 2usize..20,

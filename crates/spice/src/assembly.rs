@@ -1,4 +1,4 @@
-//! Cached MNA assembly: build the sparsity pattern once, then restamp values
+//! The solve driver: build the sparsity pattern once, then restamp values
 //! in place and refactor with a reused pivot order.
 //!
 //! Every analysis in this crate solves the same shape of problem many times
@@ -9,48 +9,49 @@
 //! accumulation → sort/dedup to CSR → pivoting factorization) repays none of
 //! that structure.
 //!
-//! [`CachedMna`] is the structured pipeline:
+//! [`SolveContext`] is the structured pipeline, and every analysis drives
+//! its solves through it:
 //!
-//! 1. **First assembly** runs the element stamps into a
-//!    [`TripletMatrix`](loopscope_sparse::TripletMatrix) and
-//!    converts to CSR — exactly the naive path — and keeps the CSR as the
-//!    pattern.
-//! 2. **Later assemblies** zero the CSR values and replay the same stamps
+//! 1. **Assembly** zeroes the CSR values and replays the element stamps
 //!    through a [`SlotSink`], which routes each stamp to its value slot by a
 //!    binary search within the row. No allocation, no sorting, no BTreeMap.
-//!    If a stamp misses the pattern (a nonlinear device changed operating
-//!    region, say), the assembly transparently rebuilds the pattern.
-//! 3. **Factorization** computes a fill-reducing (minimum-degree) column
-//!    order on first use and captures the resulting threshold-pivoted
-//!    [`SymbolicLu`]; afterwards it runs the numeric-only, allocation-free
-//!    [`SparseLu::refactor_into`] over buffers owned by the cache,
-//!    re-analyzing only when the refactorization reports a degraded pivot or
-//!    the pattern was rebuilt.
+//!    A stamp that misses the pattern (a nonlinear device changed operating
+//!    region, say) rebuilds the system from scratch through a
+//!    [`TripletMatrix`](loopscope_sparse::TripletMatrix).
+//! 2. **Factorization** is the numeric-only, allocation-free
+//!    [`SparseLu::refactor_into`] against a [`SymbolicLu`] computed once
+//!    (block-triangular form, a minimum-degree column order per block and
+//!    threshold pivoting).
+//! 3. **Verified solve** runs one retry ladder — iterative refinement, a
+//!    fresh factorization, then the gmin bumps of [`GMIN_BUMP_LADDER`] —
+//!    and returns a [`SolveQuality`] or a name-enriched [`SpiceError`].
 //!
 //! [`SolveStats`] counts what actually happened, which is how the tests (and
 //! the `solver_refactor` bench) assert that e.g. a whole AC sweep performs
 //! exactly one symbolic analysis.
 //!
-//! # Two drivers over the same machinery
+//! # Two re-plan policies
 //!
-//! * [`CachedMna`] is the **adaptive serial cache**: it owns pattern,
-//!   symbolic analysis and factors in one mutable bundle, rebuilding and
-//!   re-adopting them as the matrix structure or numerics drift. That is the
-//!   right shape for DC Newton loops and transient stepping, where operating
-//!   regions change and each solve depends on the previous one.
-//! * [`SweepPlan`] / [`SolveContext`] are the **parallel sweep engine**: the
-//!   same pipeline split into an immutable, shareable plan (slot maps, CSR
-//!   pattern, symbolic analysis) and a per-worker context holding every
-//!   mutable buffer. Frequency sweeps are embarrassingly parallel, and the
-//!   split is what lets [`crate::par::sweep_chunks`] chunk a sweep across
-//!   worker threads with bitwise-identical results at any worker count.
+//! A context differs from another only in what it does when its symbolic
+//! analysis stops serving — a pattern miss, a degraded pivot, a residual
+//! retry or a gmin rescue each produce a fresh pattern or pivot order. The
+//! policy is fixed by the constructor:
+//!
+//! * [`SweepPlan::context`] **never re-plans**: the same pipeline split into
+//!   an immutable, shareable plan (slot maps, CSR pattern, symbolic
+//!   analysis) and a per-worker context holding every mutable buffer. A
+//!   fresh factorization serves its one point only, so each point's result
+//!   is a pure function of its job and [`crate::par::sweep_chunks`] can chunk
+//!   a sweep across worker threads with bitwise-identical results at any
+//!   worker count.
+//! * [`SolveContext::adopting`] **adopts** every fresh pattern and pivot
+//!   order as its new plan. That is the right shape for DC Newton loops and
+//!   transient stepping, where operating regions drift and each solve
+//!   follows the previous one on a single thread.
 
 use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
-use crate::solver::{
-    configured_solver_mode, resolve_backend, GMRES_ACCEPT_BACKWARD_TOLERANCE,
-    PRECOND_REFRESH_INTERVAL,
-};
+use crate::solver::{configured_solver_mode, resolve_backend, GMRES_ACCEPT_BACKWARD_TOLERANCE};
 use loopscope_sparse::{
     gmres_solve_into, CsrMatrix, GmresWorkspace, LuWorkspace, RefineWorkspace, Scalar, SolveError,
     SolveQuality, SolverBackend, SparseLu, SymbolicLu,
@@ -86,7 +87,7 @@ fn bump_node_diagonals<T: Scalar>(matrix: &mut CsrMatrix<T>, node_vars: usize, b
 ///
 /// Implementations must be **pure**: calling [`stamp`](AssembleMna::stamp)
 /// twice with equivalent sinks must produce the same entries, because the
-/// cache replays the job when it needs to rebuild the pattern.
+/// context replays the job when it needs to rebuild the pattern.
 pub trait AssembleMna<T: Scalar> {
     /// Stamps the matrix entries and right-hand side for this job.
     fn stamp<S: MatrixSink<T>>(&self, stamper: &mut Stamper<'_, T, S>);
@@ -124,7 +125,7 @@ impl<T: Scalar> MatrixSink<T> for SlotSink<'_, T> {
     }
 }
 
-/// Counters describing how a [`CachedMna`] served its solves.
+/// Counters describing how a [`SolveContext`] served its solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Full symbolic analyses (pivot order + fill pattern computations).
@@ -155,8 +156,7 @@ pub struct SolveStats {
     pub gmres_iterations: usize,
     /// Scheduled stale-preconditioner refreshes: one per
     /// [`crate::solver::PRECOND_REFRESH_INTERVAL`]-sized group of sweep
-    /// points (plus one per direct-path refresh of the adaptive cache).
-    /// Warm-up refactorizations a worker performs to reconstruct the anchor
+    /// points. Warm-up refactorizations a worker performs to reconstruct the anchor
     /// of a mid-group chunk start are deliberately **not** counted, keeping
     /// the total chunking-invariant.
     pub preconditioner_refreshes: usize,
@@ -192,584 +192,6 @@ impl SolveStats {
         self.gmres_iterations += other.gmres_iterations;
         self.preconditioner_refreshes += other.preconditioner_refreshes;
         self.iterative_fallbacks += other.iterative_fallbacks;
-    }
-}
-
-/// Reusable assembly + factorization state for one MNA structure.
-///
-/// Create one per analysis run (or store it for the lifetime of the circuit —
-/// the cache detects pattern changes) and drive every solve through
-/// [`assemble`](CachedMna::assemble) followed by
-/// [`factor`](CachedMna::factor), or the [`solve`](CachedMna::solve)
-/// convenience wrapper. The first factorization computes a minimum-degree
-/// fill-reducing ordering and a threshold-pivoted symbolic analysis; every
-/// later one is a numeric-only refactorization into buffers the cache owns,
-/// so the steady state performs no factorization-side heap allocation.
-///
-/// ```
-/// use loopscope_netlist::{Circuit, SourceSpec};
-/// use loopscope_spice::assembly::CachedMna;
-/// use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
-///
-/// // A conductance-divider job: same pattern at every drive level.
-/// struct Divider {
-///     g: f64,
-/// }
-/// impl loopscope_spice::assembly::AssembleMna<f64> for Divider {
-///     fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-///         st.add_var_var(0, 0, self.g + 1.0e-3);
-///         st.add_var_var(0, 1, -self.g);
-///         st.add_var_var(1, 0, -self.g);
-///         st.add_var_var(1, 1, self.g);
-///         st.add_rhs_var(0, 1.0e-3);
-///     }
-/// }
-///
-/// let mut c = Circuit::new("divider");
-/// let a = c.node("a");
-/// let b = c.node("b");
-/// c.add_resistor("R1", a, Circuit::GROUND, 1.0e3);
-/// c.add_resistor("R2", a, b, 1.0e3);
-/// c.add_isource("I1", Circuit::GROUND, a, SourceSpec::dc(1.0e-3));
-/// let layout = MnaLayout::new(&c);
-///
-/// let mut cache = CachedMna::<f64>::new();
-/// for k in 1..=4 {
-///     let x = cache.solve(&layout, &Divider { g: 1.0e-3 * k as f64 })?;
-///     assert!(x[0].is_finite());
-/// }
-/// // One symbolic analysis serves the whole series of solves.
-/// assert_eq!(cache.stats().symbolic, 1);
-/// assert_eq!(cache.stats().numeric_refactor, 3);
-/// # Ok::<(), loopscope_sparse::SolveError>(())
-/// ```
-#[derive(Debug)]
-pub struct CachedMna<T: Scalar> {
-    csr: Option<CsrMatrix<T>>,
-    symbolic: Option<SymbolicLu>,
-    /// The factorization whose L/U value buffers every refactorization
-    /// reuses; handed out by reference from [`factor`](CachedMna::factor).
-    lu: Option<SparseLu<T>>,
-    /// Scratch buffers of the allocation-free refactorization path.
-    workspace: LuWorkspace<T>,
-    /// Scratch for [`solve`](CachedMna::solve)'s substitution sweeps.
-    solve_work: Vec<T>,
-    /// Scratch of the residual-verified solve path; grown on first use,
-    /// reused (allocation-free) afterwards.
-    refine_ws: RefineWorkspace<T>,
-    /// Pristine copy of the right-hand side, so retry-ladder escalations can
-    /// restart the solve from `b` after a failed attempt overwrote it.
-    rhs_backup: Vec<T>,
-    /// The solver mode this cache resolves its backend from; captured from
-    /// the `LOOPSCOPE_SOLVER` environment at construction, overridable with
-    /// [`set_solver_mode`](CachedMna::set_solver_mode).
-    solver_mode: crate::solver::SolverMode,
-    /// The backend resolved against the current pattern's structure; cleared
-    /// on pattern rebuilds (the structure — and with it the auto decision —
-    /// may have changed).
-    backend: Option<SolverBackend>,
-    /// Verified solves served off the current factors since they were last
-    /// refreshed; at [`PRECOND_REFRESH_INTERVAL`] the next solve refactors
-    /// directly instead of iterating off the stale factors.
-    solves_since_refresh: usize,
-    /// Scratch of the GMRES path; empty until the first iterative solve.
-    gmres_ws: GmresWorkspace<T>,
-    /// Pristine RHS copy of the iterative attempt — separate from
-    /// `rhs_backup`, which the direct ladder overwrites internally when a
-    /// GMRES miss falls back to it.
-    backend_rhs: Vec<T>,
-    stats: SolveStats,
-}
-
-impl<T: Scalar> Default for CachedMna<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Scalar> CachedMna<T> {
-    /// Creates an empty cache; the first assembly establishes the pattern.
-    pub fn new() -> Self {
-        Self {
-            csr: None,
-            symbolic: None,
-            lu: None,
-            workspace: LuWorkspace::new(),
-            solve_work: Vec::new(),
-            refine_ws: RefineWorkspace::new(),
-            rhs_backup: Vec::new(),
-            solver_mode: configured_solver_mode(),
-            backend: None,
-            solves_since_refresh: 0,
-            gmres_ws: GmresWorkspace::new(),
-            backend_rhs: Vec::new(),
-            stats: SolveStats::default(),
-        }
-    }
-
-    /// Counters accumulated since construction.
-    pub fn stats(&self) -> SolveStats {
-        self.stats
-    }
-
-    /// Overrides the solver mode (normally captured from `LOOPSCOPE_SOLVER`
-    /// at construction) — the in-process pin the test matrices use instead
-    /// of mutating the environment. Resets the backend resolution, so the
-    /// next verified solve re-resolves against the current structure.
-    pub fn set_solver_mode(&mut self, mode: crate::solver::SolverMode) {
-        self.solver_mode = mode;
-        self.backend = None;
-        self.solves_since_refresh = 0;
-    }
-
-    /// The backend the cache resolved for the current pattern, if the first
-    /// symbolic analysis has run ([`resolve_backend`] needs the structure).
-    pub fn backend(&self) -> Option<SolverBackend> {
-        self.backend
-    }
-
-    /// Assembles the MNA system for `job`, reusing the cached pattern when
-    /// possible, and returns the right-hand side (the matrix stays inside the
-    /// cache for [`factor`](CachedMna::factor)).
-    pub fn assemble(&mut self, layout: &MnaLayout, job: &impl AssembleMna<T>) -> Vec<T> {
-        let mut rhs = Vec::new();
-        self.assemble_into(layout, job, &mut rhs);
-        rhs
-    }
-
-    /// Like [`assemble`](CachedMna::assemble), but writing the right-hand
-    /// side into a caller-held buffer instead of allocating a fresh one: on
-    /// the cached (pattern-hit) path, once `rhs`'s capacity has reached the
-    /// layout dimension the assembly performs **zero heap allocations** —
-    /// the property the transient Newton loop relies on, where the same
-    /// buffer cycles through assemble → solve at every iteration of every
-    /// timestep. A pattern rebuild (structure change) still allocates, as
-    /// it must.
-    pub fn assemble_into(
-        &mut self,
-        layout: &MnaLayout,
-        job: &impl AssembleMna<T>,
-        rhs: &mut Vec<T>,
-    ) {
-        if let Some(csr) = self.csr.as_mut() {
-            csr.zero_values();
-            let buf = std::mem::take(rhs);
-            let mut stamper = Stamper::with_sink_reusing(layout, SlotSink::new(csr), buf);
-            job.stamp(&mut stamper);
-            let (sink, out) = stamper.into_parts();
-            let missed = sink.missed();
-            *rhs = out;
-            if !missed {
-                self.stats.cached_assemblies += 1;
-                return;
-            }
-            // The structure changed under us: drop the pattern (and the
-            // symbolic analysis and factorization tied to it) and rebuild
-            // below.
-            self.stats.pattern_rebuilds += 1;
-            self.csr = None;
-            self.symbolic = None;
-            self.lu = None;
-            // The structure (and with it the auto backend decision) changed.
-            self.backend = None;
-            self.solves_since_refresh = 0;
-        }
-
-        let mut stamper = Stamper::new(layout);
-        job.stamp(&mut stamper);
-        let (triplets, out) = stamper.finish();
-        self.csr = Some(triplets.to_csr());
-        *rhs = out;
-    }
-
-    /// The assembled matrix from the most recent
-    /// [`assemble`](CachedMna::assemble) call.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before any assembly.
-    pub fn matrix(&self) -> &CsrMatrix<T> {
-        self.csr
-            .as_ref()
-            .expect("CachedMna::assemble must run first")
-    }
-
-    /// Factors the most recently assembled matrix, reusing the symbolic
-    /// analysis whenever one is available and still numerically healthy.
-    ///
-    /// The returned reference stays valid until the next mutating call; the
-    /// underlying L/U value buffers are owned by the cache and reused across
-    /// calls, so a steady-state refactorization allocates nothing. The first
-    /// factorization of a pattern computes a minimum-degree fill-reducing
-    /// ordering (see [`loopscope_sparse::ordering`]) and factors with
-    /// KLU-style threshold pivoting, which keeps the reused fill pattern —
-    /// and with it every later refactorization — small.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`SolveError`] when the system is singular or
-    /// inconsistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before any assembly.
-    pub fn factor(&mut self) -> Result<&SparseLu<T>, SolveError> {
-        let csr = self
-            .csr
-            .as_ref()
-            .expect("CachedMna::assemble must run first");
-        if self.symbolic.is_some() && self.lu.is_some() {
-            let symbolic = self.symbolic.as_ref().expect("checked above");
-            let lu = self.lu.as_mut().expect("checked above");
-            if let Err(e) = lu.refactor_into(symbolic, csr, &mut self.workspace) {
-                // A failed refactorization leaves the factors unusable; drop
-                // them so the next attempt re-analyzes from scratch.
-                self.lu = None;
-                return Err(e);
-            }
-            if lu.refactored() {
-                self.stats.numeric_refactor += 1;
-            } else {
-                // The pivot order went stale and the fallback already ran a
-                // fresh pivoting factorization — adopt its pattern so the
-                // next solve refactors again instead of re-analyzing.
-                self.stats.fresh_fallback += 1;
-                self.symbolic = Some(self.lu.as_ref().expect("still present").extract_symbolic());
-            }
-            return Ok(self.lu.as_ref().expect("refactored in place"));
-        }
-        // First factorization over this pattern: block-triangular analysis,
-        // then a min-degree order and threshold-pivoted factorization per
-        // diagonal block (KLU-style; irreducible patterns degenerate to one
-        // block and the plain ordered factorization).
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(csr)?;
-        self.symbolic = Some(symbolic);
-        self.stats.symbolic += 1;
-        Ok(self.lu.insert(lu))
-    }
-
-    /// The symbolic analysis currently serving refactorizations, if any —
-    /// a fill/ordering diagnostic (e.g. `fill_nnz` for the bench tables).
-    pub fn symbolic(&self) -> Option<&SymbolicLu> {
-        self.symbolic.as_ref()
-    }
-
-    /// Convenience wrapper: assemble, factor, and solve with the assembled
-    /// right-hand side.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`SolveError`] when the system is singular.
-    pub fn solve(
-        &mut self,
-        layout: &MnaLayout,
-        job: &impl AssembleMna<T>,
-    ) -> Result<Vec<T>, SolveError> {
-        let mut solution = Vec::new();
-        self.solve_in_place(layout, job, &mut solution)?;
-        Ok(solution)
-    }
-
-    /// Like [`solve`](CachedMna::solve), but cycling a caller-held buffer:
-    /// `solution` receives the assembled right-hand side and is solved in
-    /// place. On the cached-pattern path, once the buffer and the cache's
-    /// internal scratch are warm (after the first call) the entire
-    /// assemble → refactor → solve cycle performs **zero heap allocations**
-    /// — this is the entry point the transient Newton loop drives at every
-    /// iteration of every timestep.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`SolveError`] when the system is singular
-    /// (the contents of `solution` are unspecified in that case).
-    pub fn solve_in_place(
-        &mut self,
-        layout: &MnaLayout,
-        job: &impl AssembleMna<T>,
-        solution: &mut Vec<T>,
-    ) -> Result<(), SolveError> {
-        self.assemble_into(layout, job, solution);
-        self.factor()?;
-        let lu = self.lu.as_ref().expect("factor just succeeded");
-        // Size-only adjustment: `solve_into` overwrites every work slot in
-        // its forward sweep, so no zeroing is needed.
-        if self.solve_work.len() != lu.dim() {
-            self.solve_work.resize(lu.dim(), T::ZERO);
-        }
-        lu.solve_into(solution, &mut self.solve_work)?;
-        Ok(())
-    }
-
-    /// Convenience wrapper over the retry ladder: assemble, then
-    /// [`verify_assembled`](CachedMna::verify_assembled). Returns the
-    /// residual-verified solution together with its [`SolveQuality`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the name-enriched [`SpiceError`] when every rung of the
-    /// ladder fails (see [`verify_assembled`](CachedMna::verify_assembled)).
-    pub fn solve_verified(
-        &mut self,
-        layout: &MnaLayout,
-        job: &impl AssembleMna<T>,
-    ) -> Result<(Vec<T>, SolveQuality), SpiceError> {
-        let mut solution = Vec::new();
-        let quality = self.solve_verified_into(layout, job, &mut solution)?;
-        Ok((solution, quality))
-    }
-
-    /// Like [`solve_verified`](CachedMna::solve_verified), but cycling a
-    /// caller-held buffer — the residual-verified analogue of
-    /// [`solve_in_place`](CachedMna::solve_in_place). Once the buffers are
-    /// warm and no ladder escalation fires, the cycle performs zero heap
-    /// allocations, so this is safe to drive from the transient Newton loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns the name-enriched [`SpiceError`] when every rung of the
-    /// ladder fails (see [`verify_assembled`](CachedMna::verify_assembled)).
-    pub fn solve_verified_into(
-        &mut self,
-        layout: &MnaLayout,
-        job: &impl AssembleMna<T>,
-        solution: &mut Vec<T>,
-    ) -> Result<SolveQuality, SpiceError> {
-        self.assemble_into(layout, job, solution);
-        self.verify_assembled(layout, solution)
-    }
-
-    /// Runs the structured **retry ladder** over the most recently assembled
-    /// system. `rhs` holds `b` on entry and the verified solution on
-    /// success. The rungs, in order:
-    ///
-    /// 1. factor (a pattern-reusing refactorization when possible, with the
-    ///    built-in fresh fallback on a degraded pivot) and solve with
-    ///    iterative refinement ([`SparseLu::solve_refined_into`]);
-    /// 2. if the backward error still fails its tolerance and the factors
-    ///    came from a reused pivot order, escalate to a fresh
-    ///    threshold-pivoted factorization of this exact system
-    ///    (`residual_retries` in [`SolveStats`]);
-    /// 3. if the system is singular or refinement still cannot converge,
-    ///    apply the deterministic per-point gmin bumps of
-    ///    [`GMIN_BUMP_LADDER`] to the node-voltage diagonals, re-factoring
-    ///    after each (`gmin_bumps` in [`SolveStats`]).
-    ///
-    /// Every escalation decision is a pure function of the assembled values,
-    /// so identical systems take identical ladders.
-    ///
-    /// # Errors
-    ///
-    /// Non-finite stamps abort immediately as
-    /// [`SpiceError::NonFiniteStamp`] (no rung can repair a NaN); a system
-    /// still singular after the gmin rung surfaces as
-    /// [`SpiceError::SingularSystem`]; a ladder that ran dry with finite
-    /// arithmetic returns [`SpiceError::ResidualCheckFailed`]. All carry
-    /// circuit names mapped through the [`MnaLayout`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before any assembly.
-    pub fn verify_assembled(
-        &mut self,
-        layout: &MnaLayout,
-        rhs: &mut [T],
-    ) -> Result<SolveQuality, SpiceError> {
-        let n = layout.dim();
-        if rhs.len() != n {
-            return Err(SpiceError::Linear(SolveError::RhsLength {
-                expected: n,
-                got: rhs.len(),
-            }));
-        }
-        if let Some(quality) = self.iterative_attempt(rhs) {
-            return Ok(quality);
-        }
-        let result = self.verify_assembled_direct(layout, rhs);
-        // The direct rungs factored the current system: under the iterative
-        // backend those factors are the freshly refreshed preconditioner for
-        // the next solves.
-        if result.is_ok() && self.backend.is_some_and(|b| b.is_iterative()) {
-            self.solves_since_refresh = 0;
-        }
-        result
-    }
-
-    /// The GMRES leg of a verified solve: `Some(quality)` when the iterative
-    /// backend is active, stale factors are available and the solve passed
-    /// the acceptance tolerance; `None` routes to the direct ladder (first
-    /// solve, scheduled refresh, pattern rebuild or GMRES miss — with the
-    /// RHS restored and `iterative_fallbacks` counted for a miss).
-    fn iterative_attempt(&mut self, rhs: &mut [T]) -> Option<SolveQuality> {
-        if self.backend.is_none() {
-            let symbolic = self.symbolic.as_ref()?;
-            self.backend = Some(resolve_backend(
-                self.solver_mode,
-                symbolic.dim(),
-                symbolic.fill_nnz(),
-            ));
-        }
-        let opts = self.backend?.gmres_options()?;
-        if self.lu.is_none() || self.solves_since_refresh >= PRECOND_REFRESH_INTERVAL {
-            // Scheduled refresh: let the direct path factor this system; its
-            // factors then serve the next group of solves.
-            self.stats.preconditioner_refreshes += 1;
-            return None;
-        }
-        let csr = self.csr.as_ref().expect("assemble must run first");
-        let lu = self.lu.as_ref().expect("checked above");
-        self.backend_rhs.clear();
-        self.backend_rhs.extend_from_slice(rhs);
-        self.stats.iterative_solves += 1;
-        if let Ok(out) = gmres_solve_into(csr, lu, rhs, &opts, &mut self.gmres_ws) {
-            self.stats.gmres_iterations += out.iterations;
-            if out.converged && out.backward_error <= GMRES_ACCEPT_BACKWARD_TOLERANCE {
-                self.solves_since_refresh += 1;
-                return Some(SolveQuality {
-                    residual_norm: out.residual_norm,
-                    backward_error: out.backward_error,
-                    refinement_steps: 0,
-                    pivot_growth: lu.pivot_growth(),
-                    converged: true,
-                });
-            }
-        }
-        self.stats.iterative_fallbacks += 1;
-        rhs.copy_from_slice(&self.backend_rhs);
-        None
-    }
-
-    /// The direct verified-solve rungs of
-    /// [`verify_assembled`](CachedMna::verify_assembled) — the exact ladder
-    /// of PR 6, unchanged; the iterative backend falls back here whenever
-    /// GMRES misses its tolerance.
-    fn verify_assembled_direct(
-        &mut self,
-        layout: &MnaLayout,
-        rhs: &mut [T],
-    ) -> Result<SolveQuality, SpiceError> {
-        self.rhs_backup.clear();
-        self.rhs_backup.extend_from_slice(rhs);
-        let mut pending_singular = None;
-        let mut last_quality: Option<SolveQuality> = None;
-
-        match self.factor() {
-            Ok(_) => {}
-            Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-            Err(e) => return Err(SpiceError::from_solve(e, layout)),
-        }
-        if pending_singular.is_none() {
-            let q = self.refined_attempt(layout, rhs)?;
-            if q.converged {
-                return Ok(q);
-            }
-            last_quality = Some(q);
-            let reused_pivots = self.lu.as_ref().is_some_and(|lu| lu.refactored());
-            if reused_pivots {
-                self.stats.residual_retries += 1;
-                match self.fresh_factor_adopting() {
-                    Ok(()) => {
-                        rhs.copy_from_slice(&self.rhs_backup);
-                        let q = self.refined_attempt(layout, rhs)?;
-                        if q.converged {
-                            return Ok(q);
-                        }
-                        last_quality = Some(q);
-                    }
-                    Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                    Err(e) => return Err(SpiceError::from_solve(e, layout)),
-                }
-            }
-        }
-        let node_vars = layout.dim() - layout.branch_count();
-        let mut bumps = 0usize;
-        for &bump in GMIN_BUMP_LADDER.iter() {
-            let matrix = self.csr.as_mut().expect("assemble must run first");
-            if !bump_node_diagonals(matrix, node_vars, bump) {
-                break;
-            }
-            self.stats.gmin_bumps += 1;
-            bumps += 1;
-            match self.fresh_factor_adopting() {
-                Ok(()) => {
-                    rhs.copy_from_slice(&self.rhs_backup);
-                    let q = self.refined_attempt(layout, rhs)?;
-                    if q.converged {
-                        return Ok(q);
-                    }
-                    last_quality = Some(q);
-                    pending_singular = None;
-                }
-                Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                Err(e) => return Err(SpiceError::from_solve(e, layout)),
-            }
-        }
-        match pending_singular {
-            Some(e) => Err(SpiceError::from_solve(e, layout)),
-            None => Err(SpiceError::ResidualCheckFailed {
-                backward_error: last_quality.map_or(f64::INFINITY, |q| q.backward_error),
-                gmin_bumps: bumps,
-            }),
-        }
-    }
-
-    /// One residual-verified solve over the current factors and matrix.
-    fn refined_attempt(
-        &mut self,
-        layout: &MnaLayout,
-        rhs: &mut [T],
-    ) -> Result<SolveQuality, SpiceError> {
-        let csr = self.csr.as_ref().expect("assemble must run first");
-        let lu = self.lu.as_ref().expect("factor must succeed first");
-        lu.solve_refined_into(csr, rhs, &mut self.refine_ws)
-            .map_err(|e| SpiceError::from_solve(e, layout))
-    }
-
-    /// Fresh threshold-pivoted factorization of the current matrix, adopting
-    /// its pattern (counted in `symbolic`, like every full analysis).
-    fn fresh_factor_adopting(&mut self) -> Result<(), SolveError> {
-        let csr = self.csr.as_ref().expect("assemble must run first");
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(csr)?;
-        self.symbolic = Some(symbolic);
-        self.lu = Some(lu);
-        self.stats.symbolic += 1;
-        Ok(())
-    }
-
-    /// Hager/Higham 1-norm condition estimate of the most recently factored
-    /// system (see [`SparseLu::condition_estimate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`SolveError`] on a dimension mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no successful [`factor`](CachedMna::factor) call has run.
-    pub fn condition_estimate(&self) -> Result<f64, SolveError> {
-        let csr = self
-            .csr
-            .as_ref()
-            .expect("CachedMna::assemble must run first");
-        let lu = self
-            .lu
-            .as_ref()
-            .expect("CachedMna::factor must succeed first");
-        lu.condition_estimate(csr)
-    }
-
-    /// Mutable access to the assembled matrix values — the perturbation hook
-    /// the fault-injection test-suites use to poison stamped values between
-    /// assembly and solve. Compiled only for tests and under the
-    /// `fault-inject` feature; never part of the production surface.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called before any assembly.
-    #[cfg(any(test, feature = "fault-inject"))]
-    pub fn matrix_mut(&mut self) -> &mut CsrMatrix<T> {
-        self.csr
-            .as_mut()
-            .expect("CachedMna::assemble must run first")
     }
 }
 
@@ -951,29 +373,19 @@ impl<T: Scalar> SweepPlan<T> {
         &self.pattern
     }
 
-    /// Mints a fresh per-worker [`SolveContext`]: its own value CSR (cloned
-    /// from the shared pattern), an unfilled L/U shell over the shared
-    /// symbolic analysis, a pre-sized workspace and solve scratch. All
-    /// allocation happens here; the context's sweep loop is allocation-free
-    /// on the factor/solve side from its very first point.
+    /// Mints a fresh per-worker [`SolveContext`] that **never re-plans**:
+    /// its own value CSR (cloned from the shared pattern), an unfilled L/U
+    /// shell over the shared symbolic analysis, a pre-sized workspace and
+    /// solve scratch. All allocation happens here; the context's sweep loop
+    /// is allocation-free on the factor/solve side from its very first point.
     pub fn context(&self) -> SolveContext<'_, T> {
-        let n = self.dim();
+        let shell = || SparseLu::from_symbolic(&self.symbolic);
         SolveContext {
-            plan: self,
-            csr: self.pattern.clone(),
-            lu: SparseLu::from_symbolic(&self.symbolic),
-            workspace: LuWorkspace::for_dim(n),
-            solve_work: vec![T::ZERO; n],
-            panel_work: Vec::new(),
-            refine_ws: RefineWorkspace::for_dim(n),
-            rhs_backup: Vec::with_capacity(n),
-            off_pattern: None,
-            factored: false,
-            precond: SparseLu::from_symbolic(&self.symbolic),
-            precond_anchor: None,
-            gmres_ws: GmresWorkspace::new(),
-            backend_rhs: Vec::new(),
-            stats: SolveStats::default(),
+            symbolic: Some(SymbolicLu::clone(&self.symbolic)),
+            csr: Some(self.pattern.clone()),
+            lu: Some(shell()),
+            precond: self.backend.is_iterative().then(shell),
+            ..SolveContext::unplanned(&self.layout, Some(self))
         }
     }
 
@@ -990,29 +402,45 @@ impl<T: Scalar> SweepPlan<T> {
     }
 }
 
-/// The **mutable, per-worker half** of a sweep's solver state: everything a
-/// solve writes to, owned exclusively by one worker.
+/// The solve driver: everything an assemble → factor → verified-solve cycle
+/// writes to, owned exclusively by one worker.
 ///
-/// Minted by [`SweepPlan::context`]; drive each point through
-/// [`assemble`](SolveContext::assemble) → [`factor`](SolveContext::factor) →
+/// Drive each system through [`assemble`](SolveContext::assemble) →
+/// [`factor`](SolveContext::factor) →
 /// [`solve_in_place`](SolveContext::solve_in_place) (one factor, many
-/// right-hand sides — the all-nodes scan), or the
-/// [`solve`](SolveContext::solve) convenience wrapper.
+/// right-hand sides — the all-nodes scan), through the retry ladder of
+/// [`solve_verified_in_place`](SolveContext::solve_verified_in_place), or
+/// through the [`solve`](SolveContext::solve) /
+/// [`solve_verified_into`](SolveContext::solve_verified_into) wrappers.
 ///
-/// Unlike [`CachedMna`], a context never adopts a new pattern or pivot
-/// order mid-sweep: every point refactors against the plan's fixed
-/// symbolic analysis, and a numerically degraded point falls back to a
-/// fresh factorization **for that point only**. Results at a point are
-/// therefore a pure function of the job — independent of the points the
-/// context processed before — which is what makes chunked parallel sweeps
-/// bitwise identical to the serial run.
+/// The constructor fixes the context's **re-plan policy** (see the
+/// [module docs](self)):
+///
+/// * [`SweepPlan::context`] never re-plans: every point refactors against
+///   the plan's fixed symbolic analysis, and an off-pattern assembly, a
+///   degraded pivot, a residual retry or a gmin rescue runs a fresh
+///   factorization **for that point only**. Results at a point are
+///   therefore a pure function of the job — independent of the points the
+///   context processed before — which is what makes chunked parallel sweeps
+///   bitwise identical to the serial run.
+/// * [`SolveContext::adopting`] adopts each of those fresh factorizations
+///   as its own plan, so the next system refactors against it.
 #[derive(Debug)]
 pub struct SolveContext<'p, T: Scalar> {
-    plan: &'p SweepPlan<T>,
-    /// Worker-owned value buffer over the plan's sparsity pattern.
-    csr: CsrMatrix<T>,
-    /// Worker-owned L/U numeric buffers (pattern shared with the plan).
-    lu: SparseLu<T>,
+    layout: &'p MnaLayout,
+    /// The shared plan of a context that never re-plans; `None` for an
+    /// adopting context, which plans from its own systems.
+    plan: Option<&'p SweepPlan<T>>,
+    /// The symbolic analysis refactorizations run against: the plan's, or
+    /// an adopting context's latest re-plan (`None` until it first factors,
+    /// and after a pattern miss).
+    symbolic: Option<SymbolicLu>,
+    /// Value buffer over the current sparsity pattern; `None` only before
+    /// an adopting context's first assembly.
+    csr: Option<CsrMatrix<T>>,
+    /// L/U numeric buffers; `None` before an adopting context's first
+    /// factorization and after one of its refactorizations failed.
+    lu: Option<SparseLu<T>>,
     workspace: LuWorkspace<T>,
     solve_work: Vec<T>,
     /// Scratch of the blocked multi-RHS solve path
@@ -1024,17 +452,19 @@ pub struct SolveContext<'p, T: Scalar> {
     /// Pristine copy of the right-hand side, so retry-ladder escalations can
     /// restart the solve from `b` after a failed attempt overwrote it.
     rhs_backup: Vec<T>,
-    /// A from-scratch matrix built when a stamp missed the shared pattern;
-    /// used by [`factor`](SolveContext::factor) and the verified-solve path
-    /// as a one-point fallback until the next assembly clears it (the plan
-    /// and the context's slot map stay untouched).
+    /// A from-scratch matrix built when a stamp missed the shared pattern of
+    /// a context that never re-plans; used by [`factor`](SolveContext::factor)
+    /// and the verified-solve path as a one-point fallback until the next
+    /// assembly clears it (the plan and the context's slot map stay
+    /// untouched). An adopting context replaces `csr` instead.
     off_pattern: Option<CsrMatrix<T>>,
     factored: bool,
     /// The stale preconditioner of the iterative backend: the LU of the
     /// sweep group's **anchor** matrix, kept separate from `lu` so a
     /// direct-ladder fallback at one point can never corrupt the
-    /// preconditioner other points of the group rely on.
-    precond: SparseLu<T>,
+    /// preconditioner other points of the group rely on. Present only in
+    /// contexts of plans with an iterative backend.
+    precond: Option<SparseLu<T>>,
     /// The sweep index whose matrix `precond` currently factors; `None`
     /// until the first refresh, or after an anchor whose refactorization
     /// failed (every point of that group then takes the direct fallback).
@@ -1049,21 +479,106 @@ pub struct SolveContext<'p, T: Scalar> {
 }
 
 impl<'p, T: Scalar> SolveContext<'p, T> {
-    /// The plan this context was minted from.
-    pub fn plan(&self) -> &'p SweepPlan<T> {
-        self.plan
+    /// Creates an **adopting** context over `layout`, the driver of DC
+    /// Newton loops and transient stepping.
+    ///
+    /// Its first assembly builds the sparsity pattern from that job's own
+    /// values, and its first factorization — a block-triangular,
+    /// minimum-degree, threshold-pivoted analysis — becomes its plan. Every
+    /// later factorization is a numeric-only refactorization into buffers
+    /// the context owns, so the steady state performs no factorization-side
+    /// heap allocation. Whenever a fresh analysis runs anyway (a pattern
+    /// miss, a degraded-pivot fallback, a residual retry or a gmin rescue),
+    /// the context adopts its pattern and pivot order for the systems that
+    /// follow.
+    ///
+    /// ```
+    /// use loopscope_netlist::{Circuit, SourceSpec};
+    /// use loopscope_spice::assembly::{AssembleMna, SolveContext};
+    /// use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
+    ///
+    /// // A conductance-divider job: same pattern at every drive level.
+    /// struct Divider {
+    ///     g: f64,
+    /// }
+    /// impl AssembleMna<f64> for Divider {
+    ///     fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+    ///         st.add_var_var(0, 0, self.g + 1.0e-3);
+    ///         st.add_var_var(0, 1, -self.g);
+    ///         st.add_var_var(1, 0, -self.g);
+    ///         st.add_var_var(1, 1, self.g);
+    ///         st.add_rhs_var(0, 1.0e-3);
+    ///     }
+    /// }
+    ///
+    /// let mut c = Circuit::new("divider");
+    /// let a = c.node("a");
+    /// let b = c.node("b");
+    /// c.add_resistor("R1", a, Circuit::GROUND, 1.0e3);
+    /// c.add_resistor("R2", a, b, 1.0e3);
+    /// c.add_isource("I1", Circuit::GROUND, a, SourceSpec::dc(1.0e-3));
+    /// let layout = MnaLayout::new(&c);
+    ///
+    /// let mut ctx = SolveContext::<f64>::adopting(&layout);
+    /// for k in 1..=4 {
+    ///     let x = ctx.solve(&Divider { g: 1.0e-3 * k as f64 })?;
+    ///     assert!(x[0].is_finite());
+    /// }
+    /// // One symbolic analysis serves the whole series of solves.
+    /// assert_eq!(ctx.stats().symbolic, 1);
+    /// assert_eq!(ctx.stats().numeric_refactor, 3);
+    /// # Ok::<(), loopscope_sparse::SolveError>(())
+    /// ```
+    pub fn adopting(layout: &'p MnaLayout) -> Self {
+        Self::unplanned(layout, None)
     }
 
-    /// Counters accumulated by this context since it was minted.
+    /// A context with pre-sized scratch but no pattern, symbolic analysis
+    /// or factors yet.
+    fn unplanned(layout: &'p MnaLayout, plan: Option<&'p SweepPlan<T>>) -> Self {
+        let n = layout.dim();
+        Self {
+            layout,
+            plan,
+            symbolic: None,
+            csr: None,
+            lu: None,
+            workspace: LuWorkspace::for_dim(n),
+            solve_work: vec![T::ZERO; n],
+            panel_work: Vec::new(),
+            refine_ws: RefineWorkspace::for_dim(n),
+            rhs_backup: Vec::with_capacity(n),
+            off_pattern: None,
+            factored: false,
+            precond: None,
+            precond_anchor: None,
+            gmres_ws: GmresWorkspace::new(),
+            backend_rhs: Vec::new(),
+            stats: SolveStats::default(),
+        }
+    }
+
+    /// Whether fresh factorizations become this context's plan.
+    fn adopts(&self) -> bool {
+        self.plan.is_none()
+    }
+
+    /// The MNA layout this context assembles over.
+    pub fn layout(&self) -> &'p MnaLayout {
+        self.layout
+    }
+
+    /// Counters accumulated by this context since it was created.
     pub fn stats(&self) -> SolveStats {
         self.stats
     }
 
     /// The solver backend this context routes
     /// [`solve_backend_in_place`](SolveContext::solve_backend_in_place)
-    /// through (fixed at plan build time).
+    /// through: fixed at plan build time for a sweep context, always
+    /// [`SolverBackend::Direct`] for an adopting one.
     pub fn backend(&self) -> SolverBackend {
-        self.plan.backend
+        self.plan.map_or(SolverBackend::Direct, |plan| plan.backend)
     }
 
     /// Ensures the stale preconditioner of the iterative backend factors the
@@ -1090,9 +605,11 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         scheduled: bool,
         anchor_job: &impl AssembleMna<T>,
     ) {
-        if !self.plan.backend.is_iterative() {
+        let (Some(plan), Some(precond), Some(csr)) =
+            (self.plan, self.precond.as_mut(), self.csr.as_mut())
+        else {
             return;
-        }
+        };
         if scheduled {
             self.stats.preconditioner_refreshes += 1;
         } else if self.precond_anchor == Some(anchor_idx) {
@@ -1101,25 +618,22 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         // Assemble the anchor system, uncounted: warm-up work must not
         // perturb the chunking-invariant per-point assembly counters.
         self.factored = false;
-        self.csr.zero_values();
-        let mut stamper = Stamper::with_sink(self.plan.layout(), SlotSink::new(&mut self.csr));
+        csr.zero_values();
+        let mut stamper = Stamper::with_sink(self.layout, SlotSink::new(csr));
         anchor_job.stamp(&mut stamper);
         let (sink, _rhs) = stamper.into_parts();
         if sink.missed() {
             self.precond_anchor = None;
             return;
         }
-        match self
-            .precond
-            .refactor_into(&self.plan.symbolic, &self.csr, &mut self.workspace)
-        {
-            Ok(()) => self.precond_anchor = Some(anchor_idx),
-            Err(_) => self.precond_anchor = None,
-        }
+        self.precond_anchor = precond
+            .refactor_into(&plan.symbolic, csr, &mut self.workspace)
+            .ok()
+            .map(|()| anchor_idx);
     }
 
-    /// Solves the most recently assembled system through the plan's solver
-    /// backend: under [`SolverBackend::Direct`] this **is**
+    /// Solves the most recently assembled system through the context's
+    /// solver backend: under [`SolverBackend::Direct`] this **is**
     /// [`solve_verified_in_place`](SolveContext::solve_verified_in_place);
     /// under the iterative backend it runs GMRES off the stale
     /// preconditioner installed by
@@ -1138,32 +652,30 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// Exactly those of
     /// [`solve_verified_in_place`](SolveContext::solve_verified_in_place).
     pub fn solve_backend_in_place(&mut self, rhs: &mut [T]) -> Result<SolveQuality, SpiceError> {
-        let Some(opts) = self.plan.backend.gmres_options() else {
+        let Some(opts) = self.backend().gmres_options() else {
             return self.solve_verified_in_place(rhs);
         };
-        let n = self.plan.dim();
-        if rhs.len() != n {
-            return Err(SpiceError::Linear(SolveError::RhsLength {
-                expected: n,
-                got: rhs.len(),
-            }));
-        }
-        if self.precond_anchor.is_none() || self.off_pattern.is_some() {
+        self.check_rhs(rhs)?;
+        let (Some(precond), Some(csr), None, Some(_)) = (
+            self.precond.as_ref(),
+            self.csr.as_ref(),
+            &self.off_pattern,
+            self.precond_anchor,
+        ) else {
             self.stats.iterative_fallbacks += 1;
             return self.solve_verified_in_place(rhs);
-        }
+        };
         self.backend_rhs.clear();
         self.backend_rhs.extend_from_slice(rhs);
         self.stats.iterative_solves += 1;
-        if let Ok(out) = gmres_solve_into(&self.csr, &self.precond, rhs, &opts, &mut self.gmres_ws)
-        {
+        if let Ok(out) = gmres_solve_into(csr, precond, rhs, &opts, &mut self.gmres_ws) {
             self.stats.gmres_iterations += out.iterations;
             if out.converged && out.backward_error <= GMRES_ACCEPT_BACKWARD_TOLERANCE {
                 return Ok(SolveQuality {
                     residual_norm: out.residual_norm,
                     backward_error: out.backward_error,
                     refinement_steps: 0,
-                    pivot_growth: self.precond.pivot_growth(),
+                    pivot_growth: precond.pivot_growth(),
                     converged: true,
                 });
             }
@@ -1173,39 +685,71 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         self.solve_verified_in_place(rhs)
     }
 
-    /// Assembles the MNA system for `job` into the context's value buffer
-    /// (value-only restamp over the plan's slot map) and returns the
-    /// right-hand side.
-    ///
-    /// A job stamping outside the shared pattern — which cannot happen for
-    /// the frequency sweeps the plan exists for, whose pattern is
-    /// frequency-independent — is handled per point: the system is rebuilt
-    /// from scratch and the next [`factor`](SolveContext::factor) runs a
-    /// fresh analysis for this point only, leaving the shared plan (and
-    /// later points) untouched.
+    /// Assembles the MNA system for `job` and returns the right-hand side
+    /// (the matrix stays inside the context for
+    /// [`factor`](SolveContext::factor)). See
+    /// [`assemble_into`](SolveContext::assemble_into).
     pub fn assemble(&mut self, job: &impl AssembleMna<T>) -> Vec<T> {
-        self.off_pattern = None;
-        self.factored = false;
-        self.csr.zero_values();
-        let mut stamper = Stamper::with_sink(self.plan.layout(), SlotSink::new(&mut self.csr));
-        job.stamp(&mut stamper);
-        let (sink, rhs) = stamper.into_parts();
-        if !sink.missed() {
-            self.stats.cached_assemblies += 1;
-            return rhs;
-        }
-        self.stats.pattern_rebuilds += 1;
-        let mut stamper = Stamper::new(self.plan.layout());
-        job.stamp(&mut stamper);
-        let (triplets, rhs) = stamper.finish();
-        self.off_pattern = Some(triplets.to_csr());
+        let mut rhs = Vec::new();
+        self.assemble_into(job, &mut rhs);
         rhs
     }
 
+    /// Assembles the MNA system for `job` into the context's value buffer —
+    /// a value-only restamp over the current slot map — writing the
+    /// right-hand side into a caller-held buffer. On a pattern hit, once
+    /// `rhs`'s capacity has reached the layout dimension, the assembly
+    /// performs **zero heap allocations**: the property the transient
+    /// Newton loop relies on, where the same buffer cycles through
+    /// assemble → solve at every iteration of every timestep.
+    ///
+    /// A job stamping outside the pattern is rebuilt from scratch (which
+    /// allocates, as it must). A context that never re-plans keeps the
+    /// rebuilt system for this point only, and its next
+    /// [`factor`](SolveContext::factor) runs a fresh analysis of it, leaving
+    /// the shared plan (and later points) untouched — this cannot happen in
+    /// the frequency sweeps the plan exists for, whose pattern is
+    /// frequency-independent. An adopting context takes the rebuilt pattern
+    /// as its own; so does its first assembly, which is not counted in
+    /// `cached_assemblies` or `pattern_rebuilds`.
+    pub fn assemble_into(&mut self, job: &impl AssembleMna<T>, rhs: &mut Vec<T>) {
+        self.off_pattern = None;
+        self.factored = false;
+        if let Some(csr) = self.csr.as_mut() {
+            csr.zero_values();
+            let buf = std::mem::take(rhs);
+            let mut stamper = Stamper::with_sink_reusing(self.layout, SlotSink::new(csr), buf);
+            job.stamp(&mut stamper);
+            let (sink, out) = stamper.into_parts();
+            *rhs = out;
+            if !sink.missed() {
+                self.stats.cached_assemblies += 1;
+                return;
+            }
+            self.stats.pattern_rebuilds += 1;
+        }
+        let mut stamper = Stamper::new(self.layout);
+        job.stamp(&mut stamper);
+        let (triplets, out) = stamper.finish();
+        *rhs = out;
+        let rebuilt = triplets.to_csr();
+        if self.adopts() {
+            // The symbolic analysis belonged to the old pattern: the next
+            // factorization re-analyzes and adopts.
+            self.csr = Some(rebuilt);
+            self.symbolic = None;
+        } else {
+            self.off_pattern = Some(rebuilt);
+        }
+    }
+
     /// Factors the most recently assembled system: a numeric-only
-    /// refactorization against the plan's symbolic analysis (the hot path),
-    /// or a fresh one-point factorization when the assembly went off
-    /// pattern or a pivot degraded.
+    /// refactorization against the current symbolic analysis (the hot
+    /// path), or a fresh analysis when there is none for this system (an
+    /// adopting context's first factorization, or a pattern miss).
+    /// `refactor_into` itself falls back to a fresh pivoting factorization
+    /// when a pivot degrades; an adopting context keeps that pivot order,
+    /// a sweep context uses it for this point only.
     ///
     /// # Errors
     ///
@@ -1215,30 +759,58 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     ///
     /// Panics when called before any [`assemble`](SolveContext::assemble).
     pub fn factor(&mut self) -> Result<&SparseLu<T>, SolveError> {
-        if let Some(matrix) = self.off_pattern.as_ref() {
-            // One-point fallback: a full analysis of the off-plan matrix.
-            // The matrix stays around (until the next assembly) so the
-            // verified-solve path can compute residuals against it.
-            let (lu, _) = SparseLu::factor_with_symbolic_btf(matrix)?;
-            self.stats.symbolic += 1;
-            self.lu = lu;
+        let csr = self
+            .csr
+            .as_ref()
+            .expect("SolveContext::assemble must run first");
+        let adopts = self.adopts();
+        if let (None, Some(symbolic), Some(lu)) = (&self.off_pattern, &self.symbolic, &mut self.lu)
+        {
+            if let Err(e) = lu.refactor_into(symbolic, csr, &mut self.workspace) {
+                if adopts {
+                    // The failed factors are unusable; the next attempt
+                    // re-analyzes from scratch.
+                    self.lu = None;
+                }
+                return Err(e);
+            }
+            if lu.refactored() {
+                self.stats.numeric_refactor += 1;
+            } else {
+                self.stats.fresh_fallback += 1;
+                if adopts {
+                    self.symbolic = Some(lu.extract_symbolic());
+                }
+            }
             self.factored = true;
-            return Ok(&self.lu);
-        }
-        self.lu
-            .refactor_into(&self.plan.symbolic, &self.csr, &mut self.workspace)?;
-        if self.lu.refactored() {
-            self.stats.numeric_refactor += 1;
         } else {
-            // Degraded pivot at this point: `refactor_into` already fell
-            // back to a fresh factorization. Unlike `CachedMna` the new
-            // pattern is NOT adopted — the next point refactors against the
-            // shared plan again, so no point's result ever depends on chunk
-            // boundaries or on which points this worker saw before.
-            self.stats.fresh_fallback += 1;
+            self.fresh_factor()?;
         }
-        self.factored = true;
-        Ok(&self.lu)
+        Ok(self.factors())
+    }
+
+    /// The current factors.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no factorization has succeeded yet.
+    fn factors(&self) -> &SparseLu<T> {
+        self.lu
+            .as_ref()
+            .expect("SolveContext::factor must succeed first")
+    }
+
+    /// The most recently assembled matrix: the one-point rebuild of an
+    /// off-pattern sweep point, else the value buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called before any assembly.
+    fn matrix(&self) -> &CsrMatrix<T> {
+        self.off_pattern
+            .as_ref()
+            .or(self.csr.as_ref())
+            .expect("SolveContext::assemble must run first")
     }
 
     /// Solves the factored system in place: `rhs` holds `b` on entry and
@@ -1258,7 +830,11 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             self.factored,
             "SolveContext::factor must succeed before solving"
         );
-        self.lu.solve_into(rhs, &mut self.solve_work)
+        let lu = self
+            .lu
+            .as_ref()
+            .expect("SolveContext::factor must succeed first");
+        lu.solve_into(rhs, &mut self.solve_work)
     }
 
     /// Solves the factored system for `k` right-hand sides in one blocked
@@ -1290,8 +866,11 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         if self.panel_work.len() < rhs.len() {
             self.panel_work.resize(rhs.len(), T::ZERO);
         }
-        self.lu
-            .solve_block_into(rhs, k, &mut self.panel_work[..rhs.len()])
+        let lu = self
+            .lu
+            .as_ref()
+            .expect("SolveContext::factor must succeed first");
+        lu.solve_block_into(rhs, k, &mut self.panel_work[..rhs.len()])
     }
 
     /// Convenience wrapper: assemble, factor, and solve with the assembled
@@ -1319,40 +898,70 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         &mut self,
         job: &impl AssembleMna<T>,
     ) -> Result<(Vec<T>, SolveQuality), SpiceError> {
-        let mut rhs = self.assemble(job);
-        let quality = self.solve_verified_in_place(&mut rhs)?;
+        let mut rhs = Vec::new();
+        let quality = self.solve_verified_into(job, &mut rhs)?;
         Ok((rhs, quality))
     }
 
-    /// Runs the structured **retry ladder** over the most recently assembled
-    /// system: factor → residual-verified solve → fresh threshold-pivoted
-    /// factorization on a failed backward-error check → deterministic
-    /// per-point gmin bumps ([`GMIN_BUMP_LADDER`]). The same ladder as
-    /// [`CachedMna::verify_assembled`] — see there for the rung-by-rung
-    /// contract — with one sweep-critical difference: escalations here are
-    /// strictly **per point**. Nothing a rung does is adopted into the plan
-    /// or carried to the next point, so a context that escalated at point
-    /// `k` still produces bitwise-identical results at every other point,
-    /// whatever the chunking.
-    ///
-    /// `rhs` holds `b` on entry and the verified solution on success. When
-    /// [`factor`](SolveContext::factor) already ran since the last assembly
-    /// its factors are reused as rung 1; otherwise the ladder factors first.
+    /// Like [`solve_verified`](SolveContext::solve_verified), but cycling a
+    /// caller-held buffer: `solution` receives the assembled right-hand
+    /// side and is solved in place. Once the buffers are warm and no ladder
+    /// escalation fires, the cycle performs zero heap allocations, so this
+    /// is safe to drive from the DC and transient Newton loops.
     ///
     /// # Errors
     ///
-    /// [`SpiceError::NonFiniteStamp`] for NaN/∞ stamps,
-    /// [`SpiceError::SingularSystem`] for systems the gmin rung cannot
-    /// regularize, [`SpiceError::ResidualCheckFailed`] when the ladder runs
-    /// dry — all enriched with circuit names.
+    /// Returns the name-enriched [`SpiceError`] when every rung of the
+    /// ladder fails.
+    pub fn solve_verified_into(
+        &mut self,
+        job: &impl AssembleMna<T>,
+        solution: &mut Vec<T>,
+    ) -> Result<SolveQuality, SpiceError> {
+        self.assemble_into(job, solution);
+        self.solve_verified_in_place(solution)
+    }
+
+    /// Runs the structured **retry ladder** over the most recently assembled
+    /// system. `rhs` holds `b` on entry and the verified solution on
+    /// success. The rungs, in order:
+    ///
+    /// 1. factor (a pattern-reusing refactorization when possible, with the
+    ///    built-in fresh fallback on a degraded pivot) and solve with
+    ///    iterative refinement ([`SparseLu::solve_refined_into`]); when
+    ///    [`factor`](SolveContext::factor) already ran since the last
+    ///    assembly its factors are reused;
+    /// 2. if the backward error still fails its tolerance and the factors
+    ///    came from a reused pivot order, escalate to a fresh
+    ///    threshold-pivoted factorization of this exact system
+    ///    (`residual_retries` in [`SolveStats`]);
+    /// 3. if the system is singular or refinement still cannot converge,
+    ///    apply the deterministic gmin bumps of [`GMIN_BUMP_LADDER`] to the
+    ///    node-voltage diagonals, re-factoring after each (`gmin_bumps` in
+    ///    [`SolveStats`]).
+    ///
+    /// Every escalation decision is a pure function of the assembled values,
+    /// so identical systems take identical ladders. A context that never
+    /// re-plans keeps each escalation to its point: nothing a rung does is
+    /// carried to the next point, so a context that escalated at point `k`
+    /// still produces bitwise-identical results at every other point,
+    /// whatever the chunking. An adopting context keeps the fresh
+    /// factorization of the rung that succeeded as its plan.
+    ///
+    /// # Errors
+    ///
+    /// Non-finite stamps abort immediately as
+    /// [`SpiceError::NonFiniteStamp`] (no rung can repair a NaN); a system
+    /// still singular after the gmin rung surfaces as
+    /// [`SpiceError::SingularSystem`]; a ladder that ran dry with finite
+    /// arithmetic returns [`SpiceError::ResidualCheckFailed`]. All carry
+    /// circuit names mapped through the [`MnaLayout`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when called before any assembly.
     pub fn solve_verified_in_place(&mut self, rhs: &mut [T]) -> Result<SolveQuality, SpiceError> {
-        let n = self.plan.dim();
-        if rhs.len() != n {
-            return Err(SpiceError::Linear(SolveError::RhsLength {
-                expected: n,
-                got: rhs.len(),
-            }));
-        }
+        self.check_rhs(rhs)?;
         self.rhs_backup.clear();
         self.rhs_backup.extend_from_slice(rhs);
         let mut pending_singular = None;
@@ -1362,7 +971,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             match self.factor() {
                 Ok(_) => {}
                 Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                Err(e) => return Err(SpiceError::from_solve(e, self.plan.layout())),
+                Err(e) => return Err(SpiceError::from_solve(e, self.layout)),
             }
         }
         if pending_singular.is_none() {
@@ -1371,9 +980,9 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                 return Ok(q);
             }
             last_quality = Some(q);
-            if self.lu.refactored() {
+            if self.factors().refactored() {
                 self.stats.residual_retries += 1;
-                match self.fresh_factor_point() {
+                match self.fresh_factor() {
                     Ok(()) => {
                         rhs.copy_from_slice(&self.rhs_backup);
                         let q = self.refined_attempt(rhs)?;
@@ -1383,20 +992,19 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                         last_quality = Some(q);
                     }
                     Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                    Err(e) => return Err(SpiceError::from_solve(e, self.plan.layout())),
+                    Err(e) => return Err(SpiceError::from_solve(e, self.layout)),
                 }
             }
         }
-        let node_vars = self.plan.layout().dim() - self.plan.layout().branch_count();
+        let node_vars = self.layout.dim() - self.layout.branch_count();
         let mut bumps = 0usize;
         for &bump in GMIN_BUMP_LADDER.iter() {
-            let matrix = self.off_pattern.as_mut().unwrap_or(&mut self.csr);
-            if !bump_node_diagonals(matrix, node_vars, bump) {
+            if !bump_node_diagonals(self.matrix_slot(), node_vars, bump) {
                 break;
             }
             self.stats.gmin_bumps += 1;
             bumps += 1;
-            match self.fresh_factor_point() {
+            match self.fresh_factor() {
                 Ok(()) => {
                     rhs.copy_from_slice(&self.rhs_backup);
                     let q = self.refined_attempt(rhs)?;
@@ -1407,11 +1015,11 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                     pending_singular = None;
                 }
                 Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                Err(e) => return Err(SpiceError::from_solve(e, self.plan.layout())),
+                Err(e) => return Err(SpiceError::from_solve(e, self.layout)),
             }
         }
         match pending_singular {
-            Some(e) => Err(SpiceError::from_solve(e, self.plan.layout())),
+            Some(e) => Err(SpiceError::from_solve(e, self.layout)),
             None => Err(SpiceError::ResidualCheckFailed {
                 backward_error: last_quality.map_or(f64::INFINITY, |q| q.backward_error),
                 gmin_bumps: bumps,
@@ -1419,22 +1027,45 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         }
     }
 
-    /// One residual-verified solve over the current factors and matrix.
-    fn refined_attempt(&mut self, rhs: &mut [T]) -> Result<SolveQuality, SpiceError> {
-        let matrix = self.off_pattern.as_ref().unwrap_or(&self.csr);
-        self.lu
-            .solve_refined_into(matrix, rhs, &mut self.refine_ws)
-            .map_err(|e| SpiceError::from_solve(e, self.plan.layout()))
+    /// Rejects a right-hand side whose length is not the system dimension.
+    fn check_rhs(&self, rhs: &[T]) -> Result<(), SpiceError> {
+        let n = self.layout.dim();
+        if rhs.len() == n {
+            Ok(())
+        } else {
+            Err(SpiceError::Linear(SolveError::RhsLength {
+                expected: n,
+                got: rhs.len(),
+            }))
+        }
     }
 
-    /// Fresh threshold-pivoted factorization of this point's matrix only —
-    /// unlike [`CachedMna`], the resulting pattern is **not** adopted; the
-    /// next point refactors against the shared plan as usual. Counted in
-    /// `symbolic`, like every full analysis.
-    fn fresh_factor_point(&mut self) -> Result<(), SolveError> {
-        let matrix = self.off_pattern.as_ref().unwrap_or(&self.csr);
-        let (lu, _) = SparseLu::factor_with_symbolic_btf(matrix)?;
-        self.lu = lu;
+    /// One residual-verified solve over the current factors and matrix.
+    fn refined_attempt(&mut self, rhs: &mut [T]) -> Result<SolveQuality, SpiceError> {
+        let matrix = self
+            .off_pattern
+            .as_ref()
+            .or(self.csr.as_ref())
+            .expect("SolveContext::assemble must run first");
+        let lu = self
+            .lu
+            .as_ref()
+            .expect("SolveContext::factor must succeed first");
+        lu.solve_refined_into(matrix, rhs, &mut self.refine_ws)
+            .map_err(|e| SpiceError::from_solve(e, self.layout))
+    }
+
+    /// Fresh threshold-pivoted factorization of the current system, counted
+    /// in `symbolic` like every full analysis. An adopting context adopts
+    /// its pattern and pivot order as the new plan; a sweep context uses it
+    /// for this point only, and the next point refactors against the shared
+    /// plan as usual.
+    fn fresh_factor(&mut self) -> Result<(), SolveError> {
+        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(self.matrix())?;
+        if self.adopts() {
+            self.symbolic = Some(symbolic);
+        }
+        self.lu = Some(lu);
         self.factored = true;
         self.stats.symbolic += 1;
         Ok(())
@@ -1456,17 +1087,32 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             self.factored,
             "SolveContext::factor must succeed before estimating conditioning"
         );
-        let matrix = self.off_pattern.as_ref().unwrap_or(&self.csr);
-        self.lu.condition_estimate(matrix)
+        self.factors().condition_estimate(self.matrix())
+    }
+
+    /// Mutable access to the most recently assembled matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called before any assembly.
+    fn matrix_slot(&mut self) -> &mut CsrMatrix<T> {
+        self.off_pattern
+            .as_mut()
+            .or(self.csr.as_mut())
+            .expect("SolveContext::assemble must run first")
     }
 
     /// Mutable access to the assembled matrix values — the perturbation hook
     /// the fault-injection test-suites use to poison stamped values between
     /// assembly and solve. Compiled only for tests and under the
     /// `fault-inject` feature; never part of the production surface.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called before any assembly.
     #[cfg(any(test, feature = "fault-inject"))]
     pub fn matrix_mut(&mut self) -> &mut CsrMatrix<T> {
-        self.off_pattern.as_mut().unwrap_or(&mut self.csr)
+        self.matrix_slot()
     }
 }
 
@@ -1495,6 +1141,17 @@ mod tests {
         }
     }
 
+    /// A diagonal-only job: a pattern lacking the ladder's off-diagonals.
+    struct DiagOnly;
+
+    impl AssembleMna<f64> for DiagOnly {
+        fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+            st.add_var_var(0, 0, 1.0);
+            st.add_var_var(1, 1, 2.0);
+            st.add_rhs_var(0, 1.0);
+        }
+    }
+
     fn two_node_layout() -> (Circuit, MnaLayout) {
         let mut c = Circuit::new("cache test");
         let a = c.node("a");
@@ -1509,84 +1166,72 @@ mod tests {
     #[test]
     fn second_assembly_is_value_only() {
         let (_c, layout) = two_node_layout();
-        let mut cache = CachedMna::<f64>::new();
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
         let job = LadderJob {
             g1: 1.0e-3,
             g2: 2.0e-3,
             extra_entry: false,
         };
-        cache.assemble(&layout, &job);
-        let first = cache.matrix().clone();
+        ctx.assemble(&job);
+        // The first assembly builds the pattern and is counted as neither.
+        assert_eq!(ctx.stats().cached_assemblies, 0);
+        assert_eq!(ctx.stats().pattern_rebuilds, 0);
+        let first = ctx.matrix().clone();
         let job2 = LadderJob {
             g1: 4.0e-3,
             g2: 0.5e-3,
             extra_entry: false,
         };
-        let rhs = cache.assemble(&layout, &job2);
-        assert!(cache.matrix().same_pattern(&first));
-        assert_eq!(cache.stats().cached_assemblies, 1);
-        assert_eq!(cache.stats().pattern_rebuilds, 0);
-        assert!((cache.matrix().get(0, 0) - 4.5e-3).abs() < 1e-18);
-        assert!((cache.matrix().get(0, 1) + 0.5e-3).abs() < 1e-18);
+        let rhs = ctx.assemble(&job2);
+        assert!(ctx.matrix().same_pattern(&first));
+        assert_eq!(ctx.stats().cached_assemblies, 1);
+        assert_eq!(ctx.stats().pattern_rebuilds, 0);
+        assert!((ctx.matrix().get(0, 0) - 4.5e-3).abs() < 1e-18);
+        assert!((ctx.matrix().get(0, 1) + 0.5e-3).abs() < 1e-18);
         assert_eq!(rhs[0], 1.0e-3);
     }
 
     #[test]
     fn pattern_miss_triggers_rebuild() {
         let (_c, layout) = two_node_layout();
-        let mut cache = CachedMna::<f64>::new();
-        cache.assemble(
-            &layout,
-            &LadderJob {
-                g1: 1.0,
-                g2: 1.0,
-                extra_entry: false,
-            },
-        );
-        cache.factor().unwrap();
-        assert_eq!(cache.stats().symbolic, 1);
-        // The extra stamp addresses (1,1), which IS in the pattern — use a
-        // job with a different structure instead: g2 = 0 keeps positions, so
-        // force a genuinely new position via a fresh cache scenario below.
-        let mut cache2 = CachedMna::<f64>::new();
-        struct DiagOnly;
-        impl AssembleMna<f64> for DiagOnly {
-            fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-                st.add_var_var(0, 0, 1.0);
-                st.add_var_var(1, 1, 2.0);
-            }
-        }
-        cache2.assemble(&layout, &DiagOnly);
-        cache2.factor().unwrap();
-        cache2.assemble(
-            &layout,
-            &LadderJob {
-                g1: 1.0,
-                g2: 1.0,
-                extra_entry: false,
-            },
-        );
-        assert_eq!(cache2.stats().pattern_rebuilds, 1);
-        assert_eq!(cache2.matrix().get(0, 1), -1.0);
+        let ladder = LadderJob {
+            g1: 1.0,
+            g2: 1.0,
+            extra_entry: false,
+        };
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
+        ctx.assemble(&DiagOnly);
+        ctx.factor().unwrap();
+        assert_eq!(ctx.stats().symbolic, 1);
+        // The ladder stamps (0,1) and (1,0), which the diagonal pattern
+        // lacks: the adopting context rebuilds and keeps the new pattern.
+        ctx.assemble(&ladder);
+        assert_eq!(ctx.stats().pattern_rebuilds, 1);
+        assert_eq!(ctx.matrix().get(0, 1), -1.0);
         // The symbolic analysis was invalidated: next factor re-analyzes.
-        cache2.factor().unwrap();
-        assert_eq!(cache2.stats().symbolic, 2);
+        ctx.factor().unwrap();
+        assert_eq!(ctx.stats().symbolic, 2);
+        // The rebuilt pattern and its analysis are now the context's plan.
+        ctx.solve(&ladder).unwrap();
+        assert_eq!(ctx.stats().cached_assemblies, 1);
+        assert_eq!(ctx.stats().numeric_refactor, 1);
+        assert_eq!(ctx.stats().symbolic, 2);
     }
 
     #[test]
     fn factor_counts_refactors() {
         let (_c, layout) = two_node_layout();
-        let mut cache = CachedMna::<f64>::new();
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
         for k in 1..=5 {
             let job = LadderJob {
                 g1: 1.0e-3 * k as f64,
                 g2: 2.0e-3,
                 extra_entry: false,
             };
-            let x = cache.solve(&layout, &job).unwrap();
+            let x = ctx.solve(&job).unwrap();
             assert!(x[0].is_finite());
         }
-        let stats = cache.stats();
+        let stats = ctx.stats();
         assert_eq!(stats.symbolic, 1);
         assert_eq!(stats.numeric_refactor, 4);
         assert_eq!(stats.fresh_fallback, 0);
@@ -1629,6 +1274,9 @@ mod tests {
         assert_eq!(ctx_a.stats().pattern_rebuilds, 0);
     }
 
+    /// An adopting context (the DC/transient driver) plans from its own
+    /// first job instead of the representative one, and still agrees with a
+    /// sweep context to rounding.
     #[test]
     fn plan_context_matches_cached_mna() {
         let (_c, layout) = two_node_layout();
@@ -1641,28 +1289,22 @@ mod tests {
             .collect();
         let plan = SweepPlan::<f64>::build(&layout, &jobs[0]).unwrap();
         let mut ctx = plan.context();
-        let mut cache = CachedMna::<f64>::new();
+        let mut adopting = SolveContext::<f64>::adopting(&layout);
         for job in &jobs {
             let from_plan = ctx.solve(job).unwrap();
-            let from_cache = cache.solve(&layout, job).unwrap();
-            for (a, b) in from_plan.iter().zip(&from_cache) {
+            let from_adopting = adopting.solve(job).unwrap();
+            for (a, b) in from_plan.iter().zip(&from_adopting) {
                 assert!((a - b).abs() <= 1e-15 * a.abs().max(1.0), "{a} vs {b}");
             }
         }
+        assert_eq!(adopting.stats().symbolic, 1);
+        assert_eq!(adopting.stats().numeric_refactor, jobs.len() - 1);
     }
 
     #[test]
     fn off_pattern_point_falls_back_without_poisoning_later_points() {
         let (_c, layout) = two_node_layout();
         // Plan built over a diagonal-only pattern...
-        struct DiagOnly;
-        impl AssembleMna<f64> for DiagOnly {
-            fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-                st.add_var_var(0, 0, 1.0);
-                st.add_var_var(1, 1, 2.0);
-                st.add_rhs_var(0, 1.0);
-            }
-        }
         let plan = SweepPlan::<f64>::build(&layout, &DiagOnly).unwrap();
         let mut ctx = plan.context();
         // ...hit with an off-diagonal job: the point must still solve right.
@@ -1752,13 +1394,13 @@ mod tests {
         assert_eq!(ctx.stats().gmin_bumps, 0);
         assert_eq!(ctx.stats().symbolic, 0);
 
-        let mut cache = CachedMna::<f64>::new();
-        let (x, q) = cache.solve_verified(&layout, &job).unwrap();
+        let mut adopting = SolveContext::<f64>::adopting(&layout);
+        let (x, q) = adopting.solve_verified(&job).unwrap();
         assert!(q.converged);
         assert_eq!(x, plain);
-        assert_eq!(cache.stats().residual_retries, 0);
-        assert_eq!(cache.stats().gmin_bumps, 0);
-        assert_eq!(cache.stats().symbolic, 1);
+        assert_eq!(adopting.stats().residual_retries, 0);
+        assert_eq!(adopting.stats().gmin_bumps, 0);
+        assert_eq!(adopting.stats().symbolic, 1);
     }
 
     #[test]
@@ -1795,19 +1437,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dead_node_column_is_rescued_by_the_gmin_rung() {
-        let (_c, layout) = two_node_layout();
-        let job = LadderJob {
-            g1: 1.0e-3,
-            g2: 2.0e-3,
-            extra_entry: false,
-        };
-        let plan = SweepPlan::<f64>::build(&layout, &job).unwrap();
-        let mut ctx = plan.context();
-        let mut rhs = ctx.assemble(&job);
-        // Kill column 1 (node `b`): the system is exactly singular, so the
-        // factor rungs fail and only the per-point gmin bump can rescue it.
+    /// Kills column 1 (node `b`) of the ladder after assembly: the system
+    /// is exactly singular, so the factor rungs fail and only the gmin bump
+    /// can rescue it. A later healthy solve must recover the fast path
+    /// without a new symbolic analysis: a sweep context refactors against
+    /// its plan, an adopting one against the rescue's adopted pivot order.
+    fn rescue_dead_node_column_then_recover(mut ctx: SolveContext<'_, f64>, job: &LadderJob) {
+        let mut rhs = ctx.assemble(job);
         let m = ctx.matrix_mut();
         for (r, c) in [(0usize, 1usize), (1, 1)] {
             let slot = m.find_slot(r, c).unwrap();
@@ -1820,6 +1456,37 @@ mod tests {
         // v(b) floats up to the bump conductance's scale — large but finite
         // and flagged through the `gmin_bumps` counter.
         assert!(rhs[1].abs() > 1.0);
+        let symbolic = ctx.stats().symbolic;
+        let (x, q) = ctx.solve_verified(job).unwrap();
+        assert!(q.converged);
+        assert!(x.iter().all(|v| v.is_finite()));
+        assert_eq!(ctx.stats().symbolic, symbolic);
+        assert_eq!(ctx.stats().gmin_bumps, 1);
+    }
+
+    #[test]
+    fn dead_node_column_is_rescued_by_the_gmin_rung() {
+        let (_c, layout) = two_node_layout();
+        let job = LadderJob {
+            g1: 1.0e-3,
+            g2: 2.0e-3,
+            extra_entry: false,
+        };
+        let plan = SweepPlan::<f64>::build(&layout, &job).unwrap();
+        rescue_dead_node_column_then_recover(plan.context(), &job);
+    }
+
+    /// The same rescue through the adopting context (the DC/transient
+    /// driver), whose gmin rescue replaces its own plan.
+    #[test]
+    fn cached_mna_gmin_rescue_adopts_and_recovers() {
+        let (_c, layout) = two_node_layout();
+        let job = LadderJob {
+            g1: 1.0e-3,
+            g2: 2.0e-3,
+            extra_entry: false,
+        };
+        rescue_dead_node_column_then_recover(SolveContext::adopting(&layout), &job);
     }
 
     #[test]
@@ -1888,38 +1555,14 @@ mod tests {
         assert_eq!(ctx.stats().residual_retries, 0);
         assert_eq!(ctx.stats().gmin_bumps, 0);
 
-        // The cached driver takes the identical path.
-        let mut cache = CachedMna::<f64>::new();
-        let mut b = cache.assemble(&layout, &job);
-        let m = cache.matrix_mut();
+        // The adopting context takes the identical path.
+        let mut adopting = SolveContext::<f64>::adopting(&layout);
+        let mut b = adopting.assemble(&job);
+        let m = adopting.matrix_mut();
         let slot = m.find_slot(0, 1).unwrap();
         m.values_mut()[slot] = f64::NAN;
-        let cache_err = cache.verify_assembled(&layout, &mut b).unwrap_err();
-        assert_eq!(cache_err, err);
-    }
-
-    #[test]
-    fn cached_mna_gmin_rescue_adopts_and_recovers() {
-        let (_c, layout) = two_node_layout();
-        let job = LadderJob {
-            g1: 1.0e-3,
-            g2: 2.0e-3,
-            extra_entry: false,
-        };
-        let mut cache = CachedMna::<f64>::new();
-        let mut rhs = cache.assemble(&layout, &job);
-        let m = cache.matrix_mut();
-        for (r, c) in [(0usize, 1usize), (1, 1)] {
-            let slot = m.find_slot(r, c).unwrap();
-            m.values_mut()[slot] = 0.0;
-        }
-        let q = cache.verify_assembled(&layout, &mut rhs).unwrap();
-        assert!(q.converged);
-        assert_eq!(cache.stats().gmin_bumps, 1);
-        // A later healthy solve recovers the normal fast path.
-        let (x, q2) = cache.solve_verified(&layout, &job).unwrap();
-        assert!(q2.converged);
-        assert!(x.iter().all(|v| v.is_finite()));
+        let adopting_err = adopting.solve_verified_in_place(&mut b).unwrap_err();
+        assert_eq!(adopting_err, err);
     }
 
     #[test]
@@ -1935,10 +1578,10 @@ mod tests {
         job.stamp(&mut st);
         let (trip, rhs) = st.finish();
         let naive = loopscope_sparse::solve_once(&trip.to_csr(), &rhs).unwrap();
-        // Cached path, twice (second solve exercises the slot sink).
-        let mut cache = CachedMna::<f64>::new();
-        cache.solve(&layout, &job).unwrap();
-        let cached = cache.solve(&layout, &job).unwrap();
+        // Adopting context, twice (second solve exercises the slot sink).
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
+        ctx.solve(&job).unwrap();
+        let cached = ctx.solve(&job).unwrap();
         for (a, b) in naive.iter().zip(&cached) {
             assert!((a - b).abs() < 1e-15, "{a} vs {b}");
         }

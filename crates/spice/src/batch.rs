@@ -558,7 +558,7 @@ impl<'p> GroupRunner<'p> {
             self.lanes[k].zero_values();
             let rhs = std::mem::take(&mut self.rhs_scratch);
             let mut st = Stamper::with_sink_reusing(
-                self.ctx.plan().layout(),
+                self.ctx.layout(),
                 SlotSink::new(&mut self.lanes[k]),
                 rhs,
             );

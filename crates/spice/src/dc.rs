@@ -13,7 +13,7 @@
 //! currents, and is the linearization point for AC and the starting state for
 //! transient analysis.
 
-use crate::assembly::{AssembleMna, CachedMna};
+use crate::assembly::{AssembleMna, SolveContext};
 use crate::devices;
 use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
@@ -325,13 +325,13 @@ enum NewtonOutcome {
 /// Runs Newton-Raphson from the supplied initial node voltages.
 ///
 /// Every linear solve goes through the residual-verified retry ladder
-/// ([`CachedMna::solve_verified_into`]), so solver failures arrive
+/// ([`SolveContext::solve_verified_into`]), so solver failures arrive
 /// name-enriched and are genuine hard errors, not convergence noise.
 #[allow(clippy::too_many_arguments)]
 fn newton(
     circuit: &Circuit,
     layout: &MnaLayout,
-    solver: &mut CachedMna<f64>,
+    solver: &mut SolveContext<'_, f64>,
     initial_voltages: &[f64],
     source_scale: f64,
     gshunt: f64,
@@ -354,7 +354,7 @@ fn newton(
             source_scale,
             gshunt,
         };
-        solver.solve_verified_into(layout, &job, &mut solution)?;
+        solver.solve_verified_into(&job, &mut solution)?;
 
         // Extract and damp the node-voltage update.
         let mut max_delta: f64 = 0.0;
@@ -428,9 +428,9 @@ pub fn solve_dc_with(circuit: &Circuit, opts: &DcOptions) -> Result<OperatingPoi
     let layout = MnaLayout::new(circuit);
     let zero = vec![0.0; circuit.node_count()];
     let mut report = ConvergenceReport::default();
-    // One assembly/factorization cache for the entire operating-point search:
+    // One adopting solve context for the entire operating-point search:
     // gmin and source stepping only change values, never the pattern.
-    let mut solver = CachedMna::new();
+    let mut solver = SolveContext::adopting(&layout);
 
     // Attempt 1: plain Newton from a zero initial guess. Hard solver failures
     // (`Err`) abort the whole search; only non-convergence escalates.
@@ -487,7 +487,7 @@ type DcSolution = (Vec<f64>, Vec<f64>);
 fn gmin_stepping(
     circuit: &Circuit,
     layout: &MnaLayout,
-    solver: &mut CachedMna<f64>,
+    solver: &mut SolveContext<'_, f64>,
     opts: &DcOptions,
     report: &mut ConvergenceReport,
 ) -> Result<Option<DcSolution>, SpiceError> {
@@ -539,7 +539,7 @@ fn gmin_stepping(
 fn source_stepping(
     circuit: &Circuit,
     layout: &MnaLayout,
-    solver: &mut CachedMna<f64>,
+    solver: &mut SolveContext<'_, f64>,
     opts: &DcOptions,
     report: &mut ConvergenceReport,
 ) -> Result<DcSolution, SpiceError> {

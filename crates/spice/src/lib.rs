@@ -17,13 +17,14 @@
 //! margins, crossovers) live in [`measure`]. The solver pipeline builds the
 //! sparsity pattern and the LU pivot order once per circuit structure and
 //! then restamps values in place and refactors numerically for every
-//! further frequency point, Newton iteration or timestep — in two shapes:
-//! the sequential analyses (DC Newton, transient stepping) use the adaptive
-//! [`assembly::CachedMna`] cache, while the frequency sweeps split the same
-//! state into a shared immutable [`assembly::SweepPlan`] plus per-worker
-//! [`assembly::SolveContext`]s and run their grids across scoped worker
-//! threads through [`par::sweep_chunks`] (`LOOPSCOPE_THREADS` knob, results
-//! bitwise identical at any worker count).
+//! further frequency point, Newton iteration or timestep, all through one
+//! driver, [`assembly::SolveContext`]. The sequential analyses (DC Newton,
+//! transient stepping) use an adopting context that re-plans from its own
+//! systems; the frequency sweeps share an immutable [`assembly::SweepPlan`]
+//! and mint one context per worker that never re-plans, running their grids
+//! across scoped worker threads through [`par::sweep_chunks`]
+//! (`LOOPSCOPE_THREADS` knob, results bitwise identical at any worker
+//! count).
 //!
 //! # Example
 //!
@@ -65,7 +66,7 @@ pub mod solver;
 pub mod tran;
 
 pub use ac::{AcAnalysis, AcSweep, SolverStructure};
-pub use assembly::{AssembleMna, CachedMna, SlotSink, SolveContext, SolveStats, SweepPlan};
+pub use assembly::{AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan};
 pub use batch::{
     driving_point_batch, driving_point_monte_carlo, BatchVariant, BatchedSweep, ParameterVariation,
     VariantOutcome,

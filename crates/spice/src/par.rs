@@ -211,84 +211,6 @@ where
     merge_chunk_results(chunk_results)
 }
 
-/// Like [`sweep_chunks`] but **consuming** the points, for sweeps whose step
-/// needs ownership of each item (e.g. a corner sweep moving each circuit
-/// variant into its analyzer). Same chunking, ordering, error and state
-/// semantics; worker count from [`configured_workers`].
-pub fn sweep_chunks_owned<P, R, S, E, Init, Step>(
-    points: Vec<P>,
-    init: Init,
-    step: Step,
-) -> (Result<Vec<R>, E>, Vec<S>)
-where
-    P: Send,
-    R: Send,
-    S: Send,
-    E: Send,
-    Init: Fn() -> S + Sync,
-    Step: Fn(&mut S, usize, P) -> Result<R, E> + Sync,
-{
-    /// One worker's chunk, consumed left to right, stopping at the first
-    /// error (state and completed rows are kept either way).
-    fn run_chunk_owned<P, R, S, E>(
-        base: usize,
-        chunk: Vec<P>,
-        state: &mut S,
-        step: &(impl Fn(&mut S, usize, P) -> Result<R, E> + Sync),
-    ) -> (Vec<R>, Option<(usize, E)>) {
-        let mut out = Vec::with_capacity(chunk.len());
-        for (j, p) in chunk.into_iter().enumerate() {
-            match step(state, base + j, p) {
-                Ok(r) => out.push(r),
-                Err(e) => return (out, Some((base + j, e))),
-            }
-        }
-        (out, None)
-    }
-
-    let total = points.len();
-    let workers = configured_workers().min(total.max(1));
-    let chunk_results: Vec<ChunkResult<R, S, E>> = if workers == 1 {
-        let mut state = init();
-        let (out, err) = run_chunk_owned(0, points, &mut state, &step);
-        vec![(out, state, err)]
-    } else {
-        // Split into contiguous chunks by value, preserving global indices.
-        let chunk_len = total.div_ceil(workers);
-        let mut chunks: Vec<(usize, Vec<P>)> = Vec::with_capacity(workers);
-        let mut iter = points.into_iter();
-        let mut base = 0;
-        loop {
-            let chunk: Vec<P> = iter.by_ref().take(chunk_len).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            base += chunk.len();
-            chunks.push((base - chunk.len(), chunk));
-        }
-        thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(base, chunk)| {
-                    let init = &init;
-                    let step = &step;
-                    scope.spawn(move || {
-                        IN_SWEEP_WORKER.with(|f| f.set(true));
-                        let mut state = init();
-                        let (out, err) = run_chunk_owned(base, chunk, &mut state, step);
-                        (out, state, err)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-    };
-    merge_chunk_results(chunk_results)
-}
-
 /// Reassembles per-chunk outputs (in chunk = point order) into one result
 /// list plus all worker states, surfacing the lowest-index error if any
 /// point failed.
@@ -421,41 +343,6 @@ mod tests {
         }
         all.sort_unstable();
         assert_eq!(all, points);
-    }
-
-    #[test]
-    fn owned_sweep_consumes_points_in_order() {
-        // A non-Clone payload proves ownership really moves to the workers.
-        struct Payload(usize);
-        let points: Vec<Payload> = (0..13).map(Payload).collect();
-        let (out, states) = sweep_chunks_owned(
-            points,
-            || 0usize,
-            |count, idx, Payload(p)| {
-                *count += 1;
-                assert_eq!(idx, p);
-                Ok::<_, ()>(p * 3)
-            },
-        );
-        assert_eq!(out.unwrap(), (0..13).map(|p| p * 3).collect::<Vec<_>>());
-        assert_eq!(states.iter().sum::<usize>(), 13);
-
-        // Error semantics match the borrowed executor: lowest index wins,
-        // states survive.
-        let points: Vec<Payload> = (0..13).map(Payload).collect();
-        let (out, states) = sweep_chunks_owned(
-            points,
-            || (),
-            |(), _, Payload(p)| {
-                if p >= 4 {
-                    Err(p)
-                } else {
-                    Ok(p)
-                }
-            },
-        );
-        assert_eq!(out.unwrap_err(), 4);
-        assert!(!states.is_empty());
     }
 
     #[test]

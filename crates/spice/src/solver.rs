@@ -2,16 +2,18 @@
 //! dim/fill auto-selection rule, and the stale-preconditioner refresh
 //! schedule shared by every sweep driver.
 //!
-//! Every analysis in this crate routes its solves through a
+//! Every AC sweep in this crate routes its solves through a
 //! [`SolverBackend`] seam: the **direct** path (numeric LU refactorization
-//! at every point, residual-verified — the PR 6 ladder) or the
+//! at every point, residual-verified by the retry ladder) or the
 //! **iterative** path (restarted GMRES preconditioned by a *stale* LU that
 //! is refreshed only every [`PRECOND_REFRESH_INTERVAL`]-th sweep point).
 //! Direct LU fill grows superlinearly on 2-D mesh patterns, so large
 //! power-grid systems want the iterative path; small block-structured MNA
 //! systems refactor so cheaply that direct always wins. The
 //! [`resolve_backend`] rule picks per structure, and the environment knob
-//! lets benches, CI matrices and users force either path.
+//! lets benches, CI matrices and users force either path. DC operating
+//! points and transient runs always solve direct: their adopting
+//! [`SolveContext`](crate::assembly::SolveContext) has no backend to pick.
 //!
 //! # Determinism contract
 //!
@@ -25,10 +27,11 @@
 
 use loopscope_sparse::SolverBackend;
 
-/// Environment variable naming the solver backend every analysis routes
+/// Environment variable naming the solver backend every AC sweep routes
 /// through: `direct` forces the LU path, `iterative` forces GMRES with the
 /// stale-LU preconditioner, `auto` (the default when unset or unparsable)
-/// picks per system structure via [`resolve_backend`].
+/// picks per system structure via [`resolve_backend`]. It does not affect
+/// DC operating points or transient runs, which always solve direct.
 pub const SOLVER_ENV: &str = "LOOPSCOPE_SOLVER";
 
 /// How often the iterative path refreshes its preconditioner: sweep point
@@ -80,7 +83,7 @@ impl SolverMode {
     }
 }
 
-/// The solver mode analyses run with: [`SOLVER_ENV`] when set to a known
+/// The solver mode AC sweeps run with: [`SOLVER_ENV`] when set to a known
 /// value, otherwise [`SolverMode::Auto`]. Read afresh on every call, so
 /// tests and benches can switch it between runs.
 pub fn configured_solver_mode() -> SolverMode {

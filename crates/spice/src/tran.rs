@@ -39,7 +39,7 @@
 //! every counter in [`TransientStats`] — is bit-identical across those
 //! configurations.
 
-use crate::assembly::{AssembleMna, CachedMna, SolveStats};
+use crate::assembly::{AssembleMna, SolveContext, SolveStats};
 use crate::dc::OperatingPoint;
 use crate::devices;
 use crate::error::{SpiceError, StepRejectReason, StepRejection};
@@ -54,6 +54,14 @@ use loopscope_netlist::{Circuit, Element, NodeId};
 /// estimate by ~8x, so growing at ≤ 0.1 keeps the post-growth ratio below 1
 /// and avoids accept/reject limit cycles.
 const LTE_GROW_THRESHOLD: f64 = 0.1;
+
+/// Relative landing tolerance of the adaptive stepper, as a fraction of
+/// `t_stop`: breakpoints closer than this to each other (or to `t_stop`)
+/// merge into one landing, and a step that would stop closer than this
+/// short of `t_stop` lands on `t_stop` instead (stretching the controller's
+/// width by at most `t_stop · LANDING_RTOL`) — either way no ulp-wide sliver
+/// step is ever taken.
+const LANDING_RTOL: f64 = 1.0e-12;
 
 /// Time-integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,12 +390,12 @@ impl<'c> TransientAnalysis<'c> {
     pub fn run_with_hook(
         &self,
         op: &OperatingPoint,
-        hook: impl FnMut(usize, &mut CachedMna<f64>),
+        hook: impl FnMut(usize, &mut SolveContext<'_, f64>),
     ) -> Result<TransientResult, SpiceError> {
         self.run_impl(op, hook)
     }
 
-    fn run_impl<F: FnMut(usize, &mut CachedMna<f64>)>(
+    fn run_impl<F: FnMut(usize, &mut SolveContext<'_, f64>)>(
         &self,
         op: &OperatingPoint,
         hook: F,
@@ -402,7 +410,7 @@ impl<'c> TransientAnalysis<'c> {
     /// The legacy fixed-grid loop. Every arithmetic operation on the
     /// waveform path is unchanged from before the adaptive stepper existed,
     /// so `dt_max == dt_min` options reproduce historical results bitwise.
-    fn run_fixed<F: FnMut(usize, &mut CachedMna<f64>)>(
+    fn run_fixed<F: FnMut(usize, &mut SolveContext<'_, f64>)>(
         &self,
         op: &OperatingPoint,
         mut hook: F,
@@ -450,8 +458,9 @@ impl<'c> TransientAnalysis<'c> {
         data.push(voltages.clone());
 
         // Companion-model restamping never changes the sparsity pattern, so
-        // one cache serves every Newton iteration of every timestep.
-        let mut solver = CachedMna::new();
+        // one adopting context serves every Newton iteration of every
+        // timestep.
+        let mut solver = SolveContext::adopting(&self.layout);
 
         // Newton trial state, reused across every iteration of every step
         // (ground stays zero; all other entries are rewritten per iteration).
@@ -509,10 +518,10 @@ impl<'c> TransientAnalysis<'c> {
                 // `solve_verified_into` is exactly assemble + verify; the
                 // split lets the (production no-op) hook poison the
                 // assembled values in fault-injection runs.
-                solver.assemble_into(&self.layout, &job, &mut solution);
+                solver.assemble_into(&job, &mut solution);
                 hook(solve_ordinal, &mut solver);
                 solve_ordinal += 1;
-                solver.verify_assembled(&self.layout, &mut solution)?;
+                solver.solve_verified_in_place(&mut solution)?;
                 stats.newton_iterations += 1;
 
                 let mut max_delta: f64 = 0.0;
@@ -585,7 +594,7 @@ impl<'c> TransientAnalysis<'c> {
     /// landing.
     fn breakpoints(&self) -> Vec<f64> {
         let t_stop = self.options.t_stop;
-        let tol = t_stop * 1.0e-12;
+        let tol = t_stop * LANDING_RTOL;
         let mut bps = Vec::new();
         for el in self.circuit.elements() {
             let spec = match el {
@@ -610,7 +619,7 @@ impl<'c> TransientAnalysis<'c> {
 
     /// The adaptive accept-or-escalate stepper (see the
     /// [module docs](crate::tran) for the ladder).
-    fn run_adaptive<F: FnMut(usize, &mut CachedMna<f64>)>(
+    fn run_adaptive<F: FnMut(usize, &mut SolveContext<'_, f64>)>(
         &self,
         op: &OperatingPoint,
         mut hook: F,
@@ -639,7 +648,7 @@ impl<'c> TransientAnalysis<'c> {
 
         let mut times = vec![0.0];
         let mut data = vec![voltages.clone()];
-        let mut solver = CachedMna::new();
+        let mut solver = SolveContext::adopting(&self.layout);
         let mut trial = voltages.clone();
         let mut next = vec![0.0; node_count];
         let mut solution = vec![0.0; self.layout.dim()];
@@ -680,10 +689,16 @@ impl<'c> TransientAnalysis<'c> {
                 // Candidate step: the controller's width clamped to land
                 // exactly on t_stop and on the next breakpoint. Exact
                 // targets are assigned (not accumulated) so the grid hits
-                // them bit-exactly.
+                // them bit-exactly. A step that would stop within the
+                // landing tolerance short of t_stop (accumulated rounding
+                // leaves `t` a few ulps off the grid) takes t_stop with it
+                // rather than leaving a sliver for one more step.
                 let remaining = t_stop - t;
-                let mut h_c = h_try.min(remaining);
-                let mut target = if h_c >= remaining { t_stop } else { t + h_c };
+                let (mut h_c, mut target) = if remaining - h_try <= t_stop * LANDING_RTOL {
+                    (remaining, t_stop)
+                } else {
+                    (h_try, t + h_try)
+                };
                 let mut landing = false;
                 if bp_idx < bps.len() {
                     let b = bps[bp_idx];
@@ -719,10 +734,10 @@ impl<'c> TransientAnalysis<'c> {
                         prev_ind_voltage: &prev_ind_voltage,
                         prev_solution: &branch_currents,
                     };
-                    solver.assemble_into(&self.layout, &job, &mut solution);
+                    solver.assemble_into(&job, &mut solution);
                     hook(solve_ordinal, &mut solver);
                     solve_ordinal += 1;
-                    solver.verify_assembled(&self.layout, &mut solution)?;
+                    solver.solve_verified_in_place(&mut solution)?;
                     stats.newton_iterations += 1;
 
                     let mut max_delta: f64 = 0.0;
@@ -1501,6 +1516,31 @@ mod tests {
             }
             other => panic!("expected TransientNoConvergence, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn adaptive_final_step_never_leaves_a_sliver() {
+        // Accumulated rounding puts the last step's end a few ulps short of
+        // t_stop; without the landing tolerance the run ended
+        // [.., 9.999999999999997e-7, 1e-6] with a ~2e-22 s final step.
+        let mut c = Circuit::new("rc sliver");
+        let a = c.node("a");
+        let b = c.node("b");
+        c.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(1.0));
+        c.add_resistor("R1", a, b, 1.0e3);
+        c.add_capacitor("C1", b, Circuit::GROUND, 1.0e-12);
+        let op = solve_dc(&c).unwrap();
+        let opts = TransientOptions::adaptive(8.0e-9, 3.2e-8, 1.0e-6);
+        let r = TransientAnalysis::new(&c, opts).unwrap().run(&op).unwrap();
+        let times = r.times();
+        assert_eq!(*times.last().unwrap(), opts.t_stop);
+        let last_step = times[times.len() - 1] - times[times.len() - 2];
+        assert!(last_step >= opts.dt_min, "last step {last_step:e}");
+        assert!(
+            r.stats().min_dt >= opts.dt_min,
+            "min_dt {:e}",
+            r.stats().min_dt
+        );
     }
 
     #[test]

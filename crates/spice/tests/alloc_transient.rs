@@ -1,9 +1,10 @@
 //! Counting-allocator proof that the transient driver's **steady-state
 //! loop** is allocation-free on the solver side: every Newton iteration of
-//! every timestep cycles hoisted buffers through
-//! `CachedMna::solve_in_place` (in-place assembly, numeric refactorization,
-//! in-place substitution), so the only per-step allocation left is the one
-//! result row the waveform storage clones.
+//! every timestep cycles hoisted buffers through the adopting
+//! `SolveContext` (`assemble_into` + `solve_verified_in_place`: in-place
+//! assembly, numeric refactorization, refined in-place substitution), so
+//! the only per-step allocation left is the one result row the waveform
+//! storage clones.
 //!
 //! Methodology: the setup cost (pattern discovery, symbolic analysis,
 //! buffer minting) is a per-run constant, so two runs differing only in

@@ -4,7 +4,7 @@
 use loopscope_math::FrequencyGrid;
 use loopscope_netlist::{Circuit, SourceSpec};
 use loopscope_spice::ac::AcAnalysis;
-use loopscope_spice::assembly::{AssembleMna, CachedMna, SweepPlan};
+use loopscope_spice::assembly::{AssembleMna, SolveContext, SweepPlan};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
 use loopscope_spice::{configured_solver_mode, SolverMode};
@@ -126,14 +126,13 @@ proptest! {
         }
     }
 
-    /// Plan/context split vs the adaptive cache: solving a series of
-    /// same-pattern systems through a `SweepPlan`-built `SolveContext` must
-    /// agree with a fresh `CachedMna` (which runs its own symbolic analysis
-    /// per value set it first sees) and with a from-scratch factorization,
-    /// and a second context over the same plan must reproduce the first
-    /// bitwise.
+    /// The two re-plan policies agree: solving a series of same-pattern
+    /// systems through a `SweepPlan`-built context must agree with an
+    /// adopting context (which runs its own symbolic analysis on the first
+    /// value set it sees) and with a from-scratch factorization, and a
+    /// second context over the same plan must reproduce the first bitwise.
     #[test]
-    fn sweep_plan_contexts_agree_with_cached_mna(
+    fn sweep_plan_contexts_agree_with_adopting_context(
         gs0 in prop::collection::vec(1.0e-6f64..1.0e-1, 2..9),
         scales in prop::collection::vec(0.05f64..20.0, 1..6),
         shunt in 1.0e-9f64..1.0e-3,
@@ -143,24 +142,24 @@ proptest! {
             .expect("representative chain factors");
         let mut ctx = plan.context();
         let mut ctx2 = plan.context();
-        let mut cache = CachedMna::<f64>::new();
+        let mut adopting = SolveContext::<f64>::adopting(&layout);
         for scale in scales {
             let job = ChainJob {
                 gs: gs0.iter().map(|g| g * scale).collect(),
                 shunt,
             };
             let from_plan = ctx.solve(&job).expect("context solves");
-            let from_cache = cache.solve(&layout, &job).expect("cache solves");
+            let from_adopting = adopting.solve(&job).expect("adopting context solves");
             // From-scratch reference: fresh triplets, fresh factorization.
             let mut st = Stamper::new(&layout);
             job.stamp(&mut st);
             let (trip, rhs) = st.finish();
             let fresh = loopscope_sparse::solve_once(&trip.to_csr(), &rhs).expect("solvable");
             let slack = solve_slack();
-            for ((a, b), c) in from_plan.iter().zip(&from_cache).zip(&fresh) {
+            for ((a, b), c) in from_plan.iter().zip(&from_adopting).zip(&fresh) {
                 let scale_ref = c.abs().max(1e-30);
                 prop_assert!((a - c).abs() / scale_ref < slack, "plan vs fresh: {a} vs {c}");
-                prop_assert!((b - c).abs() / scale_ref < slack, "cache vs fresh: {b} vs {c}");
+                prop_assert!((b - c).abs() / scale_ref < slack, "adopting vs fresh: {b} vs {c}");
             }
             // Contexts over one plan are deterministic replicas of each other.
             let replay = ctx2.solve(&job).expect("context solves");

@@ -7,19 +7,18 @@
 //!
 //! Like `fault_injection.rs`, this file never touches the process
 //! environment: backends are pinned in-process through
-//! [`AcAnalysis::set_solver_backend`] / [`SweepPlan::build_with_backend`] /
-//! [`CachedMna::set_solver_mode`], and worker counts go through
-//! [`par::sweep_chunks_with`], so the whole configuration matrix runs
-//! race-free inside one test binary.
+//! [`AcAnalysis::set_solver_backend`] / [`SweepPlan::build_with_backend`],
+//! and worker counts go through [`par::sweep_chunks_with`], so the whole
+//! configuration matrix runs race-free inside one test binary.
 
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, Element, SourceSpec};
 use loopscope_spice::ac::AcAnalysis;
-use loopscope_spice::assembly::{AssembleMna, CachedMna, SolveStats, SweepPlan};
+use loopscope_spice::assembly::{AssembleMna, SolveStats, SweepPlan};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
 use loopscope_spice::solver::{anchor_index, PRECOND_REFRESH_INTERVAL};
-use loopscope_spice::{par, SolverBackend, SolverMode, SpiceError};
+use loopscope_spice::{par, SolverBackend, SpiceError};
 
 /// An RC ladder long enough that a sweep spans several preconditioner
 /// refresh groups.
@@ -267,90 +266,4 @@ fn pinned_analysis_reports_its_backend_and_serves_iterative_sweeps() {
         stats.iterative_solves > 0 && stats.preconditioner_refreshes > 0,
         "pinned analysis never took the iterative path: {stats:?}"
     );
-}
-
-/// A real-valued conductance chain for the adaptive-cache (DC/transient)
-/// side of the seam.
-struct ChainJob {
-    gs: Vec<f64>,
-    drive: f64,
-}
-
-impl AssembleMna<f64> for ChainJob {
-    fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-        let n = self.gs.len();
-        for (i, &g) in self.gs.iter().enumerate() {
-            st.add_var_var(i, i, g + 1.0e-9);
-            if i + 1 < n {
-                st.add_var_var(i, i + 1, -g);
-                st.add_var_var(i + 1, i, -g);
-                st.add_var_var(i + 1, i + 1, g);
-            }
-        }
-        st.add_rhs_var(0, self.drive);
-    }
-}
-
-fn chain_layout(n: usize) -> MnaLayout {
-    let mut c = Circuit::new("chain layout");
-    let mut prev = Circuit::GROUND;
-    for k in 0..n {
-        let node = c.node(&format!("n{k}"));
-        c.add_resistor(&format!("R{k}"), prev, node, 1.0);
-        prev = node;
-    }
-    MnaLayout::new(&c)
-}
-
-#[test]
-fn cached_mna_iterative_mode_reuses_stale_factors_between_refreshes() {
-    let n = 8;
-    let layout = chain_layout(n);
-    let gs: Vec<f64> = (0..n).map(|k| 1.0e-3 * (k + 1) as f64).collect();
-    let solves = 2 * PRECOND_REFRESH_INTERVAL + 3;
-
-    // Direct reference: same job sequence through a direct-pinned cache.
-    let mut reference = Vec::new();
-    let mut direct = CachedMna::<f64>::new();
-    direct.set_solver_mode(SolverMode::Direct);
-    for step in 0..solves {
-        let job = ChainJob {
-            gs: gs.iter().map(|g| g * (1.0 + 0.01 * step as f64)).collect(),
-            drive: 1.0e-3,
-        };
-        let (x, _) = direct.solve_verified(&layout, &job).expect("direct");
-        reference.push(x);
-    }
-    let dstats = direct.stats();
-    assert_eq!(dstats.iterative_solves, 0, "{dstats:?}");
-
-    let mut cache = CachedMna::<f64>::new();
-    cache.set_solver_mode(SolverMode::Iterative);
-    for (step, reference) in reference.iter().enumerate() {
-        let job = ChainJob {
-            gs: gs.iter().map(|g| g * (1.0 + 0.01 * step as f64)).collect(),
-            drive: 1.0e-3,
-        };
-        let (x, quality) = cache.solve_verified(&layout, &job).expect("iterative");
-        assert!(quality.converged);
-        for (a, b) in x.iter().zip(reference) {
-            assert!(
-                (a - b).abs() / b.abs().max(1.0) < 1.0e-6,
-                "step {step}: {a} vs {b}"
-            );
-        }
-    }
-    let stats = cache.stats();
-    // The very first solve runs before the backend can resolve (the auto
-    // rule needs the symbolic analysis, which that solve creates); every
-    // later solve is exactly one of refresh / GMRES / counted fallback,
-    // with a refresh once per full interval.
-    assert!(stats.preconditioner_refreshes >= 2, "{stats:?}");
-    assert!(stats.iterative_solves > 0, "{stats:?}");
-    assert_eq!(
-        stats.iterative_solves + stats.iterative_fallbacks + stats.preconditioner_refreshes,
-        solves - 1,
-        "{stats:?}"
-    );
-    assert!(cache.backend().is_some_and(|b| b.is_iterative()));
 }

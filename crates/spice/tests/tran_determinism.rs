@@ -2,10 +2,11 @@
 //! sequence (and with it every waveform sample and every [`TransientStats`]
 //! counter) must be **bitwise identical** across the `LOOPSCOPE_THREADS` ×
 //! `LOOPSCOPE_KERNEL` × `LOOPSCOPE_PANEL` matrix. The transient Newton loop
-//! is serial through `CachedMna`, whose verified solves are bitwise
-//! kernel-invariant by the solver contract — so every accept/reject/grow
-//! decision, being a pure function of those solutions and the options, is
-//! config-invariant too. This test pins that end to end.
+//! is serial through one adopting `SolveContext`, whose verified solves are
+//! bitwise kernel-invariant by the solver contract — so every
+//! accept/reject/grow decision, being a pure function of those solutions
+//! and the options, is config-invariant too. This test pins that end to
+//! end.
 //!
 //! NOTE: this file mutates the process environment (the knobs are re-read on
 //! every run so benches and tests can switch them), so it holds exactly ONE

@@ -16,8 +16,8 @@
 //! * [`compare`] — the shared [`Tolerance`] comparator producing structured
 //!   [`Mismatch`] reports that name quantities through `MnaLayout`
 //!   conventions (`V(out)`, `I(V1)`) like the solver's own errors;
-//! * [`runner`] — drives `spice::{dc, ac, tran}` through the public
-//!   `CachedMna`/`SweepPlan` entry points and compares under tolerance;
+//! * [`runner`] — drives `spice::{dc, ac, tran}` through their public
+//!   entry points and compares under tolerance;
 //! * [`report`] — the `target/VALIDATE_report.json` artifact, mirroring the
 //!   bench JSON flow.
 //!

@@ -3,8 +3,8 @@
 //! The runner goes through the same public entry points the rest of the
 //! workspace uses — `solve_dc`, [`AcAnalysis::sweep`] /
 //! [`AcAnalysis::driving_point_response`] (the `SweepPlan` parallel path)
-//! and [`TransientAnalysis::run`] (the `CachedMna` path) — so a golden pass
-//! certifies the code users actually call, under whatever
+//! and [`TransientAnalysis::run`] (the adopting `SolveContext` path) — so a
+//! golden pass certifies the code users actually call, under whatever
 //! `LOOPSCOPE_THREADS` / `LOOPSCOPE_KERNEL` configuration is active.
 //!
 //! AC checks pin exact frequencies: the sweep grid is built from the pinned
