@@ -1,20 +1,19 @@
-//! Experiment S1 — symbolic/numeric LU split and fill-reducing ordering:
-//! factor-once-vs-refactor on the op-amp MNA matrix, an N-stage RC ladder
-//! and a ≥1k-node 2-D mesh.
+//! Experiment S1 — symbolic/numeric LU split: factor-once-vs-refactor on
+//! the op-amp MNA matrix and N-stage RC ladders.
 //!
 //! The whole-circuit stability scan solves `Y(jω)·x = b` at hundreds of
 //! frequency points with an identical sparsity pattern; this bench isolates
 //! the solver-side win of reusing the pivot order and fill pattern
-//! ([`loopscope_sparse::SparseLu::refactor`]) instead of running a fresh
-//! pivoting factorization per point, compares the **minimum-degree ordered,
-//! threshold-pivoted** pattern against the natural partial-pivoting one
-//! (nnz(L+U) and refactor throughput), prints the sweep-level counters
-//! proving a whole scan performs exactly one symbolic analysis, (S3)
-//! measures the thread scaling of the `SweepPlan`/`SolveContext` parallel
-//! sweep executor at 1/2/4 workers, and (S4) measures the KLU-style
-//! block-triangular factorization (fill vs the whole-matrix ordering, with
-//! the block count) and the blocked multi-RHS all-nodes scan against the
-//! per-RHS path. (S8) compares the LTE-controlled adaptive transient
+//! ([`loopscope_sparse::SparseLu::refactor_into`]) instead of running a
+//! fresh factorization ([`loopscope_sparse::SparseLu::factor`]: BTF, then a
+//! minimum-degree order and threshold pivoting per block) per point, prints
+//! the sweep-level counters proving a whole scan performs exactly one
+//! symbolic analysis, (S3) measures the thread scaling of the
+//! `SweepPlan`/`SolveContext` parallel sweep executor at 1/2/4 workers, and
+//! (S4) measures the blocked multi-RHS all-nodes scan against the per-RHS
+//! path. The fill `factor` reaches on the ladder, the 33×33 mesh and the
+//! buffered op-amp cascade is pinned by the unit tests of
+//! `loopscope-bench`. (S8) compares the LTE-controlled adaptive transient
 //! stepper against the fixed grid on a stiff two-time-constant RC at
 //! matched accuracy. (S9) races the `LOOPSCOPE_SOLVER` backends — direct
 //! per-point refactorization vs `auto` vs forced stale-preconditioned
@@ -31,13 +30,13 @@
 //! Regenerate with `cargo bench -p loopscope-bench --bench solver_refactor`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use loopscope_circuits::blocks::{opamp_cascade, power_grid, rc_ladder};
+use loopscope_bench::{mesh_matrix, rc_ladder_matrix};
+use loopscope_circuits::blocks::{power_grid, rc_ladder};
 use loopscope_circuits::{mos_two_stage_buffer, two_stage_buffer, OpAmpParams};
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, SourceSpec};
 use loopscope_sparse::{
-    kernels, ordering, CsrMatrix, KernelBackend, LuWorkspace, RefineWorkspace, SparseLu,
-    SymbolicLu, TripletMatrix,
+    kernels, CsrMatrix, KernelBackend, LuWorkspace, RefineWorkspace, SparseLu, SymbolicLu,
 };
 use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::batch::{driving_point_monte_carlo, ParameterVariation};
@@ -179,26 +178,6 @@ fn write_bench_json(records: &[Record]) {
     }
 }
 
-/// Builds the complex MNA admittance matrix of an N-stage RC ladder at a
-/// given angular-frequency scale (same pattern for every scale).
-fn rc_ladder_matrix(stages: usize, jw_scale: f64) -> CsrMatrix<Complex64> {
-    let mut t = TripletMatrix::<Complex64>::new(stages, stages);
-    for i in 0..stages {
-        let g = 1.0e-3 * (1.0 + (i % 7) as f64 * 0.1);
-        let jwc = Complex64::new(0.0, jw_scale * 1.0e-9 * (1.0 + (i % 5) as f64 * 0.2));
-        let mut diag = Complex64::from_real(g) + jwc;
-        if i > 0 {
-            t.push(i, i - 1, Complex64::from_real(-g));
-            diag += Complex64::from_real(g);
-        }
-        if i + 1 < stages {
-            t.push(i, i + 1, Complex64::from_real(-g));
-        }
-        t.push(i, i, diag);
-    }
-    t.to_csr()
-}
-
 /// Mean wall-clock time of `f` over `iters` runs, in nanoseconds.
 fn time_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     let start = Instant::now();
@@ -233,14 +212,7 @@ fn print_speedup_table(
         k += 1;
         std::hint::black_box(SparseLu::factor(m).expect("factor"));
     });
-    let mut k = 0usize;
-    let refactor_ns = time_ns(reps, || {
-        let m = &matrices[k % matrices.len()];
-        k += 1;
-        let lu = SparseLu::refactor(symbolic, m).expect("refactor");
-        assert!(lu.refactored(), "bench matrices must not force a fallback");
-        std::hint::black_box(lu);
-    });
+    let refactor_ns = refactor_ns(matrices, symbolic, reps);
     println!(
         "{label:<28} fresh factor {:>10.2} µs   refactor {:>10.2} µs   speedup {:>5.2}x",
         fresh_ns / 1.0e3,
@@ -254,120 +226,19 @@ fn print_speedup_table(
     );
 }
 
-/// Complex admittance matrix of a p×p 2-D RC mesh (5-point stencil): the
-/// classic pattern where elimination order decides between O(n·p) fill
-/// (banded/natural order) and far less (minimum degree).
-fn mesh_matrix(p: usize, jw_scale: f64) -> CsrMatrix<Complex64> {
-    let n = p * p;
-    let mut t = TripletMatrix::<Complex64>::new(n, n);
-    for i in 0..p {
-        for j in 0..p {
-            let u = i * p + j;
-            let g = g_of(i, j);
-            let jwc = Complex64::new(0.0, jw_scale * 1.0e-9 * (1.0 + ((i * j) % 3) as f64 * 0.2));
-            let mut diag = Complex64::from_real(1.0e-6) + jwc;
-            if i + 1 < p {
-                t.push(u, u + p, Complex64::from_real(-g));
-                t.push(u + p, u, Complex64::from_real(-g));
-                diag += Complex64::from_real(g);
-            }
-            if i > 0 {
-                diag += Complex64::from_real(g_of(i - 1, j));
-            }
-            if j + 1 < p {
-                t.push(u, u + 1, Complex64::from_real(-g));
-                t.push(u + 1, u, Complex64::from_real(-g));
-                diag += Complex64::from_real(g);
-            }
-            if j > 0 {
-                diag += Complex64::from_real(g_of(i, j - 1));
-            }
-            t.push(u, u, diag);
-        }
-    }
-    t.to_csr()
-}
-
-/// The conductance used by [`mesh_matrix`] for the edge leaving cell (i, j).
-fn g_of(i: usize, j: usize) -> f64 {
-    1.0e-3 * (1.0 + ((i + j) % 5) as f64 * 0.1)
-}
-
 /// Mean refactor time over the matrix set using the in-place
 /// (allocation-free) hot path, in nanoseconds.
 fn refactor_ns(matrices: &[CsrMatrix<Complex64>], symbolic: &SymbolicLu, reps: usize) -> f64 {
-    let mut lu = SparseLu::refactor(symbolic, &matrices[0]).expect("refactor");
-    assert!(lu.refactored(), "bench matrices must not force a fallback");
-    let mut ws = LuWorkspace::new();
+    let mut lu = SparseLu::from_symbolic(symbolic);
+    let mut ws = LuWorkspace::for_dim(symbolic.dim());
     let mut k = 0usize;
     time_ns(reps, || {
         let m = &matrices[k % matrices.len()];
         k += 1;
-        lu.refactor_into(symbolic, m, &mut ws).expect("refactor");
-        assert!(lu.refactored(), "bench matrices must not force a fallback");
+        let reused = lu.refactor_into(symbolic, m, &mut ws).expect("refactor");
+        assert!(reused, "bench matrices must not ask for a re-pivot");
         std::hint::black_box(&mut lu);
     })
-}
-
-/// Experiment S2 — fill-reducing ordering: nnz(L+U) and refactor throughput
-/// of the minimum-degree ordered pattern vs the natural partial-pivoting one.
-fn print_ordering_table(
-    label: &str,
-    matrices: &[CsrMatrix<Complex64>],
-    reps: usize,
-    require_strictly_less_fill: bool,
-    records: &mut Vec<Record>,
-) {
-    let (_, natural) = SparseLu::factor_with_symbolic(&matrices[0]).expect("factors");
-    let order = ordering::min_degree_order(&matrices[0]);
-    let (_, ordered) =
-        SparseLu::factor_with_symbolic_ordered(&matrices[0], &order).expect("factors");
-
-    let natural_ns = refactor_ns(matrices, &natural, reps);
-    let ordered_ns = refactor_ns(matrices, &ordered, reps);
-    println!(
-        "{label:<18} nnz(L+U) natural {:>8}   ordered {:>8} ({:>5.2}x less fill)   refactor natural {:>9.2} µs   ordered {:>9.2} µs ({:>5.2}x)",
-        natural.fill_nnz(),
-        ordered.fill_nnz(),
-        natural.fill_nnz() as f64 / ordered.fill_nnz() as f64,
-        natural_ns / 1.0e3,
-        ordered_ns / 1.0e3,
-        natural_ns / ordered_ns,
-    );
-    records.push(
-        Record::new(format!("{label}_natural_refactor"), natural_ns)
-            .with_structure(natural.fill_nnz(), natural.block_count()),
-    );
-    records.push(
-        Record::new(format!("{label}_ordered_refactor"), ordered_ns)
-            .with_structure(ordered.fill_nnz(), ordered.block_count()),
-    );
-    if require_strictly_less_fill {
-        assert!(
-            ordered.fill_nnz() < natural.fill_nnz(),
-            "{label}: ordered fill {} must be strictly lower than natural fill {}",
-            ordered.fill_nnz(),
-            natural.fill_nnz()
-        );
-    } else {
-        assert!(
-            ordered.fill_nnz() <= natural.fill_nnz(),
-            "{label}: ordered fill {} must not exceed natural fill {}",
-            ordered.fill_nnz(),
-            natural.fill_nnz()
-        );
-    }
-    // Ordered refactor throughput must be at least the unordered one. The
-    // printed ratio is the reportable number; the assertion is only a
-    // regression backstop, with a generous cushion so wall-clock noise on a
-    // loaded machine cannot fail the bench (the deterministic guarantee is
-    // the fill assertion above — less fill is systematically less work).
-    assert_timing(
-        ordered_ns <= natural_ns * 1.5,
-        &format!(
-            "{label}: ordered refactor ({ordered_ns:.0} ns) grossly slower than natural ({natural_ns:.0} ns)"
-        ),
-    );
 }
 
 fn opamp_matrices() -> (Vec<CsrMatrix<Complex64>>, SymbolicLu) {
@@ -382,7 +253,9 @@ fn opamp_matrices() -> (Vec<CsrMatrix<Complex64>>, SymbolicLu) {
         .iter()
         .map(|&f| ac.admittance_matrix(f))
         .collect();
-    let (_, symbolic) = SparseLu::factor_with_symbolic(&matrices[0]).expect("op-amp MNA factors");
+    let symbolic = SparseLu::factor(&matrices[0])
+        .expect("op-amp MNA factors")
+        .extract_symbolic();
     (matrices, symbolic)
 }
 
@@ -390,23 +263,10 @@ fn ladder_matrices(stages: usize) -> (Vec<CsrMatrix<Complex64>>, SymbolicLu) {
     let matrices: Vec<_> = (0..16)
         .map(|k| rc_ladder_matrix(stages, 1.0e3 * 10f64.powf(k as f64 * 0.25)))
         .collect();
-    let (_, symbolic) = SparseLu::factor_with_symbolic(&matrices[0]).expect("ladder factors");
+    let symbolic = SparseLu::factor(&matrices[0])
+        .expect("ladder factors")
+        .extract_symbolic();
     (matrices, symbolic)
-}
-
-/// Admittance matrices of the buffered op-amp cascade — the genuinely
-/// block-structured circuit scenario (one BTF block per stage plus the
-/// source block).
-fn cascade_matrices(stages: usize) -> Vec<CsrMatrix<Complex64>> {
-    let (circuit, _outs) = opamp_cascade(stages);
-    let op = solve_dc(&circuit).expect("cascade operating point");
-    let ac = AcAnalysis::new(&circuit, &op).expect("valid analysis");
-    let freqs = FrequencyGrid::log_decade(1.0e4, 1.0e6, 8);
-    freqs
-        .freqs()
-        .iter()
-        .map(|&f| ac.admittance_matrix(f))
-        .collect()
 }
 
 fn print_sweep_counters() {
@@ -540,51 +400,6 @@ fn print_thread_scaling(records: &mut Vec<Record>) {
     }
 }
 
-/// Experiment S4a — BTF block-triangular factorization: nnz(L+U) (including
-/// the raw off-diagonal block entries) and refactor throughput of the
-/// per-block factorization vs the whole-matrix min-degree ordered one,
-/// plus the block count BTF discovered.
-fn print_btf_table(
-    label: &str,
-    matrices: &[CsrMatrix<Complex64>],
-    reps: usize,
-    records: &mut Vec<Record>,
-) {
-    let order = ordering::min_degree_order(&matrices[0]);
-    let (_, ordered) =
-        SparseLu::factor_with_symbolic_ordered(&matrices[0], &order).expect("factors");
-    let (_, btf) = SparseLu::factor_with_symbolic_btf(&matrices[0]).expect("factors");
-
-    let ordered_ns = refactor_ns(matrices, &ordered, reps);
-    let btf_ns = refactor_ns(matrices, &btf, reps);
-    println!(
-        "{label:<22} blocks {:>4}   nnz(L+U) whole-matrix {:>8}   BTF {:>8}   refactor whole {:>9.2} µs   BTF {:>9.2} µs ({:>5.2}x)",
-        btf.block_count(),
-        ordered.fill_nnz(),
-        btf.fill_nnz(),
-        ordered_ns / 1.0e3,
-        btf_ns / 1.0e3,
-        ordered_ns / btf_ns,
-    );
-    records.push(
-        Record::new(format!("{label}_whole_matrix_refactor"), ordered_ns)
-            .with_structure(ordered.fill_nnz(), ordered.block_count()),
-    );
-    records.push(
-        Record::new(format!("{label}_btf_refactor"), btf_ns)
-            .with_structure(btf.fill_nnz(), btf.block_count()),
-    );
-    // The headline structural guarantee: restricting elimination to the
-    // diagonal blocks (off-diagonal entries stored raw, zero fill) can
-    // never store more than the whole-matrix ordered factorization does.
-    assert!(
-        btf.fill_nnz() <= ordered.fill_nnz(),
-        "{label}: BTF fill {} must not exceed the whole-matrix ordered fill {}",
-        btf.fill_nnz(),
-        ordered.fill_nnz()
-    );
-}
-
 /// Experiment S4b — the blocked multi-RHS all-nodes scan: the 121-point
 /// scan of a 400-stage RC ladder with the per-node injections solved one
 /// RHS at a time (`LOOPSCOPE_PANEL=1`, the pre-batching path) vs batched
@@ -703,7 +518,9 @@ fn print_kernel_table(
     records: &mut Vec<Record>,
     require_refactor_speedup: bool,
 ) {
-    let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&matrices[0]).expect("factors");
+    let symbolic = SparseLu::factor(&matrices[0])
+        .expect("factors")
+        .extract_symbolic();
     let sym_scalar = symbolic.with_kernel_backend(KernelBackend::Scalar);
     let simd_backend = if kernels::simd_available() {
         KernelBackend::Avx2
@@ -803,20 +620,21 @@ fn print_kernel_table(
 /// a healthy system where refinement needs **zero** correction steps (the
 /// steady state of every sweep), plus the Hager 1-norm condition estimate.
 /// The overhead of the verified path is one `A·x` mat-vec and three norm
-/// reductions per solve — on the natural-order mesh (fill ≫ nnz(A), the
-/// solve-dominated regime sweeps run in) that must stay within 1.15x.
+/// reductions per solve — on a 2-D mesh (fill ≫ nnz(A) even in the
+/// minimum-degree order, the solve-dominated regime sweeps run in) that
+/// must stay within 1.15x.
 fn print_refinement_table(records: &mut Vec<Record>) {
     println!(
         "\n=== S6: robustness overhead — verified (refined) solve vs plain solve, condition estimate ==="
     );
-    // A 48×48 natural-order mesh: fill(L+U) ≫ nnz(A), the solve-dominated
-    // regime the verified sweep path runs in, so the verified solve's extra
-    // residual pass (one traversal of A plus a few vector norms) is diluted
-    // by the triangular sweeps the plain solve pays anyway.
+    // A 48×48 mesh: fill(L+U) ≫ nnz(A), the solve-dominated regime the
+    // verified sweep path runs in, so the verified solve's extra residual
+    // pass (one traversal of A plus a few vector norms) is diluted by the
+    // triangular sweeps the plain solve pays anyway.
     let p = 48;
     let a = mesh_matrix(p, 1.0e3);
     let n = a.rows();
-    let (lu, _symbolic) = SparseLu::factor_with_symbolic(&a).expect("mesh factors");
+    let lu = SparseLu::factor(&a).expect("mesh factors");
     let rhs0: Vec<Complex64> = (0..n)
         .map(|j| Complex64::new(1.0 + (j % 7) as f64, 0.25 * (j % 5) as f64))
         .collect();
@@ -1300,68 +1118,14 @@ fn bench(c: &mut Criterion) {
     }
     print_sweep_counters();
 
-    println!(
-        "\n=== S2: fill-reducing ordering — min-degree + threshold pivoting vs natural order ==="
-    );
-    let (ladder, _) = ladder_matrices(400);
-    // A tridiagonal ladder is already fill-free in natural order: the
-    // ordered pattern must match it (and refactor at least as fast).
-    print_ordering_table("rc_ladder_400", &ladder, iters(200), false, &mut records);
+    print_thread_scaling(&mut records);
+
+    print_blocked_scan(&mut records);
+
     let mesh_p = 33; // 33×33 = 1089 unknowns
     let meshes: Vec<_> = (0..16)
         .map(|k| mesh_matrix(mesh_p, 1.0e3 * 10f64.powf(k as f64 * 0.25)))
         .collect();
-    println!(
-        "mesh_{mesh_p}x{mesh_p}: {} unknowns, {} nonzeros",
-        meshes[0].rows(),
-        meshes[0].nnz()
-    );
-    // On a 2-D mesh the ordering must strictly beat the natural order.
-    print_ordering_table(
-        &format!("mesh_{mesh_p}x{mesh_p}"),
-        &meshes,
-        iters(40),
-        true,
-        &mut records,
-    );
-
-    print_thread_scaling(&mut records);
-
-    println!(
-        "\n=== S4a: block-triangular factorization — per-block LU vs whole-matrix ordering ==="
-    );
-    // The mesh is irreducible: BTF must degenerate to one block and cost
-    // nothing (identical fill to the whole-matrix ordering).
-    print_btf_table(
-        &format!("mesh_{mesh_p}x{mesh_p}"),
-        &meshes,
-        iters(40),
-        &mut records,
-    );
-    // The buffered op-amp cascade is the block-structured case: one block
-    // per stage plus the source block, inter-stage couplings stored raw.
-    let cascade_stages = 24;
-    let cascade = cascade_matrices(cascade_stages);
-    println!(
-        "opamp_cascade_{cascade_stages}: {} unknowns, {} nonzeros",
-        cascade[0].rows(),
-        cascade[0].nnz()
-    );
-    print_btf_table(
-        &format!("opamp_cascade_{cascade_stages}"),
-        &cascade,
-        iters(200),
-        &mut records,
-    );
-    let (_, cascade_btf) = SparseLu::factor_with_symbolic_btf(&cascade[0]).expect("factors");
-    assert!(
-        cascade_btf.block_count() > cascade_stages,
-        "the {cascade_stages}-stage cascade must split into more than \
-         {cascade_stages} BTF blocks, found {}",
-        cascade_btf.block_count()
-    );
-
-    print_blocked_scan(&mut records);
 
     println!(
         "\n=== S5: explicit SIMD kernels — scalar vs {} (AVX2 {}) ===",
@@ -1403,11 +1167,12 @@ fn bench(c: &mut Criterion) {
         })
     });
     let mut k = 0usize;
+    let (mut lu, mut ws) = (SparseLu::from_symbolic(&symbolic), LuWorkspace::new());
     group.bench_function("opamp_refactor", |b| {
         b.iter(|| {
             let m = &matrices[k % matrices.len()];
             k += 1;
-            std::hint::black_box(SparseLu::refactor(&symbolic, m).expect("refactor"))
+            std::hint::black_box(lu.refactor_into(&symbolic, m, &mut ws).expect("refactor"))
         })
     });
     let (ladder, ladder_sym) = ladder_matrices(400);
@@ -1420,11 +1185,12 @@ fn bench(c: &mut Criterion) {
         })
     });
     let mut k = 0usize;
+    let mut lu = SparseLu::from_symbolic(&ladder_sym);
     group.bench_function("rc_ladder_400_refactor", |b| {
         b.iter(|| {
             let m = &ladder[k % ladder.len()];
             k += 1;
-            std::hint::black_box(SparseLu::refactor(&ladder_sym, m).expect("refactor"))
+            std::hint::black_box(lu.refactor_into(&ladder_sym, m, &mut ws).expect("refactor"))
         })
     });
     group.finish();

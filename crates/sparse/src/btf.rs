@@ -29,12 +29,12 @@
 //! is computed once per circuit structure and reused for every matrix
 //! assembled over it. Within each block the rows and columns are sorted
 //! ascending by original index, so an **irreducible matrix degenerates to a
-//! single block with identity permutations** and the BTF-aware
-//! factorization ([`SparseLu::factor_with_symbolic_btf`]) becomes exactly
-//! the plain fill-reducing ordered factorization.
+//! single block with identity permutations** and [`SparseLu::factor`]
+//! becomes exactly one minimum-degree ordered, threshold-pivoted
+//! factorization of the whole matrix.
 //!
 //! [`SolveError::Singular`]: crate::SolveError::Singular
-//! [`SparseLu::factor_with_symbolic_btf`]: crate::SparseLu::factor_with_symbolic_btf
+//! [`SparseLu::factor`]: crate::SparseLu::factor
 //!
 //! # Example
 //!

@@ -48,7 +48,8 @@ pub enum FaultKind {
     NearSingular,
     /// Scale one diagonal entry by `1e-12` — deep below the refactorization
     /// pivot threshold, so a pattern-reusing refactorization must detect
-    /// degradation and escalate (fresh pivoting, then the caller's ladder).
+    /// degradation and report its soft outcome (the caller then re-pivots,
+    /// then runs its ladder).
     DegradedPivot,
 }
 

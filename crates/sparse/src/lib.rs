@@ -22,25 +22,24 @@
 //! * [`btf`] — block upper-triangular form (maximum transversal + Tarjan
 //!   SCC, KLU's outermost structural move). Block-structured circuits —
 //!   cascaded stages, buffered sub-circuits — factor as many small diagonal
-//!   blocks via [`SparseLu::factor_with_symbolic_btf`], with the cross-block
-//!   entries stored raw (zero fill) for the block back-substitution;
-//!   irreducible patterns degenerate to the plain ordered factorization.
-//!   [`SparseLu::solve_block_into`] solves a whole panel of right-hand
-//!   sides per traversal — bitwise identical, column for column, to
-//!   independent [`SparseLu::solve_into`] calls.
-//! * [`SparseLu`] — flat-storage LU. [`SparseLu::factor`] runs partial
-//!   pivoting in natural column order;
-//!   [`SparseLu::factor_ordered`] eliminates columns in a fill-reducing order
-//!   with KLU-style relative threshold pivoting, swapping rows only when
-//!   numerics demand it. A first call to [`SparseLu::factor_with_symbolic`]
-//!   (or [`SparseLu::factor_with_symbolic_ordered`]) captures the row and
-//!   column permutations plus the fill pattern as a [`SymbolicLu`]; every
-//!   later matrix with the same structure is factored by the numeric-only
-//!   [`SparseLu::refactor`] — or, allocation-free, by
-//!   [`SparseLu::refactor_into`] with a reusable [`LuWorkspace`] — which
-//!   skips pivot search and fill discovery entirely and falls back to fresh
-//!   pivoting only when a pivot degrades numerically. Solves are
-//!   allocation-free through [`SparseLu::solve_into`].
+//!   blocks, with the cross-block entries stored raw (zero fill) for the
+//!   block back-substitution; irreducible patterns are a single block.
+//! * [`SparseLu`] — flat-storage LU with two entry points, split the way KLU
+//!   splits `klu_factor` from `klu_refactor`. [`SparseLu::factor`] is the
+//!   one fresh factorization and the only one that chooses pivots: BTF, then
+//!   a minimum-degree order and KLU-style relative threshold pivoting per
+//!   diagonal block, swapping rows only when numerics demand it.
+//!   [`SparseLu::extract_symbolic`] captures its row and column permutations,
+//!   block partition and fill pattern as a [`SymbolicLu`]; every later
+//!   matrix with the same structure is factored by the numeric-only,
+//!   allocation-free [`SparseLu::refactor_into`] with a reusable
+//!   [`LuWorkspace`], which skips pivot search and fill discovery entirely.
+//!   `refactor_into` never re-pivots: a degraded pivot or an off-pattern
+//!   entry is its soft outcome `Ok(false)`, and the caller re-pivots through
+//!   `factor`. Solves are allocation-free through [`SparseLu::solve_into`];
+//!   [`SparseLu::solve_block_into`] solves a whole panel of right-hand sides
+//!   per traversal — bitwise identical, column for column, to independent
+//!   `solve_into` calls.
 //! * [`gmres`] — the iterative escape hatch behind the [`SolverBackend`]
 //!   seam: restarted GMRES(m) over a matrix-free [`SparseOperator`],
 //!   right-preconditioned by a *stale* [`SparseLu`] (the factorization of a
@@ -64,7 +63,7 @@
 //! # Example
 //!
 //! ```
-//! use loopscope_sparse::{TripletMatrix, SparseLu};
+//! use loopscope_sparse::{LuWorkspace, SparseLu, TripletMatrix};
 //!
 //! // 2x2 system: [2 1; 1 3]·x = [5, 10]  →  x = [1, 3]
 //! let mut t = TripletMatrix::<f64>::new(2, 2);
@@ -72,19 +71,21 @@
 //! t.push(0, 1, 1.0);
 //! t.push(1, 0, 1.0);
 //! t.push(1, 1, 3.0);
-//! let (lu, symbolic) = SparseLu::factor_with_symbolic(&t.to_csr())?;
+//! let mut lu = SparseLu::factor(&t.to_csr())?;
 //! let x = lu.solve(&[5.0, 10.0])?;
 //! assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12);
 //!
-//! // Same pattern, new values: numeric-only refactorization.
+//! // Same pattern, new values: numeric-only refactorization over the
+//! // captured symbolic analysis (`false` would ask for a fresh `factor`).
+//! let symbolic = lu.extract_symbolic();
+//! let mut ws = LuWorkspace::new();
 //! let mut t2 = TripletMatrix::<f64>::new(2, 2);
 //! t2.push(0, 0, 4.0);
 //! t2.push(0, 1, 1.0);
 //! t2.push(1, 0, 1.0);
 //! t2.push(1, 1, 5.0);
-//! let lu2 = SparseLu::refactor(&symbolic, &t2.to_csr())?;
-//! assert!(lu2.refactored());
-//! let x2 = lu2.solve(&[5.0, 6.0])?;
+//! assert!(lu.refactor_into(&symbolic, &t2.to_csr(), &mut ws)?);
+//! let x2 = lu.solve(&[5.0, 6.0])?;
 //! assert!((x2[0] - 1.0).abs() < 1e-12 && (x2[1] - 1.0).abs() < 1e-12);
 //! # Ok::<(), loopscope_sparse::SolveError>(())
 //! ```
@@ -112,9 +113,9 @@ pub use gmres::{
 };
 pub use kernels::KernelBackend;
 pub use lu::{
-    normwise_backward_error, solve_once, BatchLaneStatus, BatchedLu, LuWorkspace, RefineWorkspace,
-    SolveError, SolveQuality, SparseLu, SymbolicLu, ORDERED_PIVOT_THRESHOLD,
-    REFINE_BACKWARD_TOLERANCE, REFINE_MAX_STEPS,
+    normwise_backward_error, BatchLaneStatus, BatchedLu, LuWorkspace, RefineWorkspace, SolveError,
+    SolveQuality, SparseLu, SymbolicLu, ORDERED_PIVOT_THRESHOLD, REFINE_BACKWARD_TOLERANCE,
+    REFINE_MAX_STEPS,
 };
 pub use scalar::Scalar;
 pub use triplet::TripletMatrix;

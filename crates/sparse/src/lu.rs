@@ -4,34 +4,28 @@
 //! The solver is organised around the workload of the stability analyses: the
 //! same MNA sparsity pattern is factored hundreds of times per sweep (once
 //! per frequency point, Newton iteration or timestep) with only the numeric
-//! values changing. Three layers serve that workload:
+//! values changing. Two entry points serve that workload, split the way KLU
+//! splits `klu_factor` from `klu_refactor`:
 //!
-//! * [`SparseLu::factor`] — a **fresh factorization with partial pivoting**
-//!   (largest modulus in the pivot column among the remaining rows). Rows are
+//! * [`SparseLu::factor`] — the one **fresh factorization**, and the only
+//!   place that chooses pivots. It permutes the matrix to block
+//!   upper-triangular form ([`crate::btf`]) and factors each diagonal block
+//!   in a minimum-degree column order ([`crate::ordering`]) with KLU-style
+//!   threshold pivoting: the row the ordering prefers is accepted as long as
+//!   its pivot stays within [`ORDERED_PIVOT_THRESHOLD`] of the largest
+//!   candidate, and rows are swapped only when numerics demand it. Rows are
 //!   kept as flat sorted `(col, value)` vectors and elimination updates are
 //!   two-pointer merges, so there is no tree/map traversal in the hot loop.
-//!   Pivoting makes this path robust for MNA matrices, which carry zero
-//!   diagonals on voltage-source branch rows.
-//! * [`SparseLu::factor_ordered`] — a **KLU-style threshold-pivoting
-//!   factorization** that eliminates columns in a caller-supplied
-//!   fill-reducing order (see [`crate::ordering`]). At each step the row the
-//!   ordering prefers is accepted as long as its pivot stays within
-//!   [`ORDERED_PIVOT_THRESHOLD`] of the largest candidate; only when numerics
-//!   degrade does the factorization swap rows like partial pivoting would.
-//!   This keeps the fill (and therefore every later refactorization) near the
-//!   structural optimum instead of whatever magnitudes dictate.
-//! * [`SparseLu::refactor`] / [`SparseLu::refactor_into`] — **numeric-only
-//!   refactorizations** that reuse a [`SymbolicLu`] (row *and* column
-//!   permutations plus fill pattern) captured by
-//!   [`SparseLu::factor_with_symbolic`] or
-//!   [`SparseLu::factor_with_symbolic_ordered`]. They run a left-looking pass
-//!   over the precomputed pattern with a scatter/gather dense work row: no
-//!   pivot search, no fill discovery — and `refactor_into` additionally reuses
-//!   the L/U value buffers and a caller-held [`LuWorkspace`], so the hot loop
-//!   performs **zero heap allocations**. When a pivot degrades numerically
-//!   (or the matrix pattern no longer matches) they transparently fall back
-//!   to a fresh pivoting factorization; [`SparseLu::refactored`] reports
-//!   which path ran.
+//!   [`SparseLu::extract_symbolic`] captures the result as a [`SymbolicLu`].
+//! * [`SparseLu::refactor_into`] — the **numeric-only refactorization** that
+//!   reuses a [`SymbolicLu`] (row *and* column permutations, block partition
+//!   and fill pattern). It runs a left-looking pass over the precomputed
+//!   pattern with a scatter/gather dense work row — no pivot search, no fill
+//!   discovery — reusing the L/U value buffers and a caller-held
+//!   [`LuWorkspace`], so the hot loop performs **zero heap allocations**. It
+//!   never re-pivots: when a pivot degrades numerically (or the matrix
+//!   pattern no longer matches) it reports the soft outcome `Ok(false)` and
+//!   the caller decides whether to re-pivot through `factor`.
 //!
 //! Solves follow the same split: [`SparseLu::solve_into`] is the
 //! allocation-free path (forward/backward substitution into caller-held
@@ -123,7 +117,8 @@ const SINGULARITY_RELATIVE: f64 = 1.0e-14;
 
 /// During a refactorization the precomputed pivot order is trusted only while
 /// each pivot stays within this factor of the largest modulus in its U row;
-/// below it the factorization falls back to fresh partial pivoting.
+/// below it the refactorization reports its soft outcome and the caller
+/// re-pivots with a fresh factorization.
 const REFACTOR_PIVOT_RELATIVE: f64 = 1.0e-8;
 
 /// Normwise backward error a refined solve must reach before
@@ -140,8 +135,7 @@ pub const REFINE_BACKWARD_TOLERANCE: f64 = 1.0e-12;
 /// factor, so if four steps have not converged, more will not either.
 pub const REFINE_MAX_STEPS: usize = 4;
 
-/// Relative pivot threshold of the ordered (fill-reducing) factorization,
-/// the same role and magnitude as KLU's default `tol`: the row preferred by
+/// Relative pivot threshold of the fresh factorization, the same role and magnitude as KLU's default `tol`: the row preferred by
 /// the fill-reducing order is accepted as pivot while its modulus stays
 /// within this factor of the largest candidate in the pivot column; below
 /// it, magnitude wins and rows are swapped.
@@ -150,13 +144,12 @@ pub const ORDERED_PIVOT_THRESHOLD: f64 = 1.0e-3;
 /// The pivot order and fill pattern of an LU factorization, independent of
 /// the numeric values.
 ///
-/// Produced by [`SparseLu::factor_with_symbolic`] (partial pivoting, natural
-/// column order) or [`SparseLu::factor_with_symbolic_ordered`] (threshold
-/// pivoting over a fill-reducing column order); consumed by
-/// [`SparseLu::refactor`] / [`SparseLu::refactor_into`] to factor further
-/// matrices **with the same sparsity pattern** without re-running pivot
-/// search or fill-in discovery. Both the row permutation (pivot order) and
-/// the column permutation (elimination order) are recorded. The pattern is
+/// Captured from a fresh [`SparseLu::factor`] by
+/// [`SparseLu::extract_symbolic`]; consumed by [`SparseLu::refactor_into`]
+/// to factor further matrices **with the same sparsity pattern** without
+/// re-running pivot search or fill-in discovery. Both the row permutation
+/// (pivot order) and the column permutation (elimination order) are
+/// recorded, together with the block-triangular partition. The pattern is
 /// value-independent because the analysis keeps structural zeros, so it
 /// stays valid for every matrix assembled over the same structure.
 #[derive(Debug, Clone)]
@@ -173,8 +166,7 @@ struct LuPattern {
     n: usize,
     /// `perm[k]` is the original row index used as pivot row at step `k`.
     perm: Vec<usize>,
-    /// `cperm[k]` is the original column eliminated at step `k` (identity for
-    /// the natural-order factorizations).
+    /// `cperm[k]` is the original column eliminated at step `k`.
     cperm: Vec<usize>,
     /// Inverse of `cperm`: `cpos[c]` is the elimination step of original
     /// column `c`.
@@ -191,7 +183,7 @@ struct LuPattern {
     u_cols: Vec<usize>,
     /// Elimination-step boundaries of the BTF diagonal blocks:
     /// `block_ptr[b]..block_ptr[b + 1]` is block `b`. `[0, n]` (one block)
-    /// for every non-BTF factorization.
+    /// when the pattern is irreducible.
     block_ptr: Vec<usize>,
     /// CSR-style pattern of the off-diagonal (later-block) entries per
     /// elimination row — the raw matrix entries of pivot row `perm[i]` in
@@ -232,9 +224,8 @@ impl SymbolicLu {
         self.pattern.l_cols.len() + self.pattern.u_cols.len() + self.pattern.f_cols.len()
     }
 
-    /// Number of diagonal blocks of the block-triangular partition: 1 for
-    /// every factorization produced without BTF analysis (or when the
-    /// pattern is irreducible and BTF degenerates).
+    /// Number of diagonal blocks of the block-triangular partition: 1 when
+    /// the pattern is irreducible and BTF degenerates.
     pub fn block_count(&self) -> usize {
         self.pattern.block_ptr.len() - 1
     }
@@ -254,8 +245,7 @@ impl SymbolicLu {
     }
 
     /// The column elimination order: element `k` is the original column
-    /// eliminated at step `k`. The identity permutation for factorizations
-    /// produced without a fill-reducing ordering.
+    /// eliminated at step `k`.
     pub fn column_order(&self) -> &[usize] {
         &self.pattern.cperm
     }
@@ -391,21 +381,22 @@ fn exact_max_modulus<T: Scalar>(vals: &[T]) -> f64 {
 
 /// The matrix scales a successful refactorization records on its
 /// factorization (see the `a_max_modulus` / `u_max_modulus` fields of
-/// [`SparseLu`]).
+/// [`SparseLu`]); all zero on an unfilled shell.
+#[derive(Default)]
 struct RefactorScales {
     a_max: f64,
     u_max: f64,
 }
 
-/// Why a numeric-only refactorization could not be completed; drives the
-/// fallback in [`SparseLu::refactor`] / [`SparseLu::refactor_into`].
+/// Why a numeric-only refactorization could not be completed: the soft
+/// failures become [`SparseLu::refactor_into`]'s `Ok(false)`.
 enum RefactorFailure {
     /// A pivot fell below the numeric quality threshold at the given step;
     /// a fresh pivoting factorization may still succeed.
     Degraded,
     /// The matrix contains an entry outside the recorded fill pattern.
     PatternMismatch,
-    /// A hard error that no fallback can fix.
+    /// A hard error that no re-pivoting can fix.
     Hard(SolveError),
 }
 
@@ -491,7 +482,7 @@ impl<T: Scalar> LuWorkspace<T> {
 /// [`solve_into`](SparseLu::solve_into) in hot loops and
 /// [`solve`](SparseLu::solve) for one-offs; with a [`SymbolicLu`] the
 /// *pattern* can additionally be reused across matrices via
-/// [`refactor`](SparseLu::refactor) / [`refactor_into`](SparseLu::refactor_into).
+/// [`refactor_into`](SparseLu::refactor_into).
 #[derive(Debug, Clone)]
 pub struct SparseLu<T: Scalar> {
     /// Permutations and L/U index pattern, shared (not copied) with the
@@ -543,60 +534,57 @@ fn merge_sub<T: Scalar>(a: &[(usize, T)], p: &[(usize, T)], factor: T, out: &mut
 }
 
 impl<T: Scalar> SparseLu<T> {
-    /// Factors a square sparse matrix with partial pivoting.
+    /// Factors a square sparse matrix **KLU-style** — the one fresh
+    /// factorization, and the only entry point that chooses pivots.
     ///
-    /// Columns are eliminated in natural order and the pivot row at each step
-    /// is the candidate with the largest modulus — robust, but oblivious to
-    /// fill. For matrices that will be factored repeatedly, prefer
-    /// [`factor_ordered`](SparseLu::factor_ordered) with a fill-reducing
-    /// order from [`crate::ordering`].
+    /// The matrix is permuted to block upper-triangular form
+    /// ([`crate::btf`]), then each diagonal block is factored in a
+    /// [`crate::ordering::min_degree_order`] column order with threshold
+    /// pivoting: at each step the row the ordering prefers is accepted while
+    /// its pivot modulus stays within [`ORDERED_PIVOT_THRESHOLD`] of the
+    /// largest candidate in the column; otherwise the sparsest candidate
+    /// above the threshold is chosen, so numerics can force a swap but never
+    /// silently degrade. Fill never crosses a block boundary, and the
+    /// off-diagonal block entries are stored raw for the block
+    /// back-substitution instead of being eliminated. An irreducible pattern
+    /// (one strongly connected component — typical for a single feedback
+    /// loop) is a single block with identity BTF permutations.
+    ///
+    /// [`extract_symbolic`](SparseLu::extract_symbolic) captures the composed
+    /// permutations, the per-block L/U patterns, the off-diagonal pattern and
+    /// the block partition, so [`refactor_into`](SparseLu::refactor_into) and
+    /// [`solve_into`](SparseLu::solve_into) stay numeric-only and
+    /// allocation-free over it.
     ///
     /// ```
     /// use loopscope_sparse::{SparseLu, TripletMatrix};
     ///
-    /// let mut t = TripletMatrix::<f64>::new(2, 2);
+    /// // Two strongly coupled unknowns feeding a third (no feedback).
+    /// let mut t = TripletMatrix::<f64>::new(3, 3);
     /// t.push(0, 0, 2.0);
     /// t.push(0, 1, 1.0);
     /// t.push(1, 0, 1.0);
     /// t.push(1, 1, 3.0);
+    /// t.push(2, 0, 1.0);
+    /// t.push(2, 2, 4.0);
     /// let lu = SparseLu::factor(&t.to_csr())?;
-    /// let x = lu.solve(&[5.0, 10.0])?;
-    /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12);
+    /// assert_eq!(lu.block_count(), 2);
+    /// let x = lu.solve(&[5.0, 10.0, 6.0])?;
+    /// assert!((x[0] - 1.0).abs() < 1e-12);
+    /// assert!((x[1] - 3.0).abs() < 1e-12);
+    /// assert!((x[2] - 1.25).abs() < 1e-12);
     /// # Ok::<(), loopscope_sparse::SolveError>(())
     /// ```
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::NotSquare`] for rectangular input and
-    /// [`SolveError::Singular`] when no acceptable pivot exists at some step.
+    /// Returns [`SolveError::NotSquare`] for rectangular input,
+    /// [`SolveError::NonFinite`] for the first non-finite stored entry
+    /// (row-major order, off-diagonal block entries included), and
+    /// [`SolveError::Singular`] — carrying the **original** column index —
+    /// when the pattern is structurally singular or a block has no
+    /// acceptable pivot.
     pub fn factor(matrix: &CsrMatrix<T>) -> Result<Self, SolveError> {
-        Self::factor_impl(matrix, None)
-    }
-
-    /// Factors a square sparse matrix eliminating columns in the supplied
-    /// fill-reducing order, with KLU-style relative threshold pivoting.
-    ///
-    /// `col_order[k]` names the original column (and, preferentially, the
-    /// original row — MNA orderings are symmetric) eliminated at step `k`;
-    /// [`crate::ordering::min_degree_order`] computes a suitable order from
-    /// the matrix pattern. At each step the preferred row is accepted while
-    /// its pivot modulus stays within [`ORDERED_PIVOT_THRESHOLD`] of the
-    /// largest candidate in the column; otherwise the sparsest candidate
-    /// above the threshold is chosen, so numerics can force a swap but never
-    /// silently degrade.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`factor`](SparseLu::factor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col_order` is not a permutation of `0..matrix.rows()`.
-    pub fn factor_ordered(matrix: &CsrMatrix<T>, col_order: &[usize]) -> Result<Self, SolveError> {
-        Self::factor_impl(matrix, Some(col_order))
-    }
-
-    fn factor_impl(matrix: &CsrMatrix<T>, col_order: Option<&[usize]>) -> Result<Self, SolveError> {
         let n = matrix.rows();
         if matrix.cols() != n {
             return Err(SolveError::NotSquare {
@@ -604,28 +592,169 @@ impl<T: Scalar> SparseLu<T> {
                 cols: matrix.cols(),
             });
         }
-        // Column permutation: cperm[k] = original column eliminated at step
-        // k; cpos is its inverse. Identity when no ordering is supplied.
-        let (cperm, cpos) = match col_order {
-            Some(order) => {
-                assert_eq!(
-                    order.len(),
-                    n,
-                    "column order length must match the matrix dimension"
-                );
-                let mut cpos = vec![usize::MAX; n];
-                for (k, &c) in order.iter().enumerate() {
-                    assert!(
-                        c < n && cpos[c] == usize::MAX,
-                        "column order must be a permutation of 0..n"
-                    );
-                    cpos[c] = k;
+        // Each block factorization vets only its own block's entries; the
+        // raw off-diagonal ones are checked here, like `refactor_into` does.
+        if let Some((row, col, _)) = matrix.iter().find(|&(_, _, v)| !v.is_finite()) {
+            return Err(SolveError::NonFinite { row, col });
+        }
+        let form = crate::btf::analyze(matrix)?;
+        if form.is_single_block() {
+            // Irreducible: no permutation shuffling, no F storage.
+            let order = crate::ordering::min_degree_order(matrix);
+            return Self::factor_block(matrix, &order);
+        }
+        // Position of every original column in the BTF order.
+        let mut btf_cpos = vec![0usize; n];
+        for (k, &c) in form.col_perm().iter().enumerate() {
+            btf_cpos[c] = k;
+        }
+
+        let mut perm = Vec::with_capacity(n);
+        let mut cperm = Vec::with_capacity(n);
+        let mut l_ptr = Vec::with_capacity(n + 1);
+        let mut l_cols = Vec::new();
+        let mut l_vals = Vec::new();
+        let mut u_ptr = Vec::with_capacity(n + 1);
+        let mut u_cols = Vec::new();
+        let mut u_vals = Vec::new();
+        l_ptr.push(0);
+        u_ptr.push(0);
+        for b in 0..form.block_count() {
+            let range = form.block_range(b);
+            let (start, end) = (range.start, range.end);
+            let dim = end - start;
+            // The diagonal block in block-local coordinates. Entries in
+            // later blocks are collected afterwards as the off-diagonal F
+            // pattern; entries in earlier blocks cannot exist — the BTF
+            // analysis of this very matrix guarantees upper form.
+            let mut triplets = crate::triplet::TripletMatrix::new(dim, dim);
+            for local_row in 0..dim {
+                let row = form.row_perm()[start + local_row];
+                for (c, v) in matrix.row_entries(row) {
+                    let p = btf_cpos[c];
+                    debug_assert!(p >= start, "BTF left an entry below its diagonal block");
+                    if p < end {
+                        triplets.push(local_row, p - start, v);
+                    }
                 }
-                (order.to_vec(), cpos)
             }
-            None => ((0..n).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>()),
-        };
-        let ordered = col_order.is_some();
+            let local = triplets.to_csr();
+            let order = crate::ordering::min_degree_order(&local);
+            let block_lu = Self::factor_block(&local, &order).map_err(|err| match err {
+                // Map block-local indices back to the original ones.
+                SolveError::Singular(col) => SolveError::Singular(form.col_perm()[start + col]),
+                SolveError::NonFinite { row, col } => SolveError::NonFinite {
+                    row: form.row_perm()[start + row],
+                    col: form.col_perm()[start + col],
+                },
+                other => other,
+            })?;
+            let bp = &block_lu.pattern;
+            for k in 0..dim {
+                perm.push(form.row_perm()[start + bp.perm[k]]);
+                cperm.push(form.col_perm()[start + bp.cperm[k]]);
+                for t in bp.l_ptr[k]..bp.l_ptr[k + 1] {
+                    l_cols.push(start + bp.l_cols[t]);
+                    l_vals.push(block_lu.l_vals[t]);
+                }
+                l_ptr.push(l_cols.len());
+                for t in bp.u_ptr[k]..bp.u_ptr[k + 1] {
+                    u_cols.push(start + bp.u_cols[t]);
+                    u_vals.push(block_lu.u_vals[t]);
+                }
+                u_ptr.push(u_cols.len());
+            }
+        }
+
+        // Composed inverse column permutation, then the off-diagonal block
+        // pattern: the raw entries of each pivot row in later blocks, in
+        // ascending elimination-column order.
+        let mut cpos = vec![0usize; n];
+        for (k, &c) in cperm.iter().enumerate() {
+            cpos[c] = k;
+        }
+        let mut block_end_of_step = vec![0usize; n];
+        for b in 0..form.block_count() {
+            let range = form.block_range(b);
+            for step in range.clone() {
+                block_end_of_step[step] = range.end;
+            }
+        }
+        let mut f_ptr = Vec::with_capacity(n + 1);
+        let mut f_cols = Vec::new();
+        let mut f_vals = Vec::new();
+        f_ptr.push(0);
+        let mut f_row: Vec<(usize, T)> = Vec::new();
+        for (step, &pivot_row) in perm.iter().enumerate() {
+            f_row.clear();
+            let end = block_end_of_step[step];
+            for (c, v) in matrix.row_entries(pivot_row) {
+                let p = cpos[c];
+                if p >= end {
+                    f_row.push((p, v));
+                }
+            }
+            f_row.sort_unstable_by_key(|&(p, _)| p);
+            for &(p, v) in &f_row {
+                f_cols.push(p);
+                f_vals.push(v);
+            }
+            f_ptr.push(f_cols.len());
+        }
+
+        let a_max = matrix.max_modulus();
+        let u_max = exact_max_modulus(&u_vals);
+        Ok(Self {
+            pattern: Arc::new(LuPattern {
+                n,
+                perm,
+                cperm,
+                cpos,
+                l_ptr,
+                l_cols,
+                u_ptr,
+                u_cols,
+                block_ptr: form.block_ptr().to_vec(),
+                f_ptr,
+                f_cols,
+                backend: kernels::selected_backend(),
+            }),
+            l_vals,
+            u_vals,
+            f_vals,
+            refactored: false,
+            a_max_modulus: a_max,
+            u_max_modulus: u_max,
+        })
+    }
+
+    /// Factors one irreducible diagonal block (the whole matrix when BTF
+    /// degenerates), eliminating columns in `col_order` with threshold
+    /// pivoting. `col_order[k]` names the original column — and,
+    /// preferentially, the original row: MNA orderings are symmetric —
+    /// eliminated at step `k`. The caller has checked that `matrix` is square.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col_order` is not a permutation of `0..matrix.rows()`.
+    fn factor_block(matrix: &CsrMatrix<T>, col_order: &[usize]) -> Result<Self, SolveError> {
+        let n = matrix.rows();
+        // Column permutation: cperm[k] = original column eliminated at step
+        // k; cpos is its inverse.
+        let mut cpos = vec![usize::MAX; n];
+        assert_eq!(
+            col_order.len(),
+            n,
+            "column order must be a permutation of 0..n"
+        );
+        for (k, &c) in col_order.iter().enumerate() {
+            assert!(
+                c < n && cpos[c] == usize::MAX,
+                "column order must be a permutation of 0..n"
+            );
+            cpos[c] = k;
+        }
+        let cperm = col_order.to_vec();
 
         // Per-elimination-column reference scales for the relative
         // singularity test; also rejects non-finite input up front.
@@ -640,9 +769,7 @@ impl<T: Scalar> SparseLu<T> {
             .map(|r| {
                 let mut row: Vec<(usize, T)> =
                     matrix.row_entries(r).map(|(c, v)| (cpos[c], v)).collect();
-                if ordered {
-                    row.sort_unstable_by_key(|&(c, _)| c);
-                }
+                row.sort_unstable_by_key(|&(c, _)| c);
                 row
             })
             .collect();
@@ -657,28 +784,11 @@ impl<T: Scalar> SparseLu<T> {
         // clearer than iterating the threshold table.
         #[allow(clippy::needless_range_loop)]
         for k in 0..n {
-            let (active_idx, pivot_mod) = if ordered {
-                Self::select_threshold_pivot(&rows, &active, k, cperm[k])
-            } else {
-                // Partial pivoting: among active rows holding column k, take
-                // the one with the largest modulus there.
-                let mut best: Option<(usize, f64)> = None;
-                for (ai, &r) in active.iter().enumerate() {
-                    if let Some(&(c, v)) = rows[r].first() {
-                        if c == k {
-                            let m = v.modulus();
-                            if best.is_none_or(|(_, bm)| m > bm) {
-                                best = Some((ai, m));
-                            }
-                        }
-                    }
-                }
-                best
-            }
-            // Report singularity against the ORIGINAL column index: callers
-            // see the unknown they can map back to the circuit, not the
-            // position some fill-reducing permutation moved it to.
-            .ok_or(SolveError::Singular(cperm[k]))?;
+            let (active_idx, pivot_mod) = Self::select_threshold_pivot(&rows, &active, k, cperm[k])
+                // Report singularity against the ORIGINAL column index: callers
+                // see the unknown they can map back to the circuit, not the
+                // position some fill-reducing permutation moved it to.
+                .ok_or(SolveError::Singular(cperm[k]))?;
             // Elimination can overflow into ±∞/NaN even when the input was
             // finite; NaN would pass the threshold checks below (every
             // comparison false), so reject it explicitly.
@@ -819,250 +929,9 @@ impl<T: Scalar> SparseLu<T> {
         best.map(|(ai, m, _, _)| (ai, m))
     }
 
-    /// Factors a matrix and additionally captures its pivot order and fill
-    /// pattern for later [`refactor`](SparseLu::refactor) /
-    /// [`refactor_into`](SparseLu::refactor_into) calls.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`factor`](SparseLu::factor).
-    pub fn factor_with_symbolic(matrix: &CsrMatrix<T>) -> Result<(Self, SymbolicLu), SolveError> {
-        let lu = Self::factor(matrix)?;
-        let symbolic = lu.extract_symbolic();
-        Ok((lu, symbolic))
-    }
-
-    /// Like [`factor_with_symbolic`](SparseLu::factor_with_symbolic) but
-    /// eliminating columns in the supplied fill-reducing order with threshold
-    /// pivoting (see [`factor_ordered`](SparseLu::factor_ordered)). The
-    /// captured [`SymbolicLu`] records **both** permutations, so every later
-    /// refactorization inherits the reduced fill.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`factor`](SparseLu::factor).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col_order` is not a permutation of `0..matrix.rows()`.
-    pub fn factor_with_symbolic_ordered(
-        matrix: &CsrMatrix<T>,
-        col_order: &[usize],
-    ) -> Result<(Self, SymbolicLu), SolveError> {
-        let lu = Self::factor_ordered(matrix, col_order)?;
-        let symbolic = lu.extract_symbolic();
-        Ok((lu, symbolic))
-    }
-
-    /// Factors a matrix **KLU-style**: permute to block upper-triangular
-    /// form ([`crate::btf`]), then run a minimum-degree ordered, threshold-
-    /// pivoted factorization **per diagonal block** — fill never crosses a
-    /// block boundary, and the off-diagonal block entries are stored raw
-    /// for the block back-substitution instead of being eliminated.
-    ///
-    /// When the pattern is irreducible (one strongly connected component —
-    /// typical for a single feedback loop), the analysis degenerates to a
-    /// single block with identity BTF permutations and this is **exactly**
-    /// [`factor_with_symbolic_ordered`](SparseLu::factor_with_symbolic_ordered)
-    /// over a [`crate::ordering::min_degree_order`]. For block-structured
-    /// circuits (cascaded stages, buffered sub-circuits) the factors shrink:
-    /// each block orders and pivots independently, and the cross-block
-    /// entries contribute zero fill.
-    ///
-    /// The captured [`SymbolicLu`] records the composed permutations, the
-    /// per-block L/U patterns, the off-diagonal pattern and the block
-    /// partition, so [`refactor_into`](SparseLu::refactor_into) and
-    /// [`solve_into`](SparseLu::solve_into) stay numeric-only and
-    /// allocation-free over it.
-    ///
-    /// ```
-    /// use loopscope_sparse::{SparseLu, TripletMatrix};
-    ///
-    /// // Two strongly coupled unknowns feeding a third (no feedback).
-    /// let mut t = TripletMatrix::<f64>::new(3, 3);
-    /// t.push(0, 0, 2.0);
-    /// t.push(0, 1, 1.0);
-    /// t.push(1, 0, 1.0);
-    /// t.push(1, 1, 3.0);
-    /// t.push(2, 0, 1.0);
-    /// t.push(2, 2, 4.0);
-    /// let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&t.to_csr())?;
-    /// assert_eq!(symbolic.block_count(), 2);
-    /// let x = lu.solve(&[5.0, 10.0, 6.0])?;
-    /// assert!((x[0] - 1.0).abs() < 1e-12);
-    /// assert!((x[1] - 3.0).abs() < 1e-12);
-    /// assert!((x[2] - 1.25).abs() < 1e-12);
-    /// # Ok::<(), loopscope_sparse::SolveError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NotSquare`] for rectangular input and
-    /// [`SolveError::Singular`] — carrying the **original** column index —
-    /// when the pattern is structurally singular or a block has no
-    /// acceptable pivot.
-    pub fn factor_with_symbolic_btf(
-        matrix: &CsrMatrix<T>,
-    ) -> Result<(Self, SymbolicLu), SolveError> {
-        let n = matrix.rows();
-        if matrix.cols() != n {
-            return Err(SolveError::NotSquare {
-                rows: n,
-                cols: matrix.cols(),
-            });
-        }
-        let form = crate::btf::analyze(matrix)?;
-        if form.is_single_block() {
-            // Degenerate (irreducible) case: identical to the plain ordered
-            // factorization — no permutation shuffling, no F storage.
-            let order = crate::ordering::min_degree_order(matrix);
-            return Self::factor_with_symbolic_ordered(matrix, &order);
-        }
-        // Position of every original column in the BTF order.
-        let mut btf_cpos = vec![0usize; n];
-        for (k, &c) in form.col_perm().iter().enumerate() {
-            btf_cpos[c] = k;
-        }
-
-        let mut perm = Vec::with_capacity(n);
-        let mut cperm = Vec::with_capacity(n);
-        let mut l_ptr = Vec::with_capacity(n + 1);
-        let mut l_cols = Vec::new();
-        let mut l_vals = Vec::new();
-        let mut u_ptr = Vec::with_capacity(n + 1);
-        let mut u_cols = Vec::new();
-        let mut u_vals = Vec::new();
-        l_ptr.push(0);
-        u_ptr.push(0);
-        for b in 0..form.block_count() {
-            let range = form.block_range(b);
-            let (start, end) = (range.start, range.end);
-            let dim = end - start;
-            // The diagonal block in block-local coordinates. Entries in
-            // later blocks are collected afterwards as the off-diagonal F
-            // pattern; entries in earlier blocks cannot exist — the BTF
-            // analysis of this very matrix guarantees upper form.
-            let mut triplets = crate::triplet::TripletMatrix::new(dim, dim);
-            for local_row in 0..dim {
-                let row = form.row_perm()[start + local_row];
-                for (c, v) in matrix.row_entries(row) {
-                    let p = btf_cpos[c];
-                    debug_assert!(p >= start, "BTF left an entry below its diagonal block");
-                    if p < end {
-                        triplets.push(local_row, p - start, v);
-                    }
-                }
-            }
-            let local = triplets.to_csr();
-            let order = crate::ordering::min_degree_order(&local);
-            let block_lu = Self::factor_ordered(&local, &order).map_err(|err| match err {
-                // Map the block-local column index back to the original one.
-                SolveError::Singular(local_col) => {
-                    SolveError::Singular(form.col_perm()[start + local_col])
-                }
-                other => other,
-            })?;
-            let bp = &block_lu.pattern;
-            for k in 0..dim {
-                perm.push(form.row_perm()[start + bp.perm[k]]);
-                cperm.push(form.col_perm()[start + bp.cperm[k]]);
-                for t in bp.l_ptr[k]..bp.l_ptr[k + 1] {
-                    l_cols.push(start + bp.l_cols[t]);
-                    l_vals.push(block_lu.l_vals[t]);
-                }
-                l_ptr.push(l_cols.len());
-                for t in bp.u_ptr[k]..bp.u_ptr[k + 1] {
-                    u_cols.push(start + bp.u_cols[t]);
-                    u_vals.push(block_lu.u_vals[t]);
-                }
-                u_ptr.push(u_cols.len());
-            }
-        }
-
-        // Composed inverse column permutation, then the off-diagonal block
-        // pattern: the raw entries of each pivot row in later blocks, in
-        // ascending elimination-column order.
-        let mut cpos = vec![0usize; n];
-        for (k, &c) in cperm.iter().enumerate() {
-            cpos[c] = k;
-        }
-        let mut block_end_of_step = vec![0usize; n];
-        for b in 0..form.block_count() {
-            let range = form.block_range(b);
-            for step in range.clone() {
-                block_end_of_step[step] = range.end;
-            }
-        }
-        let mut f_ptr = Vec::with_capacity(n + 1);
-        let mut f_cols = Vec::new();
-        let mut f_vals = Vec::new();
-        f_ptr.push(0);
-        let mut f_row: Vec<(usize, T)> = Vec::new();
-        for (step, &pivot_row) in perm.iter().enumerate() {
-            f_row.clear();
-            let end = block_end_of_step[step];
-            for (c, v) in matrix.row_entries(pivot_row) {
-                let p = cpos[c];
-                if p >= end {
-                    f_row.push((p, v));
-                }
-            }
-            f_row.sort_unstable_by_key(|&(p, _)| p);
-            for &(p, v) in &f_row {
-                f_cols.push(p);
-                f_vals.push(v);
-            }
-            f_ptr.push(f_cols.len());
-        }
-
-        let a_max = matrix.max_modulus();
-        let u_max = exact_max_modulus(&u_vals);
-        let lu = Self {
-            pattern: Arc::new(LuPattern {
-                n,
-                perm,
-                cperm,
-                cpos,
-                l_ptr,
-                l_cols,
-                u_ptr,
-                u_cols,
-                block_ptr: form.block_ptr().to_vec(),
-                f_ptr,
-                f_cols,
-                backend: kernels::selected_backend(),
-            }),
-            l_vals,
-            u_vals,
-            f_vals,
-            refactored: false,
-            a_max_modulus: a_max,
-            u_max_modulus: u_max,
-        };
-        let symbolic = lu.extract_symbolic();
-        Ok((lu, symbolic))
-    }
-
-    /// Convenience form of
-    /// [`factor_with_symbolic_btf`](SparseLu::factor_with_symbolic_btf)
-    /// discarding the symbolic analysis.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`factor_with_symbolic_btf`](SparseLu::factor_with_symbolic_btf).
-    pub fn factor_btf(matrix: &CsrMatrix<T>) -> Result<Self, SolveError> {
-        Ok(Self::factor_with_symbolic_btf(matrix)?.0)
-    }
-
-    /// Captures this factorization's permutations and fill pattern — the same
-    /// data [`factor_with_symbolic`](SparseLu::factor_with_symbolic) returns.
-    ///
-    /// Useful to adopt a fresh pattern after
-    /// [`refactor`](SparseLu::refactor) fell back to pivoting: the fallback
-    /// already computed a healthy pivot order, so callers can reuse it
-    /// without paying for another factorization. Cheap: the pattern is
-    /// reference-counted, not copied.
+    /// Captures this factorization's permutations, block partition and fill
+    /// pattern for later [`refactor_into`](SparseLu::refactor_into) calls.
+    /// Cheap: the pattern is reference-counted, not copied.
     pub fn extract_symbolic(&self) -> SymbolicLu {
         SymbolicLu {
             pattern: Arc::clone(&self.pattern),
@@ -1097,151 +966,93 @@ impl<T: Scalar> SparseLu<T> {
         }
     }
 
-    /// Factors a matrix **reusing the permutations and fill pattern** of a
-    /// previous factorization of a matrix with the same structure.
+    /// Refactors `matrix` **in place** over `symbolic`'s permutations and
+    /// fill pattern, reusing this factorization's L/U value buffers and the
+    /// caller's [`LuWorkspace`].
     ///
     /// This is the hot path of frequency sweeps, Newton loops and transient
     /// stepping: a numeric-only left-looking pass with no pivot search and no
-    /// fill discovery. When a pivot degrades numerically, or the matrix does
-    /// not match the recorded pattern, the call transparently falls back to a
-    /// fresh pivoting factorization ([`refactored`](SparseLu::refactored)
-    /// returns `false` in that case, signalling that the symbolic analysis
-    /// should be refreshed).
+    /// fill discovery. After the first call over a given pattern, a healthy
+    /// refactorization performs **zero heap allocations**.
     ///
-    /// This convenience form allocates fresh L/U value buffers per call; use
-    /// [`refactor_into`](SparseLu::refactor_into) to reuse an existing
-    /// factorization's buffers in hot loops.
+    /// It never re-pivots. Returns `Ok(true)` when `self` is now a valid
+    /// factorization of `matrix`, and the **soft outcome** `Ok(false)` when a
+    /// pivot degrades numerically or `matrix` has an entry outside the
+    /// recorded pattern: the recorded pivot order cannot serve these values,
+    /// and `self` holds no valid factors (solving panics, as on an unfilled
+    /// [`from_symbolic`](SparseLu::from_symbolic) shell) until the caller
+    /// re-pivots with a fresh [`factor`](SparseLu::factor) or a later
+    /// refactorization succeeds.
     ///
     /// ```
-    /// use loopscope_sparse::{SparseLu, TripletMatrix};
+    /// use loopscope_sparse::{LuWorkspace, SparseLu, TripletMatrix};
     ///
-    /// let build = |g: f64| {
+    /// let build = |d: f64| {
     ///     let mut t = TripletMatrix::<f64>::new(2, 2);
-    ///     t.push(0, 0, 2.0 * g);
-    ///     t.push(0, 1, -g);
-    ///     t.push(1, 0, -g);
-    ///     t.push(1, 1, 2.0 * g);
+    ///     t.push(0, 0, d);
+    ///     t.push(0, 1, 1.0);
+    ///     t.push(1, 0, 1.0);
+    ///     t.push(1, 1, d);
     ///     t.to_csr()
     /// };
-    /// let (_, symbolic) = SparseLu::factor_with_symbolic(&build(1.0))?;
+    /// let mut lu = SparseLu::factor(&build(4.0))?;
+    /// let symbolic = lu.extract_symbolic();
+    /// let mut ws = LuWorkspace::new();
     /// // Same pattern, new values: numeric-only refactorization.
-    /// let lu = SparseLu::refactor(&symbolic, &build(3.0))?;
-    /// assert!(lu.refactored());
-    /// let x = lu.solve(&[3.0, 0.0])?;
-    /// assert!((x[0] - 2.0 / 3.0).abs() < 1e-12);
+    /// assert!(lu.refactor_into(&symbolic, &build(3.0), &mut ws)?);
+    /// let x = lu.solve(&[4.0, 4.0])?;
+    /// assert!((x[0] - 1.0).abs() < 1e-12);
+    /// // Vanishing diagonals degrade the recorded pivots: the soft outcome,
+    /// // after which the caller re-pivots with a fresh factorization.
+    /// let swapped = build(1.0e-12);
+    /// assert!(!lu.refactor_into(&symbolic, &swapped, &mut ws)?);
+    /// let lu = SparseLu::factor(&swapped)?;
+    /// let x = lu.solve(&[1.0, 2.0])?;
+    /// assert!((x[0] - 2.0).abs() < 1e-9);
     /// # Ok::<(), loopscope_sparse::SolveError>(())
     /// ```
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::NotSquare`] for rectangular input or a dimension
-    /// mismatch with `symbolic`, and [`SolveError::Singular`] when even the
-    /// fallback pivoting factorization finds no acceptable pivot.
-    pub fn refactor(symbolic: &SymbolicLu, matrix: &CsrMatrix<T>) -> Result<Self, SolveError> {
-        let mut ws = LuWorkspace::new();
-        let mut l_vals = Vec::new();
-        let mut u_vals = Vec::new();
-        let mut f_vals = Vec::new();
-        match Self::refactor_core(
-            &symbolic.pattern,
-            matrix,
-            &mut ws,
-            &mut l_vals,
-            &mut u_vals,
-            &mut f_vals,
-        ) {
-            Ok(scales) => Ok(Self {
-                pattern: Arc::clone(&symbolic.pattern),
-                l_vals,
-                u_vals,
-                f_vals,
-                refactored: true,
-                a_max_modulus: scales.a_max,
-                u_max_modulus: scales.u_max,
-            }),
-            Err(RefactorFailure::Degraded | RefactorFailure::PatternMismatch) => {
-                Self::fallback_factor(&symbolic.pattern, matrix)
-            }
-            Err(RefactorFailure::Hard(e)) => Err(e),
-        }
-    }
-
-    /// Fresh factorization used when a numeric-only refactorization cannot
-    /// proceed. When the stale pattern carried a fill-reducing column order,
-    /// the retry keeps it (threshold pivoting will find healthy rows for the
-    /// new values), so a mid-sweep fallback re-pivots **without** regressing
-    /// to natural-order fill for the rest of the sweep; plain partial
-    /// pivoting remains the last resort.
-    fn fallback_factor(pattern: &LuPattern, matrix: &CsrMatrix<T>) -> Result<Self, SolveError> {
-        let has_ordering = pattern.cperm.iter().enumerate().any(|(k, &c)| k != c);
-        if has_ordering && pattern.cperm.len() == matrix.rows() {
-            if let Ok(lu) = Self::factor_ordered(matrix, &pattern.cperm) {
-                return Ok(lu);
-            }
-        }
-        Self::factor(matrix)
-    }
-
-    /// Refactors `matrix` **in place**, reusing this factorization's L/U
-    /// value buffers and the caller's [`LuWorkspace`] — the allocation-free
-    /// form of [`refactor`](SparseLu::refactor) used by assembly caches.
-    ///
-    /// After the first call over a given pattern, a healthy refactorization
-    /// performs **zero heap allocations**. On success `self` is a valid
-    /// factorization of `matrix`; check [`refactored`](SparseLu::refactored)
-    /// to learn whether the pattern was reused (`true`) or a fresh pivoting
-    /// fallback ran (`false`, in which case the factorization carries a new
-    /// pattern worth adopting via [`extract_symbolic`](SparseLu::extract_symbolic)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NotSquare`] for a dimension mismatch (leaving
-    /// `self` untouched) and [`SolveError::Singular`] when even the fallback
-    /// pivoting factorization fails — in the latter case the contents of
-    /// `self` are unspecified and it must be successfully refactored before
-    /// the next solve.
+    /// Returns [`SolveError::NotSquare`] for a dimension mismatch with
+    /// `symbolic` and [`SolveError::NonFinite`] for a non-finite entry; both
+    /// are detected before any buffer is touched, so `self` stays valid.
     pub fn refactor_into(
         &mut self,
         symbolic: &SymbolicLu,
         matrix: &CsrMatrix<T>,
         ws: &mut LuWorkspace<T>,
-    ) -> Result<(), SolveError> {
-        let mut l_vals = std::mem::take(&mut self.l_vals);
-        let mut u_vals = std::mem::take(&mut self.u_vals);
-        let mut f_vals = std::mem::take(&mut self.f_vals);
-        match Self::refactor_core(
+    ) -> Result<bool, SolveError> {
+        let outcome = Self::refactor_core(
             &symbolic.pattern,
             matrix,
             ws,
-            &mut l_vals,
-            &mut u_vals,
-            &mut f_vals,
-        ) {
-            Ok(scales) => {
-                if !Arc::ptr_eq(&self.pattern, &symbolic.pattern) {
-                    self.pattern = Arc::clone(&symbolic.pattern);
-                }
-                self.l_vals = l_vals;
-                self.u_vals = u_vals;
-                self.f_vals = f_vals;
-                self.refactored = true;
-                self.a_max_modulus = scales.a_max;
-                self.u_max_modulus = scales.u_max;
-                Ok(())
-            }
+            &mut self.l_vals,
+            &mut self.u_vals,
+            &mut self.f_vals,
+        );
+        let scales = match outcome {
+            Ok(scales) => Some(scales),
+            // The hard checks run before any buffer is touched, so `self`
+            // is still the previous, valid factorization.
+            Err(RefactorFailure::Hard(e)) => return Err(e),
             Err(RefactorFailure::Degraded | RefactorFailure::PatternMismatch) => {
-                *self = Self::fallback_factor(&symbolic.pattern, matrix)?;
-                Ok(())
+                // Keep the capacity, drop the partial factors: `self` is
+                // now an unfilled shell over `symbolic`.
+                self.l_vals.clear();
+                self.u_vals.clear();
+                self.f_vals.clear();
+                None
             }
-            Err(RefactorFailure::Hard(e)) => {
-                // The hard checks run before any buffer is touched: restore
-                // the factors so `self` stays valid.
-                self.l_vals = l_vals;
-                self.u_vals = u_vals;
-                self.f_vals = f_vals;
-                Err(e)
-            }
+        };
+        if !Arc::ptr_eq(&self.pattern, &symbolic.pattern) {
+            self.pattern = Arc::clone(&symbolic.pattern);
         }
+        self.refactored = scales.is_some();
+        let RefactorScales { a_max, u_max } = scales.unwrap_or_default();
+        self.a_max_modulus = a_max;
+        self.u_max_modulus = u_max;
+        Ok(self.refactored)
     }
 
     /// The numeric-only refactorization pass, writing factor values into the
@@ -1421,8 +1232,10 @@ impl<T: Scalar> SparseLu<T> {
         self.pattern.n
     }
 
-    /// `true` when this factorization reused a precomputed pattern; `false`
-    /// when it ran (or fell back to) fresh partial pivoting.
+    /// `true` when this factorization came from a successful
+    /// [`refactor_into`](SparseLu::refactor_into) over a reused pivot order;
+    /// `false` for a fresh [`factor`](SparseLu::factor) and for a shell with
+    /// no valid factors.
     pub fn refactored(&self) -> bool {
         self.refactored
     }
@@ -2188,32 +2001,6 @@ pub(crate) fn backward_error(norm_r: f64, norm_a: f64, norm_x: f64, norm_b: f64)
     norm_r / denom
 }
 
-/// The factorization [`solve_once`] runs: minimum-degree ordered with
-/// threshold pivoting, so even one-shot callers get the fill-reducing path
-/// (its fill advantage is asserted by the `solve_once_*` unit tests below).
-fn fill_reducing_factor<T: Scalar>(matrix: &CsrMatrix<T>) -> Result<SparseLu<T>, SolveError> {
-    if matrix.cols() != matrix.rows() {
-        return Err(SolveError::NotSquare {
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-        });
-    }
-    let order = crate::ordering::min_degree_order(matrix);
-    SparseLu::factor_ordered(matrix, &order)
-}
-
-/// Convenience helper: factor `matrix` and solve for a single right-hand
-/// side. The factorization runs the same fill-reducing path the cached
-/// solvers use — a minimum-degree order with KLU-style threshold pivoting —
-/// not the fill-oblivious natural-order pivoting.
-///
-/// # Errors
-///
-/// Propagates any [`SolveError`] from factorization or solve.
-pub fn solve_once<T: Scalar>(matrix: &CsrMatrix<T>, b: &[T]) -> Result<Vec<T>, SolveError> {
-    fill_reducing_factor(matrix)?.solve(b)
-}
-
 /// Normwise backward error `‖b − A·x‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` of a candidate
 /// solution `x` — **the exact residual test** [`SparseLu::solve_refined_into`]
 /// runs before its first refinement step (same norms, same non-finite
@@ -2244,16 +2031,16 @@ pub fn normwise_backward_error<T: Scalar>(
 ///
 /// Lanes fail **independently**: a degraded pivot or stale pattern in one
 /// variant never aborts the batch, it only marks that lane so the driver can
-/// rerun the variant through a scalar fallback (the same policy
-/// [`SparseLu::refactor_into`] applies by re-pivoting — batched lanes share
-/// one pattern, so re-pivoting is necessarily per-lane and out-of-band).
+/// re-pivot the variant out of band with a fresh [`SparseLu::factor`] — the
+/// same contract as the soft outcome of [`SparseLu::refactor_into`], which
+/// never re-pivots either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchLaneStatus {
     /// The lane refactored cleanly; its solution lanes are valid.
     Factored,
     /// A pivot fell below the numeric quality threshold for this lane's
-    /// values (the batched analogue of the soft degradation that makes
-    /// [`SparseLu::refactor_into`] fall back to fresh pivoting).
+    /// values (the batched analogue of the soft outcome of
+    /// [`SparseLu::refactor_into`]).
     Degraded,
     /// This lane's matrix has an entry outside the shared fill pattern; the
     /// symbolic analysis is stale for it.
@@ -2670,6 +2457,18 @@ mod tests {
     use crate::TripletMatrix;
     use loopscope_math::Complex64;
 
+    /// One-shot fresh factorization and solve.
+    fn factor_solve<T: Scalar>(a: &CsrMatrix<T>, b: &[T]) -> Result<Vec<T>, SolveError> {
+        SparseLu::factor(a)?.solve(b)
+    }
+
+    /// A fresh factorization together with its captured symbolic analysis.
+    fn factor_symbolic<T: Scalar>(a: &CsrMatrix<T>) -> (SparseLu<T>, SymbolicLu) {
+        let lu = SparseLu::factor(a).unwrap();
+        let symbolic = lu.extract_symbolic();
+        (lu, symbolic)
+    }
+
     fn csr_from_dense(d: &[&[f64]]) -> CsrMatrix<f64> {
         let rows = d.len();
         let cols = d[0].len();
@@ -2689,7 +2488,7 @@ mod tests {
         let a = csr_from_dense(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]);
         let x_true = vec![1.0, -2.0, 3.0];
         let b = a.mul_vec(&x_true);
-        let x = solve_once(&a, &b).unwrap();
+        let x = factor_solve(&a, &b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-12);
         }
@@ -2699,7 +2498,7 @@ mod tests {
     fn handles_zero_diagonal_via_pivoting() {
         // Typical MNA pattern: a voltage-source branch row with zero diagonal.
         let a = csr_from_dense(&[&[0.0, 1.0], &[1.0, 1e-3]]);
-        let x = solve_once(&a, &[5.0, 2.0]).unwrap();
+        let x = factor_solve(&a, &[5.0, 2.0]).unwrap();
         // x[1] = 5 (from row 0), x[0] = 2 − 1e-3·5.
         assert!((x[1] - 5.0).abs() < 1e-12);
         assert!((x[0] - (2.0 - 5e-3)).abs() < 1e-12);
@@ -2708,19 +2507,13 @@ mod tests {
     #[test]
     fn detects_singular_matrix() {
         let a = csr_from_dense(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(matches!(
-            solve_once(&a, &[1.0, 2.0]),
-            Err(SolveError::Singular(_))
-        ));
+        assert!(matches!(SparseLu::factor(&a), Err(SolveError::Singular(_))));
     }
 
     #[test]
     fn detects_structurally_empty_column() {
         let a = csr_from_dense(&[&[1.0, 0.0], &[3.0, 0.0]]);
-        assert!(matches!(
-            solve_once(&a, &[1.0, 2.0]),
-            Err(SolveError::Singular(1))
-        ));
+        assert!(matches!(SparseLu::factor(&a), Err(SolveError::Singular(1))));
     }
 
     #[test]
@@ -2821,7 +2614,7 @@ mod tests {
         let a = t.to_csr();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let b = a.mul_vec(&x_true);
-        let x = solve_once(&a, &b).unwrap();
+        let x = factor_solve(&a, &b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9);
         }
@@ -2843,7 +2636,7 @@ mod tests {
             .map(|i| Complex64::new((i as f64).cos(), (i as f64 * 0.5).sin()))
             .collect();
         let b = a.mul_vec(&x_true);
-        let x = solve_once(&a, &b).unwrap();
+        let x = factor_solve(&a, &b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((*xi - *ti).abs() < 1e-10);
         }
@@ -2877,12 +2670,14 @@ mod tests {
         // Same pattern, different values: refactor must reproduce the fresh
         // solution without falling back.
         let a = csr_from_dense(&[&[4.0, 1.0, 0.0], &[1.0, 5.0, 2.0], &[0.0, 2.0, 6.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&a);
         let b_mat = csr_from_dense(&[&[7.0, 2.0, 0.0], &[2.0, 9.0, 1.0], &[0.0, 1.0, 8.0]]);
         let rhs = b_mat.mul_vec(&[1.0, -2.0, 0.5]);
-        let fresh = SparseLu::factor(&b_mat).unwrap().solve(&rhs).unwrap();
-        let lu = SparseLu::refactor(&symbolic, &b_mat).unwrap();
-        assert!(lu.refactored(), "pattern reuse must not fall back here");
+        let fresh = factor_solve(&b_mat, &rhs).unwrap();
+        let reused = lu
+            .refactor_into(&symbolic, &b_mat, &mut LuWorkspace::new())
+            .unwrap();
+        assert!(reused && lu.refactored(), "pattern reuse must succeed here");
         let re = lu.solve(&rhs).unwrap();
         for (f, r) in fresh.iter().zip(&re) {
             assert!((f - r).abs() < 1e-12);
@@ -2898,11 +2693,11 @@ mod tests {
                 &[0.0, 2.0, 6.0 * scale],
             ])
         };
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic(&build(1.0)).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&build(1.0));
         let mut ws = LuWorkspace::new();
         for k in 2..6 {
             let m = build(k as f64);
-            lu.refactor_into(&symbolic, &m, &mut ws).unwrap();
+            assert!(lu.refactor_into(&symbolic, &m, &mut ws).unwrap());
             assert!(lu.refactored());
             let x_true = vec![1.0, -1.0, 0.5];
             let mut rhs = m.mul_vec(&x_true);
@@ -2917,18 +2712,39 @@ mod tests {
     #[test]
     fn refactor_into_falls_back_and_recovers() {
         let a = csr_from_dense(&[&[1.0, 1.0e-3], &[1.0e-3, 1.0]]);
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&a);
         let mut ws = LuWorkspace::new();
-        // Degraded pivot: the in-place call must fall back to fresh pivoting.
+        // Degraded pivot: the in-place call reports the soft outcome and
+        // leaves no usable factors behind.
         let b = csr_from_dense(&[&[1.0e-12, 1.0], &[1.0, 1.0e-12]]);
-        lu.refactor_into(&symbolic, &b, &mut ws).unwrap();
+        assert_eq!(lu.refactor_into(&symbolic, &b, &mut ws), Ok(false));
         assert!(!lu.refactored());
+        assert_eq!(lu.factor_nnz(), 0, "soft outcome must drop the factors");
+        // The caller re-pivots with a fresh factorization...
+        let mut lu = SparseLu::factor(&b).unwrap();
         let x = lu.solve(&[1.0, 2.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-9 && (x[1] - 1.0).abs() < 1e-9);
-        // The fallback's own pattern keeps working for further refactors.
+        // ...whose own pattern keeps working for further refactors.
         let symbolic2 = lu.extract_symbolic();
-        lu.refactor_into(&symbolic2, &b, &mut ws).unwrap();
-        assert!(lu.refactored());
+        assert_eq!(lu.refactor_into(&symbolic2, &b, &mut ws), Ok(true));
+        // And the stale shell recovers as soon as healthy values return.
+        let mut shell = SparseLu::from_symbolic(&symbolic);
+        assert_eq!(shell.refactor_into(&symbolic, &b, &mut ws), Ok(false));
+        assert_eq!(shell.refactor_into(&symbolic, &a, &mut ws), Ok(true));
+        assert!(shell.refactored());
+    }
+
+    #[test]
+    #[should_panic(expected = "unfactored SparseLu shell")]
+    fn solving_after_a_soft_refactor_outcome_panics() {
+        let a = csr_from_dense(&[&[1.0, 1.0e-3], &[1.0e-3, 1.0]]);
+        let (mut lu, symbolic) = factor_symbolic(&a);
+        let b = csr_from_dense(&[&[1.0e-12, 1.0], &[1.0, 1.0e-12]]);
+        assert_eq!(
+            lu.refactor_into(&symbolic, &b, &mut LuWorkspace::new()),
+            Ok(false)
+        );
+        let _ = lu.solve(&[1.0, 2.0]);
     }
 
     #[test]
@@ -2946,12 +2762,13 @@ mod tests {
             }
             t.to_csr()
         };
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&build(1.0)).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&build(1.0));
         let m2 = build(1.7);
         let x_true: Vec<f64> = (0..n).map(|i| 1.0 - 0.3 * i as f64).collect();
         let rhs = m2.mul_vec(&x_true);
-        let lu = SparseLu::refactor(&symbolic, &m2).unwrap();
-        assert!(lu.refactored());
+        assert!(lu
+            .refactor_into(&symbolic, &m2, &mut LuWorkspace::new())
+            .unwrap());
         let x = lu.solve(&rhs).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9);
@@ -2962,12 +2779,17 @@ mod tests {
     fn refactor_falls_back_on_degraded_pivot() {
         // First matrix is diagonally dominant; the second flips the weight so
         // the recorded pivot order becomes terrible and the row-relative
-        // pivot check must trigger the pivoting fallback.
+        // pivot check must report the soft outcome instead of factoring.
         let a = csr_from_dense(&[&[1.0, 1.0e-3], &[1.0e-3, 1.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (_, symbolic) = factor_symbolic(&a);
         let b = csr_from_dense(&[&[1.0e-12, 1.0], &[1.0, 1.0e-12]]);
-        let lu = SparseLu::refactor(&symbolic, &b).unwrap();
-        assert!(!lu.refactored(), "degraded pivot must force fresh pivoting");
+        let mut shell = SparseLu::from_symbolic(&symbolic);
+        let reused = shell.refactor_into(&symbolic, &b, &mut LuWorkspace::new());
+        assert_eq!(reused, Ok(false), "degraded pivot must ask for a re-pivot");
+        // The fresh factorization re-pivots: row 1 takes column 0.
+        let lu = SparseLu::factor(&b).unwrap();
+        assert!(!lu.refactored());
+        assert_eq!(lu.extract_symbolic().pivot_order()[0], 1);
         let x = lu.solve(&[1.0, 2.0]).unwrap();
         // b is (to 1e-12) the exchange matrix: x ≈ [2, 1].
         assert!((x[0] - 2.0).abs() < 1e-9);
@@ -2977,12 +2799,14 @@ mod tests {
     #[test]
     fn refactor_rejects_pattern_mismatch_gracefully() {
         let a = csr_from_dense(&[&[2.0, 0.0], &[0.0, 3.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
-        // A different pattern (off-diagonal entries) must fall back, not
-        // corrupt the factorization.
+        let (mut lu, symbolic) = factor_symbolic(&a);
+        // A different pattern (off-diagonal entries) is the soft outcome,
+        // not a corrupted factorization.
         let b = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let lu = SparseLu::refactor(&symbolic, &b).unwrap();
+        let mut ws = LuWorkspace::new();
+        assert_eq!(lu.refactor_into(&symbolic, &b, &mut ws), Ok(false));
         assert!(!lu.refactored());
+        let lu = SparseLu::factor(&b).unwrap();
         let x = lu.solve(&[3.0, 4.0]).unwrap();
         let r = b.mul_vec(&x);
         assert!((r[0] - 3.0).abs() < 1e-12 && (r[1] - 4.0).abs() < 1e-12);
@@ -2991,15 +2815,10 @@ mod tests {
     #[test]
     fn refactor_dimension_mismatch_is_hard_error() {
         let a = csr_from_dense(&[&[1.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
         let b = csr_from_dense(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert!(matches!(
-            SparseLu::refactor(&symbolic, &b),
-            Err(SolveError::NotSquare { .. })
-        ));
-        // The in-place form reports the same error and leaves the receiver
+        // A hard error, not the soft outcome — and the receiver stays
         // usable.
-        let (mut lu1, sym1) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (mut lu1, sym1) = factor_symbolic(&a);
         let mut ws = LuWorkspace::new();
         assert!(matches!(
             lu1.refactor_into(&sym1, &b, &mut ws),
@@ -3018,7 +2837,7 @@ mod tests {
                 &[0.0, 2.0, 6.0 * scale],
             ])
         };
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&build(1.0)).unwrap();
+        let (mut reference, symbolic) = factor_symbolic(&build(1.0));
         // The shell never saw the factorization that produced the symbolic
         // analysis — only its pattern.
         let mut shell = SparseLu::from_symbolic(&symbolic);
@@ -3027,9 +2846,9 @@ mod tests {
         let mut ws = LuWorkspace::for_dim(3);
         for k in 2..5 {
             let m = build(k as f64);
-            shell.refactor_into(&symbolic, &m, &mut ws).unwrap();
+            assert!(shell.refactor_into(&symbolic, &m, &mut ws).unwrap());
             assert!(shell.refactored());
-            let reference = SparseLu::refactor(&symbolic, &m).unwrap();
+            assert!(reference.refactor_into(&symbolic, &m, &mut ws).unwrap());
             let b = m.mul_vec(&[1.0, -2.0, 0.5]);
             let xs = shell.solve(&b).unwrap();
             let xr = reference.solve(&b).unwrap();
@@ -3044,7 +2863,7 @@ mod tests {
     #[should_panic(expected = "unfactored SparseLu shell")]
     fn solving_an_unfilled_shell_panics() {
         let a = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (_, symbolic) = factor_symbolic(&a);
         let shell = SparseLu::<f64>::from_symbolic(&symbolic);
         let _ = shell.solve(&[1.0, 2.0]);
     }
@@ -3052,11 +2871,12 @@ mod tests {
     #[test]
     fn symbolic_reports_pattern_size() {
         let a = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let (lu, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (lu, symbolic) = factor_symbolic(&a);
         assert_eq!(symbolic.dim(), 2);
         assert_eq!(symbolic.fill_nnz(), lu.factor_nnz());
         assert_eq!(symbolic.pivot_order().len(), 2);
-        // Natural-order factorizations record the identity column order.
+        // A full 2x2 pattern has no fill to avoid: min degree keeps the
+        // natural column order.
         assert_eq!(symbolic.column_order(), &[0, 1]);
     }
 
@@ -3074,18 +2894,17 @@ mod tests {
             }
         }
         let a = t.to_csr();
-        let order = min_degree_order(&a);
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_ordered(&a, &order).unwrap();
-        assert_eq!(symbolic.column_order(), &order[..]);
+        let (lu, symbolic) = factor_symbolic(&a);
+        assert_eq!(symbolic.block_count(), 1);
+        assert_eq!(symbolic.column_order(), &min_degree_order(&a)[..]);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
         let b = a.mul_vec(&x_true);
         let x = lu.solve(&b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10, "{xi} vs {ti}");
         }
-        // The fill advantage the ordering exists for.
-        let (_, natural) = SparseLu::factor_with_symbolic(&a).unwrap();
-        assert!(symbolic.fill_nnz() < natural.fill_nnz());
+        // The fill advantage the ordering exists for: none at all.
+        assert_eq!(symbolic.fill_nnz(), a.nnz());
     }
 
     #[test]
@@ -3102,14 +2921,12 @@ mod tests {
             }
             t.to_csr()
         };
-        let first = build(1.0);
-        let order = min_degree_order(&first);
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic_ordered(&first, &order).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&build(1.0));
         let mut ws = LuWorkspace::new();
         for k in 2..5 {
             let m = build(k as f64);
-            lu.refactor_into(&symbolic, &m, &mut ws).unwrap();
-            assert!(lu.refactored(), "ordered pattern must be reusable");
+            let reused = lu.refactor_into(&symbolic, &m, &mut ws).unwrap();
+            assert!(reused, "ordered pattern must be reusable");
             let x_true: Vec<f64> = (0..n).map(|i| 1.0 - 0.2 * i as f64).collect();
             let mut rhs = m.mul_vec(&x_true);
             let mut work = vec![0.0; n];
@@ -3122,24 +2939,44 @@ mod tests {
 
     #[test]
     fn degraded_fallback_keeps_fill_reducing_order() {
-        // The symbolic analysis carries a non-identity column order; when new
-        // values degrade the recorded pivots, the fallback must re-pivot
-        // *within the same column order* instead of regressing to natural
-        // order (which would drag higher fill through the rest of a sweep).
-        let a = csr_from_dense(&[&[1.0, 1.0e-3], &[1.0e-3, 1.0]]);
-        let order = vec![1, 0];
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic_ordered(&a, &order).unwrap();
-        let b = csr_from_dense(&[&[1.0e-12, 1.0], &[1.0, 1.0e-12]]);
+        // An arrow with the hub listed first: natural order fills in
+        // completely, min degree defers the hub. When new values degrade
+        // a recorded pivot (a vanishing leaf diagonal), refactor_into asks
+        // for a re-pivot, and the fresh factorization re-pivots *within
+        // the same fill-reducing column order* instead of regressing to
+        // natural order for the rest of a sweep.
+        let n = 9;
+        let build = |leaf_diag: f64| {
+            let mut t = TripletMatrix::<f64>::new(n, n);
+            for i in 0..n {
+                t.push(i, i, if i == 3 { leaf_diag } else { 5.0 + i as f64 });
+                if i > 0 {
+                    t.push(0, i, 1.0);
+                    t.push(i, 0, 1.5);
+                }
+            }
+            t.to_csr()
+        };
+        let (mut lu, symbolic) = factor_symbolic(&build(8.0));
+        let b = build(1.0e-12);
         let mut ws = LuWorkspace::new();
-        lu.refactor_into(&symbolic, &b, &mut ws).unwrap();
-        assert!(!lu.refactored(), "degraded pivot must force a fresh factor");
+        assert_eq!(lu.refactor_into(&symbolic, &b, &mut ws), Ok(false));
+        let fresh = SparseLu::factor(&b).unwrap();
         assert_eq!(
-            lu.extract_symbolic().column_order(),
-            &order[..],
-            "the fallback must retain the fill-reducing column order"
+            fresh.extract_symbolic().column_order(),
+            symbolic.column_order(),
+            "the re-pivot must retain the fill-reducing column order"
         );
-        let x = lu.solve(&[1.0, 2.0]).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-9 && (x[1] - 1.0).abs() < 1e-9);
+        assert_ne!(
+            fresh.extract_symbolic().pivot_order(),
+            symbolic.pivot_order(),
+            "the degraded leaf must force a row swap"
+        );
+        let x_true: Vec<f64> = (0..n).map(|i| 1.0 - 0.1 * i as f64).collect();
+        let x = fresh.solve(&b.mul_vec(&x_true)).unwrap();
+        for (xi, ti) in x.iter().zip(&x_true) {
+            assert!((xi - ti).abs() < 1e-9, "{xi} vs {ti}");
+        }
     }
 
     #[test]
@@ -3148,8 +2985,8 @@ mod tests {
         // first eliminated column is 1e6 times smaller than the off-diagonal
         // candidate: the threshold test must swap rows, not accept it.
         let a = csr_from_dense(&[&[1.0e-6, 1.0], &[1.0, 1.0]]);
-        let order = vec![0, 1];
-        let (lu, _) = SparseLu::factor_with_symbolic_ordered(&a, &order).unwrap();
+        let lu = SparseLu::factor(&a).unwrap();
+        assert_eq!(lu.extract_symbolic().column_order(), &[0, 1]);
         let x_true = vec![3.0, -2.0];
         let b = a.mul_vec(&x_true);
         let x = lu.solve(&b).unwrap();
@@ -3166,8 +3003,7 @@ mod tests {
         // diagonal. The ordering's preferred row is never a candidate, so
         // the threshold selection must fall through to an off-diagonal row.
         let a = csr_from_dense(&[&[0.0, 1.0], &[1.0, 1e-3]]);
-        let order = vec![0, 1];
-        let (lu, _) = SparseLu::factor_with_symbolic_ordered(&a, &order).unwrap();
+        let lu = SparseLu::factor_block(&a, &[0, 1]).unwrap();
         let x = lu.solve(&[5.0, 2.0]).unwrap();
         assert!((x[1] - 5.0).abs() < 1e-12);
         assert!((x[0] - (2.0 - 5e-3)).abs() < 1e-12);
@@ -3177,7 +3013,7 @@ mod tests {
     #[should_panic(expected = "permutation")]
     fn ordered_factor_rejects_non_permutation() {
         let a = csr_from_dense(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let _ = SparseLu::factor_ordered(&a, &[0, 0]);
+        let _ = SparseLu::factor_block(&a, &[0, 0]);
     }
 
     #[test]
@@ -3185,26 +3021,22 @@ mod tests {
         // Original column 0 is structurally empty. Whatever order the
         // columns are eliminated in, the error must name column 0 — the
         // index a caller can map back to a circuit unknown — not the
-        // permuted elimination step at which the failure surfaced.
+        // permuted elimination step at which the failure surfaced. The BTF
+        // analysis of the public entry point catches it structurally.
         let a = csr_from_dense(&[&[0.0, 1.0], &[0.0, 2.0]]);
         assert!(matches!(SparseLu::factor(&a), Err(SolveError::Singular(0))));
         // Under the order [1, 0] the empty column is eliminated at STEP 1;
         // the un-mapped error would have been Singular(1).
         assert!(matches!(
-            SparseLu::factor_ordered(&a, &[1, 0]),
-            Err(SolveError::Singular(0))
-        ));
-        // The BTF path reports structural singularity the same way.
-        assert!(matches!(
-            SparseLu::factor_with_symbolic_btf(&a),
+            SparseLu::factor_block(&a, &[1, 0]),
             Err(SolveError::Singular(0))
         ));
     }
 
     #[test]
-    fn solve_once_runs_the_fill_reducing_path() {
-        // Arrow matrix with the hub first: natural-order pivoting fills in
-        // completely, the min-degree order solve_once now routes through
+    fn factor_runs_the_fill_reducing_path() {
+        // Arrow matrix with the hub first: eliminating in natural order
+        // fills in completely, the min-degree order `factor` computes
         // defers the hub and eliminates the fill.
         let n = 10;
         let mut t = TripletMatrix::<f64>::new(n, n);
@@ -3216,31 +3048,23 @@ mod tests {
             }
         }
         let a = t.to_csr();
-        let ordered = fill_reducing_factor(&a).unwrap();
-        let natural = SparseLu::factor(&a).unwrap();
+        let ordered = SparseLu::factor(&a).unwrap();
+        let natural: Vec<usize> = (0..n).collect();
+        let natural = SparseLu::factor_block(&a, &natural).unwrap();
         assert!(
             ordered.factor_nnz() < natural.factor_nnz(),
-            "solve_once's factorization ({} nnz) must carry less fill than \
-             natural-order pivoting ({} nnz)",
+            "factor ({} nnz) must carry less fill than natural-order \
+             elimination ({} nnz)",
             ordered.factor_nnz(),
             natural.factor_nnz()
         );
         // No-fill optimum on the arrow pattern.
         assert_eq!(ordered.factor_nnz(), a.nnz());
-        // And the solve itself stays correct through the public entry point.
         let x_true: Vec<f64> = (0..n).map(|i| 1.0 - 0.1 * i as f64).collect();
-        let b = a.mul_vec(&x_true);
-        let x = solve_once(&a, &b).unwrap();
+        let x = ordered.solve(&a.mul_vec(&x_true)).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10);
         }
-        // The squareness contract is preserved.
-        let mut rect = TripletMatrix::<f64>::new(2, 3);
-        rect.push(0, 0, 1.0);
-        assert!(matches!(
-            solve_once(&rect.to_csr(), &[1.0, 2.0]),
-            Err(SolveError::NotSquare { rows: 2, cols: 3 })
-        ));
     }
 
     /// A 3-block cascade: two strongly coupled pairs and a singleton, with
@@ -3266,7 +3090,7 @@ mod tests {
     #[test]
     fn btf_factor_splits_blocks_and_solves_correctly() {
         let a = cascade(1.0);
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&a).unwrap();
+        let (lu, symbolic) = factor_symbolic(&a);
         assert_eq!(symbolic.block_count(), 3);
         assert_eq!(lu.block_count(), 3);
         assert_eq!(
@@ -3301,10 +3125,10 @@ mod tests {
             }
         }
         let a = t.to_csr();
-        let (btf_lu, btf_sym) = SparseLu::factor_with_symbolic_btf(&a).unwrap();
+        let (btf_lu, btf_sym) = factor_symbolic(&a);
         assert_eq!(btf_sym.block_count(), 1);
-        let order = min_degree_order(&a);
-        let (plain_lu, plain_sym) = SparseLu::factor_with_symbolic_ordered(&a, &order).unwrap();
+        let plain_lu = SparseLu::factor_block(&a, &min_degree_order(&a)).unwrap();
+        let plain_sym = plain_lu.extract_symbolic();
         assert_eq!(btf_sym.pivot_order(), plain_sym.pivot_order());
         assert_eq!(btf_sym.column_order(), plain_sym.column_order());
         assert_eq!(btf_sym.fill_nnz(), plain_sym.fill_nnz());
@@ -3318,12 +3142,12 @@ mod tests {
 
     #[test]
     fn btf_refactor_into_reuses_the_block_pattern() {
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic_btf(&cascade(1.0)).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&cascade(1.0));
         let mut ws = LuWorkspace::for_dim(5);
         for k in 2..6 {
             let m = cascade(k as f64);
-            lu.refactor_into(&symbolic, &m, &mut ws).unwrap();
-            assert!(lu.refactored(), "block pattern must be reusable");
+            let reused = lu.refactor_into(&symbolic, &m, &mut ws).unwrap();
+            assert!(reused, "block pattern must be reusable");
             assert_eq!(lu.block_count(), 3);
             let x_true = vec![0.5, 1.0, -1.0, 2.0, 0.25];
             let mut rhs = m.mul_vec(&x_true);
@@ -3334,7 +3158,7 @@ mod tests {
             }
             // The refactorization must agree bitwise with a fresh BTF
             // factorization of the same values (same pattern, same ops).
-            let fresh = SparseLu::factor_btf(&m).unwrap();
+            let fresh = SparseLu::factor(&m).unwrap();
             let b = m.mul_vec(&x_true);
             let xf = fresh.solve(&b).unwrap();
             let mut xr = b.clone();
@@ -3347,7 +3171,7 @@ mod tests {
 
     #[test]
     fn btf_pattern_mismatch_falls_back() {
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic_btf(&cascade(1.0)).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&cascade(1.0));
         // Feedback entry (0, 4) merges the blocks: off the recorded pattern.
         let mut t = TripletMatrix::<f64>::new(5, 5);
         for (r, c, v) in cascade(1.0).iter() {
@@ -3356,8 +3180,17 @@ mod tests {
         t.push(0, 4, 0.5);
         let m = t.to_csr();
         let mut ws = LuWorkspace::new();
-        lu.refactor_into(&symbolic, &m, &mut ws).unwrap();
-        assert!(!lu.refactored(), "off-pattern entry must force a fallback");
+        let reused = lu.refactor_into(&symbolic, &m, &mut ws);
+        assert_eq!(
+            reused,
+            Ok(false),
+            "off-pattern entry must ask for a re-pivot"
+        );
+        assert!(!lu.refactored());
+        // The feedback entry merges blocks 0..=2 into one: the fresh
+        // factorization re-analyzes the structure.
+        let lu = SparseLu::factor(&m).unwrap();
+        assert!(lu.block_count() < symbolic.block_count());
         let x_true = vec![1.0, 1.0, 1.0, 1.0, 1.0];
         let b = m.mul_vec(&x_true);
         let x = lu.solve(&b).unwrap();
@@ -3370,7 +3203,7 @@ mod tests {
     fn solve_block_into_matches_independent_solves_bitwise() {
         // Cover both a multi-block (BTF) and a single-block factorization.
         let cases: Vec<SparseLu<f64>> = vec![
-            SparseLu::factor_btf(&cascade(1.3)).unwrap(),
+            SparseLu::factor(&cascade(1.3)).unwrap(),
             SparseLu::factor(&csr_from_dense(&[
                 &[4.0, 1.0, 0.0],
                 &[1.0, 5.0, 2.0],
@@ -3475,7 +3308,7 @@ mod tests {
         }
         // Same detection on the refactorization path — and as a hard error,
         // so the previous factorization must stay intact and solvable.
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&a);
         let mut ws = LuWorkspace::new();
         let mut bad = a.clone();
         let slot = bad.find_slot(0, 1).unwrap();
@@ -3486,6 +3319,31 @@ mod tests {
         );
         let x = lu.solve(&[5.0, 10.0]).unwrap();
         assert!((x[0] + 5.0).abs() < 1e-12 && (x[1] - 15.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn factor_rejects_non_finite_off_diagonal_block_entries() {
+        // [[2, x], [0, 3]] splits into two 1x1 blocks, and x is a raw
+        // off-diagonal block entry that no block factorization scans.
+        let build = |x: f64| {
+            let mut t = TripletMatrix::<f64>::new(2, 2);
+            t.push(0, 0, 2.0);
+            t.push(0, 1, x);
+            t.push(1, 1, 3.0);
+            t.to_csr()
+        };
+        let (mut lu, symbolic) = factor_symbolic(&build(1.0));
+        assert_eq!(symbolic.block_count(), 2);
+        let mut ws = LuWorkspace::new();
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = build(poison);
+            let poisoned = Err(SolveError::NonFinite { row: 0, col: 1 });
+            assert_eq!(SparseLu::factor(&bad).map(|_| ()), poisoned);
+            assert_eq!(
+                lu.refactor_into(&symbolic, &bad, &mut ws).map(|_| ()),
+                poisoned
+            );
+        }
     }
 
     #[test]
@@ -3619,7 +3477,7 @@ mod tests {
             t.push(r, c, Complex64::new(re, im));
         }
         let a = t.to_csr();
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&a).unwrap();
+        let (lu, symbolic) = factor_symbolic(&a);
         assert!(symbolic.block_count() > 1, "test wants a real BTF split");
         let w: Vec<Complex64> = (0..5)
             .map(|i| Complex64::new(1.0 + i as f64, 0.5 - i as f64))
@@ -3674,7 +3532,7 @@ mod tests {
         // cascade() builds a 3-block BTF system; the estimator must run
         // its adjoint solves correctly across the F coupling.
         let a = cascade(1.0);
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&a).unwrap();
+        let (lu, symbolic) = factor_symbolic(&a);
         assert!(symbolic.block_count() > 1);
         let k = lu.condition_estimate(&a).unwrap();
         assert!(k.is_finite() && k >= 1.0, "κ(cascade) = {k}");
@@ -3700,7 +3558,7 @@ mod tests {
         // refactorization path: the squared-magnitude pivot checks must
         // fall back to exact moduli instead of declaring degradation.
         let build = |s: f64| csr_from_dense(&[&[2.0 * s, 1.0 * s], &[1.0 * s, 3.0 * s]]);
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic(&build(1.0)).unwrap();
+        let (mut lu, symbolic) = factor_symbolic(&build(1.0));
         let mut ws = LuWorkspace::new();
         lu.refactor_into(&symbolic, &build(1.0e-200), &mut ws)
             .unwrap();
@@ -3732,7 +3590,7 @@ mod tests {
         // bit-identical to a scalar refactor_into + solve_into on that
         // variant alone (F entries included — the batch crosses BTF blocks).
         let scales = [1.0, 1.7, 0.4];
-        let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&cascade(scales[0])).unwrap();
+        let (_, symbolic) = factor_symbolic(&cascade(scales[0]));
         let matrices: Vec<CsrMatrix<f64>> = scales.iter().map(|&s| cascade(s)).collect();
         let rhs_of = |s: f64| vec![3.0 * s, -1.0, 0.5 * s, 2.0, 1.0 + s];
 
@@ -3784,7 +3642,7 @@ mod tests {
             t.to_csr()
         };
         let scales = [1.0, 1.3, 0.6];
-        let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&build(scales[0])).unwrap();
+        let (_, symbolic) = factor_symbolic(&build(scales[0]));
         let matrices: Vec<CsrMatrix<Complex64>> = scales.iter().map(|&s| build(s)).collect();
         let rhs: Vec<Vec<Complex64>> = scales
             .iter()
@@ -3836,7 +3694,7 @@ mod tests {
     #[test]
     fn batched_lane_failures_are_isolated() {
         let good = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&good).unwrap();
+        let (_, symbolic) = factor_symbolic(&good);
         // Lane 1: exactly singular within the pattern (u22 eliminates to 0).
         let degraded = csr_from_dense(&[&[1.0, 1.0], &[1.0, 1.0]]);
         // Lane 2: an entry the pattern does not know about is impossible for
@@ -3884,7 +3742,7 @@ mod tests {
         // Tridiagonal symbolic; the second variant has a corner entry the
         // pattern never saw.
         let base = csr_from_dense(&[&[4.0, 1.0, 0.0], &[1.0, 4.0, 1.0], &[0.0, 1.0, 4.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&base).unwrap();
+        let (_, symbolic) = factor_symbolic(&base);
         let stray = csr_from_dense(&[&[4.0, 1.0, 0.5], &[1.0, 4.0, 1.0], &[0.0, 1.0, 4.0]]);
         let mut batched = BatchedLu::new(&symbolic, 2);
         let statuses = batched.refactor(&[base.clone(), stray]).to_vec();
@@ -3895,7 +3753,7 @@ mod tests {
     #[test]
     fn batched_solve_rejects_wrong_lengths() {
         let a = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).unwrap();
+        let (_, symbolic) = factor_symbolic(&a);
         let mut batched = BatchedLu::new(&symbolic, 2);
         batched.refactor(&[a.clone(), a.clone()]);
         let mut short = vec![0.0; 3];

@@ -16,11 +16,10 @@
 //! The ordering is purely structural: it looks only at the sparsity pattern,
 //! never at values, so it can be computed once per circuit structure and
 //! reused for every matrix assembled over that structure. Numeric safety is
-//! restored at factorization time by
-//! [`SparseLu::factor_with_symbolic_ordered`](crate::SparseLu::factor_with_symbolic_ordered),
-//! which follows the ordering **unless a pivot fails a relative magnitude
-//! threshold**, in which case it swaps rows exactly like partial pivoting
-//! would.
+//! restored at factorization time by [`SparseLu::factor`](crate::SparseLu::factor),
+//! which computes the ordering per diagonal block and follows it **unless a
+//! pivot fails a relative magnitude threshold**, in which case it swaps rows
+//! exactly like partial pivoting would.
 //!
 //! # Example
 //!
@@ -40,11 +39,11 @@
 //! }
 //! let m = t.to_csr();
 //! let order = ordering::min_degree_order(&m);
-//! let (_, ordered) = SparseLu::factor_with_symbolic_ordered(&m, &order)?;
-//! let (_, natural) = SparseLu::factor_with_symbolic(&m)?;
-//! // Deferring the dense hub to the end eliminates the fill-in entirely.
-//! assert_eq!(ordered.fill_nnz(), m.nnz());
-//! assert!(ordered.fill_nnz() < natural.fill_nnz());
+//! // The leaves go first; the hub leaves the graph only once it is a leaf.
+//! assert_eq!(&order[..n - 2], &[1, 2, 3, 4, 5, 6]);
+//! // The factorization follows that order, so the fill-in vanishes entirely.
+//! let lu = SparseLu::factor(&m)?;
+//! assert_eq!(lu.factor_nnz(), m.nnz());
 //! # Ok::<(), loopscope_sparse::SolveError>(())
 //! ```
 
@@ -56,9 +55,9 @@ use std::collections::BTreeSet;
 /// heuristic on the pattern of `A + Aᵀ`.
 ///
 /// Returns a permutation `order` of `0..n` where `order[k]` is the original
-/// row/column index to eliminate at step `k`. Feed it to
-/// [`SparseLu::factor_ordered`](crate::SparseLu::factor_ordered) or
-/// [`SparseLu::factor_with_symbolic_ordered`](crate::SparseLu::factor_with_symbolic_ordered).
+/// row/column index to eliminate at step `k`.
+/// [`SparseLu::factor`](crate::SparseLu::factor) computes it for every
+/// diagonal block it factors.
 ///
 /// The algorithm maintains the elimination graph explicitly: at each step the
 /// uneliminated vertex of smallest degree is removed and its neighbours are
@@ -184,35 +183,59 @@ mod tests {
         assert!(is_permutation(&order, m.rows()));
     }
 
+    /// nnz(L+U) of eliminating a structurally symmetric pattern in `order`
+    /// on the diagonal: the diagonal plus both triangles of the filled
+    /// elimination graph.
+    fn elimination_fill(m: &CsrMatrix<f64>, order: &[usize]) -> usize {
+        let n = m.rows();
+        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        for r in 0..n {
+            for &c in m.row_pattern(r).iter().filter(|&&c| c != r) {
+                adj[r].insert(c);
+                adj[c].insert(r);
+            }
+        }
+        let mut fill = n;
+        for &v in order {
+            let nbrs: Vec<usize> = std::mem::take(&mut adj[v]).into_iter().collect();
+            fill += 2 * nbrs.len();
+            for (i, &u) in nbrs.iter().enumerate() {
+                adj[u].remove(&v);
+                for &w in &nbrs[i + 1..] {
+                    adj[u].insert(w);
+                    adj[w].insert(u);
+                }
+            }
+        }
+        fill
+    }
+
     #[test]
     fn tridiagonal_order_produces_no_extra_fill() {
         // A path graph eliminates without fill under min degree (endpoints
         // always have degree 1), matching the natural order's zero fill.
         let m = tridiagonal(40);
         let order = min_degree_order(&m);
-        let (_, ordered) = SparseLu::factor_with_symbolic_ordered(&m, &order).unwrap();
-        let (_, natural) = SparseLu::factor_with_symbolic(&m).unwrap();
-        assert!(
-            ordered.fill_nnz() <= natural.fill_nnz(),
-            "ordered fill {} must not exceed natural fill {}",
-            ordered.fill_nnz(),
-            natural.fill_nnz()
-        );
-        // Zero fill on a tridiagonal: pattern size equals input nnz.
-        assert_eq!(ordered.fill_nnz(), m.nnz());
+        let natural: Vec<usize> = (0..m.rows()).collect();
+        assert_eq!(elimination_fill(&m, &order), m.nnz());
+        assert_eq!(elimination_fill(&m, &natural), m.nnz());
+        // The factorization follows the order: pattern size equals input nnz.
+        assert_eq!(SparseLu::factor(&m).unwrap().factor_nnz(), m.nnz());
     }
 
     #[test]
     fn mesh_order_beats_natural_order() {
         let m = mesh(12);
         let order = min_degree_order(&m);
-        let (_, ordered) = SparseLu::factor_with_symbolic_ordered(&m, &order).unwrap();
-        let (_, natural) = SparseLu::factor_with_symbolic(&m).unwrap();
+        let natural: Vec<usize> = (0..m.rows()).collect();
+        let ordered = SparseLu::factor(&m).unwrap().factor_nnz();
+        // The diagonally dominant mesh never forces a row swap, so the
+        // factorization's fill is exactly the order's structural prediction.
+        assert_eq!(ordered, elimination_fill(&m, &order));
         assert!(
-            ordered.fill_nnz() < natural.fill_nnz(),
-            "mesh: ordered fill {} must beat natural fill {}",
-            ordered.fill_nnz(),
-            natural.fill_nnz()
+            ordered < elimination_fill(&m, &natural),
+            "mesh: ordered fill {ordered} must beat natural fill {}",
+            elimination_fill(&m, &natural)
         );
     }
 

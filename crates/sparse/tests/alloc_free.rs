@@ -7,7 +7,7 @@
 //! call; the test warms the workspace with one refactor + solve, then runs
 //! many more and asserts the counter did not move.
 
-use loopscope_sparse::{ordering, CsrMatrix, LuWorkspace, SparseLu, TripletMatrix};
+use loopscope_sparse::{CsrMatrix, LuWorkspace, SparseLu, TripletMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -69,9 +69,8 @@ fn ladder(stages: usize, scale: f64) -> CsrMatrix<f64> {
 fn refactor_and_solve_hot_loop_is_allocation_free() {
     let n = 200;
     let first = ladder(n, 1.0);
-    let order = ordering::min_degree_order(&first);
-    let (mut lu, symbolic) =
-        SparseLu::factor_with_symbolic_ordered(&first, &order).expect("ladder factors");
+    let mut lu = SparseLu::factor(&first).expect("ladder factors");
+    let symbolic = lu.extract_symbolic();
     let mut ws = LuWorkspace::new();
 
     // Pre-build the matrices the loop will consume (assembly caches do the

@@ -183,8 +183,8 @@ proptest! {
         let scramble = scramble_sel == 1;
         let a = build_cascade(&spec, 1.0, scramble);
         let n = a.rows();
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&a)
-            .expect("diagonally dominant cascade must factor");
+        let lu = SparseLu::factor(&a).expect("diagonally dominant cascade must factor");
+        let symbolic = lu.extract_symbolic();
         // Cross-block coupling is strictly one-way, so no SCC can span two
         // generated blocks: the partition is at least as fine as generated.
         prop_assert!(symbolic.block_count() >= spec.0.len(),
@@ -245,7 +245,7 @@ proptest! {
             t.push(i, i, Complex64::new(s + 1.0 + 0.01 * i as f64, 0.7));
         }
         let a = t.to_csr();
-        let lu = SparseLu::factor_btf(&a).expect("must factor");
+        let lu = SparseLu::factor(&a).expect("must factor");
         let b: Vec<Complex64> = (0..n).map(|i| {
             let (re, im) = bseed[i % bseed.len()];
             Complex64::new(re, im)
@@ -277,14 +277,14 @@ proptest! {
     ) {
         let first = build_cascade(&spec, 1.0, false);
         let n = first.rows();
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic_btf(&first)
-            .expect("must factor");
+        let mut lu = SparseLu::factor(&first).expect("must factor");
+        let symbolic = lu.extract_symbolic();
         let second = build_cascade(&spec, scale, false);
         prop_assert!(first.same_pattern(&second));
         let mut ws = LuWorkspace::for_dim(n);
-        lu.refactor_into(&symbolic, &second, &mut ws).expect("refactor");
-        prop_assert!(lu.refactored(), "dominant cascade must not fall back");
-        let fresh = SparseLu::factor_btf(&second).expect("fresh factor");
+        let reused = lu.refactor_into(&symbolic, &second, &mut ws).expect("refactor");
+        prop_assert!(reused, "dominant cascade must not ask for a re-pivot");
+        let fresh = SparseLu::factor(&second).expect("fresh factor");
         let x_true: Vec<f64> = (0..n).map(|i| xseed[i % xseed.len()]).collect();
         let b = second.mul_vec(&x_true);
         let mut x_re = b.clone();
@@ -298,8 +298,8 @@ proptest! {
     }
 
     /// `solve_block_into` is bitwise identical, column for column, to
-    /// independent `solve_into` calls — at every panel width, over both
-    /// multi-block (BTF) and single-block factorizations.
+    /// independent `solve_into` calls — at every panel width, over the
+    /// (typically multi-block) factorization of a random cascade.
     #[test]
     fn solve_block_into_is_bitwise_identical_to_independent_solves(
         spec in (
@@ -309,16 +309,10 @@ proptest! {
         ),
         k in 1usize..7,
         rhs_seed in prop::collection::vec(-10.0f64..10.0, 24),
-        use_btf_sel in 0usize..2,
     ) {
-        let use_btf = use_btf_sel == 1;
         let a = build_cascade(&spec, 1.0, false);
         let n = a.rows();
-        let lu = if use_btf {
-            SparseLu::factor_btf(&a).expect("must factor")
-        } else {
-            SparseLu::factor(&a).expect("must factor")
-        };
+        let lu = SparseLu::factor(&a).expect("must factor");
         let mut panel: Vec<f64> = (0..n * k)
             .map(|i| rhs_seed[i % rhs_seed.len()] + (i / rhs_seed.len()) as f64)
             .collect();

@@ -188,8 +188,9 @@ proptest! {
             t.to_csr()
         };
         let first = build(1.0);
-        let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&first)
-            .expect("diagonally dominant matrix must factor");
+        let symbolic = SparseLu::factor(&first)
+            .expect("diagonally dominant matrix must factor")
+            .extract_symbolic();
         let sym_scalar = symbolic.with_kernel_backend(KernelBackend::Scalar);
         let sym_simd = symbolic.with_kernel_backend(simd_or_scalar());
 
@@ -242,8 +243,9 @@ proptest! {
             t.to_csr()
         };
         let first = build(1.0);
-        let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&first)
-            .expect("diagonally dominant matrix must factor");
+        let symbolic = SparseLu::factor(&first)
+            .expect("diagonally dominant matrix must factor")
+            .extract_symbolic();
         let sym_scalar = symbolic.with_kernel_backend(KernelBackend::Scalar);
         let sym_simd = symbolic.with_kernel_backend(simd_or_scalar());
 
@@ -281,7 +283,8 @@ fn backend_selection_is_deterministic_per_process() {
         t.push(0, 1, 1.0);
         t.push(1, 0, 1.0);
         t.push(1, 1, 3.0);
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(&t.to_csr()).expect("factors");
+        let lu = SparseLu::factor(&t.to_csr()).expect("factors");
+        let symbolic = lu.extract_symbolic();
         assert_eq!(symbolic.kernel_backend(), expected);
         assert_eq!(lu.kernel_backend(), expected);
     }
@@ -309,7 +312,9 @@ fn with_kernel_backend_copies_not_shares() {
     t.push(0, 1, 1.0);
     t.push(1, 0, 1.0);
     t.push(1, 1, 3.0);
-    let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&t.to_csr()).expect("factors");
+    let symbolic = SparseLu::factor(&t.to_csr())
+        .expect("factors")
+        .extract_symbolic();
     let original = symbolic.kernel_backend();
     let pinned = symbolic.with_kernel_backend(KernelBackend::Scalar);
     assert_eq!(pinned.kernel_backend(), KernelBackend::Scalar);

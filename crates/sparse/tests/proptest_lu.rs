@@ -7,9 +7,7 @@
 
 use loopscope_math::dense::{CMatrix, DMatrix};
 use loopscope_math::Complex64;
-use loopscope_sparse::{
-    ordering::min_degree_order, solve_once, CsrMatrix, LuWorkspace, SparseLu, TripletMatrix,
-};
+use loopscope_sparse::{CsrMatrix, LuWorkspace, SparseLu, TripletMatrix};
 use proptest::prelude::*;
 
 /// Builds a random, diagonally dominant sparse matrix from proptest inputs.
@@ -49,7 +47,8 @@ proptest! {
         let a = build_real(n, &entries);
         let x_true: Vec<f64> = xseed.iter().take(n).copied().collect();
         let b = a.mul_vec(&x_true);
-        let x = solve_once(&a, &b).expect("diagonally dominant matrix must factor");
+        let lu = SparseLu::factor(&a).expect("diagonally dominant matrix must factor");
+        let x = lu.solve(&b).expect("solve");
         for (xi, ti) in x.iter().zip(&x_true) {
             prop_assert!((xi - ti).abs() < 1e-8 * (1.0 + ti.abs()));
         }
@@ -63,7 +62,7 @@ proptest! {
     ) {
         let a = build_real(n, &entries);
         let b: Vec<f64> = bseed.iter().take(n).copied().collect();
-        let x = solve_once(&a, &b).expect("must factor");
+        let x = SparseLu::factor(&a).expect("must factor").solve(&b).expect("solve");
         let r = a.mul_vec(&x);
         for (ri, bi) in r.iter().zip(&b) {
             prop_assert!((ri - bi).abs() < 1e-8 * (1.0 + bi.abs()));
@@ -101,7 +100,7 @@ proptest! {
     }
 
     /// Refactorization over a reused symbolic pattern must agree with a
-    /// fresh pivoting factorization on any same-pattern real system.
+    /// fresh factorization on any same-pattern real system.
     #[test]
     fn real_refactor_matches_fresh_factor(
         n in 2usize..20,
@@ -110,17 +109,18 @@ proptest! {
         scale in 0.2f64..5.0,
     ) {
         let first = build_real(n, &entries);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&first)
-            .expect("diagonally dominant matrix must factor");
+        let mut lu = SparseLu::factor(&first).expect("diagonally dominant matrix must factor");
+        let symbolic = lu.extract_symbolic();
         // Same pattern, different values.
         let second = build_real_scaled(n, &entries, scale);
         prop_assert!(first.same_pattern(&second));
         let x_true: Vec<f64> = xseed.iter().take(n).copied().collect();
         let b = second.mul_vec(&x_true);
-        let lu = SparseLu::refactor(&symbolic, &second).expect("refactor must succeed");
-        prop_assert!(lu.refactored(), "diagonally dominant refactor must not fall back");
+        let reused = lu.refactor_into(&symbolic, &second, &mut LuWorkspace::new())
+            .expect("refactor must succeed");
+        prop_assert!(reused, "diagonally dominant refactor must not ask for a re-pivot");
         let x = lu.solve(&b).expect("solve");
-        let fresh = solve_once(&second, &b).expect("fresh factor");
+        let fresh = SparseLu::factor(&second).expect("fresh factor").solve(&b).expect("solve");
         for ((xi, fi), ti) in x.iter().zip(&fresh).zip(&x_true) {
             prop_assert!((xi - ti).abs() < 1e-8 * (1.0 + ti.abs()),
                 "refactor vs truth: {} vs {}", xi, ti);
@@ -154,7 +154,8 @@ proptest! {
             t.to_csr()
         };
         let first = build(Complex64::ONE);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&first).expect("must factor");
+        let mut lu = SparseLu::factor(&first).expect("must factor");
+        let symbolic = lu.extract_symbolic();
         // Rotate all off-diagonal values in the complex plane: same pattern,
         // different numbers — like re-stamping jωC at a new frequency.
         let second = build(Complex64::from_polar(1.0, phase));
@@ -162,8 +163,9 @@ proptest! {
         let x_true: Vec<Complex64> = xseed.iter().take(n)
             .map(|&(re, im)| Complex64::new(re, im)).collect();
         let b = second.mul_vec(&x_true);
-        let lu = SparseLu::refactor(&symbolic, &second).expect("refactor");
-        prop_assert!(lu.refactored());
+        let reused = lu.refactor_into(&symbolic, &second, &mut LuWorkspace::new())
+            .expect("refactor");
+        prop_assert!(reused);
         let x = lu.solve(&b).expect("solve");
         for (xi, ti) in x.iter().zip(&x_true) {
             prop_assert!((*xi - *ti).abs() < 1e-8 * (1.0 + ti.abs()),
@@ -172,8 +174,8 @@ proptest! {
     }
 
     /// A refactorization handed a matrix whose pattern does not match the
-    /// symbolic analysis must still produce a correct factorization (via the
-    /// pivoting fallback), never a wrong answer.
+    /// symbolic analysis must either succeed or report the soft outcome —
+    /// never a wrong answer — and a re-pivot through `factor` recovers.
     #[test]
     fn refactor_pattern_mismatch_falls_back_correctly(
         n in 2usize..12,
@@ -182,20 +184,27 @@ proptest! {
         xseed in prop::collection::vec(-5.0f64..5.0, 12),
     ) {
         let a = build_real(n, &entries_a);
-        let (_, symbolic) = SparseLu::factor_with_symbolic(&a).expect("must factor");
+        let mut lu = SparseLu::factor(&a).expect("must factor");
+        let symbolic = lu.extract_symbolic();
         let b_mat = build_real(n, &entries_b);
         let x_true: Vec<f64> = xseed.iter().take(n).copied().collect();
         let rhs = b_mat.mul_vec(&x_true);
-        let lu = SparseLu::refactor(&symbolic, &b_mat).expect("refactor or fallback");
+        let reused = lu.refactor_into(&symbolic, &b_mat, &mut LuWorkspace::new())
+            .expect("refactor or soft outcome");
+        prop_assert_eq!(reused, lu.refactored());
+        if !reused {
+            lu = SparseLu::factor(&b_mat).expect("re-pivot");
+        }
         let x = lu.solve(&rhs).expect("solve");
         for (xi, ti) in x.iter().zip(&x_true) {
             prop_assert!((xi - ti).abs() < 1e-8 * (1.0 + ti.abs()));
         }
     }
 
-    /// The fill-reducing ordered, threshold-pivoted factorization must agree
-    /// with a dense partial-pivoting reference solve on any reasonably
-    /// conditioned real system.
+    /// The fresh factorization (BTF, then a fill-reducing order with
+    /// threshold pivoting per block) must agree with a dense
+    /// partial-pivoting reference solve on any reasonably conditioned real
+    /// system.
     #[test]
     fn ordered_real_factor_matches_dense_reference(
         n in 2usize..20,
@@ -203,10 +212,7 @@ proptest! {
         xseed in prop::collection::vec(-10.0f64..10.0, 20),
     ) {
         let a = build_real(n, &entries);
-        let order = min_degree_order(&a);
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_ordered(&a, &order)
-            .expect("diagonally dominant matrix must factor");
-        prop_assert_eq!(symbolic.column_order(), &order[..]);
+        let lu = SparseLu::factor(&a).expect("diagonally dominant matrix must factor");
         let x_true: Vec<f64> = xseed.iter().take(n).copied().collect();
         let b = a.mul_vec(&x_true);
         let x = lu.solve(&b).expect("solve");
@@ -245,8 +251,7 @@ proptest! {
             t.push(i, i, Complex64::new(s + 1.0, 0.5));
         }
         let a = t.to_csr();
-        let order = min_degree_order(&a);
-        let lu = SparseLu::factor_ordered(&a, &order).expect("must factor");
+        let lu = SparseLu::factor(&a).expect("must factor");
         let b: Vec<Complex64> = bseed.iter().take(n)
             .map(|&(re, im)| Complex64::new(re, im)).collect();
         let x = lu.solve(&b).expect("solve");
@@ -261,9 +266,10 @@ proptest! {
         }
     }
 
-    /// Refactorization over an *ordered* symbolic pattern (the production
-    /// configuration of `SolveContext`) must match a fresh factorization on
-    /// any same-pattern system, through the allocation-free in-place path.
+    /// Refactorization over the symbolic pattern of a fresh factorization
+    /// (the production configuration of `SolveContext`) must match a fresh
+    /// factorization on any same-pattern system, through a shell minted
+    /// from the pattern alone.
     #[test]
     fn ordered_refactor_into_matches_fresh_factor(
         n in 2usize..20,
@@ -272,20 +278,21 @@ proptest! {
         scale in 0.2f64..5.0,
     ) {
         let first = build_real(n, &entries);
-        let order = min_degree_order(&first);
-        let (mut lu, symbolic) = SparseLu::factor_with_symbolic_ordered(&first, &order)
-            .expect("diagonally dominant matrix must factor");
+        let symbolic = SparseLu::factor(&first)
+            .expect("diagonally dominant matrix must factor")
+            .extract_symbolic();
         let second = build_real_scaled(n, &entries, scale);
         prop_assert!(first.same_pattern(&second));
         let mut ws = LuWorkspace::new();
-        lu.refactor_into(&symbolic, &second, &mut ws).expect("refactor");
-        prop_assert!(lu.refactored(), "diagonally dominant refactor must not fall back");
+        let mut lu = SparseLu::from_symbolic(&symbolic);
+        let reused = lu.refactor_into(&symbolic, &second, &mut ws).expect("refactor");
+        prop_assert!(reused, "diagonally dominant refactor must not ask for a re-pivot");
         let x_true: Vec<f64> = xseed.iter().take(n).copied().collect();
         let b = second.mul_vec(&x_true);
         let mut rhs = b.clone();
         let mut work = vec![0.0; n];
         lu.solve_into(&mut rhs, &mut work).expect("solve");
-        let fresh = solve_once(&second, &b).expect("fresh factor");
+        let fresh = SparseLu::factor(&second).expect("fresh factor").solve(&b).expect("solve");
         for ((xi, fi), ti) in rhs.iter().zip(&fresh).zip(&x_true) {
             prop_assert!((xi - ti).abs() < 1e-8 * (1.0 + ti.abs()),
                 "refactor vs truth: {} vs {}", xi, ti);

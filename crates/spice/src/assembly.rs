@@ -19,9 +19,12 @@
 //!    region, say) rebuilds the system from scratch through a
 //!    [`TripletMatrix`](loopscope_sparse::TripletMatrix).
 //! 2. **Factorization** is the numeric-only, allocation-free
-//!    [`SparseLu::refactor_into`] against a [`SymbolicLu`] computed once
-//!    (block-triangular form, a minimum-degree column order per block and
-//!    threshold pivoting).
+//!    [`SparseLu::refactor_into`] against a [`SymbolicLu`] captured once
+//!    from a fresh [`SparseLu::factor`] (block-triangular form, a
+//!    minimum-degree column order per block and threshold pivoting).
+//!    `refactor_into` never re-pivots; when it reports a degraded pivot,
+//!    the context re-pivots with a fresh `factor` — this module is the only
+//!    place that does.
 //! 3. **Verified solve** runs one retry ladder — iterative refinement, a
 //!    fresh factorization, then the gmin bumps of [`GMIN_BUMP_LADDER`] —
 //!    and returns a [`SolveQuality`] or a name-enriched [`SpiceError`].
@@ -325,7 +328,7 @@ impl<T: Scalar> SweepPlan<T> {
         job.stamp(&mut stamper);
         let (triplets, _rhs) = stamper.finish();
         let mut pattern = triplets.to_csr();
-        let (_, symbolic) = SparseLu::factor_with_symbolic_btf(&pattern)?;
+        let symbolic = SparseLu::factor(&pattern)?.extract_symbolic();
         pattern.zero_values();
         Ok(Self {
             layout: layout.clone(),
@@ -596,9 +599,10 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// performs when its chunk starts mid-group reconstructs the identical
     /// anchor factorization, which is what keeps every point's GMRES inputs
     /// — and so its iteration count and solution — bitwise invariant under
-    /// any chunking. An anchor that cannot be refactored (singular or
-    /// off-pattern) clears the preconditioner; every point of its group then
-    /// takes the counted direct fallback, identically in any chunking.
+    /// any chunking. An anchor that cannot be refactored (off-pattern, a
+    /// non-finite stamp, or the soft outcome of a degraded pivot) clears the
+    /// preconditioner; every point of its group then takes the counted
+    /// direct fallback, identically in any chunking.
     pub fn ensure_preconditioner(
         &mut self,
         anchor_idx: usize,
@@ -626,10 +630,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             self.precond_anchor = None;
             return;
         }
-        self.precond_anchor = precond
-            .refactor_into(&plan.symbolic, csr, &mut self.workspace)
-            .ok()
-            .map(|()| anchor_idx);
+        let refactored = precond.refactor_into(&plan.symbolic, csr, &mut self.workspace);
+        self.precond_anchor = (refactored == Ok(true)).then_some(anchor_idx);
     }
 
     /// Solves the most recently assembled system through the context's
@@ -745,11 +747,12 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
 
     /// Factors the most recently assembled system: a numeric-only
     /// refactorization against the current symbolic analysis (the hot
-    /// path), or a fresh analysis when there is none for this system (an
-    /// adopting context's first factorization, or a pattern miss).
-    /// `refactor_into` itself falls back to a fresh pivoting factorization
-    /// when a pivot degrades; an adopting context keeps that pivot order,
-    /// a sweep context uses it for this point only.
+    /// path), or a fresh [`SparseLu::factor`] when there is none for this
+    /// system (an adopting context's first factorization, or a pattern
+    /// miss), counted in `symbolic`. When the refactorization reports a
+    /// degraded pivot, the context re-pivots with a fresh factorization,
+    /// counted in `fresh_fallback`: an adopting context keeps that pivot
+    /// order as its plan, a sweep context uses it for this point only.
     ///
     /// # Errors
     ///
@@ -763,28 +766,27 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             .csr
             .as_ref()
             .expect("SolveContext::assemble must run first");
-        let adopts = self.adopts();
-        if let (None, Some(symbolic), Some(lu)) = (&self.off_pattern, &self.symbolic, &mut self.lu)
-        {
-            if let Err(e) = lu.refactor_into(symbolic, csr, &mut self.workspace) {
-                if adopts {
-                    // The failed factors are unusable; the next attempt
-                    // re-analyzes from scratch.
-                    self.lu = None;
-                }
-                return Err(e);
-            }
-            if lu.refactored() {
-                self.stats.numeric_refactor += 1;
-            } else {
-                self.stats.fresh_fallback += 1;
-                if adopts {
-                    self.symbolic = Some(lu.extract_symbolic());
+        let outcome = match (&self.off_pattern, &self.symbolic, &mut self.lu) {
+            (None, Some(symbolic), Some(lu)) => {
+                match lu.refactor_into(symbolic, csr, &mut self.workspace) {
+                    Ok(true) => {
+                        self.stats.numeric_refactor += 1;
+                        self.factored = true;
+                        Ok(())
+                    }
+                    Ok(false) => self.fresh_factor(true),
+                    Err(e) => Err(e),
                 }
             }
-            self.factored = true;
-        } else {
-            self.fresh_factor()?;
+            _ => self.fresh_factor(false),
+        };
+        if let Err(e) = outcome {
+            if self.adopts() {
+                // The failed factors are unusable; the next attempt
+                // re-analyzes from scratch.
+                self.lu = None;
+            }
+            return Err(e);
         }
         Ok(self.factors())
     }
@@ -926,11 +928,12 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// system. `rhs` holds `b` on entry and the verified solution on
     /// success. The rungs, in order:
     ///
-    /// 1. factor (a pattern-reusing refactorization when possible, with the
-    ///    built-in fresh fallback on a degraded pivot) and solve with
+    /// 1. [`factor`](SolveContext::factor) (a pattern-reusing
+    ///    refactorization when possible, re-pivoted with a fresh
+    ///    factorization when it reports a degraded pivot) and solve with
     ///    iterative refinement ([`SparseLu::solve_refined_into`]); when
-    ///    [`factor`](SolveContext::factor) already ran since the last
-    ///    assembly its factors are reused;
+    ///    `factor` already ran since the last assembly its factors are
+    ///    reused;
     /// 2. if the backward error still fails its tolerance and the factors
     ///    came from a reused pivot order, escalate to a fresh
     ///    threshold-pivoted factorization of this exact system
@@ -982,7 +985,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             last_quality = Some(q);
             if self.factors().refactored() {
                 self.stats.residual_retries += 1;
-                match self.fresh_factor() {
+                match self.fresh_factor(false) {
                     Ok(()) => {
                         rhs.copy_from_slice(&self.rhs_backup);
                         let q = self.refined_attempt(rhs)?;
@@ -1004,7 +1007,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             }
             self.stats.gmin_bumps += 1;
             bumps += 1;
-            match self.fresh_factor() {
+            match self.fresh_factor(false) {
                 Ok(()) => {
                     rhs.copy_from_slice(&self.rhs_backup);
                     let q = self.refined_attempt(rhs)?;
@@ -1055,19 +1058,24 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             .map_err(|e| SpiceError::from_solve(e, self.layout))
     }
 
-    /// Fresh threshold-pivoted factorization of the current system, counted
-    /// in `symbolic` like every full analysis. An adopting context adopts
-    /// its pattern and pivot order as the new plan; a sweep context uses it
-    /// for this point only, and the next point refactors against the shared
-    /// plan as usual.
-    fn fresh_factor(&mut self) -> Result<(), SolveError> {
-        let (lu, symbolic) = SparseLu::factor_with_symbolic_btf(self.matrix())?;
+    /// Fresh [`SparseLu::factor`] of the current system — the only place a
+    /// context chooses pivots — counted in `fresh_fallback` when it
+    /// re-pivots a degraded refactorization, in `symbolic` otherwise. An
+    /// adopting context adopts its pattern and pivot order as the new plan;
+    /// a sweep context uses it for this point only, and the next point
+    /// refactors against the shared plan as usual.
+    fn fresh_factor(&mut self, repivot: bool) -> Result<(), SolveError> {
+        let lu = SparseLu::factor(self.matrix())?;
         if self.adopts() {
-            self.symbolic = Some(symbolic);
+            self.symbolic = Some(lu.extract_symbolic());
         }
         self.lu = Some(lu);
         self.factored = true;
-        self.stats.symbolic += 1;
+        if repivot {
+            self.stats.fresh_fallback += 1;
+        } else {
+            self.stats.symbolic += 1;
+        }
         Ok(())
     }
 
@@ -1238,6 +1246,55 @@ mod tests {
         assert_eq!(stats.factorizations(), 5);
     }
 
+    /// A buffered two-stage cascade: two coupled 2x2 blocks and a one-way
+    /// coupling (row 2 reads column 1), which BTF splits into two blocks.
+    struct CascadeJob {
+        first_diag: f64,
+    }
+
+    impl AssembleMna<f64> for CascadeJob {
+        fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+            for (s, diag) in [(0, self.first_diag), (2, 4.0)] {
+                st.add_var_var(s, s, diag);
+                st.add_var_var(s, s + 1, 1.0);
+                st.add_var_var(s + 1, s, 1.0);
+                st.add_var_var(s + 1, s + 1, 4.0);
+            }
+            st.add_var_var(2, 1, 0.5);
+            st.add_rhs_var(0, 1.0);
+        }
+    }
+
+    #[test]
+    fn degraded_pivot_repivots_without_dropping_btf_blocks() {
+        let mut c = Circuit::new("cascade");
+        for name in ["a", "b", "c", "d"] {
+            let n = c.node(name);
+            c.add_resistor(&format!("R{name}"), n, Circuit::GROUND, 1.0e3);
+        }
+        let layout = MnaLayout::new(&c);
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
+        ctx.assemble(&CascadeJob { first_diag: 4.0 });
+        let blocks = ctx.factor().unwrap().block_count();
+        assert_eq!(blocks, 2);
+        // A vanishing first diagonal degrades the adopted pivot order: the
+        // context re-pivots through the same block-triangular analysis.
+        ctx.assemble(&CascadeJob {
+            first_diag: 4.0e-12,
+        });
+        assert_eq!(ctx.factor().unwrap().block_count(), blocks);
+        assert_eq!(ctx.stats().fresh_fallback, 1);
+        assert_eq!(ctx.stats().symbolic, 1);
+        // The re-pivoted order is the new plan, and it serves the next
+        // system with a numeric-only refactorization.
+        ctx.assemble(&CascadeJob {
+            first_diag: 3.0e-12,
+        });
+        assert_eq!(ctx.factor().unwrap().block_count(), blocks);
+        assert_eq!(ctx.stats().numeric_refactor, 1);
+        assert_eq!(ctx.stats().fresh_fallback, 1);
+    }
+
     #[test]
     fn plan_contexts_are_independent_and_deterministic() {
         let (_c, layout) = two_node_layout();
@@ -1317,7 +1374,10 @@ mod tests {
         let mut st = Stamper::new(&layout);
         off.stamp(&mut st);
         let (trip, rhs) = st.finish();
-        let reference = loopscope_sparse::solve_once(&trip.to_csr(), &rhs).unwrap();
+        let reference = SparseLu::factor(&trip.to_csr())
+            .unwrap()
+            .solve(&rhs)
+            .unwrap();
         for (a, b) in x.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
@@ -1431,7 +1491,7 @@ mod tests {
         let mut csr = trip.to_csr();
         let s = csr.find_slot(0, 0).unwrap();
         csr.values_mut()[s] *= 1.0e6;
-        let reference = loopscope_sparse::solve_once(&csr, &b).unwrap();
+        let reference = SparseLu::factor(&csr).unwrap().solve(&b).unwrap();
         for (a, r) in rhs.iter().zip(&reference) {
             assert!((a - r).abs() <= 1e-12 * r.abs().max(1.0), "{a} vs {r}");
         }
@@ -1577,7 +1637,10 @@ mod tests {
         let mut st = Stamper::new(&layout);
         job.stamp(&mut st);
         let (trip, rhs) = st.finish();
-        let naive = loopscope_sparse::solve_once(&trip.to_csr(), &rhs).unwrap();
+        let naive = SparseLu::factor(&trip.to_csr())
+            .unwrap()
+            .solve(&rhs)
+            .unwrap();
         // Adopting context, twice (second solve exercises the slot sink).
         let mut ctx = SolveContext::<f64>::adopting(&layout);
         ctx.solve(&job).unwrap();

@@ -657,6 +657,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_vcvs_gain_fails_fast_with_names() {
+        // The gain entry couples the buffer's two block-triangular blocks,
+        // so it is stored raw outside both diagonal blocks: the fresh
+        // factorization must still reject it up front, by name.
+        for gain in [f64::NAN, f64::INFINITY] {
+            let mut c = Circuit::new("poisoned buffer");
+            let a = c.node("a");
+            let b = c.node("b");
+            c.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(1.0));
+            c.add_resistor("R1", a, Circuit::GROUND, 1.0e3);
+            c.add_vcvs("E1", b, Circuit::GROUND, a, Circuit::GROUND, gain);
+            c.add_resistor("R2", b, Circuit::GROUND, 1.0e3);
+            match solve_dc(&c) {
+                Err(SpiceError::NonFiniteStamp { row, col, .. }) => {
+                    assert_eq!((row.as_str(), col.as_str()), ("I(E1)", "V(a)"));
+                }
+                other => panic!("gain {gain}: expected NonFiniteStamp, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn vccs_and_cccs() {
         let mut c = Circuit::new("gm");
         let inp = c.node("in");

@@ -184,6 +184,16 @@ fn sweep_with_fault_iterative(
     (rows, stats)
 }
 
+/// A faulted sweep: `(workers, panel, fault, fault_point, seed)` to the
+/// per-point solutions (or the enriched error) and the merged counters.
+type SweepFn = dyn Fn(
+    usize,
+    usize,
+    FaultKind,
+    usize,
+    u64,
+) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats);
+
 /// Every (workers × panel) configuration must reproduce the reference run
 /// bit for bit: same per-point solutions on success, the same enriched
 /// error otherwise, and the same merged counters.
@@ -196,18 +206,7 @@ fn assert_iterative_config_invariant(fault: FaultKind, fault_point: usize, seed:
     assert_config_invariant_for(&sweep_with_fault_iterative, fault, fault_point, seed);
 }
 
-fn assert_config_invariant_for(
-    sweep: &dyn Fn(
-        usize,
-        usize,
-        FaultKind,
-        usize,
-        u64,
-    ) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats),
-    fault: FaultKind,
-    fault_point: usize,
-    seed: u64,
-) {
+fn assert_config_invariant_for(sweep: &SweepFn, fault: FaultKind, fault_point: usize, seed: u64) {
     let (reference, ref_stats) = sweep(1, 1, fault, fault_point, seed);
     for workers in [1, 2, 4] {
         for panel in [1, 3, 16] {

@@ -3,6 +3,7 @@
 
 use loopscope_math::FrequencyGrid;
 use loopscope_netlist::{Circuit, SourceSpec};
+use loopscope_sparse::SparseLu;
 use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::assembly::{AssembleMna, SolveContext, SweepPlan};
 use loopscope_spice::dc::solve_dc;
@@ -154,7 +155,9 @@ proptest! {
             let mut st = Stamper::new(&layout);
             job.stamp(&mut st);
             let (trip, rhs) = st.finish();
-            let fresh = loopscope_sparse::solve_once(&trip.to_csr(), &rhs).expect("solvable");
+            let fresh = SparseLu::factor(&trip.to_csr())
+                .and_then(|lu| lu.solve(&rhs))
+                .expect("solvable");
             let slack = solve_slack();
             for ((a, b), c) in from_plan.iter().zip(&from_adopting).zip(&fresh) {
                 let scale_ref = c.abs().max(1e-30);
