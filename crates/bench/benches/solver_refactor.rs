@@ -10,8 +10,8 @@
 //! the sweep-level counters proving a whole scan performs exactly one
 //! symbolic analysis, (S3) measures the thread scaling of the
 //! `SweepPlan`/`SolveContext` parallel sweep executor at 1/2/4 workers, and
-//! (S4) measures the blocked multi-RHS all-nodes scan against the per-RHS
-//! path. The fill `factor` reaches on the ladder, the 33×33 mesh and the
+//! (S4b) measures the all-nodes scan's selected inversion against per-RHS
+//! solves. The fill `factor` reaches on the ladder, the 33×33 mesh and the
 //! buffered op-amp cascade is pinned by the unit tests of
 //! `loopscope-bench`. (S8) compares the LTE-controlled adaptive transient
 //! stepper against the fixed grid on a stiff two-time-constant RC at
@@ -36,7 +36,8 @@ use loopscope_circuits::{mos_two_stage_buffer, two_stage_buffer, OpAmpParams};
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, SourceSpec};
 use loopscope_sparse::{
-    kernels, CsrMatrix, KernelBackend, LuWorkspace, RefineWorkspace, SparseLu, SymbolicLu,
+    kernels, CsrMatrix, InverseWorkspace, KernelBackend, LuWorkspace, RefineWorkspace, SparseLu,
+    SymbolicLu,
 };
 use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::batch::{driving_point_monte_carlo, ParameterVariation};
@@ -400,117 +401,149 @@ fn print_thread_scaling(records: &mut Vec<Record>) {
     }
 }
 
-/// Experiment S4b — the blocked multi-RHS all-nodes scan: the 121-point
-/// scan of a 400-stage RC ladder with the per-node injections solved one
-/// RHS at a time (`LOOPSCOPE_PANEL=1`, the pre-batching path) vs batched
-/// into default-width panels sharing each L/U traversal. Single worker, so
-/// the ratio isolates the blocked solve itself.
-fn print_blocked_scan(records: &mut Vec<Record>) {
-    println!("\n=== S4b: blocked multi-RHS all-nodes scan — panels vs per-RHS solves ===");
-    let saved_threads = std::env::var(par::THREADS_ENV).ok();
-    let saved_panel = std::env::var(par::PANEL_ENV).ok();
-    std::env::set_var(par::THREADS_ENV, "1");
-
+/// Experiment S4b — the all-nodes scan's inner loop: selected inversion vs
+/// per-RHS solves. Over the 121 admittance matrices of the paper-scale scan
+/// of a 400-stage RC ladder, each "frequency point" refactors once and then
+/// either solves one unit injection per unknown (`solve_into`) or reads the
+/// whole diagonal of the inverse off the factors (`diag_inverse_into`). The
+/// two must agree to rounding before any timing is reported. The end-to-end
+/// single-worker `driving_point_all_nodes` time of the same scan is printed
+/// beside them.
+fn print_selected_inversion_scan(records: &mut Vec<Record>) {
+    println!("\n=== S4b: all-nodes scan — selected inversion vs per-RHS solves ===");
     let (ckt, _) = rc_ladder(400, 1.0e3, 1.0e-9);
     let op = solve_dc(&ckt).expect("ladder operating point");
     let grid = FrequencyGrid::log_decade(1.0e2, 1.0e8, 20);
     assert_eq!(grid.len(), 121, "the paper-scale grid is 121 points");
-    let reps = iters(6);
+    let ac = AcAnalysis::new(&ckt, &op).expect("valid analysis");
+    let matrices: Vec<CsrMatrix<Complex64>> = grid
+        .freqs()
+        .iter()
+        .map(|&f| ac.admittance_matrix(f))
+        .collect();
+    let symbolic = SparseLu::factor(&matrices[0])
+        .expect("factors")
+        .extract_symbolic();
+    let n = matrices[0].rows();
+    let mut lu = SparseLu::from_symbolic(&symbolic);
+    let mut ws = LuWorkspace::for_dim(n);
+    let mut x = vec![Complex64::ZERO; n];
+    let mut work = vec![Complex64::ZERO; n];
+    let mut diag = vec![Complex64::ZERO; n];
+    let mut inverse_ws = InverseWorkspace::new();
 
-    std::env::set_var(par::PANEL_ENV, "1");
-    let per_rhs_ac = AcAnalysis::new(&ckt, &op).expect("valid analysis");
-    let _ = per_rhs_ac
-        .driving_point_all_nodes(&grid)
-        .expect("warm-up scan builds the plan");
-    let per_rhs_ns = time_ns(reps, || {
-        std::hint::black_box(
-            per_rhs_ac
-                .driving_point_all_nodes(&grid)
-                .expect("per-RHS scan"),
+    // The node unknowns (GMIN keeps their diagonals stored); the source's
+    // branch current is not probed.
+    let nodes: Vec<usize> = (0..n)
+        .filter(|&v| matrices[0].find_slot(v, v).is_some())
+        .collect();
+
+    // Correctness gate: the inverse diagonal matches the unit solves.
+    lu.refactor_into(&symbolic, &matrices[60], &mut ws)
+        .expect("refactor");
+    lu.diag_inverse_into(&mut diag, &mut inverse_ws)
+        .expect("selected inversion");
+    for &v in &nodes {
+        x.fill(Complex64::ZERO);
+        x[v] = Complex64::ONE;
+        lu.solve_into(&mut x, &mut work).expect("solve");
+        assert!(
+            (diag[v] - x[v]).abs() <= 1.0e-12 * x[v].abs(),
+            "unknown {v}: selected inverse {:?} vs solve {:?}",
+            diag[v],
+            x[v]
         );
-    });
-
-    std::env::remove_var(par::PANEL_ENV);
-    let blocked_ac = AcAnalysis::new(&ckt, &op).expect("valid analysis");
-    let _ = blocked_ac
-        .driving_point_all_nodes(&grid)
-        .expect("warm-up scan builds the plan");
-    let blocked_ns = time_ns(reps, || {
-        std::hint::black_box(
-            blocked_ac
-                .driving_point_all_nodes(&grid)
-                .expect("blocked scan"),
-        );
-    });
-
-    match saved_panel {
-        Some(v) => std::env::set_var(par::PANEL_ENV, v),
-        None => std::env::remove_var(par::PANEL_ENV),
     }
+
+    let reps = iters(6);
+    let per_rhs_ns = time_ns(reps, || {
+        for m in &matrices {
+            lu.refactor_into(&symbolic, m, &mut ws).expect("refactor");
+            for &v in &nodes {
+                x.fill(Complex64::ZERO);
+                x[v] = Complex64::ONE;
+                lu.solve_into(&mut x, &mut work).expect("solve");
+                std::hint::black_box(x[v]);
+            }
+        }
+    });
+    let selinv_ns = time_ns(reps, || {
+        for m in &matrices {
+            lu.refactor_into(&symbolic, m, &mut ws).expect("refactor");
+            lu.diag_inverse_into(&mut diag, &mut inverse_ws)
+                .expect("selected inversion");
+            std::hint::black_box(&mut diag);
+        }
+    });
+
+    let saved_threads = std::env::var(par::THREADS_ENV).ok();
+    std::env::set_var(par::THREADS_ENV, "1");
+    let _ = ac
+        .driving_point_all_nodes(&grid)
+        .expect("warm-up scan builds the plan");
+    let scan_ns = time_ns(reps, || {
+        std::hint::black_box(ac.driving_point_all_nodes(&grid).expect("all-nodes scan"));
+    });
     match saved_threads {
         Some(v) => std::env::set_var(par::THREADS_ENV, v),
         None => std::env::remove_var(par::THREADS_ENV),
     }
 
-    let speedup = per_rhs_ns / blocked_ns;
+    let speedup = per_rhs_ns / selinv_ns;
     println!(
-        "ladder-400 all-nodes 121pt   per-RHS {:>9.1} ms   blocked (panel {: >2}) {:>9.1} ms   speedup {:>5.2}x",
+        "ladder-400 121pt   refactor + {} solves {:>9.1} ms   refactor + selected inversion \
+         {:>7.2} ms   speedup {:>6.1}x   driving_point_all_nodes {:>7.2} ms",
+        nodes.len(),
         per_rhs_ns / 1.0e6,
-        par::DEFAULT_PANEL_WIDTH,
-        blocked_ns / 1.0e6,
-        speedup
+        selinv_ns / 1.0e6,
+        speedup,
+        scan_ns / 1.0e6,
     );
     records.push(Record::new("all_nodes_ladder400_per_rhs", per_rhs_ns));
-    records.push(Record::new("all_nodes_ladder400_blocked", blocked_ns));
+    records.push(Record::new(
+        "all_nodes_ladder400_selected_inversion",
+        selinv_ns,
+    ));
+    records.push(Record::new("all_nodes_ladder400_scan", scan_ns));
     assert_timing(
-        speedup >= 1.3,
+        speedup >= 3.0,
         &format!(
-            "the blocked all-nodes scan must be ≥ 1.3x the per-RHS scan on the \
-             400-stage ladder, measured {speedup:.2}x"
+            "selected inversion must be ≥ 3x the per-RHS solves on the 400-stage \
+             ladder, measured {speedup:.2}x"
         ),
     );
 }
 
-/// Mean wall-clock of one "frequency point" of the blocked all-nodes scan —
-/// refactor once, then solve one unit injection per unknown in panels of
-/// `panel` right-hand sides — over the matrix set, in nanoseconds.
-fn panel_scan_ns(
-    matrices: &[CsrMatrix<Complex64>],
-    symbolic: &SymbolicLu,
-    panel: usize,
-    reps: usize,
-) -> f64 {
+/// Mean wall-clock of one "frequency point" of a per-RHS scan — refactor
+/// once, then solve one unit injection per unknown through `solve_into`
+/// (the substitution fold kernels) — over the matrix set, in nanoseconds.
+fn solve_scan_ns(matrices: &[CsrMatrix<Complex64>], symbolic: &SymbolicLu, reps: usize) -> f64 {
     let n = matrices[0].rows();
     let mut lu = SparseLu::from_symbolic(symbolic);
     let mut ws = LuWorkspace::for_dim(n);
-    let mut rhs = vec![Complex64::ZERO; n * panel];
-    let mut work = vec![Complex64::ZERO; n * panel];
+    let mut rhs = vec![Complex64::ZERO; n];
+    let mut work = vec![Complex64::ZERO; n];
     let mut k = 0usize;
     time_ns(reps, || {
         let m = &matrices[k % matrices.len()];
         k += 1;
         lu.refactor_into(symbolic, m, &mut ws).expect("refactor");
         assert!(lu.refactored(), "bench matrices must not force a fallback");
-        for start in (0..n).step_by(panel) {
-            let cols = panel.min(n - start);
-            let active = &mut rhs[..n * cols];
-            active.fill(Complex64::ZERO);
-            for j in 0..cols {
-                active[j * n + start + j] = Complex64::ONE;
-            }
-            lu.solve_block_into(active, cols, &mut work[..n * cols])
-                .expect("blocked solve");
-            std::hint::black_box(&mut *active);
+        for v in 0..n {
+            rhs.fill(Complex64::ZERO);
+            rhs[v] = Complex64::ONE;
+            lu.solve_into(&mut rhs, &mut work).expect("solve");
+            std::hint::black_box(&mut rhs);
         }
     })
 }
 
 /// Experiment S5 — explicit SIMD kernels: scalar-kernel vs SIMD-kernel
-/// refactor throughput and blocked panel-scan throughput over the same
-/// symbolic analysis (backends pinned per pattern via
-/// `SymbolicLu::with_kernel_backend`, so both run in one process). A
-/// bitwise cross-check of one panel solve guards the table: the backends
-/// must agree bit for bit before any timing is reported.
+/// refactor throughput and per-RHS solve-scan throughput (the `solve_into`
+/// fold kernels) over the same symbolic analysis (backends pinned per
+/// pattern via `SymbolicLu::with_kernel_backend`, so both run in one
+/// process). A bitwise cross-check of a few solves guards the table: the
+/// backends must agree bit for bit before any timing is reported.
 fn print_kernel_table(
     label: &str,
     matrices: &[CsrMatrix<Complex64>],
@@ -531,7 +564,7 @@ fn print_kernel_table(
     let n = matrices[0].rows();
 
     // Hard bitwise gate (deterministic, never demoted): the two backends
-    // must produce identical factors and panel solutions.
+    // must produce identical factors and solutions.
     {
         let mut ws = LuWorkspace::for_dim(n);
         let mut lu_a = SparseLu::from_symbolic(&sym_scalar);
@@ -540,33 +573,31 @@ fn print_kernel_table(
         let mut lu_b = SparseLu::from_symbolic(&sym_simd);
         lu_b.refactor_into(&sym_simd, &matrices[1 % matrices.len()], &mut ws)
             .expect("refactor");
-        let k = 16.min(n);
-        let mut rhs_a = vec![Complex64::ZERO; n * k];
-        for (j, slot) in rhs_a.iter_mut().enumerate() {
-            *slot = Complex64::new(1.0 + (j % 7) as f64, 0.25 * (j % 5) as f64);
-        }
-        let mut rhs_b = rhs_a.clone();
-        let mut work = vec![Complex64::ZERO; n * k];
-        lu_a.solve_block_into(&mut rhs_a, k, &mut work)
-            .expect("solve");
-        lu_b.solve_block_into(&mut rhs_b, k, &mut work)
-            .expect("solve");
-        for (a, b) in rhs_a.iter().zip(&rhs_b) {
-            assert!(
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                "{label}: scalar and {simd_backend} kernels must be bitwise identical"
-            );
+        let mut work = vec![Complex64::ZERO; n];
+        for col in 0..4 {
+            let mut rhs_a: Vec<Complex64> = (0..n)
+                .map(|j| Complex64::new(1.0 + ((j + col) % 7) as f64, 0.25 * (j % 5) as f64))
+                .collect();
+            let mut rhs_b = rhs_a.clone();
+            lu_a.solve_into(&mut rhs_a, &mut work).expect("solve");
+            lu_b.solve_into(&mut rhs_b, &mut work).expect("solve");
+            for (a, b) in rhs_a.iter().zip(&rhs_b) {
+                assert!(
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                    "{label}: scalar and {simd_backend} kernels must be bitwise identical"
+                );
+            }
         }
     }
 
     let scalar_refactor = refactor_ns(matrices, &sym_scalar, reps);
     let simd_refactor = refactor_ns(matrices, &sym_simd, reps);
     let scan_reps = (reps / 8).max(2);
-    let scalar_scan = panel_scan_ns(matrices, &sym_scalar, par::DEFAULT_PANEL_WIDTH, scan_reps);
-    let simd_scan = panel_scan_ns(matrices, &sym_simd, par::DEFAULT_PANEL_WIDTH, scan_reps);
+    let scalar_scan = solve_scan_ns(matrices, &sym_scalar, scan_reps);
+    let simd_scan = solve_scan_ns(matrices, &sym_simd, scan_reps);
     println!(
         "{label:<18} refactor scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)   \
-         panel scan scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)",
+         solve scan scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)",
         scalar_refactor / 1.0e3,
         simd_refactor / 1.0e3,
         scalar_refactor / simd_refactor,
@@ -583,11 +614,11 @@ fn print_kernel_table(
         simd_refactor,
     ));
     records.push(Record::new(
-        format!("{label}_panel_scan_scalar_kernel"),
+        format!("{label}_solve_scan_scalar_kernel"),
         scalar_scan,
     ));
     records.push(Record::new(
-        format!("{label}_panel_scan_{simd_backend}_kernel"),
+        format!("{label}_solve_scan_{simd_backend}_kernel"),
         simd_scan,
     ));
 
@@ -603,12 +634,12 @@ fn print_kernel_table(
         );
     }
     if simd_backend.is_simd() {
-        // The panel solve is the SIMD-shaped loop (k contiguous lanes per
-        // factor entry): it must at minimum not regress.
+        // Only the independent products of the fold vectorize: the solve
+        // scan must at minimum not regress.
         assert_timing(
             simd_scan <= scalar_scan * 1.05,
             &format!(
-                "{label}: the SIMD panel scan ({simd_scan:.0} ns) must not be slower than \
+                "{label}: the SIMD solve scan ({simd_scan:.0} ns) must not be slower than \
                  the scalar-kernel one ({scalar_scan:.0} ns)"
             ),
         );
@@ -1120,7 +1151,7 @@ fn bench(c: &mut Criterion) {
 
     print_thread_scaling(&mut records);
 
-    print_blocked_scan(&mut records);
+    print_selected_inversion_scan(&mut records);
 
     let mesh_p = 33; // 33×33 = 1089 unknowns
     let meshes: Vec<_> = (0..16)

@@ -93,7 +93,7 @@ impl NodeSweep {
 /// chunked across worker threads (`LOOPSCOPE_THREADS`). Each variant still
 /// gets its own DC operating point. Results are in input order and bitwise
 /// identical to analysing each variant independently, at any worker count,
-/// panel width, kernel backend and batch lane width.
+/// kernel backend and batch lane width.
 ///
 /// Variants whose topology differs from the first variant's (different
 /// nodes, different system dimension) are analysed per-variant through

@@ -5,14 +5,16 @@
 //! robustness layer must survive: NaN / ±∞ entries, a numerically dead
 //! column, or a pivot degraded far below the refactorization threshold. The
 //! test-suites in `loopscope-sparse` and `loopscope-spice` drive it at
-//! chosen sweep points and assert that every fault surfaces as a structured
-//! error — no panic, no hang, no silent garbage — identically at every
-//! `LOOPSCOPE_THREADS` / `LOOPSCOPE_PANEL` setting.
+//! chosen sweep points — single-node sweeps, transient steps and the
+//! all-nodes scan, where `loopscope-spice` also corrupts a selected-inverse
+//! value to force the per-node fallback — and assert that every fault
+//! surfaces as a structured error or a rescued result — no panic, no hang,
+//! no silent garbage — identically at every `LOOPSCOPE_THREADS` setting.
 //!
 //! Determinism is the whole point: the injector is seeded, draws from an
 //! in-process [SplitMix64](https://prng.di.unimi.it/splitmix64.c) stream and
 //! touches no clock or ambient randomness, so a fault plan replays
-//! bit-for-bit across runs, thread counts and panel widths.
+//! bit-for-bit across runs and thread counts.
 //!
 //! ```
 //! use loopscope_sparse::faults::{FaultInjector, FaultKind};
@@ -71,7 +73,7 @@ pub struct FaultReport {
 ///
 /// Entry selection comes from a SplitMix64 stream seeded by the caller;
 /// two injectors with the same seed make the same choices on the same
-/// matrix, regardless of threads, panel widths or wall-clock.
+/// matrix, regardless of threads or wall-clock.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     state: u64,

@@ -7,19 +7,16 @@
 //!    (`work[cols[i]] -= mult · vals[i]` over a U row's fill pattern),
 //! 2. the **per-entry fold** of the single-RHS substitution sweeps
 //!    (`acc -= vals[i] · work[cols[i]]`, strictly in order), and
-//! 3. the **k-wide panel update** of the blocked multi-RHS solve
-//!    (`dst[j] -= v · src[j]` / `dst[j] = dst[j] / diag` over `k` contiguous
-//!    right-hand-side lanes), and
-//! 4. the **w-wide variant-lane update** of the batched many-variant
+//! 3. the **w-wide variant-lane update** of the batched many-variant
 //!    refactor/solve (`dst[w] -= a[w] · b[w]` / `dst[w] = dst[w] / den[w]`
-//!    over `w` contiguous variant lanes — unlike the panel forms, every
-//!    lane carries its *own* factor value, because each lane is an
-//!    independent matrix sharing only the fill pattern).
+//!    over `w` contiguous variant lanes — every lane carries its *own*
+//!    factor value, because each lane is an independent matrix sharing only
+//!    the fill pattern).
 //!
 //! This module implements each primitive twice — a portable scalar reference
 //! ([`scalar`]) and an AVX2 split-lane `(re, im)` form over
 //! `core::arch::x86_64` — and exposes safe per-type dispatchers
-//! ([`axpy_indexed_c64`], [`panel_axpy_f64`], …) that select between them
+//! ([`axpy_indexed_c64`], [`lane_mul_sub_f64`], …) that select between them
 //! with a [`KernelBackend`] value. The solver records the backend **once per
 //! symbolic analysis** (see [`selected_backend`] and
 //! [`crate::SymbolicLu::kernel_backend`]), so a whole sweep runs one
@@ -31,14 +28,13 @@
 //! additions, subtractions and divisions, in the same per-element order, as
 //! the scalar reference**: no FMA contraction, no reassociation across fill
 //! entries, no blocked accumulators. Lanes only ever span *independent*
-//! elements (distinct scatter targets, or distinct right-hand-side columns
-//! of a panel), and sequential dependences — the substitution fold's
-//! accumulator — stay sequential with only the independent products
-//! vectorized. Consequently the two backends produce bit-identical results
-//! on finite data, the property the `proptest_kernels` suite pins and the
-//! reason every pre-existing determinism test (refactor-vs-fresh,
-//! blocked-vs-single-RHS, `par_determinism`) holds with the SIMD path
-//! active.
+//! elements (distinct scatter targets, or distinct variant lanes), and
+//! sequential dependences — the substitution fold's accumulator — stay
+//! sequential with only the independent products vectorized. Consequently
+//! the two backends produce bit-identical results on finite data, the
+//! property the `proptest_kernels` suite pins and the reason every
+//! pre-existing determinism test (refactor-vs-fresh, `par_determinism`)
+//! holds with the SIMD path active.
 //!
 //! # Backend selection
 //!
@@ -165,23 +161,6 @@ pub mod scalar {
             acc -= *v * work[c];
         }
         acc
-    }
-
-    /// `dst[j] -= v * src[j]` over the common length — the k-lane panel
-    /// update (lane = right-hand-side column).
-    #[inline]
-    pub fn panel_axpy<T: Scalar>(v: T, src: &[T], dst: &mut [T]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d -= v * *s;
-        }
-    }
-
-    /// `dst[j] = dst[j] / diag` for every lane.
-    #[inline]
-    pub fn panel_div<T: Scalar>(diag: T, dst: &mut [T]) {
-        for d in dst {
-            *d = *d / diag;
-        }
     }
 
     /// `dst[w] -= a[w] * b[w]` elementwise over the common length — the
@@ -319,57 +298,6 @@ mod avx2 {
         acc
     }
 
-    /// See [`super::scalar::panel_axpy`] — the fully contiguous case: two
-    /// complex lanes (= two right-hand-side columns) per vector op.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn panel_axpy_c64(v: Complex64, src: &[Complex64], dst: &mut [Complex64]) {
-        let n = dst.len().min(src.len());
-        let vre = _mm256_set1_pd(v.re);
-        let vim = _mm256_set1_pd(v.im);
-        let mut j = 0;
-        while j + 2 <= n {
-            let s = _mm256_loadu_pd(src[j..j + 2].as_ptr().cast::<f64>());
-            let prod = mul_broadcast_c64(vre, vim, s);
-            let dp = dst[j..j + 2].as_mut_ptr().cast::<f64>();
-            let d = _mm256_loadu_pd(dp);
-            _mm256_storeu_pd(dp, _mm256_sub_pd(d, prod));
-            j += 2;
-        }
-        if j < n {
-            dst[j] -= v * src[j];
-        }
-    }
-
-    /// See [`super::scalar::panel_div`]: the denominator `|diag|²` is
-    /// computed once in scalar (same expression as `Complex64::norm_sqr`),
-    /// the per-lane numerators with multiplies and one sign-flipped
-    /// `vaddsubpd` (`x − (−y)` is IEEE-identical to `x + y`), then one
-    /// `vdivpd`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn panel_div_c64(diag: Complex64, dst: &mut [Complex64]) {
-        let n = dst.len();
-        let den = _mm256_set1_pd(diag.norm_sqr());
-        let dre = _mm256_set1_pd(diag.re);
-        let dim = _mm256_set1_pd(diag.im);
-        let sign = _mm256_set1_pd(-0.0);
-        let mut j = 0;
-        while j + 2 <= n {
-            let dp = dst[j..j + 2].as_mut_ptr().cast::<f64>();
-            let a = _mm256_loadu_pd(dp);
-            // num = [a.re·d.re + a.im·d.im, a.im·d.re − a.re·d.im]:
-            // addsub with the second operand negated turns its even-lane
-            // subtract into the required add and vice versa.
-            let t1 = _mm256_mul_pd(a, dre);
-            let t2 = _mm256_mul_pd(_mm256_permute_pd::<0b0101>(a), dim);
-            let num = _mm256_addsub_pd(t1, _mm256_xor_pd(t2, sign));
-            _mm256_storeu_pd(dp, _mm256_div_pd(num, den));
-            j += 2;
-        }
-        if j < n {
-            dst[j] /= diag;
-        }
-    }
-
     /// See [`super::scalar::lane_mul_sub`]: two complex variant lanes per
     /// vector op, each lane multiplying its own `a[w]·b[w]` pair with
     /// exactly the scalar operation order (multiplies then one `vaddsubpd`,
@@ -403,8 +331,8 @@ mod avx2 {
     /// diagonal. The per-lane `|den|²` denominators are built with one
     /// multiply and one in-register add in the scalar `re·re + im·im` order
     /// (the same expression as `Complex64::norm_sqr`), the numerators with
-    /// multiplies and one sign-flipped `vaddsubpd` exactly like
-    /// [`panel_div_c64`], then one `vdivpd`.
+    /// multiplies and one sign-flipped `vaddsubpd` (`x − (−y)` is
+    /// IEEE-identical to `x + y`), then one `vdivpd`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lane_div_c64(den: &[Complex64], dst: &mut [Complex64]) {
         let n = dst.len().min(den.len());
@@ -497,41 +425,6 @@ mod avx2 {
         acc
     }
 
-    /// Real-lane form of [`panel_axpy_c64`]: four lanes per vector op.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn panel_axpy_f64(v: f64, src: &[f64], dst: &mut [f64]) {
-        let n = dst.len().min(src.len());
-        let vv = _mm256_set1_pd(v);
-        let mut j = 0;
-        while j + 4 <= n {
-            let prod = _mm256_mul_pd(vv, _mm256_loadu_pd(src[j..].as_ptr()));
-            let dp = dst[j..].as_mut_ptr();
-            _mm256_storeu_pd(dp, _mm256_sub_pd(_mm256_loadu_pd(dp), prod));
-            j += 4;
-        }
-        while j < n {
-            dst[j] -= v * src[j];
-            j += 1;
-        }
-    }
-
-    /// Real-lane form of [`panel_div_c64`]: one `vdivpd` per four lanes.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn panel_div_f64(diag: f64, dst: &mut [f64]) {
-        let n = dst.len();
-        let dv = _mm256_set1_pd(diag);
-        let mut j = 0;
-        while j + 4 <= n {
-            let dp = dst[j..].as_mut_ptr();
-            _mm256_storeu_pd(dp, _mm256_div_pd(_mm256_loadu_pd(dp), dv));
-            j += 4;
-        }
-        while j < n {
-            dst[j] /= diag;
-            j += 1;
-        }
-    }
-
     /// Real-lane form of [`lane_mul_sub_c64`]: four variant lanes per op.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lane_mul_sub_f64(a: &[f64], b: &[f64], dst: &mut [f64]) {
@@ -581,8 +474,7 @@ mod avx2 {
 /// without AVX2 (and on non-x86_64 builds) the arm silently degrades to
 /// the scalar reference, which is bit-identical anyway.
 macro_rules! dispatchers {
-    ($ty:ty, $lanes:expr, $axpy:ident, $fold:ident, $paxpy:ident, $pdiv:ident,
-     $axpy_simd:ident, $fold_simd:ident, $paxpy_simd:ident, $pdiv_simd:ident) => {
+    ($ty:ty, $lanes:expr, $axpy:ident, $fold:ident, $axpy_simd:ident, $fold_simd:ident) => {
         /// `work[cols[i]] -= mult * vals[i]` on the chosen backend
         /// (see [`scalar::axpy_indexed`] for the exact semantics). Slices
         /// shorter than one vector width take the inlined scalar loop even
@@ -649,58 +541,6 @@ macro_rules! dispatchers {
                 }
             }
         }
-
-        /// `dst[j] -= v * src[j]` over the common length on the chosen
-        /// backend (see [`scalar::panel_axpy`]).
-        #[inline]
-        pub fn $paxpy(backend: KernelBackend, v: $ty, src: &[$ty], dst: &mut [$ty]) {
-            if dst.len() < $lanes {
-                return scalar::panel_axpy(v, src, dst);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::panel_axpy(v, src, dst),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$paxpy_simd(v, src, dst)
-                        }
-                    } else {
-                        scalar::panel_axpy(v, src, dst)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::panel_axpy(v, src, dst)
-                }
-            }
-        }
-
-        /// `dst[j] = dst[j] / diag` for every lane on the chosen backend
-        /// (see [`scalar::panel_div`]).
-        #[inline]
-        pub fn $pdiv(backend: KernelBackend, diag: $ty, dst: &mut [$ty]) {
-            if dst.len() < $lanes {
-                return scalar::panel_div(diag, dst);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::panel_div(diag, dst),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$pdiv_simd(diag, dst)
-                        }
-                    } else {
-                        scalar::panel_div(diag, dst)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::panel_div(diag, dst)
-                }
-            }
-        }
     };
 }
 
@@ -709,12 +549,8 @@ dispatchers!(
     2,
     axpy_indexed_c64,
     fold_sub_indexed_c64,
-    panel_axpy_c64,
-    panel_div_c64,
     axpy_indexed_c64,
-    fold_sub_indexed_c64,
-    panel_axpy_c64,
-    panel_div_c64
+    fold_sub_indexed_c64
 );
 
 dispatchers!(
@@ -722,12 +558,8 @@ dispatchers!(
     4,
     axpy_indexed_f64,
     fold_sub_indexed_f64,
-    panel_axpy_f64,
-    panel_div_f64,
     axpy_indexed_f64,
-    fold_sub_indexed_f64,
-    panel_axpy_f64,
-    panel_div_f64
+    fold_sub_indexed_f64
 );
 
 /// Per-type dispatchers for the batched variant-lane primitives, with the
@@ -864,11 +696,6 @@ mod tests {
         assert_eq!(work, [16.0, 19.0, 26.0]);
         let acc = scalar::fold_sub_indexed(1.0, &vals, &cols, &work);
         assert_eq!(acc, 1.0 - 2.0 * 26.0 + 3.0 * 16.0 - 0.5 * 19.0);
-        let mut dst = [8.0f64, 6.0];
-        scalar::panel_axpy(0.5, &[2.0, 4.0], &mut dst);
-        assert_eq!(dst, [7.0, 4.0]);
-        scalar::panel_div(2.0, &mut dst);
-        assert_eq!(dst, [3.5, 2.0]);
     }
 
     #[test]

@@ -37,9 +37,9 @@
 //!   `refactor_into` never re-pivots: a degraded pivot or an off-pattern
 //!   entry is its soft outcome `Ok(false)`, and the caller re-pivots through
 //!   `factor`. Solves are allocation-free through [`SparseLu::solve_into`];
-//!   [`SparseLu::solve_block_into`] solves a whole panel of right-hand sides
-//!   per traversal — bitwise identical, column for column, to independent
-//!   `solve_into` calls.
+//!   [`SparseLu::diag_inverse_into`] computes the whole diagonal of `A⁻¹`
+//!   from the same factors by selected inversion (the Takahashi
+//!   recurrences), for about the cost of one factorization.
 //! * [`gmres`] — the iterative escape hatch behind the [`SolverBackend`]
 //!   seam: restarted GMRES(m) over a matrix-free [`SparseOperator`],
 //!   right-preconditioned by a *stale* [`SparseLu`] (the factorization of a
@@ -51,8 +51,9 @@
 //!
 //! The scalar abstraction [`Scalar`] is implemented for `f64` (DC and
 //! transient analyses) and [`Complex64`] (AC analysis). Its `kernel_*`
-//! surface routes the three numeric hot loops — the refactorization's
-//! scatter/gather axpy, the substitution fold and the blocked panel update —
+//! surface routes the numeric hot loops — the refactorization's
+//! scatter/gather axpy, the substitution fold and the batched variant-lane
+//! updates —
 //! through [`kernels`], which provides an explicitly vectorized AVX2 backend
 //! next to the portable scalar reference. The backend is recorded per
 //! [`SymbolicLu`] at build time ([`kernels::selected_backend`], overridable
@@ -113,9 +114,9 @@ pub use gmres::{
 };
 pub use kernels::KernelBackend;
 pub use lu::{
-    normwise_backward_error, BatchLaneStatus, BatchedLu, LuWorkspace, RefineWorkspace, SolveError,
-    SolveQuality, SparseLu, SymbolicLu, ORDERED_PIVOT_THRESHOLD, REFINE_BACKWARD_TOLERANCE,
-    REFINE_MAX_STEPS,
+    normwise_backward_error, BatchLaneStatus, BatchedLu, InverseWorkspace, LuWorkspace,
+    RefineWorkspace, SolveError, SolveQuality, SparseLu, SymbolicLu, ORDERED_PIVOT_THRESHOLD,
+    REFINE_BACKWARD_TOLERANCE, REFINE_MAX_STEPS,
 };
 pub use scalar::Scalar;
 pub use triplet::TripletMatrix;

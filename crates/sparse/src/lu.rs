@@ -30,7 +30,8 @@
 //! Solves follow the same split: [`SparseLu::solve_into`] is the
 //! allocation-free path (forward/backward substitution into caller-held
 //! buffers), and [`SparseLu::solve`] is a thin convenience wrapper over it
-//! for one-off solves.
+//! for one-off solves. [`SparseLu::diag_inverse_into`] reads the whole
+//! diagonal of `A⁻¹` off the same factors by selected inversion.
 //!
 //! Structural zeros are preserved during elimination (entries that cancel
 //! exactly are kept), so the recorded fill pattern is value-independent and
@@ -48,7 +49,10 @@ use crate::csr::CsrMatrix;
 use crate::kernels::{self, KernelBackend};
 use crate::scalar::Scalar;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+mod selinv;
+pub use selinv::InverseWorkspace;
 
 /// Error produced by factorization or solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +200,10 @@ struct LuPattern {
     /// (recorded once when the symbolic analysis is built — see
     /// [`kernels::selected_backend`] — so a whole sweep is one code path).
     backend: KernelBackend,
+    /// Index data of the selected inversion
+    /// ([`SparseLu::diag_inverse_into`]), built on its first call over this
+    /// pattern; a re-pivoted factorization has its own pattern and index.
+    inverse: OnceLock<selinv::InverseIndex>,
 }
 
 impl LuPattern {
@@ -718,6 +726,7 @@ impl<T: Scalar> SparseLu<T> {
                 f_ptr,
                 f_cols,
                 backend: kernels::selected_backend(),
+                inverse: OnceLock::new(),
             }),
             l_vals,
             u_vals,
@@ -864,6 +873,7 @@ impl<T: Scalar> SparseLu<T> {
                 f_ptr: LuPattern::empty_f(n),
                 f_cols: Vec::new(),
                 backend: kernels::selected_backend(),
+                inverse: OnceLock::new(),
             }),
             l_vals,
             u_vals,
@@ -1275,9 +1285,8 @@ impl<T: Scalar> SparseLu<T> {
 
     /// Solves `A·x = b` **in place**: `rhs` holds `b` on entry and `x` on
     /// return, `work` is caller-held scratch of the same length. This is the
-    /// allocation-free path for hot loops (one solve per node per frequency
-    /// in the all-nodes stability scan); [`solve`](SparseLu::solve) wraps it
-    /// for one-off use.
+    /// allocation-free path for hot loops; [`solve`](SparseLu::solve) wraps
+    /// it for one-off use.
     ///
     /// ```
     /// use loopscope_sparse::{SparseLu, TripletMatrix};
@@ -1377,137 +1386,6 @@ impl<T: Scalar> SparseLu<T> {
         // unknown cperm[i].
         for i in 0..p.n {
             rhs[p.cperm[i]] = work[i];
-        }
-        Ok(())
-    }
-
-    /// Solves `A·X = B` for `k` right-hand sides **in one L/U traversal per
-    /// block**, in place over a column-major panel: `rhs` holds the `k`
-    /// columns of `B` back to back (`rhs[j·n..(j+1)·n]` is column `j`) on
-    /// entry and the solution columns on return; `work` is caller-held
-    /// scratch of the same `k·n` length.
-    ///
-    /// Per column the arithmetic — every product, subtraction and division,
-    /// in the same order — is **identical** to a
-    /// [`solve_into`](SparseLu::solve_into) call on that column alone, so
-    /// the results are bitwise equal to `k` independent solves at any panel
-    /// width. What the blocking changes is the *traversal*: the L/U index
-    /// structure is walked once per factor row instead of once per factor
-    /// row per right-hand side, and each factor value loaded once streams
-    /// over `k` contiguous work slots. That amortization is what makes the
-    /// all-nodes stability scan's one-injection-per-node inner loop cheap
-    /// on large circuits.
-    ///
-    /// Performs no heap allocation.
-    ///
-    /// ```
-    /// use loopscope_sparse::{SparseLu, TripletMatrix};
-    ///
-    /// let mut t = TripletMatrix::<f64>::new(2, 2);
-    /// t.push(0, 0, 2.0);
-    /// t.push(0, 1, 1.0);
-    /// t.push(1, 0, 1.0);
-    /// t.push(1, 1, 3.0);
-    /// let lu = SparseLu::factor(&t.to_csr())?;
-    /// // Two right-hand sides, column-major: [5, 10] and [3, 4].
-    /// let mut panel = vec![5.0, 10.0, 3.0, 4.0];
-    /// let mut work = vec![0.0; 4];
-    /// lu.solve_block_into(&mut panel, 2, &mut work)?;
-    /// assert!((panel[0] - 1.0).abs() < 1e-12 && (panel[1] - 3.0).abs() < 1e-12);
-    /// assert!((panel[2] - 1.0).abs() < 1e-12 && (panel[3] - 1.0).abs() < 1e-12);
-    /// # Ok::<(), loopscope_sparse::SolveError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::RhsLength`] when `rhs.len()` or `work.len()`
-    /// differs from `k` times the matrix dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on an unfilled
-    /// [`from_symbolic`](SparseLu::from_symbolic) shell (no successful
-    /// refactorization has run yet).
-    pub fn solve_block_into(
-        &self,
-        rhs: &mut [T],
-        k: usize,
-        work: &mut [T],
-    ) -> Result<(), SolveError> {
-        let p = &*self.pattern;
-        assert_eq!(
-            self.u_vals.len(),
-            p.u_cols.len(),
-            "solve on an unfactored SparseLu shell: refactor_into must succeed first"
-        );
-        let expected = p.n * k;
-        if rhs.len() != expected {
-            return Err(SolveError::RhsLength {
-                expected,
-                got: rhs.len(),
-            });
-        }
-        if work.len() != expected {
-            return Err(SolveError::RhsLength {
-                expected,
-                got: work.len(),
-            });
-        }
-        // The work panel is interleaved — the k slots of elimination row i
-        // are contiguous at i·k — so the inner per-column loops stream over
-        // adjacent memory while the factor entry (index + value) is loaded
-        // exactly once. Each k-wide update runs as one panel kernel on the
-        // recorded backend (lane = RHS column, so per-column operation
-        // order — and therefore the bitwise guarantee against `solve_into`
-        // — is untouched). F and U sources live in later elimination rows
-        // than the destination, L sources in earlier ones, which is what
-        // makes the borrow splits below valid.
-        let backend = p.backend;
-        for b in (0..p.block_ptr.len() - 1).rev() {
-            let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
-            for i in bs..be {
-                let pr = p.perm[i];
-                let row = i * k;
-                for j in 0..k {
-                    work[row + j] = rhs[j * p.n + pr];
-                }
-                {
-                    // Off-diagonal block entries: sources in later blocks.
-                    let (head, tail) = work.split_at_mut(row + k);
-                    let dst = &mut head[row..];
-                    for t in p.f_ptr[i]..p.f_ptr[i + 1] {
-                        let src = p.f_cols[t] * k - (row + k);
-                        T::kernel_panel_axpy(backend, self.f_vals[t], &tail[src..src + k], dst);
-                    }
-                }
-                {
-                    // L entries: sources in earlier elimination rows.
-                    let (head, tail) = work.split_at_mut(row);
-                    let dst = &mut tail[..k];
-                    for t in p.l_ptr[i]..p.l_ptr[i + 1] {
-                        let src = p.l_cols[t] * k;
-                        T::kernel_panel_axpy(backend, self.l_vals[t], &head[src..src + k], dst);
-                    }
-                }
-            }
-            for i in (bs..be).rev() {
-                let start = p.u_ptr[i];
-                let row = i * k;
-                let (head, tail) = work.split_at_mut(row + k);
-                let dst = &mut head[row..];
-                for t in (start + 1)..p.u_ptr[i + 1] {
-                    let src = p.u_cols[t] * k - (row + k);
-                    T::kernel_panel_axpy(backend, self.u_vals[t], &tail[src..src + k], dst);
-                }
-                T::kernel_panel_div(backend, self.u_vals[start], dst);
-            }
-        }
-        for i in 0..p.n {
-            let c = p.cperm[i];
-            let row = i * k;
-            for j in 0..k {
-                rhs[j * p.n + c] = work[row + j];
-            }
         }
         Ok(())
     }
@@ -3200,8 +3078,9 @@ mod tests {
     }
 
     #[test]
-    fn solve_block_into_matches_independent_solves_bitwise() {
-        // Cover both a multi-block (BTF) and a single-block factorization.
+    fn diag_inverse_matches_unit_solves_on_btf_and_single_block() {
+        // A multi-block (BTF) and a single-block factorization: every
+        // diagonal entry of the inverse agrees with the unit-vector solve.
         let cases: Vec<SparseLu<f64>> = vec![
             SparseLu::factor(&cascade(1.3)).unwrap(),
             SparseLu::factor(&csr_from_dense(&[
@@ -3213,58 +3092,24 @@ mod tests {
         ];
         for lu in &cases {
             let n = lu.dim();
-            for k in 1..=4usize {
-                // Column-major panel of k distinct right-hand sides.
-                let mut panel: Vec<f64> = (0..n * k)
-                    .map(|i| ((i * 7 + 3) % 11) as f64 - 5.0)
-                    .collect();
-                let reference: Vec<Vec<f64>> = (0..k)
-                    .map(|j| {
-                        let mut rhs = panel[j * n..(j + 1) * n].to_vec();
-                        let mut work = vec![0.0; n];
-                        lu.solve_into(&mut rhs, &mut work).unwrap();
-                        rhs
-                    })
-                    .collect();
-                let mut work = vec![0.0; n * k];
-                lu.solve_block_into(&mut panel, k, &mut work).unwrap();
-                for (j, reference_col) in reference.iter().enumerate() {
-                    for (a, b) in panel[j * n..(j + 1) * n].iter().zip(reference_col) {
-                        assert_eq!(
-                            a, b,
-                            "panel width {k}, column {j}: blocked solve must be \
-                             bitwise identical to the per-RHS solve"
-                        );
-                    }
-                }
+            let mut diag = vec![0.0; n];
+            let mut ws = InverseWorkspace::new();
+            lu.diag_inverse_into(&mut diag, &mut ws).unwrap();
+            for (v, &d) in diag.iter().enumerate() {
+                let mut e = vec![0.0; n];
+                e[v] = 1.0;
+                let x = lu.solve(&e).unwrap();
+                assert!(
+                    (d - x[v]).abs() <= 1e-14 * x[v].abs().max(1.0),
+                    "{v}: {d} vs {}",
+                    x[v]
+                );
             }
+            assert!(matches!(
+                lu.diag_inverse_into(&mut diag[1..], &mut ws),
+                Err(SolveError::RhsLength { .. })
+            ));
         }
-    }
-
-    #[test]
-    fn solve_block_into_rejects_bad_panel_lengths() {
-        let a = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let lu = SparseLu::factor(&a).unwrap();
-        let mut short = vec![0.0; 3];
-        let mut work = vec![0.0; 4];
-        assert!(matches!(
-            lu.solve_block_into(&mut short, 2, &mut work),
-            Err(SolveError::RhsLength {
-                expected: 4,
-                got: 3
-            })
-        ));
-        let mut panel = vec![0.0; 4];
-        let mut short_work = vec![0.0; 2];
-        assert!(matches!(
-            lu.solve_block_into(&mut panel, 2, &mut short_work),
-            Err(SolveError::RhsLength {
-                expected: 4,
-                got: 2
-            })
-        ));
-        // A zero-width panel is a no-op.
-        lu.solve_block_into(&mut [], 0, &mut []).unwrap();
     }
 
     #[test]

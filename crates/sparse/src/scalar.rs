@@ -14,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// Besides the basic field operations, the trait carries the **kernel
 /// surface** of the LU hot loops: the `kernel_*` associated functions route
 /// the scatter/gather axpy of the numeric refactorization, the substitution
-/// fold and the blocked panel updates through [`crate::kernels`], where
+/// fold and the batched variant-lane updates through [`crate::kernels`], where
 /// `f64` and [`Complex64`] dispatch to the explicitly vectorized AVX2 path
 /// when the factorization's recorded [`KernelBackend`] asks for it. The
 /// default implementations are the portable scalar reference loops, and the
@@ -102,19 +102,6 @@ pub trait Scalar:
         kernels::scalar::fold_sub_indexed(acc, vals, cols, work)
     }
 
-    /// `dst[j] -= v * src[j]` over the common length — the k-wide panel
-    /// update of the blocked multi-RHS solve (lane = RHS column).
-    #[inline]
-    fn kernel_panel_axpy(_backend: KernelBackend, v: Self, src: &[Self], dst: &mut [Self]) {
-        kernels::scalar::panel_axpy(v, src, dst);
-    }
-
-    /// `dst[j] = dst[j] / diag` for every panel lane.
-    #[inline]
-    fn kernel_panel_div(_backend: KernelBackend, diag: Self, dst: &mut [Self]) {
-        kernels::scalar::panel_div(diag, dst);
-    }
-
     /// `dst[w] -= a[w] * b[w]` elementwise — the w-wide variant-lane update
     /// of the batched many-variant refactor/solve, where every lane is an
     /// independent matrix sharing only the fill pattern (so each lane has
@@ -189,16 +176,6 @@ impl Scalar for f64 {
     }
 
     #[inline]
-    fn kernel_panel_axpy(backend: KernelBackend, v: Self, src: &[Self], dst: &mut [Self]) {
-        kernels::panel_axpy_f64(backend, v, src, dst);
-    }
-
-    #[inline]
-    fn kernel_panel_div(backend: KernelBackend, diag: Self, dst: &mut [Self]) {
-        kernels::panel_div_f64(backend, diag, dst);
-    }
-
-    #[inline]
     fn kernel_lane_mul_sub(backend: KernelBackend, a: &[Self], b: &[Self], dst: &mut [Self]) {
         kernels::lane_mul_sub_f64(backend, a, b, dst);
     }
@@ -263,16 +240,6 @@ impl Scalar for Complex64 {
         work: &[Self],
     ) -> Self {
         kernels::fold_sub_indexed_c64(backend, acc, vals, cols, work)
-    }
-
-    #[inline]
-    fn kernel_panel_axpy(backend: KernelBackend, v: Self, src: &[Self], dst: &mut [Self]) {
-        kernels::panel_axpy_c64(backend, v, src, dst);
-    }
-
-    #[inline]
-    fn kernel_panel_div(backend: KernelBackend, diag: Self, dst: &mut [Self]) {
-        kernels::panel_div_c64(backend, diag, dst);
     }
 
     #[inline]

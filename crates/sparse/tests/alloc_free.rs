@@ -1,13 +1,14 @@
-//! Counting-allocator proof that the refactor/solve hot path — the inner
-//! loop of the all-nodes stability scan (one `refactor_into` per frequency,
-//! one `solve_into` per node) — performs **zero heap allocations** once the
+//! Counting-allocator proof that the refactor/solve hot paths — the inner
+//! loops of the frequency sweeps (one `refactor_into` per frequency, then
+//! unit-vector `solve_into` calls or one `diag_inverse_into` for the
+//! all-nodes stability scan) — perform **zero heap allocations** once the
 //! buffers are warm.
 //!
 //! A wrapper around the system allocator counts every `alloc`/`realloc`
 //! call; the test warms the workspace with one refactor + solve, then runs
 //! many more and asserts the counter did not move.
 
-use loopscope_sparse::{CsrMatrix, LuWorkspace, SparseLu, TripletMatrix};
+use loopscope_sparse::{CsrMatrix, InverseWorkspace, LuWorkspace, SparseLu, TripletMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -139,44 +140,32 @@ fn refactor_and_solve_hot_loop_is_allocation_free() {
         after - before
     );
 
-    // The blocked multi-RHS path of the all-nodes scan: one refactor per
-    // "frequency", then the injections batched into panels of K solved by
-    // one `solve_block_into` traversal each. Panel and scratch are minted
-    // once (context mint time); the loop itself — fill, blocked solve,
-    // gather, including the final short panel — must not allocate.
-    // 200 % 16 != 0, so the loop also covers the final SHORT panel, which
-    // reuses the same buffers sliced down.
-    let panel_k = 16;
-    let mut panel = vec![0.0f64; n * panel_k];
-    let mut panel_work = vec![0.0f64; n * panel_k];
-    let nodes: Vec<usize> = (0..n).collect();
+    // The selected inversion of the all-nodes scan: one refactor per
+    // "frequency", then the whole diagonal of the inverse off its factors.
+    // The first call builds the pattern's index data and sizes the
+    // workspace; every later call — over new values — must not allocate.
+    let mut diag = vec![0.0f64; n];
+    let mut inverse_ws = InverseWorkspace::new();
+    worker_lu
+        .diag_inverse_into(&mut diag, &mut inverse_ws)
+        .expect("first selected inversion");
     let before = allocation_count();
     for m in &matrices {
         worker_lu
             .refactor_into(&symbolic, m, &mut worker_ws)
             .expect("refactor");
-        assert!(worker_lu.refactored(), "panel loop must not fall back");
-        for chunk in nodes.chunks(panel_k) {
-            let cols = chunk.len();
-            let active = &mut panel[..n * cols];
-            active.fill(0.0);
-            for (j, &node) in chunk.iter().enumerate() {
-                active[j * n + node] = 1.0;
-            }
-            worker_lu
-                .solve_block_into(active, cols, &mut panel_work[..n * cols])
-                .expect("blocked solve");
-            for (j, &node) in chunk.iter().enumerate() {
-                assert!(active[j * n + node].is_finite());
-            }
-        }
+        assert!(worker_lu.refactored(), "inverse loop must not fall back");
+        worker_lu
+            .diag_inverse_into(&mut diag, &mut inverse_ws)
+            .expect("selected inversion");
+        assert!(diag.iter().all(|d| d.is_finite() && *d > 0.0));
     }
     let after = allocation_count();
     assert_eq!(
         after - before,
         0,
-        "the blocked panel loop (refactor_into + solve_block_into) must not \
-         allocate, saw {} allocations",
+        "the selected-inversion loop (refactor_into + diag_inverse_into) must \
+         not allocate after its first call, saw {} allocations",
         after - before
     );
 

@@ -1,7 +1,6 @@
-//! Property-based tests for the block-triangular (BTF) factorization path
-//! and the blocked multi-RHS solve.
+//! Property-based tests for the block-triangular (BTF) factorization path.
 //!
-//! Three invariant families:
+//! Two invariant families:
 //!
 //! 1. **The BTF partition is a genuine block upper-triangular permutation**:
 //!    row/column permutations are bijections, the block pointer is a
@@ -11,11 +10,6 @@
 //!    reference over the same values, on randomly generated (and randomly
 //!    scrambled) block-structured systems, real and complex, through both
 //!    the fresh factorization and the numeric-only refactorization.
-//! 3. **The blocked panel solve is the same computation**:
-//!    [`SparseLu::solve_block_into`] must be *bitwise* identical, column
-//!    for column, to independent [`SparseLu::solve_into`] calls at every
-//!    panel width — the determinism contract the all-nodes scan's batching
-//!    relies on.
 
 use loopscope_math::dense::{CMatrix, DMatrix};
 use loopscope_math::Complex64;
@@ -294,41 +288,6 @@ proptest! {
         for (a, b) in x_re.iter().zip(&x_fresh) {
             prop_assert!(*a == *b,
                 "refactor and fresh BTF factor must agree bitwise: {} vs {}", a, b);
-        }
-    }
-
-    /// `solve_block_into` is bitwise identical, column for column, to
-    /// independent `solve_into` calls — at every panel width, over the
-    /// (typically multi-block) factorization of a random cascade.
-    #[test]
-    fn solve_block_into_is_bitwise_identical_to_independent_solves(
-        spec in (
-            prop::collection::vec(1usize..5, 1..4),
-            prop::collection::vec((0usize..8, 0usize..8, -3.0f64..3.0), 0..20),
-            prop::collection::vec((0usize..8, 0usize..8, -3.0f64..3.0), 0..10),
-        ),
-        k in 1usize..7,
-        rhs_seed in prop::collection::vec(-10.0f64..10.0, 24),
-    ) {
-        let a = build_cascade(&spec, 1.0, false);
-        let n = a.rows();
-        let lu = SparseLu::factor(&a).expect("must factor");
-        let mut panel: Vec<f64> = (0..n * k)
-            .map(|i| rhs_seed[i % rhs_seed.len()] + (i / rhs_seed.len()) as f64)
-            .collect();
-        let reference: Vec<Vec<f64>> = (0..k).map(|j| {
-            let mut rhs = panel[j * n..(j + 1) * n].to_vec();
-            let mut work = vec![0.0; n];
-            lu.solve_into(&mut rhs, &mut work).expect("solve");
-            rhs
-        }).collect();
-        let mut work = vec![0.0; n * k];
-        lu.solve_block_into(&mut panel, k, &mut work).expect("blocked solve");
-        for (j, reference_col) in reference.iter().enumerate() {
-            for (a, b) in panel[j * n..(j + 1) * n].iter().zip(reference_col) {
-                prop_assert!(*a == *b,
-                    "panel width {}, column {}: {} vs {}", k, j, a, b);
-            }
         }
     }
 }

@@ -2,8 +2,8 @@
 //! backend must produce **bit-identical** results to the portable scalar
 //! reference — same IEEE operations, same per-element order, no FMA, no
 //! reassociation — on random real and complex data, both at the primitive
-//! level and through the full refactor/solve pipeline at panel widths
-//! 1/3/16/64.
+//! level and through the full refactor / solve / selected-inversion
+//! pipeline.
 //!
 //! On hardware without AVX2 the SIMD comparisons degrade to scalar-vs-scalar
 //! (trivially true) instead of being skipped silently, so the suite runs
@@ -11,7 +11,7 @@
 
 use loopscope_math::Complex64;
 use loopscope_sparse::kernels::{self, KernelBackend};
-use loopscope_sparse::{LuWorkspace, SparseLu, TripletMatrix};
+use loopscope_sparse::{InverseWorkspace, LuWorkspace, SparseLu, TripletMatrix};
 use proptest::prelude::*;
 
 /// The backend to pit against [`KernelBackend::Scalar`]: AVX2 when the CPU
@@ -61,15 +61,13 @@ fn assert_bits_c64(a: &[Complex64], b: &[Complex64], what: &str) -> Result<(), S
     Ok(())
 }
 
-/// The panel widths the blocked solve runs at in practice: the per-RHS
-/// degenerate case, an odd width exercising every tail path, the default,
-/// and a wide panel.
-const PANEL_WIDTHS: [usize; 4] = [1, 3, 16, 64];
+/// Right-hand sides solved per factorization in the pipeline properties.
+const RHS_COLUMNS: usize = 4;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Primitive level, complex lanes: axpy / fold / panel ops bit-agree
+    /// Primitive level, complex lanes: axpy / fold ops bit-agree
     /// between the scalar reference and the SIMD backend on random data
     /// (duplicate scatter targets included).
     #[test]
@@ -122,54 +120,16 @@ proptest! {
         assert_bits_f64(&[acc_scalar], &[acc_simd], "fold_sub_indexed_f64")?;
     }
 
-    /// Panel primitives at the practical widths 1/3/16/64 (lane = RHS
-    /// column), complex and real.
+    /// Full pipeline, complex: a BTF factorization refactored, solved and
+    /// selected-inverted on a scalar-pinned and a SIMD-pinned copy of the
+    /// same symbolic analysis must produce bit-identical solutions and
+    /// inverse diagonals.
     #[test]
-    fn panel_primitives_bit_agree_at_all_widths(
-        v in (-3.0f64..3.0, -3.0f64..3.0),
-        diag in (0.5f64..3.0, -2.0f64..2.0),
-        src_seed in prop::collection::vec((-6.0f64..6.0, -6.0f64..6.0), 64),
-        dst_seed in prop::collection::vec((-6.0f64..6.0, -6.0f64..6.0), 64),
-    ) {
-        let simd = simd_or_scalar();
-        let vc = c64(v);
-        let dc = c64(diag);
-        let src: Vec<Complex64> = src_seed.iter().copied().map(c64).collect();
-        let base: Vec<Complex64> = dst_seed.iter().copied().map(c64).collect();
-        let src_re: Vec<f64> = src_seed.iter().map(|p| p.0).collect();
-        let base_re: Vec<f64> = dst_seed.iter().map(|p| p.0).collect();
-
-        for &k in &PANEL_WIDTHS {
-            let mut a = base[..k].to_vec();
-            let mut b = base[..k].to_vec();
-            kernels::panel_axpy_c64(KernelBackend::Scalar, vc, &src[..k], &mut a);
-            kernels::panel_axpy_c64(simd, vc, &src[..k], &mut b);
-            assert_bits_c64(&a, &b, "panel_axpy_c64")?;
-            kernels::panel_div_c64(KernelBackend::Scalar, dc, &mut a);
-            kernels::panel_div_c64(simd, dc, &mut b);
-            assert_bits_c64(&a, &b, "panel_div_c64")?;
-
-            let mut a = base_re[..k].to_vec();
-            let mut b = base_re[..k].to_vec();
-            kernels::panel_axpy_f64(KernelBackend::Scalar, v.0, &src_re[..k], &mut a);
-            kernels::panel_axpy_f64(simd, v.0, &src_re[..k], &mut b);
-            assert_bits_f64(&a, &b, "panel_axpy_f64")?;
-            kernels::panel_div_f64(KernelBackend::Scalar, diag.0, &mut a);
-            kernels::panel_div_f64(simd, diag.0, &mut b);
-            assert_bits_f64(&a, &b, "panel_div_f64")?;
-        }
-    }
-
-    /// Full pipeline, complex: a BTF factorization refactored and
-    /// panel-solved on a scalar-pinned and a SIMD-pinned copy of the same
-    /// symbolic analysis must produce bit-identical factors and solutions
-    /// at every panel width.
-    #[test]
-    fn complex_refactor_and_panel_solve_bit_agree(
+    fn complex_refactor_solve_and_inverse_bit_agree(
         n in 2usize..12,
         entries in prop::collection::vec(
             (0usize..12, 0usize..12, -3.0f64..3.0, -3.0f64..3.0), 0..60),
-        rhs_seed in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 12 * 64),
+        rhs_seed in prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 12 * RHS_COLUMNS),
         scale in 0.2f64..5.0,
     ) {
         let build = |s: f64| {
@@ -204,28 +164,28 @@ proptest! {
         prop_assert!(lu_simd.refactored());
         prop_assert_eq!(lu_scalar.kernel_backend(), KernelBackend::Scalar);
 
-        for &k in &PANEL_WIDTHS {
-            let panel: Vec<Complex64> = rhs_seed[..n * k].iter().copied().map(c64).collect();
-            let mut work = vec![Complex64::ZERO; n * k];
-            let mut a = panel.clone();
-            lu_scalar.solve_block_into(&mut a, k, &mut work).expect("solve");
-            let mut b = panel.clone();
-            lu_simd.solve_block_into(&mut b, k, &mut work).expect("solve");
-            assert_bits_c64(&a, &b, "solve_block_into (complex)")?;
-
-            // The single-RHS path must agree column for column, too.
-            let mut col0: Vec<Complex64> = panel[..n].to_vec();
-            lu_simd.solve_into(&mut col0, &mut work[..n]).expect("solve");
-            assert_bits_c64(&col0, &a[..n], "solve_into vs panel column 0")?;
+        let mut work = vec![Complex64::ZERO; n];
+        for col in rhs_seed.chunks(n).take(RHS_COLUMNS) {
+            let rhs: Vec<Complex64> = col.iter().copied().map(c64).collect();
+            let mut a = rhs.clone();
+            lu_scalar.solve_into(&mut a, &mut work).expect("solve");
+            let mut b = rhs;
+            lu_simd.solve_into(&mut b, &mut work).expect("solve");
+            assert_bits_c64(&a, &b, "solve_into (complex)")?;
         }
+        let mut a = vec![Complex64::ZERO; n];
+        lu_scalar.diag_inverse_into(&mut a, &mut InverseWorkspace::new()).expect("inverse");
+        let mut b = vec![Complex64::ZERO; n];
+        lu_simd.diag_inverse_into(&mut b, &mut InverseWorkspace::new()).expect("inverse");
+        assert_bits_c64(&a, &b, "diag_inverse_into (complex)")?;
     }
 
     /// Full pipeline, real lanes (the DC/transient scalar field).
     #[test]
-    fn real_refactor_and_panel_solve_bit_agree(
+    fn real_refactor_solve_and_inverse_bit_agree(
         n in 2usize..16,
         entries in prop::collection::vec((0usize..16, 0usize..16, -4.0f64..4.0), 0..80),
-        rhs_seed in prop::collection::vec(-5.0f64..5.0, 16 * 64),
+        rhs_seed in prop::collection::vec(-5.0f64..5.0, 16 * RHS_COLUMNS),
         scale in 0.2f64..5.0,
     ) {
         let build = |s: f64| {
@@ -258,15 +218,19 @@ proptest! {
         lu_simd.refactor_into(&sym_simd, &second, &mut ws).expect("refactor");
         prop_assert!(lu_simd.refactored());
 
-        for &k in &PANEL_WIDTHS {
-            let panel: Vec<f64> = rhs_seed[..n * k].to_vec();
-            let mut work = vec![0.0f64; n * k];
-            let mut a = panel.clone();
-            lu_scalar.solve_block_into(&mut a, k, &mut work).expect("solve");
-            let mut b = panel.clone();
-            lu_simd.solve_block_into(&mut b, k, &mut work).expect("solve");
-            assert_bits_f64(&a, &b, "solve_block_into (real)")?;
+        let mut work = vec![0.0f64; n];
+        for col in rhs_seed.chunks(n).take(RHS_COLUMNS) {
+            let mut a = col.to_vec();
+            lu_scalar.solve_into(&mut a, &mut work).expect("solve");
+            let mut b = col.to_vec();
+            lu_simd.solve_into(&mut b, &mut work).expect("solve");
+            assert_bits_f64(&a, &b, "solve_into (real)")?;
         }
+        let mut a = vec![0.0f64; n];
+        lu_scalar.diag_inverse_into(&mut a, &mut InverseWorkspace::new()).expect("inverse");
+        let mut b = vec![0.0f64; n];
+        lu_simd.diag_inverse_into(&mut b, &mut InverseWorkspace::new()).expect("inverse");
+        assert_bits_f64(&a, &b, "diag_inverse_into (real)")?;
     }
 }
 

@@ -13,11 +13,14 @@
 //!   node is the driving-point impedance `Z_nn(jω)`, whose magnitude carries
 //!   the complex-pole signature the stability plot extracts.
 //!
-//! For the all-nodes mode the factorization of `Y(jω)` is reused for every
-//! injection node at a given frequency — and the injections themselves are
-//! batched into panels of K right-hand sides solved in one blocked L/U
-//! traversal each ([`loopscope_sparse::SparseLu::solve_block_into`];
-//! `LOOPSCOPE_PANEL` knob, bitwise identical at any width) — which is what
+//! For the all-nodes mode every node's driving-point impedance is a diagonal
+//! entry of `Y(jω)⁻¹`, and all of them are read off the one factorization
+//! each frequency already has by **selected inversion**
+//! ([`loopscope_sparse::SparseLu::diag_inverse_into`], the Takahashi
+//! recurrences) at about the cost of one factorization — not one solve per
+//! node. Two verified sample injections per frequency check the result
+//! against the retry-ladder solve (see
+//! [`AcAnalysis::driving_point_all_nodes`] for the tolerance). That is what
 //! makes whole-circuit stability scans cheap compared to running one full
 //! simulation per node.
 //!
@@ -33,9 +36,10 @@
 //! [`SolveContext`] from the shared plan:
 //! value buffers, numeric L/U, scratch — restamped in place, refactored
 //! numerically, solved through
-//! [`loopscope_sparse::SparseLu::solve_into`] with zero heap allocations in
-//! the per-node inner loop. Results are assembled in frequency order and
-//! are **bitwise identical at any worker count**; a whole sweep still
+//! [`loopscope_sparse::SparseLu::solve_into`] or inverted on the selected
+//! set, with no heap allocation on the factor side. Results are assembled
+//! in frequency order and are **bitwise identical at any worker count**; a
+//! whole sweep still
 //! performs exactly one symbolic analysis (see
 //! [`AcAnalysis::solve_stats`]).
 
@@ -49,8 +53,39 @@ use crate::solver::anchor_index;
 use crate::GMIN;
 use loopscope_math::{interp, Complex64, FrequencyGrid, TWO_PI};
 use loopscope_netlist::{Circuit, Element, NodeId};
-use loopscope_sparse::{CsrMatrix, KernelBackend, SolverBackend};
+use loopscope_sparse::{
+    CsrMatrix, KernelBackend, Scalar, SolverBackend, REFINE_BACKWARD_TOLERANCE,
+};
 use std::sync::{Arc, Mutex};
+
+/// Verified sample injections per frequency point of the all-nodes scan
+/// (see [`AcAnalysis::driving_point_all_nodes`]).
+const INVERSE_SAMPLES: usize = 2;
+
+/// A numeric fault planted in the driving-point sweeps of one analysis —
+/// the hook the all-nodes fault-injection tests drive. Compiled only under
+/// the `fault-inject` feature; never part of the production surface.
+#[cfg(feature = "fault-inject")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AcFault {
+    /// Perturb the assembled matrix of sweep index `point` with `kind`,
+    /// seeded by `seed` — at every assembly of that point, so a per-node
+    /// recomputation replays the same fault.
+    Matrix {
+        /// Sweep index of the faulted frequency.
+        point: usize,
+        /// The perturbation.
+        kind: loopscope_sparse::faults::FaultKind,
+        /// Injector seed.
+        seed: u64,
+    },
+    /// Add one ohm to the selected-inverse value of the first verification
+    /// sample of all-nodes sweep index `point`.
+    SelectedInverse {
+        /// Sweep index of the faulted frequency.
+        point: usize,
+    },
+}
 
 /// Results of an AC sweep: complex node voltages over frequency.
 ///
@@ -208,6 +243,9 @@ pub struct AcAnalysis<'c> {
     /// computed once instead of per frequency point — so stamped systems
     /// are bitwise identical to recomputing on every call.
     small_signal: Vec<devices::SmallSignal>,
+    /// The planted fault of the fault-injection tests (see [`AcFault`]).
+    #[cfg(feature = "fault-inject")]
+    fault: Mutex<Option<AcFault>>,
 }
 
 /// Assembly job for the complex admittance system at one frequency.
@@ -272,7 +310,45 @@ impl<'c> AcAnalysis<'c> {
             backend_override: Mutex::new(None),
             stats: Mutex::new(SolveStats::default()),
             small_signal,
+            #[cfg(feature = "fault-inject")]
+            fault: Mutex::new(None),
         })
+    }
+
+    /// Plants `fault` in every later driving-point sweep of this analysis
+    /// ([`driving_point_response`](AcAnalysis::driving_point_response) and
+    /// [`driving_point_all_nodes`](AcAnalysis::driving_point_all_nodes)).
+    #[cfg(feature = "fault-inject")]
+    pub fn inject_fault(&self, fault: AcFault) {
+        *self.fault.lock().expect("fault lock") = Some(fault);
+    }
+
+    /// The planted fault, if any.
+    #[cfg(feature = "fault-inject")]
+    fn fault(&self) -> Option<AcFault> {
+        *self.fault.lock().expect("fault lock")
+    }
+
+    /// Assembles the unit-injection system (every AC stimulus off) of point
+    /// `idx` of `freqs` into `ctx` and applies a planted matrix fault. First
+    /// refreshes the iterative backend's anchor preconditioner (a no-op
+    /// under the direct backend).
+    fn assemble_probe(&self, ctx: &mut SolveContext<'_, Complex64>, freqs: &[f64], idx: usize) {
+        let job = |freq_hz| AcSystem {
+            analysis: self,
+            freq_hz,
+            use_circuit_sources: false,
+            overrides: &[],
+        };
+        let anchor = anchor_index(idx);
+        ctx.ensure_preconditioner(anchor, idx == anchor, &job(freqs[anchor]));
+        let _ = ctx.assemble(&job(freqs[idx]));
+        #[cfg(feature = "fault-inject")]
+        if let Some(AcFault::Matrix { point, kind, seed }) = self.fault() {
+            if point == idx {
+                loopscope_sparse::faults::FaultInjector::new(seed).inject(kind, ctx.matrix_mut());
+            }
+        }
     }
 
     /// Pins the solver backend for every sweep of this analysis — the
@@ -632,23 +708,9 @@ impl<'c> AcAnalysis<'c> {
             || (plan.context(), vec![Complex64::ZERO; dim]),
             |(ctx, x): &mut (SolveContext<'_, Complex64>, Vec<Complex64>),
              idx,
-             &f|
+             _|
              -> Result<Complex64, SpiceError> {
-                let anchor = anchor_index(idx);
-                let anchor_job = AcSystem {
-                    analysis: self,
-                    freq_hz: freqs[anchor],
-                    use_circuit_sources: false,
-                    overrides: &[],
-                };
-                ctx.ensure_preconditioner(anchor, idx == anchor, &anchor_job);
-                let job = AcSystem {
-                    analysis: self,
-                    freq_hz: f,
-                    use_circuit_sources: false,
-                    overrides: &[],
-                };
-                let _ = ctx.assemble(&job);
+                self.assemble_probe(ctx, freqs, idx);
                 // Unit current injection at `node`, solved in place through
                 // the backend seam (stale-preconditioned GMRES or the
                 // verified retry ladder, which factors first).
@@ -663,23 +725,51 @@ impl<'c> AcAnalysis<'c> {
     }
 
     /// Driving-point responses for **every** non-ground node: the workhorse of
-    /// the tool's "All Nodes" mode. At each frequency the admittance matrix is
-    /// factored once and re-used for all injection nodes, the per-node unit
-    /// injections are batched into **panels of K right-hand sides** solved in
-    /// one L/U traversal each (K from [`par::configured_panel_width`], knob
-    /// `LOOPSCOPE_PANEL`, default [`par::DEFAULT_PANEL_WIDTH`];
-    /// `LOOPSCOPE_PANEL=1` forces the per-RHS path), and frequencies are
-    /// chunked across worker threads — the machine-saturating scan the
-    /// plan/context split exists for. Results are assembled in frequency
-    /// order and are bitwise identical at any worker count **and any panel
-    /// width**: the blocked solve's per-column arithmetic is identical to an
-    /// independent solve per node.
+    /// the tool's "All Nodes" mode. At each frequency the admittance matrix
+    /// is factored once and every node's `Z_nn = (Y⁻¹)_nn` is read off the
+    /// factors by **selected inversion**
+    /// ([`SolveContext::diag_inverse_into`]), about the cost of one
+    /// factorization instead of one solve per node. Frequencies are chunked
+    /// across worker threads, and each point is a pure function of its
+    /// frequency, so results are bitwise identical at any worker count.
+    ///
+    /// **Verification.** At each frequency (sweep index `k`), two unit
+    /// injections at nodes `2k` and `2k + 1` (modulo the node count, so
+    /// every node is sampled across a sweep of at least half as many points
+    /// as nodes) run through the retry ladder of
+    /// [`SolveContext::solve_verified_in_place`], which also factors the
+    /// point. Each sample's `x̂_v` must agree with the selected-inverse
+    /// `ẑ_v`: a verified solve has normwise backward error `β ≤ η`
+    /// ([`REFINE_BACKWARD_TOLERANCE`]), so `‖x̂ − x‖∞ ≤ κ·η·‖x̂‖∞` to first
+    /// order (the norm is taken over `|re| + |im|` moduli, as the refined
+    /// solve measures it, which only widens the bound by at most `√2`); `ẑ` comes from the same factors, whose backward error a
+    /// zero-step refinement already certifies below `η`, so
+    /// `|ẑ_v − x_v| ≤ κ·η·‖x̂‖∞` too. The accepted gap is therefore
+    /// `|x̂_v − ẑ_v| ≤ 2·κ·η·‖x̂‖∞`. It is checked first with `κ = 1`, a
+    /// lower bound that every healthy point passes at no cost; a miss is
+    /// re-checked with the Hager/Higham estimate `κ₁` of the point
+    /// ([`SolveContext::condition_estimate`] — MNA admittance matrices are
+    /// structurally symmetric, so it stands in for `κ∞`), the same
+    /// `2·κ₁·η` the all-nodes vs single-node agreement is held to.
+    ///
+    /// A point whose samples disagree, whose sample solve climbed a rung of
+    /// the ladder (a residual retry or a gmin bump) or failed, or whose
+    /// inverse holds a non-finite value is recomputed with one verified
+    /// solve per node, from a fresh assembly each — exactly what
+    /// [`driving_point_response`](AcAnalysis::driving_point_response) does
+    /// at that point, errors included — and counted in
+    /// [`SolveStats::inverse_fallbacks`]. The iterative backend has no
+    /// selected inversion and solves one injection per node.
     ///
     /// Returns one vector per signal node, in [`Circuit::signal_nodes`] order.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::Linear`] when the system is singular.
+    /// The first error, in node order, of the verified per-node solves of
+    /// the lowest failing frequency — exactly what
+    /// [`driving_point_response`](AcAnalysis::driving_point_response)
+    /// reports for that node: [`SpiceError::NonFiniteStamp`],
+    /// [`SpiceError::SingularSystem`] or [`SpiceError::ResidualCheckFailed`].
     pub fn driving_point_all_nodes(
         &self,
         grid: &FrequencyGrid,
@@ -695,45 +785,28 @@ impl<'c> AcAnalysis<'c> {
             .iter()
             .map(|&n| self.layout.node_var(n).expect("signal node"))
             .collect();
-        let panel_width = par::configured_panel_width().min(vars.len().max(1));
-        // One row of node responses per frequency. The worker owns a panel
-        // buffer of `panel_width` injection columns next to its context's
-        // pre-sized blocked-solve scratch, so the whole inner loop — fill,
-        // blocked solve, gather — performs zero heap allocations.
+        // One row of node responses per frequency. The worker owns an
+        // injection vector and the inverse-diagonal buffer next to its
+        // context.
         let (rows, workers) = par::sweep_chunks(
             freqs,
             || {
                 (
-                    plan.context_with_panel(panel_width),
-                    vec![Complex64::ZERO; dim * panel_width],
+                    plan.context(),
+                    vec![Complex64::ZERO; dim],
+                    vec![Complex64::ZERO; dim],
                 )
             },
-            |(ctx, panel): &mut (SolveContext<'_, Complex64>, Vec<Complex64>),
+            |(ctx, x, diag): &mut (SolveContext<'_, Complex64>, Vec<Complex64>, Vec<Complex64>),
              idx,
-             &f|
+             _|
              -> Result<Vec<Complex64>, SpiceError> {
-                let anchor = anchor_index(idx);
-                let anchor_job = AcSystem {
-                    analysis: self,
-                    freq_hz: freqs[anchor],
-                    use_circuit_sources: false,
-                    overrides: &[],
-                };
-                ctx.ensure_preconditioner(anchor, idx == anchor, &anchor_job);
-                let job = AcSystem {
-                    analysis: self,
-                    freq_hz: f,
-                    use_circuit_sources: false,
-                    overrides: &[],
-                };
-                let _ = ctx.assemble(&job);
-                let mut row = Vec::with_capacity(vars.len());
+                self.assemble_probe(ctx, freqs, idx);
                 if ctx.backend().is_iterative() {
-                    // GMRES has no blocked multi-RHS form: one iterative
-                    // solve per injection, in fixed node order — trivially
-                    // identical at any `LOOPSCOPE_PANEL` width.
+                    // GMRES has no selected inversion: one iterative solve
+                    // per injection, in fixed node order.
+                    let mut row = Vec::with_capacity(vars.len());
                     for &var in &vars {
-                        let x = &mut panel[..dim];
                         x.fill(Complex64::ZERO);
                         x[var] = Complex64::ONE;
                         ctx.solve_backend_in_place(x)?;
@@ -741,38 +814,22 @@ impl<'c> AcAnalysis<'c> {
                     }
                     return Ok(row);
                 }
-                ctx.factor()
-                    .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
-                if panel_width == 1 {
-                    // Per-RHS reference path (`LOOPSCOPE_PANEL=1`): one
-                    // solve per node, the pre-batching inner loop.
-                    for &var in &vars {
-                        let x = &mut panel[..dim];
+                if let Some(row) = self.selected_inverse_row(ctx, &vars, idx, x, diag) {
+                    return Ok(row);
+                }
+                ctx.count_inverse_fallback();
+                vars.iter()
+                    .map(|&var| {
+                        self.assemble_probe(ctx, freqs, idx);
                         x.fill(Complex64::ZERO);
                         x[var] = Complex64::ONE;
-                        ctx.solve_in_place(x)
-                            .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
-                        row.push(x[var]);
-                    }
-                } else {
-                    for chunk in vars.chunks(panel_width) {
-                        let cols = chunk.len();
-                        let active = &mut panel[..dim * cols];
-                        active.fill(Complex64::ZERO);
-                        for (j, &var) in chunk.iter().enumerate() {
-                            active[j * dim + var] = Complex64::ONE;
-                        }
-                        ctx.solve_panel_in_place(active, cols)
-                            .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
-                        for (j, &var) in chunk.iter().enumerate() {
-                            row.push(active[j * dim + var]);
-                        }
-                    }
-                }
-                Ok(row)
+                        ctx.solve_verified_in_place(x)?;
+                        Ok(x[var])
+                    })
+                    .collect()
             },
         );
-        self.absorb_worker_stats(workers.iter().map(|(c, _)| c.stats()));
+        self.absorb_worker_stats(workers.iter().map(|(c, _, _)| c.stats()));
         // Transpose frequency-major worker rows into the node-major layout
         // the stability report consumes.
         let mut out = vec![Vec::with_capacity(freqs.len()); nodes.len()];
@@ -782,6 +839,60 @@ impl<'c> AcAnalysis<'c> {
             }
         }
         Ok(out)
+    }
+
+    /// The verified selected-inverse row of one all-nodes point (the system
+    /// is assembled in `ctx`), or `None` when the point must fall back to
+    /// per-node solves — see
+    /// [`driving_point_all_nodes`](AcAnalysis::driving_point_all_nodes) for
+    /// the contract. `x` and `diag` are dimension-sized scratch.
+    fn selected_inverse_row(
+        &self,
+        ctx: &mut SolveContext<'_, Complex64>,
+        vars: &[usize],
+        idx: usize,
+        x: &mut [Complex64],
+        diag: &mut [Complex64],
+    ) -> Option<Vec<Complex64>> {
+        let before = ctx.stats();
+        let mut samples = [(0usize, Complex64::ZERO, 0.0f64); INVERSE_SAMPLES];
+        let count = INVERSE_SAMPLES.min(vars.len());
+        for (j, sample) in samples[..count].iter_mut().enumerate() {
+            let var = vars[(INVERSE_SAMPLES * idx + j) % vars.len()];
+            x.fill(Complex64::ZERO);
+            x[var] = Complex64::ONE;
+            ctx.solve_verified_in_place(x).ok()?;
+            let norm = x.iter().map(|v| v.modulus_l1()).fold(0.0f64, f64::max);
+            *sample = (var, x[var], norm);
+        }
+        let after = ctx.stats();
+        if after.residual_retries != before.residual_retries
+            || after.gmin_bumps != before.gmin_bumps
+        {
+            return None;
+        }
+        ctx.diag_inverse_into(diag).ok()?;
+        #[cfg(feature = "fault-inject")]
+        if self.fault() == Some(AcFault::SelectedInverse { point: idx }) {
+            diag[samples[0].0] += Complex64::ONE;
+        }
+        let mut kappa = None;
+        for &(var, solved, norm) in &samples[..count] {
+            let gap = (diag[var] - solved).abs();
+            let bound = 2.0 * REFINE_BACKWARD_TOLERANCE * norm;
+            if gap <= bound {
+                continue;
+            }
+            let k = match kappa {
+                Some(k) => k,
+                None => *kappa.insert(ctx.condition_estimate().ok()?),
+            };
+            if gap.is_nan() || gap > k * bound {
+                return None;
+            }
+        }
+        let row: Vec<Complex64> = vars.iter().map(|&v| diag[v]).collect();
+        row.iter().all(|v| v.is_finite()).then_some(row)
     }
 }
 

@@ -56,8 +56,8 @@ use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
 use crate::solver::{configured_solver_mode, resolve_backend, GMRES_ACCEPT_BACKWARD_TOLERANCE};
 use loopscope_sparse::{
-    gmres_solve_into, CsrMatrix, GmresWorkspace, LuWorkspace, RefineWorkspace, Scalar, SolveError,
-    SolveQuality, SolverBackend, SparseLu, SymbolicLu,
+    gmres_solve_into, CsrMatrix, GmresWorkspace, InverseWorkspace, LuWorkspace, RefineWorkspace,
+    Scalar, SolveError, SolveQuality, SolverBackend, SparseLu, SymbolicLu,
 };
 use std::sync::Arc;
 
@@ -167,6 +167,11 @@ pub struct SolveStats {
     /// and were re-solved on the exact verified-direct ladder. Healthy
     /// sweeps keep this at zero.
     pub iterative_fallbacks: usize,
+    /// All-nodes frequency points whose selected inversion failed its
+    /// verification and were recomputed with one verified solve per node
+    /// (see [`AcAnalysis::driving_point_all_nodes`](crate::AcAnalysis::driving_point_all_nodes)).
+    /// Healthy sweeps keep this at zero.
+    pub inverse_fallbacks: usize,
 }
 
 impl SolveStats {
@@ -195,6 +200,7 @@ impl SolveStats {
         self.gmres_iterations += other.gmres_iterations;
         self.preconditioner_refreshes += other.preconditioner_refreshes;
         self.iterative_fallbacks += other.iterative_fallbacks;
+        self.inverse_fallbacks += other.inverse_fallbacks;
     }
 }
 
@@ -391,18 +397,6 @@ impl<T: Scalar> SweepPlan<T> {
             ..SolveContext::unplanned(&self.layout, Some(self))
         }
     }
-
-    /// Like [`context`](SweepPlan::context), additionally pre-sizing the
-    /// blocked-solve scratch for panels of up to `panel_width` right-hand
-    /// sides, so even the first
-    /// [`solve_panel_in_place`](SolveContext::solve_panel_in_place) call
-    /// over the context performs no heap allocation. This is what the
-    /// all-nodes scan's frequency workers use.
-    pub fn context_with_panel(&self, panel_width: usize) -> SolveContext<'_, T> {
-        let mut ctx = self.context();
-        ctx.panel_work = vec![T::ZERO; self.dim() * panel_width];
-        ctx
-    }
 }
 
 /// The solve driver: everything an assemble → factor → verified-solve cycle
@@ -410,8 +404,10 @@ impl<T: Scalar> SweepPlan<T> {
 ///
 /// Drive each system through [`assemble`](SolveContext::assemble) →
 /// [`factor`](SolveContext::factor) →
-/// [`solve_in_place`](SolveContext::solve_in_place) (one factor, many
-/// right-hand sides — the all-nodes scan), through the retry ladder of
+/// [`solve_in_place`](SolveContext::solve_in_place) or
+/// [`diag_inverse_into`](SolveContext::diag_inverse_into) (one factor, the
+/// whole diagonal of its inverse — the all-nodes scan), through the retry
+/// ladder of
 /// [`solve_verified_in_place`](SolveContext::solve_verified_in_place), or
 /// through the [`solve`](SolveContext::solve) /
 /// [`solve_verified_into`](SolveContext::solve_verified_into) wrappers.
@@ -446,10 +442,10 @@ pub struct SolveContext<'p, T: Scalar> {
     lu: Option<SparseLu<T>>,
     workspace: LuWorkspace<T>,
     solve_work: Vec<T>,
-    /// Scratch of the blocked multi-RHS solve path
-    /// ([`solve_panel_in_place`](SolveContext::solve_panel_in_place)); grown
-    /// on demand, pre-sized by [`SweepPlan::context_with_panel`].
-    panel_work: Vec<T>,
+    /// Scratch of the selected inversion
+    /// ([`diag_inverse_into`](SolveContext::diag_inverse_into)), sized on
+    /// its first call.
+    inverse_ws: InverseWorkspace<T>,
     /// Scratch of the residual-verified solve path, pre-sized at mint time.
     refine_ws: RefineWorkspace<T>,
     /// Pristine copy of the right-hand side, so retry-ladder escalations can
@@ -548,7 +544,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             lu: None,
             workspace: LuWorkspace::for_dim(n),
             solve_work: vec![T::ZERO; n],
-            panel_work: Vec::new(),
+            inverse_ws: InverseWorkspace::new(),
             refine_ws: RefineWorkspace::for_dim(n),
             rhs_backup: Vec::with_capacity(n),
             off_pattern: None,
@@ -839,40 +835,37 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         lu.solve_into(rhs, &mut self.solve_work)
     }
 
-    /// Solves the factored system for `k` right-hand sides in one blocked
-    /// traversal (see
-    /// [`SparseLu::solve_block_into`]): `rhs` holds the `k` columns back to
-    /// back (column-major) on entry and the solutions on return. Per column
-    /// the result is **bitwise identical** to
-    /// [`solve_in_place`](SolveContext::solve_in_place) on that column, so
-    /// any batching of a scan's injections produces the same numbers.
-    ///
-    /// Allocation-free once the context's panel scratch has reached `k`
-    /// columns — mint the context with [`SweepPlan::context_with_panel`] to
-    /// pre-size it.
+    /// Writes the diagonal of the factored system's inverse into `out`
+    /// (`out[v] = (A⁻¹)_vv`) by selected inversion over the current factors
+    /// — see [`SparseLu::diag_inverse_into`] for coverage and cost. The
+    /// context's scratch is sized on the first call; later calls over the
+    /// same pattern allocate nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::RhsLength`] when `rhs.len()` is not `k` times
-    /// the system dimension.
+    /// Returns [`SolveError::RhsLength`] when `out` does not match the
+    /// system dimension.
     ///
     /// # Panics
     ///
     /// Panics when no successful [`factor`](SolveContext::factor) call has
     /// run since the last assembly.
-    pub fn solve_panel_in_place(&mut self, rhs: &mut [T], k: usize) -> Result<(), SolveError> {
+    pub fn diag_inverse_into(&mut self, out: &mut [T]) -> Result<(), SolveError> {
         assert!(
             self.factored,
-            "SolveContext::factor must succeed before solving"
+            "SolveContext::factor must succeed before inverting"
         );
-        if self.panel_work.len() < rhs.len() {
-            self.panel_work.resize(rhs.len(), T::ZERO);
-        }
         let lu = self
             .lu
             .as_ref()
             .expect("SolveContext::factor must succeed first");
-        lu.solve_block_into(rhs, k, &mut self.panel_work[..rhs.len()])
+        lu.diag_inverse_into(out, &mut self.inverse_ws)
+    }
+
+    /// Counts one all-nodes point recomputed with per-node verified solves
+    /// (`inverse_fallbacks` in [`SolveStats`]).
+    pub(crate) fn count_inverse_fallback(&mut self) {
+        self.stats.inverse_fallbacks += 1;
     }
 
     /// Convenience wrapper: assemble, factor, and solve with the assembled
@@ -1406,6 +1399,7 @@ mod tests {
             gmres_iterations: 21,
             preconditioner_refreshes: 1,
             iterative_fallbacks: 0,
+            inverse_fallbacks: 2,
         };
         let b = SolveStats {
             symbolic: 0,
@@ -1419,6 +1413,7 @@ mod tests {
             gmres_iterations: 9,
             preconditioner_refreshes: 1,
             iterative_fallbacks: 1,
+            inverse_fallbacks: 1,
         };
         a.merge(&b);
         assert_eq!(a.symbolic, 1);
@@ -1432,6 +1427,7 @@ mod tests {
         assert_eq!(a.gmres_iterations, 30);
         assert_eq!(a.preconditioner_refreshes, 2);
         assert_eq!(a.iterative_fallbacks, 1);
+        assert_eq!(a.inverse_fallbacks, 3);
         assert_eq!(a.factorizations(), 10);
     }
 

@@ -56,22 +56,19 @@ type ChunkResult<R, S, E> = (Vec<R>, S, Option<(usize, E)>);
 /// (any integer ≥ 1; unset or invalid falls back to available parallelism).
 pub const THREADS_ENV: &str = "LOOPSCOPE_THREADS";
 
-/// Environment variable naming the **panel width** of blocked multi-RHS
-/// solves — how many right-hand sides the all-nodes stability scan batches
-/// into one L/U traversal (any integer ≥ 1; unset or invalid falls back to
-/// [`DEFAULT_PANEL_WIDTH`]). `LOOPSCOPE_PANEL=1` forces the per-RHS solve
-/// path. Results are bitwise identical at any width — the knob only trades
-/// traversal amortization against panel memory.
+/// Environment variable that used to name the panel width of the all-nodes
+/// scan's blocked multi-RHS solves. **Vestigial**: the scan now reads every
+/// node's impedance off one selected inversion per frequency, so nothing
+/// batches right-hand sides any more. The name is kept, accepted and
+/// ignored, because external tools still set and report it.
 pub const PANEL_ENV: &str = "LOOPSCOPE_PANEL";
 
-/// Default panel width of blocked multi-RHS solves: wide enough to amortize
-/// the L/U index traversal across injections, small enough that a panel of
-/// complex vectors stays cache-resident for paper-scale circuits.
-pub const DEFAULT_PANEL_WIDTH: usize = 16;
+/// The value [`configured_panel_width`] reports when [`PANEL_ENV`] is unset.
+const DEFAULT_PANEL_WIDTH: usize = 16;
 
-/// The panel width blocked multi-RHS solves run with: [`PANEL_ENV`] when
-/// set to an integer ≥ 1, otherwise [`DEFAULT_PANEL_WIDTH`]. Read afresh on
-/// every call, so tests and benches can switch it between runs.
+/// The panel width [`PANEL_ENV`] names (an integer ≥ 1), else 16.
+/// **Vestigial**, like the variable: reported for configuration records,
+/// read by no solve path.
 pub fn configured_panel_width() -> usize {
     parse_workers(std::env::var(PANEL_ENV).ok().as_deref()).unwrap_or(DEFAULT_PANEL_WIDTH)
 }

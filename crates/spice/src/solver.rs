@@ -22,8 +22,8 @@
 //! used at sweep point `idx` is always the factorization of the matrix at
 //! [`anchor_index`]`(idx)`, whatever worker processes the point, so the
 //! GMRES inputs (and with them the iteration counts, residuals and
-//! solutions) are bitwise reproducible at any `LOOPSCOPE_THREADS` ×
-//! `LOOPSCOPE_PANEL` chunking.
+//! solutions) are bitwise reproducible at any `LOOPSCOPE_THREADS`
+//! chunking.
 
 use loopscope_sparse::SolverBackend;
 

@@ -35,7 +35,7 @@
 //! The step sequence is a pure deterministic function of (circuit, options):
 //! every accept/reject decision is computed from residual-verified solutions
 //! that are themselves bitwise identical across the `LOOPSCOPE_THREADS`/
-//! `LOOPSCOPE_KERNEL`/`LOOPSCOPE_PANEL` knobs, so the produced grid — and
+//! `LOOPSCOPE_KERNEL` knobs, so the produced grid — and
 //! every counter in [`TransientStats`] — is bit-identical across those
 //! configurations.
 
@@ -153,7 +153,7 @@ impl TransientOptions {
 ///
 /// Like the step sequence itself, every counter is a pure deterministic
 /// function of (circuit, options) and bit-identical across the
-/// `LOOPSCOPE_THREADS`/`LOOPSCOPE_KERNEL`/`LOOPSCOPE_PANEL` knobs.
+/// `LOOPSCOPE_THREADS`/`LOOPSCOPE_KERNEL` knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientStats {
     /// Steps accepted into the result (`times().len() - 1`).

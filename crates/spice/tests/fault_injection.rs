@@ -1,12 +1,13 @@
 //! End-to-end fault-injection determinism: a seeded numeric fault planted
 //! at sweep point `k` must surface as the **same structured, name-enriched
-//! error** (or the same rescued solution) at every worker count and panel
-//! width — no panic, no hang, no silent garbage.
+//! error** (or the same rescued solution) at every worker count — no
+//! panic, no hang, no silent garbage.
 //!
 //! Unlike `par_determinism.rs` this file never touches the process
-//! environment: worker counts go through [`par::sweep_chunks_with`] and
-//! panel widths through [`SweepPlan::context_with_panel`], so the whole
-//! matrix of configurations runs race-free inside one test binary.
+//! environment: worker counts go through [`par::sweep_chunks_with`], so the
+//! whole matrix of configurations runs race-free inside one test binary.
+//! The all-nodes scan, whose worker count comes from the environment, is
+//! covered by `all_nodes_faults.rs`.
 
 #![cfg(feature = "fault-inject")]
 
@@ -80,13 +81,11 @@ impl AssembleMna<Complex64> for AcJob<'_> {
     }
 }
 
-/// Runs the sweep with `workers` workers and `panel`-wide contexts,
-/// injecting `fault` (seeded by `seed + k`) into the assembled matrix of
+/// Runs the sweep with `workers` workers, injecting `fault` (seeded by `seed + k`) into the assembled matrix of
 /// point `fault_point` before its solve. Returns the per-point solutions
 /// (or the lowest-index structured error) plus the merged solve counters.
 fn sweep_with_fault(
     workers: usize,
-    panel: usize,
     fault: FaultKind,
     fault_point: usize,
     seed: u64,
@@ -105,7 +104,7 @@ fn sweep_with_fault(
     let (rows, states) = par::sweep_chunks_with(
         workers,
         &freqs,
-        || plan.context_with_panel(panel),
+        || plan.context(),
         |ctx, k, &freq| {
             let job = AcJob {
                 circuit: &circuit,
@@ -136,7 +135,6 @@ fn sweep_with_fault(
 /// direct-ladder fallback or never accept a wrong answer.
 fn sweep_with_fault_iterative(
     workers: usize,
-    panel: usize,
     fault: FaultKind,
     fault_point: usize,
     seed: u64,
@@ -157,7 +155,7 @@ fn sweep_with_fault_iterative(
     let (rows, states) = par::sweep_chunks_with(
         workers,
         &freqs,
-        || plan.context_with_panel(panel),
+        || plan.context(),
         |ctx, k, &freq| {
             let anchor = anchor_index(k);
             let anchor_job = AcJob {
@@ -184,17 +182,12 @@ fn sweep_with_fault_iterative(
     (rows, stats)
 }
 
-/// A faulted sweep: `(workers, panel, fault, fault_point, seed)` to the
-/// per-point solutions (or the enriched error) and the merged counters.
-type SweepFn = dyn Fn(
-    usize,
-    usize,
-    FaultKind,
-    usize,
-    u64,
-) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats);
+/// A faulted sweep: `(workers, fault, fault_point, seed)` to the per-point
+/// solutions (or the enriched error) and the merged counters.
+type SweepFn =
+    dyn Fn(usize, FaultKind, usize, u64) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats);
 
-/// Every (workers × panel) configuration must reproduce the reference run
+/// Every worker count must reproduce the reference run
 /// bit for bit: same per-point solutions on success, the same enriched
 /// error otherwise, and the same merged counters.
 fn assert_config_invariant(fault: FaultKind, fault_point: usize, seed: u64) {
@@ -207,48 +200,43 @@ fn assert_iterative_config_invariant(fault: FaultKind, fault_point: usize, seed:
 }
 
 fn assert_config_invariant_for(sweep: &SweepFn, fault: FaultKind, fault_point: usize, seed: u64) {
-    let (reference, ref_stats) = sweep(1, 1, fault, fault_point, seed);
+    let (reference, ref_stats) = sweep(1, fault, fault_point, seed);
     for workers in [1, 2, 4] {
-        for panel in [1, 3, 16] {
-            let (run, stats) = sweep(workers, panel, fault, fault_point, seed);
-            match (&reference, &run) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.len(), b.len());
-                    for (point, (ra, rb)) in a.iter().zip(b).enumerate() {
-                        for (i, (x, y)) in ra.iter().zip(rb).enumerate() {
-                            assert!(
-                                x.re == y.re && x.im == y.im,
-                                "{fault:?}: point {point} entry {i} diverged at \
-                                 workers={workers}, panel={panel}: {x:?} != {y:?}"
-                            );
-                        }
+        let (run, stats) = sweep(workers, fault, fault_point, seed);
+        match (&reference, &run) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.len(), b.len());
+                for (point, (ra, rb)) in a.iter().zip(b).enumerate() {
+                    for (i, (x, y)) in ra.iter().zip(rb).enumerate() {
+                        assert!(
+                            x.re == y.re && x.im == y.im,
+                            "{fault:?}: point {point} entry {i} diverged at \
+                             workers={workers}: {x:?} != {y:?}"
+                        );
                     }
                 }
-                (Err(a), Err(b)) => assert_eq!(
-                    a, b,
-                    "{fault:?}: error diverged at workers={workers}, panel={panel}"
-                ),
-                (a, b) => panic!(
-                    "{fault:?}: outcome diverged at workers={workers}, panel={panel}: \
-                     reference {a:?} vs run {b:?}"
-                ),
             }
-            // Counter totals are only chunking-invariant on success: after an
-            // error, each worker stops at its own chunk's first failure, so
-            // how much of the rest of the grid ran depends on the chunking.
-            if reference.is_ok() {
-                assert_eq!(
-                    ref_stats, stats,
-                    "{fault:?}: counters diverged at workers={workers}, panel={panel}"
-                );
-            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{fault:?}: error diverged at workers={workers}"),
+            (a, b) => panic!(
+                "{fault:?}: outcome diverged at workers={workers}: \
+                 reference {a:?} vs run {b:?}"
+            ),
+        }
+        // Counter totals are only chunking-invariant on success: after an
+        // error, each worker stops at its own chunk's first failure, so how
+        // much of the rest of the grid ran depends on the chunking.
+        if reference.is_ok() {
+            assert_eq!(
+                ref_stats, stats,
+                "{fault:?}: counters diverged at workers={workers}"
+            );
         }
     }
 }
 
 #[test]
 fn nan_fault_surfaces_as_the_same_named_error_everywhere() {
-    let (outcome, _) = sweep_with_fault(3, 4, FaultKind::Nan, 9, 0xC0FFEE);
+    let (outcome, _) = sweep_with_fault(3, FaultKind::Nan, 9, 0xC0FFEE);
     match outcome {
         Err(SpiceError::NonFiniteStamp { row, col, .. }) => {
             // Coordinates map through the layout to circuit names.
@@ -276,7 +264,7 @@ fn dead_column_fault_is_config_invariant() {
     // A zeroed column either exhausts the ladder as a named SingularSystem
     // or is rescued by the per-point gmin rung; both outcomes must be
     // identical at every configuration.
-    let (outcome, stats) = sweep_with_fault(1, 1, FaultKind::NearSingular, 5, 0xDEAD);
+    let (outcome, stats) = sweep_with_fault(1, FaultKind::NearSingular, 5, 0xDEAD);
     match &outcome {
         Err(e) => assert!(
             matches!(
@@ -304,8 +292,8 @@ fn nan_fault_on_the_iterative_path_matches_the_direct_error_everywhere() {
     // so the NaN lands in the GMRES operator; the non-finite guard rejects
     // it before any Krylov work and the direct-ladder fallback surfaces the
     // exact structured error the direct path reports for the same seed.
-    let (direct, _) = sweep_with_fault(1, 1, FaultKind::Nan, 9, 0xC0FFEE);
-    let (iterative, _) = sweep_with_fault_iterative(1, 1, FaultKind::Nan, 9, 0xC0FFEE);
+    let (direct, _) = sweep_with_fault(1, FaultKind::Nan, 9, 0xC0FFEE);
+    let (iterative, _) = sweep_with_fault_iterative(1, FaultKind::Nan, 9, 0xC0FFEE);
     match (&direct, &iterative) {
         (Err(a), Err(b)) => assert_eq!(a, b, "iterative path must surface the direct error"),
         (a, b) => panic!("expected matching structured errors, got {a:?} vs {b:?}"),
@@ -320,8 +308,8 @@ fn dead_column_fault_on_the_iterative_path_is_config_invariant() {
     // ladder — rescued via the gmin rung or surfaced as the same named error
     // the direct path produces. Either way the outcome is identical at every
     // chunking.
-    let (direct, _) = sweep_with_fault(1, 1, FaultKind::NearSingular, 5, 0xDEAD);
-    let (iterative, stats) = sweep_with_fault_iterative(1, 1, FaultKind::NearSingular, 5, 0xDEAD);
+    let (direct, _) = sweep_with_fault(1, FaultKind::NearSingular, 5, 0xDEAD);
+    let (iterative, stats) = sweep_with_fault_iterative(1, FaultKind::NearSingular, 5, 0xDEAD);
     match (&direct, &iterative) {
         (Err(a), Err(b)) => assert_eq!(a, b, "iterative path must surface the direct error"),
         (Ok(_), Ok(_)) => assert!(
@@ -338,7 +326,7 @@ fn healthy_iterative_sweep_never_escalates_and_is_config_invariant() {
     // Control: no fault on the iterative plan. GMRES serves the points that
     // converge, misses fall back cleanly, and nothing touches the retry or
     // gmin rungs of the ladder.
-    let (outcome, stats) = sweep_with_fault_iterative(4, 16, FaultKind::Nan, usize::MAX, 1);
+    let (outcome, stats) = sweep_with_fault_iterative(4, FaultKind::Nan, usize::MAX, 1);
     assert!(outcome.is_ok());
     assert_eq!(stats.residual_retries, 0);
     assert_eq!(stats.gmin_bumps, 0);
@@ -353,7 +341,7 @@ fn healthy_iterative_sweep_never_escalates_and_is_config_invariant() {
 fn healthy_sweep_never_escalates_and_is_config_invariant() {
     // Control: no fault injected (fault_point beyond the grid). The ladder
     // must stay on its first rung — zero retries, zero gmin bumps.
-    let (outcome, stats) = sweep_with_fault(4, 16, FaultKind::Nan, usize::MAX, 1);
+    let (outcome, stats) = sweep_with_fault(4, FaultKind::Nan, usize::MAX, 1);
     assert!(outcome.is_ok());
     assert_eq!(stats.residual_retries, 0);
     assert_eq!(stats.gmin_bumps, 0);

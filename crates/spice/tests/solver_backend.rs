@@ -3,7 +3,7 @@
 //! iterative acceptance tolerance, report its work in the new
 //! [`SolveStats`] counters, fall back to the verified direct ladder when no
 //! preconditioner is available, and reproduce itself **bitwise** — counters
-//! included — at every worker count and panel width.
+//! included — at every worker count.
 //!
 //! Like `fault_injection.rs`, this file never touches the process
 //! environment: backends are pinned in-process through
@@ -86,14 +86,13 @@ fn sweep_freqs(points: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Drives `freqs` through a plan pinned to `backend` with `workers` workers
-/// and `panel`-wide contexts, following the anchor-preconditioner discipline
+/// Drives `freqs` through a plan pinned to `backend` with `workers` workers,
+/// following the anchor-preconditioner discipline
 /// of the library's own sweep drivers. Returns the per-point solutions and
 /// the merged counters.
 fn run_pinned_sweep(
     backend: SolverBackend,
     workers: usize,
-    panel: usize,
     freqs: &[f64],
 ) -> (Vec<Vec<Complex64>>, SolveStats) {
     let circuit = rc_chain(6);
@@ -106,7 +105,7 @@ fn run_pinned_sweep(
     let (rows, states) = par::sweep_chunks_with(
         workers,
         freqs,
-        || plan.context_with_panel(panel),
+        || plan.context(),
         |ctx, idx, &freq| -> Result<Vec<Complex64>, SpiceError> {
             let anchor = anchor_index(idx);
             let anchor_job = AcJob {
@@ -133,8 +132,8 @@ fn run_pinned_sweep(
 #[test]
 fn forced_iterative_sweep_matches_direct_and_reports_counters() {
     let freqs = sweep_freqs(24);
-    let (direct, dstats) = run_pinned_sweep(SolverBackend::Direct, 1, 1, &freqs);
-    let (iterative, istats) = run_pinned_sweep(SolverBackend::iterative_default(), 1, 1, &freqs);
+    let (direct, dstats) = run_pinned_sweep(SolverBackend::Direct, 1, &freqs);
+    let (iterative, istats) = run_pinned_sweep(SolverBackend::iterative_default(), 1, &freqs);
 
     // Same physics to the iterative acceptance tolerance (1e-9 backward
     // error — far tighter than this 1e-6 forward check on a well-conditioned
@@ -175,26 +174,20 @@ fn forced_iterative_sweep_matches_direct_and_reports_counters() {
 fn iterative_sweep_is_chunking_invariant_counters_included() {
     let freqs = sweep_freqs(24);
     let backend = SolverBackend::iterative_default();
-    let (reference, ref_stats) = run_pinned_sweep(backend, 1, 1, &freqs);
+    let (reference, ref_stats) = run_pinned_sweep(backend, 1, &freqs);
     for workers in [1, 2, 4] {
-        for panel in [1, 3, 16] {
-            let (run, stats) = run_pinned_sweep(backend, workers, panel, &freqs);
-            for (point, (a, b)) in reference.iter().zip(&run).enumerate() {
-                for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                    assert!(
-                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                        "point {point} entry {i} diverged at workers={workers}, \
-                         panel={panel}: {x:?} != {y:?}"
-                    );
-                }
+        let (run, stats) = run_pinned_sweep(backend, workers, &freqs);
+        for (point, (a, b)) in reference.iter().zip(&run).enumerate() {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                assert!(
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                    "point {point} entry {i} diverged at workers={workers}: {x:?} != {y:?}"
+                );
             }
-            // GMRES iteration counts, refresh counts and fallback counts are
-            // part of the determinism contract, not just the solutions.
-            assert_eq!(
-                ref_stats, stats,
-                "counters diverged at workers={workers}, panel={panel}"
-            );
         }
+        // GMRES iteration counts, refresh counts and fallback counts are
+        // part of the determinism contract, not just the solutions.
+        assert_eq!(ref_stats, stats, "counters diverged at workers={workers}");
     }
 }
 

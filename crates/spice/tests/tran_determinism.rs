@@ -1,7 +1,7 @@
 //! Configuration invariance of the adaptive transient stepper: the step
 //! sequence (and with it every waveform sample and every [`TransientStats`]
 //! counter) must be **bitwise identical** across the `LOOPSCOPE_THREADS` ×
-//! `LOOPSCOPE_KERNEL` × `LOOPSCOPE_PANEL` matrix. The transient Newton loop
+//! `LOOPSCOPE_KERNEL` matrix. The transient Newton loop
 //! is serial through one adopting `SolveContext`, whose verified solves are
 //! bitwise kernel-invariant by the solver contract — so every
 //! accept/reject/grow decision, being a pure function of those solutions
@@ -67,9 +67,8 @@ fn adaptive_run() -> (Vec<u64>, Vec<Vec<u64>>, TransientStats) {
 
 #[test]
 fn adaptive_stepper_is_bitwise_identical_across_all_knobs() {
-    // Reference: one worker, per-RHS panels, default (auto-detected) kernel.
+    // Reference: one worker, default (auto-detected) kernel.
     std::env::set_var(par::THREADS_ENV, "1");
-    std::env::set_var(par::PANEL_ENV, "1");
     std::env::remove_var("LOOPSCOPE_KERNEL");
     let (ref_times, ref_waves, ref_stats) = adaptive_run();
     // The scenario actually exercised the ladder.
@@ -78,26 +77,22 @@ fn adaptive_stepper_is_bitwise_identical_across_all_knobs() {
     assert!(ref_stats.max_dt > ref_stats.min_dt);
 
     for threads in ["1", "2", "4"] {
-        for panel in ["1", "3", "16"] {
-            for kernel in [Some("scalar"), None] {
-                std::env::set_var(par::THREADS_ENV, threads);
-                std::env::set_var(par::PANEL_ENV, panel);
-                match kernel {
-                    Some(k) => std::env::set_var("LOOPSCOPE_KERNEL", k),
-                    None => std::env::remove_var("LOOPSCOPE_KERNEL"),
-                }
-                let (times, waves, stats) = adaptive_run();
-                let cfg = format!("threads={threads}, panel={panel}, kernel={kernel:?}");
-                assert_eq!(times, ref_times, "step sequence diverged at {cfg}");
-                assert_eq!(waves, ref_waves, "waveforms diverged at {cfg}");
-                assert_eq!(stats, ref_stats, "stats diverged at {cfg}");
+        for kernel in [Some("scalar"), None] {
+            std::env::set_var(par::THREADS_ENV, threads);
+            match kernel {
+                Some(k) => std::env::set_var("LOOPSCOPE_KERNEL", k),
+                None => std::env::remove_var("LOOPSCOPE_KERNEL"),
             }
+            let (times, waves, stats) = adaptive_run();
+            let cfg = format!("threads={threads}, kernel={kernel:?}");
+            assert_eq!(times, ref_times, "step sequence diverged at {cfg}");
+            assert_eq!(waves, ref_waves, "waveforms diverged at {cfg}");
+            assert_eq!(stats, ref_stats, "stats diverged at {cfg}");
         }
     }
 
     // Defaults (all knobs unset) must reproduce the reference too.
     std::env::remove_var(par::THREADS_ENV);
-    std::env::remove_var(par::PANEL_ENV);
     std::env::remove_var("LOOPSCOPE_KERNEL");
     let (times, waves, stats) = adaptive_run();
     assert_eq!(times, ref_times, "default knobs diverged");

@@ -4,9 +4,9 @@
 //!
 //! The scan's frequency points are chunked across worker threads (set
 //! `LOOPSCOPE_THREADS` to pin the count; the default uses every hardware
-//! core) and the per-node injections are batched into panels of
-//! `LOOPSCOPE_PANEL` right-hand sides per L/U traversal — the report is
-//! bitwise identical at any worker count and any panel width.
+//! core), and at each point every node's driving-point impedance is read off
+//! one factorization by selected inversion, checked against two verified
+//! sample solves — the report is bitwise identical at any worker count.
 //!
 //! Run with `cargo run --release --example all_nodes_report`.
 
@@ -20,14 +20,12 @@ fn main() -> Result<(), StabilityError> {
         opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
     println!(
         "circuit `{}`: {} nodes, {} elements — scanning with {} sweep worker(s) \
-         (set {} to override), solve panels of {} RHS (set {} to override)",
+         (set {} to override), every node's impedance by selected inversion",
         circuit.title(),
         circuit.node_count(),
         circuit.elements().len(),
         par::configured_workers(),
         par::THREADS_ENV,
-        par::configured_panel_width(),
-        par::PANEL_ENV,
     );
 
     let options = StabilityOptions {

@@ -166,3 +166,41 @@ fn analyzer_is_reusable_and_non_invasive() {
         Tolerance::relative(0.1).assert_close("natural frequency [Hz]", "stage1 vs output", fb, fa);
     }
 }
+
+/// The all-nodes scan reads every node's impedance off a selected inversion
+/// of the admittance factors. On the 16×16 power-grid mesh the `supply`
+/// node, which the `Vdd` source pins, lands in a lower block of the
+/// block-triangular inverse: its response must be an exact zero at every
+/// point, as the node's own unit-injection solve gives. The grid nodes must
+/// match their own solves to the verification tolerance.
+#[test]
+fn mesh_supply_node_all_nodes_response_is_exactly_zero() {
+    use loopscope::math::Complex64;
+    use loopscope::sparse::SolverBackend;
+    use loopscope_circuits::power_grid;
+
+    let (circuit, grid_nodes) = power_grid(16, 16);
+    let op = solve_dc(&circuit).unwrap();
+    let ac = AcAnalysis::new(&circuit, &op).unwrap();
+    // The selected inversion is the direct backend's all-nodes path.
+    ac.set_solver_backend(SolverBackend::Direct);
+    let grid = FrequencyGrid::log_decade(1.0e3, 1.0e8, 4);
+    let all = ac.driving_point_all_nodes(&grid).unwrap();
+    let nodes = circuit.signal_nodes();
+    let supply = circuit.find_node("supply").unwrap();
+    let k = nodes.iter().position(|&n| n == supply).unwrap();
+    let single = ac.driving_point_response(supply, &grid).unwrap();
+    assert_eq!(all[k].len(), grid.len());
+    for (a, s) in all[k].iter().zip(&single) {
+        assert_eq!(*a, Complex64::ZERO, "all-nodes supply response");
+        assert_eq!(*a, *s, "single-node supply response");
+    }
+    for &probe in &[grid_nodes[0], grid_nodes[255]] {
+        let k = nodes.iter().position(|&n| n == probe).unwrap();
+        let single = ac.driving_point_response(probe, &grid).unwrap();
+        for (a, s) in all[k].iter().zip(&single) {
+            assert!((*a - *s).abs() <= 1.0e-9 * s.abs(), "{a:?} vs {s:?}");
+        }
+    }
+    assert_eq!(ac.solve_stats().inverse_fallbacks, 0);
+}
