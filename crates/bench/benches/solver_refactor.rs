@@ -15,10 +15,7 @@
 //! buffered op-amp cascade is pinned by the unit tests of
 //! `loopscope-bench`. (S8) compares the LTE-controlled adaptive transient
 //! stepper against the fixed grid on a stiff two-time-constant RC at
-//! matched accuracy. (S9) races the `LOOPSCOPE_SOLVER` backends — direct
-//! per-point refactorization vs `auto` vs forced stale-preconditioned
-//! GMRES — on a ≥ 100×100 power-grid driving-point sweep, with the new
-//! `gmres_iterations` / `preconditioner_refreshes` counters in the JSON.
+//! matched accuracy.
 //!
 //! Every scenario's ns/op — plus nnz(L+U), BTF block count and
 //! accepted/rejected transient step counts where they apply — is also
@@ -31,7 +28,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use loopscope_bench::{mesh_matrix, rc_ladder_matrix};
-use loopscope_circuits::blocks::{power_grid, rc_ladder};
+use loopscope_circuits::blocks::rc_ladder;
 use loopscope_circuits::{mos_two_stage_buffer, two_stage_buffer, OpAmpParams};
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, SourceSpec};
@@ -43,7 +40,6 @@ use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::batch::{driving_point_monte_carlo, ParameterVariation};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::par;
-use loopscope_spice::solver;
 use loopscope_spice::tran::{TransientAnalysis, TransientOptions, TransientResult};
 use std::time::Instant;
 
@@ -86,8 +82,6 @@ struct Record {
     blocks: Option<usize>,
     accepted_steps: Option<usize>,
     rejected_steps: Option<usize>,
-    gmres_iterations: Option<usize>,
-    preconditioner_refreshes: Option<usize>,
 }
 
 impl Record {
@@ -99,8 +93,6 @@ impl Record {
             blocks: None,
             accepted_steps: None,
             rejected_steps: None,
-            gmres_iterations: None,
-            preconditioner_refreshes: None,
         }
     }
 
@@ -113,12 +105,6 @@ impl Record {
     fn with_steps(mut self, accepted: usize, rejected: usize) -> Self {
         self.accepted_steps = Some(accepted);
         self.rejected_steps = Some(rejected);
-        self
-    }
-
-    fn with_solver_counters(mut self, gmres_iterations: usize, refreshes: usize) -> Self {
-        self.gmres_iterations = Some(gmres_iterations);
-        self.preconditioner_refreshes = Some(refreshes);
         self
     }
 }
@@ -147,24 +133,15 @@ fn write_bench_json(records: &[Record]) {
         let rejected = r
             .rejected_steps
             .map_or_else(|| "null".to_string(), |v| v.to_string());
-        let gmres = r
-            .gmres_iterations
-            .map_or_else(|| "null".to_string(), |v| v.to_string());
-        let refreshes = r
-            .preconditioner_refreshes
-            .map_or_else(|| "null".to_string(), |v| v.to_string());
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"ns_per_op\": {:.1}, \"nnz_lu\": {}, \"blocks\": {}, \
-             \"accepted_steps\": {}, \"rejected_steps\": {}, \
-             \"gmres_iterations\": {}, \"preconditioner_refreshes\": {}}}{}\n",
+             \"accepted_steps\": {}, \"rejected_steps\": {}}}{}\n",
             r.name,
             r.ns_per_op,
             nnz,
             blocks,
             accepted,
             rejected,
-            gmres,
-            refreshes,
             if i + 1 < records.len() { "," } else { "" }
         ));
     }
@@ -880,134 +857,6 @@ fn max_charge_error(
 /// steps. Quick mode shortens `t_stop` (same stiffness contrast, fewer
 /// solves) and demotes the ratio assertions to warnings like every other
 /// wall-clock-adjacent check.
-/// Experiment S9 — the pluggable solver-backend seam on the fill-heavy
-/// power-grid pattern: a driving-point sweep at the grid's far corner under
-/// `LOOPSCOPE_SOLVER=direct`, `=auto` and `=iterative`. Direct pays a full
-/// numeric refactorization per frequency point; the iterative path factors
-/// only every `PRECOND_REFRESH_INTERVAL`-th point and serves the rest by
-/// stale-preconditioned GMRES, which on a 2-D mesh (superlinear LU fill,
-/// cheap matvecs) must amortize to ≥ 2x. `auto` must resolve to the
-/// iterative backend on the full-size grid by the dim/fill rule alone.
-/// Responses are cross-checked against the direct reference at the
-/// iterative acceptance tolerance, and the JSON rows carry the new
-/// `gmres_iterations` / `preconditioner_refreshes` counters.
-fn print_solver_backend_scan(records: &mut Vec<Record>) {
-    println!(
-        "\n=== S9: solver backends — per-point refactor vs stale-preconditioned GMRES on a power grid ==="
-    );
-    let saved_threads = std::env::var(par::THREADS_ENV).ok();
-    std::env::set_var(par::THREADS_ENV, "1");
-    let saved_solver = std::env::var(solver::SOLVER_ENV).ok();
-
-    // Full mode runs the ISSUE-scale 100×100 grid (10 002 unknowns); quick
-    // mode shrinks the grid but keeps every structural assertion. The sweep
-    // is a narrowband zoom — a quarter octave at fine linear resolution, the
-    // power-integrity workload of characterizing an impedance feature —
-    // which is the regime the stale preconditioner targets: adjacent points
-    // stay close to their anchor factorization, so GMRES converges in a
-    // couple of iterations while the direct path still pays a full refactor
-    // per point. (A coarse 8-points/decade scan drifts ~70% in frequency
-    // between anchor refreshes and measures ~1x; the zoom measures ≥2x.)
-    let p = if quick_mode() { 40 } else { 100 };
-    let points = if quick_mode() { 33 } else { 257 };
-    // Full mode times each mode twice and keeps the faster sweep: a single
-    // ~10 s pass on a shared vCPU can absorb a scheduling hiccup that
-    // swings the ratio by tens of percent, and the solve path itself is
-    // deterministic (identical counters and responses on every rep).
-    let reps = if quick_mode() { 1 } else { 2 };
-    let (circuit, nodes) = power_grid(p, p);
-    let op = solve_dc(&circuit).expect("grid operating point");
-    let probe = *nodes.last().expect("non-empty grid");
-    let grid = FrequencyGrid::linear(1.0e7, 1.25e7, points);
-
-    let mut responses: Vec<Vec<Complex64>> = Vec::new();
-    let mut timings: Vec<(String, f64)> = Vec::new();
-    for mode in ["direct", "auto", "iterative"] {
-        std::env::set_var(solver::SOLVER_ENV, mode);
-        let mut z: Vec<Complex64> = Vec::new();
-        let mut stats = loopscope_spice::SolveStats::default();
-        let mut ns_per_point = f64::INFINITY;
-        for _ in 0..reps {
-            let ac = AcAnalysis::new(&circuit, &op).expect("valid analysis");
-            let start = Instant::now();
-            z = ac.driving_point_response(probe, &grid).expect("grid sweep");
-            ns_per_point = ns_per_point.min(start.elapsed().as_nanos() as f64 / grid.len() as f64);
-            stats = ac.solve_stats();
-        }
-        println!(
-            "power_grid_{p}x{p} {mode:<10} {:>10.2} µs/point   iterative {:>3}   gmres iters {:>4}   \
-             refreshes {:>3}   fallbacks {:>2}",
-            ns_per_point / 1.0e3,
-            stats.iterative_solves,
-            stats.gmres_iterations,
-            stats.preconditioner_refreshes,
-            stats.iterative_fallbacks,
-        );
-        match mode {
-            "direct" => assert_eq!(
-                stats.iterative_solves + stats.gmres_iterations + stats.preconditioner_refreshes,
-                0,
-                "direct must never touch the iterative counters: {stats:?}"
-            ),
-            "iterative" => assert!(
-                stats.iterative_solves > 0 && stats.preconditioner_refreshes > 0,
-                "forced-iterative must serve points by GMRES: {stats:?}"
-            ),
-            _ => {
-                // `auto` must pick the iterative backend for the full-size
-                // grid purely by the dim/fill rule; the quick grid may fall
-                // below the dimension threshold and legitimately stay direct.
-                if !quick_mode() {
-                    assert!(
-                        stats.iterative_solves > 0,
-                        "auto must resolve iterative on the {p}x{p} grid: {stats:?}"
-                    );
-                }
-            }
-        }
-        records.push(
-            Record::new(format!("power_grid_{p}x{p}_sweep_{mode}"), ns_per_point)
-                .with_solver_counters(stats.gmres_iterations, stats.preconditioner_refreshes),
-        );
-        timings.push((mode.to_string(), ns_per_point));
-        responses.push(z);
-    }
-
-    // Same physics at every backend, to the iterative acceptance tolerance.
-    let direct = &responses[0];
-    for (z, (mode, _)) in responses.iter().zip(&timings).skip(1) {
-        for (k, (a, b)) in direct.iter().zip(z).enumerate() {
-            let scale = a.abs().max(1.0e-12);
-            assert!(
-                (*a - *b).abs() / scale < 1.0e-6,
-                "{mode} diverged from direct at point {k}: {a:?} vs {b:?}"
-            );
-        }
-    }
-
-    match saved_solver {
-        Some(v) => std::env::set_var(solver::SOLVER_ENV, v),
-        None => std::env::remove_var(solver::SOLVER_ENV),
-    }
-    match saved_threads {
-        Some(v) => std::env::set_var(par::THREADS_ENV, v),
-        None => std::env::remove_var(par::THREADS_ENV),
-    }
-
-    let direct_ns = timings[0].1;
-    let iterative_ns = timings[2].1;
-    let speedup = direct_ns / iterative_ns;
-    println!("power_grid_{p}x{p} iterative speedup over direct: {speedup:.2}x");
-    assert_timing(
-        speedup >= 2.0,
-        &format!(
-            "stale-preconditioned GMRES must amortize to ≥ 2x the per-point \
-             refactor on the {p}x{p} grid, measured {speedup:.2}x \
-             (direct {direct_ns:.0} ns/point, iterative {iterative_ns:.0} ns/point)"
-        ),
-    );
-}
-
 fn print_adaptive_transient(records: &mut Vec<Record>) {
     println!(
         "\n=== S8: adaptive transient — LTE-controlled steps vs the fixed grid on a stiff RC ==="
@@ -1182,8 +1031,6 @@ fn bench(c: &mut Criterion) {
     print_monte_carlo_scan(&mut records);
 
     print_adaptive_transient(&mut records);
-
-    print_solver_backend_scan(&mut records);
     println!();
 
     let mut group = c.benchmark_group("solver_refactor");

@@ -245,9 +245,8 @@ pub fn current_mirror(cload_farads: f64) -> (Circuit, NodeId, NodeId) {
 ///
 /// This is the canonical **fill-heavy** pattern: unlike the block-structured
 /// MNA systems of op-amp circuits, a 2-D mesh has no useful BTF partition
-/// and its LU factors fill in superlinearly, which is exactly the regime the
-/// iterative (`LOOPSCOPE_SOLVER=iterative` / `auto`) solver backend exists
-/// for. Conductances and capacitances carry a small deterministic positional
+/// and its LU factors fill in superlinearly, the hardest pattern the direct
+/// solver faces. Conductances and capacitances carry a small deterministic positional
 /// variation so matrix *values* (not just the pattern) differ across the
 /// grid.
 ///

@@ -91,7 +91,6 @@ pub struct StabilityAnalyzer {
     op: OperatingPoint,
     options: StabilityOptions,
     zeroed_sources: usize,
-    solver_backend: Option<SolverBackend>,
 }
 
 impl StabilityAnalyzer {
@@ -116,27 +115,13 @@ impl StabilityAnalyzer {
             op,
             options,
             zeroed_sources,
-            solver_backend: None,
         })
     }
 
-    /// Pins the linear-solver backend every subsequent run uses, overriding
-    /// the `LOOPSCOPE_SOLVER` environment selection. Intended for tests and
-    /// harnesses that must compare runs engine-coherently (e.g. a serial
-    /// reference against the always-direct batched sweep) without mutating
-    /// process-global state.
-    pub fn set_solver_backend(&mut self, backend: SolverBackend) {
-        self.solver_backend = Some(backend);
-    }
-
-    /// Builds the small-signal analysis, applying a pinned backend if any.
-    fn ac_analysis(&self) -> Result<AcAnalysis<'_>, StabilityError> {
-        let ac = AcAnalysis::new(&self.circuit, &self.op)?;
-        if let Some(backend) = self.solver_backend {
-            ac.set_solver_backend(backend);
-        }
-        Ok(ac)
-    }
+    /// Vestige of the retired solver-backend choice, kept so existing
+    /// callers compile: a no-op, since every run solves on the one direct
+    /// path ([`SolverBackend::Direct`]).
+    pub fn set_solver_backend(&mut self, _backend: SolverBackend) {}
 
     /// The circuit under analysis (with AC sources possibly zeroed).
     pub fn circuit(&self) -> &Circuit {
@@ -196,7 +181,7 @@ impl StabilityAnalyzer {
     pub fn single_node(&self, node: NodeId) -> Result<NodeStabilityResult, StabilityError> {
         self.check_node(node)?;
         let grid = self.options.grid();
-        let ac = self.ac_analysis()?;
+        let ac = AcAnalysis::new(&self.circuit, &self.op)?;
         let response = ac.driving_point_response(node, &grid)?;
         let mags: Vec<f64> = response.iter().map(|v| v.abs()).collect();
         let plot = Self::plot_from_response(grid.freqs(), mags);
@@ -231,7 +216,7 @@ impl StabilityAnalyzer {
     /// Returns [`StabilityError::Spice`] for simulation failures.
     pub fn all_nodes(&self) -> Result<AllNodesReport, StabilityError> {
         let grid = self.options.grid();
-        let ac = self.ac_analysis()?;
+        let ac = AcAnalysis::new(&self.circuit, &self.op)?;
         let responses = ac.driving_point_all_nodes(&grid)?;
         let nodes = self.circuit.signal_nodes();
         let mut entries = Vec::with_capacity(nodes.len());

@@ -282,11 +282,7 @@ mod tests {
         let sweep = sweep_node(variants(), "out", options()).unwrap();
         assert_eq!(sweep.points.len(), 3);
         for ((label, circuit), point) in variants().into_iter().zip(&sweep.points) {
-            let mut analyzer = StabilityAnalyzer::new(circuit, options()).unwrap();
-            // The batched engine always runs the direct SoA path; pin the
-            // serial reference direct too so the comparison stays
-            // engine-coherent under any `LOOPSCOPE_SOLVER` setting.
-            analyzer.set_solver_backend(loopscope_spice::SolverBackend::Direct);
+            let analyzer = StabilityAnalyzer::new(circuit, options()).unwrap();
             let reference = analyzer.single_node_by_name("out").unwrap();
             assert_eq!(point.label, label);
             match (reference.estimate, point.estimate) {

@@ -40,14 +40,6 @@
 //!   [`SparseLu::diag_inverse_into`] computes the whole diagonal of `A⁻¹`
 //!   from the same factors by selected inversion (the Takahashi
 //!   recurrences), for about the cost of one factorization.
-//! * [`gmres`] — the iterative escape hatch behind the [`SolverBackend`]
-//!   seam: restarted GMRES(m) over a matrix-free [`SparseOperator`],
-//!   right-preconditioned by a *stale* [`SparseLu`] (the factorization of a
-//!   nearby matrix, e.g. a sweep group's anchor frequency). When successive
-//!   systems differ by a small perturbation, a handful of preconditioned
-//!   triangular solves replaces the per-system refactorization; callers
-//!   verify the returned backward error and fall back to the direct path
-//!   when the Krylov iteration misses.
 //!
 //! The scalar abstraction [`Scalar`] is implemented for `f64` (DC and
 //! transient analyses) and [`Complex64`] (AC analysis). Its `kernel_*`
@@ -101,7 +93,6 @@ pub mod btf;
 mod csr;
 #[cfg(feature = "fault-inject")]
 pub mod faults;
-pub mod gmres;
 pub mod kernels;
 mod lu;
 pub mod ordering;
@@ -109,9 +100,6 @@ mod scalar;
 mod triplet;
 
 pub use csr::CsrMatrix;
-pub use gmres::{
-    gmres_solve_into, GmresOptions, GmresOutcome, GmresWorkspace, SolverBackend, SparseOperator,
-};
 pub use kernels::KernelBackend;
 pub use lu::{
     normwise_backward_error, BatchLaneStatus, BatchedLu, InverseWorkspace, LuWorkspace,

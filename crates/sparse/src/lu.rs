@@ -1270,19 +1270,6 @@ impl<T: Scalar> SparseLu<T> {
         self.pattern.backend
     }
 
-    /// Pivot growth `max|U| / max|A|` of this factorization (0 when the
-    /// factorization is an unfilled shell) — the same conditioning smell
-    /// test [`SolveQuality::pivot_growth`] reports, exposed so iterative
-    /// solves preconditioned by this factorization can carry the stale
-    /// factor's growth in their quality verdicts.
-    pub fn pivot_growth(&self) -> f64 {
-        if self.a_max_modulus > 0.0 {
-            self.u_max_modulus / self.a_max_modulus
-        } else {
-            0.0
-        }
-    }
-
     /// Solves `A·x = b` **in place**: `rhs` holds `b` on entry and `x` on
     /// return, `work` is caller-held scratch of the same length. This is the
     /// allocation-free path for hot loops; [`solve`](SparseLu::solve) wraps
@@ -1799,7 +1786,7 @@ impl<T: Scalar> RefineWorkspace<T> {
 /// winner; exact fallback when squares degenerate, and +∞ as soon as any
 /// component is non-finite (a poisoned norm must fail the tolerance, not
 /// vanish from the comparison like NaN would).
-pub(crate) fn inf_norm<T: Scalar>(v: &[T]) -> f64 {
+fn inf_norm<T: Scalar>(v: &[T]) -> f64 {
     let mut max_sqr = 0.0f64;
     let mut exact = true;
     for &x in v {
@@ -1868,7 +1855,7 @@ fn residual_into<T: Scalar>(
 /// Normwise backward error `‖r‖ / (‖A‖·‖x‖ + ‖b‖)`, defined as `0` for an
 /// exactly zero residual and `+∞` whenever any ingredient is non-finite —
 /// a huge-but-finite `x` must not drive the quotient to a spurious pass.
-pub(crate) fn backward_error(norm_r: f64, norm_a: f64, norm_x: f64, norm_b: f64) -> f64 {
+fn backward_error(norm_r: f64, norm_a: f64, norm_x: f64, norm_b: f64) -> f64 {
     if norm_r == 0.0 {
         return 0.0;
     }

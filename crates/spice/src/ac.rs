@@ -35,8 +35,8 @@
 //! default = available parallelism). Each worker mints its own
 //! [`SolveContext`] from the shared plan:
 //! value buffers, numeric L/U, scratch — restamped in place, refactored
-//! numerically, solved through
-//! [`loopscope_sparse::SparseLu::solve_into`] or inverted on the selected
+//! numerically, solved through the one verified retry ladder
+//! ([`SolveContext::solve_verified_in_place`]) or inverted on the selected
 //! set, with no heap allocation on the factor side. Results are assembled
 //! in frequency order and are **bitwise identical at any worker count**; a
 //! whole sweep still
@@ -49,13 +49,11 @@ use crate::devices;
 use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
 use crate::par;
-use crate::solver::anchor_index;
+use crate::solver::SolverBackend;
 use crate::GMIN;
 use loopscope_math::{interp, Complex64, FrequencyGrid, TWO_PI};
 use loopscope_netlist::{Circuit, Element, NodeId};
-use loopscope_sparse::{
-    CsrMatrix, KernelBackend, Scalar, SolverBackend, REFINE_BACKWARD_TOLERANCE,
-};
+use loopscope_sparse::{CsrMatrix, KernelBackend, Scalar, REFINE_BACKWARD_TOLERANCE};
 use std::sync::{Arc, Mutex};
 
 /// Verified sample injections per frequency point of the all-nodes scan
@@ -209,9 +207,8 @@ pub struct SolverStructure {
     /// bound on the true condition number — large values warn that sweep
     /// results near that frequency carry amplified rounding error.
     pub condition_estimate: f64,
-    /// The linear-solver backend every sweep over this plan routes through —
-    /// resolved at plan build time from the `LOOPSCOPE_SOLVER` mode and the
-    /// dim/fill structure above (see [`crate::solver::resolve_backend`]).
+    /// Vestige of the retired solver-backend choice: always
+    /// [`SolverBackend::Direct`], the one path every sweep solves through.
     pub solver: SolverBackend,
 }
 
@@ -228,10 +225,6 @@ pub struct AcAnalysis<'c> {
     /// worker threads of a chunked sweep. The `Mutex` only guards lazy
     /// construction; workers hold `Arc` clones.
     plan: Mutex<Option<Arc<SweepPlan<Complex64>>>>,
-    /// In-process solver-backend pin (see
-    /// [`set_solver_backend`](AcAnalysis::set_solver_backend)); `None`
-    /// resolves from the `LOOPSCOPE_SOLVER` environment at plan build.
-    backend_override: Mutex<Option<SolverBackend>>,
     /// Sweep-level counter totals: the plan build plus every worker
     /// context's counters, merged after each sweep.
     stats: Mutex<SolveStats>,
@@ -307,7 +300,6 @@ impl<'c> AcAnalysis<'c> {
             circuit,
             layout: MnaLayout::new(circuit),
             plan: Mutex::new(None),
-            backend_override: Mutex::new(None),
             stats: Mutex::new(SolveStats::default()),
             small_signal,
             #[cfg(feature = "fault-inject")]
@@ -330,34 +322,20 @@ impl<'c> AcAnalysis<'c> {
     }
 
     /// Assembles the unit-injection system (every AC stimulus off) of point
-    /// `idx` of `freqs` into `ctx` and applies a planted matrix fault. First
-    /// refreshes the iterative backend's anchor preconditioner (a no-op
-    /// under the direct backend).
+    /// `idx` of `freqs` into `ctx` and applies a planted matrix fault.
     fn assemble_probe(&self, ctx: &mut SolveContext<'_, Complex64>, freqs: &[f64], idx: usize) {
-        let job = |freq_hz| AcSystem {
+        let _ = ctx.assemble(&AcSystem {
             analysis: self,
-            freq_hz,
+            freq_hz: freqs[idx],
             use_circuit_sources: false,
             overrides: &[],
-        };
-        let anchor = anchor_index(idx);
-        ctx.ensure_preconditioner(anchor, idx == anchor, &job(freqs[anchor]));
-        let _ = ctx.assemble(&job(freqs[idx]));
+        });
         #[cfg(feature = "fault-inject")]
         if let Some(AcFault::Matrix { point, kind, seed }) = self.fault() {
             if point == idx {
                 loopscope_sparse::faults::FaultInjector::new(seed).inject(kind, ctx.matrix_mut());
             }
         }
-    }
-
-    /// Pins the solver backend for every sweep of this analysis — the
-    /// in-process alternative to the `LOOPSCOPE_SOLVER` environment knob,
-    /// used by test matrices that must never mutate global state. Must be
-    /// called **before the first solve**: once the shared sweep plan is
-    /// built its backend is fixed, and later pins have no effect.
-    pub fn set_solver_backend(&self, backend: SolverBackend) {
-        *self.backend_override.lock().expect("override lock") = Some(backend);
     }
 
     /// The MNA layout used by this analysis.
@@ -417,7 +395,7 @@ impl<'c> AcAnalysis<'c> {
             fill_nnz: symbolic.fill_nnz(),
             kernel: symbolic.kernel_backend(),
             condition_estimate,
-            solver: plan.backend(),
+            solver: SolverBackend::Direct,
         })
     }
 
@@ -438,14 +416,7 @@ impl<'c> AcAnalysis<'c> {
             use_circuit_sources: false,
             overrides: &[],
         };
-        let pinned = *self.backend_override.lock().expect("override lock");
-        let plan = Arc::new(
-            match pinned {
-                Some(backend) => SweepPlan::build_with_backend(&self.layout, &job, backend),
-                None => SweepPlan::build(&self.layout, &job),
-            }
-            .map_err(SpiceError::Linear)?,
-        );
+        let plan = Arc::new(SweepPlan::build(&self.layout, &job).map_err(SpiceError::Linear)?);
         self.stats.lock().expect("stats lock").merge(&plan.stats());
         *guard = Some(Arc::clone(&plan));
         Ok(plan)
@@ -634,21 +605,7 @@ impl<'c> AcAnalysis<'c> {
         let (result, workers) = par::sweep_chunks(
             freqs,
             || plan.context(),
-            |ctx: &mut SolveContext<'_, Complex64>,
-             idx,
-             &f|
-             -> Result<Vec<Complex64>, SpiceError> {
-                // Iterative backend: precondition this point with the LU of
-                // its group's anchor frequency — the same anchor whatever
-                // worker runs the point, so results stay chunking-invariant.
-                let anchor = anchor_index(idx);
-                let anchor_job = AcSystem {
-                    analysis: self,
-                    freq_hz: freqs[anchor],
-                    use_circuit_sources: true,
-                    overrides: &[],
-                };
-                ctx.ensure_preconditioner(anchor, idx == anchor, &anchor_job);
+            |ctx: &mut SolveContext<'_, Complex64>, _, &f| -> Result<Vec<Complex64>, SpiceError> {
                 let job = AcSystem {
                     analysis: self,
                     freq_hz: f,
@@ -656,11 +613,10 @@ impl<'c> AcAnalysis<'c> {
                     overrides: &[],
                 };
                 // The assembled RHS becomes the solution in place; the
-                // backend seam runs GMRES off the stale factor or the
-                // per-point verified retry ladder, and enriches failures
-                // with circuit names either way.
+                // per-point verified retry ladder enriches failures with
+                // circuit names.
                 let mut solution = ctx.assemble(&job);
-                ctx.solve_backend_in_place(&mut solution)?;
+                ctx.solve_verified_in_place(&mut solution)?;
                 Ok(self.solve_into_node_row(&solution))
             },
         );
@@ -712,11 +668,10 @@ impl<'c> AcAnalysis<'c> {
              -> Result<Complex64, SpiceError> {
                 self.assemble_probe(ctx, freqs, idx);
                 // Unit current injection at `node`, solved in place through
-                // the backend seam (stale-preconditioned GMRES or the
-                // verified retry ladder, which factors first).
+                // the verified retry ladder, which factors first.
                 x.fill(Complex64::ZERO);
                 x[var] = Complex64::ONE;
-                ctx.solve_backend_in_place(x)?;
+                ctx.solve_verified_in_place(x)?;
                 Ok(x[var])
             },
         );
@@ -758,8 +713,7 @@ impl<'c> AcAnalysis<'c> {
     /// solve per node, from a fresh assembly each — exactly what
     /// [`driving_point_response`](AcAnalysis::driving_point_response) does
     /// at that point, errors included — and counted in
-    /// [`SolveStats::inverse_fallbacks`]. The iterative backend has no
-    /// selected inversion and solves one injection per node.
+    /// [`SolveStats::inverse_fallbacks`].
     ///
     /// Returns one vector per signal node, in [`Circuit::signal_nodes`] order.
     ///
@@ -802,18 +756,6 @@ impl<'c> AcAnalysis<'c> {
              _|
              -> Result<Vec<Complex64>, SpiceError> {
                 self.assemble_probe(ctx, freqs, idx);
-                if ctx.backend().is_iterative() {
-                    // GMRES has no selected inversion: one iterative solve
-                    // per injection, in fixed node order.
-                    let mut row = Vec::with_capacity(vars.len());
-                    for &var in &vars {
-                        x.fill(Complex64::ZERO);
-                        x[var] = Complex64::ONE;
-                        ctx.solve_backend_in_place(x)?;
-                        row.push(x[var]);
-                    }
-                    return Ok(row);
-                }
                 if let Some(row) = self.selected_inverse_row(ctx, &vars, idx, x, diag) {
                     return Ok(row);
                 }

@@ -54,10 +54,9 @@
 
 use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
-use crate::solver::{configured_solver_mode, resolve_backend, GMRES_ACCEPT_BACKWARD_TOLERANCE};
 use loopscope_sparse::{
-    gmres_solve_into, CsrMatrix, GmresWorkspace, InverseWorkspace, LuWorkspace, RefineWorkspace,
-    Scalar, SolveError, SolveQuality, SolverBackend, SparseLu, SymbolicLu,
+    CsrMatrix, InverseWorkspace, LuWorkspace, RefineWorkspace, Scalar, SolveError, SolveQuality,
+    SparseLu, SymbolicLu,
 };
 use std::sync::Arc;
 
@@ -151,21 +150,8 @@ pub struct SolveStats {
     /// count means some solutions were computed on a deliberately
     /// regularized system.
     pub gmin_bumps: usize,
-    /// Solves attempted on the iterative (GMRES) backend — whether the
-    /// attempt was accepted or fell back. Zero under the direct backend.
-    pub iterative_solves: usize,
-    /// Total GMRES Arnoldi iterations across all iterative solves. A pure
-    /// function of the per-point inputs, so chunking/thread-invariant.
-    pub gmres_iterations: usize,
-    /// Scheduled stale-preconditioner refreshes: one per
-    /// [`crate::solver::PRECOND_REFRESH_INTERVAL`]-sized group of sweep
-    /// points. Warm-up refactorizations a worker performs to reconstruct the anchor
-    /// of a mid-group chunk start are deliberately **not** counted, keeping
-    /// the total chunking-invariant.
-    pub preconditioner_refreshes: usize,
-    /// Iterative solves whose GMRES verdict missed the acceptance tolerance
-    /// and were re-solved on the exact verified-direct ladder. Healthy
-    /// sweeps keep this at zero.
+    /// Vestige of the retired iterative solver backend, kept so existing
+    /// callers that read it still compile: always zero.
     pub iterative_fallbacks: usize,
     /// All-nodes frequency points whose selected inversion failed its
     /// verification and were recomputed with one verified solve per node
@@ -196,9 +182,6 @@ impl SolveStats {
         self.cached_assemblies += other.cached_assemblies;
         self.residual_retries += other.residual_retries;
         self.gmin_bumps += other.gmin_bumps;
-        self.iterative_solves += other.iterative_solves;
-        self.gmres_iterations += other.gmres_iterations;
-        self.preconditioner_refreshes += other.preconditioner_refreshes;
         self.iterative_fallbacks += other.iterative_fallbacks;
         self.inverse_fallbacks += other.inverse_fallbacks;
     }
@@ -284,11 +267,6 @@ pub struct SweepPlan<T: Scalar> {
     /// itself `Arc`-backed, so the extra `Arc` keeps the plan cheaply
     /// clonable as a whole).
     symbolic: Arc<SymbolicLu>,
-    /// The solver backend every context minted from this plan routes its
-    /// verified solves through — resolved once at build time from the
-    /// `LOOPSCOPE_SOLVER` mode and the system structure, so all workers of a
-    /// sweep agree on it.
-    backend: SolverBackend,
     /// Counters of the build itself (exactly one symbolic analysis).
     build_stats: SolveStats,
 }
@@ -307,29 +285,6 @@ impl<T: Scalar> SweepPlan<T> {
     /// Returns the underlying [`SolveError`] when the representative system
     /// is singular.
     pub fn build(layout: &MnaLayout, job: &impl AssembleMna<T>) -> Result<Self, SolveError> {
-        let mut plan = Self::build_with_backend(layout, job, SolverBackend::Direct)?;
-        plan.backend = resolve_backend(
-            configured_solver_mode(),
-            plan.symbolic.dim(),
-            plan.symbolic.fill_nnz(),
-        );
-        Ok(plan)
-    }
-
-    /// Like [`build`](SweepPlan::build), but pinning the solver backend
-    /// instead of resolving it from the `LOOPSCOPE_SOLVER` environment —
-    /// the in-process override the determinism and fault-injection test
-    /// matrices use, so they never mutate global state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`SolveError`] when the representative system
-    /// is singular.
-    pub fn build_with_backend(
-        layout: &MnaLayout,
-        job: &impl AssembleMna<T>,
-        backend: SolverBackend,
-    ) -> Result<Self, SolveError> {
         let mut stamper = Stamper::new(layout);
         job.stamp(&mut stamper);
         let (triplets, _rhs) = stamper.finish();
@@ -340,17 +295,11 @@ impl<T: Scalar> SweepPlan<T> {
             layout: layout.clone(),
             pattern,
             symbolic: Arc::new(symbolic),
-            backend,
             build_stats: SolveStats {
                 symbolic: 1,
                 ..SolveStats::default()
             },
         })
-    }
-
-    /// The solver backend every context of this plan routes through.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
     }
 
     /// The MNA layout whose slot assignment the plan's pattern was built for.
@@ -388,12 +337,10 @@ impl<T: Scalar> SweepPlan<T> {
     /// solve scratch. All allocation happens here; the context's sweep loop
     /// is allocation-free on the factor/solve side from its very first point.
     pub fn context(&self) -> SolveContext<'_, T> {
-        let shell = || SparseLu::from_symbolic(&self.symbolic);
         SolveContext {
             symbolic: Some(SymbolicLu::clone(&self.symbolic)),
             csr: Some(self.pattern.clone()),
-            lu: Some(shell()),
-            precond: self.backend.is_iterative().then(shell),
+            lu: Some(SparseLu::from_symbolic(&self.symbolic)),
             ..SolveContext::unplanned(&self.layout, Some(self))
         }
     }
@@ -458,22 +405,6 @@ pub struct SolveContext<'p, T: Scalar> {
     /// untouched). An adopting context replaces `csr` instead.
     off_pattern: Option<CsrMatrix<T>>,
     factored: bool,
-    /// The stale preconditioner of the iterative backend: the LU of the
-    /// sweep group's **anchor** matrix, kept separate from `lu` so a
-    /// direct-ladder fallback at one point can never corrupt the
-    /// preconditioner other points of the group rely on. Present only in
-    /// contexts of plans with an iterative backend.
-    precond: Option<SparseLu<T>>,
-    /// The sweep index whose matrix `precond` currently factors; `None`
-    /// until the first refresh, or after an anchor whose refactorization
-    /// failed (every point of that group then takes the direct fallback).
-    precond_anchor: Option<usize>,
-    /// Scratch of the GMRES path; empty until the first iterative solve.
-    gmres_ws: GmresWorkspace<T>,
-    /// Pristine RHS copy of the iterative attempt — separate from
-    /// `rhs_backup`, which the direct ladder overwrites internally when a
-    /// GMRES miss falls back to it.
-    backend_rhs: Vec<T>,
     stats: SolveStats,
 }
 
@@ -549,10 +480,6 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             rhs_backup: Vec::with_capacity(n),
             off_pattern: None,
             factored: false,
-            precond: None,
-            precond_anchor: None,
-            gmres_ws: GmresWorkspace::new(),
-            backend_rhs: Vec::new(),
             stats: SolveStats::default(),
         }
     }
@@ -570,117 +497,6 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// Counters accumulated by this context since it was created.
     pub fn stats(&self) -> SolveStats {
         self.stats
-    }
-
-    /// The solver backend this context routes
-    /// [`solve_backend_in_place`](SolveContext::solve_backend_in_place)
-    /// through: fixed at plan build time for a sweep context, always
-    /// [`SolverBackend::Direct`] for an adopting one.
-    pub fn backend(&self) -> SolverBackend {
-        self.plan.map_or(SolverBackend::Direct, |plan| plan.backend)
-    }
-
-    /// Ensures the stale preconditioner of the iterative backend factors the
-    /// matrix of sweep index `anchor_idx`, assembling `anchor_job` (the job
-    /// of that index) and refactoring when it does not. A no-op under the
-    /// direct backend and when the preconditioner is already current.
-    ///
-    /// Call **before** [`assemble`](SolveContext::assemble) for the point —
-    /// the anchor assembly borrows the context's value buffer, which the
-    /// point's own assembly then restamps.
-    ///
-    /// `scheduled` marks the refresh the sweep schedule mandates (the point
-    /// **is** its own anchor): only those are counted in
-    /// `preconditioner_refreshes`. The uncounted warm-up refresh a worker
-    /// performs when its chunk starts mid-group reconstructs the identical
-    /// anchor factorization, which is what keeps every point's GMRES inputs
-    /// — and so its iteration count and solution — bitwise invariant under
-    /// any chunking. An anchor that cannot be refactored (off-pattern, a
-    /// non-finite stamp, or the soft outcome of a degraded pivot) clears the
-    /// preconditioner; every point of its group then takes the counted
-    /// direct fallback, identically in any chunking.
-    pub fn ensure_preconditioner(
-        &mut self,
-        anchor_idx: usize,
-        scheduled: bool,
-        anchor_job: &impl AssembleMna<T>,
-    ) {
-        let (Some(plan), Some(precond), Some(csr)) =
-            (self.plan, self.precond.as_mut(), self.csr.as_mut())
-        else {
-            return;
-        };
-        if scheduled {
-            self.stats.preconditioner_refreshes += 1;
-        } else if self.precond_anchor == Some(anchor_idx) {
-            return;
-        }
-        // Assemble the anchor system, uncounted: warm-up work must not
-        // perturb the chunking-invariant per-point assembly counters.
-        self.factored = false;
-        csr.zero_values();
-        let mut stamper = Stamper::with_sink(self.layout, SlotSink::new(csr));
-        anchor_job.stamp(&mut stamper);
-        let (sink, _rhs) = stamper.into_parts();
-        if sink.missed() {
-            self.precond_anchor = None;
-            return;
-        }
-        let refactored = precond.refactor_into(&plan.symbolic, csr, &mut self.workspace);
-        self.precond_anchor = (refactored == Ok(true)).then_some(anchor_idx);
-    }
-
-    /// Solves the most recently assembled system through the context's
-    /// solver backend: under [`SolverBackend::Direct`] this **is**
-    /// [`solve_verified_in_place`](SolveContext::solve_verified_in_place);
-    /// under the iterative backend it runs GMRES off the stale
-    /// preconditioner installed by
-    /// [`ensure_preconditioner`](SolveContext::ensure_preconditioner) and
-    /// accepts the result only when its true-residual backward error passes
-    /// [`GMRES_ACCEPT_BACKWARD_TOLERANCE`] — anything else (missed
-    /// tolerance, missing/failed preconditioner, off-pattern point) restores
-    /// the right-hand side and re-solves on the exact verified-direct
-    /// ladder, counted in `iterative_fallbacks`. Failure semantics and
-    /// structured errors are therefore identical across backends.
-    ///
-    /// `rhs` holds `b` on entry and the verified solution on success.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of
-    /// [`solve_verified_in_place`](SolveContext::solve_verified_in_place).
-    pub fn solve_backend_in_place(&mut self, rhs: &mut [T]) -> Result<SolveQuality, SpiceError> {
-        let Some(opts) = self.backend().gmres_options() else {
-            return self.solve_verified_in_place(rhs);
-        };
-        self.check_rhs(rhs)?;
-        let (Some(precond), Some(csr), None, Some(_)) = (
-            self.precond.as_ref(),
-            self.csr.as_ref(),
-            &self.off_pattern,
-            self.precond_anchor,
-        ) else {
-            self.stats.iterative_fallbacks += 1;
-            return self.solve_verified_in_place(rhs);
-        };
-        self.backend_rhs.clear();
-        self.backend_rhs.extend_from_slice(rhs);
-        self.stats.iterative_solves += 1;
-        if let Ok(out) = gmres_solve_into(csr, precond, rhs, &opts, &mut self.gmres_ws) {
-            self.stats.gmres_iterations += out.iterations;
-            if out.converged && out.backward_error <= GMRES_ACCEPT_BACKWARD_TOLERANCE {
-                return Ok(SolveQuality {
-                    residual_norm: out.residual_norm,
-                    backward_error: out.backward_error,
-                    refinement_steps: 0,
-                    pivot_growth: precond.pivot_growth(),
-                    converged: true,
-                });
-            }
-        }
-        self.stats.iterative_fallbacks += 1;
-        rhs.copy_from_slice(&self.backend_rhs);
-        self.solve_verified_in_place(rhs)
     }
 
     /// Assembles the MNA system for `job` and returns the right-hand side
@@ -1395,9 +1211,6 @@ mod tests {
             cached_assemblies: 4,
             residual_retries: 1,
             gmin_bumps: 0,
-            iterative_solves: 7,
-            gmres_iterations: 21,
-            preconditioner_refreshes: 1,
             iterative_fallbacks: 0,
             inverse_fallbacks: 2,
         };
@@ -1409,9 +1222,6 @@ mod tests {
             cached_assemblies: 6,
             residual_retries: 2,
             gmin_bumps: 3,
-            iterative_solves: 2,
-            gmres_iterations: 9,
-            preconditioner_refreshes: 1,
             iterative_fallbacks: 1,
             inverse_fallbacks: 1,
         };
@@ -1423,9 +1233,6 @@ mod tests {
         assert_eq!(a.cached_assemblies, 10);
         assert_eq!(a.residual_retries, 3);
         assert_eq!(a.gmin_bumps, 3);
-        assert_eq!(a.iterative_solves, 9);
-        assert_eq!(a.gmres_iterations, 30);
-        assert_eq!(a.preconditioner_refreshes, 2);
         assert_eq!(a.iterative_fallbacks, 1);
         assert_eq!(a.inverse_fallbacks, 3);
         assert_eq!(a.factorizations(), 10);

@@ -26,8 +26,9 @@
 //!   Accepted fast-path solutions satisfy the exact residual rule of the
 //!   verified serial path ([`normwise_backward_error`] ≤
 //!   [`loopscope_sparse::REFINE_BACKWARD_TOLERANCE`]);
-//!   anything else escalates to a scalar [`SolveContext`] running the full
-//!   PR 6 retry ladder, bitwise identical to the serial sweep.
+//!   anything else escalates to a scalar [`SolveContext`] running the
+//!   verified retry ladder — the one solve path of every serial sweep — so
+//!   escalated values are bitwise identical to the serial sweep.
 //! * The driver parallelizes over **two axes** — variant groups × frequency
 //!   points — through [`par::sweep_chunks`], and is chunking-invariant: the
 //!   results and the merged [`SolveStats`] totals are identical at any
@@ -611,13 +612,9 @@ impl<'p> GroupRunner<'p> {
     }
 
     /// Reruns one lane's point through the scalar context — assemble, unit
-    /// injection, backend seam — the exact procedure of the serial
-    /// [`AcAnalysis::driving_point_response`] worker. The runner never
-    /// installs a stale preconditioner (each lane's matrix differs by its
-    /// variant overrides, so no anchor factorization is shared), so under
-    /// the iterative backend the seam deterministically takes the counted
-    /// direct fallback — escalated values stay bitwise identical to the
-    /// direct serial path at any configuration.
+    /// injection, verified retry ladder — the exact procedure of the serial
+    /// [`AcAnalysis::driving_point_response`] worker, so escalated values
+    /// stay bitwise identical to the serial path at any configuration.
     fn escalate(&mut self, lane: Lane<'_, '_>, freq_hz: f64) -> LanePoint {
         let job = AcSystem {
             analysis: lane.analysis,
@@ -628,7 +625,7 @@ impl<'p> GroupRunner<'p> {
         let _ = self.ctx.assemble(&job);
         self.esc_x.fill(Complex64::ZERO);
         self.esc_x[self.var] = Complex64::ONE;
-        self.ctx.solve_backend_in_place(&mut self.esc_x)?;
+        self.ctx.solve_verified_in_place(&mut self.esc_x)?;
         Ok(self.esc_x[self.var])
     }
 
@@ -686,19 +683,10 @@ pub fn driving_point_batch(
     }
 
     // Per-variant analysis construction; failures become that variant's
-    // outcome, never the batch's. The batched engine always runs the direct
-    // SoA path whatever `LOOPSCOPE_SOLVER` says: its lane-amortized
-    // refactorization already fills the role the stale-preconditioned
-    // iterative backend plays for serial sweeps (one factor pass serving
-    // many solves), and the bitwise-vs-serial-direct contract of the lane
-    // engine requires the direct ladder on both sides.
+    // outcome, never the batch's.
     let analyses: Vec<Result<AcAnalysis<'_>, SpiceError>> = variants
         .iter()
-        .map(|v| {
-            let a = AcAnalysis::new(v.circuit, v.op)?;
-            a.set_solver_backend(loopscope_sparse::SolverBackend::Direct);
-            Ok(a)
-        })
+        .map(|v| AcAnalysis::new(v.circuit, v.op))
         .collect();
     let mut healthy: Vec<usize> = Vec::with_capacity(variants.len());
     for (i, a) in analyses.iter().enumerate() {
@@ -955,12 +943,7 @@ pub fn driving_point_monte_carlo(
     // variant's failure; mirror the per-variant outcome semantics of
     // `driving_point_batch`.
     let base = match AcAnalysis::new(circuit, op) {
-        Ok(a) => {
-            // Direct SoA engine regardless of `LOOPSCOPE_SOLVER` — see
-            // `driving_point_batch` for the rationale.
-            a.set_solver_backend(loopscope_sparse::SolverBackend::Direct);
-            a
-        }
+        Ok(a) => a,
         Err(e) => {
             for o in &mut outcomes {
                 o.error = Some(e.clone());
@@ -1138,9 +1121,6 @@ mod tests {
         let grid = FrequencyGrid::log_decade(1.0e3, 1.0e7, 5);
 
         let ac = AcAnalysis::new(&c, &op).unwrap();
-        // The batched engine is always direct; pin the serial reference
-        // direct too so the bitwise comparison holds at any LOOPSCOPE_SOLVER.
-        ac.set_solver_backend(loopscope_sparse::SolverBackend::Direct);
         let reference = ac.driving_point_response(node, &grid).unwrap();
 
         // Zero rules: every Monte Carlo variant is the base circuit.
@@ -1178,8 +1158,6 @@ mod tests {
             let mut vc = c.clone();
             variation.apply(i, &mut vc).unwrap();
             let ac = AcAnalysis::new(&vc, &op).unwrap();
-            // Direct pin: stay engine-coherent with the always-direct batch.
-            ac.set_solver_backend(loopscope_sparse::SolverBackend::Direct);
             let reference = ac.driving_point_response(node, &grid).unwrap();
             let resp = outcome.response.as_ref().unwrap();
             for (a, b) in resp.iter().zip(&reference) {

@@ -75,8 +75,8 @@ pub use dc::{
     solve_dc, solve_dc_with, ConvergenceReport, DcOptions, DcPhase, OperatingPoint, StageReport,
 };
 pub use error::{SpiceError, StepRejectReason, StepRejection};
-pub use loopscope_sparse::{KernelBackend, SolverBackend};
-pub use solver::{configured_solver_mode, resolve_backend, SolverMode};
+pub use loopscope_sparse::KernelBackend;
+pub use solver::SolverBackend;
 pub use tran::{Integration, TransientAnalysis, TransientOptions, TransientResult, TransientStats};
 
 /// Thermal voltage kT/q at 300 K, in volts.

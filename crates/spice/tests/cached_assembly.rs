@@ -16,15 +16,6 @@ use loopscope_sparse::SparseLu;
 use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::tran::{TransientAnalysis, TransientOptions};
-use loopscope_spice::SolverBackend;
-
-/// The per-point refactorization counters asserted below are invariants of
-/// the **direct** path; pin it so the assertions hold at any
-/// `LOOPSCOPE_SOLVER` setting (the iterative path's counter contract is
-/// covered by the solver-backend tests in the library crate).
-fn pin_direct(ac: &AcAnalysis<'_>) {
-    ac.set_solver_backend(SolverBackend::Direct);
-}
 
 fn rc_chain(sections: usize) -> Circuit {
     let mut c = Circuit::new("rc chain");
@@ -55,7 +46,6 @@ fn ac_sweep_runs_one_symbolic_analysis() {
     let c = rc_chain(6);
     let op = solve_dc(&c).unwrap();
     let ac = AcAnalysis::new(&c, &op).unwrap();
-    pin_direct(&ac);
     let grid = FrequencyGrid::log_decade(1.0e2, 1.0e7, 40);
     let sweep = ac.sweep(&grid).unwrap();
     assert_eq!(sweep.len(), grid.len());
@@ -79,7 +69,6 @@ fn all_nodes_scan_runs_one_symbolic_analysis() {
     let c = rc_chain(5);
     let op = solve_dc(&c).unwrap();
     let ac = AcAnalysis::new(&c, &op).unwrap();
-    pin_direct(&ac);
     let grid = FrequencyGrid::log_decade(1.0e2, 1.0e6, 25);
     let responses = ac.driving_point_all_nodes(&grid).unwrap();
     assert_eq!(responses.len(), c.signal_nodes().len());
@@ -97,7 +86,6 @@ fn sweep_and_driving_point_share_one_pattern() {
     let c = rc_chain(4);
     let op = solve_dc(&c).unwrap();
     let ac = AcAnalysis::new(&c, &op).unwrap();
-    pin_direct(&ac);
     let grid = FrequencyGrid::log_decade(1.0e3, 1.0e6, 10);
     let n0 = c.find_node("n0").unwrap();
     ac.sweep(&grid).unwrap();

@@ -14,11 +14,9 @@
 use loopscope_math::Complex64;
 use loopscope_netlist::{Circuit, Element};
 use loopscope_sparse::faults::{FaultInjector, FaultKind};
-use loopscope_sparse::SolverBackend;
 use loopscope_spice::assembly::{AssembleMna, SolveStats, SweepPlan};
 use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
 use loopscope_spice::par;
-use loopscope_spice::solver::anchor_index;
 use loopscope_spice::SpiceError;
 
 /// An RC ladder driven by a unit AC source — enough structure to exercise
@@ -127,82 +125,13 @@ fn sweep_with_fault(
     (rows, stats)
 }
 
-/// The iterative-backend version of [`sweep_with_fault`]: the plan pins
-/// GMRES(m) with stale-LU preconditioning and every point follows the
-/// anchor discipline. The fault is injected into the *assembled* matrix
-/// after the (healthy) anchor preconditioner is in place, so GMRES runs
-/// against the faulted operator and must either reject it towards the
-/// direct-ladder fallback or never accept a wrong answer.
-fn sweep_with_fault_iterative(
-    workers: usize,
-    fault: FaultKind,
-    fault_point: usize,
-    seed: u64,
-) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats) {
-    let circuit = rc_chain(6);
-    let layout = MnaLayout::new(&circuit);
-    let freqs: Vec<f64> = (0..24)
-        .map(|k| 1.0e3 * 10f64.powf(k as f64 / 8.0))
-        .collect();
-    let seed_job = AcJob {
-        circuit: &circuit,
-        freq_hz: freqs[0],
-    };
-    let plan =
-        SweepPlan::build_with_backend(&layout, &seed_job, SolverBackend::iterative_default())
-            .expect("plan");
-
-    let (rows, states) = par::sweep_chunks_with(
-        workers,
-        &freqs,
-        || plan.context(),
-        |ctx, k, &freq| {
-            let anchor = anchor_index(k);
-            let anchor_job = AcJob {
-                circuit: &circuit,
-                freq_hz: freqs[anchor],
-            };
-            ctx.ensure_preconditioner(anchor, k == anchor, &anchor_job);
-            let job = AcJob {
-                circuit: &circuit,
-                freq_hz: freq,
-            };
-            let mut rhs = ctx.assemble(&job);
-            if k == fault_point {
-                FaultInjector::new(seed + k as u64).inject(fault, ctx.matrix_mut());
-            }
-            ctx.solve_backend_in_place(&mut rhs)?;
-            Ok(rhs)
-        },
-    );
-    let mut stats = plan.stats();
-    for s in states {
-        stats.merge(&s.stats());
-    }
-    (rows, stats)
-}
-
-/// A faulted sweep: `(workers, fault, fault_point, seed)` to the per-point
-/// solutions (or the enriched error) and the merged counters.
-type SweepFn =
-    dyn Fn(usize, FaultKind, usize, u64) -> (Result<Vec<Vec<Complex64>>, SpiceError>, SolveStats);
-
 /// Every worker count must reproduce the reference run
 /// bit for bit: same per-point solutions on success, the same enriched
 /// error otherwise, and the same merged counters.
 fn assert_config_invariant(fault: FaultKind, fault_point: usize, seed: u64) {
-    assert_config_invariant_for(&sweep_with_fault, fault, fault_point, seed);
-}
-
-/// [`assert_config_invariant`] on the iterative (GMRES) sweep path.
-fn assert_iterative_config_invariant(fault: FaultKind, fault_point: usize, seed: u64) {
-    assert_config_invariant_for(&sweep_with_fault_iterative, fault, fault_point, seed);
-}
-
-fn assert_config_invariant_for(sweep: &SweepFn, fault: FaultKind, fault_point: usize, seed: u64) {
-    let (reference, ref_stats) = sweep(1, fault, fault_point, seed);
+    let (reference, ref_stats) = sweep_with_fault(1, fault, fault_point, seed);
     for workers in [1, 2, 4] {
-        let (run, stats) = sweep(workers, fault, fault_point, seed);
+        let (run, stats) = sweep_with_fault(workers, fault, fault_point, seed);
         match (&reference, &run) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.len(), b.len());
@@ -284,57 +213,6 @@ fn dead_column_fault_is_config_invariant() {
 #[test]
 fn degraded_pivot_fault_is_config_invariant() {
     assert_config_invariant(FaultKind::DegradedPivot, 17, 0xBEEF);
-}
-
-#[test]
-fn nan_fault_on_the_iterative_path_matches_the_direct_error_everywhere() {
-    // The preconditioner is healthy (built from the anchor's own assembly),
-    // so the NaN lands in the GMRES operator; the non-finite guard rejects
-    // it before any Krylov work and the direct-ladder fallback surfaces the
-    // exact structured error the direct path reports for the same seed.
-    let (direct, _) = sweep_with_fault(1, FaultKind::Nan, 9, 0xC0FFEE);
-    let (iterative, _) = sweep_with_fault_iterative(1, FaultKind::Nan, 9, 0xC0FFEE);
-    match (&direct, &iterative) {
-        (Err(a), Err(b)) => assert_eq!(a, b, "iterative path must surface the direct error"),
-        (a, b) => panic!("expected matching structured errors, got {a:?} vs {b:?}"),
-    }
-    assert_iterative_config_invariant(FaultKind::Nan, 9, 0xC0FFEE);
-}
-
-#[test]
-fn dead_column_fault_on_the_iterative_path_is_config_invariant() {
-    // A zeroed column makes the operator (near-)singular: GMRES cannot reach
-    // its acceptance tolerance, so the point must be served by the fallback
-    // ladder — rescued via the gmin rung or surfaced as the same named error
-    // the direct path produces. Either way the outcome is identical at every
-    // chunking.
-    let (direct, _) = sweep_with_fault(1, FaultKind::NearSingular, 5, 0xDEAD);
-    let (iterative, stats) = sweep_with_fault_iterative(1, FaultKind::NearSingular, 5, 0xDEAD);
-    match (&direct, &iterative) {
-        (Err(a), Err(b)) => assert_eq!(a, b, "iterative path must surface the direct error"),
-        (Ok(_), Ok(_)) => assert!(
-            stats.iterative_fallbacks > 0 && stats.gmin_bumps > 0,
-            "a dead column can only be rescued through the fallback ladder; stats = {stats:?}"
-        ),
-        (a, b) => panic!("outcome class diverged between backends: {a:?} vs {b:?}"),
-    }
-    assert_iterative_config_invariant(FaultKind::NearSingular, 5, 0xDEAD);
-}
-
-#[test]
-fn healthy_iterative_sweep_never_escalates_and_is_config_invariant() {
-    // Control: no fault on the iterative plan. GMRES serves the points that
-    // converge, misses fall back cleanly, and nothing touches the retry or
-    // gmin rungs of the ladder.
-    let (outcome, stats) = sweep_with_fault_iterative(4, FaultKind::Nan, usize::MAX, 1);
-    assert!(outcome.is_ok());
-    assert_eq!(stats.residual_retries, 0);
-    assert_eq!(stats.gmin_bumps, 0);
-    assert!(
-        stats.iterative_solves > 0,
-        "the pinned plan must serve points by GMRES: {stats:?}"
-    );
-    assert_iterative_config_invariant(FaultKind::Nan, usize::MAX, 1);
 }
 
 #[test]

@@ -8,19 +8,11 @@ use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::assembly::{AssembleMna, SolveContext, SweepPlan};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
-use loopscope_spice::{configured_solver_mode, SolverMode};
 use proptest::prelude::*;
 
-/// Physics-invariant tolerance for solved node voltages. The direct path
-/// refines to a 1e-12 backward error, so 1e-9 absolute slack is generous;
-/// a forced-iterative run (`LOOPSCOPE_SOLVER=iterative`) accepts solves at
-/// a 1e-9 backward error, so the same invariants hold only to ~1e-6.
-fn solve_slack() -> f64 {
-    match configured_solver_mode() {
-        SolverMode::Iterative => 1.0e-6,
-        SolverMode::Direct | SolverMode::Auto => 1.0e-9,
-    }
-}
+/// Physics-invariant tolerance for solved node voltages. Every solve
+/// refines to a 1e-12 backward error, so 1e-9 absolute slack is generous.
+const SOLVE_SLACK: f64 = 1.0e-9;
 
 /// A conductance-chain assembly job over raw MNA variables — the same
 /// pattern at every parameter set, like one frequency point of a sweep.
@@ -115,13 +107,12 @@ proptest! {
         let ac = AcAnalysis::new(&circuit, &op).expect("valid");
         let grid = FrequencyGrid::log_decade(10.0, 1.0e8, 10);
         let sweep = ac.sweep(&grid).expect("no singularities in a passive ladder");
-        let slack = solve_slack();
         for (fi, _f) in grid.freqs().iter().enumerate() {
-            let mut prev_mag = 1.0 + slack;
+            let mut prev_mag = 1.0 + SOLVE_SLACK;
             for n in &nodes {
                 let mag = sweep.response(*n)[fi].abs();
-                prop_assert!(mag <= 1.0 + 1.0e-6 + slack, "passive gain bound violated: {mag}");
-                prop_assert!(mag <= prev_mag + slack, "monotonicity violated");
+                prop_assert!(mag <= 1.0 + 1.0e-6 + SOLVE_SLACK, "passive gain bound violated: {mag}");
+                prop_assert!(mag <= prev_mag + SOLVE_SLACK, "monotonicity violated");
                 prev_mag = mag;
             }
         }
@@ -158,11 +149,10 @@ proptest! {
             let fresh = SparseLu::factor(&trip.to_csr())
                 .and_then(|lu| lu.solve(&rhs))
                 .expect("solvable");
-            let slack = solve_slack();
             for ((a, b), c) in from_plan.iter().zip(&from_adopting).zip(&fresh) {
                 let scale_ref = c.abs().max(1e-30);
-                prop_assert!((a - c).abs() / scale_ref < slack, "plan vs fresh: {a} vs {c}");
-                prop_assert!((b - c).abs() / scale_ref < slack, "adopting vs fresh: {b} vs {c}");
+                prop_assert!((a - c).abs() / scale_ref < SOLVE_SLACK, "plan vs fresh: {a} vs {c}");
+                prop_assert!((b - c).abs() / scale_ref < SOLVE_SLACK, "adopting vs fresh: {b} vs {c}");
             }
             // Contexts over one plan are deterministic replicas of each other.
             let replay = ctx2.solve(&job).expect("context solves");
@@ -194,9 +184,8 @@ proptest! {
         let ac = AcAnalysis::new(&circuit, &op).expect("valid");
         let grid = FrequencyGrid::log_decade(1.0, 1.0e9, 10);
         let z = ac.driving_point_response(a, &grid).expect("solvable");
-        let slack = solve_slack();
         for zi in z {
-            prop_assert!(zi.re >= -slack * zi.abs().max(1.0), "negative real part {}", zi.re);
+            prop_assert!(zi.re >= -SOLVE_SLACK * zi.abs().max(1.0), "negative real part {}", zi.re);
         }
     }
 }

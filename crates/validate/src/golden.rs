@@ -280,36 +280,6 @@ impl AnalysisCase {
     }
 }
 
-/// Optional solver-backend pin of a golden scenario (document-level
-/// `"solver"` field).
-///
-/// When present, the runner pins the AC-path analyses (`ac`,
-/// `driving_point`, and the BTF structure probe) to the named backend
-/// instead of letting the ambient `LOOPSCOPE_SOLVER` configuration decide,
-/// so one circuit can be blessed once and certified under both solve
-/// paths. DC, transient and Monte Carlo cases are unaffected: DC and
-/// transient follow the ambient configuration, and the batched Monte Carlo
-/// engine always runs direct (its lane amortization already plays the role
-/// the stale preconditioner plays for sweeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverChoice {
-    /// The exact sparse-LU path with verified refinement.
-    Direct,
-    /// Restarted GMRES with stale-LU preconditioning (direct-ladder
-    /// fallback on a miss).
-    Iterative,
-}
-
-impl SolverChoice {
-    /// The schema token, `"direct"` or `"iterative"`.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            SolverChoice::Direct => "direct",
-            SolverChoice::Iterative => "iterative",
-        }
-    }
-}
-
 /// A fully parsed golden scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenCase {
@@ -329,9 +299,6 @@ pub struct GoldenCase {
     /// Optional structural assertion: the AC solver's BTF decomposition
     /// must find at least this many diagonal blocks.
     pub min_btf_blocks: Option<usize>,
-    /// Optional solver-backend pin for the AC-path analyses. `None` leaves
-    /// the ambient `LOOPSCOPE_SOLVER` configuration in charge.
-    pub solver: Option<SolverChoice>,
     /// The analyses to run, in file order.
     pub analyses: Vec<AnalysisCase>,
     /// Source file the case was loaded from.
@@ -399,19 +366,6 @@ impl GoldenCase {
                     as usize,
             ),
         };
-        let solver = match doc.get("solver") {
-            None => None,
-            Some(v) => match v.as_str() {
-                Some("direct") => Some(SolverChoice::Direct),
-                Some("iterative") => Some(SolverChoice::Iterative),
-                _ => {
-                    return Err(schema(
-                        "'solver' must be \"direct\" or \"iterative\"".into(),
-                    ))
-                }
-            },
-        };
-
         let circuit_obj = doc
             .get("circuit")
             .ok_or_else(|| schema("missing 'circuit'".into()))?;
@@ -436,7 +390,6 @@ impl GoldenCase {
             expect_failure,
             circuit,
             min_btf_blocks,
-            solver,
             analyses,
             path: path.to_path_buf(),
         })
@@ -937,37 +890,6 @@ mod tests {
             }
             other => panic!("wrong analysis: {other:?}"),
         }
-    }
-
-    #[test]
-    fn parses_optional_solver_pin() {
-        let case = GoldenCase::parse(Path::new("unit.json"), MINIMAL).unwrap();
-        assert_eq!(case.solver, None);
-        let text = MINIMAL.replace(
-            "\"name\": \"unit\",",
-            "\"name\": \"unit\", \"solver\": \"iterative\",",
-        );
-        let case = GoldenCase::parse(Path::new("unit.json"), &text).unwrap();
-        assert_eq!(case.solver, Some(SolverChoice::Iterative));
-        assert_eq!(case.solver.unwrap().tag(), "iterative");
-        let text = MINIMAL.replace(
-            "\"name\": \"unit\",",
-            "\"name\": \"unit\", \"solver\": \"direct\",",
-        );
-        let case = GoldenCase::parse(Path::new("unit.json"), &text).unwrap();
-        assert_eq!(case.solver, Some(SolverChoice::Direct));
-    }
-
-    #[test]
-    fn rejects_unknown_solver_pin() {
-        let text = MINIMAL.replace(
-            "\"name\": \"unit\",",
-            "\"name\": \"unit\", \"solver\": \"quantum\",",
-        );
-        let err = GoldenCase::parse(Path::new("x.json"), &text).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("direct"), "{msg}");
-        assert!(msg.contains("iterative"), "{msg}");
     }
 
     #[test]

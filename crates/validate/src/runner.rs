@@ -20,10 +20,8 @@ use loopscope_spice::dc::solve_dc;
 use loopscope_spice::mna::MnaLayout;
 use loopscope_spice::tran::{Integration, TransientAnalysis, TransientOptions};
 
-use loopscope_spice::SolverBackend;
-
 use crate::compare::Mismatch;
-use crate::golden::{AcQuantity, AnalysisCase, DcQuantity, GoldenCase, McQuantity, SolverChoice};
+use crate::golden::{AcQuantity, AnalysisCase, DcQuantity, GoldenCase, McQuantity};
 use crate::json::format_number;
 
 /// One evaluated check: what was measured and whether it passed.
@@ -181,17 +179,7 @@ fn run_case_inner(case: &GoldenCase, report: &mut CaseReport) -> Result<(), Stri
             )
         });
     let ac = if needs_ac {
-        let ac = AcAnalysis::new(&circuit, &op).map_err(|e| format!("ac setup: {e}"))?;
-        // An explicit `"solver"` pin overrides the ambient `LOOPSCOPE_SOLVER`
-        // configuration for every AC-path solve of this case; it must land
-        // before the first solve, which is why it sits here and not deeper.
-        if let Some(choice) = case.solver {
-            ac.set_solver_backend(match choice {
-                SolverChoice::Direct => SolverBackend::Direct,
-                SolverChoice::Iterative => SolverBackend::iterative_default(),
-            });
-        }
-        Some(ac)
+        Some(AcAnalysis::new(&circuit, &op).map_err(|e| format!("ac setup: {e}"))?)
     } else {
         None
     };

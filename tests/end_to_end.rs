@@ -176,14 +176,11 @@ fn analyzer_is_reusable_and_non_invasive() {
 #[test]
 fn mesh_supply_node_all_nodes_response_is_exactly_zero() {
     use loopscope::math::Complex64;
-    use loopscope::sparse::SolverBackend;
     use loopscope_circuits::power_grid;
 
     let (circuit, grid_nodes) = power_grid(16, 16);
     let op = solve_dc(&circuit).unwrap();
     let ac = AcAnalysis::new(&circuit, &op).unwrap();
-    // The selected inversion is the direct backend's all-nodes path.
-    ac.set_solver_backend(SolverBackend::Direct);
     let grid = FrequencyGrid::log_decade(1.0e3, 1.0e8, 4);
     let all = ac.driving_point_all_nodes(&grid).unwrap();
     let nodes = circuit.signal_nodes();
