@@ -15,7 +15,11 @@
 //! buffered op-amp cascade is pinned by the unit tests of
 //! `loopscope-bench`. (S8) compares the LTE-controlled adaptive transient
 //! stepper against the fixed grid on a stiff two-time-constant RC at
-//! matched accuracy.
+//! matched accuracy. (S9) times one assembly per point, layer by layer:
+//! the AC system stamped element by element against a load from the
+//! compiled `G + jω·C` image, and the DC Newton system assembled with a
+//! `find_slot` search per stamp against a replay of the slot tape — on the
+//! Table 2 circuit and the 16×16 power grid.
 //!
 //! Every scenario's ns/op — plus nnz(L+U), BTF block count and
 //! accepted/rejected transient step counts where they apply — is also
@@ -28,8 +32,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use loopscope_bench::{mesh_matrix, rc_ladder_matrix};
-use loopscope_circuits::blocks::rc_ladder;
-use loopscope_circuits::{mos_two_stage_buffer, two_stage_buffer, OpAmpParams};
+use loopscope_circuits::blocks::{power_grid, rc_ladder};
+use loopscope_circuits::{
+    mos_two_stage_buffer, opamp_with_bias, two_stage_buffer, BiasParams, OpAmpParams,
+};
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, SourceSpec};
 use loopscope_sparse::{
@@ -37,8 +43,10 @@ use loopscope_sparse::{
     SymbolicLu,
 };
 use loopscope_spice::ac::AcAnalysis;
+use loopscope_spice::assembly::{AssembleMna, SlotSink, StampTape};
 use loopscope_spice::batch::{driving_point_monte_carlo, ParameterVariation};
-use loopscope_spice::dc::solve_dc;
+use loopscope_spice::dc::{self, solve_dc};
+use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
 use loopscope_spice::par;
 use loopscope_spice::tran::{TransientAnalysis, TransientOptions, TransientResult};
 use std::time::Instant;
@@ -971,6 +979,164 @@ fn print_adaptive_transient(records: &mut Vec<Record>) {
     );
 }
 
+/// The slot sink before the slot tape: a binary search per stamp.
+struct SearchSink<'m, T: loopscope_sparse::Scalar>(&'m mut CsrMatrix<T>);
+
+impl<T: loopscope_sparse::Scalar> MatrixSink<T> for SearchSink<'_, T> {
+    #[inline]
+    fn add(&mut self, row: usize, col: usize, value: T) {
+        let slot = self.0.find_slot(row, col).expect("stamp on the pattern");
+        self.0.values_mut()[slot] += value;
+    }
+}
+
+/// Best-of-blocks ns per assembly of `job(k)` into `matrix`, cycling
+/// `points` jobs with a hoisted RHS: through a [`SlotSink`] replaying
+/// `tape`, or with a `find_slot` search per stamp when `tape` is `None`.
+fn assembly_ns<T, J>(
+    layout: &MnaLayout,
+    matrix: &mut CsrMatrix<T>,
+    points: usize,
+    reps: usize,
+    mut tape: Option<&mut StampTape>,
+    job: impl Fn(usize) -> J,
+) -> f64
+where
+    T: loopscope_sparse::Scalar,
+    J: AssembleMna<T>,
+{
+    let mut rhs = Vec::with_capacity(layout.dim());
+    let mut k = 0usize;
+    time_ns_best(5, reps, || {
+        matrix.zero_values();
+        let buf = std::mem::take(&mut rhs);
+        let job = job(k % points);
+        k += 1;
+        rhs = match tape.as_deref_mut() {
+            Some(tape) => {
+                let sink = SlotSink::new(&mut *matrix, tape);
+                let mut st = Stamper::with_sink_reusing(layout, sink, buf);
+                job.stamp(&mut st);
+                st.into_parts().1
+            }
+            None => {
+                let mut st = Stamper::with_sink_reusing(layout, SearchSink(&mut *matrix), buf);
+                job.stamp(&mut st);
+                st.into_parts().1
+            }
+        };
+    })
+}
+
+/// Experiment S9 — assembly per point, stamped vs compiled. For the AC
+/// system of each circuit: every element stamp through a `find_slot`
+/// search (the path before compiled images), the same stamps replaying a
+/// slot tape (what a point whose image failed its self-check runs), and
+/// the load from the compiled `G + jω·C` image. For the DC Newton system
+/// at the operating point: `find_slot` against the slot tape. The image
+/// load is also checked bit for bit against the stamped values.
+fn print_assembly_table(records: &mut Vec<Record>) {
+    println!(
+        "\n=== S9: assembly per point — stamped vs compiled G + jωC image (AC), find_slot vs slot tape (DC) ==="
+    );
+    let (table2, _, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
+    let (mesh, _) = power_grid(16, 16);
+    let grid = FrequencyGrid::log_decade(1.0e3, 1.0e9, 20);
+    let freqs = grid.freqs();
+    for (label, circuit, reps) in [
+        ("table2", &table2, iters(20_000)),
+        ("mesh_16x16", &mesh, iters(2_000)),
+    ] {
+        let op = solve_dc(circuit).expect("operating point");
+        let ac = AcAnalysis::new(circuit, &op).expect("valid analysis");
+        let layout = ac.layout();
+        let image = ac
+            .admittance_image(freqs[0])
+            .expect("representative system factors")
+            .expect("affine stamps pass the self-check");
+        let mut matrix = ac.admittance_matrix(freqs[0]);
+
+        // Bitwise parity of the load with a stamped assembly on every point.
+        let mut tape = StampTape::new();
+        let mut loaded = matrix.clone();
+        for &f in freqs {
+            matrix.zero_values();
+            let mut st = Stamper::with_sink(layout, SlotSink::new(&mut matrix, &mut tape));
+            ac.assembly_job(f).stamp(&mut st);
+            image.load_into(f, loaded.values_mut());
+            let same = loaded
+                .iter()
+                .zip(matrix.iter())
+                .all(|((_, _, a), (_, _, b))| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                });
+            assert!(
+                same,
+                "{label}: image load differs from the stamped assembly at {f} Hz"
+            );
+        }
+
+        let job = |k: usize| ac.assembly_job(freqs[k]);
+        let search_ns = assembly_ns(layout, &mut matrix, freqs.len(), reps, None, job);
+        let tape_ns = assembly_ns(layout, &mut matrix, freqs.len(), reps, Some(&mut tape), job);
+        let mut k = 0usize;
+        let image_ns = time_ns_best(5, reps, || {
+            image.load_into(freqs[k % freqs.len()], loaded.values_mut());
+            k += 1;
+            std::hint::black_box(&mut loaded);
+        });
+        println!(
+            "{label:<11} AC ({} unknowns, {} slots, {} C terms): stamped {:>8.2} µs   stamped+tape {:>8.2} µs   image load {:>8.2} µs   speedup {:>5.1}x",
+            layout.dim(),
+            matrix.nnz(),
+            image.c_terms().len(),
+            search_ns / 1.0e3,
+            tape_ns / 1.0e3,
+            image_ns / 1.0e3,
+            search_ns / image_ns
+        );
+        assert_timing(
+            image_ns < search_ns,
+            &format!("{label}: the image load must beat the element stamps"),
+        );
+        records.push(Record::new(
+            format!("{label}_ac_assembly_stamped"),
+            search_ns,
+        ));
+        records.push(Record::new(format!("{label}_ac_assembly_tape"), tape_ns));
+        records.push(Record::new(format!("{label}_ac_assembly_image"), image_ns));
+
+        let dc_layout = MnaLayout::new(circuit);
+        let voltages = op.node_voltages();
+        let dc_job = |_: usize| dc::assembly_job(circuit, &dc_layout, voltages);
+        let mut st = Stamper::new(&dc_layout);
+        dc_job(0).stamp(&mut st);
+        let mut dc_matrix = st.finish().0.to_csr();
+        let mut dc_tape = StampTape::new();
+        let dc_search_ns = assembly_ns(&dc_layout, &mut dc_matrix, 1, reps, None, dc_job);
+        let dc_tape_ns = assembly_ns(
+            &dc_layout,
+            &mut dc_matrix,
+            1,
+            reps,
+            Some(&mut dc_tape),
+            dc_job,
+        );
+        println!(
+            "{label:<11} DC Newton system ({} stamps): find_slot {:>8.2} µs   slot tape {:>8.2} µs   speedup {:>5.2}x",
+            dc_tape.len(),
+            dc_search_ns / 1.0e3,
+            dc_tape_ns / 1.0e3,
+            dc_search_ns / dc_tape_ns
+        );
+        records.push(Record::new(
+            format!("{label}_dc_assembly_find_slot"),
+            dc_search_ns,
+        ));
+        records.push(Record::new(format!("{label}_dc_assembly_tape"), dc_tape_ns));
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let mut records: Vec<Record> = Vec::new();
     if quick_mode() {
@@ -1031,6 +1197,8 @@ fn bench(c: &mut Criterion) {
     print_monte_carlo_scan(&mut records);
 
     print_adaptive_transient(&mut records);
+
+    print_assembly_table(&mut records);
     println!();
 
     let mut group = c.benchmark_group("solver_refactor");

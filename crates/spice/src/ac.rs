@@ -27,14 +27,18 @@
 //! Across frequency points the heavy lifting is shared through a
 //! [`SweepPlan`]: the sparsity pattern,
 //! value-slot map and fill-reducing LU symbolic analysis are built **once
-//! per analysis** and shared — read-only — by every solve. Frequency points
+//! per analysis** and shared — read-only — by every solve. Next to the plan
+//! the analysis compiles its element stamps once into an [`AffineImage`]
+//! `Y(jω) = G + jω·C`, and every frequency point loads its values from it
+//! instead of re-running the stamps — bit for bit the same values (see
+//! [`AffineImage`] for the argument, and the self-check that guards it). Frequency points
 //! are embarrassingly parallel, so all three sweep entry points
 //! ([`AcAnalysis::sweep`], [`AcAnalysis::driving_point_response`],
 //! [`AcAnalysis::driving_point_all_nodes`]) chunk their grid across worker
 //! threads via [`crate::par::sweep_chunks`] (`LOOPSCOPE_THREADS` knob,
 //! default = available parallelism). Each worker mints its own
 //! [`SolveContext`] from the shared plan:
-//! value buffers, numeric L/U, scratch — restamped in place, refactored
+//! value buffers, numeric L/U, scratch — reloaded in place, refactored
 //! numerically, solved through the one verified retry ladder
 //! ([`SolveContext::solve_verified_in_place`]) or inverted on the selected
 //! set, with no heap allocation on the factor side. Results are assembled
@@ -43,7 +47,9 @@
 //! performs exactly one symbolic analysis (see
 //! [`AcAnalysis::solve_stats`]).
 
-use crate::assembly::{AssembleMna, SolveContext, SolveStats, SweepPlan};
+use crate::assembly::{
+    AffineImage, AffineSink, AssembleMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
+};
 use crate::dc::OperatingPoint;
 use crate::devices;
 use crate::error::SpiceError;
@@ -212,19 +218,28 @@ pub struct SolverStructure {
     pub solver: SolverBackend,
 }
 
+/// The shared sweep plan of an analysis and the admittance image compiled
+/// over its pattern (`None` when the self-check dropped it: every point then
+/// stamps).
+#[derive(Debug)]
+pub(crate) struct AcPlan {
+    pub(crate) plan: SweepPlan<Complex64>,
+    pub(crate) image: Option<AffineImage>,
+}
+
 /// Small-signal AC analysis of a circuit linearized at an operating point.
 #[derive(Debug)]
 pub struct AcAnalysis<'c> {
     circuit: &'c Circuit,
     layout: MnaLayout,
-    /// The shared sweep plan, built lazily at the first solve: the Y(jω)
-    /// sparsity pattern, slot map and LU symbolic analysis are identical at
-    /// every frequency (and for both sweep and driving-point excitations,
-    /// which differ only in the right-hand side), so one plan serves every
-    /// solve this analysis ever performs — shared read-only across the
-    /// worker threads of a chunked sweep. The `Mutex` only guards lazy
-    /// construction; workers hold `Arc` clones.
-    plan: Mutex<Option<Arc<SweepPlan<Complex64>>>>,
+    /// The shared sweep plan and compiled image, built lazily at the first
+    /// solve: the Y(jω) sparsity pattern, slot map and LU symbolic analysis
+    /// are identical at every frequency (and for both sweep and
+    /// driving-point excitations, which differ only in the right-hand
+    /// side), so one plan serves every solve this analysis ever performs —
+    /// shared read-only across the worker threads of a chunked sweep. The
+    /// `Mutex` only guards lazy construction; workers hold `Arc` clones.
+    plan: Mutex<Option<Arc<AcPlan>>>,
     /// Sweep-level counter totals: the plan build plus every worker
     /// context's counters, merged after each sweep.
     stats: Mutex<SolveStats>,
@@ -322,19 +337,50 @@ impl<'c> AcAnalysis<'c> {
     }
 
     /// Assembles the unit-injection system (every AC stimulus off) of point
-    /// `idx` of `freqs` into `ctx` and applies a planted matrix fault.
-    fn assemble_probe(&self, ctx: &mut SolveContext<'_, Complex64>, freqs: &[f64], idx: usize) {
-        let _ = ctx.assemble(&AcSystem {
-            analysis: self,
-            freq_hz: freqs[idx],
-            use_circuit_sources: false,
-            overrides: &[],
-        });
+    /// `idx` of `freqs` into `ctx` — loaded from `image` when there is one —
+    /// and applies a planted matrix fault.
+    fn assemble_probe(
+        &self,
+        ctx: &mut SolveContext<'_, Complex64>,
+        image: Option<&AffineImage>,
+        freqs: &[f64],
+        idx: usize,
+    ) {
+        self.assemble_point(ctx, image, freqs[idx], false);
         #[cfg(feature = "fault-inject")]
         if let Some(AcFault::Matrix { point, kind, seed }) = self.fault() {
             if point == idx {
                 loopscope_sparse::faults::FaultInjector::new(seed).inject(kind, ctx.matrix_mut());
             }
+        }
+    }
+
+    /// Assembles the system at `freq_hz` into `ctx`: a load from `image`
+    /// when the analysis has one, else the element stamps. Returns the
+    /// right-hand side (the circuit's AC sources when `use_circuit_sources`
+    /// is set; a probe ignores it).
+    fn assemble_point(
+        &self,
+        ctx: &mut SolveContext<'_, Complex64>,
+        image: Option<&AffineImage>,
+        freq_hz: f64,
+        use_circuit_sources: bool,
+    ) -> Vec<Complex64> {
+        match image {
+            Some(image) => {
+                ctx.load_values(image, freq_hz);
+                if use_circuit_sources {
+                    image.rhs().to_vec()
+                } else {
+                    Vec::new()
+                }
+            }
+            None => ctx.assemble(&AcSystem {
+                analysis: self,
+                freq_hz,
+                use_circuit_sources,
+                overrides: &[],
+            }),
         }
     }
 
@@ -373,16 +419,15 @@ impl<'c> AcAnalysis<'c> {
         &self,
         representative_freq_hz: f64,
     ) -> Result<SolverStructure, SpiceError> {
-        let plan = self.plan_for(representative_freq_hz)?;
-        let symbolic = plan.symbolic();
-        let mut probe = plan.context();
-        let job = AcSystem {
-            analysis: self,
-            freq_hz: representative_freq_hz,
-            use_circuit_sources: false,
-            overrides: &[],
-        };
-        let _ = probe.assemble(&job);
+        let planned = self.plan_for(representative_freq_hz)?;
+        let symbolic = planned.plan.symbolic();
+        let mut probe = planned.plan.context();
+        let _ = self.assemble_point(
+            &mut probe,
+            planned.image.as_ref(),
+            representative_freq_hz,
+            false,
+        );
         probe
             .factor()
             .map_err(|e| SpiceError::from_solve(e, &self.layout))?;
@@ -401,14 +446,13 @@ impl<'c> AcAnalysis<'c> {
 
     /// The shared sweep plan, built at the first solve from the system at
     /// `first_freq` (representative values for the threshold-pivoted
-    /// ordering) and reused — read-only — for every later solve.
-    pub(crate) fn plan_for(
-        &self,
-        first_freq: f64,
-    ) -> Result<Arc<SweepPlan<Complex64>>, SpiceError> {
+    /// ordering) and reused — read-only — for every later solve, with the
+    /// analysis's admittance image compiled over its pattern and
+    /// self-checked at `first_freq`.
+    pub(crate) fn plan_for(&self, first_freq: f64) -> Result<Arc<AcPlan>, SpiceError> {
         let mut guard = self.plan.lock().expect("plan lock");
-        if let Some(plan) = guard.as_ref() {
-            return Ok(Arc::clone(plan));
+        if let Some(planned) = guard.as_ref() {
+            return Ok(Arc::clone(planned));
         }
         let job = AcSystem {
             analysis: self,
@@ -416,10 +460,80 @@ impl<'c> AcAnalysis<'c> {
             use_circuit_sources: false,
             overrides: &[],
         };
-        let plan = Arc::new(SweepPlan::build(&self.layout, &job).map_err(SpiceError::Linear)?);
+        let plan = SweepPlan::build(&self.layout, &job).map_err(SpiceError::Linear)?;
         self.stats.lock().expect("stats lock").merge(&plan.stats());
-        *guard = Some(Arc::clone(&plan));
-        Ok(plan)
+        let image = self.compile_image(plan.pattern(), &[], first_freq);
+        let planned = Arc::new(AcPlan { plan, image });
+        *guard = Some(Arc::clone(&planned));
+        Ok(planned)
+    }
+
+    /// Compiles the admittance system — with `overrides` stamped in place of
+    /// their elements — into an [`AffineImage`] over `pattern` (zero
+    /// values), by stamping once at `jω = (0, 1)`. The image is returned
+    /// only when a load at `check_freq` reproduces a stamped assembly at
+    /// that frequency bit for bit; `None` (a stamp outside the pattern, or a
+    /// failed self-check) leaves the caller stamping every point.
+    pub(crate) fn compile_image(
+        &self,
+        pattern: &CsrMatrix<Complex64>,
+        overrides: &[(usize, Element)],
+        check_freq: f64,
+    ) -> Option<AffineImage> {
+        let mut st = Stamper::with_sink(&self.layout, AffineSink::new(pattern));
+        self.stamp_affine(&mut st, Complex64::new(0.0, 1.0), true, overrides);
+        let (sink, rhs) = st.into_parts();
+        let image = sink.finish(rhs)?;
+        self.checked_image(image, pattern, overrides, check_freq)
+    }
+
+    /// The compile-time self-check of [`compile_image`](AcAnalysis::compile_image):
+    /// `image` if it reproduces one stamped assembly at `check_freq`.
+    fn checked_image(
+        &self,
+        image: AffineImage,
+        pattern: &CsrMatrix<Complex64>,
+        overrides: &[(usize, Element)],
+        check_freq: f64,
+    ) -> Option<AffineImage> {
+        let mut stamped = pattern.clone();
+        let mut tape = StampTape::new();
+        let mut st = Stamper::with_sink(&self.layout, SlotSink::new(&mut stamped, &mut tape));
+        self.stamp_system_overridden(&mut st, check_freq, true, overrides);
+        let (sink, rhs) = st.into_parts();
+        let hit = !sink.missed();
+        (hit && image.reproduces(check_freq, &stamped, &rhs)).then_some(image)
+    }
+
+    /// The admittance image this analysis loads its frequency points from
+    /// (a copy), building the shared plan from the system at
+    /// `representative_freq_hz` first if no solve has run yet — the same
+    /// plan [`solver_structure`](AcAnalysis::solver_structure) reports.
+    /// `None` when the image failed its self-check and the analysis stamps
+    /// every point instead. A diagnostic and benchmark entry point.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::Linear`] when the representative system cannot
+    /// be factored.
+    pub fn admittance_image(
+        &self,
+        representative_freq_hz: f64,
+    ) -> Result<Option<AffineImage>, SpiceError> {
+        Ok(self.plan_for(representative_freq_hz)?.image.clone())
+    }
+
+    /// The assembly job of the unit-injection admittance system at
+    /// `freq_hz` (every AC stimulus off) — what a frequency point without an
+    /// image stamps through [`SolveContext::assemble`]. A diagnostic and
+    /// benchmark entry point.
+    pub fn assembly_job(&self, freq_hz: f64) -> impl AssembleMna<Complex64> + '_ {
+        AcSystem {
+            analysis: self,
+            freq_hz,
+            use_circuit_sources: false,
+            overrides: &[],
+        }
     }
 
     /// Folds the counters of finished worker contexts into the totals.
@@ -435,25 +549,16 @@ impl<'c> AcAnalysis<'c> {
     /// the in-place cached path).
     pub fn admittance_matrix(&self, freq_hz: f64) -> CsrMatrix<Complex64> {
         let mut st = Stamper::<Complex64>::new(&self.layout);
-        self.stamp_system(&mut st, freq_hz, false);
+        self.assembly_job(freq_hz).stamp(&mut st);
         let (triplets, _) = st.finish();
         triplets.to_csr()
     }
 
-    /// Stamps the complex admittance system at `freq_hz` along with the RHS
-    /// produced by the circuit's own AC sources.
-    pub(crate) fn stamp_system<S: MatrixSink<Complex64>>(
-        &self,
-        st: &mut Stamper<'_, Complex64, S>,
-        freq_hz: f64,
-        use_circuit_sources: bool,
-    ) {
-        self.stamp_system_overridden(st, freq_hz, use_circuit_sources, &[]);
-    }
-
-    /// [`stamp_system`](AcAnalysis::stamp_system) with per-variant element
-    /// value overrides, `(position, element)` sorted ascending by position:
-    /// the override element is stamped in place of the circuit's own. The
+    /// Stamps the complex admittance system at `freq_hz`, along with the RHS
+    /// produced by the circuit's own AC sources when `use_circuit_sources`
+    /// is set, with per-variant element value overrides, `(position,
+    /// element)` sorted ascending by position: the override element is
+    /// stamped in place of the circuit's own. The
     /// batched Monte Carlo driver uses this to stamp thousands of variants
     /// through one analysis — an override carrying the same values as a
     /// materialized variant circuit produces a bitwise-identical system,
@@ -465,9 +570,22 @@ impl<'c> AcAnalysis<'c> {
         use_circuit_sources: bool,
         overrides: &[(usize, Element)],
     ) {
+        // `AffineImage::load_into` computes `w` with this same expression.
         let w = TWO_PI * freq_hz;
-        let jw = Complex64::new(0.0, w);
+        self.stamp_affine(st, Complex64::new(0.0, w), use_circuit_sources, overrides);
+    }
 
+    /// The one stamp body of the AC system at `jw`: every entry is either
+    /// independent of `jw` or a multiple `jw·x` of it, which is what lets
+    /// [`compile_image`](AcAnalysis::compile_image) run it once at
+    /// `jw = (0, 1)`.
+    fn stamp_affine<S: MatrixSink<Complex64>>(
+        &self,
+        st: &mut Stamper<'_, Complex64, S>,
+        jw: Complex64,
+        use_circuit_sources: bool,
+        overrides: &[(usize, Element)],
+    ) {
         for node in self.circuit.signal_nodes_iter() {
             st.add_node_node(node, node, Complex64::from_real(GMIN));
         }
@@ -492,7 +610,7 @@ impl<'c> AcAnalysis<'c> {
                 }
                 Element::Capacitor(c) => st.stamp_admittance(c.a, c.b, jw * c.farads),
                 Element::Inductor(l) => {
-                    let br = self.layout.branch_var(&l.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     st.add_var_node(br, l.a, Complex64::ONE);
                     st.add_var_node(br, l.b, -Complex64::ONE);
                     st.add_node_var(l.a, br, Complex64::ONE);
@@ -500,7 +618,7 @@ impl<'c> AcAnalysis<'c> {
                     st.add_var_var(br, br, -(jw * l.henries));
                 }
                 Element::Vsource(v) => {
-                    let br = self.layout.branch_var(&v.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     st.add_var_node(br, v.plus, Complex64::ONE);
                     st.add_var_node(br, v.minus, -Complex64::ONE);
                     st.add_node_var(v.plus, br, Complex64::ONE);
@@ -519,7 +637,7 @@ impl<'c> AcAnalysis<'c> {
                     }
                 }
                 Element::Vcvs(e) => {
-                    let br = self.layout.branch_var(&e.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     st.add_var_node(br, e.out_plus, Complex64::ONE);
                     st.add_var_node(br, e.out_minus, -Complex64::ONE);
                     st.add_var_node(br, e.ctrl_plus, Complex64::from_real(-e.gain));
@@ -537,16 +655,16 @@ impl<'c> AcAnalysis<'c> {
                 Element::Cccs(f) => {
                     let ctrl = self
                         .layout
-                        .branch_var(&f.ctrl_vsource)
+                        .control_branch(idx)
                         .expect("controlling source validated");
                     st.add_node_var(f.out_plus, ctrl, Complex64::from_real(f.gain));
                     st.add_node_var(f.out_minus, ctrl, Complex64::from_real(-f.gain));
                 }
                 Element::Ccvs(h) => {
-                    let br = self.layout.branch_var(&h.name).expect("branch");
+                    let br = self.layout.element_branch(idx).expect("branch");
                     let ctrl = self
                         .layout
-                        .branch_var(&h.ctrl_vsource)
+                        .control_branch(idx)
                         .expect("controlling source validated");
                     st.add_var_node(br, h.out_plus, Complex64::ONE);
                     st.add_var_node(br, h.out_minus, -Complex64::ONE);
@@ -601,21 +719,16 @@ impl<'c> AcAnalysis<'c> {
                 data: Vec::new(),
             });
         }
-        let plan = self.plan_for(freqs[0])?;
+        let planned = self.plan_for(freqs[0])?;
+        let image = planned.image.as_ref();
         let (result, workers) = par::sweep_chunks(
             freqs,
-            || plan.context(),
+            || planned.plan.context(),
             |ctx: &mut SolveContext<'_, Complex64>, _, &f| -> Result<Vec<Complex64>, SpiceError> {
-                let job = AcSystem {
-                    analysis: self,
-                    freq_hz: f,
-                    use_circuit_sources: true,
-                    overrides: &[],
-                };
                 // The assembled RHS becomes the solution in place; the
                 // per-point verified retry ladder enriches failures with
                 // circuit names.
-                let mut solution = ctx.assemble(&job);
+                let mut solution = self.assemble_point(ctx, image, f, true);
                 ctx.solve_verified_in_place(&mut solution)?;
                 Ok(self.solve_into_node_row(&solution))
             },
@@ -656,17 +769,18 @@ impl<'c> AcAnalysis<'c> {
         if freqs.is_empty() {
             return Ok(Vec::new());
         }
-        let plan = self.plan_for(freqs[0])?;
+        let planned = self.plan_for(freqs[0])?;
+        let image = planned.image.as_ref();
         let dim = self.layout.dim();
         let (out, workers) = par::sweep_chunks(
             freqs,
             // Per-worker state: a solve context plus the injection vector.
-            || (plan.context(), vec![Complex64::ZERO; dim]),
+            || (planned.plan.context(), vec![Complex64::ZERO; dim]),
             |(ctx, x): &mut (SolveContext<'_, Complex64>, Vec<Complex64>),
              idx,
              _|
              -> Result<Complex64, SpiceError> {
-                self.assemble_probe(ctx, freqs, idx);
+                self.assemble_probe(ctx, image, freqs, idx);
                 // Unit current injection at `node`, solved in place through
                 // the verified retry ladder, which factors first.
                 x.fill(Complex64::ZERO);
@@ -733,7 +847,8 @@ impl<'c> AcAnalysis<'c> {
         if freqs.is_empty() {
             return Ok(vec![Vec::new(); nodes.len()]);
         }
-        let plan = self.plan_for(freqs[0])?;
+        let planned = self.plan_for(freqs[0])?;
+        let image = planned.image.as_ref();
         let dim = self.layout.dim();
         let vars: Vec<usize> = nodes
             .iter()
@@ -746,7 +861,7 @@ impl<'c> AcAnalysis<'c> {
             freqs,
             || {
                 (
-                    plan.context(),
+                    planned.plan.context(),
                     vec![Complex64::ZERO; dim],
                     vec![Complex64::ZERO; dim],
                 )
@@ -755,14 +870,14 @@ impl<'c> AcAnalysis<'c> {
              idx,
              _|
              -> Result<Vec<Complex64>, SpiceError> {
-                self.assemble_probe(ctx, freqs, idx);
+                self.assemble_probe(ctx, image, freqs, idx);
                 if let Some(row) = self.selected_inverse_row(ctx, &vars, idx, x, diag) {
                     return Ok(row);
                 }
                 ctx.count_inverse_fallback();
                 vars.iter()
                     .map(|&var| {
-                        self.assemble_probe(ctx, freqs, idx);
+                        self.assemble_probe(ctx, image, freqs, idx);
                         x.fill(Complex64::ZERO);
                         x[var] = Complex64::ONE;
                         ctx.solve_verified_in_place(x)?;
@@ -1039,6 +1154,212 @@ mod tests {
         let mid = sweep.magnitude_at(vout, 200.0);
         assert!(mid < sweep.magnitude_at(vout, 100.0));
         assert!(mid > last);
+    }
+
+    /// One circuit with every element kind (R, C, L, V, I, E, G, F, H, D,
+    /// Q, M), AC sources on V and I, and capacitances on every device.
+    fn every_element_kind() -> Circuit {
+        use loopscope_netlist::{BjtModel, BjtPolarity, DiodeModel, MosfetModel, MosfetPolarity};
+        let mut c = Circuit::new("every kind");
+        let vin = c.node("in");
+        let a = c.node("a");
+        let b = c.node("b");
+        let e = c.node("e");
+        let f = c.node("f");
+        let g = c.node("g");
+        let h = c.node("h");
+        let vcc = c.node("vcc");
+        let qb = c.node("qb");
+        let qc = c.node("qc");
+        let md = c.node("md");
+        c.add_vsource("V1", vin, Circuit::GROUND, SourceSpec::dc_ac(1.5, 1.0, 0.0));
+        c.add_vsource("VCC", vcc, Circuit::GROUND, SourceSpec::dc(5.0));
+        c.add_resistor("R1", vin, a, 1.0e3);
+        c.add_capacitor("C1", a, Circuit::GROUND, 1.0e-9);
+        c.add_inductor("L1", a, b, 1.0e-6);
+        c.add_resistor("R2", b, Circuit::GROUND, 2.0e3);
+        c.add_isource(
+            "I1",
+            Circuit::GROUND,
+            b,
+            SourceSpec::dc_ac(0.0, 1.0e-3, 30.0),
+        );
+        c.add_vcvs("E1", e, Circuit::GROUND, a, Circuit::GROUND, 3.0);
+        c.add_resistor("R3", e, Circuit::GROUND, 1.0e3);
+        c.add_vccs("G1", f, Circuit::GROUND, a, b, 1.0e-3);
+        c.add_resistor("R4", f, Circuit::GROUND, 1.0e3);
+        c.add_cccs("F1", g, Circuit::GROUND, "V1", 2.0);
+        c.add_resistor("R5", g, Circuit::GROUND, 1.0e3);
+        c.add_ccvs("H1", h, Circuit::GROUND, "V1", 5.0e2);
+        c.add_resistor("R6", h, Circuit::GROUND, 1.0e3);
+        c.add_diode(
+            "D1",
+            b,
+            Circuit::GROUND,
+            DiodeModel {
+                cj0: 2.0e-12,
+                ..Default::default()
+            },
+        );
+        c.add_resistor("RB", vcc, qb, 430.0e3);
+        c.add_resistor("RC", vcc, qc, 2.0e3);
+        c.add_bjt(
+            "Q1",
+            qc,
+            qb,
+            Circuit::GROUND,
+            BjtPolarity::Npn,
+            BjtModel {
+                cje: 1.0e-12,
+                cjc: 5.0e-13,
+                tf: 1.0e-10,
+                ..Default::default()
+            },
+        );
+        c.add_resistor("RD", vcc, md, 5.0e3);
+        c.add_mosfet(
+            "M1",
+            md,
+            vin,
+            Circuit::GROUND,
+            MosfetPolarity::Nmos,
+            10.0e-6,
+            1.0e-6,
+            MosfetModel {
+                cgs: 1.0e-14,
+                cgd: 5.0e-15,
+                cdb: 2.0e-15,
+                ..Default::default()
+            },
+        );
+        c
+    }
+
+    /// The stamped assembly at `freq_hz` over `pattern`, with the circuit's
+    /// AC sources, as a SlotSink assembly with a fresh tape.
+    fn stamped(
+        ac: &AcAnalysis<'_>,
+        pattern: &CsrMatrix<Complex64>,
+        freq_hz: f64,
+        overrides: &[(usize, Element)],
+    ) -> (CsrMatrix<Complex64>, Vec<Complex64>) {
+        let mut m = pattern.clone();
+        let mut tape = StampTape::new();
+        let mut st = Stamper::with_sink(&ac.layout, SlotSink::new(&mut m, &mut tape));
+        ac.stamp_system_overridden(&mut st, freq_hz, true, overrides);
+        let (sink, rhs) = st.into_parts();
+        assert!(!sink.missed());
+        (m, rhs)
+    }
+
+    #[test]
+    fn image_load_is_bitwise_the_stamped_assembly_for_every_element_kind() {
+        use crate::batch::ParameterVariation;
+        let c = every_element_kind();
+        let op = solve_dc(&c).unwrap();
+        let ac = AcAnalysis::new(&c, &op).unwrap();
+        let grid = FrequencyGrid::log_decade(1.0, 1.0e9, 10);
+        let mut freqs = vec![0.0, 1.0e-3];
+        freqs.extend_from_slice(grid.freqs());
+        freqs.push(1.0e15);
+
+        let planned = ac.plan_for(grid.freqs()[0]).unwrap();
+        let pattern = planned.plan.pattern();
+        let image = planned.image.as_ref().expect("self-check passes");
+        // One C term per stored entry of a capacitance or inductance: C1,
+        // L1 and D1's junction sit on one node each (1 + 1 + 1), Q1 adds
+        // base-emitter (1) and base-collector (4), M1 gate-source (1),
+        // gate-drain (4) and drain-bulk (1). The sources leave a nonzero
+        // right-hand side.
+        assert_eq!(image.c_terms().len(), 14);
+        assert!(image.rhs().iter().any(|v| *v != Complex64::ZERO));
+
+        let variation = ParameterVariation::new(0x5EED)
+            .gaussian("R1", 0.1)
+            .uniform("C1", 0.2)
+            .uniform("L1", 0.2)
+            .gaussian("E1", 0.1)
+            .gaussian("G1", 0.1)
+            .uniform("F1", 0.2)
+            .uniform("H1", 0.2);
+        let positions = variation.rule_positions(&c).unwrap();
+        let mut cases: Vec<(Vec<(usize, Element)>, AffineImage)> =
+            vec![(Vec::new(), image.clone())];
+        for i in 0..3 {
+            let overrides = variation.overrides_for(i, &c, &positions).unwrap();
+            let image = ac
+                .compile_image(pattern, &overrides, grid.freqs()[0])
+                .expect("self-check passes with overrides");
+            cases.push((overrides, image));
+        }
+        for (overrides, image) in &cases {
+            for &f in &freqs {
+                let (m, rhs) = stamped(&ac, pattern, f, overrides);
+                assert!(image.reproduces(f, &m, &rhs), "f = {f}");
+            }
+        }
+        // Overrides really change the loaded values.
+        let loaded = |image: &AffineImage| {
+            let mut m = pattern.clone();
+            image.load_into(1.0e6, m.values_mut());
+            m.iter().map(|(_, _, v)| v).collect::<Vec<_>>()
+        };
+        assert_ne!(loaded(&cases[0].1), loaded(&cases[1].1));
+    }
+
+    #[test]
+    fn corrupted_image_fails_the_self_check_and_points_stamp() {
+        let c = every_element_kind();
+        let op = solve_dc(&c).unwrap();
+        let grid = FrequencyGrid::log_decade(1.0e3, 1.0e8, 5);
+        let f0 = grid.freqs()[0];
+        let reference = AcAnalysis::new(&c, &op).unwrap();
+        let planned = reference.plan_for(f0).unwrap();
+        let pattern = planned.plan.pattern();
+
+        // An image compiled at the wrong unit (jω = 2j) holds every C term
+        // doubled: the self-check must catch it.
+        let mut st = Stamper::with_sink(&reference.layout, AffineSink::new(pattern));
+        reference.stamp_affine(&mut st, Complex64::new(0.0, 2.0), true, &[]);
+        let (sink, rhs) = st.into_parts();
+        let corrupted = sink.finish(rhs).unwrap();
+        assert!(reference
+            .checked_image(corrupted, pattern, &[], f0)
+            .is_none());
+
+        // An analysis whose image was dropped stamps every point — and
+        // reads the same values and counters as one that loads.
+        let stamping = AcAnalysis::new(&c, &op).unwrap();
+        *stamping.plan.lock().unwrap() = Some(Arc::new(AcPlan {
+            plan: planned.plan.clone(),
+            image: None,
+        }));
+        let node = c.find_node("b").unwrap();
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&stamping.driving_point_response(node, &grid).unwrap()),
+            bits(&reference.driving_point_response(node, &grid).unwrap())
+        );
+        let (all_s, all_r) = (
+            stamping.driving_point_all_nodes(&grid).unwrap(),
+            reference.driving_point_all_nodes(&grid).unwrap(),
+        );
+        for (s, r) in all_s.iter().zip(&all_r) {
+            assert_eq!(bits(s), bits(r));
+        }
+        let (sw_s, sw_r) = (
+            stamping.sweep(&grid).unwrap(),
+            reference.sweep(&grid).unwrap(),
+        );
+        for n in c.signal_nodes() {
+            assert_eq!(bits(&sw_s.response(n)), bits(&sw_r.response(n)));
+        }
+        let (mut st_s, st_r) = (stamping.solve_stats(), reference.solve_stats());
+        // The stamping analysis never built its own plan.
+        st_s.symbolic += 1;
+        assert_eq!(st_s, st_r);
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! its solves through it:
 //!
 //! 1. **Assembly** zeroes the CSR values and replays the element stamps
-//!    through a [`SlotSink`], which routes each stamp to its value slot by a
-//!    binary search within the row. No allocation, no sorting, no BTreeMap.
-//!    A stamp that misses the pattern (a nonlinear device changed operating
-//!    region, say) rebuilds the system from scratch through a
-//!    [`TripletMatrix`](loopscope_sparse::TripletMatrix).
+//!    through a [`SlotSink`], which routes each stamp to the value slot its
+//!    context's [`StampTape`] recorded for it (a binary search within the
+//!    row only when the tape has no matching entry). No allocation, no
+//!    sorting, no BTreeMap. A stamp that misses the pattern (a nonlinear
+//!    device changed operating region, say) rebuilds the system from
+//!    scratch through a [`TripletMatrix`](loopscope_sparse::TripletMatrix).
+//!    An AC sweep point skips the stamps altogether and loads its values
+//!    from the analysis's compiled [`AffineImage`] `G + jω·C`, bit for bit
+//!    the values a stamped assembly produces.
 //! 2. **Factorization** is the numeric-only, allocation-free
 //!    [`SparseLu::refactor_into`] against a [`SymbolicLu`] captured once
 //!    from a fresh [`SparseLu::factor`] (block-triangular form, a
@@ -54,6 +58,7 @@
 
 use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
+use loopscope_math::{Complex64, TWO_PI};
 use loopscope_sparse::{
     CsrMatrix, InverseWorkspace, LuWorkspace, RefineWorkspace, Scalar, SolveError, SolveQuality,
     SparseLu, SymbolicLu,
@@ -95,19 +100,71 @@ pub trait AssembleMna<T: Scalar> {
     fn stamp<S: MatrixSink<T>>(&self, stamper: &mut Stamper<'_, T, S>);
 }
 
+/// The slot of every matrix stamp of one assembly, in stamp order — the
+/// SPICE3 `TSTALLOC` idiom (each device binds its matrix-element pointers
+/// once) applied to an unchanged stamp loop.
+///
+/// The first assembly over a pattern records `(row, col, slot)` for every
+/// [`MatrixSink::add`] a [`SlotSink`] receives. Later assemblies replay it:
+/// a stamp whose position matches its tape entry (two integer compares) goes
+/// straight to the recorded slot instead of a binary search. A stamp that
+/// differs — a conditional stamp, a MOSFET swapping drain and source — cuts
+/// the tape there and records the rest of the sequence again. Since a slot
+/// is a pure function of `(row, col)` and the pattern, a replayed assembly
+/// accumulates exactly what a searched one would, in the same order, so the
+/// tape never changes a value. A stamp outside the pattern clears it (the
+/// context rebuilds its pattern), and so does an adopting context taking a
+/// new pattern.
+#[derive(Debug, Clone, Default)]
+pub struct StampTape {
+    entries: Vec<(u32, u32, u32)>,
+}
+
+impl StampTape {
+    /// An empty tape: the next assembly records.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of recorded stamps.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when nothing is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Forgets every recorded slot (the pattern changed).
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
 /// Matrix sink that accumulates stamps into the value slots of an existing
-/// CSR pattern. Records (instead of panicking on) stamps that fall outside
-/// the pattern so the caller can rebuild.
+/// CSR pattern, replaying (and recording) a [`StampTape`] of their slots.
+/// Records (instead of panicking on) stamps that fall outside the pattern so
+/// the caller can rebuild.
 #[derive(Debug)]
 pub struct SlotSink<'m, T: Scalar> {
     csr: &'m mut CsrMatrix<T>,
+    tape: &'m mut StampTape,
+    cursor: usize,
     missed: bool,
 }
 
 impl<'m, T: Scalar> SlotSink<'m, T> {
-    /// Wraps a CSR matrix whose values have already been zeroed.
-    pub fn new(csr: &'m mut CsrMatrix<T>) -> Self {
-        Self { csr, missed: false }
+    /// Wraps a CSR matrix whose values have already been zeroed, replaying
+    /// `tape` — which must have been recorded over the same pattern, or be
+    /// empty.
+    pub fn new(csr: &'m mut CsrMatrix<T>, tape: &'m mut StampTape) -> Self {
+        Self {
+            csr,
+            tape,
+            cursor: 0,
+            missed: false,
+        }
     }
 
     /// `true` when at least one stamp addressed a position outside the
@@ -115,15 +172,180 @@ impl<'m, T: Scalar> SlotSink<'m, T> {
     pub fn missed(&self) -> bool {
         self.missed
     }
+
+    /// Finds the slot of a stamp the tape does not predict and records it
+    /// at the cursor, cutting the rest of the tape.
+    fn record(&mut self, row: usize, col: usize) -> Option<usize> {
+        let slot = self.csr.find_slot(row, col)?;
+        let entry = |v: usize| u32::try_from(v).expect("pattern index fits u32");
+        self.tape.entries.truncate(self.cursor);
+        self.tape
+            .entries
+            .push((entry(row), entry(col), entry(slot)));
+        Some(slot)
+    }
 }
 
 impl<T: Scalar> MatrixSink<T> for SlotSink<'_, T> {
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: T) {
-        match self.csr.find_slot(row, col) {
-            Some(slot) => self.csr.values_mut()[slot] += value,
-            None => self.missed = true,
+        let slot = match self.tape.entries.get(self.cursor) {
+            Some(&(r, c, slot)) if r as usize == row && c as usize == col => slot as usize,
+            _ => match self.record(row, col) {
+                Some(slot) => slot,
+                None => {
+                    self.missed = true;
+                    return;
+                }
+            },
+        };
+        self.cursor += 1;
+        self.csr.values_mut()[slot] += value;
+    }
+}
+
+/// Matrix sink that compiles an AC assembly job stamped at `jω = (0, 1)`
+/// into an [`AffineImage`] over a fixed pattern: the real part of every
+/// stamp accumulates into `G` in stamp order, and every imaginary part that
+/// is not a signed zero is kept, in stamp order, as a `C` term of its slot.
+#[derive(Debug)]
+pub(crate) struct AffineSink<'m> {
+    pattern: &'m CsrMatrix<Complex64>,
+    g: Vec<f64>,
+    c_terms: Vec<(u32, f64)>,
+    missed: bool,
+}
+
+impl<'m> AffineSink<'m> {
+    /// An empty image over `pattern`.
+    pub(crate) fn new(pattern: &'m CsrMatrix<Complex64>) -> Self {
+        Self {
+            pattern,
+            g: vec![0.0; pattern.nnz()],
+            c_terms: Vec::new(),
+            missed: false,
         }
+    }
+
+    /// The compiled image with the job's right-hand side, or `None` when a
+    /// stamp fell outside the pattern.
+    pub(crate) fn finish(self, rhs: Vec<Complex64>) -> Option<AffineImage> {
+        (!self.missed).then_some(AffineImage {
+            g: self.g,
+            c_terms: self.c_terms,
+            rhs,
+        })
+    }
+}
+
+impl MatrixSink<Complex64> for AffineSink<'_> {
+    fn add(&mut self, row: usize, col: usize, value: Complex64) {
+        let Some(slot) = self.pattern.find_slot(row, col) else {
+            self.missed = true;
+            return;
+        };
+        self.g[slot] += value.re;
+        // `!= 0.0` keeps NaN, which a load must reproduce.
+        if value.im != 0.0 {
+            let slot = u32::try_from(slot).expect("pattern index fits u32");
+            self.c_terms.push((slot, value.im));
+        }
+    }
+}
+
+/// A compiled AC admittance system `Y(jω) = G + jω·C` over a fixed pattern,
+/// plus the ω-independent right-hand side of the source-driven sweep.
+///
+/// Every AC stamp is affine in `jω`: resistors, controlled sources, source
+/// incidences and device conductances are real, while capacitors, inductors
+/// and device capacitances enter only as `jω·x`. So the stamps can run once,
+/// at `jω = (0, 1)` through an affine sink, and each frequency point then
+/// [loads](AffineImage::load_into) its values in two flat passes instead of
+/// re-running every element stamp.
+///
+/// # Why a load is bitwise identical to a stamped assembly
+///
+/// Complex `+=` adds the real and imaginary parts separately, so each part
+/// of each slot is its own running sum, starting at `+0.0`, over the stamps
+/// that hit the slot in stamp order.
+///
+/// * **Real part.** A stamp's real part does not depend on ω: it is the
+///   real value itself, or `0·x` for a `jω·x` stamp (`jω` is `(0, w)`). `G`
+///   is the same sum over the same terms in the same order.
+/// * **Imaginary part.** At `jω = (0, 1)` a `jω·x` stamp's imaginary part is
+///   `1·x = x` exactly, so the recorded term `c` is `x` (or `−x` for a
+///   negated stamp), and the load adds `w·c`: the stamped `w·x`, or
+///   `w·(−x) = −(w·x)`, since rounding is symmetric in sign. Every other
+///   stamp's imaginary part is a signed zero. A running sum that starts at
+///   `+0.0` is never `−0.0` under round-to-nearest (`x + (−x)` and
+///   `+0 + −0` are both `+0`), so adding a signed zero leaves it unchanged
+///   — which is why the load may skip those stamps.
+///
+/// The load computes `w = TWO_PI·f` exactly as the stamp does. The argument
+/// needs every stamp to be affine; a future stamp that is not would break
+/// it silently, so the analyses keep an image only when a load at their
+/// first frequency reproduces one stamped assembly there bit for bit, and
+/// stamp as before when it does not.
+#[derive(Debug, Clone)]
+pub struct AffineImage {
+    g: Vec<f64>,
+    c_terms: Vec<(u32, f64)>,
+    rhs: Vec<Complex64>,
+}
+
+impl AffineImage {
+    /// The `C` terms `(slot, c)` in stamp order: the load adds `w·c` to the
+    /// imaginary part of `slot`. Several terms may share a slot. These are
+    /// the capacitance and inductance values of `Y = G + sC` as slot values
+    /// on the shared pattern.
+    pub fn c_terms(&self) -> &[(u32, f64)] {
+        &self.c_terms
+    }
+
+    /// The right-hand side of the job the image was compiled from (the
+    /// circuit's own AC sources), which does not depend on ω.
+    pub(crate) fn rhs(&self) -> &[Complex64] {
+        &self.rhs
+    }
+
+    /// Writes `Y(j·2π·freq_hz)` into `values`, slot for slot over the
+    /// pattern the image was compiled on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` is shorter than the pattern.
+    pub fn load_into(&self, freq_hz: f64, values: &mut [Complex64]) {
+        let w = TWO_PI * freq_hz;
+        assert!(values.len() >= self.g.len(), "one value per pattern slot");
+        for (v, &g) in values.iter_mut().zip(&self.g) {
+            *v = Complex64::new(g, 0.0);
+        }
+        for &(slot, c) in &self.c_terms {
+            values[slot as usize].im += w * c;
+        }
+    }
+
+    /// The self-check: whether a load at `freq_hz` reproduces `stamped` (a
+    /// stamped assembly over the same pattern at that frequency) and its
+    /// right-hand side bit for bit.
+    pub(crate) fn reproduces(
+        &self,
+        freq_hz: f64,
+        stamped: &CsrMatrix<Complex64>,
+        rhs: &[Complex64],
+    ) -> bool {
+        let mut loaded = stamped.clone();
+        self.load_into(freq_hz, loaded.values_mut());
+        let same = |a: Complex64, b: Complex64| {
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+        };
+        loaded.nnz() == self.g.len()
+            && loaded
+                .iter()
+                .zip(stamped.iter())
+                .all(|((_, _, a), (_, _, b))| same(a, b))
+            && rhs.len() == self.rhs.len()
+            && rhs.iter().zip(&self.rhs).all(|(&a, &b)| same(a, b))
     }
 }
 
@@ -325,7 +547,7 @@ impl<T: Scalar> SweepPlan<T> {
     }
 
     /// The shared zero-valued sparsity pattern. Batched drivers clone it
-    /// once per variant lane and restamp values into each copy, exactly as
+    /// once per variant lane and reload values into each copy, exactly as
     /// [`context`](SweepPlan::context) does for its single value CSR.
     pub(crate) fn pattern(&self) -> &CsrMatrix<T> {
         &self.pattern
@@ -404,6 +626,8 @@ pub struct SolveContext<'p, T: Scalar> {
     /// assembly clears it (the plan and the context's slot map stay
     /// untouched). An adopting context replaces `csr` instead.
     off_pattern: Option<CsrMatrix<T>>,
+    /// The slots of the previous assembly's stamps over `csr`'s pattern.
+    tape: StampTape,
     factored: bool,
     stats: SolveStats,
 }
@@ -479,6 +703,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             refine_ws: RefineWorkspace::for_dim(n),
             rhs_backup: Vec::with_capacity(n),
             off_pattern: None,
+            tape: StampTape::new(),
             factored: false,
             stats: SolveStats::default(),
         }
@@ -532,15 +757,18 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         if let Some(csr) = self.csr.as_mut() {
             csr.zero_values();
             let buf = std::mem::take(rhs);
-            let mut stamper = Stamper::with_sink_reusing(self.layout, SlotSink::new(csr), buf);
+            let sink = SlotSink::new(csr, &mut self.tape);
+            let mut stamper = Stamper::with_sink_reusing(self.layout, sink, buf);
             job.stamp(&mut stamper);
             let (sink, out) = stamper.into_parts();
+            let missed = sink.missed();
             *rhs = out;
-            if !sink.missed() {
+            if !missed {
                 self.stats.cached_assemblies += 1;
                 return;
             }
             self.stats.pattern_rebuilds += 1;
+            self.tape.clear();
         }
         let mut stamper = Stamper::new(self.layout);
         job.stamp(&mut stamper);
@@ -930,6 +1158,29 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     #[cfg(any(test, feature = "fault-inject"))]
     pub fn matrix_mut(&mut self) -> &mut CsrMatrix<T> {
         self.matrix_slot()
+    }
+}
+
+impl SolveContext<'_, Complex64> {
+    /// Loads `Y(j·2π·freq_hz)` from a compiled image into the value buffer —
+    /// the AC counterpart of [`assemble_into`](SolveContext::assemble_into)
+    /// for a context minted by [`SweepPlan::context`] from the plan the image
+    /// was compiled over. Counted in `cached_assemblies` exactly as a
+    /// pattern hit is. The right-hand side is the caller's (the unit
+    /// injection of a probe, or [`AffineImage::rhs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an adopting context that has not assembled yet.
+    pub(crate) fn load_values(&mut self, image: &AffineImage, freq_hz: f64) {
+        self.off_pattern = None;
+        self.factored = false;
+        let csr = self
+            .csr
+            .as_mut()
+            .expect("a sweep context owns the plan's pattern");
+        image.load_into(freq_hz, csr.values_mut());
+        self.stats.cached_assemblies += 1;
     }
 }
 
@@ -1426,6 +1677,119 @@ mod tests {
         m.values_mut()[slot] = f64::NAN;
         let adopting_err = adopting.solve_verified_in_place(&mut b).unwrap_err();
         assert_eq!(adopting_err, err);
+    }
+
+    /// A job whose stamp sequence depends on a flag: `swapped` stamps the
+    /// off-diagonal pair in the other order, `extra` appends one stamp.
+    struct ReorderingJob {
+        swapped: bool,
+        extra: bool,
+    }
+
+    impl AssembleMna<f64> for ReorderingJob {
+        fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+            st.add_var_var(0, 0, 3.0e-3);
+            let pair = [(0, 1, -1.0e-3), (1, 0, -2.0e-3)];
+            let order = if self.swapped { [1, 0] } else { [0, 1] };
+            for k in order {
+                let (r, c, v) = pair[k];
+                st.add_var_var(r, c, v);
+            }
+            st.add_var_var(1, 1, 0.1 + 0.2);
+            st.add_var_var(1, 1, 0.3);
+            if self.extra {
+                st.add_var_var(0, 0, 1.0e-17);
+            }
+            st.add_rhs_var(0, 1.0);
+        }
+    }
+
+    /// The pre-tape slot sink: a binary search per stamp.
+    struct SearchSink<'m>(&'m mut CsrMatrix<f64>);
+
+    impl MatrixSink<f64> for SearchSink<'_> {
+        fn add(&mut self, row: usize, col: usize, value: f64) {
+            let slot = self.0.find_slot(row, col).expect("on pattern");
+            self.0.values_mut()[slot] += value;
+        }
+    }
+
+    fn searched(
+        layout: &MnaLayout,
+        pattern: &CsrMatrix<f64>,
+        job: &impl AssembleMna<f64>,
+    ) -> Vec<u64> {
+        let mut m = pattern.clone();
+        m.zero_values();
+        let mut st = Stamper::with_sink(layout, SearchSink(&mut m));
+        job.stamp(&mut st);
+        m.iter().map(|(_, _, v)| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tape_replays_a_changing_stamp_sequence_exactly() {
+        let (_c, layout) = two_node_layout();
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
+        let jobs = [
+            ReorderingJob {
+                swapped: false,
+                extra: false,
+            },
+            ReorderingJob {
+                swapped: false,
+                extra: false,
+            },
+            ReorderingJob {
+                swapped: true,
+                extra: false,
+            },
+            ReorderingJob {
+                swapped: true,
+                extra: true,
+            },
+            ReorderingJob {
+                swapped: false,
+                extra: true,
+            },
+            ReorderingJob {
+                swapped: false,
+                extra: false,
+            },
+        ];
+        // The first assembly builds the pattern; the tape records from the
+        // second on, and every later assembly replays or re-records it.
+        ctx.assemble(&jobs[0]);
+        assert!(ctx.tape.is_empty());
+        let pattern = ctx.matrix().clone();
+        // A mismatch cuts the tape and records the rest; a sequence that is
+        // a prefix of the tape (the last job) replays it as it stands.
+        let tape_lens = [5, 5, 6, 6, 6];
+        for (job, &len) in jobs[1..].iter().zip(&tape_lens) {
+            ctx.assemble(job);
+            let got: Vec<u64> = ctx.matrix().iter().map(|(_, _, v)| v.to_bits()).collect();
+            assert_eq!(got, searched(&layout, &pattern, job));
+            assert_eq!(ctx.tape.len(), len);
+        }
+        assert_eq!(ctx.stats().cached_assemblies, jobs.len() - 1);
+        assert_eq!(ctx.stats().pattern_rebuilds, 0);
+
+        // A stamp outside the pattern clears the tape; the rebuilt
+        // pattern's next assembly records afresh.
+        let mut narrow = SolveContext::<f64>::adopting(&layout);
+        narrow.assemble(&DiagOnly);
+        narrow.assemble(&DiagOnly);
+        assert_eq!(narrow.tape.len(), 2);
+        narrow.assemble(&jobs[0]);
+        assert_eq!(narrow.stats().pattern_rebuilds, 1);
+        assert!(narrow.tape.is_empty());
+        narrow.assemble(&jobs[2]);
+        assert_eq!(narrow.tape.len(), 5);
+        let got: Vec<u64> = narrow
+            .matrix()
+            .iter()
+            .map(|(_, _, v)| v.to_bits())
+            .collect();
+        assert_eq!(got, searched(&layout, narrow.matrix(), &jobs[2]));
     }
 
     #[test]

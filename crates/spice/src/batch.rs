@@ -6,12 +6,14 @@
 //! parameter sets over a single topology. Every variant shares the MNA
 //! sparsity pattern, so one [`SweepPlan`] (one symbolic analysis: ordering,
 //! BTF partition, fill pattern, pivot sequence) serves the entire batch, and
-//! the per-variant work collapses to restamp → numeric refactor → solve.
+//! the per-variant work collapses to reload → numeric refactor → solve.
 //!
 //! This module batches that per-variant work across **variant lanes**:
 //!
 //! * Variant matrices are cloned from the plan's shared zero pattern and
-//!   restamped per frequency; their factor values live lane-interleaved in a
+//!   loaded per frequency from each lane's compiled admittance image
+//!   ([`AffineImage`], one per lane per variant group, self-checked like the
+//!   serial analysis's own); their factor values live lane-interleaved in a
 //!   structure-of-arrays store (`vals[slot·W + lane]`) inside
 //!   [`loopscope_sparse::BatchedLu`], so one traversal of the
 //!   shared index structure drives `W` lanes of `Complex64` arithmetic.
@@ -41,7 +43,7 @@
 //! which is the entire point.
 
 use crate::ac::{AcAnalysis, AcSystem};
-use crate::assembly::{SlotSink, SolveContext, SolveStats, SweepPlan};
+use crate::assembly::{AffineImage, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan};
 use crate::dc::OperatingPoint;
 use crate::error::SpiceError;
 use crate::mna::Stamper;
@@ -510,6 +512,8 @@ struct GroupRunner<'p> {
     lane_r: Vec<Complex64>,
     /// Scratch RHS recycled through the stampers.
     rhs_scratch: Vec<Complex64>,
+    /// Slot tape of the lanes that stamp (every lane shares the pattern).
+    tape: StampTape,
     /// Per-point lane statuses and pattern-miss flags.
     statuses: Vec<BatchLaneStatus>,
     missed: Vec<bool>,
@@ -537,6 +541,7 @@ impl<'p> GroupRunner<'p> {
             lane_b,
             lane_r: vec![Complex64::ZERO; n],
             rhs_scratch: Vec::with_capacity(n),
+            tape: StampTape::new(),
             statuses: Vec::with_capacity(width),
             missed: vec![false; width],
             ctx: plan.context(),
@@ -549,25 +554,41 @@ impl<'p> GroupRunner<'p> {
     /// driving-point value (or per-variant error) per lane. The group may be
     /// ragged (`group.len() < width`): surplus lanes carry unspecified
     /// values that are never read — every batched operation is elementwise
-    /// per lane, so dead lanes cannot disturb live ones.
-    fn solve_point(&mut self, group: &[Lane<'_, '_>], freq_hz: f64) -> Vec<LanePoint> {
+    /// per lane, so dead lanes cannot disturb live ones. `images[k]` is lane
+    /// `k`'s compiled admittance image, if its self-check passed.
+    fn solve_point(
+        &mut self,
+        group: &[Lane<'_, '_>],
+        images: &[Option<AffineImage>],
+        freq_hz: f64,
+    ) -> Vec<LanePoint> {
         let w = self.width;
         let m = group.len();
         debug_assert!(m <= w);
-        // Restamp every live lane's values over the shared pattern.
+        // Reload (or, without an image, restamp) every live lane's values
+        // over the shared pattern.
         for (k, lane) in group.iter().enumerate() {
-            self.lanes[k].zero_values();
-            let rhs = std::mem::take(&mut self.rhs_scratch);
-            let mut st = Stamper::with_sink_reusing(
-                self.ctx.layout(),
-                SlotSink::new(&mut self.lanes[k]),
-                rhs,
-            );
-            lane.analysis
-                .stamp_system_overridden(&mut st, freq_hz, false, lane.overrides);
-            let (sink, rhs) = st.into_parts();
-            self.missed[k] = sink.missed();
-            self.rhs_scratch = rhs;
+            self.missed[k] = match &images[k] {
+                Some(image) => {
+                    image.load_into(freq_hz, self.lanes[k].values_mut());
+                    false
+                }
+                None => {
+                    self.lanes[k].zero_values();
+                    let rhs = std::mem::take(&mut self.rhs_scratch);
+                    let sink = SlotSink::new(&mut self.lanes[k], &mut self.tape);
+                    let mut st = Stamper::with_sink_reusing(self.ctx.layout(), sink, rhs);
+                    lane.analysis
+                        .stamp_system_overridden(&mut st, freq_hz, false, lane.overrides);
+                    let (sink, rhs) = st.into_parts();
+                    let missed = sink.missed();
+                    self.rhs_scratch = rhs;
+                    if missed {
+                        self.tape.clear();
+                    }
+                    missed
+                }
+            };
             self.stats.cached_assemblies += 1;
         }
         // One batched numeric refactorization over the live lanes.
@@ -606,23 +627,33 @@ impl<'p> GroupRunner<'p> {
                         return Ok(self.lane_x[self.var]);
                     }
                 }
-                self.escalate(group[k], freq_hz)
+                self.escalate(group[k], images[k].as_ref(), freq_hz)
             })
             .collect()
     }
 
-    /// Reruns one lane's point through the scalar context — assemble, unit
-    /// injection, verified retry ladder — the exact procedure of the serial
+    /// Reruns one lane's point through the scalar context — assemble (a
+    /// load from the lane's image when it has one), unit injection, verified
+    /// retry ladder — the exact procedure of the serial
     /// [`AcAnalysis::driving_point_response`] worker, so escalated values
     /// stay bitwise identical to the serial path at any configuration.
-    fn escalate(&mut self, lane: Lane<'_, '_>, freq_hz: f64) -> LanePoint {
-        let job = AcSystem {
-            analysis: lane.analysis,
-            freq_hz,
-            use_circuit_sources: false,
-            overrides: lane.overrides,
-        };
-        let _ = self.ctx.assemble(&job);
+    fn escalate(
+        &mut self,
+        lane: Lane<'_, '_>,
+        image: Option<&AffineImage>,
+        freq_hz: f64,
+    ) -> LanePoint {
+        match image {
+            Some(image) => self.ctx.load_values(image, freq_hz),
+            None => {
+                let _ = self.ctx.assemble(&AcSystem {
+                    analysis: lane.analysis,
+                    freq_hz,
+                    use_circuit_sources: false,
+                    overrides: lane.overrides,
+                });
+            }
+        }
         self.esc_x.fill(Complex64::ZERO);
         self.esc_x[self.var] = Complex64::ONE;
         self.ctx.solve_verified_in_place(&mut self.esc_x)?;
@@ -715,15 +746,15 @@ pub fn driving_point_batch(
     for &i in &healthy {
         let analysis = analyses[i].as_ref().expect("healthy index");
         match analysis.plan_for(freqs[0]) {
-            Ok(p) => {
-                plan = Some(p);
+            Ok(planned) => {
+                plan = Some(planned);
                 plan_owner = i;
                 break;
             }
             Err(e) => outcomes[i].error = Some(e),
         }
     }
-    let Some(plan) = plan else {
+    let Some(planned) = plan else {
         // Every variant failed before a plan could be built.
         return Ok(BatchedSweep {
             freqs: freqs.to_vec(),
@@ -732,6 +763,7 @@ pub fn driving_point_batch(
         });
     };
     healthy.retain(|&i| outcomes[i].error.is_none());
+    let plan = &planned.plan;
 
     let Some(var) = plan.layout().node_var(node) else {
         return Err(SpiceError::UnknownReference(
@@ -771,7 +803,7 @@ pub fn driving_point_batch(
             )
         })
         .collect();
-    let (results, drive_stats) = drive_lanes(&plan, &jobs, freqs, var);
+    let (results, drive_stats) = drive_lanes(plan, &jobs, freqs, var);
     let mut stats = plan.stats();
     stats.merge(&drive_stats);
     for (vi, result) in results {
@@ -798,7 +830,9 @@ type VariantResult = (usize, Result<Vec<Complex64>, SpiceError>);
 /// every group over `freqs` — variant groups outside, frequency points
 /// inside, so both a many-group and a single-group batch saturate the
 /// machine — and transposes the per-point lane rows into per-variant sweeps
-/// (a variant's error is the one at its lowest failing frequency).
+/// (a variant's error is the one at its lowest failing frequency). Each
+/// group first compiles one admittance image per lane over the plan's
+/// pattern, self-checked at `freqs[0]`; its frequency points load from them.
 ///
 /// Returns per-variant results plus the merged runner counters (**without**
 /// the plan-build counters — the caller owns the plan). Counters live in the
@@ -824,10 +858,18 @@ fn drive_lanes(
          group: &Vec<(usize, Lane<'_, '_>)>|
          -> Result<Vec<VariantResult>, SpiceError> {
             let lanes: Vec<Lane<'_, '_>> = group.iter().map(|&(_, lane)| lane).collect();
+            let images: Vec<Option<AffineImage>> = lanes
+                .iter()
+                .map(|lane| {
+                    lane.analysis
+                        .compile_image(plan.pattern(), lane.overrides, freqs[0])
+                })
+                .collect();
             // Runners (factor buffers, escalation context) are pooled across
             // groups: each inner worker takes one from the pool — or mints
             // one at the full configured width on first use — and returns it
-            // afterwards, so the per-group cost is restamp/refactor only.
+            // afterwards, so the per-group cost is image compile, reload and
+            // refactor only.
             let shared_pool = std::sync::Mutex::new(std::mem::take(pool));
             let (points, runners) = par::sweep_chunks(
                 freqs,
@@ -839,7 +881,7 @@ fn drive_lanes(
                         .unwrap_or_else(|| GroupRunner::new(plan, width, var))
                 },
                 |runner: &mut GroupRunner<'_>, _fi, &f| -> Result<Vec<LanePoint>, SpiceError> {
-                    Ok(runner.solve_point(&lanes, f))
+                    Ok(runner.solve_point(&lanes, &images, f))
                 },
             );
             *pool = shared_pool.into_inner().expect("runner pool lock");
@@ -970,8 +1012,8 @@ pub fn driving_point_monte_carlo(
     // only on the (shared) structure; should the base representative fail to
     // factor, fall back to materialized variants so a perturbation that
     // rescues the system still gets its chance, exactly as before.
-    let plan = match base.plan_for(freqs[0]) {
-        Ok(p) => p,
+    let planned = match base.plan_for(freqs[0]) {
+        Ok(planned) => planned,
         Err(_) => {
             let mut variant_circuits = Vec::with_capacity(count);
             for i in 0..count {
@@ -992,6 +1034,7 @@ pub fn driving_point_monte_carlo(
             return driving_point_batch(&variants, node, grid);
         }
     };
+    let plan = &planned.plan;
 
     let Some(var) = plan.layout().node_var(node) else {
         return Err(SpiceError::UnknownReference(
@@ -1018,7 +1061,7 @@ pub fn driving_point_monte_carlo(
             )
         })
         .collect();
-    let (results, drive_stats) = drive_lanes(&plan, &jobs, freqs, var);
+    let (results, drive_stats) = drive_lanes(plan, &jobs, freqs, var);
     let mut stats = plan.stats();
     stats.merge(&drive_stats);
     for (vi, result) in results {

@@ -19,7 +19,6 @@ use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, Stamper};
 use crate::GMIN;
 use loopscope_netlist::{Circuit, Element, NodeId};
-use std::collections::HashMap;
 
 /// Options controlling the operating-point solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,7 +147,9 @@ impl ConvergenceReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     node_voltages: Vec<f64>,
-    branch_currents: HashMap<String, f64>,
+    /// `(element name, current)` of every branch-forming element, in MNA
+    /// layout order — so `{:?}` prints the same text on every run.
+    branch_currents: Vec<(String, f64)>,
     iterations: usize,
     convergence: ConvergenceReport,
 }
@@ -167,7 +168,15 @@ impl OperatingPoint {
     /// Current through a branch-forming element (voltage sources, inductors,
     /// VCVS, CCVS), in amperes, if that element owns a branch.
     pub fn branch_current(&self, element_name: &str) -> Option<f64> {
-        self.branch_currents.get(element_name).copied()
+        self.branch_currents
+            .iter()
+            .find(|(name, _)| name == element_name)
+            .map(|&(_, i)| i)
+    }
+
+    /// Every branch current `(element name, amperes)`, in MNA layout order.
+    pub fn branch_currents(&self) -> &[(String, f64)] {
+        &self.branch_currents
     }
 
     /// Total Newton iterations spent converging (across all stepping phases,
@@ -212,6 +221,24 @@ impl AssembleMna<f64> for DcSystem<'_> {
     }
 }
 
+/// The assembly job of the DC system of `circuit` linearized at the node
+/// voltages `voltages` (indexed by [`NodeId::index`]) — what each plain
+/// Newton iteration of the operating-point search stamps. A diagnostic and
+/// benchmark entry point.
+pub fn assembly_job<'a>(
+    circuit: &'a Circuit,
+    layout: &'a MnaLayout,
+    voltages: &'a [f64],
+) -> impl AssembleMna<f64> + 'a {
+    DcSystem {
+        circuit,
+        layout,
+        voltages,
+        source_scale: 1.0,
+        gshunt: 0.0,
+    }
+}
+
 /// Stamps the DC MNA system at a trial solution (see [`DcSystem`]).
 fn stamp_dc<S: MatrixSink<f64>>(
     st: &mut Stamper<'_, f64, S>,
@@ -230,21 +257,21 @@ fn stamp_dc<S: MatrixSink<f64>>(
         );
     }
 
-    for el in circuit.elements() {
+    for (ei, el) in circuit.elements().iter().enumerate() {
         match el {
             Element::Resistor(r) => st.stamp_admittance(r.a, r.b, 1.0 / r.ohms),
             Element::Capacitor(_) => {
                 // Open circuit at DC.
             }
             Element::Inductor(l) => {
-                let br = layout.branch_var(&l.name).expect("inductor owns a branch");
+                let br = layout.element_branch(ei).expect("inductor owns a branch");
                 st.add_var_node(br, l.a, 1.0);
                 st.add_var_node(br, l.b, -1.0);
                 st.add_node_var(l.a, br, 1.0);
                 st.add_node_var(l.b, br, -1.0);
             }
             Element::Vsource(v) => {
-                let br = layout.branch_var(&v.name).expect("vsource owns a branch");
+                let br = layout.element_branch(ei).expect("vsource owns a branch");
                 st.add_var_node(br, v.plus, 1.0);
                 st.add_var_node(br, v.minus, -1.0);
                 st.add_node_var(v.plus, br, 1.0);
@@ -256,7 +283,7 @@ fn stamp_dc<S: MatrixSink<f64>>(
                 st.stamp_current_injection(i.minus, i.plus, i.spec.dc * source_scale);
             }
             Element::Vcvs(e) => {
-                let br = layout.branch_var(&e.name).expect("vcvs owns a branch");
+                let br = layout.element_branch(ei).expect("vcvs owns a branch");
                 st.add_var_node(br, e.out_plus, 1.0);
                 st.add_var_node(br, e.out_minus, -1.0);
                 st.add_var_node(br, e.ctrl_plus, -e.gain);
@@ -269,15 +296,15 @@ fn stamp_dc<S: MatrixSink<f64>>(
             }
             Element::Cccs(f) => {
                 let ctrl = layout
-                    .branch_var(&f.ctrl_vsource)
+                    .control_branch(ei)
                     .expect("controlling source validated");
                 st.add_node_var(f.out_plus, ctrl, f.gain);
                 st.add_node_var(f.out_minus, ctrl, -f.gain);
             }
             Element::Ccvs(h) => {
-                let br = layout.branch_var(&h.name).expect("ccvs owns a branch");
+                let br = layout.element_branch(ei).expect("ccvs owns a branch");
                 let ctrl = layout
-                    .branch_var(&h.ctrl_vsource)
+                    .control_branch(ei)
                     .expect("controlling source validated");
                 st.add_var_node(br, h.out_plus, 1.0);
                 st.add_var_node(br, h.out_minus, -1.0);
@@ -285,22 +312,10 @@ fn stamp_dc<S: MatrixSink<f64>>(
                 st.add_node_var(h.out_plus, br, 1.0);
                 st.add_node_var(h.out_minus, br, -1.0);
             }
-            Element::Diode(d) => apply_nonlinear(st, devices::stamp_diode(d, voltages)),
-            Element::Bjt(q) => apply_nonlinear(st, devices::stamp_bjt(q, voltages)),
-            Element::Mosfet(m) => apply_nonlinear(st, devices::stamp_mosfet(m, voltages)),
+            Element::Diode(d) => devices::stamp_diode(d, voltages).apply(st),
+            Element::Bjt(q) => devices::stamp_bjt(q, voltages).apply(st),
+            Element::Mosfet(m) => devices::stamp_mosfet(m, voltages).apply(st),
         }
-    }
-}
-
-fn apply_nonlinear<S: MatrixSink<f64>>(
-    st: &mut Stamper<'_, f64, S>,
-    stamp: devices::NonlinearStamp,
-) {
-    for (r, c, g) in stamp.conductances {
-        st.add_node_node(r, c, g);
-    }
-    for (n, i) in stamp.rhs_currents {
-        st.add_rhs_node(n, i);
     }
 }
 
@@ -465,12 +480,15 @@ pub fn solve_dc_with(circuit: &Circuit, opts: &DcOptions) -> Result<OperatingPoi
         }
     };
 
-    let mut branch_currents = HashMap::new();
-    for el in circuit.elements() {
-        if let Some(var) = layout.branch_var(el.name()) {
-            branch_currents.insert(el.name().to_string(), solution[var]);
-        }
-    }
+    let branch_currents = circuit
+        .elements()
+        .iter()
+        .enumerate()
+        .filter_map(|(ei, el)| {
+            let var = layout.element_branch(ei)?;
+            Some((el.name().to_string(), solution[var]))
+        })
+        .collect();
     Ok(OperatingPoint {
         node_voltages: voltages,
         branch_currents,
@@ -879,6 +897,40 @@ mod tests {
         assert!(op.branch_current("R1").is_none());
         assert!(op.branch_current("V1").is_some());
         assert_eq!(op.voltage(Circuit::GROUND), 0.0);
+    }
+
+    #[test]
+    fn branch_currents_print_in_layout_order_on_every_run() {
+        let mut c = Circuit::new("branches");
+        let a = c.node("a");
+        let b = c.node("b");
+        let d = c.node("d");
+        let e = c.node("e");
+        c.add_vsource("Vz", a, Circuit::GROUND, SourceSpec::dc(1.0));
+        c.add_resistor("R1", a, b, 1.0e3);
+        c.add_inductor("La", b, d, 1.0e-6);
+        c.add_resistor("R2", d, Circuit::GROUND, 1.0e3);
+        c.add_vcvs("Em", e, Circuit::GROUND, d, Circuit::GROUND, 2.0);
+        c.add_resistor("R3", e, Circuit::GROUND, 1.0e3);
+        let f = c.node("f");
+        c.add_ccvs("Hb", f, Circuit::GROUND, "Vz", 1.0e3);
+        c.add_resistor("R4", f, Circuit::GROUND, 1.0e3);
+        let first = solve_dc(&c).unwrap();
+        let names: Vec<&str> = first
+            .branch_currents()
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
+        assert_eq!(names, ["Vz", "La", "Em", "Hb"]);
+        let layout = MnaLayout::new(&c);
+        for (name, i) in first.branch_currents() {
+            assert!(layout.branch_var(name).is_some());
+            assert_eq!(first.branch_current(name), Some(*i));
+        }
+        let text = format!("{first:?}");
+        for _ in 0..12 {
+            assert_eq!(format!("{:?}", solve_dc(&c).unwrap()), text);
+        }
     }
 
     #[test]

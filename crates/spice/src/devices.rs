@@ -12,6 +12,7 @@
 //! the operating point. The polarity handling (NPN/PNP, NMOS/PMOS) happens in
 //! here so the analyses never need to special-case device flavours.
 
+use crate::mna::{MatrixSink, Stamper};
 use crate::{GMIN, THERMAL_VOLTAGE};
 use loopscope_netlist::{Bjt, BjtPolarity, Diode, Mosfet, MosfetPolarity, NodeId};
 
@@ -32,14 +33,63 @@ fn limited_exp(x: f64) -> (f64, f64) {
     }
 }
 
+/// Most conductance entries any device stamps (the BJT's 3×3 block).
+const MAX_CONDUCTANCES: usize = 9;
+/// Most companion currents any device stamps (one per BJT terminal).
+const MAX_RHS_CURRENTS: usize = 3;
+
 /// Linearized contribution of a nonlinear device at a trial solution.
-#[derive(Debug, Clone, Default)]
+///
+/// The entries live in fixed-capacity inline arrays sized for the largest
+/// device, so evaluating a device at every Newton iteration never touches
+/// the heap.
+#[derive(Debug, Clone, Copy)]
 pub struct NonlinearStamp {
+    conductances: [(NodeId, NodeId, f64); MAX_CONDUCTANCES],
+    conductance_count: usize,
+    rhs_currents: [(NodeId, f64); MAX_RHS_CURRENTS],
+    rhs_count: usize,
+}
+
+impl NonlinearStamp {
+    /// Copies the device's entries into a stamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either list exceeds the capacity of the largest device.
+    fn new(conductances: &[(NodeId, NodeId, f64)], rhs_currents: &[(NodeId, f64)]) -> Self {
+        let mut stamp = Self {
+            conductances: [(NodeId::GROUND, NodeId::GROUND, 0.0); MAX_CONDUCTANCES],
+            conductance_count: conductances.len(),
+            rhs_currents: [(NodeId::GROUND, 0.0); MAX_RHS_CURRENTS],
+            rhs_count: rhs_currents.len(),
+        };
+        stamp.conductances[..conductances.len()].copy_from_slice(conductances);
+        stamp.rhs_currents[..rhs_currents.len()].copy_from_slice(rhs_currents);
+        stamp
+    }
+
     /// Conductance entries `(row node, column node, value)` to add to the MNA
     /// matrix. Ground rows/columns are filtered out by the stamper.
-    pub conductances: Vec<(NodeId, NodeId, f64)>,
+    pub fn conductances(&self) -> &[(NodeId, NodeId, f64)] {
+        &self.conductances[..self.conductance_count]
+    }
+
     /// Newton companion currents `(node, value)` to add to the RHS.
-    pub rhs_currents: Vec<(NodeId, f64)>,
+    pub fn rhs_currents(&self) -> &[(NodeId, f64)] {
+        &self.rhs_currents[..self.rhs_count]
+    }
+
+    /// Adds the conductances, then the companion currents, to an MNA
+    /// system.
+    pub fn apply<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+        for &(r, c, g) in self.conductances() {
+            st.add_node_node(r, c, g);
+        }
+        for &(n, i) in self.rhs_currents() {
+            st.add_rhs_node(n, i);
+        }
+    }
 }
 
 /// Small-signal (AC) model of a device at the operating point.
@@ -59,8 +109,8 @@ pub fn node_voltage(voltages: &[f64], node: NodeId) -> f64 {
     voltages[node.index()]
 }
 
-fn two_terminal_conductance(a: NodeId, b: NodeId, g: f64) -> Vec<(NodeId, NodeId, f64)> {
-    vec![(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]
+fn two_terminal_conductance(a: NodeId, b: NodeId, g: f64) -> [(NodeId, NodeId, f64); 4] {
+    [(a, a, g), (b, b, g), (a, b, -g), (b, a, -g)]
 }
 
 // ---------------------------------------------------------------------------
@@ -75,10 +125,10 @@ pub fn stamp_diode(d: &Diode, voltages: &[f64]) -> NonlinearStamp {
     let id = d.model.is * (e - 1.0) + GMIN * vd;
     let gd = d.model.is * de / nvt + GMIN;
     let ieq = id - gd * vd;
-    NonlinearStamp {
-        conductances: two_terminal_conductance(d.anode, d.cathode, gd),
-        rhs_currents: vec![(d.anode, -ieq), (d.cathode, ieq)],
-    }
+    NonlinearStamp::new(
+        &two_terminal_conductance(d.anode, d.cathode, gd),
+        &[(d.anode, -ieq), (d.cathode, ieq)],
+    )
 }
 
 /// Small-signal model of a diode at the operating point.
@@ -88,7 +138,7 @@ pub fn small_signal_diode(d: &Diode, voltages: &[f64]) -> SmallSignal {
     let (_, de) = limited_exp(vd / nvt);
     let gd = d.model.is * de / nvt + GMIN;
     SmallSignal {
-        conductances: two_terminal_conductance(d.anode, d.cathode, gd),
+        conductances: two_terminal_conductance(d.anode, d.cathode, gd).to_vec(),
         capacitances: if d.model.cj0 > 0.0 {
             vec![(d.anode, d.cathode, d.model.cj0)]
         } else {
@@ -178,31 +228,28 @@ pub fn stamp_bjt(q: &Bjt, voltages: &[f64]) -> NonlinearStamp {
     let i_b = sign * e.ib;
 
     // Conductance rows for collector and base; emitter is the negative sum.
-    let mut conductances = Vec::with_capacity(9);
-    let mut rhs_currents = Vec::with_capacity(3);
-
-    let mut add_row = |terminal: NodeId, d_db: f64, d_dc: f64, d_de: f64, current: f64| {
-        conductances.push((terminal, q.base, d_db));
-        conductances.push((terminal, q.collector, d_dc));
-        conductances.push((terminal, q.emitter, d_de));
+    let rows = [
+        (q.collector, dic_db, dic_dc, dic_de, i_c),
+        (q.base, dib_db, dib_dc, dib_de, i_b),
+        (
+            q.emitter,
+            -(dic_db + dib_db),
+            -(dic_dc + dib_dc),
+            -(dic_de + dib_de),
+            -(i_c + i_b),
+        ),
+    ];
+    let mut conductances = [(q.base, q.base, 0.0); MAX_CONDUCTANCES];
+    let mut rhs_currents = [(q.base, 0.0); MAX_RHS_CURRENTS];
+    for (k, &(terminal, d_db, d_dc, d_de, current)) in rows.iter().enumerate() {
+        conductances[3 * k] = (terminal, q.base, d_db);
+        conductances[3 * k + 1] = (terminal, q.collector, d_dc);
+        conductances[3 * k + 2] = (terminal, q.emitter, d_de);
         let ieq = current - (d_db * vb + d_dc * vc + d_de * ve);
-        rhs_currents.push((terminal, -ieq));
-    };
-
-    add_row(q.collector, dic_db, dic_dc, dic_de, i_c);
-    add_row(q.base, dib_db, dib_dc, dib_de, i_b);
-    add_row(
-        q.emitter,
-        -(dic_db + dib_db),
-        -(dic_dc + dib_dc),
-        -(dic_de + dib_de),
-        -(i_c + i_b),
-    );
-
-    NonlinearStamp {
-        conductances,
-        rhs_currents,
+        rhs_currents[k] = (terminal, -ieq);
     }
+
+    NonlinearStamp::new(&conductances, &rhs_currents)
 }
 
 /// Small-signal model of a BJT at the operating point: g_pi, g_mu, g_m and
@@ -343,8 +390,8 @@ pub fn stamp_mosfet(m: &Mosfet, voltages: &[f64]) -> NonlinearStamp {
     let vs = node_voltage(voltages, s);
     let ieq = i_d - (did_dg * vg + did_dd * vd + did_ds * vs);
 
-    NonlinearStamp {
-        conductances: vec![
+    NonlinearStamp::new(
+        &[
             (d, g, did_dg),
             (d, d, did_dd),
             (d, s, did_ds),
@@ -352,8 +399,8 @@ pub fn stamp_mosfet(m: &Mosfet, voltages: &[f64]) -> NonlinearStamp {
             (s, d, -did_dd),
             (s, s, -did_ds),
         ],
-        rhs_currents: vec![(d, -ieq), (s, ieq)],
-    }
+        &[(d, -ieq), (s, ieq)],
+    )
 }
 
 /// Small-signal model of a MOSFET at the operating point.
@@ -423,12 +470,12 @@ mod tests {
         // Reconstruct the trial-point current from the companion model:
         // the RHS at the anode is −(i_d − g_d·v_d), so i_d = g_d·v_d − rhs.
         let gd = stamp
-            .conductances
+            .conductances()
             .iter()
             .find(|(r, c, _)| *r == ids[0] && *c == ids[0])
             .unwrap()
             .2;
-        let id = gd * 0.6 - stamp.rhs_currents[0].1;
+        let id = gd * 0.6 - stamp.rhs_currents()[0].1;
         let expected = 1e-14 * ((0.6 / THERMAL_VOLTAGE).exp() - 1.0) + GMIN * 0.6;
         assert!(
             (id - expected).abs() / expected < 1e-9,
@@ -539,8 +586,8 @@ mod tests {
         let sn = stamp_bjt(&npn, &v_npn);
         let sp = stamp_bjt(&pnp, &v_pnp);
         // Companion currents mirror in sign.
-        let ic_n = sn.rhs_currents[0].1;
-        let ic_p = sp.rhs_currents[0].1;
+        let ic_n = sn.rhs_currents()[0].1;
+        let ic_p = sp.rhs_currents()[0].1;
         assert!((ic_n + ic_p).abs() < 1e-9 * ic_n.abs().max(1e-30));
     }
 
@@ -593,12 +640,12 @@ mod tests {
         let stamp = stamp_mosfet(&m, &voltages);
         // Companion reconstructs Id at the trial point: ieq_d = −(Id − Σg·v).
         let sum_gv: f64 = stamp
-            .conductances
+            .conductances()
             .iter()
             .filter(|(r, _, _)| *r == ids[0])
             .map(|(_, c, g)| g * node_voltage(&voltages, *c))
             .sum();
-        let id = -stamp.rhs_currents[0].1 + sum_gv;
+        let id = -stamp.rhs_currents()[0].1 + sum_gv;
         assert!((id - 0.5e-3).abs() < 1e-9);
     }
 

@@ -16,9 +16,10 @@
 //! [`mna`] and [`devices`]; measurement helpers (overshoot, gain/phase
 //! margins, crossovers) live in [`measure`]. The solver pipeline builds the
 //! sparsity pattern and the LU pivot order once per circuit structure and
-//! then restamps values in place and refactors numerically for every
-//! further frequency point, Newton iteration or timestep, all through one
-//! driver, [`assembly::SolveContext`]. The sequential analyses (DC Newton,
+//! then restamps values in place (replaying a slot tape; a frequency point
+//! loads them from a compiled [`assembly::AffineImage`] instead) and
+//! refactors numerically for every further frequency point, Newton
+//! iteration or timestep, all through one driver, [`assembly::SolveContext`]. The sequential analyses (DC Newton,
 //! transient stepping) use an adopting context that re-plans from its own
 //! systems; the frequency sweeps share an immutable [`assembly::SweepPlan`]
 //! and mint one context per worker that never re-plans, running their grids
@@ -66,7 +67,9 @@ pub mod solver;
 pub mod tran;
 
 pub use ac::{AcAnalysis, AcSweep, SolverStructure};
-pub use assembly::{AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan};
+pub use assembly::{
+    AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
+};
 pub use batch::{
     driving_point_batch, driving_point_monte_carlo, BatchVariant, BatchedSweep, ParameterVariation,
     VariantOutcome,

@@ -22,6 +22,11 @@ pub struct MnaLayout {
     node_names: Vec<String>,
     branch_names: Vec<String>,
     branch_index: HashMap<String, usize>,
+    /// Per element index (circuit order): the unknown of the element's own
+    /// branch current and, for current-controlled sources, the unknown of
+    /// the controlling source's branch — resolved once here so stamp loops
+    /// index a table instead of hashing element names.
+    element_branches: Vec<(Option<u32>, Option<u32>)>,
 }
 
 impl MnaLayout {
@@ -43,11 +48,30 @@ impl MnaLayout {
             .signal_nodes_iter()
             .map(|n| circuit.node_name(n).to_string())
             .collect();
+        let first_branch = circuit.node_count() - 1;
+        let var_of = |name: &str| {
+            branch_index
+                .get(name)
+                .map(|&i| u32::try_from(first_branch + i).expect("unknown index fits u32"))
+        };
+        let element_branches = circuit
+            .elements()
+            .iter()
+            .map(|el| {
+                let control = match el {
+                    Element::Cccs(f) => var_of(&f.ctrl_vsource),
+                    Element::Ccvs(h) => var_of(&h.ctrl_vsource),
+                    _ => None,
+                };
+                (var_of(el.name()), control)
+            })
+            .collect();
         Self {
             node_count: circuit.node_count(),
             node_names,
             branch_names,
             branch_index,
+            element_branches,
         }
     }
 
@@ -75,6 +99,21 @@ impl MnaLayout {
         self.branch_index
             .get(element_name)
             .map(|&i| (self.node_count - 1) + i)
+    }
+
+    /// Unknown index of the branch current owned by the element at position
+    /// `element` of the circuit's element list — the table lookup stamp
+    /// loops use instead of [`branch_var`](MnaLayout::branch_var).
+    #[inline]
+    pub fn element_branch(&self, element: usize) -> Option<usize> {
+        self.element_branches[element].0.map(|v| v as usize)
+    }
+
+    /// Unknown index of the controlling source's branch current for the
+    /// current-controlled source (CCCS or CCVS) at position `element`.
+    #[inline]
+    pub fn control_branch(&self, element: usize) -> Option<usize> {
+        self.element_branches[element].1.map(|v| v as usize)
     }
 
     /// Human-readable name of an unknown, for error enrichment: node-voltage
@@ -272,6 +311,28 @@ mod tests {
         assert_eq!(layout.branch_var("L1"), Some(4));
         assert_eq!(layout.branch_var("E1"), Some(5));
         assert_eq!(layout.branch_var("R1"), None);
+        // The per-element table agrees with the name lookup, in element
+        // order: V1, R1, L1, C1, E1.
+        for (ei, el) in ckt.elements().iter().enumerate() {
+            assert_eq!(layout.element_branch(ei), layout.branch_var(el.name()));
+            assert_eq!(layout.control_branch(ei), None);
+        }
+    }
+
+    #[test]
+    fn control_branch_table_resolves_controlling_sources() {
+        let mut ckt = sample_circuit();
+        let d = ckt.find_node("d").unwrap();
+        ckt.add_cccs("F1", d, Circuit::GROUND, "V1", 2.0);
+        ckt.add_ccvs("H1", d, Circuit::GROUND, "V1", 3.0);
+        let layout = MnaLayout::new(&ckt);
+        let v1 = layout.branch_var("V1");
+        let f1 = ckt.element_position("F1").unwrap();
+        let h1 = ckt.element_position("H1").unwrap();
+        assert_eq!(layout.control_branch(f1), v1);
+        assert_eq!(layout.element_branch(f1), None);
+        assert_eq!(layout.control_branch(h1), v1);
+        assert_eq!(layout.element_branch(h1), layout.branch_var("H1"));
     }
 
     #[test]

@@ -444,7 +444,7 @@ impl<'c> TransientAnalysis<'c> {
         for (ei, el) in self.circuit.elements().iter().enumerate() {
             if let Element::Inductor(l) = el {
                 if let Some(i0) = op.branch_current(&l.name) {
-                    if let Some(var) = self.layout.branch_var(&l.name) {
+                    if let Some(var) = self.layout.element_branch(ei) {
                         branch_currents[var] = i0;
                     }
                 }
@@ -638,7 +638,7 @@ impl<'c> TransientAnalysis<'c> {
         for (ei, el) in self.circuit.elements().iter().enumerate() {
             if let Element::Inductor(l) = el {
                 if let Some(i0) = op.branch_current(&l.name) {
-                    if let Some(var) = self.layout.branch_var(&l.name) {
+                    if let Some(var) = self.layout.element_branch(ei) {
                         branch_currents[var] = i0;
                     }
                 }
@@ -939,7 +939,7 @@ impl<'c> TransientAnalysis<'c> {
                     }
                 }
                 Element::Inductor(l) => {
-                    let br = self.layout.branch_var(&l.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     let i_old = prev_solution[br];
                     st.add_var_node(br, l.a, 1.0);
                     st.add_var_node(br, l.b, -1.0);
@@ -956,7 +956,7 @@ impl<'c> TransientAnalysis<'c> {
                     }
                 }
                 Element::Vsource(v) => {
-                    let br = self.layout.branch_var(&v.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     st.add_var_node(br, v.plus, 1.0);
                     st.add_var_node(br, v.minus, -1.0);
                     st.add_node_var(v.plus, br, 1.0);
@@ -967,7 +967,7 @@ impl<'c> TransientAnalysis<'c> {
                     st.stamp_current_injection(i.minus, i.plus, source_value(&i.spec));
                 }
                 Element::Vcvs(e) => {
-                    let br = self.layout.branch_var(&e.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     st.add_var_node(br, e.out_plus, 1.0);
                     st.add_var_node(br, e.out_minus, -1.0);
                     st.add_var_node(br, e.ctrl_plus, -e.gain);
@@ -981,16 +981,16 @@ impl<'c> TransientAnalysis<'c> {
                 Element::Cccs(f) => {
                     let ctrl = self
                         .layout
-                        .branch_var(&f.ctrl_vsource)
+                        .control_branch(ei)
                         .expect("controlling source validated");
                     st.add_node_var(f.out_plus, ctrl, f.gain);
                     st.add_node_var(f.out_minus, ctrl, -f.gain);
                 }
                 Element::Ccvs(h) => {
-                    let br = self.layout.branch_var(&h.name).expect("branch");
+                    let br = self.layout.element_branch(ei).expect("branch");
                     let ctrl = self
                         .layout
-                        .branch_var(&h.ctrl_vsource)
+                        .control_branch(ei)
                         .expect("controlling source validated");
                     st.add_var_node(br, h.out_plus, 1.0);
                     st.add_var_node(br, h.out_minus, -1.0);
@@ -999,13 +999,13 @@ impl<'c> TransientAnalysis<'c> {
                     st.add_node_var(h.out_minus, br, -1.0);
                 }
                 Element::Diode(d) => {
-                    apply_nonlinear(st, devices::stamp_diode(d, trial));
+                    devices::stamp_diode(d, trial).apply(st);
                 }
                 Element::Bjt(q) => {
-                    apply_nonlinear(st, devices::stamp_bjt(q, trial));
+                    devices::stamp_bjt(q, trial).apply(st);
                 }
                 Element::Mosfet(m) => {
-                    apply_nonlinear(st, devices::stamp_mosfet(m, trial));
+                    devices::stamp_mosfet(m, trial).apply(st);
                 }
             }
         }
@@ -1041,18 +1041,6 @@ impl AssembleMna<f64> for TimestepSystem<'_, '_> {
             self.prev_ind_voltage,
             self.prev_solution,
         );
-    }
-}
-
-fn apply_nonlinear<S: MatrixSink<f64>>(
-    st: &mut Stamper<'_, f64, S>,
-    stamp: devices::NonlinearStamp,
-) {
-    for (r, c, g) in stamp.conductances {
-        st.add_node_node(r, c, g);
-    }
-    for (n, i) in stamp.rhs_currents {
-        st.add_rhs_node(n, i);
     }
 }
 

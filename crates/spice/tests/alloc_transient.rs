@@ -2,9 +2,11 @@
 //! loop** is allocation-free on the solver side: every Newton iteration of
 //! every timestep cycles hoisted buffers through the adopting
 //! `SolveContext` (`assemble_into` + `solve_verified_in_place`: in-place
-//! assembly, numeric refactorization, refined in-place substitution), so
-//! the only per-step allocation left is the one result row the waveform
-//! storage clones.
+//! assembly, numeric refactorization, refined in-place substitution), and
+//! nonlinear devices evaluate into fixed-capacity stamps, so the only
+//! per-step allocation left is the one result row the waveform storage
+//! clones — on a linear circuit and on one with a diode, a BJT and a MOSFET
+//! iterating Newton at every step.
 //!
 //! Methodology: the setup cost (pattern discovery, symbolic analysis,
 //! buffer minting) is a per-run constant, so two runs differing only in
@@ -14,7 +16,9 @@
 //! in this binary may touch the counter, because sibling tests run on
 //! parallel threads and would race it.
 
-use loopscope_netlist::{Circuit, SourceSpec};
+use loopscope_netlist::{
+    BjtModel, BjtPolarity, Circuit, DiodeModel, MosfetModel, MosfetPolarity, SourceSpec,
+};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::tran::{TransientAnalysis, TransientOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -62,9 +66,51 @@ fn circuit() -> Circuit {
     c
 }
 
+/// A MOSFET common-source stage with a diode clamp and a BJT follower, all
+/// stepped by the gate source: three nonlinear devices re-evaluated at
+/// every Newton iteration of every step.
+fn nonlinear_circuit() -> Circuit {
+    let mut c = Circuit::new("alloc tran nonlinear");
+    let vdd = c.node("vdd");
+    let gate = c.node("gate");
+    let drain = c.node("drain");
+    let emitter = c.node("emitter");
+    c.add_vsource("VDD", vdd, Circuit::GROUND, SourceSpec::dc(3.0));
+    c.add_vsource("VG", gate, Circuit::GROUND, SourceSpec::step(0.9, 1.2, 0.0));
+    c.add_resistor("RD", vdd, drain, 5.0e3);
+    c.add_capacitor("CD", drain, Circuit::GROUND, 1.0e-9);
+    c.add_mosfet(
+        "M1",
+        drain,
+        gate,
+        Circuit::GROUND,
+        MosfetPolarity::Nmos,
+        10.0e-6,
+        1.0e-6,
+        MosfetModel {
+            vto: 0.7,
+            kp: 100.0e-6,
+            lambda: 0.02,
+            ..Default::default()
+        },
+    );
+    c.add_diode("D1", drain, vdd, DiodeModel::default());
+    c.add_bjt(
+        "Q1",
+        vdd,
+        drain,
+        emitter,
+        BjtPolarity::Npn,
+        BjtModel::default(),
+    );
+    c.add_resistor("RE", emitter, Circuit::GROUND, 10.0e3);
+    c.add_capacitor("CE", emitter, Circuit::GROUND, 1.0e-9);
+    c
+}
+
 /// Allocations of one whole transient run of `steps` steps (dt chosen so
 /// t_stop is a non-multiple, exercising the shortened final step too).
-fn run_allocations(steps: usize) -> usize {
+fn run_allocations(circuit: fn() -> Circuit, steps: usize) -> usize {
     let c = circuit();
     let op = solve_dc(&c).unwrap();
     let dt = 10.0e-6;
@@ -83,24 +129,31 @@ fn run_allocations(steps: usize) -> usize {
 fn transient_steady_state_loop_allocates_only_result_rows() {
     // Warm up lazily initialized runtime bits (thread-locals, fmt buffers…)
     // so they don't pollute the measured difference.
-    let _ = run_allocations(8);
+    let _ = run_allocations(circuit, 8);
 
-    let small = run_allocations(50);
-    let large = run_allocations(150);
-    let extra_steps = 100;
-    let per_step = (large.saturating_sub(small)) as f64 / extra_steps as f64;
+    for (name, build) in [
+        ("linear RC", circuit as fn() -> Circuit),
+        ("nonlinear", nonlinear_circuit),
+    ] {
+        let small = run_allocations(build, 50);
+        let large = run_allocations(build, 150);
+        let extra_steps = 100;
+        let per_step = (large.saturating_sub(small)) as f64 / extra_steps as f64;
 
-    // Each extra step may allocate its stored result row (one `Vec` clone)
-    // and nothing else: the Newton loop's assemble → factor → solve cycle
-    // runs entirely in hoisted buffers. The bound of 2 leaves headroom for
-    // an amortized storage growth while still failing loudly if any
-    // per-iteration allocation (pre-fix: ≥ 3 per step) sneaks back in.
-    assert!(
-        per_step <= 2.0,
-        "steady-state transient loop allocates {per_step:.2} times per step \
-         (runs: {small} allocs @ 50 steps, {large} @ 150 steps); \
-         the Newton loop must not allocate"
-    );
+        // Each extra step may allocate its stored result row (one `Vec`
+        // clone) and nothing else: the Newton loop's assemble → factor →
+        // solve cycle runs entirely in hoisted buffers. The bound of 2
+        // leaves headroom for an amortized storage growth while still
+        // failing loudly if any per-iteration allocation (a linear step
+        // before the hoisting: ≥ 3; two heap lists per device per Newton
+        // iteration on the nonlinear circuit: ≥ 12) sneaks back in.
+        assert!(
+            per_step <= 2.0,
+            "{name}: steady-state transient loop allocates {per_step:.2} times per step \
+             (runs: {small} allocs @ 50 steps, {large} @ 150 steps); \
+             the Newton loop must not allocate"
+        );
+    }
 
     // Sanity-check that the counter actually counts, so the bound above is
     // meaningful.

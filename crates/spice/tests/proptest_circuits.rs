@@ -5,7 +5,7 @@ use loopscope_math::FrequencyGrid;
 use loopscope_netlist::{Circuit, SourceSpec};
 use loopscope_sparse::SparseLu;
 use loopscope_spice::ac::AcAnalysis;
-use loopscope_spice::assembly::{AssembleMna, SolveContext, SweepPlan};
+use loopscope_spice::assembly::{AssembleMna, SlotSink, SolveContext, StampTape, SweepPlan};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
 use proptest::prelude::*;
@@ -162,6 +162,51 @@ proptest! {
         prop_assert_eq!(plan.stats().symbolic, 1);
         prop_assert_eq!(ctx.stats().symbolic, 0);
         prop_assert_eq!(ctx.stats().pattern_rebuilds, 0);
+    }
+
+    /// The compiled admittance image `G + jω·C` loads exactly the values a
+    /// stamped assembly produces — bit for bit, at any frequency from DC up —
+    /// on random ladders with an inductor and controlled sources.
+    #[test]
+    fn admittance_image_load_is_the_stamped_assembly(
+        rs in prop::collection::vec(1.0f64..1.0e6, 1..6),
+        cs in prop::collection::vec(1.0e-15f64..1.0e-3, 6),
+        l in 1.0e-12f64..1.0,
+        gm in -1.0f64..1.0,
+        gain in -10.0f64..10.0,
+        freqs in prop::collection::vec(0.0f64..1.0e12, 1..8),
+    ) {
+        let cs = &cs[..rs.len()];
+        let (mut circuit, nodes) = random_ladder(&rs, cs, 0.0);
+        let last = *nodes.last().expect("at least one rung");
+        let tap = circuit.node("tap");
+        let mirror = circuit.node("mirror");
+        circuit.add_inductor("Lt", last, tap, l);
+        circuit.add_resistor("Rt", tap, Circuit::GROUND, 50.0);
+        circuit.add_vccs("Gt", tap, Circuit::GROUND, nodes[0], Circuit::GROUND, gm);
+        circuit.add_cccs("Ft", mirror, Circuit::GROUND, "V1", gain);
+        circuit.add_resistor("Rm", mirror, Circuit::GROUND, 1.0e3);
+        let op = solve_dc(&circuit).expect("converges");
+        let ac = AcAnalysis::new(&circuit, &op).expect("valid");
+        let f0 = 1.0e3;
+        let image = ac
+            .admittance_image(f0)
+            .expect("representative system factors")
+            .expect("the self-check passes on affine stamps");
+        let mut pattern = ac.admittance_matrix(f0);
+        pattern.zero_values();
+        let mut tape = StampTape::new();
+        for f in freqs.into_iter().chain([0.0, f0]) {
+            let mut stamped = pattern.clone();
+            let mut st = Stamper::with_sink(ac.layout(), SlotSink::new(&mut stamped, &mut tape));
+            ac.assembly_job(f).stamp(&mut st);
+            let mut loaded = pattern.clone();
+            image.load_into(f, loaded.values_mut());
+            for ((_, _, a), (_, _, b)) in loaded.iter().zip(stamped.iter()) {
+                prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "re at f = {}", f);
+                prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "im at f = {}", f);
+            }
+        }
     }
 
     /// Driving-point impedance of a passive one-port has a non-negative real
