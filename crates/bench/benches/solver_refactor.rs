@@ -19,7 +19,11 @@
 //! the AC system stamped element by element against a load from the
 //! compiled `G + jω·C` image, and the DC Newton system assembled with a
 //! `find_slot` search per stamp against a replay of the slot tape — on the
-//! Table 2 circuit and the 16×16 power grid.
+//! Table 2 circuit and the 16×16 power grid. (S10) times one numeric
+//! refactorization per call on the same two circuits: Table 2's real
+//! transient Newton system, its complex AC systems through the batched
+//! lanes at widths 1 and 4, and the 16×16 grid's AC system, with the size
+//! of each pattern's compiled op lists.
 //!
 //! Every scenario's ns/op — plus nnz(L+U), BTF block count and
 //! accepted/rejected transient step counts where they apply — is also
@@ -37,10 +41,10 @@ use loopscope_circuits::{
     mos_two_stage_buffer, opamp_with_bias, two_stage_buffer, BiasParams, OpAmpParams,
 };
 use loopscope_math::{Complex64, FrequencyGrid};
-use loopscope_netlist::{Circuit, SourceSpec};
+use loopscope_netlist::{Circuit, Element, SourceSpec};
 use loopscope_sparse::{
-    kernels, CsrMatrix, InverseWorkspace, KernelBackend, LuWorkspace, RefineWorkspace, SparseLu,
-    SymbolicLu,
+    kernels, BatchedLu, CsrMatrix, InverseWorkspace, KernelBackend, LuWorkspace, RefineWorkspace,
+    SparseLu, SymbolicLu,
 };
 use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::assembly::{AssembleMna, SlotSink, StampTape};
@@ -524,17 +528,18 @@ fn solve_scan_ns(matrices: &[CsrMatrix<Complex64>], symbolic: &SymbolicLu, reps:
 }
 
 /// Experiment S5 — explicit SIMD kernels: scalar-kernel vs SIMD-kernel
-/// refactor throughput and per-RHS solve-scan throughput (the `solve_into`
-/// fold kernels) over the same symbolic analysis (backends pinned per
-/// pattern via `SymbolicLu::with_kernel_backend`, so both run in one
-/// process). A bitwise cross-check of a few solves guards the table: the
-/// backends must agree bit for bit before any timing is reported.
+/// per-RHS solve-scan throughput (the `solve_into` fold kernels) over the
+/// same symbolic analysis (backends pinned per pattern via
+/// `SymbolicLu::with_kernel_backend`, so both run in one process). The
+/// scalar refactorization runs no kernel (its compiled op lists are a plain
+/// loop on every backend), so it is timed in S1 and S10 only. A bitwise
+/// cross-check of a few solves guards the table: the backends must agree
+/// bit for bit before any timing is reported.
 fn print_kernel_table(
     label: &str,
     matrices: &[CsrMatrix<Complex64>],
     reps: usize,
     records: &mut Vec<Record>,
-    require_refactor_speedup: bool,
 ) {
     let symbolic = SparseLu::factor(&matrices[0])
         .expect("factors")
@@ -575,29 +580,15 @@ fn print_kernel_table(
         }
     }
 
-    let scalar_refactor = refactor_ns(matrices, &sym_scalar, reps);
-    let simd_refactor = refactor_ns(matrices, &sym_simd, reps);
     let scan_reps = (reps / 8).max(2);
     let scalar_scan = solve_scan_ns(matrices, &sym_scalar, scan_reps);
     let simd_scan = solve_scan_ns(matrices, &sym_simd, scan_reps);
     println!(
-        "{label:<18} refactor scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)   \
-         solve scan scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)",
-        scalar_refactor / 1.0e3,
-        simd_refactor / 1.0e3,
-        scalar_refactor / simd_refactor,
+        "{label:<18} solve scan scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)",
         scalar_scan / 1.0e3,
         simd_scan / 1.0e3,
         scalar_scan / simd_scan,
     );
-    records.push(Record::new(
-        format!("{label}_refactor_scalar_kernel"),
-        scalar_refactor,
-    ));
-    records.push(Record::new(
-        format!("{label}_refactor_{simd_backend}_kernel"),
-        simd_refactor,
-    ));
     records.push(Record::new(
         format!("{label}_solve_scan_scalar_kernel"),
         scalar_scan,
@@ -607,17 +598,6 @@ fn print_kernel_table(
         simd_scan,
     ));
 
-    if require_refactor_speedup && simd_backend.is_simd() {
-        assert_timing(
-            simd_refactor * 1.2 <= scalar_refactor,
-            &format!(
-                "{label}: the SIMD refactor ({simd_refactor:.0} ns) must be ≥ 1.2x the \
-                 scalar-kernel refactor ({scalar_refactor:.0} ns) with AVX2 detected, \
-                 measured {:.2}x",
-                scalar_refactor / simd_refactor
-            ),
-        );
-    }
     if simd_backend.is_simd() {
         // Only the independent products of the fold vectorize: the solve
         // scan must at minimum not regress.
@@ -1137,6 +1117,129 @@ fn print_assembly_table(records: &mut Vec<Record>) {
     }
 }
 
+/// Experiment S10 — one numeric refactorization per call, the layer the
+/// compiled op lists serve: Table 2's real transient Newton system (the DC
+/// Newton system plus the capacitor companions of the 2 ns step), Table 2's complex AC systems through [`BatchedLu`] lanes at
+/// widths 1 and 4 (time per call and per lane), and the 16×16 power grid's
+/// complex AC system through [`SparseLu::refactor_into`]. Each pattern's
+/// compiled op-list size is printed beside it.
+fn print_refactor_table(records: &mut Vec<Record>) {
+    println!("\n=== S10: numeric refactorization per call — compiled op lists ===");
+    let (table2, _, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
+    let reps = iters(20_000);
+
+    // A transient Newton system: the DC Newton system at the operating
+    // point plus each capacitor's backward-Euler companion conductance
+    // C/dt at the 2 ns step of the Table 2 transient — the pattern and
+    // magnitudes every Newton iteration of that run refactors.
+    let op = solve_dc(&table2).expect("operating point");
+    let layout = MnaLayout::new(&table2);
+    let mut st = Stamper::new(&layout);
+    dc::assembly_job(&table2, &layout, op.node_voltages()).stamp(&mut st);
+    for element in table2.elements() {
+        if let Element::Capacitor(cap) = element {
+            st.stamp_admittance(cap.a, cap.b, cap.farads / 2.0e-9);
+        }
+    }
+    let tran = st.finish().0.to_csr();
+    let mut lu = SparseLu::factor(&tran).expect("transient system factors");
+    let tran_symbolic = lu.extract_symbolic();
+    let mut ws = LuWorkspace::for_dim(tran_symbolic.dim());
+    let tran_ns = time_ns_best(5, reps, || {
+        let reused = lu
+            .refactor_into(&tran_symbolic, &tran, &mut ws)
+            .expect("refactor");
+        assert!(reused, "the transient system must not ask for a re-pivot");
+    });
+    println!(
+        "table2      transient Newton system (f64, {} unknowns, {} factor entries):   refactor {:>8.3} µs",
+        tran_symbolic.dim(),
+        tran_symbolic.fill_nnz(),
+        tran_ns / 1.0e3
+    );
+    records.push(
+        Record::new("table2_tran_refactor_f64", tran_ns)
+            .with_structure(tran_symbolic.fill_nnz(), tran_symbolic.block_count()),
+    );
+
+    // Complex AC lanes: every group of `width` consecutive grid points.
+    let ac = AcAnalysis::new(&table2, &op).expect("valid analysis");
+    let grid = FrequencyGrid::log_decade(1.0e3, 1.0e9, 20);
+    let matrices: Vec<CsrMatrix<Complex64>> = grid
+        .freqs()
+        .iter()
+        .map(|&f| ac.admittance_matrix(f))
+        .collect();
+    let symbolic = SparseLu::factor(&matrices[0])
+        .expect("Table 2 factors")
+        .extract_symbolic();
+    let mut per_lane = Vec::new();
+    for width in [1usize, 4] {
+        let mut batched = BatchedLu::new(&symbolic, width);
+        let groups: Vec<&[CsrMatrix<Complex64>]> = matrices.chunks_exact(width).collect();
+        let mut k = 0usize;
+        let call_ns = time_ns_best(5, reps, || {
+            let statuses = batched.refactor(groups[k % groups.len()]);
+            assert!(statuses.iter().all(|s| s.is_factored()));
+            k += 1;
+        });
+        println!(
+            "table2      AC lanes (complex, {} unknowns, {} factor entries), width {width}: refactor {:>8.3} µs per call, {:>8.3} µs per lane",
+            symbolic.dim(),
+            symbolic.fill_nnz(),
+            call_ns / 1.0e3,
+            call_ns / width as f64 / 1.0e3
+        );
+        records.push(
+            Record::new(format!("table2_ac_refactor_lanes_w{width}"), call_ns)
+                .with_structure(symbolic.fill_nnz(), symbolic.block_count()),
+        );
+        per_lane.push(call_ns / width as f64);
+    }
+    println!(
+        "table2      compiled op lists: {} bytes",
+        symbolic.compiled_refactor_bytes()
+    );
+    assert_timing(
+        per_lane[1] < per_lane[0],
+        "Table 2: four lanes per call must refactor faster per lane than one",
+    );
+
+    // The 16×16 power grid's AC system, scalar complex refactor.
+    let (mesh, _) = power_grid(16, 16);
+    let op = solve_dc(&mesh).expect("operating point");
+    let ac = AcAnalysis::new(&mesh, &op).expect("valid analysis");
+    let matrices: Vec<CsrMatrix<Complex64>> = grid
+        .freqs()
+        .iter()
+        .map(|&f| ac.admittance_matrix(f))
+        .collect();
+    let symbolic = SparseLu::factor(&matrices[0])
+        .expect("grid factors")
+        .extract_symbolic();
+    let mut lu = SparseLu::from_symbolic(&symbolic);
+    let mut ws = LuWorkspace::for_dim(symbolic.dim());
+    let mut k = 0usize;
+    let mesh_ns = time_ns_best(5, iters(1_000), || {
+        let reused = lu
+            .refactor_into(&symbolic, &matrices[k % matrices.len()], &mut ws)
+            .expect("refactor");
+        assert!(reused, "grid matrices must not ask for a re-pivot");
+        k += 1;
+    });
+    let bytes = symbolic.compiled_refactor_bytes();
+    println!(
+        "mesh_16x16  AC system (complex, {} unknowns, {} factor entries):   refactor {:>8.3} µs   compiled op lists {bytes} bytes",
+        symbolic.dim(),
+        symbolic.fill_nnz(),
+        mesh_ns / 1.0e3
+    );
+    records.push(
+        Record::new("mesh_16x16_ac_refactor", mesh_ns)
+            .with_structure(symbolic.fill_nnz(), symbolic.block_count()),
+    );
+}
+
 fn bench(c: &mut Criterion) {
     let mut records: Vec<Record> = Vec::new();
     if quick_mode() {
@@ -1183,13 +1286,12 @@ fn bench(c: &mut Criterion) {
         }
     );
     let (ladder_c, _) = ladder_matrices(400);
-    print_kernel_table("rc_ladder_400", &ladder_c, iters(200), &mut records, true);
+    print_kernel_table("rc_ladder_400", &ladder_c, iters(200), &mut records);
     print_kernel_table(
         &format!("mesh_{mesh_p}x{mesh_p}"),
         &meshes,
         iters(40),
         &mut records,
-        false,
     );
 
     print_refinement_table(&mut records);
@@ -1199,6 +1301,8 @@ fn bench(c: &mut Criterion) {
     print_adaptive_transient(&mut records);
 
     print_assembly_table(&mut records);
+
+    print_refactor_table(&mut records);
     println!();
 
     let mut group = c.benchmark_group("solver_refactor");

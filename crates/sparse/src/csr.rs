@@ -179,6 +179,13 @@ impl<T: Scalar> CsrMatrix<T> {
         self.values.fill(T::ZERO);
     }
 
+    /// The row pointers, column indices and values in storage order — the
+    /// raw view the compiled refactorization scatters from.
+    #[inline]
+    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[T]) {
+        (&self.row_ptr, &self.col_idx, &self.values)
+    }
+
     /// Returns `true` when `other` has the identical sparsity pattern
     /// (dimensions, row pointers and column indices).
     pub fn same_pattern(&self, other: &Self) -> bool {

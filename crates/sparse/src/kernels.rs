@@ -1,22 +1,23 @@
 //! Explicitly vectorized inner-loop primitives for the LU hot paths.
 //!
-//! Profiling the sweep workloads leaves three inner loops holding almost all
-//! of the numeric work once the symbolic machinery is amortized:
+//! Two inner-loop shapes of the LU hot paths are vectorized here:
 //!
-//! 1. the **scatter/gather axpy** of the numeric refactorization
-//!    (`work[cols[i]] -= mult · vals[i]` over a U row's fill pattern),
-//! 2. the **per-entry fold** of the single-RHS substitution sweeps
+//! 1. the **per-entry fold** of the single-RHS substitution sweeps
 //!    (`acc -= vals[i] · work[cols[i]]`, strictly in order), and
-//! 3. the **w-wide variant-lane update** of the batched many-variant
+//! 2. the **w-wide variant-lane update** of the batched many-variant
 //!    refactor/solve (`dst[w] -= a[w] · b[w]` / `dst[w] = dst[w] / den[w]`
 //!    over `w` contiguous variant lanes — every lane carries its *own*
 //!    factor value, because each lane is an independent matrix sharing only
 //!    the fill pattern).
 //!
+//! The scalar refactorization's updates are not among them: its compiled op
+//! lists address factor slots directly (see [`crate::SparseLu::refactor_into`]),
+//! one short update row per multiplier, which a plain loop serves.
+//!
 //! This module implements each primitive twice — a portable scalar reference
 //! ([`scalar`]) and an AVX2 split-lane `(re, im)` form over
 //! `core::arch::x86_64` — and exposes safe per-type dispatchers
-//! ([`axpy_indexed_c64`], [`lane_mul_sub_f64`], …) that select between them
+//! ([`fold_sub_indexed_c64`], [`lane_mul_sub_f64`], …) that select between them
 //! with a [`KernelBackend`] value. The solver records the backend **once per
 //! symbolic analysis** (see [`selected_backend`] and
 //! [`crate::SymbolicLu::kernel_backend`]), so a whole sweep runs one
@@ -28,12 +29,12 @@
 //! additions, subtractions and divisions, in the same per-element order, as
 //! the scalar reference**: no FMA contraction, no reassociation across fill
 //! entries, no blocked accumulators. Lanes only ever span *independent*
-//! elements (distinct scatter targets, or distinct variant lanes), and
+//! elements (distinct variant lanes), and
 //! sequential dependences — the substitution fold's accumulator — stay
 //! sequential with only the independent products vectorized. Consequently
 //! the two backends produce bit-identical results on finite data, the
 //! property the `proptest_kernels` suite pins and the reason every
-//! pre-existing determinism test (refactor-vs-fresh, `par_determinism`)
+//! determinism test (refactor-vs-fresh, `par_determinism`)
 //! holds with the SIMD path active.
 //!
 //! # Backend selection
@@ -143,16 +144,6 @@ pub fn selected_backend() -> KernelBackend {
 pub mod scalar {
     use super::Scalar;
 
-    /// `work[cols[i]] -= mult * vals[i]` for every `i`. Targets must be
-    /// distinct per call site invariant-wise, but duplicates are processed
-    /// sequentially and stay well-defined.
-    #[inline]
-    pub fn axpy_indexed<T: Scalar>(mult: T, vals: &[T], cols: &[usize], work: &mut [T]) {
-        for (v, &c) in vals.iter().zip(cols) {
-            work[c] -= mult * *v;
-        }
-    }
-
     /// Returns `acc - Σ vals[i]·work[cols[i]]`, subtracting strictly in
     /// index order (the substitution sweeps' sequential accumulator).
     #[inline]
@@ -194,10 +185,9 @@ pub mod scalar {
 #[allow(unsafe_code)]
 mod avx2 {
     use core::arch::x86_64::{
-        __m128d, __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_castpd256_pd128, _mm256_div_pd,
-        _mm256_extractf128_pd, _mm256_loadu_pd, _mm256_movedup_pd, _mm256_mul_pd,
-        _mm256_permute_pd, _mm256_set1_pd, _mm256_set_m128d, _mm256_storeu_pd, _mm256_sub_pd,
-        _mm256_xor_pd, _mm_loadu_pd, _mm_storeu_pd, _mm_sub_pd,
+        __m128d, _mm256_add_pd, _mm256_addsub_pd, _mm256_div_pd, _mm256_loadu_pd,
+        _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_m128d,
+        _mm256_storeu_pd, _mm256_sub_pd, _mm256_xor_pd, _mm_loadu_pd,
     };
     use loopscope_math::Complex64;
 
@@ -207,58 +197,6 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     unsafe fn load_c64(z: &Complex64) -> __m128d {
         _mm_loadu_pd((z as *const Complex64).cast::<f64>())
-    }
-
-    /// 128-bit store back into a single complex element.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_c64(z: &mut Complex64, v: __m128d) {
-        _mm_storeu_pd((z as *mut Complex64).cast::<f64>(), v)
-    }
-
-    /// `mult * v` for two complex lanes at once, with exactly the scalar
-    /// operation order: `re = m.re·v.re − m.im·v.im`,
-    /// `im = m.re·v.im + m.im·v.re` (multiplies then one `vaddsubpd`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_broadcast_c64(mre: __m256d, mim: __m256d, v: __m256d) -> __m256d {
-        let t1 = _mm256_mul_pd(mre, v);
-        let t2 = _mm256_mul_pd(mim, _mm256_permute_pd::<0b0101>(v));
-        _mm256_addsub_pd(t1, t2)
-    }
-
-    /// See [`super::scalar::axpy_indexed`]; bit-identical on finite data.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_indexed_c64(
-        mult: Complex64,
-        vals: &[Complex64],
-        cols: &[usize],
-        work: &mut [Complex64],
-    ) {
-        let n = vals.len().min(cols.len());
-        let mre = _mm256_set1_pd(mult.re);
-        let mim = _mm256_set1_pd(mult.im);
-        let mut i = 0;
-        while i + 2 <= n {
-            // Two contiguous factor values, multiplied in one shot...
-            let v = _mm256_loadu_pd(vals[i..i + 2].as_ptr().cast::<f64>());
-            let prod = mul_broadcast_c64(mre, mim, v);
-            let lo = _mm256_castpd256_pd128(prod);
-            let hi = _mm256_extractf128_pd::<1>(prod);
-            // ...then scattered sequentially (a duplicated target sees the
-            // first store before the second load, exactly like the scalar
-            // loop).
-            let c0 = cols[i];
-            let c1 = cols[i + 1];
-            let w0 = load_c64(&work[c0]);
-            store_c64(&mut work[c0], _mm_sub_pd(w0, lo));
-            let w1 = load_c64(&work[c1]);
-            store_c64(&mut work[c1], _mm_sub_pd(w1, hi));
-            i += 2;
-        }
-        if i < n {
-            work[cols[i]] -= mult * vals[i];
-        }
     }
 
     /// See [`super::scalar::fold_sub_indexed`]: products are computed two
@@ -364,33 +302,6 @@ mod avx2 {
         }
     }
 
-    /// Real-lane form of [`axpy_indexed_c64`]: four products per vector op,
-    /// scattered sequentially.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_indexed_f64(
-        mult: f64,
-        vals: &[f64],
-        cols: &[usize],
-        work: &mut [f64],
-    ) {
-        let n = vals.len().min(cols.len());
-        let m = _mm256_set1_pd(mult);
-        let mut i = 0;
-        while i + 4 <= n {
-            let prod = _mm256_mul_pd(m, _mm256_loadu_pd(vals[i..].as_ptr()));
-            let mut p = [0.0f64; 4];
-            _mm256_storeu_pd(p.as_mut_ptr(), prod);
-            for (k, &pk) in p.iter().enumerate() {
-                work[cols[i + k]] -= pk;
-            }
-            i += 4;
-        }
-        while i < n {
-            work[cols[i]] -= mult * vals[i];
-            i += 1;
-        }
-    }
-
     /// Real-lane form of [`fold_sub_indexed_c64`].
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn fold_sub_indexed_f64(
@@ -474,45 +385,7 @@ mod avx2 {
 /// without AVX2 (and on non-x86_64 builds) the arm silently degrades to
 /// the scalar reference, which is bit-identical anyway.
 macro_rules! dispatchers {
-    ($ty:ty, $lanes:expr, $axpy:ident, $fold:ident, $axpy_simd:ident, $fold_simd:ident) => {
-        /// `work[cols[i]] -= mult * vals[i]` on the chosen backend
-        /// (see [`scalar::axpy_indexed`] for the exact semantics). Slices
-        /// shorter than one vector width take the inlined scalar loop even
-        /// on the SIMD backend — the results are identical by the bitwise
-        /// contract, and skipping the `target_feature` call keeps short
-        /// fill rows (e.g. a tridiagonal ladder's single-entry updates)
-        /// free of dispatch overhead.
-        #[inline]
-        pub fn $axpy(
-            backend: KernelBackend,
-            mult: $ty,
-            vals: &[$ty],
-            cols: &[usize],
-            work: &mut [$ty],
-        ) {
-            if vals.len() < $lanes {
-                return scalar::axpy_indexed(mult, vals, cols, work);
-            }
-            match backend {
-                KernelBackend::Scalar => scalar::axpy_indexed(mult, vals, cols, work),
-                KernelBackend::Avx2 => {
-                    #[cfg(target_arch = "x86_64")]
-                    if simd_available() {
-                        // SAFETY: AVX2 presence was just verified; scattered
-                        // accesses are bounds-checked inside the kernel.
-                        #[allow(unsafe_code)]
-                        unsafe {
-                            avx2::$axpy_simd(mult, vals, cols, work)
-                        }
-                    } else {
-                        scalar::axpy_indexed(mult, vals, cols, work)
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    scalar::axpy_indexed(mult, vals, cols, work)
-                }
-            }
-        }
-
+    ($ty:ty, $lanes:expr, $fold:ident, $fold_simd:ident) => {
         /// `acc - Σ vals[i]·work[cols[i]]`, accumulated strictly in order,
         /// on the chosen backend (see [`scalar::fold_sub_indexed`]).
         #[inline]
@@ -544,23 +417,9 @@ macro_rules! dispatchers {
     };
 }
 
-dispatchers!(
-    Complex64,
-    2,
-    axpy_indexed_c64,
-    fold_sub_indexed_c64,
-    axpy_indexed_c64,
-    fold_sub_indexed_c64
-);
+dispatchers!(Complex64, 2, fold_sub_indexed_c64, fold_sub_indexed_c64);
 
-dispatchers!(
-    f64,
-    4,
-    axpy_indexed_f64,
-    fold_sub_indexed_f64,
-    axpy_indexed_f64,
-    fold_sub_indexed_f64
-);
+dispatchers!(f64, 4, fold_sub_indexed_f64, fold_sub_indexed_f64);
 
 /// Per-type dispatchers for the batched variant-lane primitives, with the
 /// same structure and soundness discipline as [`dispatchers`]: short slices
@@ -691,11 +550,9 @@ mod tests {
     fn scalar_reference_semantics() {
         let vals = [2.0f64, -3.0, 0.5];
         let cols = [2usize, 0, 1];
-        let mut work = [10.0f64, 20.0, 30.0];
-        scalar::axpy_indexed(2.0, &vals, &cols, &mut work);
-        assert_eq!(work, [16.0, 19.0, 26.0]);
+        let work = [10.0f64, 20.0, 30.0];
         let acc = scalar::fold_sub_indexed(1.0, &vals, &cols, &work);
-        assert_eq!(acc, 1.0 - 2.0 * 26.0 + 3.0 * 16.0 - 0.5 * 19.0);
+        assert_eq!(acc, 1.0 - 2.0 * 30.0 + 3.0 * 10.0 - 0.5 * 20.0);
     }
 
     #[test]

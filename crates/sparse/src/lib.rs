@@ -43,11 +43,9 @@
 //!
 //! The scalar abstraction [`Scalar`] is implemented for `f64` (DC and
 //! transient analyses) and [`Complex64`] (AC analysis). Its `kernel_*`
-//! surface routes the numeric hot loops — the refactorization's
-//! scatter/gather axpy, the substitution fold and the batched variant-lane
-//! updates —
-//! through [`kernels`], which provides an explicitly vectorized AVX2 backend
-//! next to the portable scalar reference. The backend is recorded per
+//! surface routes the numeric hot loops — the substitution fold and the
+//! batched variant-lane updates — through [`kernels`], which provides an
+//! explicitly vectorized AVX2 backend next to the portable scalar reference. The backend is recorded per
 //! [`SymbolicLu`] at build time ([`kernels::selected_backend`], overridable
 //! with the `LOOPSCOPE_KERNEL` environment knob) and the two backends are
 //! bit-identical on finite data, so every determinism guarantee in the

@@ -19,10 +19,12 @@
 //!   [`SparseLu::extract_symbolic`] captures the result as a [`SymbolicLu`].
 //! * [`SparseLu::refactor_into`] — the **numeric-only refactorization** that
 //!   reuses a [`SymbolicLu`] (row *and* column permutations, block partition
-//!   and fill pattern). It runs a left-looking pass over the precomputed
-//!   pattern with a scatter/gather dense work row — no pivot search, no fill
-//!   discovery — reusing the L/U value buffers and a caller-held
-//!   [`LuWorkspace`], so the hot loop performs **zero heap allocations**. It
+//!   and fill pattern). It runs a left-looking pass driven by flat op lists
+//!   compiled once per pattern — each input entry scattered straight into
+//!   its factor slot, each update's destination slot resolved in advance; no
+//!   pivot search, no fill discovery — reusing the factor value buffer and a
+//!   caller-held [`LuWorkspace`], so the hot loop performs **zero heap
+//!   allocations**. It
 //!   never re-pivots: when a pivot degrades numerically (or the matrix
 //!   pattern no longer matches) it reports the soft outcome `Ok(false)` and
 //!   the caller decides whether to re-pivot through `factor`.
@@ -51,7 +53,11 @@ use crate::scalar::Scalar;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+mod compiled;
+#[cfg(test)]
+mod oracle;
 mod selinv;
+use compiled::LaneScan;
 pub use selinv::InverseWorkspace;
 
 /// Error produced by factorization or solve.
@@ -204,6 +210,12 @@ struct LuPattern {
     /// ([`SparseLu::diag_inverse_into`]), built on its first call over this
     /// pattern; a re-pivoted factorization has its own pattern and index.
     inverse: OnceLock<selinv::InverseIndex>,
+    /// Elimination op lists of the compiled refactorization, built on the
+    /// first refactorization over this pattern (see `lu/compiled.rs`).
+    program: OnceLock<compiled::Program>,
+    /// Scatter map of the first input structure refactored over this
+    /// pattern that lies inside it, keyed to that structure.
+    scatter: OnceLock<compiled::ScatterMap>,
 }
 
 impl LuPattern {
@@ -264,6 +276,16 @@ impl SymbolicLu {
     /// the `LOOPSCOPE_KERNEL` environment knob).
     pub fn kernel_backend(&self) -> KernelBackend {
         self.pattern.backend
+    }
+
+    /// Heap bytes held by the compiled refactorization of this pattern —
+    /// its elimination op lists and the cached scatter map — or 0 before
+    /// the first refactorization over it compiles them (see
+    /// [`SparseLu::refactor_into`]).
+    pub fn compiled_refactor_bytes(&self) -> usize {
+        let p = &*self.pattern;
+        p.program.get().map_or(0, |prog| prog.heap_bytes())
+            + p.scatter.get().map_or(0, |map| map.heap_bytes())
     }
 
     /// A copy of this symbolic analysis pinned to an explicit kernel
@@ -388,16 +410,18 @@ fn exact_max_modulus<T: Scalar>(vals: &[T]) -> f64 {
 }
 
 /// The matrix scales a successful refactorization records on its
-/// factorization (see the `a_max_modulus` / `u_max_modulus` fields of
-/// [`SparseLu`]); all zero on an unfilled shell.
-#[derive(Default)]
+/// factorization (see the `a_max_modulus`, `u_max_modulus` and
+/// `a_norm_inf` fields of [`SparseLu`]); all zero on an unfilled shell.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct RefactorScales {
     a_max: f64,
     u_max: f64,
+    norm_inf: f64,
 }
 
 /// Why a numeric-only refactorization could not be completed: the soft
 /// failures become [`SparseLu::refactor_into`]'s `Ok(false)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum RefactorFailure {
     /// A pivot fell below the numeric quality threshold at the given step;
     /// a fresh pivoting factorization may still succeed.
@@ -408,26 +432,16 @@ enum RefactorFailure {
     Hard(SolveError),
 }
 
-/// Reusable scratch buffers for the allocation-free refactorization path
-/// ([`SparseLu::refactor_into`]).
+/// Reusable scratch of the allocation-free refactorization path
+/// ([`SparseLu::refactor_into`]): the per-column magnitude scan of the
+/// input matrix.
 ///
-/// Holds the dense scatter/gather work row, the per-column marker array and
-/// the per-column magnitude scales. Create one next to the [`SymbolicLu`]
-/// whose matrices it will serve and pass it to every `refactor_into` call;
-/// after the first call no further heap allocation happens (buffers are
-/// retained at matrix dimension).
+/// Create one next to the [`SymbolicLu`] whose matrices it will serve and
+/// pass it to every `refactor_into` call; after the first call no further
+/// heap allocation happens (buffers are retained at matrix dimension).
 #[derive(Debug, Clone)]
 pub struct LuWorkspace<T: Scalar> {
-    work: Vec<T>,
-    /// Per-column markers. A column `c` is live for elimination step `i` of
-    /// the current call iff `marked[c] == stamp + i`; advancing `stamp` by
-    /// `n` per call invalidates every previous mark without an O(n) refill.
-    marked: Vec<usize>,
-    stamp: usize,
-    col_max: Vec<f64>,
-    /// Per-column argmax entries of the squared-magnitude column scan (see
-    /// [`column_max_moduli_into`]); scratch only, never read across calls.
-    col_arg: Vec<T>,
+    scan: LaneScan<T>,
 }
 
 impl<T: Scalar> Default for LuWorkspace<T> {
@@ -439,13 +453,7 @@ impl<T: Scalar> Default for LuWorkspace<T> {
 impl<T: Scalar> LuWorkspace<T> {
     /// Creates an empty workspace; buffers are sized on first use.
     pub fn new() -> Self {
-        Self {
-            work: Vec::new(),
-            marked: Vec::new(),
-            stamp: 0,
-            col_max: Vec::new(),
-            col_arg: Vec::new(),
-        }
+        Self::for_dim(0)
     }
 
     /// Creates a workspace pre-sized for matrices of dimension `n`, so even
@@ -454,29 +462,7 @@ impl<T: Scalar> LuWorkspace<T> {
     /// allocation happens when the context is minted, none in the sweep loop.
     pub fn for_dim(n: usize) -> Self {
         Self {
-            work: vec![T::ZERO; n],
-            marked: vec![usize::MAX; n],
-            stamp: 0,
-            col_max: vec![0.0; n],
-            col_arg: vec![T::ZERO; n],
-        }
-    }
-
-    /// Prepares the scatter buffers for a matrix of dimension `n`. The work
-    /// row needs no zeroing (every slot is zeroed by the per-step scatter
-    /// before it is read) and the markers are invalidated by bumping the
-    /// stamp, so a same-size reset is O(1).
-    fn reset(&mut self, n: usize) {
-        if self.work.len() != n {
-            self.work.clear();
-            self.work.resize(n, T::ZERO);
-            self.marked.clear();
-            self.marked.resize(n, usize::MAX);
-            self.stamp = 0;
-        } else {
-            // `usize::MAX` (the virgin marker) stays unreachable because the
-            // stamp would need ~2^64/n calls to get near it.
-            self.stamp += n;
+            scan: LaneScan::for_dim(n),
         }
     }
 }
@@ -496,11 +482,12 @@ pub struct SparseLu<T: Scalar> {
     /// Permutations and L/U index pattern, shared (not copied) with the
     /// [`SymbolicLu`] this factorization came from or can hand out.
     pattern: Arc<LuPattern>,
-    l_vals: Vec<T>,
-    u_vals: Vec<T>,
-    /// Raw off-diagonal block values (pattern `f_ptr`/`f_cols`); empty for
-    /// single-block factorizations.
-    f_vals: Vec<T>,
+    /// Factor values in elimination order: the `L` entries (pattern
+    /// `l_ptr`/`l_cols`), then `U` (`u_ptr`/`u_cols`), then the raw
+    /// off-diagonal block entries (`f_ptr`/`f_cols`, none for single-block
+    /// factorizations). One buffer, so one slot index addresses any factor
+    /// entry (see [`SparseLu::factors`]); empty on an unfilled shell.
+    vals: Vec<T>,
     /// Whether this factorization was produced by pattern-reusing
     /// refactorization (`true`) or fresh pivoting (`false`).
     refactored: bool,
@@ -511,6 +498,10 @@ pub struct SparseLu<T: Scalar> {
     a_max_modulus: f64,
     /// Largest entry modulus of the U factor, recorded like `a_max_modulus`.
     u_max_modulus: f64,
+    /// `‖A‖∞` of the factored matrix (largest row sum of
+    /// [`Scalar::modulus_l1`] moduli), recorded like `a_max_modulus`: the
+    /// backward-error scale of `solve_refined_into`.
+    a_norm_inf: f64,
 }
 
 /// Computes `merged = a − factor·p` for two sorted sparse rows, keeping the
@@ -658,18 +649,17 @@ impl<T: Scalar> SparseLu<T> {
                 other => other,
             })?;
             let bp = &block_lu.pattern;
+            let (block_l, block_u, _) = block_lu.factors();
             for k in 0..dim {
                 perm.push(form.row_perm()[start + bp.perm[k]]);
                 cperm.push(form.col_perm()[start + bp.cperm[k]]);
-                for t in bp.l_ptr[k]..bp.l_ptr[k + 1] {
-                    l_cols.push(start + bp.l_cols[t]);
-                    l_vals.push(block_lu.l_vals[t]);
-                }
+                let lr = bp.l_ptr[k]..bp.l_ptr[k + 1];
+                l_cols.extend(bp.l_cols[lr.clone()].iter().map(|&c| start + c));
+                l_vals.extend_from_slice(&block_l[lr]);
                 l_ptr.push(l_cols.len());
-                for t in bp.u_ptr[k]..bp.u_ptr[k + 1] {
-                    u_cols.push(start + bp.u_cols[t]);
-                    u_vals.push(block_lu.u_vals[t]);
-                }
+                let ur = bp.u_ptr[k]..bp.u_ptr[k + 1];
+                u_cols.extend(bp.u_cols[ur.clone()].iter().map(|&c| start + c));
+                u_vals.extend_from_slice(&block_u[ur]);
                 u_ptr.push(u_cols.len());
             }
         }
@@ -712,6 +702,9 @@ impl<T: Scalar> SparseLu<T> {
 
         let a_max = matrix.max_modulus();
         let u_max = exact_max_modulus(&u_vals);
+        let mut vals = l_vals;
+        vals.extend_from_slice(&u_vals);
+        vals.extend_from_slice(&f_vals);
         Ok(Self {
             pattern: Arc::new(LuPattern {
                 n,
@@ -727,13 +720,14 @@ impl<T: Scalar> SparseLu<T> {
                 f_cols,
                 backend: kernels::selected_backend(),
                 inverse: OnceLock::new(),
+                program: OnceLock::new(),
+                scatter: OnceLock::new(),
             }),
-            l_vals,
-            u_vals,
-            f_vals,
+            vals,
             refactored: false,
             a_max_modulus: a_max,
             u_max_modulus: u_max,
+            a_norm_inf: norm_inf(matrix),
         })
     }
 
@@ -859,6 +853,8 @@ impl<T: Scalar> SparseLu<T> {
 
         let a_max = col_max.iter().fold(0.0f64, |a, &b| a.max(b));
         let u_max = exact_max_modulus(&u_vals);
+        let mut vals = l_vals;
+        vals.extend_from_slice(&u_vals);
         Ok(Self {
             pattern: Arc::new(LuPattern {
                 n,
@@ -874,13 +870,14 @@ impl<T: Scalar> SparseLu<T> {
                 f_cols: Vec::new(),
                 backend: kernels::selected_backend(),
                 inverse: OnceLock::new(),
+                program: OnceLock::new(),
+                scatter: OnceLock::new(),
             }),
-            l_vals,
-            u_vals,
-            f_vals: Vec::new(),
+            vals,
             refactored: false,
             a_max_modulus: a_max,
             u_max_modulus: u_max,
+            a_norm_inf: norm_inf(matrix),
         })
     }
 
@@ -967,12 +964,11 @@ impl<T: Scalar> SparseLu<T> {
     pub fn from_symbolic(symbolic: &SymbolicLu) -> Self {
         Self {
             pattern: Arc::clone(&symbolic.pattern),
-            l_vals: Vec::with_capacity(symbolic.pattern.l_cols.len()),
-            u_vals: Vec::with_capacity(symbolic.pattern.u_cols.len()),
-            f_vals: Vec::with_capacity(symbolic.pattern.f_cols.len()),
+            vals: Vec::with_capacity(symbolic.pattern.factor_len()),
             refactored: false,
             a_max_modulus: 0.0,
             u_max_modulus: 0.0,
+            a_norm_inf: 0.0,
         }
     }
 
@@ -982,8 +978,13 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// This is the hot path of frequency sweeps, Newton loops and transient
     /// stepping: a numeric-only left-looking pass with no pivot search and no
-    /// fill discovery. After the first call over a given pattern, a healthy
-    /// refactorization performs **zero heap allocations**.
+    /// fill discovery, driven by op lists compiled on the first call over
+    /// the pattern (a scatter map keyed to `matrix`'s CSR structure, one
+    /// elimination op per `L` entry with its update destinations resolved,
+    /// and the per-row pivot checks). After that first call, a healthy
+    /// refactorization performs **zero heap allocations**. The matrix's
+    /// `‖A‖∞` is recorded with the factors for
+    /// [`solve_refined_into`](SparseLu::solve_refined_into).
     ///
     /// It never re-pivots. Returns `Ok(true)` when `self` is now a valid
     /// factorization of `matrix`, and the **soft outcome** `Ok(false)` when a
@@ -1033,14 +1034,7 @@ impl<T: Scalar> SparseLu<T> {
         matrix: &CsrMatrix<T>,
         ws: &mut LuWorkspace<T>,
     ) -> Result<bool, SolveError> {
-        let outcome = Self::refactor_core(
-            &symbolic.pattern,
-            matrix,
-            ws,
-            &mut self.l_vals,
-            &mut self.u_vals,
-            &mut self.f_vals,
-        );
+        let outcome = compiled::refactor(&symbolic.pattern, matrix, &mut ws.scan, &mut self.vals);
         let scales = match outcome {
             Ok(scales) => Some(scales),
             // The hard checks run before any buffer is touched, so `self`
@@ -1049,9 +1043,7 @@ impl<T: Scalar> SparseLu<T> {
             Err(RefactorFailure::Degraded | RefactorFailure::PatternMismatch) => {
                 // Keep the capacity, drop the partial factors: `self` is
                 // now an unfilled shell over `symbolic`.
-                self.l_vals.clear();
-                self.u_vals.clear();
-                self.f_vals.clear();
+                self.vals.clear();
                 None
             }
         };
@@ -1059,182 +1051,33 @@ impl<T: Scalar> SparseLu<T> {
             self.pattern = Arc::clone(&symbolic.pattern);
         }
         self.refactored = scales.is_some();
-        let RefactorScales { a_max, u_max } = scales.unwrap_or_default();
+        let RefactorScales {
+            a_max,
+            u_max,
+            norm_inf,
+        } = scales.unwrap_or_default();
         self.a_max_modulus = a_max;
         self.u_max_modulus = u_max;
+        self.a_norm_inf = norm_inf;
         Ok(self.refactored)
     }
 
-    /// The numeric-only refactorization pass, writing factor values into the
-    /// caller's buffers (cleared, then filled to exactly the pattern size);
-    /// failures that a fresh pivoting factorization might fix are reported as
-    /// soft [`RefactorFailure`]s. Performs no heap allocation once the
-    /// buffers have reached pattern capacity.
-    fn refactor_core(
-        pattern: &LuPattern,
-        matrix: &CsrMatrix<T>,
-        ws: &mut LuWorkspace<T>,
-        l_vals: &mut Vec<T>,
-        u_vals: &mut Vec<T>,
-        f_vals: &mut Vec<T>,
-    ) -> Result<RefactorScales, RefactorFailure> {
-        let n = pattern.n;
-        if matrix.rows() != n || matrix.cols() != n {
-            return Err(RefactorFailure::Hard(SolveError::NotSquare {
-                rows: matrix.rows(),
-                cols: matrix.cols(),
-            }));
-        }
-        // Per-elimination-column reference scales of the *new* values for the
-        // relative singularity test (same rule as the fresh factorization).
-        // Non-finite input is a hard error — and it is detected here, before
-        // any factor buffer is cleared, which keeps the refactor_into
-        // invariant that hard failures leave `self` valid.
-        let mut col_arg = std::mem::take(&mut ws.col_arg);
-        let scan = column_max_moduli_into(matrix, &pattern.cpos, &mut ws.col_max, &mut col_arg);
-        ws.col_arg = col_arg;
-        scan.map_err(RefactorFailure::Hard)?;
-        // Dense scatter/gather work row. `marked[c] == mark + i` means
-        // elimination column c is part of step i's fill pattern and its
-        // work slot is live for this call.
-        ws.reset(n);
-        let mark = ws.stamp;
-        l_vals.clear();
-        l_vals.reserve(pattern.l_cols.len());
-        u_vals.clear();
-        u_vals.reserve(pattern.u_cols.len());
-        f_vals.clear();
-        f_vals.reserve(pattern.f_cols.len());
-
-        // Running factorization-wide U maximum (for the recorded
-        // pivot-growth scale) — piggybacks on the squared magnitudes the
-        // gather loop computes anyway.
-        let mut u_max_sqr = 0.0f64;
-        let mut u_max_arg = T::ZERO;
-        let mut u_squares_exact = true;
-
-        // Loop over elimination steps; col_max is only consulted for the
-        // pivot check, so enumerate() would obscure the structure.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            let l_range = pattern.l_ptr[i]..pattern.l_ptr[i + 1];
-            let u_range = pattern.u_ptr[i]..pattern.u_ptr[i + 1];
-            let f_range = pattern.f_ptr[i]..pattern.f_ptr[i + 1];
-            for &c in &pattern.l_cols[l_range.clone()] {
-                ws.work[c] = T::ZERO;
-                ws.marked[c] = mark + i;
-            }
-            for &c in &pattern.u_cols[u_range.clone()] {
-                ws.work[c] = T::ZERO;
-                ws.marked[c] = mark + i;
-            }
-            for &c in &pattern.f_cols[f_range.clone()] {
-                ws.work[c] = T::ZERO;
-                ws.marked[c] = mark + i;
-            }
-            // Scatter the input row; anything outside the pattern means the
-            // structure changed and the symbolic analysis is stale.
-            for (c, v) in matrix.row_entries(pattern.perm[i]) {
-                let cc = pattern.cpos[c];
-                if ws.marked[cc] != mark + i {
-                    return Err(RefactorFailure::PatternMismatch);
-                }
-                ws.work[cc] = v;
-            }
-            // Left-looking elimination against the already-finished U rows.
-            // The scatter/gather axpy over each pivot row's fill pattern is
-            // the numeric hot loop of every sweep; it runs on the kernel
-            // backend the symbolic analysis recorded (bit-identical between
-            // backends — see `crate::kernels`).
-            for t in l_range {
-                let k = pattern.l_cols[t];
-                let mult = ws.work[k] / u_vals[pattern.u_ptr[k]];
-                l_vals.push(mult);
-                if !mult.is_zero() {
-                    let row = (pattern.u_ptr[k] + 1)..pattern.u_ptr[k + 1];
-                    T::kernel_axpy_indexed(
-                        pattern.backend,
-                        mult,
-                        &u_vals[row.clone()],
-                        &pattern.u_cols[row],
-                        &mut ws.work,
-                    );
-                }
-            }
-            // Gather the U row, scanning squared magnitudes — no `hypot`
-            // per entry in this loop, which dominates the refactorization
-            // after the axpy itself.
-            let diag_at = u_vals.len();
-            let mut row_max_sqr = 0.0f64;
-            let mut row_squares_exact = true;
-            for s in u_range {
-                let v = ws.work[pattern.u_cols[s]];
-                let m2 = v.modulus_sqr();
-                if !(m2.is_normal() || v.is_zero()) {
-                    row_squares_exact = false;
-                    u_squares_exact = false;
-                }
-                if m2 > row_max_sqr {
-                    row_max_sqr = m2;
-                }
-                if m2 > u_max_sqr {
-                    u_max_sqr = m2;
-                    u_max_arg = v;
-                }
-                u_vals.push(v);
-            }
-            // Off-diagonal block entries pass through untouched: elimination
-            // never reaches across a block boundary, so these are the raw
-            // scattered matrix values for the block back-substitution.
-            for s in f_range {
-                f_vals.push(ws.work[pattern.f_cols[s]]);
-            }
-            // Pivot quality check. The pivot of step i sits in elimination
-            // column i, so its scale is col_max[i]. The fast path compares
-            // squared magnitudes; when any square in this row degenerated
-            // (under/overflow, or a non-finite value produced by the
-            // elimination itself) it re-derives the exact moduli for this
-            // row only — one `hypot` per entry of a single row, on a path
-            // healthy sweeps never take.
-            let pivot = u_vals[diag_at];
-            let scale = ws.col_max[i] * SINGULARITY_RELATIVE;
-            let scale_sqr = scale * scale;
-            let degraded = if row_squares_exact && (scale_sqr.is_normal() || scale == 0.0) {
-                let pivot_sqr = pivot.modulus_sqr();
-                pivot_sqr == 0.0
-                    || pivot_sqr <= scale_sqr
-                    || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
-            } else {
-                // A non-finite pivot row means the elimination overflowed;
-                // fresh pivoting may pick a healthier pivot order, so this
-                // is Degraded (soft), not a hard error.
-                if !pivot.is_finite() {
-                    return Err(RefactorFailure::Degraded);
-                }
-                let pivot_mod = pivot.modulus();
-                let row_max = u_vals[diag_at..]
-                    .iter()
-                    .map(|v| v.modulus())
-                    .fold(0.0f64, f64::max);
-                pivot_mod == 0.0
-                    || pivot_mod <= scale
-                    || pivot_mod < REFACTOR_PIVOT_RELATIVE * row_max
-            };
-            if degraded {
-                return Err(RefactorFailure::Degraded);
-            }
-        }
-        let a_max = ws.col_max.iter().fold(0.0f64, |a, &b| a.max(b));
-        let u_max = if u_squares_exact {
-            if u_max_sqr > 0.0 {
-                u_max_arg.modulus()
-            } else {
-                0.0
-            }
-        } else {
-            exact_max_modulus(u_vals)
-        };
-        Ok(RefactorScales { a_max, u_max })
+    /// The `L`, `U` and `F` factor values, each in its pattern's order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unfilled [`from_symbolic`](SparseLu::from_symbolic)
+    /// shell (no successful refactorization has run yet).
+    fn factors(&self) -> (&[T], &[T], &[T]) {
+        let p = &*self.pattern;
+        assert_eq!(
+            self.vals.len(),
+            p.factor_len(),
+            "solve on an unfactored SparseLu shell: refactor_into must succeed first"
+        );
+        let (l, rest) = self.vals.split_at(p.l_cols.len());
+        let (u, f) = rest.split_at(p.u_cols.len());
+        (l, u, f)
     }
 
     /// Matrix dimension.
@@ -1254,7 +1097,7 @@ impl<T: Scalar> SparseLu<T> {
     /// fill-in diagnostic) plus, for block-triangular factorizations, the
     /// raw off-diagonal block entries.
     pub fn factor_nnz(&self) -> usize {
-        self.l_vals.len() + self.u_vals.len() + self.f_vals.len()
+        self.vals.len()
     }
 
     /// Number of diagonal blocks of the block-triangular partition (1 when
@@ -1302,11 +1145,7 @@ impl<T: Scalar> SparseLu<T> {
     /// shell (no successful refactorization has run yet).
     pub fn solve_into(&self, rhs: &mut [T], work: &mut [T]) -> Result<(), SolveError> {
         let p = &*self.pattern;
-        assert_eq!(
-            self.u_vals.len(),
-            p.u_cols.len(),
-            "solve on an unfactored SparseLu shell: refactor_into must succeed first"
-        );
+        let (l_vals, u_vals, f_vals) = self.factors();
         if rhs.len() != p.n {
             return Err(SolveError::RhsLength {
                 expected: p.n,
@@ -1340,7 +1179,7 @@ impl<T: Scalar> SparseLu<T> {
                 acc = T::kernel_fold_sub_indexed(
                     p.backend,
                     acc,
-                    &self.f_vals[fr.clone()],
+                    &f_vals[fr.clone()],
                     &p.f_cols[fr],
                     work,
                 );
@@ -1348,7 +1187,7 @@ impl<T: Scalar> SparseLu<T> {
                 acc = T::kernel_fold_sub_indexed(
                     p.backend,
                     acc,
-                    &self.l_vals[lr.clone()],
+                    &l_vals[lr.clone()],
                     &p.l_cols[lr],
                     work,
                 );
@@ -1362,11 +1201,11 @@ impl<T: Scalar> SparseLu<T> {
                 let acc = T::kernel_fold_sub_indexed(
                     p.backend,
                     work[i],
-                    &self.u_vals[ur.clone()],
+                    &u_vals[ur.clone()],
                     &p.u_cols[ur],
                     work,
                 );
-                work[i] = acc / self.u_vals[start];
+                work[i] = acc / u_vals[start];
             }
         }
         // Undo the column permutation: elimination slot i is original
@@ -1407,7 +1246,8 @@ impl<T: Scalar> SparseLu<T> {
     /// After the direct [`solve_into`](SparseLu::solve_into) the true
     /// residual `r = b − A·x` is computed through the caller-supplied
     /// original matrix (`matrix` must be the matrix this factorization was
-    /// computed from). While the normwise backward error
+    /// computed from: its `‖A‖∞` is read from the factorization, which
+    /// recorded it while factoring). While the normwise backward error
     /// `‖r‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` exceeds [`REFINE_BACKWARD_TOLERANCE`]
     /// and fewer than [`REFINE_MAX_STEPS`] corrections have been applied,
     /// the correction `A·δ = r` is solved through the same factors and
@@ -1417,7 +1257,7 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// Healthy factorizations pass the tolerance immediately
     /// (`refinement_steps == 0`) and pay only one residual pass on top of
-    /// the plain solve; the entry-magnitude work of that pass uses
+    /// the plain solve; the entry magnitudes of `‖A‖∞` are
     /// [`Scalar::modulus_l1`] norms, so there is no `hypot` on this path.
     /// Performs no heap allocation once `ws` has reached matrix dimension.
     ///
@@ -1480,11 +1320,10 @@ impl<T: Scalar> SparseLu<T> {
         let norm_b = inf_norm(rhs);
         ws.x.copy_from_slice(rhs);
         self.solve_into(&mut ws.x, &mut ws.work)?;
-        // First residual pass also accumulates ‖A‖∞ (max row sum of l1
-        // moduli) in the same traversal — the denominator scale of the
-        // backward error.
-        let mut norm_a = 0.0f64;
-        residual_into(matrix, &ws.x, rhs, &mut ws.residual, Some(&mut norm_a));
+        // ‖A‖∞, the denominator scale of the backward error, was recorded
+        // with the factors.
+        let norm_a = self.a_norm_inf;
+        residual_into(matrix, &ws.x, rhs, &mut ws.residual);
         let mut norm_r = inf_norm(&ws.residual);
         let mut steps = 0usize;
         let mut berr = backward_error(norm_r, norm_a, inf_norm(&ws.x), norm_b);
@@ -1495,7 +1334,7 @@ impl<T: Scalar> SparseLu<T> {
             for (xi, di) in ws.x.iter_mut().zip(&ws.correction) {
                 *xi += *di;
             }
-            residual_into(matrix, &ws.x, rhs, &mut ws.residual, None);
+            residual_into(matrix, &ws.x, rhs, &mut ws.residual);
             let new_norm_r = inf_norm(&ws.residual);
             // `inf_norm` maps non-finite entries to +∞, so a diverging or
             // NaN-polluted update also lands in the rollback branch.
@@ -1639,11 +1478,7 @@ impl<T: Scalar> SparseLu<T> {
     /// into the later blocks it feeds. Used by the condition estimator.
     fn solve_adjoint_into(&self, rhs: &mut [T], work: &mut [T]) {
         let p = &*self.pattern;
-        assert_eq!(
-            self.u_vals.len(),
-            p.u_cols.len(),
-            "solve on an unfactored SparseLu shell: refactor_into must succeed first"
-        );
+        let (l_vals, u_vals, f_vals) = self.factors();
         debug_assert_eq!(rhs.len(), p.n);
         debug_assert_eq!(work.len(), p.n);
         // Permute into elimination coordinates: w̃[j] = w[cperm[j]], from
@@ -1658,11 +1493,11 @@ impl<T: Scalar> SparseLu<T> {
             // into the later rows its U entries touch.
             for i in bs..be {
                 let start = p.u_ptr[i];
-                let yi = work[i] / Scalar::conj(self.u_vals[start]);
+                let yi = work[i] / Scalar::conj(u_vals[start]);
                 work[i] = yi;
                 if !yi.is_zero() {
                     for t in (start + 1)..p.u_ptr[i + 1] {
-                        work[p.u_cols[t]] -= Scalar::conj(self.u_vals[t]) * yi;
+                        work[p.u_cols[t]] -= Scalar::conj(u_vals[t]) * yi;
                     }
                 }
             }
@@ -1672,7 +1507,7 @@ impl<T: Scalar> SparseLu<T> {
                 let zi = work[i];
                 if !zi.is_zero() {
                     for t in p.l_ptr[i]..p.l_ptr[i + 1] {
-                        work[p.l_cols[t]] -= Scalar::conj(self.l_vals[t]) * zi;
+                        work[p.l_cols[t]] -= Scalar::conj(l_vals[t]) * zi;
                     }
                 }
             }
@@ -1683,7 +1518,7 @@ impl<T: Scalar> SparseLu<T> {
                 let zi = work[i];
                 if !zi.is_zero() {
                     for t in p.f_ptr[i]..p.f_ptr[i + 1] {
-                        work[p.f_cols[t]] -= Scalar::conj(self.f_vals[t]) * zi;
+                        work[p.f_cols[t]] -= Scalar::conj(f_vals[t]) * zi;
                     }
                 }
             }
@@ -1819,37 +1654,33 @@ fn one_norm<T: Scalar>(v: &[T]) -> f64 {
     v.iter().map(|x| x.modulus()).sum()
 }
 
-/// `r = b − A·x`. When `norm_a` is supplied, the ∞-norm of `A` (max row
-/// sum of [`Scalar::modulus_l1`] entry magnitudes) is accumulated in the
-/// same cache pass.
-fn residual_into<T: Scalar>(
-    matrix: &CsrMatrix<T>,
-    x: &[T],
-    b: &[T],
-    r: &mut [T],
-    mut norm_a: Option<&mut f64>,
-) {
+/// `r = b − A·x`.
+fn residual_into<T: Scalar>(matrix: &CsrMatrix<T>, x: &[T], b: &[T], r: &mut [T]) {
     for row in 0..matrix.rows() {
         let mut acc = b[row];
-        match norm_a.as_deref_mut() {
-            Some(na) => {
-                let mut srow = 0.0f64;
-                for (c, v) in matrix.row_entries(row) {
-                    acc -= v * x[c];
-                    srow += v.modulus_l1();
-                }
-                if srow > *na {
-                    *na = srow;
-                }
-            }
-            None => {
-                for (c, v) in matrix.row_entries(row) {
-                    acc -= v * x[c];
-                }
-            }
+        for (c, v) in matrix.row_entries(row) {
+            acc -= v * x[c];
         }
         r[row] = acc;
     }
+}
+
+/// `‖A‖∞`: the largest row sum of [`Scalar::modulus_l1`] entry magnitudes,
+/// summed in storage order — the backward-error scale, recorded with the
+/// factors (the compiled refactorization accumulates the same sums in the
+/// same order during its column scan).
+fn norm_inf<T: Scalar>(matrix: &CsrMatrix<T>) -> f64 {
+    let mut norm = 0.0f64;
+    for row in 0..matrix.rows() {
+        let mut row_sum = 0.0f64;
+        for (_, v) in matrix.row_entries(row) {
+            row_sum += v.modulus_l1();
+        }
+        if row_sum > norm {
+            norm = row_sum;
+        }
+    }
+    norm
 }
 
 /// Normwise backward error `‖r‖ / (‖A‖·‖x‖ + ‖b‖)`, defined as `0` for an
@@ -1887,8 +1718,18 @@ pub fn normwise_backward_error<T: Scalar>(
     b: &[T],
     residual: &mut [T],
 ) -> f64 {
-    let mut norm_a = 0.0f64;
-    residual_into(matrix, x, b, residual, Some(&mut norm_a));
+    scaled_backward_error(matrix, norm_inf(matrix), x, b, residual)
+}
+
+/// [`normwise_backward_error`] with `‖A‖∞` supplied by the caller.
+fn scaled_backward_error<T: Scalar>(
+    matrix: &CsrMatrix<T>,
+    norm_a: f64,
+    x: &[T],
+    b: &[T],
+    residual: &mut [T],
+) -> f64 {
+    residual_into(matrix, x, b, residual);
     backward_error(inf_norm(residual), norm_a, inf_norm(x), inf_norm(b))
 }
 
@@ -1940,26 +1781,22 @@ impl BatchLaneStatus {
 /// pivot-quality rule: a lane whose pivot degrades (or whose matrix has
 /// drifted off the pattern) is marked in [`statuses`](BatchedLu::statuses)
 /// and its remaining values are unspecified, while the other lanes complete
-/// normally. After construction no method performs heap allocation.
+/// normally. After construction (and the first refactorization over a
+/// pattern, which compiles its op lists) no method performs heap
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct BatchedLu<T: Scalar> {
     pattern: Arc<LuPattern>,
     width: usize,
-    /// Lane-interleaved factor values: slot `s`, lane `w` at `s·width + w`.
-    l_vals: Vec<T>,
-    u_vals: Vec<T>,
-    f_vals: Vec<T>,
-    /// Lane-interleaved dense scatter row (`n·width`).
-    work: Vec<T>,
-    /// Shared column markers — the fill pattern is lane-invariant, so one
-    /// marker array serves every lane (same scheme as [`LuWorkspace`]).
-    marked: Vec<usize>,
-    stamp: usize,
-    /// Lane-interleaved per-elimination-column scales (`n·width`).
-    col_max: Vec<f64>,
-    /// Per-lane scratch for the column scan (dimension `n` each).
-    col_scratch: Vec<f64>,
-    col_arg: Vec<T>,
+    /// Lane-interleaved factor values in the [`SparseLu`] slot order (`L`,
+    /// then `U`, then `F`): slot `s`, lane `w` at `s·width + w`.
+    vals: Vec<T>,
+    /// The lane multipliers of the elimination op in flight (`width`).
+    mult: Vec<T>,
+    /// Per-lane column scans of the most recent refactorization.
+    scans: Vec<LaneScan<T>>,
+    /// Per-lane first elimination step whose input row leaves the pattern.
+    mismatch: Vec<Option<usize>>,
     /// Per-lane outcome of the most recent [`refactor`](BatchedLu::refactor).
     statuses: Vec<BatchLaneStatus>,
     /// Per-lane liveness during a refactor pass (scratch).
@@ -1981,16 +1818,12 @@ impl<T: Scalar> BatchedLu<T> {
         assert!(width > 0, "batch width must be at least 1");
         let p = Arc::clone(&symbolic.pattern);
         let n = p.n;
+        p.program();
         Self {
-            l_vals: vec![T::ZERO; p.l_cols.len() * width],
-            u_vals: vec![T::ZERO; p.u_cols.len() * width],
-            f_vals: vec![T::ZERO; p.f_cols.len() * width],
-            work: vec![T::ZERO; n * width],
-            marked: vec![usize::MAX; n],
-            stamp: 0,
-            col_max: vec![0.0; n * width],
-            col_scratch: vec![0.0; n],
-            col_arg: vec![T::ZERO; n],
+            vals: vec![T::ZERO; p.factor_len() * width],
+            mult: vec![T::ZERO; width],
+            scans: vec![LaneScan::for_dim(n); width],
+            mismatch: vec![None; width],
             statuses: Vec::with_capacity(width),
             live: vec![false; width],
             factored: false,
@@ -2020,9 +1853,10 @@ impl<T: Scalar> BatchedLu<T> {
     /// shorter than the width (a ragged final group): the surplus lanes
     /// simply carry unspecified values.
     ///
-    /// Per lane, every arithmetic operation — scatter, elimination axpy,
+    /// Per lane, every arithmetic operation — scatter, elimination update,
     /// pivot test — is performed in exactly the order of a scalar
-    /// [`SparseLu::refactor_into`] on that matrix alone, so a
+    /// [`SparseLu::refactor_into`] on that matrix alone (both run the
+    /// pattern's compiled op lists), so a
     /// [`BatchLaneStatus::Factored`] lane holds bitwise-identical factor
     /// values. Failed lanes (degraded pivot, pattern drift, non-finite
     /// stamp, dimension mismatch) are reported in their status and never
@@ -2032,180 +1866,36 @@ impl<T: Scalar> BatchedLu<T> {
     ///
     /// Panics when `matrices` is empty or longer than the width.
     pub fn refactor(&mut self, matrices: &[CsrMatrix<T>]) -> &[BatchLaneStatus] {
-        let p = Arc::clone(&self.pattern);
-        let n = p.n;
-        let wdt = self.width;
-        let m = matrices.len();
+        let (m, wdt) = (matrices.len(), self.width);
         assert!(
             m >= 1 && m <= wdt,
             "batch of {m} matrices does not fit width {wdt}"
         );
-        self.statuses.clear();
-        self.statuses.resize(m, BatchLaneStatus::Factored);
-        for (w, lane_live) in self.live.iter_mut().enumerate() {
-            *lane_live = w < m;
-        }
-        // Per-lane column scales (the hard up-front checks of the scalar
-        // pass): a bad lane is dead from the start, the rest proceed.
-        for (w, matrix) in matrices.iter().enumerate() {
-            if matrix.rows() != n || matrix.cols() != n {
-                self.statuses[w] = BatchLaneStatus::Failed(SolveError::NotSquare {
-                    rows: matrix.rows(),
-                    cols: matrix.cols(),
-                });
-                self.live[w] = false;
-                continue;
-            }
-            match column_max_moduli_into(matrix, &p.cpos, &mut self.col_scratch, &mut self.col_arg)
-            {
-                Ok(()) => {
-                    for (i, &s) in self.col_scratch.iter().enumerate() {
-                        self.col_max[i * wdt + w] = s;
-                    }
-                }
-                Err(e) => {
-                    self.statuses[w] = BatchLaneStatus::Failed(e);
-                    self.live[w] = false;
-                }
-            }
-        }
-        // Marker reset, same O(1) stamp scheme as `LuWorkspace::reset`.
-        self.stamp += n;
-        let mark = self.stamp;
-        let backend = p.backend;
-
-        for i in 0..n {
-            let l_range = p.l_ptr[i]..p.l_ptr[i + 1];
-            let u_range = p.u_ptr[i]..p.u_ptr[i + 1];
-            let f_range = p.f_ptr[i]..p.f_ptr[i + 1];
-            for &c in p.l_cols[l_range.clone()]
-                .iter()
-                .chain(&p.u_cols[u_range.clone()])
-                .chain(&p.f_cols[f_range.clone()])
-            {
-                self.work[c * wdt..(c + 1) * wdt].fill(T::ZERO);
-                self.marked[c] = mark + i;
-            }
-            // Per-lane scatter of the pivot row. A stray entry means the
-            // pattern is stale *for that lane*; the lane dies, the write is
-            // skipped (lane slots are private, so nothing else is touched).
-            for (w, matrix) in matrices.iter().enumerate() {
-                if !self.live[w] {
-                    continue;
-                }
-                for (c, v) in matrix.row_entries(p.perm[i]) {
-                    let cc = p.cpos[c];
-                    if self.marked[cc] != mark + i {
-                        self.statuses[w] = BatchLaneStatus::PatternMismatch;
-                        self.live[w] = false;
-                        break;
-                    }
-                    self.work[cc * wdt + w] = v;
-                }
-            }
-            // Left-looking elimination, all lanes per pattern entry: the
-            // multiplier divide runs as one lane_div (per-lane scalar Div),
-            // the U-row axpy as one lane_mul_sub per fill slot — unless any
-            // lane's multiplier is exactly zero, in which case the per-lane
-            // loop preserves the scalar path's `is_zero` skip bit-for-bit
-            // (subtracting an exact-zero product can still flip a signed
-            // zero, and 0·∞ would manufacture NaN).
-            for t in l_range.clone() {
-                let k = p.l_cols[t];
-                let u_diag = p.u_ptr[k] * wdt;
-                let lane = t * wdt;
-                self.l_vals[lane..lane + wdt].copy_from_slice(&self.work[k * wdt..(k + 1) * wdt]);
-                T::kernel_lane_div(
-                    backend,
-                    &self.u_vals[u_diag..u_diag + wdt],
-                    &mut self.l_vals[lane..lane + wdt],
-                );
-                let mults = &self.l_vals[lane..lane + wdt];
-                let all_nonzero = mults.iter().all(|mlt| !mlt.is_zero());
-                let row = (p.u_ptr[k] + 1)..p.u_ptr[k + 1];
-                if all_nonzero {
-                    for s in row {
-                        let c = p.u_cols[s] * wdt;
-                        T::kernel_lane_mul_sub(
-                            backend,
-                            &self.l_vals[lane..lane + wdt],
-                            &self.u_vals[s * wdt..(s + 1) * wdt],
-                            &mut self.work[c..c + wdt],
-                        );
-                    }
-                } else {
-                    for s in row {
-                        let c = p.u_cols[s] * wdt;
-                        for w in 0..wdt {
-                            let mult = self.l_vals[lane + w];
-                            if !mult.is_zero() {
-                                self.work[c + w] -= mult * self.u_vals[s * wdt + w];
-                            }
-                        }
-                    }
-                }
-            }
-            // Gather the U and F rows for every lane.
-            for s in u_range.clone() {
-                let c = p.u_cols[s] * wdt;
-                self.u_vals[s * wdt..(s + 1) * wdt].copy_from_slice(&self.work[c..c + wdt]);
-            }
-            for t in f_range {
-                let c = p.f_cols[t] * wdt;
-                self.f_vals[t * wdt..(t + 1) * wdt].copy_from_slice(&self.work[c..c + wdt]);
-            }
-            // Per-lane pivot quality, the exact scalar rule (squared-
-            // magnitude fast path, exact-modulus fallback when any square in
-            // the lane's row degenerated). A lane keeps only its *first*
-            // failure: the scalar pass would have stopped there.
-            let diag_at = p.u_ptr[i] * wdt;
-            for w in 0..wdt {
-                if !self.live[w] {
-                    continue;
-                }
-                let mut row_max_sqr = 0.0f64;
-                let mut row_squares_exact = true;
-                for s in u_range.clone() {
-                    let v = self.u_vals[s * wdt + w];
-                    let m2 = v.modulus_sqr();
-                    if !(m2.is_normal() || v.is_zero()) {
-                        row_squares_exact = false;
-                    }
-                    if m2 > row_max_sqr {
-                        row_max_sqr = m2;
-                    }
-                }
-                let pivot = self.u_vals[diag_at + w];
-                let scale = self.col_max[i * wdt + w] * SINGULARITY_RELATIVE;
-                let scale_sqr = scale * scale;
-                let degraded = if row_squares_exact && (scale_sqr.is_normal() || scale == 0.0) {
-                    let pivot_sqr = pivot.modulus_sqr();
-                    pivot_sqr == 0.0
-                        || pivot_sqr <= scale_sqr
-                        || pivot_sqr
-                            < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
-                } else if !pivot.is_finite() {
-                    true
-                } else {
-                    let pivot_mod = pivot.modulus();
-                    let row_max = u_range
-                        .clone()
-                        .map(|s| self.u_vals[s * wdt + w].modulus())
-                        .fold(0.0f64, f64::max);
-                    pivot_mod == 0.0
-                        || pivot_mod <= scale
-                        || pivot_mod < REFACTOR_PIVOT_RELATIVE * row_max
-                };
-                if degraded {
-                    self.statuses[w] = BatchLaneStatus::Degraded;
-                    self.live[w] = false;
-                }
-            }
-        }
-        if self.statuses.iter().any(|s| s.is_factored()) {
-            self.factored = true;
-        }
+        self.refactor_compiled(matrices);
         &self.statuses
+    }
+
+    /// Normwise backward error `‖b − A·x‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` of a
+    /// candidate solution `x` of lane `lane` — [`normwise_backward_error`]
+    /// with `‖A‖∞` read from the lane's most recent refactorization instead
+    /// of recomputed. `matrix` must be the matrix that refactorization
+    /// factored; the value is then bitwise [`normwise_backward_error`]'s.
+    /// `residual` is caller-held scratch of the matrix dimension; on return
+    /// it holds `b − A·x`. Performs no heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is not below the width, or when `x`, `b` or
+    /// `residual` are shorter than the matrix row count.
+    pub fn lane_backward_error(
+        &self,
+        lane: usize,
+        matrix: &CsrMatrix<T>,
+        x: &[T],
+        b: &[T],
+        residual: &mut [T],
+    ) -> f64 {
+        scaled_backward_error(matrix, self.scans[lane].norm_inf, x, b, residual)
     }
 
     /// Solves all lanes **in place** over lane-interleaved right-hand sides:
@@ -2251,12 +1941,14 @@ impl<T: Scalar> BatchedLu<T> {
                 got: work.len(),
             });
         }
-        // Identical traversal to `solve_block_into`, with the panel axis
-        // replaced by the variant axis: F and U sources live in later
-        // elimination rows than the destination, L sources in earlier ones,
-        // so the borrow splits are valid — but every lane multiplies its
-        // *own* factor value, hence lane_mul_sub instead of panel_axpy.
+        // The traversal of the scalar `solve_into`, one slot streaming over
+        // every lane: F and U sources live in later elimination rows than
+        // the destination, L sources in earlier ones, so the borrow splits
+        // are valid, and every lane multiplies its *own* factor value
+        // (lane_mul_sub).
         let backend = p.backend;
+        let (l_vals, rest) = self.vals.split_at(p.l_cols.len() * wdt);
+        let (u_vals, f_vals) = rest.split_at(p.u_cols.len() * wdt);
         for b in (0..p.block_ptr.len() - 1).rev() {
             let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
             for i in bs..be {
@@ -2270,7 +1962,7 @@ impl<T: Scalar> BatchedLu<T> {
                         let src = p.f_cols[t] * wdt - (row + wdt);
                         T::kernel_lane_mul_sub(
                             backend,
-                            &self.f_vals[t * wdt..(t + 1) * wdt],
+                            &f_vals[t * wdt..(t + 1) * wdt],
                             &tail[src..src + wdt],
                             dst,
                         );
@@ -2283,7 +1975,7 @@ impl<T: Scalar> BatchedLu<T> {
                         let src = p.l_cols[t] * wdt;
                         T::kernel_lane_mul_sub(
                             backend,
-                            &self.l_vals[t * wdt..(t + 1) * wdt],
+                            &l_vals[t * wdt..(t + 1) * wdt],
                             &head[src..src + wdt],
                             dst,
                         );
@@ -2299,12 +1991,12 @@ impl<T: Scalar> BatchedLu<T> {
                     let src = p.u_cols[t] * wdt - (row + wdt);
                     T::kernel_lane_mul_sub(
                         backend,
-                        &self.u_vals[t * wdt..(t + 1) * wdt],
+                        &u_vals[t * wdt..(t + 1) * wdt],
                         &tail[src..src + wdt],
                         dst,
                     );
                 }
-                T::kernel_lane_div(backend, &self.u_vals[start * wdt..(start + 1) * wdt], dst);
+                T::kernel_lane_div(backend, &u_vals[start * wdt..(start + 1) * wdt], dst);
             }
         }
         for i in 0..p.n {

@@ -1,0 +1,666 @@
+//! Compiled refactorization: the numeric-only refactor of a [`LuPattern`]
+//! driven by flat op lists that are built once per pattern, in the manner of
+//! NICSLU's map-based re-factorization (Chen, Wang & Yang, IEEE TCAD 32(2),
+//! 2013).
+//!
+//! A refactorization over a fixed pattern performs the same arithmetic at
+//! every call; only the values change. Everything else — which slot an input
+//! entry lands in, which factor slot an update writes — is resolved here
+//! once, so the per-call work is the arithmetic plus flat index streams:
+//!
+//! * **Factor storage.** The factor values live in one buffer in elimination
+//!   order, `L` slots first, then `U`, then the raw off-diagonal block
+//!   entries `F` (the same per-part layout the solves, the selected
+//!   inversion and the condition estimate read). One slot index therefore
+//!   addresses any factor entry, and the buffer doubles as the work row: an
+//!   input entry is scattered straight into its factor slot, and the
+//!   elimination updates those slots in place.
+//! * **Scatter map** ([`ScatterMap`]): one factor slot per stored entry of
+//!   the input CSR, plus the first elimination step whose input row leaves
+//!   the pattern, if any. It is compiled against one CSR structure (row
+//!   pointers and column indices) and cached on the pattern when that
+//!   structure lies inside it; a matrix with any other structure compiles a
+//!   throwaway map of its own.
+//! * **Elimination ops** ([`Program`]): one `(pivot slot, count)` op per
+//!   `L` entry, in elimination order — op `t`'s multiplier is `L` slot `t`
+//!   — with the `count` destination slots of its updates in one flat `u32`
+//!   list. The update sources are the off-diagonal entries of the pivot's
+//!   `U` row, which sit contiguously after the pivot slot, so they are not
+//!   stored. On the 16×16 power grid (21,193 updates) the lists take about
+//!   100 KB.
+//! * **Pivot checks** run per elimination row, in row order, after the row's
+//!   elimination — so each lane keeps its *first* failure, and on one row a
+//!   pattern mismatch (found while scattering, before that row's
+//!   elimination) wins over a degraded pivot, exactly as a scatter/gather
+//!   pass that stops at its first failure would report.
+//!
+//! Per lane, every IEEE operation — each divide, product and subtraction —
+//! runs in the order of the scatter/gather reference (no FMA, no
+//! reassociation), so factors, lane statuses and the recorded scales are
+//! bitwise those of the reference; the test oracle in this crate pins that.
+//!
+//! # Lazy column scales
+//!
+//! The singularity test compares a pivot against `1e-14` times its column's
+//! largest input modulus. The scan keeps, per column, the squared-magnitude
+//! maximum `q` and its argmax entry; the exact scale is `c = hypot(argmax)`
+//! and the test the reference runs is `p² ≤ fl(fl(c·1e-14)²)`. With unit
+//! roundoff `u = 2⁻⁵³`, `q = |z|²(1 ± 2u)`, `hypot` within one ulp (`2u`) and
+//! three further roundings, the exact threshold `s²` and its cheap estimate
+//! `A = fl(q·fl(1e-14·1e-14))` satisfy
+//!
+//! ```text
+//! |s² − A| ≤ 12u·A        whenever 1e-276 ≤ q (so s² and A are normal)
+//! ```
+//!
+//! so deciding `p² > A·(1 + 2⁻³⁰)` (not singular) or `p² < A·(1 − 2⁻³⁰)`
+//! (singular) is exact; only a pivot inside that band — or a column scale
+//! outside the normal range — pays the `hypot`. The same band bounds the
+//! recorded `max |A|`: a column whose `q` lies below `(1 − 2⁻³⁰)` times the
+//! largest `q` cannot hold the largest `hypot`, so only near-ties are
+//! evaluated.
+
+use super::{
+    exact_max_modulus, BatchLaneStatus, BatchedLu, LuPattern, RefactorFailure, RefactorScales,
+    SolveError, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
+};
+use crate::csr::CsrMatrix;
+use crate::scalar::Scalar;
+use std::borrow::Cow;
+
+/// Relative half-width of the band around the singularity threshold inside
+/// which the lazy scale falls back to the exact `hypot` — far wider than the
+/// `12u` composed rounding error of the estimate (see the module docs).
+const LAZY_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+
+/// Squared column scales below this take the exact path: the estimate's
+/// error bound needs `q·1e-28` to stay a normal number.
+const LAZY_MIN_SQR: f64 = 1.0e-276;
+
+/// `fl(1e-14·1e-14)`, the squared singularity ratio of the estimate.
+const SINGULARITY_SQR: f64 = SINGULARITY_RELATIVE * SINGULARITY_RELATIVE;
+
+/// One elimination op. Op `t` belongs to `L` entry `t` (its multiplier
+/// slot) of some row `i`: the entry becomes `value / pivot`, then `count`
+/// updates subtract `multiplier · U[k][j]` from row `i`'s slots. The `U` row
+/// of the pivot supplies the sources: slots `pivot + 1 .. pivot + 1 + count`.
+#[derive(Debug, Clone, Copy)]
+struct ElimOp {
+    pivot: u32,
+    count: u32,
+}
+
+/// The pattern-only op lists of the compiled refactorization, built once per
+/// [`LuPattern`] on first use.
+#[derive(Debug, Clone)]
+pub(super) struct Program {
+    /// One op per `L` entry, in elimination order: row `i`'s ops are
+    /// `ops[l_ptr[i]..l_ptr[i + 1]]`, and op `t`'s multiplier is slot `t`.
+    ops: Vec<ElimOp>,
+    /// Destination slots of every op's updates, concatenated in op order.
+    dst: Vec<u32>,
+}
+
+impl Program {
+    /// Compiles the op lists of `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pattern is not closed under elimination — impossible
+    /// for patterns recorded by [`SparseLu::factor`](super::SparseLu::factor)
+    /// — or holds more than `u32::MAX` factor entries.
+    fn build(p: &LuPattern) -> Self {
+        assert!(
+            u32::try_from(p.factor_len()).is_ok(),
+            "the compiled refactorization supports at most u32::MAX factor entries"
+        );
+        let nl = p.l_cols.len();
+        let updates: usize = p
+            .l_cols
+            .iter()
+            .map(|&k| p.u_ptr[k + 1] - p.u_ptr[k] - 1)
+            .sum();
+        let mut ops = Vec::with_capacity(nl);
+        let mut dst = Vec::with_capacity(updates);
+        for i in 0..p.n {
+            for t in p.l_ptr[i]..p.l_ptr[i + 1] {
+                let k = p.l_cols[t];
+                let row = (p.u_ptr[k] + 1)..p.u_ptr[k + 1];
+                ops.push(ElimOp {
+                    pivot: (nl + p.u_ptr[k]) as u32,
+                    count: row.len() as u32,
+                });
+                dst.extend(p.u_cols[row].iter().map(|&c| {
+                    p.slot_of(i, c)
+                        .expect("LU pattern must be closed under elimination")
+                        as u32
+                }));
+            }
+        }
+        Self { ops, dst }
+    }
+
+    /// Heap bytes held by the op lists.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.ops.capacity() * std::mem::size_of::<ElimOp>()
+            + self.dst.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Where every stored entry of one CSR structure lands in the factor
+/// buffer.
+#[derive(Debug, Clone)]
+pub(super) struct ScatterMap {
+    /// The structure the map was compiled against (empty for a throwaway
+    /// map, which is never compared).
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    /// Factor slot of every stored entry, in storage order. An entry outside
+    /// the pattern maps to the pivot slot of its own row: that row, and every
+    /// later one, is past the first mismatch and never read.
+    slot: Vec<u32>,
+    /// The first elimination step whose input row leaves the pattern.
+    mismatch: Option<usize>,
+}
+
+impl ScatterMap {
+    /// Compiles the map of `matrix`'s structure over `p`; `keyed` keeps a
+    /// copy of the structure so the map can be cached and matched later.
+    fn build<T: Scalar>(p: &LuPattern, matrix: &CsrMatrix<T>, keyed: bool) -> Self {
+        let (row_ptr, col_idx, _) = matrix.parts();
+        let nl = p.l_cols.len();
+        // Elimination step of every original row (the inverse of `perm`).
+        let mut ppos = vec![0usize; p.n];
+        for (k, &r) in p.perm.iter().enumerate() {
+            ppos[r] = k;
+        }
+        let mut mismatch: Option<usize> = None;
+        let mut slot = Vec::with_capacity(col_idx.len());
+        for (r, &i) in ppos.iter().enumerate() {
+            for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
+                let s = p.slot_of(i, p.cpos[c]).unwrap_or_else(|| {
+                    mismatch = Some(mismatch.map_or(i, |m| m.min(i)));
+                    nl + p.u_ptr[i]
+                });
+                slot.push(s as u32);
+            }
+        }
+        Self {
+            row_ptr: if keyed { row_ptr.to_vec() } else { Vec::new() },
+            col_idx: if keyed { col_idx.to_vec() } else { Vec::new() },
+            slot,
+            mismatch,
+        }
+    }
+
+    /// Whether `matrix` has the structure this map was compiled against.
+    fn matches<T: Scalar>(&self, matrix: &CsrMatrix<T>) -> bool {
+        let (row_ptr, col_idx, _) = matrix.parts();
+        row_ptr == self.row_ptr.as_slice() && col_idx == self.col_idx.as_slice()
+    }
+
+    /// Heap bytes held by the map.
+    pub(super) fn heap_bytes(&self) -> usize {
+        (self.row_ptr.capacity() + self.col_idx.capacity()) * std::mem::size_of::<usize>()
+            + self.slot.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+impl LuPattern {
+    /// Number of factor slots: `L`, `U` and `F` entries.
+    pub(super) fn factor_len(&self) -> usize {
+        self.l_cols.len() + self.u_cols.len() + self.f_cols.len()
+    }
+
+    /// The factor slot of entry `(step i, elimination column c)`, if the
+    /// pattern stores it: an `L` slot left of the diagonal, else a `U` slot
+    /// within the block, else an `F` slot in a later block.
+    pub(super) fn slot_of(&self, i: usize, c: usize) -> Option<usize> {
+        let find = |ptr: &[usize], cols: &[usize]| {
+            cols[ptr[i]..ptr[i + 1]]
+                .binary_search(&c)
+                .ok()
+                .map(|t| ptr[i] + t)
+        };
+        let nl = self.l_cols.len();
+        if c < i {
+            return find(&self.l_ptr, &self.l_cols);
+        }
+        find(&self.u_ptr, &self.u_cols)
+            .map(|t| nl + t)
+            .or_else(|| find(&self.f_ptr, &self.f_cols).map(|t| nl + self.u_cols.len() + t))
+    }
+
+    /// The elimination op lists, compiled on the first call.
+    pub(super) fn program(&self) -> &Program {
+        self.program.get_or_init(|| Program::build(self))
+    }
+
+    /// The scatter map of `matrix`'s structure: the cached one when the
+    /// structure matches it. The first structure that lies inside the
+    /// pattern is compiled and cached; any other gets a throwaway map.
+    fn scatter_for<T: Scalar>(&self, matrix: &CsrMatrix<T>) -> Cow<'_, ScatterMap> {
+        if let Some(map) = self.scatter.get() {
+            return if map.matches(matrix) {
+                Cow::Borrowed(map)
+            } else {
+                Cow::Owned(ScatterMap::build(self, matrix, false))
+            };
+        }
+        let map = ScatterMap::build(self, matrix, true);
+        if map.mismatch.is_some() {
+            return Cow::Owned(map);
+        }
+        // A concurrent first caller may have cached a different structure.
+        match self.scatter.set(map) {
+            Ok(()) => Cow::Borrowed(self.scatter.get().expect("just cached")),
+            Err(mine) => match self.scatter.get() {
+                Some(cached) if cached.matches(matrix) => Cow::Borrowed(cached),
+                _ => Cow::Owned(mine),
+            },
+        }
+    }
+}
+
+/// One matrix's column scan: per elimination column the squared-magnitude
+/// maximum and its argmax entry (the lazy form of the reference scales),
+/// plus `‖A‖∞`. Held by [`LuWorkspace`](super::LuWorkspace) and per lane by
+/// [`BatchedLu`]; sized on first use and reused.
+#[derive(Debug, Clone)]
+pub(super) struct LaneScan<T: Scalar> {
+    sq: Vec<f64>,
+    arg: Vec<T>,
+    /// Exact per-column maxima, filled only when some square degenerated.
+    exact: Vec<f64>,
+    /// Whether every square was normal or the square of an exact zero.
+    squares_ok: bool,
+    /// `‖A‖∞`: the largest row sum of [`Scalar::modulus_l1`] moduli.
+    pub(super) norm_inf: f64,
+}
+
+impl<T: Scalar> LaneScan<T> {
+    /// A scan pre-sized for dimension `n` (empty for `n = 0`).
+    pub(super) fn for_dim(n: usize) -> Self {
+        Self {
+            sq: vec![0.0; n],
+            arg: vec![T::ZERO; n],
+            exact: vec![0.0; n],
+            squares_ok: true,
+            norm_inf: 0.0,
+        }
+    }
+
+    /// One flat pass over `matrix` in storage (row-major) order: the
+    /// squared-magnitude argmax per elimination column (`cpos` maps original
+    /// columns) and the row sums of `‖A‖∞`, accumulated exactly like the
+    /// refined solve's residual pass. When a square degenerates the exact
+    /// per-column maxima are recomputed as the reference does.
+    ///
+    /// Fails with [`SolveError::NonFinite`] on the first non-finite entry
+    /// (row-major order, original coordinates).
+    pub(super) fn scan(&mut self, matrix: &CsrMatrix<T>, cpos: &[usize]) -> Result<(), SolveError> {
+        let n = matrix.cols();
+        let (row_ptr, col_idx, values) = matrix.parts();
+        self.sq.clear();
+        self.sq.resize(n, 0.0);
+        self.arg.clear();
+        self.arg.resize(n, T::ZERO);
+        let mut squares_ok = true;
+        let mut norm = 0.0f64;
+        for r in 0..matrix.rows() {
+            let mut row_sum = 0.0f64;
+            for e in row_ptr[r]..row_ptr[r + 1] {
+                let v = values[e];
+                let m2 = v.modulus_sqr();
+                // A normal square comes from a finite entry; anything else
+                // is a non-finite entry, an exact zero or a degenerate
+                // square.
+                if !m2.is_normal() {
+                    if !v.is_finite() {
+                        return Err(SolveError::NonFinite {
+                            row: r,
+                            col: col_idx[e],
+                        });
+                    }
+                    if !v.is_zero() {
+                        squares_ok = false;
+                    }
+                }
+                let cc = cpos[col_idx[e]];
+                if m2 > self.sq[cc] {
+                    self.sq[cc] = m2;
+                    self.arg[cc] = v;
+                }
+                row_sum += v.modulus_l1();
+            }
+            if row_sum > norm {
+                norm = row_sum;
+            }
+        }
+        self.squares_ok = squares_ok;
+        self.norm_inf = norm;
+        if !squares_ok {
+            self.exact.clear();
+            self.exact.resize(n, 0.0);
+            for (&c, &v) in col_idx.iter().zip(values) {
+                let m = v.modulus();
+                let cc = cpos[c];
+                if m > self.exact[cc] {
+                    self.exact[cc] = m;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The reference scale of column `i`: the exact modulus of its argmax.
+    fn col_max(&self, i: usize) -> f64 {
+        if !self.squares_ok {
+            self.exact[i]
+        } else if self.sq[i] > 0.0 {
+            self.arg[i].modulus()
+        } else {
+            0.0
+        }
+    }
+
+    /// The largest reference scale over all columns (the recorded
+    /// `max |A|`), taking `hypot` only for near-ties of the largest square.
+    fn a_max(&self) -> f64 {
+        if !self.squares_ok {
+            return self.exact.iter().fold(0.0f64, |a, &b| a.max(b));
+        }
+        let mut best = 0;
+        for (c, &q) in self.sq.iter().enumerate() {
+            if q > self.sq[best] {
+                best = c;
+            }
+        }
+        let Some(&top) = self.sq.get(best) else {
+            return 0.0;
+        };
+        if top == 0.0 {
+            return 0.0;
+        }
+        let lead = self.arg[best];
+        let mut a_max = lead.modulus();
+        let floor = top * (1.0 - LAZY_MARGIN);
+        for (&q, &v) in self.sq.iter().zip(&self.arg) {
+            // hypot is symmetric under negation, so equal or opposite
+            // entries share the leader's modulus.
+            if q >= floor && v != lead && v != -lead {
+                a_max = a_max.max(v.modulus());
+            }
+        }
+        a_max
+    }
+
+    /// The reference pivot rule of step `i`: degraded when the pivot is
+    /// zero, not above `1e-14` times its column scale, or below `1e-8` times
+    /// its row's largest modulus. `row_max_sqr` / `row_squares_ok` describe
+    /// the squares of the pivot's `U` row; `exact_row_max` yields the row's
+    /// exact largest modulus for the degenerate path.
+    fn pivot_degraded(
+        &self,
+        i: usize,
+        pivot: T,
+        row_max_sqr: f64,
+        row_squares_ok: bool,
+        exact_row_max: impl FnOnce() -> f64,
+    ) -> bool {
+        if row_squares_ok && self.squares_ok {
+            let q = self.sq[i];
+            // Here the reference takes its squared fast path: the scale is
+            // 0 or its square is normal (module docs).
+            if q == 0.0 || q >= LAZY_MIN_SQR {
+                let pivot_sqr = pivot.modulus_sqr();
+                if pivot_sqr == 0.0
+                    || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
+                {
+                    return true;
+                }
+                if q == 0.0 {
+                    return false;
+                }
+                let estimate = q * SINGULARITY_SQR;
+                if pivot_sqr > estimate * (1.0 + LAZY_MARGIN) {
+                    return false;
+                }
+                if pivot_sqr < estimate * (1.0 - LAZY_MARGIN) {
+                    return true;
+                }
+            }
+        }
+        let scale = self.col_max(i) * SINGULARITY_RELATIVE;
+        let scale_sqr = scale * scale;
+        if row_squares_ok && (scale_sqr.is_normal() || scale == 0.0) {
+            let pivot_sqr = pivot.modulus_sqr();
+            pivot_sqr == 0.0
+                || pivot_sqr <= scale_sqr
+                || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
+        } else if !pivot.is_finite() {
+            // The elimination overflowed; fresh pivoting may pick a
+            // healthier order, so this is degraded (soft), not hard.
+            true
+        } else {
+            let pivot_mod = pivot.modulus();
+            pivot_mod == 0.0
+                || pivot_mod <= scale
+                || pivot_mod < REFACTOR_PIVOT_RELATIVE * exact_row_max()
+        }
+    }
+}
+
+/// The scalar compiled refactorization behind
+/// [`SparseLu::refactor_into`](super::SparseLu::refactor_into): scan, then
+/// scatter `matrix` into `vals` (resized to the pattern's factor length),
+/// then eliminate and check row by row, stopping at the first failure. Hard
+/// failures are detected before `vals` is touched.
+pub(super) fn refactor<T: Scalar>(
+    p: &LuPattern,
+    matrix: &CsrMatrix<T>,
+    scan: &mut LaneScan<T>,
+    vals: &mut Vec<T>,
+) -> Result<RefactorScales, RefactorFailure> {
+    let n = p.n;
+    if matrix.rows() != n || matrix.cols() != n {
+        return Err(RefactorFailure::Hard(SolveError::NotSquare {
+            rows: matrix.rows(),
+            cols: matrix.cols(),
+        }));
+    }
+    scan.scan(matrix, &p.cpos).map_err(RefactorFailure::Hard)?;
+    let prog = p.program();
+    let map = p.scatter_for(matrix);
+    vals.clear();
+    vals.resize(p.factor_len(), T::ZERO);
+    for (&s, &v) in map.slot.iter().zip(matrix.parts().2) {
+        vals[s as usize] = v;
+    }
+
+    let nl = p.l_cols.len();
+    let mut next_dst = 0usize;
+    // Running U maximum for the recorded pivot-growth scale.
+    let mut u_max_sqr = 0.0f64;
+    let mut u_max_arg = T::ZERO;
+    let mut u_squares_ok = true;
+    for i in 0..n {
+        if map.mismatch == Some(i) {
+            return Err(RefactorFailure::PatternMismatch);
+        }
+        for (t, op) in (p.l_ptr[i]..).zip(&prog.ops[p.l_ptr[i]..p.l_ptr[i + 1]]) {
+            let pivot = op.pivot as usize;
+            let dst = &prog.dst[next_dst..next_dst + op.count as usize];
+            next_dst += dst.len();
+            let mult = vals[t] / vals[pivot];
+            vals[t] = mult;
+            if !mult.is_zero() {
+                for (&d, s) in dst.iter().zip(pivot + 1..) {
+                    let u = vals[s];
+                    vals[d as usize] -= mult * u;
+                }
+            }
+        }
+        let row = &vals[nl + p.u_ptr[i]..nl + p.u_ptr[i + 1]];
+        let mut row_max_sqr = 0.0f64;
+        let mut row_squares_ok = true;
+        for &v in row {
+            let m2 = v.modulus_sqr();
+            if !(m2.is_normal() || v.is_zero()) {
+                row_squares_ok = false;
+                u_squares_ok = false;
+            }
+            if m2 > row_max_sqr {
+                row_max_sqr = m2;
+            }
+            if m2 > u_max_sqr {
+                u_max_sqr = m2;
+                u_max_arg = v;
+            }
+        }
+        if scan.pivot_degraded(i, row[0], row_max_sqr, row_squares_ok, || {
+            row.iter().map(|v| v.modulus()).fold(0.0f64, f64::max)
+        }) {
+            return Err(RefactorFailure::Degraded);
+        }
+    }
+    let u_max = if !u_squares_ok {
+        exact_max_modulus(&vals[nl..nl + p.u_cols.len()])
+    } else if u_max_sqr > 0.0 {
+        u_max_arg.modulus()
+    } else {
+        0.0
+    };
+    Ok(RefactorScales {
+        a_max: scan.a_max(),
+        u_max,
+        norm_inf: scan.norm_inf,
+    })
+}
+
+/// `(&vals[src..src + w], &mut vals[dst..dst + w])` for disjoint lane
+/// ranges of one buffer.
+fn lane_pair<T>(vals: &mut [T], src: usize, dst: usize, w: usize) -> (&[T], &mut [T]) {
+    if src < dst {
+        let (lo, hi) = vals.split_at_mut(dst);
+        (&lo[src..src + w], &mut hi[..w])
+    } else {
+        let (lo, hi) = vals.split_at_mut(src);
+        (&hi[..w], &mut lo[dst..dst + w])
+    }
+}
+
+impl<T: Scalar> BatchedLu<T> {
+    /// The batched compiled refactorization behind
+    /// [`BatchedLu::refactor`]: per-lane scans and scatters, one pass of the
+    /// elimination ops over every lane, then the per-row, per-lane pivot
+    /// checks in row order.
+    pub(super) fn refactor_compiled(&mut self, matrices: &[CsrMatrix<T>]) {
+        let p = std::sync::Arc::clone(&self.pattern);
+        let prog = p.program();
+        let n = p.n;
+        let wdt = self.width;
+        let backend = p.backend;
+        self.statuses.clear();
+        self.statuses
+            .resize(matrices.len(), BatchLaneStatus::Factored);
+        for (w, lane_live) in self.live.iter_mut().enumerate() {
+            *lane_live = w < matrices.len();
+        }
+        // The hard checks: a bad lane is dead from the start.
+        for (w, matrix) in matrices.iter().enumerate() {
+            let checked = if matrix.rows() != n || matrix.cols() != n {
+                Err(SolveError::NotSquare {
+                    rows: matrix.rows(),
+                    cols: matrix.cols(),
+                })
+            } else {
+                self.scans[w].scan(matrix, &p.cpos)
+            };
+            if let Err(e) = checked {
+                self.statuses[w] = BatchLaneStatus::Failed(e);
+                self.live[w] = false;
+            }
+        }
+        self.vals.fill(T::ZERO);
+        for (w, matrix) in matrices.iter().enumerate() {
+            self.mismatch[w] = None;
+            if !self.live[w] {
+                continue;
+            }
+            let map = p.scatter_for(matrix);
+            for (&s, &v) in map.slot.iter().zip(matrix.parts().2) {
+                self.vals[s as usize * wdt + w] = v;
+            }
+            self.mismatch[w] = map.mismatch;
+        }
+
+        // Every op over every lane. A multiplier that is exactly zero in
+        // some lane takes the per-lane loop, which preserves the scalar
+        // path's `is_zero` skip bit for bit (subtracting an exact-zero
+        // product can still flip a signed zero, and 0·∞ would make NaN).
+        let mut next_dst = 0usize;
+        for (t, op) in prog.ops.iter().enumerate() {
+            let (t, pivot) = (t * wdt, op.pivot as usize);
+            let dst = &prog.dst[next_dst..next_dst + op.count as usize];
+            next_dst += dst.len();
+            {
+                let (lo, hi) = self.vals.split_at_mut(pivot * wdt);
+                T::kernel_lane_div(backend, &hi[..wdt], &mut lo[t..t + wdt]);
+                self.mult.copy_from_slice(&lo[t..t + wdt]);
+            }
+            let all_nonzero = self.mult.iter().all(|m| !m.is_zero());
+            for (&d, s) in dst.iter().zip(pivot + 1..) {
+                let (src, d) = (s * wdt, d as usize * wdt);
+                if all_nonzero {
+                    let (u, out) = lane_pair(&mut self.vals, src, d, wdt);
+                    T::kernel_lane_mul_sub(backend, &self.mult, u, out);
+                } else {
+                    for (w, &m) in self.mult.iter().enumerate() {
+                        if !m.is_zero() {
+                            let u = self.vals[src + w];
+                            self.vals[d + w] -= m * u;
+                        }
+                    }
+                }
+            }
+        }
+
+        // Per-row checks in row order: each lane keeps its first failure.
+        let nl = p.l_cols.len();
+        for i in 0..n {
+            let row = &self.vals[(nl + p.u_ptr[i]) * wdt..(nl + p.u_ptr[i + 1]) * wdt];
+            for w in 0..wdt {
+                if !self.live[w] {
+                    continue;
+                }
+                if self.mismatch[w] == Some(i) {
+                    self.statuses[w] = BatchLaneStatus::PatternMismatch;
+                    self.live[w] = false;
+                    continue;
+                }
+                let lane = || row.iter().skip(w).step_by(wdt);
+                let mut row_max_sqr = 0.0f64;
+                let mut row_squares_ok = true;
+                for &v in lane() {
+                    let m2 = v.modulus_sqr();
+                    if !(m2.is_normal() || v.is_zero()) {
+                        row_squares_ok = false;
+                    }
+                    if m2 > row_max_sqr {
+                        row_max_sqr = m2;
+                    }
+                }
+                if self.scans[w].pivot_degraded(i, row[w], row_max_sqr, row_squares_ok, || {
+                    lane().map(|v| v.modulus()).fold(0.0f64, f64::max)
+                }) {
+                    self.statuses[w] = BatchLaneStatus::Degraded;
+                    self.live[w] = false;
+                }
+            }
+        }
+        if self.statuses.iter().any(|s| s.is_factored()) {
+            self.factored = true;
+        }
+    }
+}

@@ -247,11 +247,7 @@ impl<T: Scalar> SparseLu<T> {
         ws: &mut InverseWorkspace<T>,
     ) -> Result<(), SolveError> {
         let p = &*self.pattern;
-        assert_eq!(
-            self.u_vals.len(),
-            p.u_cols.len(),
-            "selected inversion on an unfactored SparseLu shell: refactor_into must succeed first"
-        );
+        let (l_vals, u_vals, _) = self.factors();
         if out.len() != p.n {
             return Err(SolveError::RhsLength {
                 expected: p.n,
@@ -262,18 +258,17 @@ impl<T: Scalar> SparseLu<T> {
         let n_l = p.l_cols.len();
         ws.z.resize(n_l + p.u_cols.len(), T::ZERO);
         ws.l_by_col.clear();
-        ws.l_by_col
-            .extend(ix.lt_slot.iter().map(|&t| self.l_vals[t]));
+        ws.l_by_col.extend(ix.lt_slot.iter().map(|&t| l_vals[t]));
         let z = &mut ws.z;
         for i in (0..p.n).rev() {
             // Ũ = D⁻¹·U: one division per row, multiplications after.
-            let inv_d = T::ONE / self.u_vals[p.u_ptr[i]];
+            let inv_d = T::ONE / u_vals[p.u_ptr[i]];
             let u_off = (p.u_ptr[i] + 1)..p.u_ptr[i + 1];
             let l_col = ix.lt_ptr[i]..ix.lt_ptr[i + 1];
             // Upper entries Z_ij, one per L entry (row j) of column i.
             for s in l_col.clone() {
                 let src = &ix.upper_src[ix.upper_ptr[s]..ix.upper_ptr[s + 1]];
-                z[ix.lt_slot[s]] = neg_dot(&self.u_vals[u_off.clone()], src, z) * inv_d;
+                z[ix.lt_slot[s]] = neg_dot(&u_vals[u_off.clone()], src, z) * inv_d;
             }
             // Lower entries Z_ji, one per off-diagonal U entry of row i.
             for t in u_off.clone() {
@@ -282,7 +277,7 @@ impl<T: Scalar> SparseLu<T> {
             }
             let mut acc = T::ONE;
             for t in u_off {
-                acc -= self.u_vals[t] * z[n_l + t];
+                acc -= u_vals[t] * z[n_l + t];
             }
             z[n_l + p.u_ptr[i]] = acc * inv_d;
         }

@@ -13,8 +13,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 ///
 /// Besides the basic field operations, the trait carries the **kernel
 /// surface** of the LU hot loops: the `kernel_*` associated functions route
-/// the scatter/gather axpy of the numeric refactorization, the substitution
-/// fold and the batched variant-lane updates through [`crate::kernels`], where
+/// the substitution fold and the batched variant-lane updates through
+/// [`crate::kernels`], where
 /// `f64` and [`Complex64`] dispatch to the explicitly vectorized AVX2 path
 /// when the factorization's recorded [`KernelBackend`] asks for it. The
 /// default implementations are the portable scalar reference loops, and the
@@ -74,19 +74,6 @@ pub trait Scalar:
     /// Returns `true` when the value is exactly zero.
     fn is_zero(self) -> bool {
         self == Self::ZERO
-    }
-
-    /// `work[cols[i]] -= mult * vals[i]` for every `i` — the scatter/gather
-    /// axpy of the numeric refactorization's left-looking elimination.
-    #[inline]
-    fn kernel_axpy_indexed(
-        _backend: KernelBackend,
-        mult: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &mut [Self],
-    ) {
-        kernels::scalar::axpy_indexed(mult, vals, cols, work);
     }
 
     /// Returns `acc − Σ vals[i]·work[cols[i]]`, subtracting strictly in
@@ -154,17 +141,6 @@ impl Scalar for f64 {
     }
 
     #[inline]
-    fn kernel_axpy_indexed(
-        backend: KernelBackend,
-        mult: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &mut [Self],
-    ) {
-        kernels::axpy_indexed_f64(backend, mult, vals, cols, work);
-    }
-
-    #[inline]
     fn kernel_fold_sub_indexed(
         backend: KernelBackend,
         acc: Self,
@@ -218,17 +194,6 @@ impl Scalar for Complex64 {
     #[inline]
     fn from_f64(x: f64) -> Self {
         Complex64::from_real(x)
-    }
-
-    #[inline]
-    fn kernel_axpy_indexed(
-        backend: KernelBackend,
-        mult: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &mut [Self],
-    ) {
-        kernels::axpy_indexed_c64(backend, mult, vals, cols, work);
     }
 
     #[inline]

@@ -26,8 +26,9 @@
 //!   off the shared pattern, or fail validation is carried as a structured
 //!   per-variant error in its [`VariantOutcome`] — the batch never aborts.
 //!   Accepted fast-path solutions satisfy the exact residual rule of the
-//!   verified serial path ([`normwise_backward_error`] ≤
-//!   [`loopscope_sparse::REFINE_BACKWARD_TOLERANCE`]);
+//!   verified serial path ([`loopscope_sparse::normwise_backward_error`] ≤
+//!   [`loopscope_sparse::REFINE_BACKWARD_TOLERANCE`], with `‖A‖∞` read
+//!   from the lane's refactorization, [`BatchedLu::lane_backward_error`]);
 //!   anything else escalates to a scalar [`SolveContext`] running the
 //!   verified retry ladder — the one solve path of every serial sweep — so
 //!   escalated values are bitwise identical to the serial sweep.
@@ -50,9 +51,7 @@ use crate::mna::Stamper;
 use crate::par;
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, Element, NodeId};
-use loopscope_sparse::{
-    normwise_backward_error, BatchLaneStatus, BatchedLu, CsrMatrix, REFINE_BACKWARD_TOLERANCE,
-};
+use loopscope_sparse::{BatchLaneStatus, BatchedLu, CsrMatrix, REFINE_BACKWARD_TOLERANCE};
 
 /// Environment knob selecting the variant-lane width of batched sweeps.
 ///
@@ -489,12 +488,13 @@ struct Lane<'a, 'c> {
 }
 
 /// Mutable per-worker state of the batched frequency sweep: the lane value
-/// matrices, the batched factorization, the SoA right-hand sides and the
-/// scalar escalation context. Runners are allocated at the full configured
-/// lane width, pooled per outer worker and reused across variant groups —
-/// a ragged group simply drives fewer lanes (`m ≤ width`), so the per-point
-/// loop is allocation-free and the factorization buffers are minted once
-/// per worker rather than once per group.
+/// matrices, the batched factorization, the SoA right-hand sides, the
+/// scalar escalation context and the result rows of the points it solved.
+/// Runners are allocated at the full configured lane width, pooled per
+/// outer worker and reused across variant groups — a ragged group simply
+/// drives fewer lanes (`m ≤ width`), so the per-point loop is
+/// allocation-free and the factorization buffers are minted once per
+/// worker rather than once per group.
 struct GroupRunner<'p> {
     width: usize,
     dim: usize,
@@ -521,11 +521,15 @@ struct GroupRunner<'p> {
     /// batched fast path rerun through the exact serial verified ladder.
     ctx: SolveContext<'p, Complex64>,
     esc_x: Vec<Complex64>,
+    /// The lane results of every point this runner solved in the current
+    /// group, point-major (`m` per point, in point order); sized for every
+    /// point of the sweep at mint, cleared per group.
+    rows: Vec<LanePoint>,
     stats: SolveStats,
 }
 
 impl<'p> GroupRunner<'p> {
-    fn new(plan: &'p SweepPlan<Complex64>, width: usize, var: usize) -> Self {
+    fn new(plan: &'p SweepPlan<Complex64>, width: usize, var: usize, points: usize) -> Self {
         let n = plan.dim();
         let mut lane_b = vec![Complex64::ZERO; n];
         lane_b[var] = Complex64::ONE;
@@ -546,12 +550,14 @@ impl<'p> GroupRunner<'p> {
             missed: vec![false; width],
             ctx: plan.context(),
             esc_x: vec![Complex64::ZERO; n],
+            rows: Vec::with_capacity(points * width),
             stats: SolveStats::default(),
         }
     }
 
-    /// Solves one frequency point for every lane of the group, returning the
-    /// driving-point value (or per-variant error) per lane. The group may be
+    /// Solves one frequency point for every lane of the group, appending the
+    /// driving-point value (or per-variant error) of each lane to
+    /// [`rows`](GroupRunner::rows). The group may be
     /// ragged (`group.len() < width`): surplus lanes carry unspecified
     /// values that are never read — every batched operation is elementwise
     /// per lane, so dead lanes cannot disturb live ones. `images[k]` is lane
@@ -561,7 +567,7 @@ impl<'p> GroupRunner<'p> {
         group: &[Lane<'_, '_>],
         images: &[Option<AffineImage>],
         freq_hz: f64,
-    ) -> Vec<LanePoint> {
+    ) {
         let w = self.width;
         let m = group.len();
         debug_assert!(m <= w);
@@ -611,25 +617,34 @@ impl<'p> GroupRunner<'p> {
         }
         // Per lane: accept under the exact serial residual rule, or escalate
         // through the scalar verified ladder.
-        (0..m)
-            .map(|k| {
-                if any_factored && !self.missed[k] && self.statuses[k].is_factored() {
-                    for i in 0..self.dim {
-                        self.lane_x[i] = self.soa_rhs[i * w + k];
-                    }
-                    let err = normwise_backward_error(
-                        &self.lanes[k],
-                        &self.lane_x,
-                        &self.lane_b,
-                        &mut self.lane_r,
-                    );
-                    if err <= REFINE_BACKWARD_TOLERANCE {
-                        return Ok(self.lane_x[self.var]);
-                    }
-                }
-                self.escalate(group[k], images[k].as_ref(), freq_hz)
-            })
-            .collect()
+        for (k, &lane) in group.iter().enumerate() {
+            let point = match self.accepted(k) {
+                Some(z) => Ok(z),
+                None => self.escalate(lane, images[k].as_ref(), freq_hz),
+            };
+            self.rows.push(point);
+        }
+    }
+
+    /// Lane `k`'s batched driving-point value, when the lane stamped on the
+    /// pattern, factored, and its solution passes the residual rule of the
+    /// serial verified solve (`‖A‖∞` from the lane's refactorization).
+    fn accepted(&mut self, k: usize) -> Option<Complex64> {
+        if self.missed[k] || !self.statuses[k].is_factored() {
+            return None;
+        }
+        let w = self.width;
+        for i in 0..self.dim {
+            self.lane_x[i] = self.soa_rhs[i * w + k];
+        }
+        let err = self.batched.lane_backward_error(
+            k,
+            &self.lanes[k],
+            &self.lane_x,
+            &self.lane_b,
+            &mut self.lane_r,
+        );
+        (err <= REFINE_BACKWARD_TOLERANCE).then_some(self.lane_x[self.var])
     }
 
     /// Reruns one lane's point through the scalar context — assemble (a
@@ -830,7 +845,8 @@ type VariantResult = (usize, Result<Vec<Complex64>, SpiceError>);
 /// every group over `freqs` — variant groups outside, frequency points
 /// inside, so both a many-group and a single-group batch saturate the
 /// machine — and transposes the per-point lane rows into per-variant sweeps
-/// (a variant's error is the one at its lowest failing frequency). Each
+/// (a variant's error is the one at its lowest failing frequency) once per
+/// group, from the rows the runners filled in place. Each
 /// group first compiles one admittance image per lane over the plan's
 /// pattern, self-checked at `freqs[0]`; its frequency points load from them.
 ///
@@ -871,30 +887,35 @@ fn drive_lanes(
             // afterwards, so the per-group cost is image compile, reload and
             // refactor only.
             let shared_pool = std::sync::Mutex::new(std::mem::take(pool));
-            let (points, runners) = par::sweep_chunks(
+            let (done, runners) = par::sweep_chunks(
                 freqs,
                 || {
-                    shared_pool
+                    let mut runner = shared_pool
                         .lock()
                         .expect("runner pool lock")
                         .pop()
-                        .unwrap_or_else(|| GroupRunner::new(plan, width, var))
+                        .unwrap_or_else(|| GroupRunner::new(plan, width, var, freqs.len()));
+                    runner.rows.clear();
+                    runner
                 },
-                |runner: &mut GroupRunner<'_>, _fi, &f| -> Result<Vec<LanePoint>, SpiceError> {
-                    Ok(runner.solve_point(&lanes, &images, f))
+                |runner: &mut GroupRunner<'_>, _fi, &f| -> Result<(), SpiceError> {
+                    runner.solve_point(&lanes, &images, f);
+                    Ok(())
                 },
             );
-            *pool = shared_pool.into_inner().expect("runner pool lock");
-            pool.extend(runners);
-            let points = points.expect("group step is infallible");
+            done.expect("group step is infallible");
+            // Runners come back in chunk order and every chunk is a
+            // contiguous run of points, so their rows concatenate to the
+            // points in order.
+            let m = group.len();
             let out = group
                 .iter()
                 .enumerate()
                 .map(|(k, &(vi, _))| {
                     let mut resp = Vec::with_capacity(freqs.len());
                     let mut first_err = None;
-                    for row in &points {
-                        match &row[k] {
+                    for point in runners.iter().flat_map(|r| r.rows.chunks(m)) {
+                        match &point[k] {
                             Ok(z) => resp.push(*z),
                             Err(e) => {
                                 first_err = Some(e.clone());
@@ -905,6 +926,8 @@ fn drive_lanes(
                     (vi, first_err.map_or(Ok(resp), Err))
                 })
                 .collect();
+            *pool = shared_pool.into_inner().expect("runner pool lock");
+            pool.extend(runners);
             Ok(out)
         },
     );
