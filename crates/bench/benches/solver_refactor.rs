@@ -43,8 +43,7 @@ use loopscope_circuits::{
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, Element, SourceSpec};
 use loopscope_sparse::{
-    kernels, BatchedLu, CsrMatrix, InverseWorkspace, KernelBackend, LuWorkspace, RefineWorkspace,
-    SparseLu, SymbolicLu,
+    BatchedLu, CsrMatrix, InverseWorkspace, LuWorkspace, RefineWorkspace, SparseLu, SymbolicLu,
 };
 use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::assembly::{AssembleMna, SlotSink, StampTape};
@@ -503,114 +502,6 @@ fn print_selected_inversion_scan(records: &mut Vec<Record>) {
     );
 }
 
-/// Mean wall-clock of one "frequency point" of a per-RHS scan — refactor
-/// once, then solve one unit injection per unknown through `solve_into`
-/// (the substitution fold kernels) — over the matrix set, in nanoseconds.
-fn solve_scan_ns(matrices: &[CsrMatrix<Complex64>], symbolic: &SymbolicLu, reps: usize) -> f64 {
-    let n = matrices[0].rows();
-    let mut lu = SparseLu::from_symbolic(symbolic);
-    let mut ws = LuWorkspace::for_dim(n);
-    let mut rhs = vec![Complex64::ZERO; n];
-    let mut work = vec![Complex64::ZERO; n];
-    let mut k = 0usize;
-    time_ns(reps, || {
-        let m = &matrices[k % matrices.len()];
-        k += 1;
-        lu.refactor_into(symbolic, m, &mut ws).expect("refactor");
-        assert!(lu.refactored(), "bench matrices must not force a fallback");
-        for v in 0..n {
-            rhs.fill(Complex64::ZERO);
-            rhs[v] = Complex64::ONE;
-            lu.solve_into(&mut rhs, &mut work).expect("solve");
-            std::hint::black_box(&mut rhs);
-        }
-    })
-}
-
-/// Experiment S5 — explicit SIMD kernels: scalar-kernel vs SIMD-kernel
-/// per-RHS solve-scan throughput (the `solve_into` fold kernels) over the
-/// same symbolic analysis (backends pinned per pattern via
-/// `SymbolicLu::with_kernel_backend`, so both run in one process). The
-/// scalar refactorization runs no kernel (its compiled op lists are a plain
-/// loop on every backend), so it is timed in S1 and S10 only. A bitwise
-/// cross-check of a few solves guards the table: the backends must agree
-/// bit for bit before any timing is reported.
-fn print_kernel_table(
-    label: &str,
-    matrices: &[CsrMatrix<Complex64>],
-    reps: usize,
-    records: &mut Vec<Record>,
-) {
-    let symbolic = SparseLu::factor(&matrices[0])
-        .expect("factors")
-        .extract_symbolic();
-    let sym_scalar = symbolic.with_kernel_backend(KernelBackend::Scalar);
-    let simd_backend = if kernels::simd_available() {
-        KernelBackend::Avx2
-    } else {
-        KernelBackend::Scalar
-    };
-    let sym_simd = symbolic.with_kernel_backend(simd_backend);
-    let n = matrices[0].rows();
-
-    // Hard bitwise gate (deterministic, never demoted): the two backends
-    // must produce identical factors and solutions.
-    {
-        let mut ws = LuWorkspace::for_dim(n);
-        let mut lu_a = SparseLu::from_symbolic(&sym_scalar);
-        lu_a.refactor_into(&sym_scalar, &matrices[1 % matrices.len()], &mut ws)
-            .expect("refactor");
-        let mut lu_b = SparseLu::from_symbolic(&sym_simd);
-        lu_b.refactor_into(&sym_simd, &matrices[1 % matrices.len()], &mut ws)
-            .expect("refactor");
-        let mut work = vec![Complex64::ZERO; n];
-        for col in 0..4 {
-            let mut rhs_a: Vec<Complex64> = (0..n)
-                .map(|j| Complex64::new(1.0 + ((j + col) % 7) as f64, 0.25 * (j % 5) as f64))
-                .collect();
-            let mut rhs_b = rhs_a.clone();
-            lu_a.solve_into(&mut rhs_a, &mut work).expect("solve");
-            lu_b.solve_into(&mut rhs_b, &mut work).expect("solve");
-            for (a, b) in rhs_a.iter().zip(&rhs_b) {
-                assert!(
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                    "{label}: scalar and {simd_backend} kernels must be bitwise identical"
-                );
-            }
-        }
-    }
-
-    let scan_reps = (reps / 8).max(2);
-    let scalar_scan = solve_scan_ns(matrices, &sym_scalar, scan_reps);
-    let simd_scan = solve_scan_ns(matrices, &sym_simd, scan_reps);
-    println!(
-        "{label:<18} solve scan scalar {:>9.2} µs   {simd_backend} {:>9.2} µs ({:>5.2}x)",
-        scalar_scan / 1.0e3,
-        simd_scan / 1.0e3,
-        scalar_scan / simd_scan,
-    );
-    records.push(Record::new(
-        format!("{label}_solve_scan_scalar_kernel"),
-        scalar_scan,
-    ));
-    records.push(Record::new(
-        format!("{label}_solve_scan_{simd_backend}_kernel"),
-        simd_scan,
-    ));
-
-    if simd_backend.is_simd() {
-        // Only the independent products of the fold vectorize: the solve
-        // scan must at minimum not regress.
-        assert_timing(
-            simd_scan <= scalar_scan * 1.05,
-            &format!(
-                "{label}: the SIMD solve scan ({simd_scan:.0} ns) must not be slower than \
-                 the scalar-kernel one ({scalar_scan:.0} ns)"
-            ),
-        );
-    }
-}
-
 /// Experiment S6 — robustness-layer overhead: the residual-verified refined
 /// solve ([`SparseLu::solve_refined_into`]) vs the plain triangular solve on
 /// a healthy system where refinement needs **zero** correction steps (the
@@ -702,7 +593,7 @@ fn print_refinement_table(records: &mut Vec<Record>) {
 /// (quick mode: 400) seeded Monte Carlo sweep of the MOS two-stage buffer
 /// through the batched engine ([`loopscope_spice::batch`], **one** symbolic
 /// analysis and **one** shared linearization for the whole batch, variants
-/// packed into SIMD-style value lanes) vs the naive factor-per-variant loop
+/// packed into structure-of-arrays value lanes) vs the naive factor-per-variant loop
 /// (a variant circuit plus a fresh `AcAnalysis` — its own layout, its own
 /// device linearizations, its own symbolic analysis — per variant, the
 /// pre-batch `core::sweep` shape). Single worker, so the ratio isolates the
@@ -1270,29 +1161,6 @@ fn bench(c: &mut Criterion) {
     print_thread_scaling(&mut records);
 
     print_selected_inversion_scan(&mut records);
-
-    let mesh_p = 33; // 33×33 = 1089 unknowns
-    let meshes: Vec<_> = (0..16)
-        .map(|k| mesh_matrix(mesh_p, 1.0e3 * 10f64.powf(k as f64 * 0.25)))
-        .collect();
-
-    println!(
-        "\n=== S5: explicit SIMD kernels — scalar vs {} (AVX2 {}) ===",
-        kernels::selected_backend(),
-        if kernels::simd_available() {
-            "detected"
-        } else {
-            "NOT available; table degenerates to scalar-vs-scalar"
-        }
-    );
-    let (ladder_c, _) = ladder_matrices(400);
-    print_kernel_table("rc_ladder_400", &ladder_c, iters(200), &mut records);
-    print_kernel_table(
-        &format!("mesh_{mesh_p}x{mesh_p}"),
-        &meshes,
-        iters(40),
-        &mut records,
-    );
 
     print_refinement_table(&mut records);
 

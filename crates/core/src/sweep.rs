@@ -92,8 +92,8 @@ impl NodeSweep {
 /// the batched refactor/solve, and variant groups × frequency points are
 /// chunked across worker threads (`LOOPSCOPE_THREADS`). Each variant still
 /// gets its own DC operating point. Results are in input order and bitwise
-/// identical to analysing each variant independently, at any worker count,
-/// kernel backend and batch lane width.
+/// identical to analysing each variant independently, at any worker count
+/// and batch lane width.
 ///
 /// Variants whose topology differs from the first variant's (different
 /// nodes, different system dimension) are analysed per-variant through

@@ -20,11 +20,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// assert_eq!(c, Complex64::new(5.0, 5.0));
 /// assert!((a.abs() - 5.0_f64.sqrt()).abs() < 1e-15);
 /// ```
-// `repr(C)` pins the `(re, im)` field order in memory: the SIMD kernels in
-// `loopscope-sparse` reinterpret `&[Complex64]` as split-lane `f64` pairs and
-// need the layout guaranteed, not merely what the compiler happens to pick.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[repr(C)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,

@@ -42,14 +42,12 @@
 //!   recurrences), for about the cost of one factorization.
 //!
 //! The scalar abstraction [`Scalar`] is implemented for `f64` (DC and
-//! transient analyses) and [`Complex64`] (AC analysis). Its `kernel_*`
-//! surface routes the numeric hot loops — the substitution fold and the
-//! batched variant-lane updates — through [`kernels`], which provides an
-//! explicitly vectorized AVX2 backend next to the portable scalar reference. The backend is recorded per
-//! [`SymbolicLu`] at build time ([`kernels::selected_backend`], overridable
-//! with the `LOOPSCOPE_KERNEL` environment knob) and the two backends are
-//! bit-identical on finite data, so every determinism guarantee in the
-//! workspace holds with SIMD active.
+//! transient analyses) and [`Complex64`] (AC analysis). The numeric hot
+//! loops — the substitution fold and the batched variant-lane update and
+//! divide — are plain portable loops with one code path each, so results
+//! never depend on the CPU. [`kernels`] keeps only the vestiges of the
+//! retired backend choice (`KERNEL_ENV`, accepted and ignored, and the
+//! one-variant [`KernelBackend`]).
 //!
 //! # Example
 //!
@@ -81,10 +79,7 @@
 //! # Ok::<(), loopscope_sparse::SolveError>(())
 //! ```
 
-// `unsafe` is denied everywhere except the [`kernels`] module, which carries
-// the `core::arch` SIMD intrinsics behind a scoped `#[allow(unsafe_code)]`
-// (a crate-level `forbid` would make that exception impossible).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod btf;

@@ -61,8 +61,8 @@
 //! evaluated.
 
 use super::{
-    exact_max_modulus, BatchLaneStatus, BatchedLu, LuPattern, RefactorFailure, RefactorScales,
-    SolveError, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
+    exact_max_modulus, loops, BatchLaneStatus, BatchedLu, LuPattern, RefactorFailure,
+    RefactorScales, SolveError, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
 };
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
@@ -560,7 +560,6 @@ impl<T: Scalar> BatchedLu<T> {
         let prog = p.program();
         let n = p.n;
         let wdt = self.width;
-        let backend = p.backend;
         self.statuses.clear();
         self.statuses
             .resize(matrices.len(), BatchLaneStatus::Factored);
@@ -606,7 +605,7 @@ impl<T: Scalar> BatchedLu<T> {
             next_dst += dst.len();
             {
                 let (lo, hi) = self.vals.split_at_mut(pivot * wdt);
-                T::kernel_lane_div(backend, &hi[..wdt], &mut lo[t..t + wdt]);
+                loops::lane_div(&hi[..wdt], &mut lo[t..t + wdt]);
                 self.mult.copy_from_slice(&lo[t..t + wdt]);
             }
             let all_nonzero = self.mult.iter().all(|m| !m.is_zero());
@@ -614,7 +613,7 @@ impl<T: Scalar> BatchedLu<T> {
                 let (src, d) = (s * wdt, d as usize * wdt);
                 if all_nonzero {
                     let (u, out) = lane_pair(&mut self.vals, src, d, wdt);
-                    T::kernel_lane_mul_sub(backend, &self.mult, u, out);
+                    loops::lane_mul_sub(&self.mult, u, out);
                 } else {
                     for (w, &m) in self.mult.iter().enumerate() {
                         if !m.is_zero() {

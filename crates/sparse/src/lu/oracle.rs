@@ -7,8 +7,8 @@
 //! pivot thresholds, off-pattern input and wrong dimensions.
 
 use super::{
-    column_max_moduli_into, compiled, exact_max_modulus, norm_inf, BatchLaneStatus, BatchedLu,
-    LuPattern, LuWorkspace, RefactorFailure, RefactorScales, SolveError, SparseLu,
+    column_max_moduli_into, compiled, exact_max_modulus, loops, norm_inf, BatchLaneStatus,
+    BatchedLu, LuPattern, LuWorkspace, RefactorFailure, RefactorScales, SolveError, SparseLu,
     REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
 };
 use crate::csr::CsrMatrix;
@@ -154,7 +154,6 @@ fn refactor_batched<T: Scalar>(
     matrices: &[CsrMatrix<T>],
 ) -> (Vec<BatchLaneStatus>, Vec<T>) {
     let n = p.n;
-    let backend = p.backend;
     let (nl, nu) = (p.l_cols.len(), p.u_cols.len());
     let mut l_vals = vec![T::ZERO; nl * wdt];
     let mut u_vals = vec![T::ZERO; nu * wdt];
@@ -217,17 +216,12 @@ fn refactor_batched<T: Scalar>(
             let u_diag = p.u_ptr[k] * wdt;
             let lane = t * wdt;
             l_vals[lane..lane + wdt].copy_from_slice(&work[k * wdt..(k + 1) * wdt]);
-            T::kernel_lane_div(
-                backend,
-                &u_vals[u_diag..u_diag + wdt],
-                &mut l_vals[lane..lane + wdt],
-            );
+            loops::lane_div(&u_vals[u_diag..u_diag + wdt], &mut l_vals[lane..lane + wdt]);
             let all_nonzero = l_vals[lane..lane + wdt].iter().all(|m| !m.is_zero());
             for s in (p.u_ptr[k] + 1)..p.u_ptr[k + 1] {
                 let c = p.u_cols[s] * wdt;
                 if all_nonzero {
-                    T::kernel_lane_mul_sub(
-                        backend,
+                    loops::lane_mul_sub(
                         &l_vals[lane..lane + wdt],
                         &u_vals[s * wdt..(s + 1) * wdt],
                         &mut work[c..c + wdt],

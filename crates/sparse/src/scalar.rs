@@ -1,7 +1,5 @@
-//! Scalar abstraction over real and complex arithmetic, including the
-//! kernel dispatch surface the LU hot loops run on.
+//! Scalar abstraction over real and complex arithmetic.
 
-use crate::kernels::{self, KernelBackend};
 use loopscope_math::Complex64;
 use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -10,17 +8,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 ///
 /// Implemented for `f64` (DC, transient) and [`Complex64`] (AC). The trait is
 /// sealed in spirit: downstream crates are not expected to implement it.
-///
-/// Besides the basic field operations, the trait carries the **kernel
-/// surface** of the LU hot loops: the `kernel_*` associated functions route
-/// the substitution fold and the batched variant-lane updates through
-/// [`crate::kernels`], where
-/// `f64` and [`Complex64`] dispatch to the explicitly vectorized AVX2 path
-/// when the factorization's recorded [`KernelBackend`] asks for it. The
-/// default implementations are the portable scalar reference loops, and the
-/// SIMD overrides are **bit-identical** to them on finite data (same IEEE
-/// operations, same per-element order — see the [`crate::kernels`] module
-/// docs for the contract).
 pub trait Scalar:
     Copy
     + Debug
@@ -75,35 +62,6 @@ pub trait Scalar:
     fn is_zero(self) -> bool {
         self == Self::ZERO
     }
-
-    /// Returns `acc − Σ vals[i]·work[cols[i]]`, subtracting strictly in
-    /// index order — the per-entry update of the substitution sweeps.
-    #[inline]
-    fn kernel_fold_sub_indexed(
-        _backend: KernelBackend,
-        acc: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &[Self],
-    ) -> Self {
-        kernels::scalar::fold_sub_indexed(acc, vals, cols, work)
-    }
-
-    /// `dst[w] -= a[w] * b[w]` elementwise — the w-wide variant-lane update
-    /// of the batched many-variant refactor/solve, where every lane is an
-    /// independent matrix sharing only the fill pattern (so each lane has
-    /// its own multiplier/factor pair).
-    #[inline]
-    fn kernel_lane_mul_sub(_backend: KernelBackend, a: &[Self], b: &[Self], dst: &mut [Self]) {
-        kernels::scalar::lane_mul_sub(a, b, dst);
-    }
-
-    /// `dst[w] = dst[w] / den[w]` elementwise — the batched
-    /// back-substitution divide, one independent diagonal per variant lane.
-    #[inline]
-    fn kernel_lane_div(_backend: KernelBackend, den: &[Self], dst: &mut [Self]) {
-        kernels::scalar::lane_div(den, dst);
-    }
 }
 
 impl Scalar for f64 {
@@ -139,27 +97,6 @@ impl Scalar for f64 {
     fn from_f64(x: f64) -> Self {
         x
     }
-
-    #[inline]
-    fn kernel_fold_sub_indexed(
-        backend: KernelBackend,
-        acc: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &[Self],
-    ) -> Self {
-        kernels::fold_sub_indexed_f64(backend, acc, vals, cols, work)
-    }
-
-    #[inline]
-    fn kernel_lane_mul_sub(backend: KernelBackend, a: &[Self], b: &[Self], dst: &mut [Self]) {
-        kernels::lane_mul_sub_f64(backend, a, b, dst);
-    }
-
-    #[inline]
-    fn kernel_lane_div(backend: KernelBackend, den: &[Self], dst: &mut [Self]) {
-        kernels::lane_div_f64(backend, den, dst);
-    }
 }
 
 impl Scalar for Complex64 {
@@ -194,27 +131,6 @@ impl Scalar for Complex64 {
     #[inline]
     fn from_f64(x: f64) -> Self {
         Complex64::from_real(x)
-    }
-
-    #[inline]
-    fn kernel_fold_sub_indexed(
-        backend: KernelBackend,
-        acc: Self,
-        vals: &[Self],
-        cols: &[usize],
-        work: &[Self],
-    ) -> Self {
-        kernels::fold_sub_indexed_c64(backend, acc, vals, cols, work)
-    }
-
-    #[inline]
-    fn kernel_lane_mul_sub(backend: KernelBackend, a: &[Self], b: &[Self], dst: &mut [Self]) {
-        kernels::lane_mul_sub_c64(backend, a, b, dst);
-    }
-
-    #[inline]
-    fn kernel_lane_div(backend: KernelBackend, den: &[Self], dst: &mut [Self]) {
-        kernels::lane_div_c64(backend, den, dst);
     }
 }
 

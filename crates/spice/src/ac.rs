@@ -188,8 +188,8 @@ impl AcSweep {
 /// Structural diagnostics of the shared solver plan an [`AcAnalysis`] runs
 /// on, reported by [`AcAnalysis::solver_structure`]: how the block-
 /// triangular analysis partitioned the admittance matrix, how much fill the
-/// per-block factorization carries, which kernel backend the numeric inner
-/// loops run, and how well-conditioned the representative system is.
+/// per-block factorization carries, and how well-conditioned the
+/// representative system is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverStructure {
     /// MNA system dimension (node voltages + branch currents).
@@ -201,11 +201,8 @@ pub struct SolverStructure {
     /// Stored factor entries — L and U fill plus raw off-diagonal block
     /// entries.
     pub fill_nnz: usize,
-    /// The kernel backend (scalar reference or explicit SIMD) every numeric
-    /// refactorization and solve over the plan runs — recorded once at plan
-    /// build time (see [`loopscope_sparse::kernels::selected_backend`] and
-    /// the `LOOPSCOPE_KERNEL` knob); results are bitwise identical either
-    /// way.
+    /// Vestige of the retired kernel-backend choice: always
+    /// [`KernelBackend::Scalar`], the one code path of the LU inner loops.
     pub kernel: KernelBackend,
     /// Hager/Higham 1-norm condition estimate `κ₁(Y)` of the admittance
     /// system at the representative frequency the structure was taken at
@@ -438,7 +435,7 @@ impl<'c> AcAnalysis<'c> {
             dim: symbolic.dim(),
             block_count: symbolic.block_count(),
             fill_nnz: symbolic.fill_nnz(),
-            kernel: symbolic.kernel_backend(),
+            kernel: KernelBackend::Scalar,
             condition_estimate,
             solver: SolverBackend::Direct,
         })

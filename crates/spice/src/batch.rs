@@ -35,8 +35,7 @@
 //! * The driver parallelizes over **two axes** — variant groups × frequency
 //!   points — through [`par::sweep_chunks`], and is chunking-invariant: the
 //!   results and the merged [`SolveStats`] totals are identical at any
-//!   `LOOPSCOPE_THREADS`, `LOOPSCOPE_KERNEL` and `LOOPSCOPE_BATCH`
-//!   setting.
+//!   `LOOPSCOPE_THREADS` and `LOOPSCOPE_BATCH` setting.
 //!
 //! Yield semantics: [`BatchedSweep::yield_count`] is the number of variants
 //! whose entire sweep converged. A healthy batch performs **exactly one**
@@ -696,8 +695,7 @@ impl<'p> GroupRunner<'p> {
 /// wrong for *every* variant (injecting at the ground node).
 ///
 /// Results are bitwise identical to the serial per-variant reference at any
-/// `LOOPSCOPE_THREADS` × `LOOPSCOPE_KERNEL` × `LOOPSCOPE_BATCH`
-/// configuration, and the merged
+/// `LOOPSCOPE_THREADS` × `LOOPSCOPE_BATCH` configuration, and the merged
 /// [`BatchedSweep::solve_stats`] totals are identical too.
 ///
 /// # Errors

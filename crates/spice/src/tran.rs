@@ -34,10 +34,9 @@
 //!
 //! The step sequence is a pure deterministic function of (circuit, options):
 //! every accept/reject decision is computed from residual-verified solutions
-//! that are themselves bitwise identical across the `LOOPSCOPE_THREADS`/
-//! `LOOPSCOPE_KERNEL` knobs, so the produced grid — and
-//! every counter in [`TransientStats`] — is bit-identical across those
-//! configurations.
+//! that are themselves bitwise identical at any `LOOPSCOPE_THREADS`
+//! setting, so the produced grid — and every counter in
+//! [`TransientStats`] — is bit-identical across those configurations.
 
 use crate::assembly::{AssembleMna, SolveContext, SolveStats};
 use crate::dc::OperatingPoint;
@@ -152,8 +151,8 @@ impl TransientOptions {
 /// in tests and benchmarks.
 ///
 /// Like the step sequence itself, every counter is a pure deterministic
-/// function of (circuit, options) and bit-identical across the
-/// `LOOPSCOPE_THREADS`/`LOOPSCOPE_KERNEL` knobs.
+/// function of (circuit, options) and bit-identical at any
+/// `LOOPSCOPE_THREADS` setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientStats {
     /// Steps accepted into the result (`times().len() - 1`).

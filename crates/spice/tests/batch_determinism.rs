@@ -1,12 +1,12 @@
 //! Configuration invariance of the batched many-variant sweep engine: a
 //! seeded Monte Carlo driving-point sweep must produce **bitwise identical**
 //! per-variant responses — and identical yield and merged solve counters —
-//! across every `LOOPSCOPE_THREADS` × `LOOPSCOPE_KERNEL` × `LOOPSCOPE_BATCH`
-//! combination. `LOOPSCOPE_BATCH=1` with one worker is
+//! across every `LOOPSCOPE_THREADS` × `LOOPSCOPE_BATCH` combination.
+//! `LOOPSCOPE_BATCH=1` with one worker is
 //! the serial per-variant reference; wider lanes and more workers only
 //! change how the same scalar-ordered arithmetic is scheduled.
 //!
-//! NOTE: this file mutates the process environment (all three knobs are
+//! NOTE: this file mutates the process environment (both knobs are
 //! deliberately re-read on every batched call so benches and tests can
 //! switch them), so it holds exactly ONE `#[test]` in its own test binary:
 //! tests in one binary run on parallel threads, and a sibling test reading
@@ -76,32 +76,24 @@ fn mc_sweep() -> (VariantBits, usize, SolveStats) {
 
 #[test]
 fn batched_sweeps_are_bitwise_identical_across_all_knobs() {
-    // Reference: one worker, one variant lane, default
-    // (auto-detected) kernel backend — the serial per-variant path.
+    // Reference: one worker, one variant lane — the serial per-variant path.
     std::env::set_var(par::THREADS_ENV, "1");
     std::env::set_var(batch::BATCH_ENV, "1");
-    std::env::remove_var("LOOPSCOPE_KERNEL");
     let (reference, ref_yield, ref_stats) = mc_sweep();
     assert_eq!(ref_yield, 11, "the seeded batch is expected to fully yield");
     assert_eq!(ref_stats.symbolic, 1, "one symbolic analysis per batch");
 
     for threads in ["1", "3", "4"] {
-        for kernel in [Some("scalar"), None] {
-            for width in ["1", "2", "3", "4", "8"] {
-                std::env::set_var(par::THREADS_ENV, threads);
-                std::env::set_var(batch::BATCH_ENV, width);
-                match kernel {
-                    Some(k) => std::env::set_var("LOOPSCOPE_KERNEL", k),
-                    None => std::env::remove_var("LOOPSCOPE_KERNEL"),
-                }
-                let (bits, yield_count, stats) = mc_sweep();
-                let cfg = format!("threads={threads}, kernel={kernel:?}, batch={width}");
-                assert_eq!(yield_count, ref_yield, "{cfg}");
-                assert_eq!(stats, ref_stats, "{cfg}");
-                assert_eq!(bits.len(), reference.len(), "{cfg}");
-                for (v, (got, want)) in bits.iter().zip(&reference).enumerate() {
-                    assert_eq!(got, want, "variant {v} diverged at {cfg}");
-                }
+        for width in ["1", "2", "3", "4", "8"] {
+            std::env::set_var(par::THREADS_ENV, threads);
+            std::env::set_var(batch::BATCH_ENV, width);
+            let (bits, yield_count, stats) = mc_sweep();
+            let cfg = format!("threads={threads}, batch={width}");
+            assert_eq!(yield_count, ref_yield, "{cfg}");
+            assert_eq!(stats, ref_stats, "{cfg}");
+            assert_eq!(bits.len(), reference.len(), "{cfg}");
+            for (v, (got, want)) in bits.iter().zip(&reference).enumerate() {
+                assert_eq!(got, want, "variant {v} diverged at {cfg}");
             }
         }
     }
@@ -109,7 +101,6 @@ fn batched_sweeps_are_bitwise_identical_across_all_knobs() {
     // Defaults (all knobs unset) must reproduce the reference too.
     std::env::remove_var(par::THREADS_ENV);
     std::env::remove_var(batch::BATCH_ENV);
-    std::env::remove_var("LOOPSCOPE_KERNEL");
     let (bits, yield_count, stats) = mc_sweep();
     assert_eq!(yield_count, ref_yield, "default knobs");
     assert_eq!(stats, ref_stats, "default knobs");

@@ -1,10 +1,9 @@
 //! Configuration invariance of the adaptive transient stepper: the step
 //! sequence (and with it every waveform sample and every [`TransientStats`]
-//! counter) must be **bitwise identical** across the `LOOPSCOPE_THREADS` ×
-//! `LOOPSCOPE_KERNEL` matrix. The transient Newton loop
-//! is serial through one adopting `SolveContext`, whose verified solves are
-//! bitwise kernel-invariant by the solver contract — so every
-//! accept/reject/grow decision, being a pure function of those solutions
+//! counter) must be **bitwise identical** at every `LOOPSCOPE_THREADS`
+//! setting. The transient Newton loop is serial through one adopting
+//! `SolveContext`, whose verified solves do not depend on the worker count
+//! — so every accept/reject/grow decision, being a pure function of those solutions
 //! and the options, is config-invariant too. This test pins that end to
 //! end.
 //!
@@ -67,9 +66,8 @@ fn adaptive_run() -> (Vec<u64>, Vec<Vec<u64>>, TransientStats) {
 
 #[test]
 fn adaptive_stepper_is_bitwise_identical_across_all_knobs() {
-    // Reference: one worker, default (auto-detected) kernel.
+    // Reference: one worker.
     std::env::set_var(par::THREADS_ENV, "1");
-    std::env::remove_var("LOOPSCOPE_KERNEL");
     let (ref_times, ref_waves, ref_stats) = adaptive_run();
     // The scenario actually exercised the ladder.
     assert!(ref_stats.accepted_steps > 10);
@@ -77,23 +75,16 @@ fn adaptive_stepper_is_bitwise_identical_across_all_knobs() {
     assert!(ref_stats.max_dt > ref_stats.min_dt);
 
     for threads in ["1", "2", "4"] {
-        for kernel in [Some("scalar"), None] {
-            std::env::set_var(par::THREADS_ENV, threads);
-            match kernel {
-                Some(k) => std::env::set_var("LOOPSCOPE_KERNEL", k),
-                None => std::env::remove_var("LOOPSCOPE_KERNEL"),
-            }
-            let (times, waves, stats) = adaptive_run();
-            let cfg = format!("threads={threads}, kernel={kernel:?}");
-            assert_eq!(times, ref_times, "step sequence diverged at {cfg}");
-            assert_eq!(waves, ref_waves, "waveforms diverged at {cfg}");
-            assert_eq!(stats, ref_stats, "stats diverged at {cfg}");
-        }
+        std::env::set_var(par::THREADS_ENV, threads);
+        let (times, waves, stats) = adaptive_run();
+        let cfg = format!("threads={threads}");
+        assert_eq!(times, ref_times, "step sequence diverged at {cfg}");
+        assert_eq!(waves, ref_waves, "waveforms diverged at {cfg}");
+        assert_eq!(stats, ref_stats, "stats diverged at {cfg}");
     }
 
     // Defaults (all knobs unset) must reproduce the reference too.
     std::env::remove_var(par::THREADS_ENV);
-    std::env::remove_var("LOOPSCOPE_KERNEL");
     let (times, waves, stats) = adaptive_run();
     assert_eq!(times, ref_times, "default knobs diverged");
     assert_eq!(waves, ref_waves, "default knobs diverged");

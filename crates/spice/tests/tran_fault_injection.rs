@@ -1,17 +1,16 @@
 //! Transient fault-injection determinism: a seeded numeric fault planted at
 //! Newton-solve ordinal `k` of a transient run must surface as the **same
 //! structured, name-enriched error** — or the same identically-rescued
-//! waveform, bit for bit — across the `LOOPSCOPE_THREADS` ×
-//! `LOOPSCOPE_KERNEL` config matrix, exactly like
-//! `tests/fault_injection.rs` pins for sweeps.
+//! waveform, bit for bit — at every `LOOPSCOPE_THREADS` setting, exactly
+//! like `tests/fault_injection.rs` pins for sweeps.
 //!
 //! The injection seam is [`TransientAnalysis::run_with_hook`]: the hook runs
 //! between assembly and the verified solve of every Newton iteration, on
 //! both the fixed-grid and the adaptive path, so the fault lands on the same
 //! assembled system no matter which configuration is active.
 //!
-//! NOTE: this file mutates the process environment (the kernel knob is
-//! re-read on every symbolic analysis), so it holds exactly ONE `#[test]`
+//! NOTE: this file mutates the process environment (the worker-count knob
+//! is re-read on every run), so it holds exactly ONE `#[test]`
 //! in its own test binary — a sibling test reading the environment between
 //! this test's set/remove calls would be racy.
 
@@ -102,7 +101,6 @@ const SCENARIOS: &[(bool, FaultKind, usize, u64)] = &[
 fn injected_transient_faults_are_config_invariant() {
     // Reference outcomes under pinned serial/default knobs.
     std::env::set_var(par::THREADS_ENV, "1");
-    std::env::remove_var("LOOPSCOPE_KERNEL");
     let references: Vec<_> = SCENARIOS
         .iter()
         .map(|&(adaptive, fault, at, seed)| run(adaptive, fault, at, seed))
@@ -132,24 +130,17 @@ fn injected_transient_faults_are_config_invariant() {
     }
 
     for threads in ["1", "4"] {
-        for kernel in [Some("scalar"), None] {
-            std::env::set_var(par::THREADS_ENV, threads);
-            match kernel {
-                Some(k) => std::env::set_var("LOOPSCOPE_KERNEL", k),
-                None => std::env::remove_var("LOOPSCOPE_KERNEL"),
-            }
-            for (i, &(adaptive, fault, at, seed)) in SCENARIOS.iter().enumerate() {
-                let got = run(adaptive, fault, at, seed);
-                let cfg = format!("threads={threads}, kernel={kernel:?}, scenario {i}");
-                match (&references[i], &got) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b, "rescued waveform diverged at {cfg}"),
-                    (Err(a), Err(b)) => assert_eq!(a, b, "error diverged at {cfg}"),
-                    (a, b) => panic!("outcome diverged at {cfg}: {a:?} vs {b:?}"),
-                }
+        std::env::set_var(par::THREADS_ENV, threads);
+        for (i, &(adaptive, fault, at, seed)) in SCENARIOS.iter().enumerate() {
+            let got = run(adaptive, fault, at, seed);
+            let cfg = format!("threads={threads}, scenario {i}");
+            match (&references[i], &got) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "rescued waveform diverged at {cfg}"),
+                (Err(a), Err(b)) => assert_eq!(a, b, "error diverged at {cfg}"),
+                (a, b) => panic!("outcome diverged at {cfg}: {a:?} vs {b:?}"),
             }
         }
     }
 
     std::env::remove_var(par::THREADS_ENV);
-    std::env::remove_var("LOOPSCOPE_KERNEL");
 }

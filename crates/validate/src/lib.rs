@@ -1,7 +1,7 @@
 //! Golden-data validation harness for the `loopscope` workspace.
 //!
 //! The solver pipeline asserts internal bitwise invariants everywhere
-//! (refactor-vs-fresh, scalar-vs-SIMD, thread-count determinism), but those
+//! (refactor-vs-fresh, batch-vs-serial, thread-count determinism), but those
 //! only prove self-consistency. This crate checks the *answers*: a corpus
 //! of JSON golden files under `tests/golden_data/` pins reference values —
 //! DC node voltages, AC magnitude/phase at exact frequencies, transient

@@ -107,7 +107,6 @@ pub fn report_json(reports: &[CaseReport]) -> Json {
         ("schema_version".into(), Json::Num(1.0)),
         ("tool".into(), Json::Str("loopscope-validate".into())),
         ("threads".into(), env_str("LOOPSCOPE_THREADS")),
-        ("kernel".into(), env_str("LOOPSCOPE_KERNEL")),
         ("total".into(), Json::Num(counts.total() as f64)),
         ("passed".into(), Json::Num(counts.passed as f64)),
         ("failed".into(), Json::Num(counts.failed as f64)),

@@ -5,7 +5,7 @@
 //! [`AcAnalysis::driving_point_response`] (the `SweepPlan` parallel path)
 //! and [`TransientAnalysis::run`] (the adopting `SolveContext` path) — so a
 //! golden pass certifies the code users actually call, under whatever
-//! `LOOPSCOPE_THREADS` / `LOOPSCOPE_KERNEL` configuration is active.
+//! `LOOPSCOPE_THREADS` configuration is active.
 //!
 //! AC checks pin exact frequencies: the sweep grid is built from the pinned
 //! values themselves via [`FrequencyGrid::from_points`], so comparisons

@@ -42,12 +42,10 @@ fn main() -> Result<(), StabilityError> {
     let structure = ac.solver_structure(analyzer.options().f_start)?;
     println!(
         "solver structure: {} unknowns, {} BTF diagonal block(s), {} factor entries, \
-         `{}` kernel backend (set {} to override), κ₁ ≥ {:.3e} at {:.0} Hz",
+         κ₁ ≥ {:.3e} at {:.0} Hz",
         structure.dim,
         structure.block_count,
         structure.fill_nnz,
-        structure.kernel,
-        loopscope_sparse::kernels::KERNEL_ENV,
         structure.condition_estimate,
         analyzer.options().f_start,
     );
