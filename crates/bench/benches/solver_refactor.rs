@@ -18,8 +18,10 @@
 //! matched accuracy. (S9) times one assembly per point, layer by layer:
 //! the AC system stamped element by element against a load from the
 //! compiled `G + jω·C` image, and the DC Newton system assembled with a
-//! `find_slot` search per stamp against a replay of the slot tape — on the
-//! Table 2 circuit and the 16×16 power grid. (S10) times one numeric
+//! `find_slot` search per stamp against a replay of the slot tape and a
+//! load from its Newton image — on the Table 2 circuit and the 16×16 power
+//! grid — plus Table 2's transient Newton system, slot tape against Newton
+//! image. (S10) times one numeric
 //! refactorization per call on the same two circuits: Table 2's real
 //! transient Newton system, its complex AC systems through the batched
 //! lanes at widths 1 and 4, and the 16×16 grid's AC system, with the size
@@ -46,12 +48,12 @@ use loopscope_sparse::{
     BatchedLu, CsrMatrix, InverseWorkspace, LuWorkspace, RefineWorkspace, SparseLu, SymbolicLu,
 };
 use loopscope_spice::ac::AcAnalysis;
-use loopscope_spice::assembly::{AssembleMna, SlotSink, StampTape};
+use loopscope_spice::assembly::{AssembleMna, NewtonJob, SlotSink, SolveContext, StampTape};
 use loopscope_spice::batch::{driving_point_monte_carlo, ParameterVariation};
 use loopscope_spice::dc::{self, solve_dc};
 use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
 use loopscope_spice::par;
-use loopscope_spice::tran::{TransientAnalysis, TransientOptions, TransientResult};
+use loopscope_spice::tran::{Integration, TransientAnalysis, TransientOptions, TransientResult};
 use std::time::Instant;
 
 /// `BENCH_QUICK=1` (any non-empty value but `0`) cuts iteration counts for
@@ -899,16 +901,57 @@ where
     })
 }
 
+/// Times one Newton assembly of `job` through an adopting context: the
+/// full stamped assembly replaying the slot tape, and the load from the
+/// job's Newton image (device stamps only, over the compiled linear
+/// prefix). Asserts first that the image compiles and that its load is bit
+/// for bit the stamped assembly. Returns `(tape_ns, image_ns)`.
+fn newton_assembly_ns(
+    label: &str,
+    layout: &MnaLayout,
+    job: &impl NewtonJob,
+    reps: usize,
+) -> (f64, f64) {
+    let mut stamped = SolveContext::<f64>::adopting(layout);
+    let mut imaged = SolveContext::<f64>::adopting(layout);
+    let (mut rhs, mut image_rhs) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        stamped.assemble_into(job, &mut rhs);
+        imaged.assemble_newton_into(job, &mut image_rhs);
+    }
+    assert!(
+        imaged.newton_image().is_some(),
+        "{label}: the Newton image must pass its self-check"
+    );
+    let bits = |m: &CsrMatrix<f64>| m.iter().map(|e| e.2.to_bits()).collect::<Vec<_>>();
+    let rhs_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(imaged.matrix()) == bits(stamped.matrix()) && rhs_bits(&image_rhs) == rhs_bits(&rhs),
+        "{label}: Newton image load differs from the stamped assembly"
+    );
+    let tape_ns = time_ns_best(5, reps, || {
+        stamped.assemble_into(job, &mut rhs);
+        std::hint::black_box(&mut rhs);
+    });
+    let image_ns = time_ns_best(5, reps, || {
+        imaged.assemble_newton_into(job, &mut image_rhs);
+        std::hint::black_box(&mut image_rhs);
+    });
+    (tape_ns, image_ns)
+}
+
 /// Experiment S9 — assembly per point, stamped vs compiled. For the AC
 /// system of each circuit: every element stamp through a `find_slot`
 /// search (the path before compiled images), the same stamps replaying a
 /// slot tape (what a point whose image failed its self-check runs), and
 /// the load from the compiled `G + jω·C` image. For the DC Newton system
-/// at the operating point: `find_slot` against the slot tape. The image
-/// load is also checked bit for bit against the stamped values.
+/// at the operating point: `find_slot` against the slot tape and the load
+/// from the Newton image; for Table 2's transient Newton system (a
+/// trapezoidal 2 ns step), the slot tape against the Newton image. Every
+/// image load is also checked bit for bit against the stamped values.
 fn print_assembly_table(records: &mut Vec<Record>) {
     println!(
-        "\n=== S9: assembly per point — stamped vs compiled G + jωC image (AC), find_slot vs slot tape (DC) ==="
+        "\n=== S9: assembly per point — stamped vs compiled G + jωC image (AC), find_slot vs slot tape vs Newton image (DC, transient) ==="
     );
     let (table2, _, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
     let (mesh, _) = power_grid(16, 16);
@@ -993,19 +1036,52 @@ fn print_assembly_table(records: &mut Vec<Record>) {
             Some(&mut dc_tape),
             dc_job,
         );
+        let (_, dc_image_ns) = newton_assembly_ns(label, &dc_layout, &dc_job(0), reps);
         println!(
-            "{label:<11} DC Newton system ({} stamps): find_slot {:>8.2} µs   slot tape {:>8.2} µs   speedup {:>5.2}x",
+            "{label:<11} DC Newton system ({} stamps): find_slot {:>8.2} µs   slot tape {:>8.2} µs   Newton image {:>8.2} µs   tape/image {:>5.2}x",
             dc_tape.len(),
             dc_search_ns / 1.0e3,
             dc_tape_ns / 1.0e3,
-            dc_search_ns / dc_tape_ns
+            dc_image_ns / 1.0e3,
+            dc_tape_ns / dc_image_ns
         );
         records.push(Record::new(
             format!("{label}_dc_assembly_find_slot"),
             dc_search_ns,
         ));
         records.push(Record::new(format!("{label}_dc_assembly_tape"), dc_tape_ns));
+        records.push(Record::new(
+            format!("{label}_dc_assembly_image"),
+            dc_image_ns,
+        ));
     }
+
+    // Table 2's transient Newton system: a trapezoidal step of the paper's
+    // 2 ns grid at the operating point, with live capacitor history.
+    let op = solve_dc(&table2).expect("operating point");
+    let tran = TransientAnalysis::new(&table2, TransientOptions::new(2.0e-9, 8.0e-6))
+        .expect("valid transient");
+    let layout = MnaLayout::new(&table2);
+    let history = vec![1.0e-6; table2.elements().len().max(layout.dim())];
+    let job = tran.assembly_job(
+        2.0e-9,
+        Integration::Trapezoidal,
+        op.node_voltages(),
+        &history,
+    );
+    let (tape_ns, image_ns) = newton_assembly_ns("table2 transient", &layout, &job, iters(20_000));
+    println!(
+        "table2      transient Newton system: slot tape {:>8.2} µs   Newton image {:>8.2} µs   speedup {:>5.2}x",
+        tape_ns / 1.0e3,
+        image_ns / 1.0e3,
+        tape_ns / image_ns
+    );
+    assert_timing(
+        image_ns < tape_ns,
+        "table2: the Newton image load must beat the stamped transient assembly",
+    );
+    records.push(Record::new("table2_tran_assembly_tape", tape_ns));
+    records.push(Record::new("table2_tran_assembly_image", image_ns));
 }
 
 /// Experiment S10 — one numeric refactorization per call, the layer the

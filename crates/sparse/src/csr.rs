@@ -105,6 +105,13 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.col_idx[self.row_ptr[row]..self.row_ptr[row + 1]]
     }
 
+    /// The stored values of a row, in the order of
+    /// [`row_pattern`](CsrMatrix::row_pattern).
+    #[inline]
+    pub(crate) fn row_values(&self, row: usize) -> &[T] {
+        &self.values[self.row_ptr[row]..self.row_ptr[row + 1]]
+    }
+
     /// Iterates over the stored entries of a row as `(col, value)` pairs.
     pub fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, T)> + '_ {
         let start = self.row_ptr[row];

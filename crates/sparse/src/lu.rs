@@ -1251,16 +1251,15 @@ impl<T: Scalar> SparseLu<T> {
             });
         }
         ws.reset(n);
-        let norm_b = inf_norm(rhs);
         ws.x.copy_from_slice(rhs);
         self.solve_into(&mut ws.x, &mut ws.work)?;
         // ‖A‖∞, the denominator scale of the backward error, was recorded
         // with the factors.
         let norm_a = self.a_norm_inf;
-        residual_into(matrix, &ws.x, rhs, &mut ws.residual);
-        let mut norm_r = inf_norm(&ws.residual);
+        let norms = residual_norms(matrix, &ws.x, rhs, &mut ws.residual);
+        let (mut norm_r, norm_b) = (norms.r, norms.b);
         let mut steps = 0usize;
-        let mut berr = backward_error(norm_r, norm_a, inf_norm(&ws.x), norm_b);
+        let mut berr = backward_error(norm_r, norm_a, norms.x, norm_b);
         while berr > REFINE_BACKWARD_TOLERANCE && steps < REFINE_MAX_STEPS {
             ws.correction.copy_from_slice(&ws.residual);
             self.solve_into(&mut ws.correction, &mut ws.work)?;
@@ -1268,17 +1267,16 @@ impl<T: Scalar> SparseLu<T> {
             for (xi, di) in ws.x.iter_mut().zip(&ws.correction) {
                 *xi += *di;
             }
-            residual_into(matrix, &ws.x, rhs, &mut ws.residual);
-            let new_norm_r = inf_norm(&ws.residual);
-            // `inf_norm` maps non-finite entries to +∞, so a diverging or
+            let norms = residual_norms(matrix, &ws.x, rhs, &mut ws.residual);
+            // The norm scans map non-finite entries to +∞, so a diverging or
             // NaN-polluted update also lands in the rollback branch.
-            if new_norm_r >= norm_r {
+            if norms.r >= norm_r {
                 ws.x.copy_from_slice(&ws.x_prev);
                 break;
             }
             steps += 1;
-            norm_r = new_norm_r;
-            berr = backward_error(norm_r, norm_a, inf_norm(&ws.x), norm_b);
+            norm_r = norms.r;
+            berr = backward_error(norm_r, norm_a, norms.x, norm_b);
         }
         rhs.copy_from_slice(&ws.x);
         let pivot_growth = if self.a_max_modulus > 0.0 {
@@ -1551,25 +1549,53 @@ impl<T: Scalar> RefineWorkspace<T> {
     }
 }
 
-/// ∞-norm of a vector: squared-magnitude scan with one square root on the
-/// winner; exact fallback when squares degenerate, and +∞ as soon as any
-/// component is non-finite (a poisoned norm must fail the tolerance, not
-/// vanish from the comparison like NaN would).
-fn inf_norm<T: Scalar>(v: &[T]) -> f64 {
-    let mut max_sqr = 0.0f64;
-    let mut exact = true;
-    for &x in v {
+/// ∞-norm of a vector, taken as a scan: squared magnitudes with one square
+/// root on the winner; exact fallback when squares degenerate, and +∞ as
+/// soon as any component is non-finite (a poisoned norm must fail the
+/// tolerance, not vanish from the comparison like NaN would). One pass can
+/// run several scans; the largest square does not depend on the order of
+/// the pushes.
+#[derive(Clone, Copy)]
+struct InfNormScan {
+    max_sqr: f64,
+    exact: bool,
+}
+
+impl InfNormScan {
+    fn new() -> Self {
+        Self {
+            max_sqr: 0.0,
+            exact: true,
+        }
+    }
+
+    /// Takes `x` into the scan. The compare-and-branch (rarely taken once
+    /// the maximum settles) keeps the running maximum off a data-dependent
+    /// chain, which `f64::max` would put on every push.
+    #[inline]
+    fn push<T: Scalar>(&mut self, x: T) {
         let m2 = x.modulus_sqr();
         if !(m2.is_normal() || x.is_zero()) {
-            exact = false;
+            self.exact = false;
         }
-        if m2 > max_sqr {
-            max_sqr = m2;
+        if m2 > self.max_sqr {
+            self.max_sqr = m2;
         }
     }
-    if exact {
-        return max_sqr.sqrt();
+
+    /// The norm of `v`, every entry of which was pushed.
+    fn finish<T: Scalar>(self, v: &[T]) -> f64 {
+        if self.exact {
+            self.max_sqr.sqrt()
+        } else {
+            exact_inf_norm(v)
+        }
     }
+}
+
+/// The exact fallback of [`InfNormScan`]: the largest modulus, or +∞ as
+/// soon as any component is non-finite.
+fn exact_inf_norm<T: Scalar>(v: &[T]) -> f64 {
     let mut max = 0.0f64;
     for &x in v {
         if !x.is_finite() {
@@ -1588,14 +1614,45 @@ fn one_norm<T: Scalar>(v: &[T]) -> f64 {
     v.iter().map(|x| x.modulus()).sum()
 }
 
-/// `r = b − A·x`.
-fn residual_into<T: Scalar>(matrix: &CsrMatrix<T>, x: &[T], b: &[T], r: &mut [T]) {
-    for row in 0..matrix.rows() {
-        let mut acc = b[row];
-        for (c, v) in matrix.row_entries(row) {
-            acc -= v * x[c];
-        }
+/// The ∞-norms of one residual pass: `‖b − A·x‖`, `‖x‖` and `‖b‖`.
+struct ResidualNorms {
+    r: f64,
+    x: f64,
+    b: f64,
+}
+
+/// `r = b − A·x` with its ∞-norm, and the ∞-norms of `x` and `b`, in one
+/// pass over the CSR rows: each row's residual is accumulated as a
+/// separate mat-vec would, and each norm scans its whole slice, so the
+/// values are bitwise those of a residual pass followed by three norm
+/// passes.
+fn residual_norms<T: Scalar>(
+    matrix: &CsrMatrix<T>,
+    x: &[T],
+    b: &[T],
+    r: &mut [T],
+) -> ResidualNorms {
+    let rows = matrix.rows();
+    let (mut norm_r, mut norm_x, mut norm_b) =
+        (InfNormScan::new(), InfNormScan::new(), InfNormScan::new());
+    for row in 0..rows {
+        let acc =
+            loops::fold_sub_indexed(b[row], matrix.row_values(row), matrix.row_pattern(row), x);
         r[row] = acc;
+        norm_r.push(acc);
+        norm_x.push(x[row]);
+        norm_b.push(b[row]);
+    }
+    // Scratch and vectors longer than the matrix count in full.
+    for (scan, v) in [(&mut norm_r, &*r), (&mut norm_x, x), (&mut norm_b, b)] {
+        for &e in &v[rows.min(v.len())..] {
+            scan.push(e);
+        }
+    }
+    ResidualNorms {
+        r: norm_r.finish(r),
+        x: norm_x.finish(x),
+        b: norm_b.finish(b),
     }
 }
 
@@ -1663,8 +1720,8 @@ fn scaled_backward_error<T: Scalar>(
     b: &[T],
     residual: &mut [T],
 ) -> f64 {
-    residual_into(matrix, x, b, residual);
-    backward_error(inf_norm(residual), norm_a, inf_norm(x), inf_norm(b))
+    let norms = residual_norms(matrix, x, b, residual);
+    backward_error(norms.r, norm_a, norms.x, norms.b)
 }
 
 /// Per-lane outcome of a [`BatchedLu::refactor`] call.
@@ -3250,5 +3307,78 @@ mod tests {
             normwise_backward_error(&a, &[0.0; 3], &[0.0; 3], &mut residual),
             0.0
         );
+    }
+
+    /// The separate passes the fused residual pass replaced: a mat-vec
+    /// residual, then one squared-magnitude ∞-norm scan per vector with the
+    /// exact fallback.
+    fn separate_residual_norms(
+        a: &CsrMatrix<f64>,
+        x: &[f64],
+        b: &[f64],
+        r: &mut [f64],
+    ) -> [u64; 3] {
+        for row in 0..a.rows() {
+            let mut acc = b[row];
+            for (c, v) in a.row_entries(row) {
+                acc -= v * x[c];
+            }
+            r[row] = acc;
+        }
+        let norm = |v: &[f64]| {
+            let mut max_sqr = 0.0f64;
+            let mut exact = true;
+            for &e in v {
+                let m2 = e * e;
+                if !(m2.is_normal() || e == 0.0) {
+                    exact = false;
+                }
+                if m2 > max_sqr {
+                    max_sqr = m2;
+                }
+            }
+            if exact {
+                return max_sqr.sqrt();
+            }
+            let mut max = 0.0f64;
+            for &e in v {
+                if !e.is_finite() {
+                    return f64::INFINITY;
+                }
+                max = max.max(e.abs());
+            }
+            max
+        };
+        [norm(r).to_bits(), norm(x).to_bits(), norm(b).to_bits()]
+    }
+
+    #[test]
+    fn fused_residual_pass_is_bitwise_the_separate_passes() {
+        let a = csr_from_dense(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 4.0]]);
+        let tiny = f64::MIN_POSITIVE / 8.0;
+        let cases: [(Vec<f64>, Vec<f64>); 5] = [
+            (vec![0.3, -1.7, 2.25], vec![1.0, -2.0, 0.5]),
+            (vec![0.0; 3], vec![0.0; 3]),
+            // Subnormal squares take the exact fallback.
+            (vec![tiny, 0.0, -tiny], vec![tiny, 1.0e-200, 0.0]),
+            // Non-finite entries map every norm they reach to +∞.
+            (vec![f64::NAN, 1.0, 0.0], vec![1.0, f64::INFINITY, 0.0]),
+            (vec![1.0e200, -3.0e200, 1.0], vec![1.0e160, 2.0, -1.0]),
+        ];
+        for (x, b) in &cases {
+            // Scratch longer than the matrix, with stale entries: both
+            // paths scan the whole slice.
+            let mut fused_r = vec![0.5; 4];
+            let mut separate_r = fused_r.clone();
+            let fused = residual_norms(&a, x, b, &mut fused_r);
+            let want = separate_residual_norms(&a, x, b, &mut separate_r);
+            assert_eq!(
+                [fused.r.to_bits(), fused.x.to_bits(), fused.b.to_bits()],
+                want,
+                "x = {x:?}, b = {b:?}"
+            );
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fused_r), bits(&separate_r));
+        }
     }
 }

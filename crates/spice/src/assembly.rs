@@ -56,8 +56,9 @@
 //!   transient stepping, where operating regions drift and each solve
 //!   follows the previous one on a single thread.
 
+use crate::devices::NonlinearStamp;
 use crate::error::SpiceError;
-use crate::mna::{MatrixSink, MnaLayout, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampPart, Stamper};
 use loopscope_math::{Complex64, TWO_PI};
 use loopscope_sparse::{
     CsrMatrix, InverseWorkspace, LuWorkspace, RefineWorkspace, Scalar, SolveError, SolveQuality,
@@ -349,6 +350,416 @@ impl AffineImage {
     }
 }
 
+/// A Newton-iteration assembly job whose linear stamps a [`NewtonImage`]
+/// compiles once: the DC operating-point system and the transient
+/// time-point system.
+///
+/// Between Newton iterations only the nonlinear devices move. The linear
+/// elements stamp the same matrix values for as long as the parameters
+/// behind [`matrix_key`](NewtonJob::matrix_key) stay put, and the same
+/// right-hand side for as long as [`rhs_key`](NewtonJob::rhs_key) does.
+pub trait NewtonJob: AssembleMna<f64> {
+    /// The bits of every parameter the linear elements' matrix stamps
+    /// depend on: the step width and integration method of a transient
+    /// step, the gmin shunt of a DC stage. Two jobs with equal keys must
+    /// stamp equal linear matrix values.
+    fn matrix_key(&self) -> [u64; 2];
+
+    /// Identifies the linear right-hand side (independent sources and
+    /// reactive history): two jobs with equal matrix and right-hand-side
+    /// keys must stamp equal linear right-hand sides.
+    fn rhs_key(&self) -> u64;
+
+    /// Stamps `part` of the system. [`StampPart::All`] must be exactly
+    /// [`AssembleMna::stamp`], with every device's stamps added through
+    /// [`Stamper::add_device`] (which
+    /// [`NonlinearStamp::apply`](crate::devices::NonlinearStamp::apply)
+    /// does).
+    fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart);
+}
+
+/// Destination of a linear right-hand-side stamp that folds into the prefix.
+const RHS_PREFIX: u32 = u32::MAX;
+
+/// Slot (or row) of a device entry on the ground row or column, which no
+/// assembly stores.
+const GROUND: u32 = u32::MAX;
+
+/// Narrows a pattern or unknown index for the compact image tables.
+fn index_u32(v: usize) -> u32 {
+    u32::try_from(v).expect("pattern index fits u32")
+}
+
+/// A matrix position packed for a single compare.
+#[inline]
+fn position(row: usize, col: usize) -> u64 {
+    ((row as u64) << 32) | col as u64
+}
+
+/// The compiled linear part of a Newton system: per slot, the fold of the
+/// linear stamps that precede the slot's first device stamp, and a replay
+/// program for everything after it — SPICE2's constant `G + α·C` companion
+/// Jacobian (Nagel, UCB/ERL M520, 1975), kept bitwise.
+///
+/// A [`SolveContext`] compiles one when a [`NewtonJob`]'s matrix key is
+/// assembled a second time. Every later iteration with that key copies the
+/// prefix into the value buffer, evaluates the devices alone
+/// ([`StampPart::Devices`]) and adds their stamps through the program,
+/// which interleaves the linear "tail" constants — linear stamps that come
+/// after a device stamp on the same slot — at their original places. The
+/// right-hand side follows the same rule; its linear values are restamped
+/// once per [`rhs_key`](NewtonJob::rhs_key) (once per Newton run) instead of
+/// once per iteration.
+///
+/// # Why a load is bitwise identical to a stamped assembly
+///
+/// A slot's value is a running sum, from `+0.0`, of its stamps in stamp
+/// order. The prefix is the same sum over the same leading stamps in the
+/// same order, and every later stamp is added in its original order, so
+/// each slot sees exactly the operations of a stamped assembly. The
+/// argument needs the linear stamps to be the ones the key promises; a
+/// context keeps an image only when one load reproduces the full stamped
+/// assembly it was compiled beside bit for bit, and stamps as before when
+/// it does not.
+#[derive(Debug, Clone)]
+pub struct NewtonImage {
+    key: [u64; 2],
+    rhs_key: u64,
+    /// Per slot: the fold of the linear stamps before its first device stamp.
+    prefix: Vec<f64>,
+    /// Device conductances in stamp order, `(node position, slot)`; the
+    /// slot is [`GROUND`] for an entry on the ground row or column.
+    devices: Vec<(u64, u32)>,
+    /// Linear matrix stamps after a device stamp on their slot,
+    /// `(slot, value)` in stamp order.
+    tail: Vec<(u32, f64)>,
+    /// Per unknown: the fold of the linear right-hand-side stamps before
+    /// its first device stamp.
+    rhs_prefix: Vec<f64>,
+    /// Device companion currents in stamp order, `(node, row)`; the row is
+    /// [`GROUND`] for the ground node.
+    rhs_devices: Vec<(u32, u32)>,
+    /// Linear right-hand-side stamps after a device stamp on their row,
+    /// `(row, value)` in stamp order.
+    rhs_tail: Vec<(u32, f64)>,
+    /// Every linear right-hand-side stamp in stamp order, `(row, dest)`:
+    /// `dest` indexes `rhs_tail`, or is [`RHS_PREFIX`].
+    rhs_linear: Vec<(u32, u32)>,
+    /// Per device, in stamp order: how many `tail` and `rhs_tail`
+    /// constants precede its stamps (the load adds them first).
+    device_starts: Vec<(u32, u32)>,
+}
+
+impl NewtonImage {
+    /// Compiles `job`'s image over `pattern`, or `None` when a stamp falls
+    /// outside it.
+    fn compile(
+        job: &impl NewtonJob,
+        layout: &MnaLayout,
+        pattern: &CsrMatrix<f64>,
+    ) -> Option<NewtonImage> {
+        let n = layout.dim();
+        let compiler = NewtonCompiler {
+            pattern,
+            touched: vec![false; pattern.nnz()],
+            rhs_touched: vec![false; n],
+            missed: false,
+            image: NewtonImage {
+                key: job.matrix_key(),
+                rhs_key: job.rhs_key(),
+                prefix: vec![0.0; pattern.nnz()],
+                devices: Vec::new(),
+                tail: Vec::new(),
+                rhs_prefix: vec![0.0; n],
+                rhs_devices: Vec::new(),
+                rhs_tail: Vec::new(),
+                rhs_linear: Vec::new(),
+                device_starts: Vec::new(),
+            },
+        };
+        let mut st = Stamper::with_sink_over(layout, compiler, Vec::new());
+        job.stamp_part(&mut st, StampPart::All);
+        let (compiler, _) = st.into_parts();
+        (!compiler.missed).then_some(compiler.image)
+    }
+
+    /// The matrix key the image was compiled for.
+    #[cfg(test)]
+    pub(crate) fn key(&self) -> [u64; 2] {
+        self.key
+    }
+
+    /// Number of linear matrix stamps a load replays after a device stamp
+    /// on their slot.
+    #[cfg(test)]
+    pub(crate) fn tail_len(&self) -> usize {
+        self.tail.len()
+    }
+
+    /// Restamps the linear right-hand side of `job` into the prefix and the
+    /// tail; `false` when its stamps do not follow the compiled sequence.
+    fn refresh_rhs(&mut self, job: &impl NewtonJob, layout: &MnaLayout) -> bool {
+        self.rhs_prefix.fill(0.0);
+        let refresh = RhsRefresh {
+            linear: &self.rhs_linear,
+            prefix: &mut self.rhs_prefix,
+            tail: &mut self.rhs_tail,
+            next: 0,
+            missed: false,
+        };
+        let mut st = Stamper::with_sink_over(layout, refresh, Vec::new());
+        job.stamp_part(&mut st, StampPart::LinearRhs);
+        let (refresh, _) = st.into_parts();
+        let ok = !refresh.missed && refresh.next == self.rhs_linear.len();
+        if ok {
+            self.rhs_key = job.rhs_key();
+        }
+        ok
+    }
+
+    /// Loads `job`'s system: the prefixes, then the device stamps and the
+    /// tail constants in stamp order. `false` when the devices' stamps do
+    /// not follow the compiled sequence (the values are then unusable).
+    fn load(
+        &self,
+        job: &impl NewtonJob,
+        layout: &MnaLayout,
+        values: &mut [f64],
+        rhs: &mut Vec<f64>,
+    ) -> bool {
+        values.copy_from_slice(&self.prefix);
+        rhs.clear();
+        rhs.extend_from_slice(&self.rhs_prefix);
+        let replay = NewtonReplay {
+            image: self,
+            values,
+            next: 0,
+            rhs_next: 0,
+            device: 0,
+            tail_next: 0,
+            rhs_tail_next: 0,
+            differs: false,
+        };
+        let mut st = Stamper::with_sink_over(layout, replay, std::mem::take(rhs));
+        job.stamp_part(&mut st, StampPart::Devices);
+        let (replay, out) = st.into_parts();
+        *rhs = out;
+        replay.finish(rhs)
+    }
+
+    /// The self-check: whether a load of `job` reproduces `stamped` and
+    /// `rhs` (its full stamped assembly over the same pattern) bit for bit.
+    fn reproduces(
+        &self,
+        job: &impl NewtonJob,
+        layout: &MnaLayout,
+        stamped: &CsrMatrix<f64>,
+        rhs: &[f64],
+    ) -> bool {
+        let mut values = vec![0.0; self.prefix.len()];
+        let mut loaded_rhs = Vec::new();
+        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+        self.prefix.len() == stamped.nnz()
+            && self.load(job, layout, &mut values, &mut loaded_rhs)
+            && values
+                .iter()
+                .zip(stamped.iter())
+                .all(|(a, (_, _, b))| same(a, &b))
+            && loaded_rhs.len() == rhs.len()
+            && loaded_rhs.iter().zip(rhs).all(|(a, b)| same(a, b))
+    }
+}
+
+/// Matrix sink that compiles a [`NewtonImage`] from a full
+/// ([`StampPart::All`]) pass over a fixed pattern.
+struct NewtonCompiler<'m> {
+    pattern: &'m CsrMatrix<f64>,
+    /// Slots (and unknowns) a device stamp has reached so far.
+    touched: Vec<bool>,
+    rhs_touched: Vec<bool>,
+    missed: bool,
+    image: NewtonImage,
+}
+
+impl MatrixSink<f64> for NewtonCompiler<'_> {
+    fn add(&mut self, row: usize, col: usize, value: f64) {
+        let Some(slot) = self.pattern.find_slot(row, col) else {
+            self.missed = true;
+            return;
+        };
+        let image = &mut self.image;
+        if self.touched[slot] {
+            image.tail.push((index_u32(slot), value));
+        } else {
+            image.prefix[slot] += value;
+        }
+    }
+
+    fn add_rhs(&mut self, _rhs: &mut [f64], row: usize, value: f64) {
+        let image = &mut self.image;
+        if self.rhs_touched[row] {
+            let dest = index_u32(image.rhs_tail.len());
+            image.rhs_linear.push((index_u32(row), dest));
+            image.rhs_tail.push((index_u32(row), value));
+        } else {
+            image.rhs_linear.push((index_u32(row), RHS_PREFIX));
+            image.rhs_prefix[row] += value;
+        }
+    }
+
+    fn add_device(&mut self, layout: &MnaLayout, _rhs: &mut [f64], stamp: &NonlinearStamp) {
+        let image = &mut self.image;
+        let starts = (index_u32(image.tail.len()), index_u32(image.rhs_tail.len()));
+        image.device_starts.push(starts);
+        for &(r, c, _) in stamp.conductances() {
+            let slot = match (layout.node_var(r), layout.node_var(c)) {
+                (Some(row), Some(col)) => {
+                    let Some(slot) = self.pattern.find_slot(row, col) else {
+                        self.missed = true;
+                        return;
+                    };
+                    self.touched[slot] = true;
+                    index_u32(slot)
+                }
+                _ => GROUND,
+            };
+            image.devices.push((position(r.index(), c.index()), slot));
+        }
+        for &(node, _) in stamp.rhs_currents() {
+            let row = match layout.node_var(node) {
+                Some(row) => {
+                    self.rhs_touched[row] = true;
+                    index_u32(row)
+                }
+                None => GROUND,
+            };
+            image.rhs_devices.push((index_u32(node.index()), row));
+        }
+    }
+}
+
+/// Sink of a [`StampPart::LinearRhs`] pass that rewrites an image's linear
+/// right-hand side in place; matrix stamps are the compiled constants and
+/// are dropped.
+struct RhsRefresh<'m> {
+    linear: &'m [(u32, u32)],
+    prefix: &'m mut [f64],
+    tail: &'m mut [(u32, f64)],
+    next: usize,
+    missed: bool,
+}
+
+impl MatrixSink<f64> for RhsRefresh<'_> {
+    #[inline]
+    fn add(&mut self, _row: usize, _col: usize, _value: f64) {}
+
+    #[inline]
+    fn add_rhs(&mut self, _rhs: &mut [f64], row: usize, value: f64) {
+        match self.linear.get(self.next) {
+            Some(&(r, dest)) if r as usize == row => {
+                if dest == RHS_PREFIX {
+                    self.prefix[row] += value;
+                } else {
+                    self.tail[dest as usize].1 = value;
+                }
+                self.next += 1;
+            }
+            _ => self.missed = true,
+        }
+    }
+}
+
+/// Sink of a [`StampPart::Devices`] pass that adds the device stamps onto
+/// a loaded prefix, each device preceded by the tail constants before it.
+/// A stamp is added at its compiled slot and its position only compared,
+/// without a branch; any difference fails the load.
+struct NewtonReplay<'m> {
+    image: &'m NewtonImage,
+    values: &'m mut [f64],
+    next: usize,
+    rhs_next: usize,
+    device: usize,
+    tail_next: usize,
+    rhs_tail_next: usize,
+    differs: bool,
+}
+
+impl NewtonReplay<'_> {
+    /// Adds the tail constants before `tail_end` and `rhs_tail_end`.
+    #[inline]
+    fn add_tails(&mut self, rhs: &mut [f64], tail_end: usize, rhs_tail_end: usize) {
+        let image = self.image;
+        for &(slot, value) in &image.tail[self.tail_next..tail_end] {
+            self.values[slot as usize] += value;
+        }
+        self.tail_next = tail_end;
+        for &(row, value) in &image.rhs_tail[self.rhs_tail_next..rhs_tail_end] {
+            rhs[row as usize] += value;
+        }
+        self.rhs_tail_next = rhs_tail_end;
+    }
+
+    /// Adds the tail constants after the last device; `true` when every
+    /// device stamp arrived in its compiled place.
+    fn finish(mut self, rhs: &mut [f64]) -> bool {
+        let image = self.image;
+        self.add_tails(rhs, image.tail.len(), image.rhs_tail.len());
+        !self.differs
+            && self.next == image.devices.len()
+            && self.rhs_next == image.rhs_devices.len()
+            && self.device == image.device_starts.len()
+    }
+}
+
+impl MatrixSink<f64> for NewtonReplay<'_> {
+    /// A device pass stamps nothing else.
+    fn add(&mut self, _row: usize, _col: usize, _value: f64) {
+        self.differs = true;
+    }
+
+    fn add_rhs(&mut self, _rhs: &mut [f64], _row: usize, _value: f64) {
+        self.differs = true;
+    }
+
+    #[inline]
+    fn add_device(&mut self, _layout: &MnaLayout, rhs: &mut [f64], stamp: &NonlinearStamp) {
+        let (conductances, currents) = (stamp.conductances(), stamp.rhs_currents());
+        let image = self.image;
+        let Some(&(tail_end, rhs_tail_end)) = image.device_starts.get(self.device) else {
+            self.differs = true;
+            return;
+        };
+        self.device += 1;
+        self.add_tails(rhs, tail_end as usize, rhs_tail_end as usize);
+        let (Some(stamps), Some(rows)) = (
+            image.devices.get(self.next..self.next + conductances.len()),
+            image
+                .rhs_devices
+                .get(self.rhs_next..self.rhs_next + currents.len()),
+        ) else {
+            self.differs = true;
+            return;
+        };
+        self.next += conductances.len();
+        self.rhs_next += currents.len();
+        // Locals, so the position checks form no chain through memory.
+        let mut differs = false;
+        for (&(r, c, value), &(pos, slot)) in conductances.iter().zip(stamps) {
+            differs |= pos != position(r.index(), c.index());
+            if slot != GROUND {
+                self.values[slot as usize] += value;
+            }
+        }
+        for (&(node, value), &(n, row)) in currents.iter().zip(rows) {
+            differs |= n as usize != node.index();
+            if row != GROUND {
+                rhs[row as usize] += value;
+            }
+        }
+        self.differs |= differs;
+    }
+}
+
 /// Counters describing how a [`SolveContext`] served its solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
@@ -579,7 +990,7 @@ impl<T: Scalar> SweepPlan<T> {
 /// ladder of
 /// [`solve_verified_in_place`](SolveContext::solve_verified_in_place), or
 /// through the [`solve`](SolveContext::solve) /
-/// [`solve_verified_into`](SolveContext::solve_verified_into) wrappers.
+/// [`solve_verified`](SolveContext::solve_verified) wrappers.
 ///
 /// The constructor fixes the context's **re-plan policy** (see the
 /// [module docs](self)):
@@ -628,6 +1039,12 @@ pub struct SolveContext<'p, T: Scalar> {
     off_pattern: Option<CsrMatrix<T>>,
     /// The slots of the previous assembly's stamps over `csr`'s pattern.
     tape: StampTape,
+    /// The compiled linear part of the latest Newton key over `csr`'s
+    /// pattern (see [`assemble_newton_into`](SolveContext::assemble_newton_into)).
+    newton: Option<NewtonImage>,
+    /// The matrix key of the latest Newton assembly stamped in full, and
+    /// whether an image compiled for it failed its self-check.
+    newton_seen: Option<([u64; 2], bool)>,
     factored: bool,
     stats: SolveStats,
 }
@@ -704,6 +1121,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             rhs_backup: Vec::with_capacity(n),
             off_pattern: None,
             tape: StampTape::new(),
+            newton: None,
+            newton_seen: None,
             factored: false,
             stats: SolveStats::default(),
         }
@@ -769,6 +1188,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             }
             self.stats.pattern_rebuilds += 1;
             self.tape.clear();
+            self.newton = None;
+            self.newton_seen = None;
         }
         let mut stamper = Stamper::new(self.layout);
         job.stamp(&mut stamper);
@@ -848,7 +1269,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// # Panics
     ///
     /// Panics when called before any assembly.
-    fn matrix(&self) -> &CsrMatrix<T> {
+    pub fn matrix(&self) -> &CsrMatrix<T> {
         self.off_pattern
             .as_ref()
             .or(self.csr.as_ref())
@@ -937,28 +1358,9 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         &mut self,
         job: &impl AssembleMna<T>,
     ) -> Result<(Vec<T>, SolveQuality), SpiceError> {
-        let mut rhs = Vec::new();
-        let quality = self.solve_verified_into(job, &mut rhs)?;
+        let mut rhs = self.assemble(job);
+        let quality = self.solve_verified_in_place(&mut rhs)?;
         Ok((rhs, quality))
-    }
-
-    /// Like [`solve_verified`](SolveContext::solve_verified), but cycling a
-    /// caller-held buffer: `solution` receives the assembled right-hand
-    /// side and is solved in place. Once the buffers are warm and no ladder
-    /// escalation fires, the cycle performs zero heap allocations, so this
-    /// is safe to drive from the DC and transient Newton loops.
-    ///
-    /// # Errors
-    ///
-    /// Returns the name-enriched [`SpiceError`] when every rung of the
-    /// ladder fails.
-    pub fn solve_verified_into(
-        &mut self,
-        job: &impl AssembleMna<T>,
-        solution: &mut Vec<T>,
-    ) -> Result<SolveQuality, SpiceError> {
-        self.assemble_into(job, solution);
-        self.solve_verified_in_place(solution)
     }
 
     /// Runs the structured **retry ladder** over the most recently assembled
@@ -1158,6 +1560,69 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     #[cfg(any(test, feature = "fault-inject"))]
     pub fn matrix_mut(&mut self) -> &mut CsrMatrix<T> {
         self.matrix_slot()
+    }
+}
+
+impl SolveContext<'_, f64> {
+    /// Assembles one Newton iteration of `job` into the value buffer and
+    /// `rhs` — bitwise the values [`assemble_into`](SolveContext::assemble_into)
+    /// produces, and the driver of the DC and transient Newton loops.
+    ///
+    /// The first assembly of a [`matrix_key`](NewtonJob::matrix_key) stamps
+    /// in full. The second stamps in full too and compiles the key's
+    /// [`NewtonImage`] beside it, which is kept only when one load
+    /// reproduces that assembly bit for bit. From then on an assembly with
+    /// the key loads the image: it restamps the linear right-hand side when
+    /// the [`rhs_key`](NewtonJob::rhs_key) has changed, and evaluates only
+    /// the devices. A device stamp sequence the image did not record (a
+    /// MOSFET swapping drain and source, say) drops the image and stamps in
+    /// full; a pattern rebuild drops it too. So a one-iteration solve pays
+    /// nothing extra. Image loads count in `cached_assemblies` like pattern
+    /// hits, and the steady state allocates nothing.
+    pub fn assemble_newton_into(&mut self, job: &impl NewtonJob, rhs: &mut Vec<f64>) {
+        let key = job.matrix_key();
+        if self.load_newton(job, key, rhs) {
+            self.stats.cached_assemblies += 1;
+            return;
+        }
+        let compile = self.newton_seen == Some((key, false));
+        let hits = self.stats.cached_assemblies;
+        self.assemble_into(job, rhs);
+        self.newton_seen = Some((key, false));
+        if compile && self.stats.cached_assemblies > hits {
+            let csr = self
+                .csr
+                .as_ref()
+                .expect("a pattern hit fills the value buffer");
+            self.newton = NewtonImage::compile(job, self.layout, csr)
+                .filter(|image| image.reproduces(job, self.layout, csr, rhs));
+            self.newton_seen = Some((key, self.newton.is_none()));
+        }
+    }
+
+    /// Loads `job` from the Newton image of `key`, if there is one and the
+    /// devices replay in their compiled order; drops the image otherwise.
+    fn load_newton(&mut self, job: &impl NewtonJob, key: [u64; 2], rhs: &mut Vec<f64>) -> bool {
+        let (Some(image), Some(csr)) = (self.newton.as_mut(), self.csr.as_mut()) else {
+            return false;
+        };
+        if image.key != key {
+            return false;
+        }
+        let loaded = (image.rhs_key == job.rhs_key() || image.refresh_rhs(job, self.layout))
+            && image.load(job, self.layout, csr.values_mut(), rhs);
+        if loaded {
+            self.off_pattern = None;
+            self.factored = false;
+        } else {
+            self.newton = None;
+        }
+        loaded
+    }
+
+    /// The Newton image the context loads its current key from, if any.
+    pub fn newton_image(&self) -> Option<&NewtonImage> {
+        self.newton.as_ref()
     }
 }
 

@@ -13,10 +13,10 @@
 //! currents, and is the linearization point for AC and the starting state for
 //! transient analysis.
 
-use crate::assembly::{AssembleMna, SolveContext};
+use crate::assembly::{AssembleMna, NewtonJob, SolveContext};
 use crate::devices;
 use crate::error::SpiceError;
-use crate::mna::{MatrixSink, MnaLayout, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampPart, Stamper};
 use crate::GMIN;
 use loopscope_netlist::{Circuit, Element, NodeId};
 
@@ -199,7 +199,9 @@ impl OperatingPoint {
 /// (used by gmin stepping). Neither affects the sparsity pattern, and the
 /// Newton trial voltages only move values, so the whole DC solve — every
 /// iteration of every gmin/source-stepping phase — shares one cached pattern
-/// and (pivot health permitting) one symbolic LU analysis.
+/// and (pivot health permitting) one symbolic LU analysis. The linear
+/// matrix stamps depend on `gshunt` alone and the linear right-hand side on
+/// `source_scale` alone: those are the job's Newton image keys.
 struct DcSystem<'a> {
     circuit: &'a Circuit,
     layout: &'a MnaLayout,
@@ -210,6 +212,20 @@ struct DcSystem<'a> {
 
 impl AssembleMna<f64> for DcSystem<'_> {
     fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+        self.stamp_part(st, StampPart::All);
+    }
+}
+
+impl NewtonJob for DcSystem<'_> {
+    fn matrix_key(&self) -> [u64; 2] {
+        [self.gshunt.to_bits(), 0]
+    }
+
+    fn rhs_key(&self) -> u64 {
+        self.source_scale.to_bits()
+    }
+
+    fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
         stamp_dc(
             st,
             self.circuit,
@@ -217,6 +233,7 @@ impl AssembleMna<f64> for DcSystem<'_> {
             self.voltages,
             self.source_scale,
             self.gshunt,
+            part,
         );
     }
 }
@@ -229,7 +246,7 @@ pub fn assembly_job<'a>(
     circuit: &'a Circuit,
     layout: &'a MnaLayout,
     voltages: &'a [f64],
-) -> impl AssembleMna<f64> + 'a {
+) -> impl NewtonJob + 'a {
     DcSystem {
         circuit,
         layout,
@@ -239,7 +256,8 @@ pub fn assembly_job<'a>(
     }
 }
 
-/// Stamps the DC MNA system at a trial solution (see [`DcSystem`]).
+/// Stamps `part` of the DC MNA system at a trial solution (see
+/// [`DcSystem`]).
 fn stamp_dc<S: MatrixSink<f64>>(
     st: &mut Stamper<'_, f64, S>,
     circuit: &Circuit,
@@ -247,18 +265,22 @@ fn stamp_dc<S: MatrixSink<f64>>(
     voltages: &[f64],
     source_scale: f64,
     gshunt: f64,
+    part: StampPart,
 ) {
-    // Global minimum conductance to ground.
-    for node in 1..voltages.len() {
-        st.add_node_node(
-            NodeId::from_index(node),
-            NodeId::from_index(node),
-            GMIN + gshunt,
-        );
+    if part.stamps_gmin() {
+        // Global minimum conductance to ground.
+        for node in 1..voltages.len() {
+            st.add_node_node(
+                NodeId::from_index(node),
+                NodeId::from_index(node),
+                GMIN + gshunt,
+            );
+        }
     }
 
-    for (ei, el) in circuit.elements().iter().enumerate() {
-        match el {
+    let elements = circuit.elements();
+    for &ei in layout.part_elements(part) {
+        match &elements[ei] {
             Element::Resistor(r) => st.stamp_admittance(r.a, r.b, 1.0 / r.ohms),
             Element::Capacitor(_) => {
                 // Open circuit at DC.
@@ -339,8 +361,10 @@ enum NewtonOutcome {
 
 /// Runs Newton-Raphson from the supplied initial node voltages.
 ///
-/// Every linear solve goes through the residual-verified retry ladder
-/// ([`SolveContext::solve_verified_into`]), so solver failures arrive
+/// Every iteration assembles through the context's Newton image
+/// ([`SolveContext::assemble_newton_into`]) and solves through the
+/// residual-verified retry ladder
+/// ([`SolveContext::solve_verified_in_place`]), so solver failures arrive
 /// name-enriched and are genuine hard errors, not convergence noise.
 #[allow(clippy::too_many_arguments)]
 fn newton(
@@ -369,7 +393,8 @@ fn newton(
             source_scale,
             gshunt,
         };
-        solver.solve_verified_into(&job, &mut solution)?;
+        solver.assemble_newton_into(&job, &mut solution);
+        solver.solve_verified_in_place(&mut solution)?;
 
         // Extract and damp the node-voltage update.
         let mut max_delta: f64 = 0.0;
@@ -1029,6 +1054,77 @@ mod tests {
         let opts = DcOptions::default();
         assert!(report.stages()[0].final_delta <= opts.vntol + opts.reltol * 5.0);
         assert_eq!(report.total_iterations(), op.iterations());
+    }
+
+    /// Every stage of the gmin-stepping and source-stepping schedules, a
+    /// few Newton iterations each: the image-served assemblies are bitwise
+    /// the full stamped ones, on a circuit whose resistor and current
+    /// source stamp after a device into its slots and rows.
+    #[test]
+    fn newton_image_loads_match_every_stepping_stage() {
+        let mut c = Circuit::new("stepping stages");
+        let vcc = c.node("vcc");
+        let b = c.node("b");
+        let col = c.node("c");
+        c.add_vsource("VCC", vcc, Circuit::GROUND, SourceSpec::dc(5.0));
+        c.add_resistor("RB", vcc, b, 430.0e3);
+        c.add_bjt(
+            "Q1",
+            col,
+            b,
+            Circuit::GROUND,
+            BjtPolarity::Npn,
+            BjtModel::default(),
+        );
+        c.add_diode("D1", b, Circuit::GROUND, DiodeModel::default());
+        c.add_resistor("RC", vcc, col, 2.0e3);
+        c.add_isource("IB", Circuit::GROUND, b, SourceSpec::dc(1.0e-6));
+        let layout = MnaLayout::new(&c);
+        let opts = DcOptions::default();
+        let mut stages: Vec<(f64, f64)> = (0..=opts.gmin_decades)
+            .map(|k| (1.0, 1.0e-2 * 10f64.powi(-(k as i32))))
+            .collect();
+        stages.push((1.0, 0.0));
+        stages.extend((1..=opts.source_steps).map(|k| (k as f64 / opts.source_steps as f64, 0.0)));
+        let mut ctx = SolveContext::adopting(&layout);
+        let mut reference = SolveContext::adopting(&layout);
+        let (mut rhs, mut want_rhs) = (Vec::new(), Vec::new());
+        let mut loads = 0;
+        for &(source_scale, gshunt) in &stages {
+            for k in 0..4 {
+                let voltages = [0.0, 5.0, 0.6 + 0.01 * k as f64, 2.0 - 0.1 * k as f64];
+                let job = DcSystem {
+                    circuit: &c,
+                    layout: &layout,
+                    voltages: &voltages,
+                    source_scale,
+                    gshunt,
+                };
+                ctx.assemble_newton_into(&job, &mut rhs);
+                reference.assemble_into(&job, &mut want_rhs);
+                let bits = |m: &loopscope_sparse::CsrMatrix<f64>| -> Vec<u64> {
+                    m.iter().map(|e| e.2.to_bits()).collect()
+                };
+                assert_eq!(bits(ctx.matrix()), bits(reference.matrix()));
+                let rhs_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(rhs_bits(&rhs), rhs_bits(&want_rhs));
+                if ctx
+                    .newton_image()
+                    .is_some_and(|i| i.key() == job.matrix_key())
+                {
+                    loads += 1;
+                }
+            }
+        }
+        // Each gmin stage compiles on its second iteration and loads after;
+        // the source-stepping stages share the zero-shunt key and restamp
+        // only the right-hand side.
+        assert!(loads >= 2 * (opts.gmin_decades + 1) + 3 * opts.source_steps);
+        let image = ctx.newton_image().unwrap();
+        assert!(
+            image.tail_len() > 0,
+            "RC stamps after Q1 into V(c)'s diagonal"
+        );
     }
 
     #[test]

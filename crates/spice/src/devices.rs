@@ -81,14 +81,10 @@ impl NonlinearStamp {
     }
 
     /// Adds the conductances, then the companion currents, to an MNA
-    /// system.
+    /// system as one device (see [`MatrixSink::add_device`]); entries on
+    /// the ground row or column are dropped.
     pub fn apply<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-        for &(r, c, g) in self.conductances() {
-            st.add_node_node(r, c, g);
-        }
-        for &(n, i) in self.rhs_currents() {
-            st.add_rhs_node(n, i);
-        }
+        st.add_device(self);
     }
 }
 

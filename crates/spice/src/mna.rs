@@ -11,9 +11,50 @@
 //! sources, inductors, voltage-controlled voltage sources and
 //! current-controlled voltage sources. Ground (node 0) is eliminated.
 
+use crate::devices::NonlinearStamp;
 use loopscope_netlist::{Circuit, Element, NodeId};
 use loopscope_sparse::{Scalar, TripletMatrix};
 use std::collections::HashMap;
+
+/// Which stamps of an assembly job one pass emits — the passes of a
+/// [`NewtonImage`](crate::assembly::NewtonImage).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StampPart {
+    /// Every stamp in element order: the job's full assembly.
+    All,
+    /// The nonlinear devices' stamps only, in the same order.
+    Devices,
+    /// The stamps of the linear elements that can stamp the right-hand
+    /// side — independent sources, capacitors and inductors — in the same
+    /// order: what a Newton image restamps once per Newton run.
+    LinearRhs,
+}
+
+impl StampPart {
+    /// Every part, in declaration order.
+    pub const ALL: [StampPart; 3] = [StampPart::All, StampPart::Devices, StampPart::LinearRhs];
+
+    /// Whether the pass stamps the gmin conductances of the node
+    /// diagonals (linear stamps outside any element).
+    pub fn stamps_gmin(self) -> bool {
+        self == StampPart::All
+    }
+
+    /// Whether the pass stamps `element`.
+    pub fn stamps(self, element: &Element) -> bool {
+        match self {
+            StampPart::All => true,
+            StampPart::Devices => element.is_nonlinear(),
+            StampPart::LinearRhs => matches!(
+                element,
+                Element::Vsource(_)
+                    | Element::Isource(_)
+                    | Element::Capacitor(_)
+                    | Element::Inductor(_)
+            ),
+        }
+    }
+}
 
 /// Index assignment for the MNA unknown vector of a circuit.
 #[derive(Debug, Clone)]
@@ -27,6 +68,10 @@ pub struct MnaLayout {
     /// the controlling source's branch — resolved once here so stamp loops
     /// index a table instead of hashing element names.
     element_branches: Vec<(Option<u32>, Option<u32>)>,
+    /// Per [`StampPart`] (in declaration order): the positions of the
+    /// elements that pass stamps, so a device or right-hand-side pass
+    /// visits only its own elements.
+    part_elements: [Vec<usize>; 3],
 }
 
 impl MnaLayout {
@@ -66,12 +111,20 @@ impl MnaLayout {
                 (var_of(el.name()), control)
             })
             .collect();
+        let part_elements = StampPart::ALL.map(|part| {
+            let elements = circuit.elements().iter().enumerate();
+            elements
+                .filter(|(_, el)| part.stamps(el))
+                .map(|(ei, _)| ei)
+                .collect()
+        });
         Self {
             node_count: circuit.node_count(),
             node_names,
             branch_names,
             branch_index,
             element_branches,
+            part_elements,
         }
     }
 
@@ -107,6 +160,12 @@ impl MnaLayout {
     #[inline]
     pub fn element_branch(&self, element: usize) -> Option<usize> {
         self.element_branches[element].0.map(|v| v as usize)
+    }
+
+    /// Positions, in circuit order, of the elements a `part` pass stamps.
+    #[inline]
+    pub fn part_elements(&self, part: StampPart) -> &[usize] {
+        &self.part_elements[part as usize]
     }
 
     /// Unknown index of the controlling source's branch current for the
@@ -148,6 +207,34 @@ impl MnaLayout {
 pub trait MatrixSink<T: Scalar> {
     /// Accumulates `value` at `(row, col)`.
     fn add(&mut self, row: usize, col: usize, value: T);
+
+    /// Accumulates `value` into `rhs[row]`, the stamper's right-hand side.
+    /// Sinks that compile or replay a right-hand side of their own override
+    /// it to see every right-hand-side stamp in order.
+    #[inline]
+    fn add_rhs(&mut self, rhs: &mut [T], row: usize, value: T) {
+        rhs[row] += value;
+    }
+
+    /// Accumulates one nonlinear device's linearized stamp: its
+    /// conductances, then its companion currents into `rhs`, entries on
+    /// the ground row or column dropped through `layout`. Every other stamp
+    /// is a linear element's. The default adds the entries one by one, in
+    /// that order; sinks that compile or replay a Newton image take the
+    /// device as a whole.
+    #[inline]
+    fn add_device(&mut self, layout: &MnaLayout, rhs: &mut [T], stamp: &NonlinearStamp) {
+        for &(r, c, g) in stamp.conductances() {
+            if let (Some(r), Some(c)) = (layout.node_var(r), layout.node_var(c)) {
+                self.add(r, c, T::from_f64(g));
+            }
+        }
+        for &(node, i) in stamp.rhs_currents() {
+            if let Some(r) = layout.node_var(node) {
+                self.add_rhs(rhs, r, T::from_f64(i));
+            }
+        }
+    }
 }
 
 impl<T: Scalar> MatrixSink<T> for TripletMatrix<T> {
@@ -203,6 +290,22 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
         }
     }
 
+    /// Like [`with_sink_reusing`](Stamper::with_sink_reusing), but keeping
+    /// `rhs` exactly as it is: the caller has sized and seeded it (a Newton
+    /// image load starts the right-hand side from its compiled prefix).
+    pub fn with_sink_over(layout: &'a MnaLayout, sink: S, rhs: Vec<T>) -> Self {
+        Self {
+            layout,
+            matrix: sink,
+            rhs,
+        }
+    }
+
+    /// Adds one nonlinear device's stamp; see [`MatrixSink::add_device`].
+    pub fn add_device(&mut self, stamp: &NonlinearStamp) {
+        self.matrix.add_device(self.layout, &mut self.rhs, stamp);
+    }
+
     /// The layout this stamper addresses.
     pub fn layout(&self) -> &MnaLayout {
         self.layout
@@ -243,13 +346,13 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
     /// Adds `val` to the right-hand side entry of a node-voltage row.
     pub fn add_rhs_node(&mut self, node: NodeId, val: T) {
         if let Some(r) = self.layout.node_var(node) {
-            self.rhs[r] += val;
+            self.matrix.add_rhs(&mut self.rhs, r, val);
         }
     }
 
     /// Adds `val` to the right-hand side entry of a raw unknown row.
     pub fn add_rhs_var(&mut self, row: usize, val: T) {
-        self.rhs[row] += val;
+        self.matrix.add_rhs(&mut self.rhs, row, val);
     }
 
     /// Stamps a two-terminal admittance `y` between nodes `a` and `b`

@@ -38,11 +38,11 @@
 //! setting, so the produced grid — and every counter in
 //! [`TransientStats`] — is bit-identical across those configurations.
 
-use crate::assembly::{AssembleMna, SolveContext, SolveStats};
+use crate::assembly::{AssembleMna, NewtonJob, SolveContext, SolveStats};
 use crate::dc::OperatingPoint;
 use crate::devices;
 use crate::error::{SpiceError, StepRejectReason, StepRejection};
-use crate::mna::{MatrixSink, MnaLayout, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampPart, Stamper};
 use crate::GMIN;
 use loopscope_math::interp;
 use loopscope_netlist::{Circuit, Element, NodeId};
@@ -207,8 +207,11 @@ impl TransientStats {
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
-    /// `data[time_index][node_index]`.
-    data: Vec<Vec<f64>>,
+    /// Node voltages, one row of `stride` values per time point:
+    /// `data[time_index * stride + node_index]`.
+    data: Vec<f64>,
+    /// Values per row: the circuit's node count, ground included.
+    stride: usize,
     stats: TransientStats,
 }
 
@@ -252,11 +255,12 @@ impl TransientResult {
     /// node ids carry no circuit identity.)
     fn node_index(&self, node: NodeId) -> Result<usize, SpiceError> {
         let idx = node.index();
-        match self.data.first() {
-            Some(row) if idx < row.len() => Ok(idx),
-            _ => Err(SpiceError::UnknownReference(format!(
+        if idx < self.stride && !self.data.is_empty() {
+            Ok(idx)
+        } else {
+            Err(SpiceError::UnknownReference(format!(
                 "node index {idx} outside the transient result"
-            ))),
+            )))
         }
     }
 
@@ -268,7 +272,11 @@ impl TransientResult {
     /// outside the simulated circuit's nodes (or the result is empty).
     pub fn waveform(&self, node: NodeId) -> Result<Vec<f64>, SpiceError> {
         let idx = self.node_index(node)?;
-        Ok(self.data.iter().map(|row| row[idx]).collect())
+        Ok(self
+            .data
+            .chunks_exact(self.stride)
+            .map(|row| row[idx])
+            .collect())
     }
 
     /// The node voltage linearly interpolated at time `t` (clamped to the
@@ -286,7 +294,9 @@ impl TransientResult {
     /// outside the simulated circuit's nodes (or the result is empty).
     pub fn value_at(&self, node: NodeId, t: f64) -> Result<f64, SpiceError> {
         let idx = self.node_index(node)?;
-        Ok(interp::lerp_at_by(&self.times, t, |i| self.data[i][idx]))
+        Ok(interp::lerp_at_by(&self.times, t, |i| {
+            self.data[i * self.stride + idx]
+        }))
     }
 }
 
@@ -451,20 +461,24 @@ impl<'c> TransientAnalysis<'c> {
             }
         }
 
+        // The whole result is reserved up front, so accepting a step
+        // allocates nothing.
         let mut times = Vec::with_capacity(steps + 1);
-        let mut data = Vec::with_capacity(steps + 1);
+        let mut data = Vec::with_capacity((steps + 1) * node_count);
         times.push(0.0);
-        data.push(voltages.clone());
+        data.extend_from_slice(&voltages);
+        let nonlinear = self.circuit.elements().iter().any(Element::is_nonlinear);
 
         // Companion-model restamping never changes the sparsity pattern, so
         // one adopting context serves every Newton iteration of every
-        // timestep.
+        // timestep, and its Newton image compiles each `(dt, method)`
+        // system's linear stamps once.
         let mut solver = SolveContext::adopting(&self.layout);
 
         // Newton trial state, reused across every iteration of every step
         // (ground stays zero; all other entries are rewritten per iteration).
-        // The solution buffer is hoisted too: `solve_verified_into` cycles it
-        // through assemble → verified solve (the retry ladder's refinement
+        // The solution buffer is hoisted too: it cycles through assemble →
+        // verified solve (the retry ladder's refinement
         // workspace and rhs backup live inside the solver and are warm after
         // the first step), so the steady-state Newton loop performs zero heap
         // allocations (proven by `tests/alloc_transient.rs`).
@@ -504,6 +518,7 @@ impl<'c> TransientAnalysis<'c> {
             for _ in 0..self.options.max_newton {
                 let job = TimestepSystem {
                     analysis: self,
+                    run: step as u64,
                     t,
                     dt: dt_step,
                     method,
@@ -514,10 +529,10 @@ impl<'c> TransientAnalysis<'c> {
                     prev_ind_voltage: &prev_ind_voltage,
                     prev_solution: &branch_currents,
                 };
-                // `solve_verified_into` is exactly assemble + verify; the
-                // split lets the (production no-op) hook poison the
-                // assembled values in fault-injection runs.
-                solver.assemble_into(&job, &mut solution);
+                // Assembly and the verified solve are split so the
+                // (production no-op) hook can poison the assembled values
+                // in fault-injection runs.
+                solver.assemble_newton_into(&job, &mut solution);
                 hook(solve_ordinal, &mut solver);
                 solve_ordinal += 1;
                 solver.solve_verified_in_place(&mut solution)?;
@@ -535,9 +550,7 @@ impl<'c> TransientAnalysis<'c> {
                     next[node.index()] = v;
                 }
                 std::mem::swap(&mut trial, &mut next);
-                if max_delta < self.options.vntol
-                    || !self.circuit.elements().iter().any(Element::is_nonlinear)
-                {
+                if max_delta < self.options.vntol || !nonlinear {
                     converged = true;
                     break;
                 }
@@ -577,12 +590,17 @@ impl<'c> TransientAnalysis<'c> {
             branch_currents.copy_from_slice(&solution);
             std::mem::swap(&mut voltages, &mut trial);
             times.push(t);
-            data.push(voltages.clone());
+            data.extend_from_slice(&voltages);
             stats.record_accept(dt_step);
         }
 
         stats.solve = solver.stats();
-        Ok(TransientResult { times, data, stats })
+        Ok(TransientResult {
+            times,
+            data,
+            stride: node_count,
+            stats,
+        })
     }
 
     /// The breakpoint schedule for this run: source discontinuities in
@@ -646,13 +664,16 @@ impl<'c> TransientAnalysis<'c> {
         }
 
         let mut times = vec![0.0];
-        let mut data = vec![voltages.clone()];
+        let mut data = voltages.clone();
         let mut solver = SolveContext::adopting(&self.layout);
         let mut trial = voltages.clone();
         let mut next = vec![0.0; node_count];
         let mut solution = vec![0.0; self.layout.dim()];
         let mut stats = TransientStats::default();
         let mut solve_ordinal = 0usize;
+        // Newton runs started: every attempt restamps its linear
+        // right-hand side once.
+        let mut runs = 0u64;
 
         // Predictor history: the accepted solution *before* `voltages` and
         // the step width that led from it to `voltages`. Invalidated across
@@ -720,9 +741,11 @@ impl<'c> TransientAnalysis<'c> {
                 trial.copy_from_slice(&voltages);
                 let mut converged = false;
                 let mut worst_node = None;
+                runs += 1;
                 for _ in 0..opts.max_newton {
                     let job = TimestepSystem {
                         analysis: self,
+                        run: runs,
                         t: t_new,
                         dt: h_c,
                         method,
@@ -733,7 +756,7 @@ impl<'c> TransientAnalysis<'c> {
                         prev_ind_voltage: &prev_ind_voltage,
                         prev_solution: &branch_currents,
                     };
-                    solver.assemble_into(&job, &mut solution);
+                    solver.assemble_newton_into(&job, &mut solution);
                     hook(solve_ordinal, &mut solver);
                     solve_ordinal += 1;
                     solver.solve_verified_in_place(&mut solution)?;
@@ -859,7 +882,7 @@ impl<'c> TransientAnalysis<'c> {
                 std::mem::swap(&mut voltages, &mut trial);
                 t = t_new;
                 times.push(t);
-                data.push(voltages.clone());
+                data.extend_from_slice(&voltages);
                 stats.record_accept(h_c);
 
                 if landing {
@@ -883,10 +906,46 @@ impl<'c> TransientAnalysis<'c> {
         }
 
         stats.solve = solver.stats();
-        Ok(TransientResult { times, data, stats })
+        Ok(TransientResult {
+            times,
+            data,
+            stride: node_count,
+            stats,
+        })
     }
 
-    /// Stamps the MNA system for one Newton iteration of one time point.
+    /// The assembly job of one Newton iteration at time `t` of a step of
+    /// width `dt_min` that starts from `voltages` (also the trial point),
+    /// with every reactive history value (capacitor current, inductor
+    /// voltage, branch current) read from `history`, which must be at least
+    /// as long as the element list and the MNA dimension. A diagnostic and
+    /// benchmark entry point. Its right-hand-side key is `t`'s bits, so
+    /// jobs for the same `t` that one context assembles must share
+    /// `voltages` and `history`.
+    pub fn assembly_job<'a>(
+        &'a self,
+        t: f64,
+        method: Integration,
+        voltages: &'a [f64],
+        history: &'a [f64],
+    ) -> impl NewtonJob + 'a {
+        TimestepSystem {
+            analysis: self,
+            run: t.to_bits(),
+            t,
+            dt: self.options.dt_min,
+            method,
+            left_limit: false,
+            trial: voltages,
+            prev: voltages,
+            prev_cap_current: history,
+            prev_ind_voltage: history,
+            prev_solution: history,
+        }
+    }
+
+    /// Stamps `part` of the MNA system for one Newton iteration of one time
+    /// point.
     ///
     /// With `left_limit` set (a breakpoint-landing step), independent
     /// sources are evaluated by their left limit at `t` so the step sees
@@ -895,6 +954,7 @@ impl<'c> TransientAnalysis<'c> {
     fn stamp_timestep<S: MatrixSink<f64>>(
         &self,
         st: &mut Stamper<'_, f64, S>,
+        part: StampPart,
         t: f64,
         dt: f64,
         method: Integration,
@@ -914,12 +974,15 @@ impl<'c> TransientAnalysis<'c> {
             }
         };
 
-        for node in self.circuit.signal_nodes_iter() {
-            st.add_node_node(node, node, GMIN);
+        if part.stamps_gmin() {
+            for node in self.circuit.signal_nodes_iter() {
+                st.add_node_node(node, node, GMIN);
+            }
         }
 
-        for (ei, el) in self.circuit.elements().iter().enumerate() {
-            match el {
+        let elements = self.circuit.elements();
+        for &ei in self.layout.part_elements(part) {
+            match &elements[ei] {
                 Element::Resistor(r) => st.stamp_admittance(r.a, r.b, 1.0 / r.ohms),
                 Element::Capacitor(c) => {
                     let v_old = prev[c.a.index()] - prev[c.b.index()];
@@ -1012,8 +1075,15 @@ impl<'c> TransientAnalysis<'c> {
 }
 
 /// Assembly job for one Newton iteration of one transient time point.
+///
+/// The linear matrix stamps depend only on the step width and the
+/// integration method (the Newton image's matrix key). The linear
+/// right-hand side (sources at `t`, companion history) is fixed for a
+/// whole Newton run, which `run` numbers.
 struct TimestepSystem<'a, 'c> {
     analysis: &'a TransientAnalysis<'c>,
+    /// Ordinal of the Newton run (the step attempt) this iteration serves.
+    run: u64,
     t: f64,
     dt: f64,
     method: Integration,
@@ -1028,8 +1098,27 @@ struct TimestepSystem<'a, 'c> {
 
 impl AssembleMna<f64> for TimestepSystem<'_, '_> {
     fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+        self.stamp_part(st, StampPart::All);
+    }
+}
+
+impl NewtonJob for TimestepSystem<'_, '_> {
+    fn matrix_key(&self) -> [u64; 2] {
+        let method = match self.method {
+            Integration::BackwardEuler => 0,
+            Integration::Trapezoidal => 1,
+        };
+        [self.dt.to_bits(), method]
+    }
+
+    fn rhs_key(&self) -> u64 {
+        self.run
+    }
+
+    fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
         self.analysis.stamp_timestep(
             st,
+            part,
             self.t,
             self.dt,
             self.method,
@@ -1343,12 +1432,8 @@ mod tests {
         assert_eq!(a.index(), 1);
         let r = TransientResult {
             times: vec![0.0, 1.0e-6, 5.0e-6, 6.0e-6],
-            data: vec![
-                vec![0.0, 0.0],
-                vec![0.0, 1.0],
-                vec![0.0, 3.0],
-                vec![0.0, 10.0],
-            ],
+            data: vec![0.0, 0.0, 0.0, 1.0, 0.0, 3.0, 0.0, 10.0],
+            stride: 2,
             stats: TransientStats::default(),
         };
         drop(c);
@@ -1575,6 +1660,214 @@ mod tests {
             TransientAnalysis::new(&c, bad_abstol),
             Err(SpiceError::InvalidOptions(msg)) if msg.contains("abstol")
         ));
+    }
+
+    /// A MOSFET stage with a BJT follower, a diode clamp and an LC tail. In
+    /// element order the drain capacitor, the clamp resistor and the
+    /// emitter inductor follow the devices that share their slots, so the
+    /// Newton image has linear "tail" stamps after device stamps, in the
+    /// matrix and in the right-hand side; the gate steps at 1 µs.
+    fn tail_circuit() -> Circuit {
+        use loopscope_netlist::{BjtModel, BjtPolarity, DiodeModel, MosfetModel, MosfetPolarity};
+        let mut c = Circuit::new("newton image tail");
+        let vdd = c.node("vdd");
+        let gate = c.node("gate");
+        let drain = c.node("drain");
+        let emitter = c.node("emitter");
+        let out = c.node("out");
+        c.add_vsource("VDD", vdd, Circuit::GROUND, SourceSpec::dc(3.0));
+        c.add_vsource(
+            "VG",
+            gate,
+            Circuit::GROUND,
+            SourceSpec::step(0.9, 1.2, 1.0e-6),
+        );
+        c.add_resistor("RD", vdd, drain, 5.0e3);
+        c.add_mosfet(
+            "M1",
+            drain,
+            gate,
+            Circuit::GROUND,
+            MosfetPolarity::Nmos,
+            10.0e-6,
+            1.0e-6,
+            MosfetModel {
+                vto: 0.7,
+                kp: 100.0e-6,
+                lambda: 0.02,
+                ..Default::default()
+            },
+        );
+        c.add_capacitor("CD", drain, Circuit::GROUND, 1.0e-12);
+        c.add_diode("D1", drain, vdd, DiodeModel::default());
+        c.add_resistor("RC", drain, vdd, 50.0e3);
+        c.add_bjt(
+            "Q1",
+            vdd,
+            drain,
+            emitter,
+            BjtPolarity::Npn,
+            BjtModel::default(),
+        );
+        c.add_resistor("RE", emitter, Circuit::GROUND, 10.0e3);
+        c.add_inductor("L1", emitter, out, 1.0e-6);
+        c.add_capacitor("CO", out, Circuit::GROUND, 1.0e-12);
+        c
+    }
+
+    /// Assembles `job` through `ctx` (which serves loads from its Newton
+    /// image once the key repeats) and in full through `reference`, and
+    /// asserts bitwise-equal matrices and right-hand sides. Returns whether
+    /// `ctx` holds an image for the job's key afterwards.
+    fn assert_load_matches_stamps(
+        ctx: &mut SolveContext<'_, f64>,
+        reference: &mut SolveContext<'_, f64>,
+        job: &TimestepSystem<'_, '_>,
+    ) -> bool {
+        let (mut rhs, mut want_rhs) = (Vec::new(), Vec::new());
+        ctx.assemble_newton_into(job, &mut rhs);
+        reference.assemble_into(job, &mut want_rhs);
+        let bits = |m: &loopscope_sparse::CsrMatrix<f64>| {
+            m.iter()
+                .map(|(r, c, v)| (r, c, v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(ctx.matrix()),
+            bits(reference.matrix()),
+            "t = {}",
+            job.t
+        );
+        let rhs_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(rhs_bits(&rhs), rhs_bits(&want_rhs), "t = {}", job.t);
+        ctx.newton_image()
+            .is_some_and(|image| image.key() == job.matrix_key())
+    }
+
+    #[test]
+    fn newton_image_loads_are_bitwise_the_stamped_assemblies() {
+        let c = tail_circuit();
+        let op = solve_dc(&c).unwrap();
+        let dt = 10.0e-9;
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(dt, 2.0e-6)).unwrap();
+        let elements = c.elements().len();
+        let mut ctx = SolveContext::adopting(&tran.layout);
+        let mut reference = SolveContext::adopting(&tran.layout);
+        let base = op.node_voltages().to_vec();
+        // Nonzero reactive history, so the companion right-hand sides are
+        // live in every step.
+        let cap_current: Vec<f64> = (0..elements).map(|k| 1.0e-6 * k as f64).collect();
+        let ind_voltage: Vec<f64> = (0..elements).map(|k| -1.0e-3 * k as f64).collect();
+        let mut branch = vec![0.0; tran.layout.dim()];
+        branch[tran.layout.branch_var("L1").unwrap()] = 2.0e-5;
+        // (run, t, dt, method, left limit): the backward-Euler start-up
+        // step, three trapezoidal steps, the step landing on the 1 µs
+        // breakpoint by its left limit, the backward-Euler restart after
+        // it, and a shortened final step.
+        let short = 2.0e-6 - 199.0 * dt;
+        let steps = [
+            (1, dt, dt, Integration::BackwardEuler, false),
+            (2, 2.0 * dt, dt, Integration::Trapezoidal, false),
+            (3, 3.0 * dt, dt, Integration::Trapezoidal, false),
+            (4, 4.0 * dt, dt, Integration::Trapezoidal, false),
+            (5, 1.0e-6, 0.3 * dt, Integration::Trapezoidal, true),
+            (6, 1.0e-6 + dt, dt, Integration::BackwardEuler, false),
+            (7, 1.01e-6, dt, Integration::BackwardEuler, false),
+            (8, 2.0e-6, short, Integration::Trapezoidal, false),
+        ];
+        let mut loads = 0;
+        let mut tails = 0;
+        for (run, t, dt, method, left_limit) in steps {
+            for k in 0..4 {
+                // Each Newton iteration moves the devices' operating point.
+                let trial: Vec<f64> = base
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| v + 1.0e-3 * (k * i) as f64 - 2.0e-3 * run as f64)
+                    .collect();
+                let job = TimestepSystem {
+                    analysis: &tran,
+                    run,
+                    t,
+                    dt,
+                    method,
+                    left_limit,
+                    trial: &trial,
+                    prev: &base,
+                    prev_cap_current: &cap_current,
+                    prev_ind_voltage: &ind_voltage,
+                    prev_solution: &branch,
+                };
+                if assert_load_matches_stamps(&mut ctx, &mut reference, &job) {
+                    loads += 1;
+                    tails = ctx.newton_image().unwrap().tail_len();
+                }
+            }
+        }
+        // Every key after its second iteration loads from an image, and the
+        // image has tail stamps to replay.
+        assert!(loads >= 10, "{loads} image loads");
+        assert!(tails > 0);
+        assert_eq!(
+            ctx.stats().cached_assemblies,
+            reference.stats().cached_assemblies
+        );
+    }
+
+    #[test]
+    fn hook_and_gmin_rescue_change_the_assembled_values_not_the_image() {
+        let c = tail_circuit();
+        let op = solve_dc(&c).unwrap();
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(10.0e-9, 1.0e-6)).unwrap();
+        let history = vec![0.0; c.elements().len().max(tran.layout.dim())];
+        let job = tran.assembly_job(
+            10.0e-9,
+            Integration::Trapezoidal,
+            op.node_voltages(),
+            &history,
+        );
+        let mut ctx = SolveContext::adopting(&tran.layout);
+        let mut reference = SolveContext::adopting(&tran.layout);
+        let mut rhs = Vec::new();
+        for _ in 0..3 {
+            ctx.assemble_newton_into(&job, &mut rhs);
+        }
+        assert!(ctx.newton_image().is_some());
+        reference.assemble_into(&job, &mut Vec::new());
+        let clean: Vec<u64> = reference.matrix().iter().map(|e| e.2.to_bits()).collect();
+        let values = |ctx: &SolveContext<'_, f64>| -> Vec<u64> {
+            ctx.matrix().iter().map(|e| e.2.to_bits()).collect()
+        };
+
+        // A poisoned value reaches the verified solve...
+        ctx.assemble_newton_into(&job, &mut rhs);
+        let slot = ctx.matrix_mut().find_slot(0, 0).unwrap();
+        ctx.matrix_mut().values_mut()[slot] = f64::NAN;
+        assert!(matches!(
+            ctx.solve_verified_in_place(&mut rhs),
+            Err(SpiceError::NonFiniteStamp { .. })
+        ));
+        // ...and the next load is clean again.
+        ctx.assemble_newton_into(&job, &mut rhs);
+        assert!(ctx.newton_image().is_some());
+        assert_eq!(values(&ctx), clean);
+
+        // A dead column is rescued by a gmin bump of the assembled values;
+        // the next load carries no bump.
+        let dead = tran.layout.node_var(c.find_node("out").unwrap()).unwrap();
+        let m = ctx.matrix_mut();
+        for (row, col, _) in m.clone().iter() {
+            if col == dead {
+                let slot = m.find_slot(row, col).unwrap();
+                m.values_mut()[slot] = 0.0;
+            }
+        }
+        let q = ctx.solve_verified_in_place(&mut rhs).unwrap();
+        assert!(q.converged);
+        assert!(ctx.stats().gmin_bumps >= 1);
+        ctx.assemble_newton_into(&job, &mut rhs);
+        assert!(ctx.newton_image().is_some());
+        assert_eq!(values(&ctx), clean);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Counting-allocator proof that the transient driver's **steady-state
-//! loop** is allocation-free on the solver side: every Newton iteration of
-//! every timestep cycles hoisted buffers through the adopting
-//! `SolveContext` (`assemble_into` + `solve_verified_in_place`: in-place
-//! assembly, numeric refactorization, refined in-place substitution), and
-//! nonlinear devices evaluate into fixed-capacity stamps, so the only
-//! per-step allocation left is the one result row the waveform storage
-//! clones — on a linear circuit and on one with a diode, a BJT and a MOSFET
+//! Counting-allocator proof that the fixed-grid transient driver's
+//! **steady-state loop** allocates nothing: every Newton iteration of every
+//! timestep cycles hoisted buffers through the adopting `SolveContext`
+//! (`assemble_newton_into` + `solve_verified_in_place`: a Newton image load
+//! or an in-place assembly, numeric refactorization, refined in-place
+//! substitution), nonlinear devices evaluate into fixed-capacity stamps,
+//! and the waveform storage is one flat buffer reserved for the whole grid
+//! — on a linear circuit and on one with a diode, a BJT and a MOSFET
 //! iterating Newton at every step.
 //!
 //! Methodology: the setup cost (pattern discovery, symbolic analysis,
@@ -126,7 +126,7 @@ fn run_allocations(circuit: fn() -> Circuit, steps: usize) -> usize {
 }
 
 #[test]
-fn transient_steady_state_loop_allocates_only_result_rows() {
+fn transient_steady_state_loop_allocates_nothing() {
     // Warm up lazily initialized runtime bits (thread-locals, fmt buffers…)
     // so they don't pollute the measured difference.
     let _ = run_allocations(circuit, 8);
@@ -140,15 +140,14 @@ fn transient_steady_state_loop_allocates_only_result_rows() {
         let extra_steps = 100;
         let per_step = (large.saturating_sub(small)) as f64 / extra_steps as f64;
 
-        // Each extra step may allocate its stored result row (one `Vec`
-        // clone) and nothing else: the Newton loop's assemble → factor →
-        // solve cycle runs entirely in hoisted buffers. The bound of 2
-        // leaves headroom for an amortized storage growth while still
-        // failing loudly if any per-iteration allocation (a linear step
-        // before the hoisting: ≥ 3; two heap lists per device per Newton
-        // iteration on the nonlinear circuit: ≥ 12) sneaks back in.
+        // An extra step allocates nothing: the Newton loop's assemble →
+        // factor → solve cycle runs entirely in hoisted buffers, and the
+        // result rows land in storage reserved for the whole grid. Any
+        // per-step allocation (one `Vec` per stored row before the flat
+        // buffer: 1; two heap lists per device per Newton iteration on the
+        // nonlinear circuit: ≥ 12) fails this.
         assert!(
-            per_step <= 2.0,
+            per_step == 0.0,
             "{name}: steady-state transient loop allocates {per_step:.2} times per step \
              (runs: {small} allocs @ 50 steps, {large} @ 150 steps); \
              the Newton loop must not allocate"
