@@ -94,9 +94,10 @@ pub enum SpiceError {
         /// Name of the node with the largest voltage update at the last
         /// Newton iteration — the unknown that refused to settle.
         worst_node: String,
-        /// The rejected attempts at this time point, in ladder order (the
-        /// adaptive stepper's halve-and-retry history; empty on the
-        /// fixed-grid path, which has no retry ladder).
+        /// The rejected attempts at this time point, in ladder order: the
+        /// stepper's halve-and-retry history and its backward-Euler retry.
+        /// A fixed grid cannot halve, so it records only the failed step
+        /// and, after a trapezoidal step, its backward-Euler retry.
         rejections: Vec<StepRejection>,
     },
     /// A reference (node or element) passed to an analysis does not belong to

@@ -6,24 +6,21 @@
 //! uses backward Euler or trapezoidal companion models; nonlinear devices
 //! are resolved with Newton iteration at every time point.
 //!
-//! # Fixed grid vs. adaptive stepping
+//! # One stepper
 //!
-//! Two stepping modes share one options struct:
+//! Every run steps through one *accept-or-escalate ladder* that mirrors
+//! the solver's verified-solve retry ladder on the time axis. A step is
+//! solved, its local truncation error (LTE) estimated from a
+//! predictor–corrector difference against `reltol`/`abstol`, and then
+//! either **accepted** (growing the next step, capped at `dt_max` and the
+//! next breakpoint) or **rejected** — halve the width and retry. Newton
+//! non-convergence is just another rejection rung (halve; at `dt_min`
+//! switch the step to backward Euler) before the run surfaces
+//! [`SpiceError::TransientNoConvergence`] enriched with the recorded
+//! [`rejection history`](crate::error::StepRejection).
 //!
-//! * **Fixed grid** ([`TransientOptions::new`], `dt_min == dt_max`): the
-//!   legacy uniform-`dt` grid with the final step shortened to land exactly
-//!   on `t_stop`.
-//! * **Adaptive** ([`TransientOptions::adaptive`], `dt_max > dt_min`): each
-//!   step runs a per-step *accept-or-escalate ladder* mirroring the solver's
-//!   verified-solve retry ladder on the time axis. A step is solved, its
-//!   local truncation error (LTE) estimated from a predictor–corrector
-//!   difference against `reltol`/`abstol`, and then either **accepted**
-//!   (growing the next step, capped at `dt_max` and the next breakpoint) or
-//!   **rejected** — halve the width and retry. Newton non-convergence is
-//!   just another rejection rung (halve; at `dt_min` switch the step to
-//!   backward Euler) before the run surfaces
-//!   [`SpiceError::TransientNoConvergence`] enriched with the recorded
-//!   [`rejection history`](crate::error::StepRejection).
+//! Step targets are counted, not accumulated: `origin + k·h`, with `k`
+//! counted from the last width change, breakpoint landing or the start.
 //!
 //! A **breakpoint schedule** harvested from source discontinuities
 //! ([`loopscope_netlist::Waveform::breakpoints`]) forces exact landings:
@@ -31,6 +28,13 @@
 //! and the step *starting* there restarts with one backward-Euler step at
 //! `dt_min` (the same start-up treatment `t = 0` gets), so a discontinuity
 //! is never integrated across.
+//!
+//! A **fixed grid** ([`TransientOptions::new`], `dt_min == dt_max`) is the
+//! same ladder at a width that cannot change: no LTE test, an empty
+//! breakpoint schedule (sources are sampled on the grid's own points), and
+//! targets `k·dt` bit for bit, with the final step shortened to land
+//! exactly on `t_stop`. Only a Newton failure can reject one of its steps,
+//! and the only rung left is the backward-Euler retry.
 //!
 //! The step sequence is a pure deterministic function of (circuit, options):
 //! every accept/reject decision is computed from residual-verified solutions
@@ -54,7 +58,7 @@ use loopscope_netlist::{Circuit, Element, NodeId};
 /// and avoids accept/reject limit cycles.
 const LTE_GROW_THRESHOLD: f64 = 0.1;
 
-/// Relative landing tolerance of the adaptive stepper, as a fraction of
+/// Relative landing tolerance of the stepper, as a fraction of
 /// `t_stop`: breakpoints closer than this to each other (or to `t_stop`)
 /// merge into one landing, and a step that would stop closer than this
 /// short of `t_stop` lands on `t_stop` instead (stretching the controller's
@@ -86,17 +90,17 @@ pub enum Integration {
 
 /// Options controlling a transient run.
 ///
-/// `dt_min == dt_max` selects the legacy **fixed grid** (and `reltol`/
-/// `abstol` are unused); `dt_max > dt_min` selects the **adaptive** stepper
-/// described in the [module docs](crate::tran).
+/// `dt_min == dt_max` is a **fixed grid** (and `reltol`/`abstol` are
+/// unused); `dt_max > dt_min` lets the step controller of the
+/// [module docs](crate::tran) move the width between the two.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientOptions {
-    /// Smallest step the adaptive ladder may take, in seconds. On the fixed
-    /// grid this *is* the step. (Breakpoint landings may still produce a
+    /// Smallest step the ladder may take, in seconds. On a fixed grid
+    /// this *is* the step. (Breakpoint landings may still produce a
     /// shorter step when two breakpoints lie closer than `dt_min`.)
     pub dt_min: f64,
-    /// Largest step the adaptive controller may grow to, in seconds. Must
-    /// equal `dt_min` for a fixed-grid run.
+    /// Largest step the controller may grow to, in seconds. Equal to
+    /// `dt_min` for a fixed grid.
     pub dt_max: f64,
     /// Stop time in seconds (the run covers `0..=t_stop`).
     pub t_stop: f64,
@@ -139,8 +143,8 @@ impl TransientOptions {
         }
     }
 
-    /// Whether these options select the adaptive stepper
-    /// (`dt_max > dt_min`).
+    /// Whether the step width may change (`dt_max > dt_min`); `false` is
+    /// a fixed grid.
     pub fn is_adaptive(&self) -> bool {
         self.dt_max > self.dt_min
     }
@@ -158,12 +162,13 @@ pub struct TransientStats {
     /// Steps accepted into the result (`times().len() - 1`).
     pub accepted_steps: usize,
     /// Step attempts rejected by the ladder (LTE over tolerance or Newton
-    /// non-convergence) and retried at a smaller width. Always zero on the
-    /// fixed grid.
+    /// non-convergence) and retried at a smaller width or with backward
+    /// Euler. On a fixed grid only a Newton failure rejects a step, so this
+    /// is non-zero there only after a backward-Euler rescue.
     pub rejected_steps: usize,
     /// Steps accepted *despite* an LTE estimate over tolerance because the
     /// width had already reached `dt_min` — graceful degradation instead of
-    /// a hard abort. Always zero on the fixed grid.
+    /// a hard abort. Always zero on a fixed grid, which has no LTE test.
     pub forced_accepts: usize,
     /// Total Newton iterations across all attempts (accepted and rejected).
     pub newton_iterations: usize,
@@ -173,7 +178,8 @@ pub struct TransientStats {
     pub max_dt: f64,
     /// Breakpoints the stepper landed on exactly (source discontinuities;
     /// the plain `t_stop` landing is not counted unless a discontinuity
-    /// falls there). Always zero on the fixed grid.
+    /// falls there). Always zero on a fixed grid, which has no breakpoint
+    /// schedule.
     pub breakpoints_hit: usize,
     /// Linear-solver counters accumulated over the whole run.
     pub solve: SolveStats,
@@ -221,8 +227,8 @@ impl TransientResult {
     /// overshoot would corrupt overshoot/settling measurements read off the
     /// tail).
     ///
-    /// The grid is **not uniform in general**: a fixed-grid run is
-    /// `dt`-spaced except for a possibly shortened final step, while an
+    /// The grid is **not uniform in general**: a fixed-grid run samples
+    /// `k·dt` except for a possibly shortened final step, while an
     /// adaptive run's spacing varies from `dt_min` to `dt_max` (and below
     /// `dt_min` only for breakpoint landings). Consumers must pair each
     /// sample with its entry here rather than assume `i * dt` — or use
@@ -306,6 +312,11 @@ pub struct TransientAnalysis<'c> {
     circuit: &'c Circuit,
     layout: MnaLayout,
     options: TransientOptions,
+    /// Source discontinuities the stepper lands on, sorted and merged;
+    /// empty on a fixed grid.
+    breakpoints: Vec<f64>,
+    /// Result rows reserved up front: every row of a fixed grid.
+    rows: usize,
 }
 
 impl<'c> TransientAnalysis<'c> {
@@ -316,7 +327,9 @@ impl<'c> TransientAnalysis<'c> {
     /// Returns [`SpiceError::InvalidOptions`] for a non-positive `dt_min`, a
     /// `dt_max` below `dt_min`, a `t_stop` shorter than one minimum step, a
     /// zero `max_newton`, non-finite or non-positive `vntol`/`reltol`/
-    /// `abstol`, and [`SpiceError::Netlist`] if the circuit fails validation.
+    /// `abstol`, a `t_stop / dt_max` step count whose result rows cannot be
+    /// allocated, and [`SpiceError::Netlist`] if the circuit fails
+    /// validation.
     pub fn new(circuit: &'c Circuit, options: TransientOptions) -> Result<Self, SpiceError> {
         circuit.validate().map_err(SpiceError::Netlist)?;
         if !(options.dt_min > 0.0 && options.dt_min.is_finite()) {
@@ -357,19 +370,67 @@ impl<'c> TransientAnalysis<'c> {
                 "stop time must be at least one time step".to_string(),
             ));
         }
+        // A fixed grid samples sources on its own points: it never lands
+        // on a breakpoint.
+        let breakpoints = if options.is_adaptive() {
+            Self::breakpoints(circuit, options.t_stop)
+        } else {
+            Vec::new()
+        };
+        // A fixed grid takes at most `⌈t_stop/dt⌉` steps; the initial row
+        // and rounding slack make the `+ 2`. The `as` cast saturates, so an
+        // absurd step count fails the checked arithmetic instead of
+        // overflowing the reservation.
+        let row_bytes = circuit.node_count() * std::mem::size_of::<f64>();
+        let rows = ((options.t_stop / options.dt_max).ceil() as usize)
+            .checked_add(breakpoints.len() + 2)
+            .filter(|rows| {
+                rows.checked_mul(row_bytes)
+                    .is_some_and(|bytes| bytes <= isize::MAX as usize)
+            })
+            .ok_or_else(|| unallocatable_rows(&options))?;
         Ok(Self {
             circuit,
             layout: MnaLayout::new(circuit),
             options,
+            breakpoints,
+            rows,
         })
     }
 
-    /// Runs the transient analysis starting from the given operating point.
-    ///
-    /// Dispatches on the options: `dt_max == dt_min` runs the legacy
-    /// fixed-grid loop (bitwise identical to its historical output),
-    /// `dt_max > dt_min` runs the adaptive accept-or-escalate stepper (see
-    /// the [module docs](crate::tran)).
+    /// The breakpoint schedule of a run to `t_stop`: source discontinuities
+    /// in `(0, t_stop]`, sorted and merged. Points within a relative
+    /// tolerance of each other collapse to one landing (two ulp-apart edges
+    /// must not force a degenerate ulp-wide step), and a point within
+    /// tolerance of `t_stop` snaps onto it so the final landing doubles as
+    /// the breakpoint landing.
+    fn breakpoints(circuit: &Circuit, t_stop: f64) -> Vec<f64> {
+        let tol = t_stop * LANDING_RTOL;
+        let mut bps = Vec::new();
+        for el in circuit.elements() {
+            let spec = match el {
+                Element::Vsource(v) => &v.spec,
+                Element::Isource(i) => &i.spec,
+                _ => continue,
+            };
+            spec.waveform.breakpoints(&mut bps);
+        }
+        for b in &mut bps {
+            if (*b - t_stop).abs() <= tol {
+                *b = t_stop;
+            }
+        }
+        // `t = 0` needs no landing — the run starts there (and takes the
+        // same backward-Euler restart step a breakpoint landing triggers).
+        bps.retain(|&b| b > tol && b <= t_stop);
+        bps.sort_by(f64::total_cmp);
+        bps.dedup_by(|next, kept| *next - *kept <= tol);
+        bps
+    }
+
+    /// Runs the transient analysis starting from the given operating point,
+    /// through the accept-or-escalate stepper of the
+    /// [module docs](crate::tran) (a fixed grid when `dt_max == dt_min`).
     ///
     /// # Errors
     ///
@@ -378,8 +439,10 @@ impl<'c> TransientAnalysis<'c> {
     /// [`SpiceError::Linear`]) if a time-point system cannot be solved even
     /// through the solver's retry ladder, or
     /// [`SpiceError::TransientNoConvergence`] — naming the time point, step
-    /// index, worst-residual node and (on the adaptive path) the rejected
-    /// step attempts — once the step ladder is exhausted at `dt_min`.
+    /// index, worst-residual node and the rejected step attempts — once the
+    /// step ladder is exhausted at `dt_min`, or
+    /// [`SpiceError::InvalidOptions`] when the allocator refuses the result
+    /// rows.
     pub fn run(&self, op: &OperatingPoint) -> Result<TransientResult, SpiceError> {
         self.run_impl(op, |_, _| {})
     }
@@ -404,45 +467,20 @@ impl<'c> TransientAnalysis<'c> {
         self.run_impl(op, hook)
     }
 
+    /// The accept-or-escalate stepper (see the [module docs](crate::tran)
+    /// for the ladder). A fixed grid is this loop at a width that cannot
+    /// change: no LTE test and an empty breakpoint schedule.
     fn run_impl<F: FnMut(usize, &mut SolveContext<'_, f64>)>(
-        &self,
-        op: &OperatingPoint,
-        hook: F,
-    ) -> Result<TransientResult, SpiceError> {
-        if self.options.is_adaptive() {
-            self.run_adaptive(op, hook)
-        } else {
-            self.run_fixed(op, hook)
-        }
-    }
-
-    /// The legacy fixed-grid loop. Every arithmetic operation on the
-    /// waveform path is unchanged from before the adaptive stepper existed,
-    /// so `dt_max == dt_min` options reproduce historical results bitwise.
-    fn run_fixed<F: FnMut(usize, &mut SolveContext<'_, f64>)>(
         &self,
         op: &OperatingPoint,
         mut hook: F,
     ) -> Result<TransientResult, SpiceError> {
         let node_count = self.circuit.node_count();
-        let dt = self.options.dt_min;
-        let t_stop = self.options.t_stop;
-        // Step count covering 0..=t_stop. `ceil` alone is not enough: when
-        // t_stop is not an exact multiple of dt the final full step would
-        // land PAST t_stop (e.g. dt = 0.4, t_stop = 1.0 → grid 0.4, 0.8,
-        // 1.2), and floating-point division rounds exact multiples UP a few
-        // ulps (10e-6 / 1e-6 = 10.000…002), which a bare `ceil` turns into
-        // a phantom ~1e-21-second step. Shaving a few ulps off the ratio
-        // before ceiling collapses those near-exact cases back to the exact
-        // grid; genuinely non-multiple stop times keep their extra step,
-        // which the loop below shortens to end exactly at t_stop. The
-        // `while` guard is a belt-and-suspenders floor so the shortened
-        // step's width is strictly positive in every remaining case.
-        let ratio = (t_stop / dt) * (1.0 - 8.0 * f64::EPSILON);
-        let mut steps = (ratio.ceil() as usize).max(1);
-        while steps > 1 && (steps - 1) as f64 * dt >= t_stop {
-            steps -= 1;
-        }
+        let opts = &self.options;
+        let t_stop = opts.t_stop;
+        let fixed = !opts.is_adaptive();
+        let bps = &self.breakpoints;
+        let nonlinear = self.circuit.elements().iter().any(Element::is_nonlinear);
 
         // State carried between time points.
         let mut voltages = op.node_voltages().to_vec();
@@ -461,13 +499,17 @@ impl<'c> TransientAnalysis<'c> {
             }
         }
 
-        // The whole result is reserved up front, so accepting a step
-        // allocates nothing.
-        let mut times = Vec::with_capacity(steps + 1);
-        let mut data = Vec::with_capacity((steps + 1) * node_count);
+        // The result is reserved up front for every row of a fixed grid, so
+        // accepting a step there allocates nothing. A reservation the
+        // allocator refuses is an error, not an abort.
+        let mut times = Vec::new();
+        let mut data = Vec::new();
+        times
+            .try_reserve_exact(self.rows)
+            .and_then(|()| data.try_reserve_exact(self.rows * node_count))
+            .map_err(|_| unallocatable_rows(opts))?;
         times.push(0.0);
         data.extend_from_slice(&voltages);
-        let nonlinear = self.circuit.elements().iter().any(Element::is_nonlinear);
 
         // Companion-model restamping never changes the sparsity pattern, so
         // one adopting context serves every Newton iteration of every
@@ -487,190 +529,6 @@ impl<'c> TransientAnalysis<'c> {
         let mut solution = vec![0.0; self.layout.dim()];
         let mut stats = TransientStats::default();
         let mut solve_ordinal = 0usize;
-
-        for step in 1..=steps {
-            // The final step ends exactly at t_stop, shortened when t_stop
-            // is not a multiple of dt; the companion models integrate over
-            // the actual step width.
-            let last = step == steps;
-            let t = if last { t_stop } else { step as f64 * dt };
-            let dt_step = if last {
-                t_stop - (step - 1) as f64 * dt
-            } else {
-                dt
-            };
-            // Backward Euler start-up step for trapezoidal integration (see
-            // [`Integration::Trapezoidal`]): the t = 0 reactive currents from
-            // the DC operating point are not valid trapezoidal history when a
-            // source is discontinuous at t = 0⁺.
-            let method = if step == 1 {
-                Integration::BackwardEuler
-            } else {
-                self.options.method
-            };
-            trial.copy_from_slice(&voltages);
-            let mut converged = false;
-            // Node with the largest voltage update at the most recent Newton
-            // iteration — named in the non-convergence error so the user
-            // knows which unknown refused to settle.
-            let mut worst_node = None;
-
-            for _ in 0..self.options.max_newton {
-                let job = TimestepSystem {
-                    analysis: self,
-                    run: step as u64,
-                    t,
-                    dt: dt_step,
-                    method,
-                    left_limit: false,
-                    trial: &trial,
-                    prev: &voltages,
-                    prev_cap_current: &prev_cap_current,
-                    prev_ind_voltage: &prev_ind_voltage,
-                    prev_solution: &branch_currents,
-                };
-                // Assembly and the verified solve are split so the
-                // (production no-op) hook can poison the assembled values
-                // in fault-injection runs.
-                solver.assemble_newton_into(&job, &mut solution);
-                hook(solve_ordinal, &mut solver);
-                solve_ordinal += 1;
-                solver.solve_verified_in_place(&mut solution)?;
-                stats.newton_iterations += 1;
-
-                let mut max_delta: f64 = 0.0;
-                for node in self.circuit.signal_nodes_iter() {
-                    let var = self.layout.node_var(node).expect("signal node");
-                    let v = solution[var];
-                    let delta = (v - trial[node.index()]).abs();
-                    if delta >= max_delta {
-                        max_delta = delta;
-                        worst_node = Some(node);
-                    }
-                    next[node.index()] = v;
-                }
-                std::mem::swap(&mut trial, &mut next);
-                if max_delta < self.options.vntol || !nonlinear {
-                    converged = true;
-                    break;
-                }
-            }
-            if !converged {
-                let worst = worst_node
-                    .map(|n| self.circuit.node_name(n).to_string())
-                    .unwrap_or_else(|| "<none>".to_string());
-                return Err(SpiceError::TransientNoConvergence {
-                    time: t,
-                    step,
-                    worst_node: worst,
-                    rejections: Vec::new(),
-                });
-            }
-
-            // Update capacitor / inductor state for the next step.
-            for (ei, el) in self.circuit.elements().iter().enumerate() {
-                match el {
-                    Element::Capacitor(c) => {
-                        let v_new = trial[c.a.index()] - trial[c.b.index()];
-                        let v_old = voltages[c.a.index()] - voltages[c.b.index()];
-                        let i_new = match method {
-                            Integration::BackwardEuler => c.farads / dt_step * (v_new - v_old),
-                            Integration::Trapezoidal => {
-                                2.0 * c.farads / dt_step * (v_new - v_old) - prev_cap_current[ei]
-                            }
-                        };
-                        prev_cap_current[ei] = i_new;
-                    }
-                    Element::Inductor(l) => {
-                        prev_ind_voltage[ei] = trial[l.a.index()] - trial[l.b.index()];
-                    }
-                    _ => {}
-                }
-            }
-            branch_currents.copy_from_slice(&solution);
-            std::mem::swap(&mut voltages, &mut trial);
-            times.push(t);
-            data.extend_from_slice(&voltages);
-            stats.record_accept(dt_step);
-        }
-
-        stats.solve = solver.stats();
-        Ok(TransientResult {
-            times,
-            data,
-            stride: node_count,
-            stats,
-        })
-    }
-
-    /// The breakpoint schedule for this run: source discontinuities in
-    /// `(0, t_stop]`, sorted and merged. Points within a relative tolerance
-    /// of each other collapse to one landing (two ulp-apart edges must not
-    /// force a degenerate ulp-wide step), and a point within tolerance of
-    /// `t_stop` snaps onto it so the final landing doubles as the breakpoint
-    /// landing.
-    fn breakpoints(&self) -> Vec<f64> {
-        let t_stop = self.options.t_stop;
-        let tol = t_stop * LANDING_RTOL;
-        let mut bps = Vec::new();
-        for el in self.circuit.elements() {
-            let spec = match el {
-                Element::Vsource(v) => &v.spec,
-                Element::Isource(i) => &i.spec,
-                _ => continue,
-            };
-            spec.waveform.breakpoints(&mut bps);
-        }
-        for b in &mut bps {
-            if (*b - t_stop).abs() <= tol {
-                *b = t_stop;
-            }
-        }
-        // `t = 0` needs no landing — the run starts there (and takes the
-        // same backward-Euler restart step a breakpoint landing triggers).
-        bps.retain(|&b| b > tol && b <= t_stop);
-        bps.sort_by(f64::total_cmp);
-        bps.dedup_by(|next, kept| *next - *kept <= tol);
-        bps
-    }
-
-    /// The adaptive accept-or-escalate stepper (see the
-    /// [module docs](crate::tran) for the ladder).
-    fn run_adaptive<F: FnMut(usize, &mut SolveContext<'_, f64>)>(
-        &self,
-        op: &OperatingPoint,
-        mut hook: F,
-    ) -> Result<TransientResult, SpiceError> {
-        let node_count = self.circuit.node_count();
-        let opts = &self.options;
-        let t_stop = opts.t_stop;
-        let bps = self.breakpoints();
-        let nonlinear = self.circuit.elements().iter().any(Element::is_nonlinear);
-
-        // State carried between time points (identical to the fixed grid).
-        let mut voltages = op.node_voltages().to_vec();
-        let mut prev_cap_current: Vec<f64> = vec![0.0; self.circuit.elements().len()];
-        let mut prev_ind_voltage: Vec<f64> = vec![0.0; self.circuit.elements().len()];
-        let mut branch_currents: Vec<f64> = vec![0.0; self.layout.dim()];
-        for (ei, el) in self.circuit.elements().iter().enumerate() {
-            if let Element::Inductor(l) = el {
-                if let Some(i0) = op.branch_current(&l.name) {
-                    if let Some(var) = self.layout.element_branch(ei) {
-                        branch_currents[var] = i0;
-                    }
-                }
-                prev_ind_voltage[ei] = voltages[l.a.index()] - voltages[l.b.index()];
-            }
-        }
-
-        let mut times = vec![0.0];
-        let mut data = voltages.clone();
-        let mut solver = SolveContext::adopting(&self.layout);
-        let mut trial = voltages.clone();
-        let mut next = vec![0.0; node_count];
-        let mut solution = vec![0.0; self.layout.dim()];
-        let mut stats = TransientStats::default();
-        let mut solve_ordinal = 0usize;
         // Newton runs started: every attempt restamps its linear
         // right-hand side once.
         let mut runs = 0u64;
@@ -678,7 +536,8 @@ impl<'c> TransientAnalysis<'c> {
         // Predictor history: the accepted solution *before* `voltages` and
         // the step width that led from it to `voltages`. Invalidated across
         // discontinuities — linear extrapolation through a jump would be
-        // meaningless as an error reference.
+        // meaningless as an error reference — and never valid on a fixed
+        // grid, which has no LTE test.
         let mut prev2 = vec![0.0; node_count];
         let mut hist_valid = false;
         let mut h_last = 0.0f64;
@@ -688,6 +547,12 @@ impl<'c> TransientAnalysis<'c> {
         // breakpoint) at `dt_min`: right after a discontinuity there is no
         // LTE evidence yet, so the ladder re-earns its width by doubling.
         let mut h = opts.dt_min;
+        // Step targets are `origin + k·h`, with `k` counted from the last
+        // width change, breakpoint landing or the start — not accumulated
+        // as `t + h`, whose rounding drifts. A fixed grid thus lands on
+        // `k·dt` exactly.
+        let mut origin = 0.0f64;
+        let mut k = 0u64;
         // The step leaving a discontinuity (t = 0 or a breakpoint) runs
         // backward Euler — the reactive history is not valid trapezoidal
         // start-up state (see [`Integration::Trapezoidal`]).
@@ -707,17 +572,15 @@ impl<'c> TransientAnalysis<'c> {
 
             loop {
                 // Candidate step: the controller's width clamped to land
-                // exactly on t_stop and on the next breakpoint. Exact
-                // targets are assigned (not accumulated) so the grid hits
-                // them bit-exactly. A step that would stop within the
-                // landing tolerance short of t_stop (accumulated rounding
-                // leaves `t` a few ulps off the grid) takes t_stop with it
-                // rather than leaving a sliver for one more step.
+                // exactly on t_stop and on the next breakpoint. A step that
+                // would stop within the landing tolerance short of t_stop
+                // takes t_stop with it rather than leaving a sliver for one
+                // more step.
                 let remaining = t_stop - t;
                 let (mut h_c, mut target) = if remaining - h_try <= t_stop * LANDING_RTOL {
                     (remaining, t_stop)
                 } else {
-                    (h_try, t + h_try)
+                    (h_try, origin + (k + 1) as f64 * h_try)
                 };
                 let mut landing = false;
                 if bp_idx < bps.len() {
@@ -734,12 +597,20 @@ impl<'c> TransientAnalysis<'c> {
                 } else {
                     opts.method
                 };
+                // The width may shrink only while the controller is above
+                // `dt_min`: a final step stretched onto t_stop can exceed
+                // `dt_min` by the landing tolerance, and halving it would
+                // retry the same step forever.
+                let can_shrink = h_c > opts.dt_min && h_try > opts.dt_min;
 
                 // Newton at (t_new, h_c). A landing step evaluates sources
                 // by their left limit: the discontinuity belongs to the
                 // *next* step, never to the one integrating up to it.
                 trial.copy_from_slice(&voltages);
                 let mut converged = false;
+                // Node with the largest voltage update at the most recent
+                // Newton iteration — named in the non-convergence error so
+                // the user knows which unknown refused to settle.
                 let mut worst_node = None;
                 runs += 1;
                 for _ in 0..opts.max_newton {
@@ -756,6 +627,9 @@ impl<'c> TransientAnalysis<'c> {
                         prev_ind_voltage: &prev_ind_voltage,
                         prev_solution: &branch_currents,
                     };
+                    // Assembly and the verified solve are split so the
+                    // (production no-op) hook can poison the assembled
+                    // values in fault-injection runs.
                     solver.assemble_newton_into(&job, &mut solution);
                     hook(solve_ordinal, &mut solver);
                     solve_ordinal += 1;
@@ -790,8 +664,9 @@ impl<'c> TransientAnalysis<'c> {
                         dt: h_c,
                         reason: StepRejectReason::NewtonNoConvergence,
                     });
-                    if h_c > opts.dt_min {
+                    if can_shrink {
                         h_try = (h_c * 0.5).max(opts.dt_min);
+                        (origin, k) = (t, 0);
                         continue;
                     }
                     if method == Integration::Trapezoidal {
@@ -830,7 +705,7 @@ impl<'c> TransientAnalysis<'c> {
                         ratio = ratio.max(err / tol);
                     }
                     if ratio > 1.0 {
-                        if h_c > opts.dt_min {
+                        if can_shrink {
                             stats.rejected_steps += 1;
                             rejections.push(StepRejection {
                                 time: t_new,
@@ -838,11 +713,11 @@ impl<'c> TransientAnalysis<'c> {
                                 reason: StepRejectReason::LteExceeded { ratio },
                             });
                             h_try = (h_c * 0.5).max(opts.dt_min);
+                            (origin, k) = (t, 0);
                             continue;
                         }
                         // Already at the floor: accept anyway (graceful
-                        // degradation — the fixed grid would have silently
-                        // taken this step too) and count it.
+                        // degradation instead of a hard abort) and count it.
                         stats.forced_accepts += 1;
                     } else if ratio <= LTE_GROW_THRESHOLD {
                         grow = true;
@@ -870,7 +745,7 @@ impl<'c> TransientAnalysis<'c> {
                     }
                 }
                 branch_currents.copy_from_slice(&solution);
-                if landing || post_disc {
+                if landing || post_disc || fixed {
                     // The point before this step sits across (or on) a
                     // discontinuity — no extrapolation through it.
                     hist_valid = false;
@@ -890,6 +765,7 @@ impl<'c> TransientAnalysis<'c> {
                     bp_idx += 1;
                     post_disc = true;
                     h = opts.dt_min;
+                    (origin, k) = (t, 0);
                 } else {
                     post_disc = false;
                     // Grow from the post-rejection width (`h_try`), not the
@@ -900,6 +776,10 @@ impl<'c> TransientAnalysis<'c> {
                     } else {
                         h_try
                     };
+                    k += 1;
+                    if h != h_try {
+                        (origin, k) = (t, 0);
+                    }
                 }
                 break;
             }
@@ -1072,6 +952,14 @@ impl<'c> TransientAnalysis<'c> {
             }
         }
     }
+}
+
+/// The error for a run whose result rows cannot be allocated.
+fn unallocatable_rows(options: &TransientOptions) -> SpiceError {
+    SpiceError::InvalidOptions(format!(
+        "dt_max = {:e} is too small for t_stop = {:e}: the result rows cannot be allocated",
+        options.dt_max, options.t_stop
+    ))
 }
 
 /// Assembly job for one Newton iteration of one transient time point.
@@ -1307,8 +1195,14 @@ mod tests {
                     worst_node == "out" || worst_node == "in",
                     "worst_node = {worst_node}"
                 );
-                // The fixed grid has no retry ladder — no recorded attempts.
-                assert!(rejections.is_empty());
+                // Step 1 already runs backward Euler at dt, so the ladder
+                // has no rung left after its one failed attempt.
+                assert_eq!(rejections.len(), 1, "{rejections:?}");
+                assert_eq!(rejections[0].dt, opts.dt_min);
+                assert!(matches!(
+                    rejections[0].reason,
+                    StepRejectReason::NewtonNoConvergence
+                ));
             }
             other => panic!("expected TransientNoConvergence, got {other:?}"),
         }
@@ -1616,28 +1510,89 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_adaptive_options_take_the_fixed_grid_path() {
-        let (c, a) = dc_circuit();
+    fn fixed_grid_times_are_exact_multiples_of_dt() {
+        let (c, _) = dc_circuit();
         let op = solve_dc(&c).unwrap();
-        let fixed = TransientOptions::new(1.0e-6, 10.0e-6);
-        let degenerate = TransientOptions::adaptive(1.0e-6, 1.0e-6, 10.0e-6);
-        assert!(!degenerate.is_adaptive());
-        let rf = TransientAnalysis::new(&c, fixed).unwrap().run(&op).unwrap();
-        let rd = TransientAnalysis::new(&c, degenerate)
-            .unwrap()
-            .run(&op)
-            .unwrap();
-        // Bitwise identical grids and waveforms.
-        assert_eq!(rf.times(), rd.times());
-        let (wf, wd) = (rf.waveform(a).unwrap(), rd.waveform(a).unwrap());
-        assert!(wf.iter().zip(&wd).all(|(x, y)| x.to_bits() == y.to_bits()));
-        assert_eq!(rd.stats().rejected_steps, 0);
-        assert_eq!(rd.stats().breakpoints_hit, 0);
-        assert_eq!(rd.stats().accepted_steps, 10);
-        // The final fixed step's width is computed as `t_stop - 9·dt`, a few
-        // ulps off dt — the stats record what was actually integrated.
-        assert!((rd.stats().min_dt - 1.0e-6).abs() < 1e-18);
-        assert!((rd.stats().max_dt - 1.0e-6).abs() < 1e-18);
+        // The Table 2 grid, and a stop time that is not a multiple of dt.
+        for (dt, t_stop) in [(2.0e-9, 8.0e-6), (3.0e-7, 1.0e-5)] {
+            let tran = TransientAnalysis::new(&c, TransientOptions::new(dt, t_stop)).unwrap();
+            let r = tran.run(&op).unwrap();
+            let times = r.times();
+            let n = times.len() - 1;
+            // Every sample but the last is `k·dt` bit for bit — counted,
+            // not accumulated as `t + dt`.
+            for (k, t) in times[..n].iter().enumerate() {
+                assert_eq!(
+                    t.to_bits(),
+                    (k as f64 * dt).to_bits(),
+                    "dt={dt}: times[{k}] = {t:e}"
+                );
+            }
+            assert_eq!(times[n], t_stop);
+            let stats = r.stats();
+            assert_eq!(stats.accepted_steps, n);
+            assert_eq!(stats.min_dt, t_stop - (n - 1) as f64 * dt, "dt={dt}");
+            assert_eq!(stats.max_dt, dt);
+            assert_eq!(stats.rejected_steps, 0);
+            assert_eq!(stats.forced_accepts, 0);
+            assert_eq!(stats.breakpoints_hit, 0);
+        }
+    }
+
+    #[test]
+    fn stretched_final_step_that_fails_newton_is_an_error_not_a_hang() {
+        use loopscope_netlist::DiodeModel;
+        // 10 µs / 1 µs: the final step `t_stop − 9·dt` is a few ulps wider
+        // than dt. A hard diode edge at 9.5 µs makes exactly that step fail
+        // Newton; the ladder cannot shrink a step at dt_min, so it retries
+        // with backward Euler once and then reports the failure.
+        let mut c = Circuit::new("late edge");
+        let vin = c.node("in");
+        let vout = c.node("out");
+        c.add_vsource(
+            "V1",
+            vin,
+            Circuit::GROUND,
+            SourceSpec::step(0.0, 5.0, 9.5e-6),
+        );
+        c.add_resistor("R1", vin, vout, 1.0e3);
+        c.add_diode("D1", vout, Circuit::GROUND, DiodeModel::default());
+        let op = solve_dc(&c).unwrap();
+        let (dt, t_stop) = (1.0e-6, 10.0e-6);
+        assert!(t_stop - 9.0 * dt > dt);
+        let mut opts = TransientOptions::new(dt, t_stop);
+        opts.max_newton = 3;
+        match TransientAnalysis::new(&c, opts).unwrap().run(&op) {
+            Err(SpiceError::TransientNoConvergence {
+                time,
+                step,
+                rejections,
+                ..
+            }) => {
+                assert_eq!((time, step), (t_stop, 10));
+                assert_eq!(rejections.len(), 2, "{rejections:?}");
+            }
+            other => panic!("expected TransientNoConvergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unallocatable_step_count_is_an_error() {
+        let (c, _) = dc_circuit();
+        // The row count overflows `usize`.
+        assert!(matches!(
+            TransientAnalysis::new(&c, TransientOptions::new(1.0e-300, 1.0)),
+            Err(SpiceError::InvalidOptions(msg)) if msg.contains("dt_max")
+        ));
+        // 2.5e17 rows of 16 bytes fit in `isize` but in no address space
+        // (57-bit virtual addresses end at 1.4e17 bytes): the reservation
+        // fails, and the run reports it.
+        let op = solve_dc(&c).unwrap();
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(4.0e-18, 1.0)).unwrap();
+        assert!(matches!(
+            tran.run(&op),
+            Err(SpiceError::InvalidOptions(msg)) if msg.contains("dt_max")
+        ));
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Counting-allocator proof that the fixed-grid transient driver's
-//! **steady-state loop** allocates nothing: every Newton iteration of every
-//! timestep cycles hoisted buffers through the adopting `SolveContext`
-//! (`assemble_newton_into` + `solve_verified_in_place`: a Newton image load
-//! or an in-place assembly, numeric refactorization, refined in-place
-//! substitution), nonlinear devices evaluate into fixed-capacity stamps,
-//! and the waveform storage is one flat buffer reserved for the whole grid
-//! — on a linear circuit and on one with a diode, a BJT and a MOSFET
+//! Counting-allocator proof that the transient stepper's **steady-state
+//! loop** allocates nothing on a fixed grid (`dt_min == dt_max`): every
+//! Newton iteration of every timestep cycles hoisted buffers through the
+//! adopting `SolveContext` (`assemble_newton_into` +
+//! `solve_verified_in_place`: a Newton image load or an in-place assembly,
+//! numeric refactorization, refined in-place substitution), nonlinear
+//! devices evaluate into fixed-capacity stamps, and the waveform storage is
+//! one flat buffer sized by `TransientAnalysis::new` for every row of the
+//! grid — on a linear circuit and on one with a diode, a BJT and a MOSFET
 //! iterating Newton at every step.
 //!
 //! Methodology: the setup cost (pattern discovery, symbolic analysis,

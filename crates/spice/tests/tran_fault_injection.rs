@@ -6,7 +6,7 @@
 //!
 //! The injection seam is [`TransientAnalysis::run_with_hook`]: the hook runs
 //! between assembly and the verified solve of every Newton iteration, on
-//! both the fixed-grid and the adaptive path, so the fault lands on the same
+//! fixed grids and adaptive runs alike, so the fault lands on the same
 //! assembled system no matter which configuration is active.
 //!
 //! NOTE: this file mutates the process environment (the worker-count knob
