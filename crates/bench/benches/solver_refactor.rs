@@ -45,7 +45,8 @@ use loopscope_circuits::{
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, Element, SourceSpec};
 use loopscope_sparse::{
-    BatchedLu, CsrMatrix, InverseWorkspace, LuWorkspace, RefineWorkspace, SparseLu, SymbolicLu,
+    BatchedLu, CsrMatrix, InverseWorkspace, LanePlanes, LuWorkspace, RefineWorkspace, SparseLu,
+    SymbolicLu, REFINE_BACKWARD_TOLERANCE,
 };
 use loopscope_spice::ac::AcAnalysis;
 use loopscope_spice::assembly::{AssembleMna, NewtonJob, SlotSink, SolveContext, StampTape};
@@ -1086,10 +1087,12 @@ fn print_assembly_table(records: &mut Vec<Record>) {
 
 /// Experiment S10 — one numeric refactorization per call, the layer the
 /// compiled op lists serve: Table 2's real transient Newton system (the DC
-/// Newton system plus the capacitor companions of the 2 ns step), Table 2's complex AC systems through [`BatchedLu`] lanes at
-/// widths 1 and 4 (time per call and per lane), and the 16×16 power grid's
-/// complex AC system through [`SparseLu::refactor_into`]. Each pattern's
-/// compiled op-list size is printed beside it.
+/// Newton system plus the capacitor companions of the 2 ns step), Table 2's
+/// complex AC systems through [`BatchedLu`] lanes at widths 1, 4 and 8 —
+/// the refactorization alone and the whole batched point (refactor, solve
+/// and every lane's backward error), per call and per lane — and the 16×16
+/// power grid's complex AC system through [`SparseLu::refactor_into`]. Each
+/// pattern's compiled op-list size is printed beside it.
 fn print_refactor_table(records: &mut Vec<Record>) {
     println!("\n=== S10: numeric refactorization per call — compiled op lists ===");
     let (table2, _, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
@@ -1129,7 +1132,8 @@ fn print_refactor_table(records: &mut Vec<Record>) {
             .with_structure(tran_symbolic.fill_nnz(), tran_symbolic.block_count()),
     );
 
-    // Complex AC lanes: every group of `width` consecutive grid points.
+    // Complex AC lanes: every group of `width` consecutive grid points, as
+    // lane values over the shared structure, with a unit injection.
     let ac = AcAnalysis::new(&table2, &op).expect("valid analysis");
     let grid = FrequencyGrid::log_decade(1.0e3, 1.0e9, 20);
     let matrices: Vec<CsrMatrix<Complex64>> = grid
@@ -1137,28 +1141,65 @@ fn print_refactor_table(records: &mut Vec<Record>) {
         .iter()
         .map(|&f| ac.admittance_matrix(f))
         .collect();
+    assert!(
+        matrices.iter().all(|m| m.same_pattern(&matrices[0])),
+        "Table 2's AC systems share one structure"
+    );
     let symbolic = SparseLu::factor(&matrices[0])
         .expect("Table 2 factors")
         .extract_symbolic();
+    let n = symbolic.dim();
     let mut per_lane = Vec::new();
-    for width in [1usize, 4] {
+    for width in [1usize, 4, 8] {
         let mut batched = BatchedLu::new(&symbolic, width);
-        let groups: Vec<&[CsrMatrix<Complex64>]> = matrices.chunks_exact(width).collect();
+        let groups: Vec<LanePlanes<Complex64>> = matrices
+            .chunks_exact(width)
+            .map(|group| {
+                let mut values = LanePlanes::new(matrices[0].nnz(), width);
+                for (w, m) in group.iter().enumerate() {
+                    values.load_lane(w, m.values());
+                }
+                values
+            })
+            .collect();
         let mut k = 0usize;
         let call_ns = time_ns_best(5, reps, || {
-            let statuses = batched.refactor(groups[k % groups.len()]);
+            let statuses = batched.refactor_lanes(&matrices[0], &groups[k % groups.len()], width);
             assert!(statuses.iter().all(|s| s.is_factored()));
             k += 1;
         });
+        let mut injection = LanePlanes::new(n, width);
+        for w in 0..width {
+            injection.set(n / 2, w, Complex64::ONE);
+        }
+        let mut solution = LanePlanes::new(n, width);
+        let mut errors = vec![0.0; width];
+        let mut k = 0usize;
+        let point_ns = time_ns_best(5, reps, || {
+            let values = &groups[k % groups.len()];
+            let statuses = batched.refactor_lanes(&matrices[0], values, width);
+            assert!(statuses.iter().all(|s| s.is_factored()));
+            batched
+                .solve_lanes(&injection, &mut solution)
+                .expect("lane vectors fit");
+            batched.backward_errors(&matrices[0], values, &solution, &injection, &mut errors);
+            assert!(errors.iter().all(|&e| e <= REFINE_BACKWARD_TOLERANCE));
+            k += 1;
+        });
         println!(
-            "table2      AC lanes (complex, {} unknowns, {} factor entries), width {width}: refactor {:>8.3} µs per call, {:>8.3} µs per lane",
-            symbolic.dim(),
+            "table2      AC lanes (complex, {n} unknowns, {} factor entries), width {width}: refactor {:>8.3} µs per call, {:>8.3} µs per lane; point {:>8.3} µs per call, {:>8.3} µs per lane",
             symbolic.fill_nnz(),
             call_ns / 1.0e3,
-            call_ns / width as f64 / 1.0e3
+            call_ns / width as f64 / 1.0e3,
+            point_ns / 1.0e3,
+            point_ns / width as f64 / 1.0e3
         );
         records.push(
             Record::new(format!("table2_ac_refactor_lanes_w{width}"), call_ns)
+                .with_structure(symbolic.fill_nnz(), symbolic.block_count()),
+        );
+        records.push(
+            Record::new(format!("table2_ac_point_lanes_w{width}"), point_ns)
                 .with_structure(symbolic.fill_nnz(), symbolic.block_count()),
         );
         per_lane.push(call_ns / width as f64);
@@ -1204,6 +1245,48 @@ fn print_refactor_table(records: &mut Vec<Record>) {
     records.push(
         Record::new("mesh_16x16_ac_refactor", mesh_ns)
             .with_structure(symbolic.fill_nnz(), symbolic.block_count()),
+    );
+
+    // The grid's AC systems through four `BatchedLu` lanes, healthy and
+    // with lane 0 scaled by 1e155: its squares overflow, so every pivot of
+    // that lane takes its exact column scale — one extra pass over the
+    // lane's entries per call, not one per pivot.
+    let mut lane_ns = Vec::new();
+    for scale in [1.0, 1.0e155] {
+        let mut batched = BatchedLu::new(&symbolic, 4);
+        let mut values = LanePlanes::new(matrices[0].nnz(), 4);
+        for (w, m) in matrices.iter().take(4).enumerate() {
+            let lane: Vec<Complex64> = m
+                .values()
+                .iter()
+                .map(|&v| if w == 0 { v * scale } else { v })
+                .collect();
+            values.load_lane(w, &lane);
+        }
+        lane_ns.push(time_ns_best(5, iters(200), || {
+            let statuses = batched.refactor_lanes(&matrices[0], &values, 4);
+            assert!(statuses.iter().all(|s| s.is_factored()));
+        }));
+    }
+    println!(
+        "mesh_16x16  AC lanes, width 4: refactor {:>8.3} µs per call; lane 0 with degenerate squares {:>8.3} µs per call",
+        lane_ns[0] / 1.0e3,
+        lane_ns[1] / 1.0e3
+    );
+    for (name, ns) in [
+        "mesh_16x16_ac_refactor_lanes_w4",
+        "mesh_16x16_ac_refactor_lanes_w4_degenerate",
+    ]
+    .into_iter()
+    .zip(&lane_ns)
+    {
+        records.push(
+            Record::new(name, *ns).with_structure(symbolic.fill_nnz(), symbolic.block_count()),
+        );
+    }
+    assert_timing(
+        lane_ns[1] < 3.0 * lane_ns[0],
+        "16x16 grid: a lane with degenerate squares must not multiply the refactor cost",
     );
 }
 

@@ -172,6 +172,13 @@ impl<T: Scalar> CsrMatrix<T> {
             .map(|pos| start + pos)
     }
 
+    /// The stored values, in the same order as
+    /// [`find_slot`](CsrMatrix::find_slot) indexes them.
+    #[inline]
+    pub fn values(&self) -> &[T] {
+        &self.values
+    }
+
     /// Mutable access to the stored values, in the same order as
     /// [`find_slot`](CsrMatrix::find_slot) indexes them. The sparsity pattern
     /// itself is immutable.

@@ -95,7 +95,7 @@ mod triplet;
 pub use csr::CsrMatrix;
 pub use kernels::KernelBackend;
 pub use lu::{
-    normwise_backward_error, BatchLaneStatus, BatchedLu, InverseWorkspace, LuWorkspace,
+    normwise_backward_error, BatchLaneStatus, BatchedLu, InverseWorkspace, LanePlanes, LuWorkspace,
     RefineWorkspace, SolveError, SolveQuality, SparseLu, SymbolicLu, ORDERED_PIVOT_THRESHOLD,
     REFINE_BACKWARD_TOLERANCE, REFINE_MAX_STEPS,
 };

@@ -57,7 +57,7 @@ mod loops;
 #[cfg(test)]
 mod oracle;
 mod selinv;
-use compiled::LaneScan;
+use compiled::{ColumnScan, LaneScans};
 pub use selinv::InverseWorkspace;
 
 /// Error produced by factorization or solve.
@@ -405,7 +405,7 @@ enum RefactorFailure {
 /// heap allocation happens (buffers are retained at matrix dimension).
 #[derive(Debug, Clone)]
 pub struct LuWorkspace<T: Scalar> {
-    scan: LaneScan<T>,
+    scan: ColumnScan<T>,
 }
 
 impl<T: Scalar> Default for LuWorkspace<T> {
@@ -426,7 +426,7 @@ impl<T: Scalar> LuWorkspace<T> {
     /// allocation happens when the context is minted, none in the sweep loop.
     pub fn for_dim(n: usize) -> Self {
         Self {
-            scan: LaneScan::for_dim(n),
+            scan: ColumnScan::for_dim(n),
         }
     }
 }
@@ -1555,7 +1555,7 @@ impl<T: Scalar> RefineWorkspace<T> {
 /// tolerance, not vanish from the comparison like NaN would). One pass can
 /// run several scans; the largest square does not depend on the order of
 /// the pushes.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct InfNormScan {
     max_sqr: f64,
     exact: bool,
@@ -1583,8 +1583,9 @@ impl InfNormScan {
         }
     }
 
-    /// The norm of `v`, every entry of which was pushed.
-    fn finish<T: Scalar>(self, v: &[T]) -> f64 {
+    /// The norm of a vector every entry of which was pushed; `v` yields
+    /// those entries again, in order, for the exact fallback.
+    fn finish<T: Scalar>(self, v: impl IntoIterator<Item = T>) -> f64 {
         if self.exact {
             self.max_sqr.sqrt()
         } else {
@@ -1595,9 +1596,9 @@ impl InfNormScan {
 
 /// The exact fallback of [`InfNormScan`]: the largest modulus, or +∞ as
 /// soon as any component is non-finite.
-fn exact_inf_norm<T: Scalar>(v: &[T]) -> f64 {
+fn exact_inf_norm<T: Scalar>(v: impl IntoIterator<Item = T>) -> f64 {
     let mut max = 0.0f64;
-    for &x in v {
+    for x in v {
         if !x.is_finite() {
             return f64::INFINITY;
         }
@@ -1650,9 +1651,9 @@ fn residual_norms<T: Scalar>(
         }
     }
     ResidualNorms {
-        r: norm_r.finish(r),
-        x: norm_x.finish(x),
-        b: norm_b.finish(b),
+        r: norm_r.finish(r.iter().copied()),
+        x: norm_x.finish(x.iter().copied()),
+        b: norm_b.finish(b.iter().copied()),
     }
 }
 
@@ -1724,7 +1725,7 @@ fn scaled_backward_error<T: Scalar>(
     backward_error(norms.r, norm_a, norms.x, norms.b)
 }
 
-/// Per-lane outcome of a [`BatchedLu::refactor`] call.
+/// Per-lane outcome of a [`BatchedLu::refactor_lanes`] call.
 ///
 /// Lanes fail **independently**: a degraded pivot or stale pattern in one
 /// variant never aborts the batch, it only marks that lane so the driver can
@@ -1753,11 +1754,192 @@ impl BatchLaneStatus {
     }
 }
 
+/// Values of `width` variant lanes stored **lane-major in `f64` planes**:
+/// value `i` of every lane occupies one chunk of `T::PLANES · width`
+/// numbers — the real parts of lanes `0..width`, then (for complex values)
+/// their imaginary parts. Slot-major and lane-minor, so one index into a
+/// shared structure addresses a contiguous run of every lane's parts.
+///
+/// The input, right-hand-side and solution store of [`BatchedLu`]: a lane
+/// is loaded column-wise ([`load_lane`](LanePlanes::load_lane),
+/// [`set`](LanePlanes::set)) and read back with [`get`](LanePlanes::get).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LanePlanes<T: Scalar> {
+    len: usize,
+    width: usize,
+    vals: Vec<f64>,
+    scalar: std::marker::PhantomData<T>,
+}
+
+impl<T: Scalar> LanePlanes<T> {
+    /// `len` zero values in each of `width` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `width` is zero.
+    pub fn new(len: usize, width: usize) -> Self {
+        assert!(width > 0, "lane width must be at least 1");
+        Self {
+            len,
+            width,
+            vals: vec![0.0; len * T::PLANES * width],
+            scalar: std::marker::PhantomData,
+        }
+    }
+
+    /// Number of values per lane.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the lanes hold no values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of lanes.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Value `i` of lane `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` or `lane` is out of range.
+    #[inline]
+    pub fn get(&self, i: usize, lane: usize) -> T {
+        assert!(
+            lane < self.width,
+            "lane {lane} outside width {}",
+            self.width
+        );
+        let at = i * self.stride() + lane;
+        T::from_parts(
+            self.vals[at],
+            if T::PLANES == 2 {
+                self.vals[at + self.width]
+            } else {
+                0.0
+            },
+        )
+    }
+
+    /// Sets value `i` of lane `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` or `lane` is out of range.
+    #[inline]
+    pub fn set(&mut self, i: usize, lane: usize, v: T) {
+        assert!(
+            lane < self.width,
+            "lane {lane} outside width {}",
+            self.width
+        );
+        let at = i * self.stride() + lane;
+        self.vals[at] = v.re();
+        if T::PLANES == 2 {
+            self.vals[at + self.width] = v.im();
+        }
+    }
+
+    /// Copies `values` (one per index) into lane `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values.len()` differs from [`len`](LanePlanes::len) or
+    /// `lane` is out of range.
+    pub fn load_lane(&mut self, lane: usize, values: &[T]) {
+        assert_eq!(values.len(), self.len, "one value per index");
+        assert!(
+            lane < self.width,
+            "lane {lane} outside width {}",
+            self.width
+        );
+        let (st, wdt) = (self.stride(), self.width);
+        for (chunk, v) in self.vals.chunks_exact_mut(st).zip(values) {
+            chunk[lane] = v.re();
+            if T::PLANES == 2 {
+                chunk[wdt + lane] = v.im();
+            }
+        }
+    }
+
+    /// The values of lane `lane`, in index order.
+    fn lane(&self, lane: usize) -> impl Iterator<Item = T> + '_ {
+        (0..self.len).map(move |i| self.get(i, lane))
+    }
+
+    /// The chunks of every value, in index order.
+    #[inline]
+    fn chunks(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.vals.chunks_exact(self.stride())
+    }
+
+    /// Numbers per chunk: `T::PLANES · width`.
+    #[inline]
+    fn stride(&self) -> usize {
+        T::PLANES * self.width
+    }
+
+    /// The `RhsLength` error of a lane vector that is not `n` values in
+    /// `width` lanes.
+    fn check_shape(&self, n: usize, width: usize) -> Result<(), SolveError> {
+        if self.len == n && self.width == width {
+            Ok(())
+        } else {
+            Err(SolveError::RhsLength {
+                expected: n * width,
+                got: self.len * self.width,
+            })
+        }
+    }
+}
+
+/// Chunk `t` of a lane store with chunk length `stride`.
+#[inline]
+fn slot_chunk(v: &[f64], t: usize, stride: usize) -> &[f64] {
+    &v[t * stride..(t + 1) * stride]
+}
+
+/// The lane count of a batched pass specialized to `W` lanes: `W`, or the
+/// runtime `width` for the generic pass `W = 0`.
+#[inline(always)]
+fn lane_count<const W: usize>(width: usize) -> usize {
+    if W == 0 {
+        width
+    } else {
+        W
+    }
+}
+
+/// Calls `$s.$f::<W>(..)` with the lane width of `$s` as the compile-time
+/// constant `W` for widths 1 to 8 (`W = 0`, the runtime width, for any
+/// wider batch), so every lane loop of those widths has a fixed trip count
+/// and every chunk copy a fixed length.
+macro_rules! by_width {
+    ($s:ident . $f:ident ( $($arg:expr),* $(,)? )) => {
+        match $s.width {
+            1 => $s.$f::<1>($($arg),*),
+            2 => $s.$f::<2>($($arg),*),
+            3 => $s.$f::<3>($($arg),*),
+            4 => $s.$f::<4>($($arg),*),
+            5 => $s.$f::<5>($($arg),*),
+            6 => $s.$f::<6>($($arg),*),
+            7 => $s.$f::<7>($($arg),*),
+            8 => $s.$f::<8>($($arg),*),
+            _ => $s.$f::<0>($($arg),*),
+        }
+    };
+}
+
 /// A batched numeric LU over `width` **independent matrices sharing one
 /// symbolic analysis** — the variant axis of Monte Carlo / corner sweeps.
 ///
-/// All `width` factorizations are stored structure-of-arrays: the values of
-/// pattern slot `s` for every lane sit contiguously at `s·width..(s+1)·width`.
+/// All `width` factorizations live in one [`LanePlanes`] store in the
+/// [`SparseLu`] slot order (`L`, then `U`, then `F`): the chunk of pattern
+/// slot `s` holds the real parts of every lane, then their imaginary parts.
 /// Because every lane shares the fill pattern, one index stream drives
 /// `width` lanes of arithmetic through the lane update and divide loops —
 /// and because those loops perform per-lane exactly the scalar operations in
@@ -1767,27 +1949,42 @@ impl BatchLaneStatus {
 /// matrix alone**, at any batch width. `width == 1` is therefore not a special
 /// case but the serial reference the determinism suite compares against.
 ///
+/// The point is lane-major from the load to the acceptance test:
+/// [`refactor_lanes`](BatchedLu::refactor_lanes) takes every lane's values
+/// over one shared CSR structure (matched once per call), scans the columns
+/// of every lane in one pass, scatters whole slot chunks, eliminates, and
+/// runs the pivot checks of every lane in one pass per row;
+/// [`solve_lanes`](BatchedLu::solve_lanes) and
+/// [`backward_errors`](BatchedLu::backward_errors) then solve and test every
+/// lane together.
+///
 /// The refactorization mirrors the scalar pass lane-by-lane, including the
 /// pivot-quality rule: a lane whose pivot degrades (or whose matrix has
 /// drifted off the pattern) is marked in [`statuses`](BatchedLu::statuses)
 /// and its remaining values are unspecified, while the other lanes complete
 /// normally. After construction (and the first refactorization over a
-/// pattern, which compiles its op lists) no method performs heap
+/// pattern, which compiles its op lists) [`refactor_lanes`](BatchedLu::refactor_lanes),
+/// [`solve_lanes`](BatchedLu::solve_lanes) and
+/// [`backward_errors`](BatchedLu::backward_errors) perform no heap
 /// allocation.
 #[derive(Debug, Clone)]
 pub struct BatchedLu<T: Scalar> {
     pattern: Arc<LuPattern>,
     width: usize,
-    /// Lane-interleaved factor values in the [`SparseLu`] slot order (`L`,
-    /// then `U`, then `F`): slot `s`, lane `w` at `s·width + w`.
-    vals: Vec<T>,
-    /// The lane multipliers of the elimination op in flight (`width`).
-    mult: Vec<T>,
-    /// Per-lane column scans of the most recent refactorization.
-    scans: Vec<LaneScan<T>>,
-    /// Per-lane first elimination step whose input row leaves the pattern.
-    mismatch: Vec<Option<usize>>,
-    /// Per-lane outcome of the most recent [`refactor`](BatchedLu::refactor).
+    /// Factor values, one chunk per pattern slot.
+    vals: LanePlanes<T>,
+    /// The permuted right-hand sides and substitution work of a solve.
+    work: LanePlanes<T>,
+    /// The residuals `b − A·x` of the acceptance test.
+    residual: LanePlanes<T>,
+    /// Every lane's input scan and the pivot-check scratch.
+    scan: LaneScans,
+    /// Per-lane ∞-norm scans of the residual, solution and right-hand side.
+    norms: [loops::LaneSquares; 3],
+    /// Per-lane `‖A‖∞` and the current row sum of the acceptance pass.
+    norm_a: Vec<f64>,
+    row_sum: Vec<f64>,
+    /// Per-lane outcome of the most recent refactorization.
     statuses: Vec<BatchLaneStatus>,
     /// Per-lane liveness during a refactor pass (scratch).
     live: Vec<bool>,
@@ -1797,9 +1994,11 @@ pub struct BatchedLu<T: Scalar> {
 
 impl<T: Scalar> BatchedLu<T> {
     /// Creates a batched factorization shell over `symbolic` with `width`
-    /// variant lanes. All buffers are allocated here;
-    /// [`refactor`](BatchedLu::refactor) and
-    /// [`solve_into`](BatchedLu::solve_into) are allocation-free.
+    /// variant lanes. The buffers of the lane-major point
+    /// ([`refactor_lanes`](BatchedLu::refactor_lanes),
+    /// [`solve_lanes`](BatchedLu::solve_lanes),
+    /// [`backward_errors`](BatchedLu::backward_errors)) are all allocated
+    /// here.
     ///
     /// # Panics
     ///
@@ -1810,10 +2009,13 @@ impl<T: Scalar> BatchedLu<T> {
         let n = p.n;
         p.program();
         Self {
-            vals: vec![T::ZERO; p.factor_len() * width],
-            mult: vec![T::ZERO; width],
-            scans: vec![LaneScan::for_dim(n); width],
-            mismatch: vec![None; width],
+            vals: LanePlanes::new(p.factor_len(), width),
+            work: LanePlanes::new(n, width),
+            residual: LanePlanes::new(n, width),
+            scan: LaneScans::new(n, width),
+            norms: std::array::from_fn(|_| loops::LaneSquares::new(width)),
+            norm_a: vec![0.0; width],
+            row_sum: vec![0.0; width],
             statuses: Vec::with_capacity(width),
             live: vec![false; width],
             factored: false,
@@ -1832,138 +2034,137 @@ impl<T: Scalar> BatchedLu<T> {
         self.pattern.n
     }
 
-    /// Per-lane outcome of the most recent [`refactor`](BatchedLu::refactor)
-    /// call (empty before the first call). One entry per supplied matrix.
+    /// Per-lane outcome of the most recent refactorization (empty before
+    /// the first call). One entry per supplied lane.
     pub fn statuses(&self) -> &[BatchLaneStatus] {
         &self.statuses
     }
 
-    /// Refactors up to `width` matrices over the shared pattern in one
-    /// batched pass, returning the per-lane outcomes. `matrices` may be
-    /// shorter than the width (a ragged final group): the surplus lanes
-    /// simply carry unspecified values.
+    /// Factor value of pattern slot `slot` (in the [`SparseLu`] order `L`,
+    /// `U`, `F`) in lane `lane`.
+    #[cfg(test)]
+    fn factor_value(&self, slot: usize, lane: usize) -> T {
+        self.vals.get(slot, lane)
+    }
+
+    /// Refactors lanes `0..lanes` whose matrices share `structure` (its
+    /// values are ignored) in one batched pass, returning the per-lane
+    /// outcomes: entry `e` of lane `w` is `values.get(e, w)`. `lanes` may be
+    /// below the width (a ragged final group): the surplus lanes simply
+    /// carry unspecified values. The structure is matched against the
+    /// pattern once, one pass scans the columns of every lane, and whole
+    /// slot chunks are scattered.
     ///
     /// Per lane, every arithmetic operation — scatter, elimination update,
     /// pivot test — is performed in exactly the order of a scalar
-    /// [`SparseLu::refactor_into`] on that matrix alone (both run the
-    /// pattern's compiled op lists), so a
-    /// [`BatchLaneStatus::Factored`] lane holds bitwise-identical factor
-    /// values. Failed lanes (degraded pivot, pattern drift, non-finite
-    /// stamp, dimension mismatch) are reported in their status and never
-    /// disturb the other lanes.
+    /// [`SparseLu::refactor_into`] on that lane's matrix alone (both run the
+    /// pattern's compiled op lists), so a [`BatchLaneStatus::Factored`] lane
+    /// holds bitwise-identical factor values, and every status is the
+    /// scalar outcome. A degraded pivot or non-finite stamp fails only its
+    /// own lane; a structure that is not square of the factor dimension
+    /// (`NotSquare`) or leaves the pattern (`PatternMismatch` from its first
+    /// off-pattern row on) is shared by every lane.
     ///
     /// # Panics
     ///
-    /// Panics when `matrices` is empty or longer than the width.
-    pub fn refactor(&mut self, matrices: &[CsrMatrix<T>]) -> &[BatchLaneStatus] {
-        let (m, wdt) = (matrices.len(), self.width);
+    /// Panics when `lanes` is zero or above the width, or when `values` is
+    /// not `structure.nnz()` values in `width` lanes.
+    pub fn refactor_lanes(
+        &mut self,
+        structure: &CsrMatrix<T>,
+        values: &LanePlanes<T>,
+        lanes: usize,
+    ) -> &[BatchLaneStatus] {
+        self.check_lanes(lanes);
+        assert!(
+            values.len() == structure.nnz() && values.width() == self.width,
+            "lane values must hold one value per stored entry in every lane"
+        );
+        by_width!(self.refactor_shared(structure, values, lanes));
+        &self.statuses
+    }
+
+    fn check_lanes(&self, m: usize) {
+        let wdt = self.width;
         assert!(
             m >= 1 && m <= wdt,
             "batch of {m} matrices does not fit width {wdt}"
         );
-        self.refactor_compiled(matrices);
-        &self.statuses
     }
 
-    /// Normwise backward error `‖b − A·x‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` of a
-    /// candidate solution `x` of lane `lane` — [`normwise_backward_error`]
-    /// with `‖A‖∞` read from the lane's most recent refactorization instead
-    /// of recomputed. `matrix` must be the matrix that refactorization
-    /// factored; the value is then bitwise [`normwise_backward_error`]'s.
-    /// `residual` is caller-held scratch of the matrix dimension; on return
-    /// it holds `b − A·x`. Performs no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lane` is not below the width, or when `x`, `b` or
-    /// `residual` are shorter than the matrix row count.
-    pub fn lane_backward_error(
-        &self,
-        lane: usize,
-        matrix: &CsrMatrix<T>,
-        x: &[T],
-        b: &[T],
-        residual: &mut [T],
-    ) -> f64 {
-        scaled_backward_error(matrix, self.scans[lane].norm_inf, x, b, residual)
-    }
-
-    /// Solves all lanes **in place** over lane-interleaved right-hand sides:
-    /// `rhs[r·width + w]` is component `r` of lane `w`'s system on entry and
-    /// of its solution on return; `work` is caller-held scratch of the same
-    /// `n·width` length.
+    /// Solves every lane: `x` receives, lane by lane, the solution of the
+    /// lane's factored system for the right-hand side in `b` (both `dim`
+    /// values in `width` lanes).
     ///
     /// One traversal of the shared L/U index structure drives every lane:
-    /// each factor slot loaded once streams over `width` contiguous lanes
-    /// via the lane loops. Per lane the operation sequence — every
-    /// product, subtraction and division, in order — is identical to a
-    /// scalar [`SparseLu::solve_into`] with that lane's factors, so factored
-    /// lanes produce bitwise-identical solutions at any width. Lanes that
-    /// did not factor yield unspecified values (check
+    /// each factor slot loaded once streams over the lanes via the lane
+    /// loops. Per lane the operation sequence — every product, subtraction
+    /// and division, in order — is identical to a scalar
+    /// [`SparseLu::solve_into`] with that lane's factors, so factored lanes
+    /// produce bitwise-identical solutions at any width. Lanes that did not
+    /// factor yield unspecified values (check
     /// [`statuses`](BatchedLu::statuses)).
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::RhsLength`] when `rhs.len()` or `work.len()`
-    /// differs from `width` times the matrix dimension.
+    /// Returns [`SolveError::RhsLength`] when `b` or `x` is not `dim` values
+    /// in `width` lanes.
     ///
     /// # Panics
     ///
-    /// Panics when no [`refactor`](BatchedLu::refactor) call has produced a
-    /// factored lane yet.
-    pub fn solve_into(&self, rhs: &mut [T], work: &mut [T]) -> Result<(), SolveError> {
+    /// Panics when no refactorization has produced a factored lane yet.
+    pub fn solve_lanes(
+        &mut self,
+        b: &LanePlanes<T>,
+        x: &mut LanePlanes<T>,
+    ) -> Result<(), SolveError> {
         let p = &*self.pattern;
         assert!(
             self.factored,
             "solve on an unfactored BatchedLu: refactor must produce a factored lane first"
         );
-        let wdt = self.width;
-        let expected = p.n * wdt;
-        if rhs.len() != expected {
-            return Err(SolveError::RhsLength {
-                expected,
-                got: rhs.len(),
-            });
-        }
-        if work.len() != expected {
-            return Err(SolveError::RhsLength {
-                expected,
-                got: work.len(),
-            });
-        }
+        b.check_shape(p.n, self.width)?;
+        x.check_shape(p.n, self.width)?;
+        by_width!(self.substitute(b, x));
+        Ok(())
+    }
+
+    /// The substitutions of [`solve_lanes`](BatchedLu::solve_lanes) at `W`
+    /// lanes (see [`lane_count`]).
+    fn substitute<const W: usize>(&mut self, b: &LanePlanes<T>, x: &mut LanePlanes<T>) {
+        let p = &*self.pattern;
         // The traversal of the scalar `solve_into`, one slot streaming over
         // every lane: F and U sources live in later elimination rows than
         // the destination, L sources in earlier ones, so the borrow splits
-        // are valid, and every lane multiplies its *own* factor value
-        // (lane_mul_sub).
-        let (l_vals, rest) = self.vals.split_at(p.l_cols.len() * wdt);
-        let (u_vals, f_vals) = rest.split_at(p.u_cols.len() * wdt);
-        for b in (0..p.block_ptr.len() - 1).rev() {
-            let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
+        // are valid, and every lane multiplies its *own* factor value.
+        let st = T::PLANES * lane_count::<W>(self.width);
+        let (l_vals, rest) = self.vals.vals.split_at(p.l_cols.len() * st);
+        let (u_vals, f_vals) = rest.split_at(p.u_cols.len() * st);
+        let work = &mut self.work.vals;
+        for blk in (0..p.block_ptr.len() - 1).rev() {
+            let (bs, be) = (p.block_ptr[blk], p.block_ptr[blk + 1]);
             for i in bs..be {
-                let pr = p.perm[i] * wdt;
-                let row = i * wdt;
-                work[row..row + wdt].copy_from_slice(&rhs[pr..pr + wdt]);
+                let row = i * st;
+                work[row..row + st].copy_from_slice(slot_chunk(&b.vals, p.perm[i], st));
                 {
-                    let (head, tail) = work.split_at_mut(row + wdt);
+                    let (head, tail) = work.split_at_mut(row + st);
                     let dst = &mut head[row..];
                     for t in p.f_ptr[i]..p.f_ptr[i + 1] {
-                        let src = p.f_cols[t] * wdt - (row + wdt);
-                        loops::lane_mul_sub(
-                            &f_vals[t * wdt..(t + 1) * wdt],
-                            &tail[src..src + wdt],
+                        let src = p.f_cols[t] * st - (row + st);
+                        loops::lane_mul_sub::<T>(
+                            slot_chunk(f_vals, t, st),
+                            &tail[src..src + st],
                             dst,
                         );
                     }
                 }
                 {
                     let (head, tail) = work.split_at_mut(row);
-                    let dst = &mut tail[..wdt];
+                    let dst = &mut tail[..st];
                     for t in p.l_ptr[i]..p.l_ptr[i + 1] {
-                        let src = p.l_cols[t] * wdt;
-                        loops::lane_mul_sub(
-                            &l_vals[t * wdt..(t + 1) * wdt],
-                            &head[src..src + wdt],
+                        loops::lane_mul_sub::<T>(
+                            slot_chunk(l_vals, t, st),
+                            slot_chunk(head, p.l_cols[t], st),
                             dst,
                         );
                     }
@@ -1971,25 +2172,112 @@ impl<T: Scalar> BatchedLu<T> {
             }
             for i in (bs..be).rev() {
                 let start = p.u_ptr[i];
-                let row = i * wdt;
-                let (head, tail) = work.split_at_mut(row + wdt);
+                let row = i * st;
+                let (head, tail) = work.split_at_mut(row + st);
                 let dst = &mut head[row..];
                 for t in (start + 1)..p.u_ptr[i + 1] {
-                    let src = p.u_cols[t] * wdt - (row + wdt);
-                    loops::lane_mul_sub(
-                        &u_vals[t * wdt..(t + 1) * wdt],
-                        &tail[src..src + wdt],
-                        dst,
-                    );
+                    let src = p.u_cols[t] * st - (row + st);
+                    loops::lane_mul_sub::<T>(slot_chunk(u_vals, t, st), &tail[src..src + st], dst);
                 }
-                loops::lane_div(&u_vals[start * wdt..(start + 1) * wdt], dst);
+                loops::lane_div::<T>(slot_chunk(u_vals, start, st), dst);
             }
         }
         for i in 0..p.n {
-            let c = p.cperm[i] * wdt;
-            rhs[c..c + wdt].copy_from_slice(&work[i * wdt..(i + 1) * wdt]);
+            let at = p.cperm[i] * st;
+            x.vals[at..at + st].copy_from_slice(&work[i * st..(i + 1) * st]);
         }
-        Ok(())
+    }
+
+    /// Normwise backward errors `‖b − A·x‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)` of the
+    /// candidate solutions `x` of lanes `0..errors.len()`, in one lane-major
+    /// residual pass: lane `w`'s matrix is `structure` with entry `e` equal
+    /// to `values.get(e, w)`. The same pass accumulates every lane's `‖A‖∞`
+    /// row sums, and each norm scans its whole lane, in the order of the
+    /// scalar rule, so `errors[w]` is bitwise [`normwise_backward_error`]'s
+    /// on lane `w` alone — the residual test of the verified serial solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `errors` is longer than the width, when `structure` is
+    /// not square of the factor dimension, or when `values`, `x` or `b` do
+    /// not match it in length or width.
+    pub fn backward_errors(
+        &mut self,
+        structure: &CsrMatrix<T>,
+        values: &LanePlanes<T>,
+        x: &LanePlanes<T>,
+        b: &LanePlanes<T>,
+        errors: &mut [f64],
+    ) {
+        let (n, wdt) = (self.pattern.n, self.width);
+        let lanes = errors.len();
+        assert!(lanes <= wdt, "{lanes} lanes do not fit width {wdt}");
+        assert!(
+            structure.rows() == n
+                && structure.cols() == n
+                && values.len() == structure.nnz()
+                && values.width() == wdt
+                && x.check_shape(n, wdt).is_ok()
+                && b.check_shape(n, wdt).is_ok(),
+            "lane systems must match the factor dimension and width"
+        );
+        by_width!(self.residual_pass(structure, values, x, b, errors));
+    }
+
+    /// The residual pass of [`backward_errors`](BatchedLu::backward_errors)
+    /// at `W` lanes (see [`lane_count`]). It runs every lane of the width;
+    /// a surplus lane's result is never read.
+    fn residual_pass<const W: usize>(
+        &mut self,
+        structure: &CsrMatrix<T>,
+        values: &LanePlanes<T>,
+        x: &LanePlanes<T>,
+        b: &LanePlanes<T>,
+        errors: &mut [f64],
+    ) {
+        let wdt = lane_count::<W>(self.width);
+        let stride = T::PLANES * wdt;
+        let (row_ptr, col_idx, _) = structure.parts();
+        for scan in &mut self.norms {
+            scan.reset(0..wdt);
+        }
+        let norm_a = &mut self.norm_a[..wdt];
+        let row_sum = &mut self.row_sum[..wdt];
+        norm_a.fill(0.0);
+        let rows = self.residual.vals.chunks_exact_mut(stride);
+        let mut entries = values.vals.chunks_exact(stride).zip(col_idx);
+        let lanes = x.vals.chunks_exact(stride).zip(b.vals.chunks_exact(stride));
+        for ((r, (xr, br)), span) in rows.zip(lanes).zip(row_ptr.windows(2)) {
+            r.copy_from_slice(br);
+            row_sum.fill(0.0);
+            for (a, &col) in entries.by_ref().take(span[1] - span[0]) {
+                loops::lane_residual::<T>(a, slot_chunk(&x.vals, col, stride), r, row_sum);
+            }
+            for (norm, &sum) in norm_a.iter_mut().zip(row_sum.iter()) {
+                if sum > *norm {
+                    *norm = sum;
+                }
+            }
+            for (scan, v) in self.norms.iter_mut().zip([&*r, xr, br]) {
+                scan.fold::<T>(v, 0..wdt);
+            }
+        }
+        let norm = |k: usize, w: usize, v: &LanePlanes<T>| {
+            let scan = &self.norms[k];
+            InfNormScan {
+                max_sqr: scan.max(w),
+                exact: scan.exact(w, f64::MIN_POSITIVE),
+            }
+            .finish(v.lane(w))
+        };
+        for (w, err) in errors.iter_mut().enumerate() {
+            *err = backward_error(
+                norm(0, w, &self.residual),
+                self.norm_a[w],
+                norm(1, w, x),
+                norm(2, w, b),
+            );
+        }
     }
 }
 
@@ -3080,17 +3368,34 @@ mod tests {
         assert!((x[0] - 1.0).abs() < 1e-10 && (x[1] - 1.0).abs() < 1e-10);
     }
 
-    /// Lane-interleaves per-variant vectors into the SoA layout
-    /// [`BatchedLu::solve_into`] consumes.
-    fn interleave<T: Scalar>(lanes: &[Vec<T>], width: usize) -> Vec<T> {
-        let n = lanes[0].len();
-        let mut out = vec![T::ZERO; n * width];
+    /// Loads per-variant vectors into the lane-major store
+    /// [`BatchedLu::solve_lanes`] consumes.
+    fn lane_planes<T: Scalar>(lanes: &[Vec<T>], width: usize) -> LanePlanes<T> {
+        let mut out = LanePlanes::new(lanes[0].len(), width);
         for (w, lane) in lanes.iter().enumerate() {
-            for (r, &v) in lane.iter().enumerate() {
-                out[r * width + w] = v;
-            }
+            out.load_lane(w, lane);
         }
         out
+    }
+
+    /// [`BatchedLu::refactor_lanes`] of `matrices`, which share one
+    /// structure: lane `w` holds the values of `matrices[w]`.
+    fn refactor_all<T: Scalar>(
+        batched: &mut BatchedLu<T>,
+        matrices: &[CsrMatrix<T>],
+    ) -> Vec<BatchLaneStatus> {
+        let structure = |m: &CsrMatrix<T>| {
+            let (row_ptr, col_idx, _) = m.parts();
+            (m.rows(), m.cols(), row_ptr.to_vec(), col_idx.to_vec())
+        };
+        assert!(matrices
+            .iter()
+            .all(|m| structure(m) == structure(&matrices[0])));
+        let lanes: Vec<Vec<T>> = matrices.iter().map(|m| m.values().to_vec()).collect();
+        let values = lane_planes(&lanes, batched.width());
+        batched
+            .refactor_lanes(&matrices[0], &values, matrices.len())
+            .to_vec()
     }
 
     #[test]
@@ -3107,27 +3412,30 @@ mod tests {
         let mut batched = BatchedLu::new(&symbolic, scales.len());
         assert_eq!(batched.width(), 3);
         assert_eq!(batched.dim(), 5);
-        let statuses = batched.refactor(&matrices).to_vec();
+        let statuses = refactor_all(&mut batched, &matrices);
         assert!(statuses.iter().all(|s| s.is_factored()), "{statuses:?}");
         let lanes: Vec<Vec<f64>> = scales.iter().map(|&s| rhs_of(s)).collect();
-        let mut soa = interleave(&lanes, scales.len());
-        let mut soa_work = vec![0.0; soa.len()];
-        batched.solve_into(&mut soa, &mut soa_work).unwrap();
+        let b = lane_planes(&lanes, scales.len());
+        let mut x = LanePlanes::new(5, scales.len());
+        batched.solve_lanes(&b, &mut x).unwrap();
 
         let mut ws = LuWorkspace::new();
         for (w, (matrix, &s)) in matrices.iter().zip(&scales).enumerate() {
             let mut lu = SparseLu::from_symbolic(&symbolic);
             lu.refactor_into(&symbolic, matrix, &mut ws).unwrap();
             assert!(lu.refactored());
-            let mut x = rhs_of(s);
-            let mut work = vec![0.0; x.len()];
-            lu.solve_into(&mut x, &mut work).unwrap();
-            for (r, xi) in x.iter().enumerate() {
+            for (slot, v) in lu.vals.iter().enumerate() {
+                assert_eq!(v.to_bits(), batched.factor_value(slot, w).to_bits());
+            }
+            let mut want = rhs_of(s);
+            let mut work = vec![0.0; want.len()];
+            lu.solve_into(&mut want, &mut work).unwrap();
+            for (r, xi) in want.iter().enumerate() {
                 assert_eq!(
                     xi.to_bits(),
-                    soa[r * scales.len() + w].to_bits(),
+                    x.get(r, w).to_bits(),
                     "lane {w} row {r}: scalar {xi} vs batched {}",
-                    soa[r * scales.len() + w]
+                    x.get(r, w)
                 );
             }
         }
@@ -3177,22 +3485,23 @@ mod tests {
             })
             .collect();
 
+        let same = |a: Complex64, b: Complex64| {
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+        };
         for width in 1..=4usize {
             let mut batched = BatchedLu::new(&symbolic, width);
             for group in (0..scales.len()).step_by(width) {
                 let end = (group + width).min(scales.len());
-                let statuses = batched.refactor(&matrices[group..end]).to_vec();
+                let statuses = refactor_all(&mut batched, &matrices[group..end]);
                 assert!(statuses.iter().all(|s| s.is_factored()));
-                let lanes: Vec<Vec<Complex64>> = rhs[group..end].to_vec();
-                let mut soa = interleave(&lanes, width);
-                let mut soa_work = vec![Complex64::ZERO; soa.len()];
-                batched.solve_into(&mut soa, &mut soa_work).unwrap();
+                let b = lane_planes(&rhs[group..end], width);
+                let mut x = LanePlanes::new(9, width);
+                batched.solve_lanes(&b, &mut x).unwrap();
                 for (w, want) in reference[group..end].iter().enumerate() {
-                    for (r, xi) in want.iter().enumerate() {
-                        let got = soa[r * width + w];
+                    for (r, &xi) in want.iter().enumerate() {
+                        let got = x.get(r, w);
                         assert!(
-                            xi.re.to_bits() == got.re.to_bits()
-                                && xi.im.to_bits() == got.im.to_bits(),
+                            same(xi, got),
                             "width {width} lane {w} row {r}: {xi:?} vs {got:?}"
                         );
                     }
@@ -3207,57 +3516,176 @@ mod tests {
         let (_, symbolic) = factor_symbolic(&good);
         // Lane 1: exactly singular within the pattern (u22 eliminates to 0).
         let degraded = csr_from_dense(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        // Lane 2: an entry the pattern does not know about is impossible for
-        // a 2x2 full pattern, so use a NaN stamp instead (hard error).
-        let mut t = TripletMatrix::<f64>::new(2, 2);
-        t.push(0, 0, 2.0);
-        t.push(0, 1, f64::NAN);
-        t.push(1, 0, 1.0);
-        t.push(1, 1, 3.0);
-        let poisoned = t.to_csr();
-        // Lane 3: wrong dimension.
-        let small = csr_from_dense(&[&[1.0]]);
+        // Lane 2: a NaN stamp (hard error).
+        let poisoned = csr_from_dense(&[&[2.0, f64::NAN], &[1.0, 3.0]]);
 
         let mut batched = BatchedLu::new(&symbolic, 4);
-        let statuses = batched
-            .refactor(&[good.clone(), degraded, poisoned, small])
-            .to_vec();
+        let statuses = refactor_all(&mut batched, &[good.clone(), degraded, poisoned]);
         assert_eq!(statuses[0], BatchLaneStatus::Factored);
         assert_eq!(statuses[1], BatchLaneStatus::Degraded);
-        assert!(matches!(
+        assert_eq!(
             statuses[2],
-            BatchLaneStatus::Failed(SolveError::NonFinite { .. })
-        ));
-        assert!(matches!(
-            statuses[3],
-            BatchLaneStatus::Failed(SolveError::NotSquare { .. })
-        ));
+            BatchLaneStatus::Failed(SolveError::NonFinite { row: 0, col: 1 })
+        );
 
         // The healthy lane solves to the scalar result despite its
         // neighbors' garbage.
-        let mut soa = interleave(
-            &[vec![5.0, 10.0], vec![0.0; 2], vec![0.0; 2], vec![0.0; 2]],
-            4,
-        );
-        let mut soa_work = vec![0.0; soa.len()];
-        batched.solve_into(&mut soa, &mut soa_work).unwrap();
+        let b = lane_planes(&[vec![5.0, 10.0], vec![0.0; 2], vec![0.0; 2]], 4);
+        let mut x = LanePlanes::new(2, 4);
+        batched.solve_lanes(&b, &mut x).unwrap();
         let lu = SparseLu::factor(&good).unwrap();
-        let x = lu.solve(&[5.0, 10.0]).unwrap();
-        assert_eq!(x[0].to_bits(), soa[0].to_bits());
-        assert_eq!(x[1].to_bits(), soa[4].to_bits());
+        let want = lu.solve(&[5.0, 10.0]).unwrap();
+        assert_eq!(want[0].to_bits(), x.get(0, 0).to_bits());
+        assert_eq!(want[1].to_bits(), x.get(1, 0).to_bits());
+
+        // A structure of the wrong dimension fails every lane.
+        let small = csr_from_dense(&[&[1.0]]);
+        let statuses = refactor_all(&mut batched, &[small.clone(), small]);
+        assert_eq!(
+            statuses,
+            [BatchLaneStatus::Failed(SolveError::NotSquare { rows: 1, cols: 1 }); 2]
+        );
+    }
+
+    /// Eight lanes over a tridiagonal pattern, one each with a non-finite
+    /// stamp, a degraded pivot, an exact-zero multiplier (the per-lane
+    /// fallback of the update) and huge and tiny entries (degenerate squares:
+    /// exact column scales), beside healthy lanes: every status is the
+    /// scalar refactorization's, and the healthy lanes' factors and
+    /// solutions are bitwise their width-1 runs. The same lanes over a
+    /// structure with an entry outside the pattern fail, each at its first
+    /// failure in row order, as the scalar refactorization does.
+    #[test]
+    fn batched_lane_failures_are_isolated_at_width_8() {
+        let n = 6;
+        let tri = |s: f64, edit: &dyn Fn(usize, usize, f64) -> f64, extra: bool| {
+            let mut t = TripletMatrix::<f64>::new(n, n);
+            for i in 0..n {
+                t.push(i, i, edit(i, i, 4.0 * s + 0.1 * i as f64));
+                if i + 1 < n {
+                    t.push(i, i + 1, edit(i, i + 1, -s));
+                    t.push(i + 1, i, edit(i + 1, i, 0.5 + s));
+                }
+            }
+            if extra {
+                t.push(0, n - 1, 0.5);
+            }
+            t.to_csr()
+        };
+        let keep = |_: usize, _: usize, v: f64| v;
+        let (_, symbolic) = factor_symbolic(&tri(1.0, &keep, false));
+        let lanes_of = |extra: bool| {
+            vec![
+                tri(1.0, &keep, extra),
+                tri(
+                    1.1,
+                    &|r, c, v| if (r, c) == (2, 3) { f64::NAN } else { v },
+                    extra,
+                ),
+                tri(1.3, &|_, _, v| v * 1.0e155, extra),
+                tri(
+                    0.9,
+                    &|r, c, v| if (r, c) == (4, 4) { 1.0e-170 } else { v },
+                    extra,
+                ),
+                tri(1.2, &|r, _, v| if r == 3 { v * 1.0e-20 } else { v }, extra),
+                tri(
+                    0.8,
+                    &|r, c, v| {
+                        if r.abs_diff(c) == 1 && r.min(c) == 2 {
+                            0.0
+                        } else {
+                            v
+                        }
+                    },
+                    extra,
+                ),
+                tri(0.7, &keep, extra),
+                tri(2.0, &keep, extra),
+            ]
+        };
+        let scalar_status = |m: &CsrMatrix<f64>| {
+            let mut ws = LuWorkspace::new();
+            let mut vals = Vec::new();
+            match compiled::refactor(&symbolic.pattern, m, &mut ws.scan, &mut vals) {
+                Ok(_) => BatchLaneStatus::Factored,
+                Err(RefactorFailure::Degraded) => BatchLaneStatus::Degraded,
+                Err(RefactorFailure::PatternMismatch) => BatchLaneStatus::PatternMismatch,
+                Err(RefactorFailure::Hard(e)) => BatchLaneStatus::Failed(e),
+            }
+        };
+
+        let lanes = lanes_of(false);
+        let mut batched = BatchedLu::new(&symbolic, 8);
+        let got = refactor_all(&mut batched, &lanes);
+        assert_eq!(
+            got[1],
+            BatchLaneStatus::Failed(SolveError::NonFinite { row: 2, col: 3 })
+        );
+        assert_eq!(got[4], BatchLaneStatus::Degraded);
+        let healthy = [0usize, 2, 3, 5, 6, 7];
+        for &w in &healthy {
+            assert_eq!(got[w], BatchLaneStatus::Factored, "lane {w}");
+        }
+        for (w, m) in lanes.iter().enumerate() {
+            assert_eq!(got[w], scalar_status(m), "lane {w}");
+        }
+        // The zero multiplier really takes the fallback: one L value is 0.
+        let nl = symbolic.pattern.l_cols.len();
+        assert!((0..nl).any(|t| batched.factor_value(t, 5) == 0.0));
+
+        let rhs: Vec<Vec<f64>> = (0..8)
+            .map(|w| (0..n).map(|i| 1.0 + (i * w) as f64 * 0.25).collect())
+            .collect();
+        let b = lane_planes(&rhs, 8);
+        let mut x = LanePlanes::new(n, 8);
+        batched.solve_lanes(&b, &mut x).unwrap();
+        for &w in &healthy {
+            let mut single = BatchedLu::new(&symbolic, 1);
+            assert!(refactor_all(&mut single, std::slice::from_ref(&lanes[w]))[0].is_factored());
+            for slot in 0..symbolic.pattern.factor_len() {
+                assert_eq!(
+                    batched.factor_value(slot, w).to_bits(),
+                    single.factor_value(slot, 0).to_bits(),
+                    "lane {w} slot {slot}"
+                );
+            }
+            let mut x1 = LanePlanes::new(n, 1);
+            single
+                .solve_lanes(&lane_planes(std::slice::from_ref(&rhs[w]), 1), &mut x1)
+                .unwrap();
+            for r in 0..n {
+                assert_eq!(
+                    x.get(r, w).to_bits(),
+                    x1.get(r, 0).to_bits(),
+                    "lane {w} row {r}"
+                );
+            }
+        }
+
+        // Off the pattern: the structure's mismatch is every lane's, from
+        // its row on; earlier failures stand.
+        let stray = lanes_of(true);
+        let got = refactor_all(&mut batched, &stray);
+        assert!(got.contains(&BatchLaneStatus::PatternMismatch));
+        for (w, m) in stray.iter().enumerate() {
+            assert_eq!(got[w], scalar_status(m), "lane {w}");
+        }
     }
 
     #[test]
     fn batched_pattern_mismatch_marks_the_lane() {
-        // Tridiagonal symbolic; the second variant has a corner entry the
+        // Tridiagonal symbolic; the stray structure has a corner entry the
         // pattern never saw.
         let base = csr_from_dense(&[&[4.0, 1.0, 0.0], &[1.0, 4.0, 1.0], &[0.0, 1.0, 4.0]]);
         let (_, symbolic) = factor_symbolic(&base);
         let stray = csr_from_dense(&[&[4.0, 1.0, 0.5], &[1.0, 4.0, 1.0], &[0.0, 1.0, 4.0]]);
         let mut batched = BatchedLu::new(&symbolic, 2);
-        let statuses = batched.refactor(&[base.clone(), stray]).to_vec();
-        assert_eq!(statuses[0], BatchLaneStatus::Factored);
-        assert_eq!(statuses[1], BatchLaneStatus::PatternMismatch);
+        let statuses = refactor_all(&mut batched, &[base.clone(), base.clone()]);
+        assert_eq!(statuses, [BatchLaneStatus::Factored; 2]);
+        // A structure off the pattern marks every lane.
+        let statuses = refactor_all(&mut batched, &[stray.clone(), stray]);
+        assert_eq!(statuses, [BatchLaneStatus::PatternMismatch; 2]);
     }
 
     #[test]
@@ -3265,25 +3693,80 @@ mod tests {
         let a = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let (_, symbolic) = factor_symbolic(&a);
         let mut batched = BatchedLu::new(&symbolic, 2);
-        batched.refactor(&[a.clone(), a.clone()]);
-        let mut short = vec![0.0; 3];
-        let mut work = vec![0.0; 4];
+        refactor_all(&mut batched, &[a.clone(), a.clone()]);
+        let short = LanePlanes::new(3, 1);
+        let mut x = LanePlanes::new(2, 2);
         assert!(matches!(
-            batched.solve_into(&mut short, &mut work),
+            batched.solve_lanes(&short, &mut x),
             Err(SolveError::RhsLength {
                 expected: 4,
                 got: 3
             })
         ));
-        let mut rhs = vec![0.0; 4];
-        let mut short_work = vec![0.0; 2];
+        let b = LanePlanes::new(2, 2);
+        let mut narrow = LanePlanes::new(2, 1);
         assert!(matches!(
-            batched.solve_into(&mut rhs, &mut short_work),
+            batched.solve_lanes(&b, &mut narrow),
             Err(SolveError::RhsLength {
                 expected: 4,
                 got: 2
             })
         ));
+    }
+
+    /// The lane-major acceptance pass is, lane by lane, bitwise the scalar
+    /// normwise backward error — with exact, degenerate-square (tiny and
+    /// huge) and non-finite candidates.
+    #[test]
+    fn lane_backward_errors_are_the_scalar_rule() {
+        let build = |s: f64| {
+            let mut t = TripletMatrix::<Complex64>::new(4, 4);
+            for i in 0..4 {
+                t.push(i, i, Complex64::new(3.0 * s, 0.5 + i as f64));
+                if i + 1 < 4 {
+                    t.push(i, i + 1, Complex64::new(-1.0, 0.25 * s));
+                    t.push(i + 1, i, Complex64::new(0.75 * s, -0.5));
+                }
+            }
+            t.to_csr()
+        };
+        let scales = [1.0, 1.0e-160, 1.0e155, 0.5, 2.0];
+        let matrices: Vec<CsrMatrix<Complex64>> = scales.iter().map(|&s| build(s)).collect();
+        let (_, symbolic) = factor_symbolic(&matrices[0]);
+        let width = scales.len() + 1;
+        let mut values = LanePlanes::new(matrices[0].nnz(), width);
+        for (w, m) in matrices.iter().enumerate() {
+            values.load_lane(w, m.values());
+        }
+        let mut batched = BatchedLu::new(&symbolic, width);
+        batched.refactor_lanes(&matrices[0], &values, scales.len());
+        let rhs: Vec<Vec<Complex64>> = (0..width)
+            .map(|w| {
+                (0..4)
+                    .map(|i| Complex64::new(i as f64 - w as f64, 1.0))
+                    .collect()
+            })
+            .collect();
+        let b = lane_planes(&rhs, width);
+        let mut x = LanePlanes::new(4, width);
+        batched.solve_lanes(&b, &mut x).unwrap();
+        // Perturb some candidates: a rounding-level nudge, a NaN.
+        x.set(1, 3, x.get(1, 3) * Complex64::new(1.0 + 1.0e-9, 0.0));
+        x.set(2, 4, Complex64::new(f64::NAN, 0.0));
+        let mut errors = vec![0.0; scales.len()];
+        batched.backward_errors(&matrices[0], &values, &x, &b, &mut errors);
+        for (w, m) in matrices.iter().enumerate() {
+            let xw: Vec<Complex64> = (0..4).map(|i| x.get(i, w)).collect();
+            let mut residual = vec![Complex64::ZERO; 4];
+            let want = normwise_backward_error(m, &xw, &rhs[w], &mut residual);
+            assert_eq!(
+                errors[w].to_bits(),
+                want.to_bits(),
+                "lane {w}: {} vs {want}",
+                errors[w]
+            );
+        }
+        assert_eq!(errors[4], f64::INFINITY);
     }
 
     #[test]

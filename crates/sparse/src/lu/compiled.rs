@@ -60,9 +60,11 @@
 //! largest `q` cannot hold the largest `hypot`, so only near-ties are
 //! evaluated.
 
+use super::loops::LaneSquares;
 use super::{
-    exact_max_modulus, loops, BatchLaneStatus, BatchedLu, LuPattern, RefactorFailure,
-    RefactorScales, SolveError, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
+    exact_max_modulus, lane_count, loops, slot_chunk, BatchLaneStatus, BatchedLu, LanePlanes,
+    LuPattern, RefactorFailure, RefactorScales, SolveError, REFACTOR_PIVOT_RELATIVE,
+    SINGULARITY_RELATIVE,
 };
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
@@ -264,10 +266,10 @@ impl LuPattern {
 
 /// One matrix's column scan: per elimination column the squared-magnitude
 /// maximum and its argmax entry (the lazy form of the reference scales),
-/// plus `‖A‖∞`. Held by [`LuWorkspace`](super::LuWorkspace) and per lane by
-/// [`BatchedLu`]; sized on first use and reused.
+/// plus `‖A‖∞`. Held by [`LuWorkspace`](super::LuWorkspace); sized on first
+/// use and reused.
 #[derive(Debug, Clone)]
-pub(super) struct LaneScan<T: Scalar> {
+pub(super) struct ColumnScan<T: Scalar> {
     sq: Vec<f64>,
     arg: Vec<T>,
     /// Exact per-column maxima, filled only when some square degenerated.
@@ -278,7 +280,7 @@ pub(super) struct LaneScan<T: Scalar> {
     pub(super) norm_inf: f64,
 }
 
-impl<T: Scalar> LaneScan<T> {
+impl<T: Scalar> ColumnScan<T> {
     /// A scan pre-sized for dimension `n` (empty for `n = 0`).
     pub(super) fn for_dim(n: usize) -> Self {
         Self {
@@ -394,60 +396,88 @@ impl<T: Scalar> LaneScan<T> {
         }
         a_max
     }
+}
 
-    /// The reference pivot rule of step `i`: degraded when the pivot is
-    /// zero, not above `1e-14` times its column scale, or below `1e-8` times
-    /// its row's largest modulus. `row_max_sqr` / `row_squares_ok` describe
-    /// the squares of the pivot's `U` row; `exact_row_max` yields the row's
-    /// exact largest modulus for the degenerate path.
-    fn pivot_degraded(
-        &self,
-        i: usize,
-        pivot: T,
-        row_max_sqr: f64,
-        row_squares_ok: bool,
-        exact_row_max: impl FnOnce() -> f64,
-    ) -> bool {
-        if row_squares_ok && self.squares_ok {
-            let q = self.sq[i];
-            // Here the reference takes its squared fast path: the scale is
-            // 0 or its square is normal (module docs).
-            if q == 0.0 || q >= LAZY_MIN_SQR {
-                let pivot_sqr = pivot.modulus_sqr();
-                if pivot_sqr == 0.0
-                    || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
-                {
-                    return true;
-                }
-                if q == 0.0 {
-                    return false;
-                }
-                let estimate = q * SINGULARITY_SQR;
-                if pivot_sqr > estimate * (1.0 + LAZY_MARGIN) {
-                    return false;
-                }
-                if pivot_sqr < estimate * (1.0 - LAZY_MARGIN) {
-                    return true;
-                }
-            }
-        }
-        let scale = self.col_max(i) * SINGULARITY_RELATIVE;
-        let scale_sqr = scale * scale;
-        if row_squares_ok && (scale_sqr.is_normal() || scale == 0.0) {
-            let pivot_sqr = pivot.modulus_sqr();
-            pivot_sqr == 0.0
-                || pivot_sqr <= scale_sqr
-                || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
-        } else if !pivot.is_finite() {
-            // The elimination overflowed; fresh pivoting may pick a
-            // healthier order, so this is degraded (soft), not hard.
-            true
-        } else {
-            let pivot_mod = pivot.modulus();
-            pivot_mod == 0.0
-                || pivot_mod <= scale
-                || pivot_mod < REFACTOR_PIVOT_RELATIVE * exact_row_max()
-        }
+/// Whether the squared fast path of the reference pivot rule clears a
+/// pivot of square `pivot_sqr` (not degraded), given a column scale square
+/// `q` in the fast path's range (`0`, or at least [`LAZY_MIN_SQR`] with
+/// every square exact): nonzero, not below `1e-8` times the row's largest
+/// modulus, and the column scale zero or the pivot clear of the `1e-14`
+/// band. Written without short-circuits so a loop over lanes stays
+/// branch-free.
+#[inline]
+fn pivot_clears(q: f64, pivot_sqr: f64, row_max_sqr: f64, row_squares_ok: bool) -> bool {
+    let row_degraded = (pivot_sqr == 0.0)
+        | (pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr);
+    let col_clear = (q == 0.0) | (pivot_sqr > q * SINGULARITY_SQR * (1.0 + LAZY_MARGIN));
+    row_squares_ok & !row_degraded & col_clear
+}
+
+/// The squared fast path of the reference pivot rule (module docs):
+/// whether the pivot of square `pivot_sqr` is degraded, decided from the
+/// squares alone, or `None` when only the exact path can decide. `q` /
+/// `squares_ok` are the column's largest square and whether the matrix's
+/// squares were all exact; `row_max_sqr` / `row_squares_ok` describe the
+/// squares of the pivot's `U` row.
+#[inline]
+fn pivot_fast(
+    q: f64,
+    squares_ok: bool,
+    pivot_sqr: f64,
+    row_max_sqr: f64,
+    row_squares_ok: bool,
+) -> Option<bool> {
+    // The reference takes its squared path when the scale is 0 or its
+    // square is normal.
+    if !(row_squares_ok && squares_ok && (q == 0.0 || q >= LAZY_MIN_SQR)) {
+        return None;
+    }
+    if pivot_clears(q, pivot_sqr, row_max_sqr, true) {
+        return Some(false);
+    }
+    if pivot_sqr == 0.0
+        || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
+    {
+        return Some(true);
+    }
+    // Here `q != 0` and the pivot is not above the band.
+    (pivot_sqr < q * SINGULARITY_SQR * (1.0 - LAZY_MARGIN)).then_some(true)
+}
+
+/// The reference pivot rule of one elimination step: degraded when the
+/// pivot is zero, not above `1e-14` times its column scale, or below `1e-8`
+/// times its row's largest modulus — [`pivot_fast`] where the squares
+/// decide, else the exact rule on `col_max()`, the exact column scale, and
+/// `exact_row_max()`, the row's exact largest modulus.
+#[inline]
+fn pivot_degraded<T: Scalar>(
+    q: f64,
+    squares_ok: bool,
+    col_max: impl FnOnce() -> f64,
+    pivot: T,
+    row_max_sqr: f64,
+    row_squares_ok: bool,
+    exact_row_max: impl FnOnce() -> f64,
+) -> bool {
+    let pivot_sqr = pivot.modulus_sqr();
+    if let Some(degraded) = pivot_fast(q, squares_ok, pivot_sqr, row_max_sqr, row_squares_ok) {
+        return degraded;
+    }
+    let scale = col_max() * SINGULARITY_RELATIVE;
+    let scale_sqr = scale * scale;
+    if row_squares_ok && (scale_sqr.is_normal() || scale == 0.0) {
+        pivot_sqr == 0.0
+            || pivot_sqr <= scale_sqr
+            || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
+    } else if !pivot.is_finite() {
+        // The elimination overflowed; fresh pivoting may pick a healthier
+        // order, so this is degraded (soft), not hard.
+        true
+    } else {
+        let pivot_mod = pivot.modulus();
+        pivot_mod == 0.0
+            || pivot_mod <= scale
+            || pivot_mod < REFACTOR_PIVOT_RELATIVE * exact_row_max()
     }
 }
 
@@ -459,7 +489,7 @@ impl<T: Scalar> LaneScan<T> {
 pub(super) fn refactor<T: Scalar>(
     p: &LuPattern,
     matrix: &CsrMatrix<T>,
-    scan: &mut LaneScan<T>,
+    scan: &mut ColumnScan<T>,
     vals: &mut Vec<T>,
 ) -> Result<RefactorScales, RefactorFailure> {
     let n = p.n;
@@ -518,9 +548,15 @@ pub(super) fn refactor<T: Scalar>(
                 u_max_arg = v;
             }
         }
-        if scan.pivot_degraded(i, row[0], row_max_sqr, row_squares_ok, || {
-            row.iter().map(|v| v.modulus()).fold(0.0f64, f64::max)
-        }) {
+        if pivot_degraded(
+            scan.sq[i],
+            scan.squares_ok,
+            || scan.col_max(i),
+            row[0],
+            row_max_sqr,
+            row_squares_ok,
+            || row.iter().map(|v| v.modulus()).fold(0.0f64, f64::max),
+        ) {
             return Err(RefactorFailure::Degraded);
         }
     }
@@ -538,128 +574,315 @@ pub(super) fn refactor<T: Scalar>(
     })
 }
 
-/// `(&vals[src..src + w], &mut vals[dst..dst + w])` for disjoint lane
-/// ranges of one buffer.
-fn lane_pair<T>(vals: &mut [T], src: usize, dst: usize, w: usize) -> (&[T], &mut [T]) {
-    if src < dst {
-        let (lo, hi) = vals.split_at_mut(dst);
-        (&lo[src..src + w], &mut hi[..w])
+/// The lane-major input scan of one batched refactorization: per lane the
+/// largest square of any entry and whether every square lies in the range
+/// where the squared pivot test is exact. Against that global scale a
+/// pivot is usually cleared at once; any other pivot takes the exact
+/// column scale of its own lane ([`column_scale`](LaneScans::column_scale))
+/// and the reference rule.
+#[derive(Debug, Clone)]
+pub(super) struct LaneScans {
+    /// The squares of every entry of each lane.
+    input: LaneSquares,
+    /// Per lane: the first non-finite entry `(row, col)` in row-major order.
+    non_finite: Vec<Option<(usize, usize)>>,
+    /// Per-lane scratch of the pivot checks: the squares of the pivot's `U`
+    /// row, and whether the global scale cleared the pivot.
+    row: LaneSquares,
+    cleared: Vec<bool>,
+    /// Per lane, the reference scales `(q, col_max)` of its `n` elimination
+    /// columns (lane `w` at `w·n..(w + 1)·n`), valid where `scaled[w]`.
+    col_sqr: Vec<f64>,
+    col_max: Vec<f64>,
+    scaled: Vec<bool>,
+}
+
+impl LaneScans {
+    /// Scans of `width` lanes of dimension `n`.
+    pub(super) fn new(n: usize, width: usize) -> Self {
+        Self {
+            input: LaneSquares::new(width),
+            non_finite: vec![None; width],
+            row: LaneSquares::new(width),
+            cleared: vec![false; width],
+            col_sqr: vec![0.0; n * width],
+            col_max: vec![0.0; n * width],
+            scaled: vec![false; width],
+        }
+    }
+
+    /// One pass over the stored entries of `structure`, whose entry `e` in
+    /// lane `w` is `values.get(e, w)`, that scans every lane of the width
+    /// `W` (see [`lane_count`](super::lane_count)) and copies the chunk of
+    /// entry `e` to factor slot `slot[e]`. Each of lanes `0..lanes` with a
+    /// non-finite square then takes one pass of its own for its first
+    /// non-finite entry.
+    fn scan<T: Scalar, const W: usize>(
+        &mut self,
+        structure: &CsrMatrix<T>,
+        values: &LanePlanes<T>,
+        lanes: usize,
+        slot: &[u32],
+        factors: &mut [f64],
+    ) {
+        let wdt = lane_count::<W>(values.width());
+        let stride = T::PLANES * wdt;
+        let (row_ptr, col_idx, _) = structure.parts();
+        self.input.reset(0..wdt);
+        self.non_finite[..lanes].fill(None);
+        self.scaled[..lanes].fill(false);
+        for (&s, chunk) in slot.iter().zip(values.vals.chunks_exact(stride)) {
+            let at = s as usize * stride;
+            factors[at..at + stride].copy_from_slice(chunk);
+            self.input.fold::<T>(chunk, 0..wdt);
+        }
+        for w in 0..lanes {
+            if self.input.finite(w) {
+                continue;
+            }
+            self.non_finite[w] = (0..structure.rows()).find_map(|r| {
+                (row_ptr[r]..row_ptr[r + 1])
+                    .find(|&e| !values.get(e, w).is_finite())
+                    .map(|e| (r, col_idx[e]))
+            });
+        }
+    }
+
+    /// The reference scale of elimination column `i` in lane `w`, as
+    /// [`ColumnScan`] records it: `(q, col_max)`, the largest square and the
+    /// exact modulus of its first argmax — or, when the lane's squares were
+    /// not all exact, the exact largest modulus. A lane's first call after a
+    /// scan fills all its columns in one pass over its entries, in storage
+    /// order.
+    fn column_scale<T: Scalar>(
+        &mut self,
+        w: usize,
+        i: usize,
+        col_idx: &[usize],
+        values: &LanePlanes<T>,
+        cpos: &[usize],
+    ) -> (f64, f64) {
+        let n = cpos.len();
+        let lane = w * n..(w + 1) * n;
+        if !self.scaled[w] {
+            self.scaled[w] = true;
+            let squares_ok = self.input.exact(w, f64::MIN_POSITIVE);
+            let q = &mut self.col_sqr[lane.clone()];
+            let max = &mut self.col_max[lane.clone()];
+            q.fill(0.0);
+            max.fill(0.0);
+            for (chunk, &c) in values.chunks().zip(col_idx) {
+                let v: T = loops::lane(chunk, w);
+                let cc = cpos[c];
+                let m2 = v.modulus_sqr();
+                if m2 > q[cc] {
+                    q[cc] = m2;
+                    if squares_ok {
+                        max[cc] = v.modulus();
+                    }
+                }
+                if !squares_ok {
+                    let m = v.modulus();
+                    if m > max[cc] {
+                        max[cc] = m;
+                    }
+                }
+            }
+        }
+        (self.col_sqr[lane.start + i], self.col_max[lane.start + i])
+    }
+}
+
+/// Disjoint chunks `(t, s, d)` of one lane store with chunk length
+/// `stride`: the multiplier slot `t`, the update source `s` and the
+/// destination `d` of an elimination update (`t < d`, `s ≠ d`).
+fn update_chunks(
+    vals: &mut [f64],
+    stride: usize,
+    t: usize,
+    s: usize,
+    d: usize,
+) -> (&[f64], &[f64], &mut [f64]) {
+    let (lo, hi) = vals.split_at_mut(d * stride);
+    let m = &lo[t * stride..(t + 1) * stride];
+    if s < d {
+        (m, &lo[s * stride..(s + 1) * stride], &mut hi[..stride])
     } else {
-        let (lo, hi) = vals.split_at_mut(src);
-        (&hi[..w], &mut lo[dst..dst + w])
+        let (dst, rest) = hi.split_at_mut(stride);
+        let at = (s - d - 1) * stride;
+        (m, &rest[at..at + stride], dst)
     }
 }
 
 impl<T: Scalar> BatchedLu<T> {
+    /// Marks lane `w` failed for good.
+    fn fail(&mut self, w: usize, status: BatchLaneStatus) {
+        self.statuses[w] = status;
+        self.live[w] = false;
+    }
+
     /// The batched compiled refactorization behind
-    /// [`BatchedLu::refactor`]: per-lane scans and scatters, one pass of the
-    /// elimination ops over every lane, then the per-row, per-lane pivot
-    /// checks in row order.
-    pub(super) fn refactor_compiled(&mut self, matrices: &[CsrMatrix<T>]) {
+    /// [`BatchedLu::refactor_lanes`]: one structure match, one pass over the
+    /// entries that scans every lane and scatters whole slot chunks, one
+    /// pass of the elimination ops over every lane, then the pivot checks
+    /// of every live lane row by row.
+    pub(super) fn refactor_shared<const W: usize>(
+        &mut self,
+        structure: &CsrMatrix<T>,
+        values: &LanePlanes<T>,
+        lanes: usize,
+    ) {
         let p = std::sync::Arc::clone(&self.pattern);
-        let prog = p.program();
-        let n = p.n;
-        let wdt = self.width;
         self.statuses.clear();
-        self.statuses
-            .resize(matrices.len(), BatchLaneStatus::Factored);
-        for (w, lane_live) in self.live.iter_mut().enumerate() {
-            *lane_live = w < matrices.len();
+        self.statuses.resize(lanes, BatchLaneStatus::Factored);
+        for (w, live) in self.live.iter_mut().enumerate() {
+            *live = w < lanes;
         }
-        // The hard checks: a bad lane is dead from the start.
-        for (w, matrix) in matrices.iter().enumerate() {
-            let checked = if matrix.rows() != n || matrix.cols() != n {
-                Err(SolveError::NotSquare {
-                    rows: matrix.rows(),
-                    cols: matrix.cols(),
-                })
-            } else {
-                self.scans[w].scan(matrix, &p.cpos)
+        if structure.rows() != p.n || structure.cols() != p.n {
+            let e = SolveError::NotSquare {
+                rows: structure.rows(),
+                cols: structure.cols(),
             };
-            if let Err(e) = checked {
-                self.statuses[w] = BatchLaneStatus::Failed(e);
-                self.live[w] = false;
+            for w in 0..lanes {
+                self.fail(w, BatchLaneStatus::Failed(e));
+            }
+            return;
+        }
+        let map = p.scatter_for(structure);
+        self.vals.vals.fill(0.0);
+        self.scan
+            .scan::<T, W>(structure, values, lanes, &map.slot, &mut self.vals.vals);
+        for w in 0..lanes {
+            if let Some((row, col)) = self.scan.non_finite[w] {
+                self.fail(
+                    w,
+                    BatchLaneStatus::Failed(SolveError::NonFinite { row, col }),
+                );
             }
         }
-        self.vals.fill(T::ZERO);
-        for (w, matrix) in matrices.iter().enumerate() {
-            self.mismatch[w] = None;
-            if !self.live[w] {
-                continue;
-            }
-            let map = p.scatter_for(matrix);
-            for (&s, &v) in map.slot.iter().zip(matrix.parts().2) {
-                self.vals[s as usize * wdt + w] = v;
-            }
-            self.mismatch[w] = map.mismatch;
-        }
-
-        // Every op over every lane. A multiplier that is exactly zero in
-        // some lane takes the per-lane loop, which preserves the scalar
-        // path's `is_zero` skip bit for bit (subtracting an exact-zero
-        // product can still flip a signed zero, and 0·∞ would make NaN).
-        let mut next_dst = 0usize;
-        for (t, op) in prog.ops.iter().enumerate() {
-            let (t, pivot) = (t * wdt, op.pivot as usize);
-            let dst = &prog.dst[next_dst..next_dst + op.count as usize];
-            next_dst += dst.len();
-            {
-                let (lo, hi) = self.vals.split_at_mut(pivot * wdt);
-                loops::lane_div(&hi[..wdt], &mut lo[t..t + wdt]);
-                self.mult.copy_from_slice(&lo[t..t + wdt]);
-            }
-            let all_nonzero = self.mult.iter().all(|m| !m.is_zero());
-            for (&d, s) in dst.iter().zip(pivot + 1..) {
-                let (src, d) = (s * wdt, d as usize * wdt);
-                if all_nonzero {
-                    let (u, out) = lane_pair(&mut self.vals, src, d, wdt);
-                    loops::lane_mul_sub(&self.mult, u, out);
-                } else {
-                    for (w, &m) in self.mult.iter().enumerate() {
-                        if !m.is_zero() {
-                            let u = self.vals[src + w];
-                            self.vals[d + w] -= m * u;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Per-row checks in row order: each lane keeps its first failure.
-        let nl = p.l_cols.len();
-        for i in 0..n {
-            let row = &self.vals[(nl + p.u_ptr[i]) * wdt..(nl + p.u_ptr[i + 1]) * wdt];
-            for w in 0..wdt {
-                if !self.live[w] {
-                    continue;
-                }
-                if self.mismatch[w] == Some(i) {
-                    self.statuses[w] = BatchLaneStatus::PatternMismatch;
-                    self.live[w] = false;
-                    continue;
-                }
-                let lane = || row.iter().skip(w).step_by(wdt);
-                let mut row_max_sqr = 0.0f64;
-                let mut row_squares_ok = true;
-                for &v in lane() {
-                    let m2 = v.modulus_sqr();
-                    if !(m2.is_normal() || v.is_zero()) {
-                        row_squares_ok = false;
-                    }
-                    if m2 > row_max_sqr {
-                        row_max_sqr = m2;
-                    }
-                }
-                if self.scans[w].pivot_degraded(i, row[w], row_max_sqr, row_squares_ok, || {
-                    lane().map(|v| v.modulus()).fold(0.0f64, f64::max)
-                }) {
-                    self.statuses[w] = BatchLaneStatus::Degraded;
-                    self.live[w] = false;
-                }
-            }
-        }
+        self.eliminate::<W>(&p);
+        self.check_pivots::<W>(&p, map.mismatch, structure.parts().1, values);
         if self.statuses.iter().any(|s| s.is_factored()) {
             self.factored = true;
+        }
+    }
+
+    /// One pass of the elimination ops over every lane.
+    fn eliminate<const W: usize>(&mut self, p: &LuPattern) {
+        let prog = p.program();
+        let stride = T::PLANES * lane_count::<W>(self.width);
+        let vals = &mut self.vals.vals;
+        // A multiplier that is exactly zero in some lane takes the per-lane
+        // loop, which preserves the scalar path's `is_zero` skip bit for
+        // bit.
+        let mut next_dst = 0usize;
+        for (t, op) in prog.ops.iter().enumerate() {
+            let pivot = op.pivot as usize;
+            let dst = &prog.dst[next_dst..next_dst + op.count as usize];
+            next_dst += dst.len();
+            let all_nonzero = {
+                let (lo, hi) = vals.split_at_mut(pivot * stride);
+                let mult = &mut lo[t * stride..(t + 1) * stride];
+                loops::lane_div::<T>(&hi[..stride], mult);
+                loops::lanes_nonzero::<T>(mult)
+            };
+            for (&d, s) in dst.iter().zip(pivot + 1..) {
+                let (m, u, out) = update_chunks(vals, stride, t, s, d as usize);
+                if all_nonzero {
+                    loops::lane_mul_sub::<T>(m, u, out);
+                } else {
+                    loops::lane_mul_sub_nonzero::<T>(m, u, out);
+                }
+            }
+        }
+    }
+
+    /// The pivot checks of every live lane in row order, so each lane keeps
+    /// its first failure; on the structure's first off-pattern row every
+    /// lane still live fails with a pattern mismatch. A pivot whose square
+    /// clears `1e-14` times the lane's largest entry clears its own column
+    /// scale too (monotone rounding); every other pivot is decided by the
+    /// reference rule on its lane's column scale.
+    fn check_pivots<const W: usize>(
+        &mut self,
+        p: &LuPattern,
+        mismatch: Option<usize>,
+        col_idx: &[usize],
+        values: &LanePlanes<T>,
+    ) {
+        let wdt = lane_count::<W>(self.width);
+        let stride = T::PLANES * wdt;
+        let vals = &self.vals.vals;
+        let nl = p.l_cols.len();
+        let mut alive = self.live.iter().filter(|&&l| l).count();
+        let scan = &mut self.scan;
+        for i in 0..p.n {
+            if alive == 0 {
+                break;
+            }
+            if mismatch == Some(i) {
+                for (status, live) in self.statuses.iter_mut().zip(&mut self.live) {
+                    if *live {
+                        *status = BatchLaneStatus::PatternMismatch;
+                        *live = false;
+                    }
+                }
+                break;
+            }
+            let slots = nl + p.u_ptr[i]..nl + p.u_ptr[i + 1];
+            // The squares of the pivot's U row, every lane in one pass; the
+            // pivot is the row's first chunk.
+            let row = &vals[slots.start * stride..slots.end * stride];
+            let (pivots, rest) = row.split_at(stride);
+            scan.row.start::<T>(pivots, 0..wdt);
+            for chunk in rest.chunks_exact(stride) {
+                scan.row.fold::<T>(chunk, 0..wdt);
+            }
+            let (pr, pi) = loops::lane_parts::<T>(pivots, 0..wdt);
+            let mut all_cleared = true;
+            for w in 0..wdt {
+                // Every square exact and at least `LAZY_MIN_SQR`: the global
+                // scale and every column scale take the squared path.
+                let cleared = scan.input.exact(w, LAZY_MIN_SQR)
+                    & pivot_clears(
+                        scan.input.max(w),
+                        T::from_parts(pr[w], pi[w]).modulus_sqr(),
+                        scan.row.max(w),
+                        scan.row.exact(w, f64::MIN_POSITIVE),
+                    );
+                scan.cleared[w] = cleared;
+                all_cleared &= cleared | !self.live[w];
+            }
+            if all_cleared {
+                continue;
+            }
+            for w in 0..wdt {
+                if !self.live[w] || scan.cleared[w] {
+                    continue;
+                }
+                let squares_ok = scan.input.exact(w, f64::MIN_POSITIVE);
+                let (q, col_max) = scan.column_scale(w, i, col_idx, values, &p.cpos);
+                let lane = |s: usize| loops::lane::<T>(slot_chunk(vals, s, stride), w);
+                let degraded = pivot_degraded(
+                    q,
+                    squares_ok,
+                    || col_max,
+                    lane(slots.start),
+                    scan.row.max(w),
+                    scan.row.exact(w, f64::MIN_POSITIVE),
+                    || {
+                        slots
+                            .clone()
+                            .map(|s| lane(s).modulus())
+                            .fold(0.0f64, f64::max)
+                    },
+                );
+                if degraded {
+                    self.statuses[w] = BatchLaneStatus::Degraded;
+                    self.live[w] = false;
+                    alive -= 1;
+                }
+            }
         }
     }
 }

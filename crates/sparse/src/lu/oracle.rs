@@ -7,14 +7,32 @@
 //! pivot thresholds, off-pattern input and wrong dimensions.
 
 use super::{
-    column_max_moduli_into, compiled, exact_max_modulus, loops, norm_inf, BatchLaneStatus,
-    BatchedLu, LuPattern, LuWorkspace, RefactorFailure, RefactorScales, SolveError, SparseLu,
+    column_max_moduli_into, compiled, exact_max_modulus, norm_inf, BatchLaneStatus, BatchedLu,
+    LanePlanes, LuPattern, LuWorkspace, RefactorFailure, RefactorScales, SolveError, SparseLu,
     REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
 };
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
 use crate::triplet::TripletMatrix;
 use loopscope_math::Complex64;
+
+/// The lane-interleaved update of the batched oracle, `dst[w] -= a[w] *
+/// b[w]` over the common length: a private copy of the arithmetic the
+/// batched refactorization used before its planes, so the oracle does not
+/// run the code under test.
+fn lane_mul_sub<T: Scalar>(a: &[T], b: &[T], dst: &mut [T]) {
+    for ((d, x), y) in dst.iter_mut().zip(a).zip(b) {
+        *d -= *x * *y;
+    }
+}
+
+/// The lane-interleaved divide of the batched oracle, `dst[w] = dst[w] /
+/// den[w]` (private copy, as [`lane_mul_sub`]).
+fn lane_div<T: Scalar>(den: &[T], dst: &mut [T]) {
+    for (d, e) in dst.iter_mut().zip(den) {
+        *d = *d / *e;
+    }
+}
 
 /// The scalar scatter/gather refactorization: a dense work row per
 /// elimination step, marked with the row's pattern, the input row scattered
@@ -216,12 +234,12 @@ fn refactor_batched<T: Scalar>(
             let u_diag = p.u_ptr[k] * wdt;
             let lane = t * wdt;
             l_vals[lane..lane + wdt].copy_from_slice(&work[k * wdt..(k + 1) * wdt]);
-            loops::lane_div(&u_vals[u_diag..u_diag + wdt], &mut l_vals[lane..lane + wdt]);
+            lane_div(&u_vals[u_diag..u_diag + wdt], &mut l_vals[lane..lane + wdt]);
             let all_nonzero = l_vals[lane..lane + wdt].iter().all(|m| !m.is_zero());
             for s in (p.u_ptr[k] + 1)..p.u_ptr[k + 1] {
                 let c = p.u_cols[s] * wdt;
                 if all_nonzero {
-                    loops::lane_mul_sub(
+                    lane_mul_sub(
                         &l_vals[lane..lane + wdt],
                         &u_vals[s * wdt..(s + 1) * wdt],
                         &mut work[c..c + wdt],
@@ -513,7 +531,9 @@ fn scale_bits(s: &RefactorScales) -> [u64; 3] {
 /// The compiled scalar and batched refactorizations against the oracle on
 /// one random case: a base factorization, then `variants` perturbed
 /// matrices through the scalar path one by one and through the batched
-/// path in groups at every width up to 4.
+/// path in groups at every width up to 8 (5 and 7 are no multiple of any
+/// vector width), each group split into runs of consecutive variants that
+/// share one structure.
 fn check_case<T: Sample>(seed: u64) -> Result<(), String> {
     let mut rng = Rng(seed);
     let case = Case::new(&mut rng);
@@ -544,24 +564,38 @@ fn check_case<T: Sample>(seed: u64) -> Result<(), String> {
         }
     }
 
-    for width in 1..=4 {
+    let same_structure = |a: &CsrMatrix<T>, b: &CsrMatrix<T>| {
+        a.rows() == b.rows()
+            && a.cols() == b.cols()
+            && a.parts().0 == b.parts().0
+            && a.parts().1 == b.parts().1
+    };
+    for width in 1..=8 {
         let mut batched = BatchedLu::new(&symbolic, width);
         for group in variants.chunks(width) {
-            let (want_status, want_vals) = refactor_batched(p, width, group);
-            let got_status = batched.refactor(group).to_vec();
-            if want_status != got_status {
-                return Err(format!(
-                    "width {width}: statuses {want_status:?} vs {got_status:?}"
-                ));
-            }
-            for (w, status) in got_status.iter().enumerate() {
-                if !status.is_factored() {
-                    continue;
+            for run in group.chunk_by(|a, b| same_structure(a, b)) {
+                let (want_status, want_vals) = refactor_batched(p, width, run);
+                let mut values = LanePlanes::new(run[0].nnz(), width);
+                for (w, m) in run.iter().enumerate() {
+                    values.load_lane(w, m.values());
                 }
-                let lane =
-                    |v: &[T]| bits(&v.iter().skip(w).step_by(width).copied().collect::<Vec<_>>());
-                if lane(&want_vals) != lane(&batched.vals) {
-                    return Err(format!("width {width} lane {w}: factors differ"));
+                let got_status = batched.refactor_lanes(&run[0], &values, run.len()).to_vec();
+                if want_status != got_status {
+                    return Err(format!(
+                        "width {width}: statuses {want_status:?} vs {got_status:?}"
+                    ));
+                }
+                for (w, status) in got_status.iter().enumerate() {
+                    if !status.is_factored() {
+                        continue;
+                    }
+                    let want: Vec<T> = want_vals.iter().skip(w).step_by(width).copied().collect();
+                    let got: Vec<T> = (0..p.factor_len())
+                        .map(|s| batched.factor_value(s, w))
+                        .collect();
+                    if bits(&want) != bits(&got) {
+                        return Err(format!("width {width} lane {w}: factors differ"));
+                    }
                 }
             }
         }
@@ -588,11 +622,11 @@ mod properties {
     }
 }
 
-/// A lane degraded at an early step reports `Degraded` even though a later
-/// row leaves the pattern, and a lane leaving the pattern at an early step
-/// reports `PatternMismatch` even though a later pivot degrades; on one
-/// step the mismatch wins. Each lane keeps its first failure in row order,
-/// as the oracle does, and the scalar path stops at the same failure.
+/// Over a structure that leaves the pattern at one step, a lane degraded at
+/// an earlier step reports `Degraded`, while a lane degrading at that step
+/// or later reports `PatternMismatch`: on one step the mismatch wins. Each
+/// lane keeps its first failure in row order, as the oracle does, and the
+/// scalar path stops at the same failure.
 #[test]
 fn each_lane_keeps_its_first_failure_in_row_order() {
     // A 4-chain: elimination in any chain order keeps every step row at
@@ -609,36 +643,36 @@ fn each_lane_keeps_its_first_failure_in_row_order() {
     let base = t.to_csr();
     let symbolic = SparseLu::factor(&base).unwrap().extract_symbolic();
     let p = &*symbolic.pattern;
-    // Original coordinates of a stored-nowhere entry in step `i`'s row.
-    let off = |i: usize| {
-        let j = (0..n).find(|&j| p.slot_of(i, j).is_none()).unwrap();
-        (p.perm[i], p.cperm[j])
+    // Original coordinates of a stored-nowhere entry in step 2's row.
+    let extra = {
+        let j = (0..n).find(|&j| p.slot_of(2, j).is_none()).unwrap();
+        (p.perm[2], p.cperm[j])
     };
-    // Base values, with step `zeroed`'s input row all zero (a zero pivot
-    // there: its multipliers vanish too) and an extra entry at `extra`.
-    let lane = |zeroed: usize, extra: (usize, usize)| {
+    // Base values plus the extra entry, with step `zeroed`'s input row all
+    // zero (a zero pivot there: its multipliers vanish too).
+    let lane = |zeroed: Option<usize>| {
         let mut t = TripletMatrix::new(n, n);
+        let zero_row = zeroed.map(|z| p.perm[z]);
         for (r, c, v) in base.iter() {
-            t.push(r, c, if r == p.perm[zeroed] { 0.0 } else { v });
+            t.push(r, c, if Some(r) == zero_row { 0.0 } else { v });
         }
         t.push(extra.0, extra.1, 0.5);
         t.to_csr()
     };
-    let lanes = [
-        lane(1, off(3)),
-        lane(2, off(0)),
-        lane(2, off(2)),
-        base.clone(),
-    ];
+    let lanes = [lane(Some(1)), lane(Some(2)), lane(Some(3)), lane(None)];
+    let mut values = LanePlanes::new(lanes[0].nnz(), 4);
+    for (w, m) in lanes.iter().enumerate() {
+        values.load_lane(w, m.values());
+    }
     let mut batched = BatchedLu::new(&symbolic, 4);
-    let got = batched.refactor(&lanes).to_vec();
+    let got = batched.refactor_lanes(&lanes[0], &values, 4).to_vec();
     assert_eq!(
         got,
         [
             BatchLaneStatus::Degraded,
             BatchLaneStatus::PatternMismatch,
             BatchLaneStatus::PatternMismatch,
-            BatchLaneStatus::Factored
+            BatchLaneStatus::PatternMismatch
         ]
     );
     assert_eq!(got, refactor_batched(p, 4, &lanes).0);

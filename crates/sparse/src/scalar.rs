@@ -58,6 +58,19 @@ pub trait Scalar:
     /// Embeds a real number into the scalar field.
     fn from_f64(x: f64) -> Self;
 
+    /// Number of `f64` planes a lane-major store splits the value into: one
+    /// for `f64`, two (real, then imaginary) for [`Complex64`].
+    const PLANES: usize;
+
+    /// The real part (the value itself for `f64`).
+    fn re(self) -> f64;
+
+    /// The imaginary part (`0` for `f64`).
+    fn im(self) -> f64;
+
+    /// The value with parts `re` and `im` (`im` is ignored for `f64`).
+    fn from_parts(re: f64, im: f64) -> Self;
+
     /// Returns `true` when the value is exactly zero.
     fn is_zero(self) -> bool {
         self == Self::ZERO
@@ -97,6 +110,23 @@ impl Scalar for f64 {
     fn from_f64(x: f64) -> Self {
         x
     }
+
+    const PLANES: usize = 1;
+
+    #[inline]
+    fn re(self) -> f64 {
+        self
+    }
+
+    #[inline]
+    fn im(self) -> f64 {
+        0.0
+    }
+
+    #[inline]
+    fn from_parts(re: f64, _im: f64) -> Self {
+        re
+    }
 }
 
 impl Scalar for Complex64 {
@@ -132,6 +162,23 @@ impl Scalar for Complex64 {
     fn from_f64(x: f64) -> Self {
         Complex64::from_real(x)
     }
+
+    const PLANES: usize = 2;
+
+    #[inline]
+    fn re(self) -> f64 {
+        self.re
+    }
+
+    #[inline]
+    fn im(self) -> f64 {
+        self.im
+    }
+
+    #[inline]
+    fn from_parts(re: f64, im: f64) -> Self {
+        Complex64::new(re, im)
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +196,9 @@ mod tests {
         assert_eq!((-3.0f64).modulus_sqr(), 9.0);
         assert_eq!(Scalar::conj(-3.0f64), -3.0);
         assert_eq!((-3.0f64).modulus_l1(), 3.0);
+        assert_eq!(f64::PLANES, 1);
+        assert_eq!(<f64 as Scalar>::from_parts(2.5, 7.0), 2.5);
+        assert_eq!((2.5f64.re(), 2.5f64.im()), (2.5, 0.0));
         assert!(Scalar::is_finite(1.0f64));
         assert!(!Scalar::is_finite(f64::NAN));
         assert!(!Scalar::is_finite(f64::INFINITY));
@@ -169,6 +219,9 @@ mod tests {
             Scalar::conj(Complex64::new(3.0, 4.0)),
             Complex64::new(3.0, -4.0)
         );
+        assert_eq!(Complex64::PLANES, 2);
+        let z = <Complex64 as Scalar>::from_parts(1.5, -2.0);
+        assert_eq!((Scalar::re(z), Scalar::im(z)), (1.5, -2.0));
         assert!(Scalar::is_finite(Complex64::new(1.0, 2.0)));
         assert!(!Scalar::is_finite(Complex64::new(1.0, f64::NAN)));
         assert!(!Scalar::is_finite(Complex64::new(f64::INFINITY, 0.0)));

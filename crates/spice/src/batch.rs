@@ -10,13 +10,17 @@
 //!
 //! This module batches that per-variant work across **variant lanes**:
 //!
-//! * Variant matrices are cloned from the plan's shared zero pattern and
-//!   loaded per frequency from each lane's compiled admittance image
-//!   ([`AffineImage`], one per lane per variant group, self-checked like the
-//!   serial analysis's own); their factor values live lane-interleaved in a
-//!   structure-of-arrays store (`vals[slot·W + lane]`) inside
-//!   [`loopscope_sparse::BatchedLu`], so one traversal of the
-//!   shared index structure drives `W` lanes of `Complex64` arithmetic.
+//! * Every lane's values live lane-major over the plan's shared zero
+//!   pattern, in a [`loopscope_sparse::LanePlanes`] store: per stored
+//!   entry the real parts of every lane, then their imaginary parts. Each
+//!   frequency point loads lane `k`'s system from its compiled admittance
+//!   image ([`AffineImage`], one image per lane per variant group,
+//!   self-checked like the serial analysis's own) — or, without an image,
+//!   stamps it — into a scratch CSR, and copies it into the lane's column. [`loopscope_sparse::BatchedLu`] then matches the shared
+//!   structure once per point, scans and scatters every lane in one pass,
+//!   and keeps its factors in the same split `re`/`im` planes, so one
+//!   traversal of the shared index structure drives `W` lanes of
+//!   `Complex64` arithmetic.
 //! * Per lane, every operation runs in exactly the order of the scalar
 //!   refactor/solve — no FMA, no reassociation, no cross-lane math — so a
 //!   healthy lane's solution is **bitwise identical** to the serial
@@ -28,7 +32,8 @@
 //!   Accepted fast-path solutions satisfy the exact residual rule of the
 //!   verified serial path ([`loopscope_sparse::normwise_backward_error`] ≤
 //!   [`loopscope_sparse::REFINE_BACKWARD_TOLERANCE`], with `‖A‖∞` read
-//!   from the lane's refactorization, [`BatchedLu::lane_backward_error`]);
+//!   from the lane's refactorization), computed for every lane in one
+//!   lane-major residual pass ([`BatchedLu::backward_errors`]);
 //!   anything else escalates to a scalar [`SolveContext`] running the
 //!   verified retry ladder — the one solve path of every serial sweep — so
 //!   escalated values are bitwise identical to the serial sweep.
@@ -50,7 +55,9 @@ use crate::mna::Stamper;
 use crate::par;
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, Element, NodeId};
-use loopscope_sparse::{BatchLaneStatus, BatchedLu, CsrMatrix, REFINE_BACKWARD_TOLERANCE};
+use loopscope_sparse::{
+    BatchLaneStatus, BatchedLu, CsrMatrix, LanePlanes, REFINE_BACKWARD_TOLERANCE,
+};
 
 /// Environment knob selecting the variant-lane width of batched sweeps.
 ///
@@ -60,8 +67,9 @@ use loopscope_sparse::{BatchLaneStatus, BatchedLu, CsrMatrix, REFINE_BACKWARD_TO
 pub const BATCH_ENV: &str = "LOOPSCOPE_BATCH";
 
 /// Default variant-lane width when [`BATCH_ENV`] is unset: wide enough to
-/// amortize the shared index traversal, narrow enough that the lane values
-/// of a factor slot stay within one cache line pair.
+/// amortize the shared index traversal and the per-point bookkeeping over
+/// the lanes, narrow enough that one factor slot's lane planes (`re` and
+/// `im`, 32 bytes each) stay within one cache line.
 pub const DEFAULT_BATCH_WIDTH: usize = 4;
 
 /// Parses a batch-width override; `None`/garbage/`0` fall back to the
@@ -76,6 +84,14 @@ fn parse_batch_width(raw: Option<&str>) -> usize {
 /// positive integer, [`DEFAULT_BATCH_WIDTH`] otherwise.
 pub fn configured_batch_width() -> usize {
     parse_batch_width(std::env::var(BATCH_ENV).ok().as_deref())
+}
+
+/// The lane width a batch of `jobs` variants runs at: the configured width,
+/// but never more lanes than variants (and at least one). Results do not
+/// depend on the width, so the clamp only spares the lane buffers a group
+/// could never fill.
+fn effective_width(configured: usize, jobs: usize) -> usize {
+    configured.min(jobs).max(1)
 }
 
 // ---------------------------------------------------------------------------
@@ -486,29 +502,33 @@ struct Lane<'a, 'c> {
     overrides: &'a [(usize, Element)],
 }
 
-/// Mutable per-worker state of the batched frequency sweep: the lane value
-/// matrices, the batched factorization, the SoA right-hand sides, the
-/// scalar escalation context and the result rows of the points it solved.
-/// Runners are allocated at the full configured lane width, pooled per
-/// outer worker and reused across variant groups — a ragged group simply
-/// drives fewer lanes (`m ≤ width`), so the per-point loop is
-/// allocation-free and the factorization buffers are minted once per
-/// worker rather than once per group.
+/// Mutable per-worker state of the batched frequency sweep: the lane-major
+/// values of every lane's system, the batched factorization, the lane
+/// right-hand sides and solutions, the scalar escalation context and the
+/// result rows of the points it solved. Runners are allocated at the
+/// group's lane width, pooled per outer worker and reused across variant
+/// groups — a ragged group simply drives fewer lanes (`m ≤ width`), so the
+/// per-point loop is allocation-free and the factorization buffers are
+/// minted once per worker rather than once per group.
 struct GroupRunner<'p> {
     width: usize,
-    dim: usize,
     /// The injection unknown — constant for the whole batch.
     var: usize,
-    /// One value CSR per lane, cloned from the plan's shared zero pattern.
-    lanes: Vec<CsrMatrix<Complex64>>,
+    /// The plan's shared structure, over which every lane's values live.
+    pattern: &'p CsrMatrix<Complex64>,
+    /// Every lane's system values over [`pattern`](GroupRunner::pattern),
+    /// lane-major.
+    values: LanePlanes<Complex64>,
+    /// Value CSR a lane's system is loaded (from its image) or stamped
+    /// into before its values are copied into the lane's column.
+    lane_csr: CsrMatrix<Complex64>,
     batched: BatchedLu<Complex64>,
-    /// Lane-interleaved unit-injection RHS / solution (`dim · width`).
-    soa_rhs: Vec<Complex64>,
-    soa_work: Vec<Complex64>,
-    /// Scalar scratch for the per-lane residual acceptance test.
-    lane_x: Vec<Complex64>,
-    lane_b: Vec<Complex64>,
-    lane_r: Vec<Complex64>,
+    /// The unit injection at [`var`](GroupRunner::var) in every lane.
+    injection: LanePlanes<Complex64>,
+    /// Every lane's solution.
+    solution: LanePlanes<Complex64>,
+    /// Every lane's backward error of the current point.
+    errors: Vec<f64>,
     /// Scratch RHS recycled through the stampers.
     rhs_scratch: Vec<Complex64>,
     /// Slot tape of the lanes that stamp (every lane shares the pattern).
@@ -530,19 +550,21 @@ struct GroupRunner<'p> {
 impl<'p> GroupRunner<'p> {
     fn new(plan: &'p SweepPlan<Complex64>, width: usize, var: usize, points: usize) -> Self {
         let n = plan.dim();
-        let mut lane_b = vec![Complex64::ZERO; n];
-        lane_b[var] = Complex64::ONE;
+        let pattern = plan.pattern();
+        let mut injection = LanePlanes::new(n, width);
+        for w in 0..width {
+            injection.set(var, w, Complex64::ONE);
+        }
         Self {
             width,
-            dim: n,
             var,
-            lanes: vec![plan.pattern().clone(); width],
+            pattern,
+            values: LanePlanes::new(pattern.nnz(), width),
+            lane_csr: pattern.clone(),
             batched: BatchedLu::new(plan.symbolic(), width),
-            soa_rhs: vec![Complex64::ZERO; n * width],
-            soa_work: vec![Complex64::ZERO; n * width],
-            lane_x: vec![Complex64::ZERO; n],
-            lane_b,
-            lane_r: vec![Complex64::ZERO; n],
+            injection,
+            solution: LanePlanes::new(n, width),
+            errors: vec![0.0; width],
             rhs_scratch: Vec::with_capacity(n),
             tape: StampTape::new(),
             statuses: Vec::with_capacity(width),
@@ -567,21 +589,20 @@ impl<'p> GroupRunner<'p> {
         images: &[Option<AffineImage>],
         freq_hz: f64,
     ) {
-        let w = self.width;
         let m = group.len();
-        debug_assert!(m <= w);
+        debug_assert!(m <= self.width);
         // Reload (or, without an image, restamp) every live lane's values
-        // over the shared pattern.
+        // over the shared pattern, then copy them into the lane's column.
         for (k, lane) in group.iter().enumerate() {
             self.missed[k] = match &images[k] {
                 Some(image) => {
-                    image.load_into(freq_hz, self.lanes[k].values_mut());
+                    image.load_into(freq_hz, self.lane_csr.values_mut());
                     false
                 }
                 None => {
-                    self.lanes[k].zero_values();
+                    self.lane_csr.zero_values();
                     let rhs = std::mem::take(&mut self.rhs_scratch);
-                    let sink = SlotSink::new(&mut self.lanes[k], &mut self.tape);
+                    let sink = SlotSink::new(&mut self.lane_csr, &mut self.tape);
                     let mut st = Stamper::with_sink_reusing(self.ctx.layout(), sink, rhs);
                     lane.analysis
                         .stamp_system_overridden(&mut st, freq_hz, false, lane.overrides);
@@ -594,56 +615,44 @@ impl<'p> GroupRunner<'p> {
                     missed
                 }
             };
+            self.values.load_lane(k, self.lane_csr.values());
             self.stats.cached_assemblies += 1;
         }
         // One batched numeric refactorization over the live lanes.
         {
-            let statuses = self.batched.refactor(&self.lanes[..m]);
+            let statuses = self.batched.refactor_lanes(self.pattern, &self.values, m);
             self.statuses.clear();
             self.statuses.extend_from_slice(statuses);
         }
-        let any_factored = self.statuses.iter().any(|s| s.is_factored());
-        self.stats.numeric_refactor += self.statuses.iter().filter(|s| s.is_factored()).count();
-        // One batched solve over lane-interleaved unit injections.
-        if any_factored {
-            self.soa_rhs.fill(Complex64::ZERO);
-            for k in 0..m {
-                self.soa_rhs[self.var * w + k] = Complex64::ONE;
-            }
+        let factored = self.statuses.iter().filter(|s| s.is_factored()).count();
+        self.stats.numeric_refactor += factored;
+        // One batched solve of the unit injections and one lane-major
+        // residual pass: the exact residual rule of the serial verified
+        // solve, lane by lane.
+        if factored > 0 {
             self.batched
-                .solve_into(&mut self.soa_rhs, &mut self.soa_work)
-                .expect("SoA buffers are sized dim * width");
+                .solve_lanes(&self.injection, &mut self.solution)
+                .expect("lane vectors are sized dim x width");
+            self.batched.backward_errors(
+                self.pattern,
+                &self.values,
+                &self.solution,
+                &self.injection,
+                &mut self.errors[..m],
+            );
         }
-        // Per lane: accept under the exact serial residual rule, or escalate
-        // through the scalar verified ladder.
+        // Per lane: accept, or escalate through the scalar verified ladder.
         for (k, &lane) in group.iter().enumerate() {
-            let point = match self.accepted(k) {
-                Some(z) => Ok(z),
-                None => self.escalate(lane, images[k].as_ref(), freq_hz),
+            let accepted = !self.missed[k]
+                && self.statuses[k].is_factored()
+                && self.errors[k] <= REFINE_BACKWARD_TOLERANCE;
+            let point = if accepted {
+                Ok(self.solution.get(self.var, k))
+            } else {
+                self.escalate(lane, images[k].as_ref(), freq_hz)
             };
             self.rows.push(point);
         }
-    }
-
-    /// Lane `k`'s batched driving-point value, when the lane stamped on the
-    /// pattern, factored, and its solution passes the residual rule of the
-    /// serial verified solve (`‖A‖∞` from the lane's refactorization).
-    fn accepted(&mut self, k: usize) -> Option<Complex64> {
-        if self.missed[k] || !self.statuses[k].is_factored() {
-            return None;
-        }
-        let w = self.width;
-        for i in 0..self.dim {
-            self.lane_x[i] = self.soa_rhs[i * w + k];
-        }
-        let err = self.batched.lane_backward_error(
-            k,
-            &self.lanes[k],
-            &self.lane_x,
-            &self.lane_b,
-            &mut self.lane_r,
-        );
-        (err <= REFINE_BACKWARD_TOLERANCE).then_some(self.lane_x[self.var])
     }
 
     /// Reruns one lane's point through the scalar context — assemble (a
@@ -839,7 +848,8 @@ pub fn driving_point_batch(
 type VariantResult = (usize, Result<Vec<Complex64>, SpiceError>);
 
 /// The shared two-axis drive of both batch entry points: chunks `jobs`
-/// (variant index + lane) into groups of [`configured_batch_width`], sweeps
+/// (variant index + lane) into groups of [`configured_batch_width`] lanes
+/// (at most `jobs.len()`, see [`effective_width`]), sweeps
 /// every group over `freqs` — variant groups outside, frequency points
 /// inside, so both a many-group and a single-group batch saturate the
 /// machine — and transposes the per-point lane rows into per-variant sweeps
@@ -859,7 +869,7 @@ fn drive_lanes(
     freqs: &[f64],
     var: usize,
 ) -> (Vec<VariantResult>, SolveStats) {
-    let width = configured_batch_width();
+    let width = effective_width(configured_batch_width(), jobs.len());
     let groups: Vec<Vec<(usize, Lane<'_, '_>)>> = jobs
         .chunks(width)
         .map(<[(usize, Lane<'_, '_>)]>::to_vec)
@@ -881,7 +891,7 @@ fn drive_lanes(
                 .collect();
             // Runners (factor buffers, escalation context) are pooled across
             // groups: each inner worker takes one from the pool — or mints
-            // one at the full configured width on first use — and returns it
+            // one at the batch's lane width on first use — and returns it
             // afterwards, so the per-group cost is image compile, reload and
             // refactor only.
             let shared_pool = std::sync::Mutex::new(std::mem::take(pool));
@@ -1123,6 +1133,16 @@ mod tests {
         assert_eq!(parse_batch_width(Some("0")), DEFAULT_BATCH_WIDTH);
         assert_eq!(parse_batch_width(Some("1")), 1);
         assert_eq!(parse_batch_width(Some(" 8 ")), 8);
+    }
+
+    #[test]
+    fn lane_width_is_clamped_to_the_batch() {
+        assert_eq!(effective_width(4, 64), 4);
+        assert_eq!(effective_width(64, 3), 3);
+        assert_eq!(effective_width(8, 8), 8);
+        assert_eq!(effective_width(1, 11), 1);
+        // An empty batch still chunks at a valid width.
+        assert_eq!(effective_width(4, 0), 1);
     }
 
     #[test]
