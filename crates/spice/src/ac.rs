@@ -51,14 +51,14 @@ use crate::assembly::{
     AffineImage, AffineSink, AssembleMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
 };
 use crate::dc::OperatingPoint;
-use crate::devices;
+use crate::devices::{self, NonlinearStamp};
 use crate::error::SpiceError;
-use crate::mna::{MatrixSink, MnaLayout, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
 use crate::par;
 use crate::solver::SolverBackend;
 use crate::GMIN;
 use loopscope_math::{interp, Complex64, FrequencyGrid, TWO_PI};
-use loopscope_netlist::{Circuit, Element, NodeId};
+use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
 use loopscope_sparse::{CsrMatrix, KernelBackend, Scalar, REFINE_BACKWARD_TOLERANCE};
 use std::sync::{Arc, Mutex};
 
@@ -224,6 +224,11 @@ pub(crate) struct AcPlan {
     pub(crate) image: Option<AffineImage>,
 }
 
+/// A nonlinear device linearized at the operating point: its Newton stamp,
+/// whose conductances the AC system stamps, and its capacitances
+/// `(a, b, farads)`, stamped as `jωC` admittances.
+type Linearized = (NonlinearStamp, Vec<(NodeId, NodeId, f64)>);
+
 /// Small-signal AC analysis of a circuit linearized at an operating point.
 #[derive(Debug)]
 pub struct AcAnalysis<'c> {
@@ -240,27 +245,27 @@ pub struct AcAnalysis<'c> {
     /// Sweep-level counter totals: the plan build plus every worker
     /// context's counters, merged after each sweep.
     stats: Mutex<SolveStats>,
-    /// Small-signal linearizations of the nonlinear devices, precomputed at
-    /// construction in element order: they depend only on the element and
-    /// the operating point, never on frequency, so one evaluation serves
-    /// every stamp this analysis ever performs. The values are the exact
-    /// ones `devices::small_signal_*` would produce inside the stamp loop —
-    /// computed once instead of per frequency point — so stamped systems
-    /// are bitwise identical to recomputing on every call.
-    small_signal: Vec<devices::SmallSignal>,
+    /// The nonlinear devices linearized at construction, indexed by
+    /// element position (`None` for a linear element). Neither part depends
+    /// on frequency, so one evaluation serves every stamp this analysis ever
+    /// performs.
+    devices: Vec<Option<Box<Linearized>>>,
     /// The planted fault of the fault-injection tests (see [`AcFault`]).
     #[cfg(feature = "fault-inject")]
     fault: Mutex<Option<AcFault>>,
 }
 
-/// Assembly job for the complex admittance system at one frequency.
+/// Assembly job for the complex admittance system at one `jω`.
 ///
 /// Crate-visible so the batched variant driver ([`crate::batch`]) can hand
 /// the exact same assembly job to its escalation [`SolveContext`], keeping
-/// the escalated path bitwise identical to the serial sweep path.
+/// the escalated path bitwise identical to the serial sweep path. Every
+/// entry is either independent of `jω` or a multiple `jω·x` of it, which is
+/// what lets [`AcAnalysis::compile_image`] stamp it once at `jω = (0, 1)`.
 pub(crate) struct AcSystem<'a, 'c> {
     pub(crate) analysis: &'a AcAnalysis<'c>,
-    pub(crate) freq_hz: f64,
+    /// `(0, 2π·f)` at a frequency point (see [`AcAnalysis::system`]).
+    pub(crate) jw: Complex64,
     pub(crate) use_circuit_sources: bool,
     /// Element value overrides `(position, element)` sorted by position —
     /// the batched Monte Carlo driver stamps one shared analysis with
@@ -271,12 +276,62 @@ pub(crate) struct AcSystem<'a, 'c> {
 
 impl AssembleMna<Complex64> for AcSystem<'_, '_> {
     fn stamp<S: MatrixSink<Complex64>>(&self, st: &mut Stamper<'_, Complex64, S>) {
-        self.analysis.stamp_system_overridden(
-            st,
-            self.freq_hz,
-            self.use_circuit_sources,
-            self.overrides,
-        );
+        st.stamp_elements(StampPart::All, Complex64::from_real(GMIN), self);
+    }
+}
+
+/// Capacitors and inductors stamp `jωC` and `−jωL`; sources stamp their AC
+/// phasor when `use_circuit_sources` is set; devices stamp the conductances
+/// and capacitances cached at the operating point. An override replaces the
+/// element at its position (overrides carry scalable value kinds only, never
+/// a nonlinear device).
+impl StampModel<Complex64> for AcSystem<'_, '_> {
+    fn circuit(&self) -> &Circuit {
+        self.analysis.circuit
+    }
+
+    fn layout(&self) -> &MnaLayout {
+        &self.analysis.layout
+    }
+
+    fn element<'e>(&'e self, ei: usize, element: &'e Element) -> &'e Element {
+        match self.overrides.binary_search_by_key(&ei, |&(pos, _)| pos) {
+            Ok(k) => &self.overrides[k].1,
+            Err(_) => element,
+        }
+    }
+
+    fn capacitor(&self, _ei: usize, c: &Capacitor) -> Option<(Complex64, Option<Complex64>)> {
+        Some((self.jw * c.farads, None))
+    }
+
+    fn inductor(
+        &self,
+        _ei: usize,
+        _br: usize,
+        l: &Inductor,
+    ) -> Option<(Complex64, Option<Complex64>)> {
+        Some((-(self.jw * l.henries), None))
+    }
+
+    fn source(&self, spec: &SourceSpec) -> Option<Complex64> {
+        (self.use_circuit_sources && spec.ac_mag != 0.0)
+            .then(|| Complex64::from_polar(spec.ac_mag, spec.ac_phase_deg.to_radians()))
+    }
+
+    fn device<S: MatrixSink<Complex64>>(
+        &self,
+        st: &mut Stamper<'_, Complex64, S>,
+        ei: usize,
+        _element: &Element,
+    ) {
+        let (stamp, capacitances) = self.analysis.devices[ei].as_deref().expect("a device");
+        for &(r, c, g) in stamp.conductances() {
+            st.add_node_node(r, c, Complex64::from_real(g));
+        }
+        for &(a, b, cap) in capacitances {
+            st.stamp_admittance(a, b, self.jw * cap);
+        }
     }
 }
 
@@ -297,23 +352,22 @@ impl<'c> AcAnalysis<'c> {
                 circuit.node_count()
             )));
         }
-        let op_voltages = op.node_voltages();
-        let small_signal = circuit
+        let layout = MnaLayout::new(circuit);
+        let v = op.node_voltages();
+        let devices = circuit
             .elements()
             .iter()
-            .filter_map(|el| match el {
-                Element::Diode(d) => Some(devices::small_signal_diode(d, op_voltages)),
-                Element::Bjt(q) => Some(devices::small_signal_bjt(q, op_voltages)),
-                Element::Mosfet(m) => Some(devices::small_signal_mosfet(m, op_voltages)),
-                _ => None,
+            .map(|el| {
+                el.is_nonlinear()
+                    .then(|| Box::new((devices::stamp_device(el, v), devices::capacitances(el, v))))
             })
             .collect();
         Ok(Self {
             circuit,
-            layout: MnaLayout::new(circuit),
+            layout,
             plan: Mutex::new(None),
             stats: Mutex::new(SolveStats::default()),
-            small_signal,
+            devices,
             #[cfg(feature = "fault-inject")]
             fault: Mutex::new(None),
         })
@@ -372,12 +426,7 @@ impl<'c> AcAnalysis<'c> {
                     Vec::new()
                 }
             }
-            None => ctx.assemble(&AcSystem {
-                analysis: self,
-                freq_hz,
-                use_circuit_sources,
-                overrides: &[],
-            }),
+            None => ctx.assemble(&self.system(freq_hz, use_circuit_sources, &[])),
         }
     }
 
@@ -451,12 +500,7 @@ impl<'c> AcAnalysis<'c> {
         if let Some(planned) = guard.as_ref() {
             return Ok(Arc::clone(planned));
         }
-        let job = AcSystem {
-            analysis: self,
-            freq_hz: first_freq,
-            use_circuit_sources: false,
-            overrides: &[],
-        };
+        let job = self.system(first_freq, false, &[]);
         let plan = SweepPlan::build(&self.layout, &job).map_err(SpiceError::Linear)?;
         self.stats.lock().expect("stats lock").merge(&plan.stats());
         let image = self.compile_image(plan.pattern(), &[], first_freq);
@@ -478,7 +522,13 @@ impl<'c> AcAnalysis<'c> {
         check_freq: f64,
     ) -> Option<AffineImage> {
         let mut st = Stamper::with_sink(&self.layout, AffineSink::new(pattern));
-        self.stamp_affine(&mut st, Complex64::new(0.0, 1.0), true, overrides);
+        let unit = AcSystem {
+            analysis: self,
+            jw: Complex64::new(0.0, 1.0),
+            use_circuit_sources: true,
+            overrides,
+        };
+        unit.stamp(&mut st);
         let (sink, rhs) = st.into_parts();
         let image = sink.finish(rhs)?;
         self.checked_image(image, pattern, overrides, check_freq)
@@ -496,7 +546,7 @@ impl<'c> AcAnalysis<'c> {
         let mut stamped = pattern.clone();
         let mut tape = StampTape::new();
         let mut st = Stamper::with_sink(&self.layout, SlotSink::new(&mut stamped, &mut tape));
-        self.stamp_system_overridden(&mut st, check_freq, true, overrides);
+        self.system(check_freq, true, overrides).stamp(&mut st);
         let (sink, rhs) = st.into_parts();
         let hit = !sink.missed();
         (hit && image.reproduces(check_freq, &stamped, &rhs)).then_some(image)
@@ -525,12 +575,7 @@ impl<'c> AcAnalysis<'c> {
     /// image stamps through [`SolveContext::assemble`]. A diagnostic and
     /// benchmark entry point.
     pub fn assembly_job(&self, freq_hz: f64) -> impl AssembleMna<Complex64> + '_ {
-        AcSystem {
-            analysis: self,
-            freq_hz,
-            use_circuit_sources: false,
-            overrides: &[],
-        }
+        self.system(freq_hz, false, &[])
     }
 
     /// Folds the counters of finished worker contexts into the totals.
@@ -551,15 +596,33 @@ impl<'c> AcAnalysis<'c> {
         triplets.to_csr()
     }
 
-    /// Stamps the complex admittance system at `freq_hz`, along with the RHS
+    /// The complex admittance system at `freq_hz`, along with the RHS
     /// produced by the circuit's own AC sources when `use_circuit_sources`
     /// is set, with per-variant element value overrides, `(position,
     /// element)` sorted ascending by position: the override element is
-    /// stamped in place of the circuit's own. The
-    /// batched Monte Carlo driver uses this to stamp thousands of variants
-    /// through one analysis — an override carrying the same values as a
-    /// materialized variant circuit produces a bitwise-identical system,
-    /// since the stamp order and arithmetic are untouched.
+    /// stamped in place of the circuit's own. The batched Monte Carlo driver
+    /// uses this to stamp thousands of variants through one analysis — an
+    /// override carrying the same values as a materialized variant circuit
+    /// produces a bitwise-identical system, since the stamp order and
+    /// arithmetic are untouched.
+    pub(crate) fn system<'a>(
+        &'a self,
+        freq_hz: f64,
+        use_circuit_sources: bool,
+        overrides: &'a [(usize, Element)],
+    ) -> AcSystem<'a, 'c> {
+        // `AffineImage::load_into` computes `w` with this same expression.
+        let w = TWO_PI * freq_hz;
+        AcSystem {
+            analysis: self,
+            jw: Complex64::new(0.0, w),
+            use_circuit_sources,
+            overrides,
+        }
+    }
+
+    /// Test shorthand: stamps [`system`](AcAnalysis::system) into `st`.
+    #[cfg(test)]
     pub(crate) fn stamp_system_overridden<S: MatrixSink<Complex64>>(
         &self,
         st: &mut Stamper<'_, Complex64, S>,
@@ -567,127 +630,8 @@ impl<'c> AcAnalysis<'c> {
         use_circuit_sources: bool,
         overrides: &[(usize, Element)],
     ) {
-        // `AffineImage::load_into` computes `w` with this same expression.
-        let w = TWO_PI * freq_hz;
-        self.stamp_affine(st, Complex64::new(0.0, w), use_circuit_sources, overrides);
-    }
-
-    /// The one stamp body of the AC system at `jw`: every entry is either
-    /// independent of `jw` or a multiple `jw·x` of it, which is what lets
-    /// [`compile_image`](AcAnalysis::compile_image) run it once at
-    /// `jw = (0, 1)`.
-    fn stamp_affine<S: MatrixSink<Complex64>>(
-        &self,
-        st: &mut Stamper<'_, Complex64, S>,
-        jw: Complex64,
-        use_circuit_sources: bool,
-        overrides: &[(usize, Element)],
-    ) {
-        for node in self.circuit.signal_nodes_iter() {
-            st.add_node_node(node, node, Complex64::from_real(GMIN));
-        }
-
-        // Nonlinear devices consume their precomputed linearizations in the
-        // same element order they were cached in. (Overrides never replace a
-        // nonlinear device — they carry scalable value kinds only — so the
-        // cache cursor stays aligned.)
-        let mut small_signal = self.small_signal.iter();
-        let mut pending = overrides.iter().peekable();
-        for (idx, base_el) in self.circuit.elements().iter().enumerate() {
-            let el = match pending.peek() {
-                Some(&&(pos, ref over)) if pos == idx => {
-                    pending.next();
-                    over
-                }
-                _ => base_el,
-            };
-            match el {
-                Element::Resistor(r) => {
-                    st.stamp_admittance(r.a, r.b, Complex64::from_real(1.0 / r.ohms))
-                }
-                Element::Capacitor(c) => st.stamp_admittance(c.a, c.b, jw * c.farads),
-                Element::Inductor(l) => {
-                    let br = self.layout.element_branch(idx).expect("branch");
-                    st.add_var_node(br, l.a, Complex64::ONE);
-                    st.add_var_node(br, l.b, -Complex64::ONE);
-                    st.add_node_var(l.a, br, Complex64::ONE);
-                    st.add_node_var(l.b, br, -Complex64::ONE);
-                    st.add_var_var(br, br, -(jw * l.henries));
-                }
-                Element::Vsource(v) => {
-                    let br = self.layout.element_branch(idx).expect("branch");
-                    st.add_var_node(br, v.plus, Complex64::ONE);
-                    st.add_var_node(br, v.minus, -Complex64::ONE);
-                    st.add_node_var(v.plus, br, Complex64::ONE);
-                    st.add_node_var(v.minus, br, -Complex64::ONE);
-                    if use_circuit_sources && v.spec.ac_mag != 0.0 {
-                        let phasor =
-                            Complex64::from_polar(v.spec.ac_mag, v.spec.ac_phase_deg.to_radians());
-                        st.add_rhs_var(br, phasor);
-                    }
-                }
-                Element::Isource(i) => {
-                    if use_circuit_sources && i.spec.ac_mag != 0.0 {
-                        let phasor =
-                            Complex64::from_polar(i.spec.ac_mag, i.spec.ac_phase_deg.to_radians());
-                        st.stamp_current_injection(i.minus, i.plus, phasor);
-                    }
-                }
-                Element::Vcvs(e) => {
-                    let br = self.layout.element_branch(idx).expect("branch");
-                    st.add_var_node(br, e.out_plus, Complex64::ONE);
-                    st.add_var_node(br, e.out_minus, -Complex64::ONE);
-                    st.add_var_node(br, e.ctrl_plus, Complex64::from_real(-e.gain));
-                    st.add_var_node(br, e.ctrl_minus, Complex64::from_real(e.gain));
-                    st.add_node_var(e.out_plus, br, Complex64::ONE);
-                    st.add_node_var(e.out_minus, br, -Complex64::ONE);
-                }
-                Element::Vccs(g) => st.stamp_vccs(
-                    g.out_plus,
-                    g.out_minus,
-                    g.ctrl_plus,
-                    g.ctrl_minus,
-                    Complex64::from_real(g.gm),
-                ),
-                Element::Cccs(f) => {
-                    let ctrl = self
-                        .layout
-                        .control_branch(idx)
-                        .expect("controlling source validated");
-                    st.add_node_var(f.out_plus, ctrl, Complex64::from_real(f.gain));
-                    st.add_node_var(f.out_minus, ctrl, Complex64::from_real(-f.gain));
-                }
-                Element::Ccvs(h) => {
-                    let br = self.layout.element_branch(idx).expect("branch");
-                    let ctrl = self
-                        .layout
-                        .control_branch(idx)
-                        .expect("controlling source validated");
-                    st.add_var_node(br, h.out_plus, Complex64::ONE);
-                    st.add_var_node(br, h.out_minus, -Complex64::ONE);
-                    st.add_var_var(br, ctrl, Complex64::from_real(-h.rm));
-                    st.add_node_var(h.out_plus, br, Complex64::ONE);
-                    st.add_node_var(h.out_minus, br, -Complex64::ONE);
-                }
-                Element::Diode(_) | Element::Bjt(_) | Element::Mosfet(_) => {
-                    let ss = small_signal.next().expect("cached linearization");
-                    Self::apply_small_signal(st, ss, jw);
-                }
-            }
-        }
-    }
-
-    fn apply_small_signal<S: MatrixSink<Complex64>>(
-        st: &mut Stamper<'_, Complex64, S>,
-        ss: &devices::SmallSignal,
-        jw: Complex64,
-    ) {
-        for &(r, c, g) in &ss.conductances {
-            st.add_node_node(r, c, Complex64::from_real(g));
-        }
-        for &(a, b, cap) in &ss.capacitances {
-            st.stamp_admittance(a, b, jw * cap);
-        }
+        self.system(freq_hz, use_circuit_sources, overrides)
+            .stamp(st);
     }
 
     fn solve_into_node_row(&self, solution: &[Complex64]) -> Vec<Complex64> {
@@ -954,6 +898,7 @@ impl<'c> AcAnalysis<'c> {
 mod tests {
     use super::*;
     use crate::dc::solve_dc;
+    use crate::mna::tests::every_element_kind;
     use loopscope_math::interp;
     use loopscope_netlist::SourceSpec;
 
@@ -1153,85 +1098,6 @@ mod tests {
         assert!(mid > last);
     }
 
-    /// One circuit with every element kind (R, C, L, V, I, E, G, F, H, D,
-    /// Q, M), AC sources on V and I, and capacitances on every device.
-    fn every_element_kind() -> Circuit {
-        use loopscope_netlist::{BjtModel, BjtPolarity, DiodeModel, MosfetModel, MosfetPolarity};
-        let mut c = Circuit::new("every kind");
-        let vin = c.node("in");
-        let a = c.node("a");
-        let b = c.node("b");
-        let e = c.node("e");
-        let f = c.node("f");
-        let g = c.node("g");
-        let h = c.node("h");
-        let vcc = c.node("vcc");
-        let qb = c.node("qb");
-        let qc = c.node("qc");
-        let md = c.node("md");
-        c.add_vsource("V1", vin, Circuit::GROUND, SourceSpec::dc_ac(1.5, 1.0, 0.0));
-        c.add_vsource("VCC", vcc, Circuit::GROUND, SourceSpec::dc(5.0));
-        c.add_resistor("R1", vin, a, 1.0e3);
-        c.add_capacitor("C1", a, Circuit::GROUND, 1.0e-9);
-        c.add_inductor("L1", a, b, 1.0e-6);
-        c.add_resistor("R2", b, Circuit::GROUND, 2.0e3);
-        c.add_isource(
-            "I1",
-            Circuit::GROUND,
-            b,
-            SourceSpec::dc_ac(0.0, 1.0e-3, 30.0),
-        );
-        c.add_vcvs("E1", e, Circuit::GROUND, a, Circuit::GROUND, 3.0);
-        c.add_resistor("R3", e, Circuit::GROUND, 1.0e3);
-        c.add_vccs("G1", f, Circuit::GROUND, a, b, 1.0e-3);
-        c.add_resistor("R4", f, Circuit::GROUND, 1.0e3);
-        c.add_cccs("F1", g, Circuit::GROUND, "V1", 2.0);
-        c.add_resistor("R5", g, Circuit::GROUND, 1.0e3);
-        c.add_ccvs("H1", h, Circuit::GROUND, "V1", 5.0e2);
-        c.add_resistor("R6", h, Circuit::GROUND, 1.0e3);
-        c.add_diode(
-            "D1",
-            b,
-            Circuit::GROUND,
-            DiodeModel {
-                cj0: 2.0e-12,
-                ..Default::default()
-            },
-        );
-        c.add_resistor("RB", vcc, qb, 430.0e3);
-        c.add_resistor("RC", vcc, qc, 2.0e3);
-        c.add_bjt(
-            "Q1",
-            qc,
-            qb,
-            Circuit::GROUND,
-            BjtPolarity::Npn,
-            BjtModel {
-                cje: 1.0e-12,
-                cjc: 5.0e-13,
-                tf: 1.0e-10,
-                ..Default::default()
-            },
-        );
-        c.add_resistor("RD", vcc, md, 5.0e3);
-        c.add_mosfet(
-            "M1",
-            md,
-            vin,
-            Circuit::GROUND,
-            MosfetPolarity::Nmos,
-            10.0e-6,
-            1.0e-6,
-            MosfetModel {
-                cgs: 1.0e-14,
-                cgd: 5.0e-15,
-                cdb: 2.0e-15,
-                ..Default::default()
-            },
-        );
-        c
-    }
-
     /// The stamped assembly at `freq_hz` over `pattern`, with the circuit's
     /// AC sources, as a SlotSink assembly with a fresh tape.
     fn stamped(
@@ -1243,7 +1109,7 @@ mod tests {
         let mut m = pattern.clone();
         let mut tape = StampTape::new();
         let mut st = Stamper::with_sink(&ac.layout, SlotSink::new(&mut m, &mut tape));
-        ac.stamp_system_overridden(&mut st, freq_hz, true, overrides);
+        ac.system(freq_hz, true, overrides).stamp(&mut st);
         let (sink, rhs) = st.into_parts();
         assert!(!sink.missed());
         (m, rhs)
@@ -1317,7 +1183,11 @@ mod tests {
         // An image compiled at the wrong unit (jω = 2j) holds every C term
         // doubled: the self-check must catch it.
         let mut st = Stamper::with_sink(&reference.layout, AffineSink::new(pattern));
-        reference.stamp_affine(&mut st, Complex64::new(0.0, 2.0), true, &[]);
+        let doubled = AcSystem {
+            jw: Complex64::new(0.0, 2.0),
+            ..reference.system(0.0, true, &[])
+        };
+        doubled.stamp(&mut st);
         let (sink, rhs) = st.into_parts();
         let corrupted = sink.finish(rhs).unwrap();
         assert!(reference

@@ -372,9 +372,7 @@ pub trait NewtonJob: AssembleMna<f64> {
 
     /// Stamps `part` of the system. [`StampPart::All`] must be exactly
     /// [`AssembleMna::stamp`], with every device's stamps added through
-    /// [`Stamper::add_device`] (which
-    /// [`NonlinearStamp::apply`](crate::devices::NonlinearStamp::apply)
-    /// does).
+    /// [`Stamper::add_device`].
     fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart);
 }
 
@@ -957,9 +955,11 @@ impl<T: Scalar> SweepPlan<T> {
         self.build_stats
     }
 
-    /// The shared zero-valued sparsity pattern. Batched drivers clone it
-    /// once per variant lane and reload values into each copy, exactly as
-    /// [`context`](SweepPlan::context) does for its single value CSR.
+    /// The shared zero-valued sparsity pattern. Each batched `GroupRunner`
+    /// clones it once as a scratch CSR, loads (or stamps) one lane's values
+    /// at a time into that copy and keeps every lane's values in its
+    /// `LanePlanes`; [`context`](SweepPlan::context) clones it for its single
+    /// value CSR.
     pub(crate) fn pattern(&self) -> &CsrMatrix<T> {
         &self.pattern
     }

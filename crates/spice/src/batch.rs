@@ -47,8 +47,10 @@
 //! symbolic analysis total ([`BatchedSweep::solve_stats`]`.symbolic == 1`),
 //! which is the entire point.
 
-use crate::ac::{AcAnalysis, AcSystem};
-use crate::assembly::{AffineImage, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan};
+use crate::ac::AcAnalysis;
+use crate::assembly::{
+    AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
+};
 use crate::dc::OperatingPoint;
 use crate::error::SpiceError;
 use crate::mna::Stamper;
@@ -605,7 +607,8 @@ impl<'p> GroupRunner<'p> {
                     let sink = SlotSink::new(&mut self.lane_csr, &mut self.tape);
                     let mut st = Stamper::with_sink_reusing(self.ctx.layout(), sink, rhs);
                     lane.analysis
-                        .stamp_system_overridden(&mut st, freq_hz, false, lane.overrides);
+                        .system(freq_hz, false, lane.overrides)
+                        .stamp(&mut st);
                     let (sink, rhs) = st.into_parts();
                     let missed = sink.missed();
                     self.rhs_scratch = rhs;
@@ -669,12 +672,9 @@ impl<'p> GroupRunner<'p> {
         match image {
             Some(image) => self.ctx.load_values(image, freq_hz),
             None => {
-                let _ = self.ctx.assemble(&AcSystem {
-                    analysis: lane.analysis,
-                    freq_hz,
-                    use_circuit_sources: false,
-                    overrides: lane.overrides,
-                });
+                let _ = self
+                    .ctx
+                    .assemble(&lane.analysis.system(freq_hz, false, lane.overrides));
             }
         }
         self.esc_x.fill(Complex64::ZERO);
@@ -799,11 +799,14 @@ pub fn driving_point_batch(
         )));
     }
 
-    // Structural guard: every lane must address the plan's layout. Variants
-    // with a different layout are reported per-variant and skipped.
+    // Structural guard: every lane must address the plan's layout — the
+    // same node and branch counts, so the probed unknown is the same node
+    // voltage. Variants with a different layout are reported per-variant
+    // and skipped.
+    let (dim, branches) = (plan.dim(), plan.layout().branch_count());
     healthy.retain(|&i| {
         let a = analyses[i].as_ref().expect("healthy index");
-        let compatible = a.layout().dim() == plan.dim() && a.layout().node_var(node) == Some(var);
+        let compatible = a.layout().dim() == dim && a.layout().branch_count() == branches;
         if !compatible {
             outcomes[i].error = Some(SpiceError::InvalidOptions(format!(
                 "variant '{}' has a different topology than the batch base",
@@ -1296,6 +1299,117 @@ mod tests {
         assert!(matches!(bad.error, Some(SpiceError::InvalidOptions(_))));
         // The two healthy lanes still match each other bitwise.
         assert_eq!(sweep.outcomes()[0].response, sweep.outcomes()[2].response);
+    }
+
+    #[test]
+    fn same_dimension_with_a_different_node_count_is_a_different_topology() {
+        // Three nodes, probed at `c` (unknown 2) ...
+        let mut base = Circuit::new("three nodes");
+        let a = base.node("a");
+        let b = base.node("b");
+        let node = base.node("c");
+        base.add_isource("I1", Circuit::GROUND, a, SourceSpec::dc(1.0e-3));
+        base.add_resistor("R1", a, b, 1.0e3);
+        base.add_resistor("R2", b, node, 1.0e3);
+        base.add_resistor("R3", node, Circuit::GROUND, 1.0e3);
+        base.add_capacitor("C1", node, Circuit::GROUND, 1.0e-9);
+        let base_op = solve_dc(&base).unwrap();
+        // ... and two nodes plus V1's branch: also dimension 3, but its
+        // unknown 2 is V1's branch current, not a node voltage.
+        let mut two = Circuit::new("two nodes and a branch");
+        let a = two.node("a");
+        let b = two.node("b");
+        two.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(1.0));
+        two.add_resistor("R1", a, b, 1.0e3);
+        two.add_capacitor("C1", b, Circuit::GROUND, 1.0e-9);
+        let two_op = solve_dc(&two).unwrap();
+        assert_eq!(
+            crate::mna::MnaLayout::new(&base).dim(),
+            crate::mna::MnaLayout::new(&two).dim()
+        );
+
+        let variants = [
+            BatchVariant {
+                label: "base",
+                circuit: &base,
+                op: &base_op,
+            },
+            BatchVariant {
+                label: "two",
+                circuit: &two,
+                op: &two_op,
+            },
+        ];
+        let grid = FrequencyGrid::log_decade(1.0e3, 1.0e6, 3);
+        let sweep = driving_point_batch(&variants, node, &grid).unwrap();
+        let rejected = &sweep.outcomes()[1];
+        assert!(rejected.response.is_none());
+        assert!(matches!(
+            &rejected.error,
+            Some(SpiceError::InvalidOptions(msg)) if msg.contains("different topology")
+        ));
+        let reference = AcAnalysis::new(&base, &base_op)
+            .unwrap()
+            .driving_point_response(node, &grid)
+            .unwrap();
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let base_response = sweep.outcomes()[0].response.as_ref().unwrap();
+        assert_eq!(bits(base_response), bits(&reference));
+    }
+
+    #[test]
+    fn variant_with_an_extra_element_gets_its_own_response() {
+        // The base's nodes and branches plus R4 across two nodes the base
+        // leaves unconnected, so the variant stamps outside the base's
+        // pattern; once in the base's element order and once with V1
+        // declared after R1, which moves every element position.
+        let build = |extra: bool, reordered: bool| {
+            let mut c = Circuit::new("ladder");
+            let a = c.node("a");
+            let b = c.node("b");
+            let d = c.node("d");
+            if reordered {
+                c.add_resistor("R1", a, b, 1.0e3);
+                c.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(1.0));
+            } else {
+                c.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(1.0));
+                c.add_resistor("R1", a, b, 1.0e3);
+            }
+            c.add_resistor("R2", b, d, 2.0e3);
+            c.add_resistor("R3", d, Circuit::GROUND, 1.0e3);
+            c.add_capacitor("C1", d, Circuit::GROUND, 1.0e-9);
+            if extra {
+                c.add_resistor("R4", a, d, 5.0e2);
+            }
+            c
+        };
+        let circuits = [build(false, false), build(true, false), build(true, true)];
+        let ops: Vec<OperatingPoint> = circuits.iter().map(|c| solve_dc(c).unwrap()).collect();
+        let variants: Vec<BatchVariant<'_>> = circuits
+            .iter()
+            .zip(&ops)
+            .map(|(circuit, op)| BatchVariant {
+                label: "variant",
+                circuit,
+                op,
+            })
+            .collect();
+        let node = circuits[0].find_node("d").unwrap();
+        let grid = FrequencyGrid::log_decade(1.0e3, 1.0e6, 3);
+        let sweep = driving_point_batch(&variants, node, &grid).unwrap();
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (k, outcome) in sweep.outcomes().iter().enumerate() {
+            let reference = AcAnalysis::new(&circuits[k], &ops[k])
+                .unwrap()
+                .driving_point_response(node, &grid)
+                .unwrap();
+            let response = outcome.response.as_ref().expect("variant solved");
+            assert_eq!(bits(response), bits(&reference), "variant {k}");
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 use crate::assembly::{AssembleMna, NewtonJob, SolveContext};
 use crate::devices;
 use crate::error::SpiceError;
-use crate::mna::{MatrixSink, MnaLayout, StampPart, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
 use crate::GMIN;
-use loopscope_netlist::{Circuit, Element, NodeId};
+use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
 
 /// Options controlling the operating-point solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -226,15 +226,40 @@ impl NewtonJob for DcSystem<'_> {
     }
 
     fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
-        stamp_dc(
-            st,
-            self.circuit,
-            self.layout,
-            self.voltages,
-            self.source_scale,
-            self.gshunt,
-            part,
-        );
+        st.stamp_elements(part, GMIN + self.gshunt, self);
+    }
+}
+
+/// At DC a capacitor is open, an inductor a short, and every independent
+/// source its DC value times `source_scale`.
+impl StampModel<f64> for DcSystem<'_> {
+    fn circuit(&self) -> &Circuit {
+        self.circuit
+    }
+
+    fn layout(&self) -> &MnaLayout {
+        self.layout
+    }
+
+    fn capacitor(&self, _ei: usize, _c: &Capacitor) -> Option<(f64, Option<f64>)> {
+        None
+    }
+
+    fn inductor(&self, _ei: usize, _br: usize, _l: &Inductor) -> Option<(f64, Option<f64>)> {
+        None
+    }
+
+    fn source(&self, spec: &SourceSpec) -> Option<f64> {
+        Some(spec.dc * self.source_scale)
+    }
+
+    fn device<S: MatrixSink<f64>>(
+        &self,
+        st: &mut Stamper<'_, f64, S>,
+        _ei: usize,
+        element: &Element,
+    ) {
+        st.add_device(&devices::stamp_device(element, self.voltages));
     }
 }
 
@@ -253,91 +278,6 @@ pub fn assembly_job<'a>(
         voltages,
         source_scale: 1.0,
         gshunt: 0.0,
-    }
-}
-
-/// Stamps `part` of the DC MNA system at a trial solution (see
-/// [`DcSystem`]).
-fn stamp_dc<S: MatrixSink<f64>>(
-    st: &mut Stamper<'_, f64, S>,
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    voltages: &[f64],
-    source_scale: f64,
-    gshunt: f64,
-    part: StampPart,
-) {
-    if part.stamps_gmin() {
-        // Global minimum conductance to ground.
-        for node in 1..voltages.len() {
-            st.add_node_node(
-                NodeId::from_index(node),
-                NodeId::from_index(node),
-                GMIN + gshunt,
-            );
-        }
-    }
-
-    let elements = circuit.elements();
-    for &ei in layout.part_elements(part) {
-        match &elements[ei] {
-            Element::Resistor(r) => st.stamp_admittance(r.a, r.b, 1.0 / r.ohms),
-            Element::Capacitor(_) => {
-                // Open circuit at DC.
-            }
-            Element::Inductor(l) => {
-                let br = layout.element_branch(ei).expect("inductor owns a branch");
-                st.add_var_node(br, l.a, 1.0);
-                st.add_var_node(br, l.b, -1.0);
-                st.add_node_var(l.a, br, 1.0);
-                st.add_node_var(l.b, br, -1.0);
-            }
-            Element::Vsource(v) => {
-                let br = layout.element_branch(ei).expect("vsource owns a branch");
-                st.add_var_node(br, v.plus, 1.0);
-                st.add_var_node(br, v.minus, -1.0);
-                st.add_node_var(v.plus, br, 1.0);
-                st.add_node_var(v.minus, br, -1.0);
-                st.add_rhs_var(br, v.spec.dc * source_scale);
-            }
-            Element::Isource(i) => {
-                // Current flows from `plus` through the source into `minus`.
-                st.stamp_current_injection(i.minus, i.plus, i.spec.dc * source_scale);
-            }
-            Element::Vcvs(e) => {
-                let br = layout.element_branch(ei).expect("vcvs owns a branch");
-                st.add_var_node(br, e.out_plus, 1.0);
-                st.add_var_node(br, e.out_minus, -1.0);
-                st.add_var_node(br, e.ctrl_plus, -e.gain);
-                st.add_var_node(br, e.ctrl_minus, e.gain);
-                st.add_node_var(e.out_plus, br, 1.0);
-                st.add_node_var(e.out_minus, br, -1.0);
-            }
-            Element::Vccs(g) => {
-                st.stamp_vccs(g.out_plus, g.out_minus, g.ctrl_plus, g.ctrl_minus, g.gm)
-            }
-            Element::Cccs(f) => {
-                let ctrl = layout
-                    .control_branch(ei)
-                    .expect("controlling source validated");
-                st.add_node_var(f.out_plus, ctrl, f.gain);
-                st.add_node_var(f.out_minus, ctrl, -f.gain);
-            }
-            Element::Ccvs(h) => {
-                let br = layout.element_branch(ei).expect("ccvs owns a branch");
-                let ctrl = layout
-                    .control_branch(ei)
-                    .expect("controlling source validated");
-                st.add_var_node(br, h.out_plus, 1.0);
-                st.add_var_node(br, h.out_minus, -1.0);
-                st.add_var_var(br, ctrl, -h.rm);
-                st.add_node_var(h.out_plus, br, 1.0);
-                st.add_node_var(h.out_minus, br, -1.0);
-            }
-            Element::Diode(d) => devices::stamp_diode(d, voltages).apply(st),
-            Element::Bjt(q) => devices::stamp_bjt(q, voltages).apply(st),
-            Element::Mosfet(m) => devices::stamp_mosfet(m, voltages).apply(st),
-        }
     }
 }
 
@@ -366,7 +306,6 @@ enum NewtonOutcome {
 /// residual-verified retry ladder
 /// ([`SolveContext::solve_verified_in_place`]), so solver failures arrive
 /// name-enriched and are genuine hard errors, not convergence noise.
-#[allow(clippy::too_many_arguments)]
 fn newton(
     circuit: &Circuit,
     layout: &MnaLayout,

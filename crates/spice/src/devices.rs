@@ -1,20 +1,24 @@
-//! Nonlinear device evaluation: companion models for Newton-Raphson and
-//! small-signal (AC) linearizations.
+//! Nonlinear device evaluation: one linearization per device, shared by
+//! the Newton iterations and the small-signal (AC) system.
 //!
 //! Every nonlinear device is reduced, at a given set of terminal voltages, to
+//! a [`NonlinearStamp`]:
 //!
 //! * a set of **conductance stamps** `(row node, column node, value)` that are
 //!   added to the MNA matrix, and
 //! * a set of **right-hand-side currents** `(node, value)` that implement the
-//!   Newton companion sources,
+//!   Newton companion sources.
 //!
-//! plus, for AC analysis, a set of **two-terminal capacitances** evaluated at
-//! the operating point. The polarity handling (NPN/PNP, NMOS/PMOS) happens in
-//! here so the analyses never need to special-case device flavours.
+//! DC and transient Newton iterations stamp both halves at every trial
+//! point. The AC analysis evaluates the stamp once at the operating point
+//! and uses its conductances, plus the device's **two-terminal
+//! capacitances** (`capacitances`) as `jωC` admittances. The transient
+//! does not stamp those capacitances: device charge enters the AC analysis
+//! only. The polarity handling (NPN/PNP, NMOS/PMOS) happens in here so the
+//! analyses never need to special-case device flavours.
 
-use crate::mna::{MatrixSink, Stamper};
 use crate::{GMIN, THERMAL_VOLTAGE};
-use loopscope_netlist::{Bjt, BjtPolarity, Diode, Mosfet, MosfetPolarity, NodeId};
+use loopscope_netlist::{Bjt, BjtPolarity, Diode, Element, Mosfet, MosfetPolarity, NodeId};
 
 /// Voltage beyond which the junction exponential is linearized to avoid
 /// floating-point overflow during badly scaled Newton steps.
@@ -79,23 +83,53 @@ impl NonlinearStamp {
     pub fn rhs_currents(&self) -> &[(NodeId, f64)] {
         &self.rhs_currents[..self.rhs_count]
     }
+}
 
-    /// Adds the conductances, then the companion currents, to an MNA
-    /// system as one device (see [`MatrixSink::add_device`]); entries on
-    /// the ground row or column are dropped.
-    pub fn apply<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-        st.add_device(self);
+/// Evaluates the nonlinear device `element` (a diode, BJT or MOSFET) at the
+/// given node voltages and returns its Newton stamp.
+///
+/// # Panics
+///
+/// Panics when `element` is not a nonlinear device.
+pub(crate) fn stamp_device(element: &Element, voltages: &[f64]) -> NonlinearStamp {
+    match element {
+        Element::Diode(d) => stamp_diode(d, voltages),
+        Element::Bjt(q) => stamp_bjt(q, voltages),
+        Element::Mosfet(m) => stamp_mosfet(m, voltages),
+        other => panic!("element '{}' is not a nonlinear device", other.name()),
     }
 }
 
-/// Small-signal (AC) model of a device at the operating point.
-#[derive(Debug, Clone, Default)]
-pub struct SmallSignal {
-    /// Conductance entries `(row node, column node, value)`; these include
-    /// non-reciprocal transconductance terms.
-    pub conductances: Vec<(NodeId, NodeId, f64)>,
-    /// Two-terminal capacitances `(a, b, farads)` stamped as `jωC` admittances.
-    pub capacitances: Vec<(NodeId, NodeId, f64)>,
+/// Two-terminal capacitances `(a, b, farads)` of the nonlinear device
+/// `element` at the operating point `voltages`, stamped by the AC analysis
+/// as `jωC` admittances: a diode's `cj0`; a BJT's base-emitter `cje` plus
+/// the diffusion capacitance `tf·g_m`, and base-collector `cjc`; a
+/// MOSFET's `cgs`, `cgd` and drain-bulk `cdb`. Zero capacitances are left
+/// out. Empty for every other element.
+pub(crate) fn capacitances(element: &Element, voltages: &[f64]) -> Vec<(NodeId, NodeId, f64)> {
+    let candidates = match element {
+        Element::Diode(d) => vec![(d.anode, d.cathode, d.model.cj0)],
+        Element::Bjt(q) => {
+            let (vbe, vbc, _) = bjt_junction_voltages(q, voltages);
+            // Diffusion capacitance c_d = TF·g_m (forward transconductance).
+            let gm_forward = eval_bjt(q, vbe, vbc).dic_dvbe;
+            vec![
+                (
+                    q.base,
+                    q.emitter,
+                    q.model.cje + q.model.tf * gm_forward.max(0.0),
+                ),
+                (q.base, q.collector, q.model.cjc),
+            ]
+        }
+        Element::Mosfet(m) => vec![
+            (m.gate, m.source, m.model.cgs),
+            (m.gate, m.drain, m.model.cgd),
+            (m.drain, NodeId::GROUND, m.model.cdb),
+        ],
+        _ => Vec::new(),
+    };
+    candidates.into_iter().filter(|c| c.2 > 0.0).collect()
 }
 
 /// Reads the voltage of `node` from a full node-voltage table (index 0 is
@@ -125,22 +159,6 @@ pub fn stamp_diode(d: &Diode, voltages: &[f64]) -> NonlinearStamp {
         &two_terminal_conductance(d.anode, d.cathode, gd),
         &[(d.anode, -ieq), (d.cathode, ieq)],
     )
-}
-
-/// Small-signal model of a diode at the operating point.
-pub fn small_signal_diode(d: &Diode, voltages: &[f64]) -> SmallSignal {
-    let vd = node_voltage(voltages, d.anode) - node_voltage(voltages, d.cathode);
-    let nvt = d.model.n * THERMAL_VOLTAGE;
-    let (_, de) = limited_exp(vd / nvt);
-    let gd = d.model.is * de / nvt + GMIN;
-    SmallSignal {
-        conductances: two_terminal_conductance(d.anode, d.cathode, gd).to_vec(),
-        capacitances: if d.model.cj0 > 0.0 {
-            vec![(d.anode, d.cathode, d.model.cj0)]
-        } else {
-            Vec::new()
-        },
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -246,48 +264,6 @@ pub fn stamp_bjt(q: &Bjt, voltages: &[f64]) -> NonlinearStamp {
     }
 
     NonlinearStamp::new(&conductances, &rhs_currents)
-}
-
-/// Small-signal model of a BJT at the operating point: g_pi, g_mu, g_m and
-/// g_o style conductances plus junction and diffusion capacitances.
-pub fn small_signal_bjt(q: &Bjt, voltages: &[f64]) -> SmallSignal {
-    let (vbe, vbc, _) = bjt_junction_voltages(q, voltages);
-    let e = eval_bjt(q, vbe, vbc);
-
-    let dic = |dvbe: f64, dvbc: f64| (dvbe + dvbc, -dvbc, -dvbe);
-    let (dic_db, dic_dc, dic_de) = dic(e.dic_dvbe, e.dic_dvbc);
-    let (dib_db, dib_dc, dib_de) = dic(e.dib_dvbe, e.dib_dvbc);
-
-    let mut conductances = Vec::with_capacity(9);
-    let mut push_row = |terminal: NodeId, d_db: f64, d_dc: f64, d_de: f64| {
-        conductances.push((terminal, q.base, d_db));
-        conductances.push((terminal, q.collector, d_dc));
-        conductances.push((terminal, q.emitter, d_de));
-    };
-    push_row(q.collector, dic_db, dic_dc, dic_de);
-    push_row(q.base, dib_db, dib_dc, dib_de);
-    push_row(
-        q.emitter,
-        -(dic_db + dib_db),
-        -(dic_dc + dib_dc),
-        -(dic_de + dib_de),
-    );
-
-    // Diffusion capacitance c_d = TF·g_m (forward transconductance).
-    let gm_forward = e.dic_dvbe;
-    let mut capacitances = Vec::new();
-    let cbe = q.model.cje + q.model.tf * gm_forward.max(0.0);
-    if cbe > 0.0 {
-        capacitances.push((q.base, q.emitter, cbe));
-    }
-    if q.model.cjc > 0.0 {
-        capacitances.push((q.base, q.collector, q.model.cjc));
-    }
-
-    SmallSignal {
-        conductances,
-        capacitances,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -399,36 +375,6 @@ pub fn stamp_mosfet(m: &Mosfet, voltages: &[f64]) -> NonlinearStamp {
     )
 }
 
-/// Small-signal model of a MOSFET at the operating point.
-pub fn small_signal_mosfet(m: &Mosfet, voltages: &[f64]) -> SmallSignal {
-    let op = mosfet_operating(m, voltages);
-    let MosEval { gm, gds, .. } = op.eval;
-    let (d, s, g) = (op.eff_drain, op.eff_source, m.gate);
-
-    let conductances = vec![
-        (d, g, gm),
-        (d, d, gds),
-        (d, s, -(gm + gds)),
-        (s, g, -gm),
-        (s, d, -gds),
-        (s, s, gm + gds),
-    ];
-    let mut capacitances = Vec::new();
-    if m.model.cgs > 0.0 {
-        capacitances.push((m.gate, m.source, m.model.cgs));
-    }
-    if m.model.cgd > 0.0 {
-        capacitances.push((m.gate, m.drain, m.model.cgd));
-    }
-    if m.model.cdb > 0.0 {
-        capacitances.push((m.drain, NodeId::GROUND, m.model.cdb));
-    }
-    SmallSignal {
-        conductances,
-        capacitances,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,8 +436,7 @@ mod tests {
             model: DiodeModel::default(),
         };
         let voltages = vec![0.0, -5.0, 0.0];
-        let ss = small_signal_diode(&d, &voltages);
-        let gd = ss.conductances[0].2;
+        let gd = stamp_diode(&d, &voltages).conductances()[0].2;
         assert!(gd < 1e-9, "reverse conductance should be tiny, got {gd}");
     }
 
@@ -521,10 +466,10 @@ mod tests {
         // beta = Ic/Ib ≈ BF.
         assert!((ic / e.ib - 100.0).abs() < 1.0);
 
-        let ss = small_signal_bjt(&q, &voltages);
+        let stamp = stamp_bjt(&q, &voltages);
         // The (collector, base) entry is the transconductance.
-        let gm_entry = ss
-            .conductances
+        let gm_entry = stamp
+            .conductances()
             .iter()
             .find(|(r, c, _)| *r == ids[0] && *c == ids[1])
             .unwrap()
@@ -547,10 +492,11 @@ mod tests {
             },
         };
         let voltages = vec![0.0, 3.0, 0.65, 0.0];
-        let with_early = small_signal_bjt(&mk(50.0), &voltages);
-        let without = small_signal_bjt(&mk(f64::INFINITY), &voltages);
-        let go = |ss: &SmallSignal| {
-            ss.conductances
+        let with_early = stamp_bjt(&mk(50.0), &voltages);
+        let without = stamp_bjt(&mk(f64::INFINITY), &voltages);
+        let go = |stamp: &NonlinearStamp| {
+            stamp
+                .conductances()
                 .iter()
                 .find(|(r, c, _)| *r == ids[0] && *c == ids[0])
                 .unwrap()
@@ -716,8 +662,8 @@ mod tests {
                 ..Default::default()
             },
         };
-        let ss = small_signal_mosfet(&m, &[0.0, 3.0, 1.7, 0.0]);
-        assert_eq!(ss.capacitances.len(), 3);
+        let caps = capacitances(&Element::Mosfet(m), &[0.0, 3.0, 1.7, 0.0]);
+        assert_eq!(caps.len(), 3);
         let q = Bjt {
             name: "Q1".into(),
             collector: ids[0],
@@ -731,11 +677,10 @@ mod tests {
                 ..Default::default()
             },
         };
-        let ssq = small_signal_bjt(&q, &[0.0, 3.0, 0.65, 0.0]);
-        assert_eq!(ssq.capacitances.len(), 2);
+        let caps = capacitances(&Element::Bjt(q), &[0.0, 3.0, 0.65, 0.0]);
+        assert_eq!(caps.len(), 2);
         // Diffusion capacitance adds to CJE.
-        let cbe = ssq
-            .capacitances
+        let cbe = caps
             .iter()
             .find(|(a, b, _)| *a == ids[1] && *b == ids[2])
             .unwrap()

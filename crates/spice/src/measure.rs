@@ -73,9 +73,11 @@ pub struct BodeMargins {
 
 /// Computes gain/phase margins from an open-loop frequency response.
 ///
-/// `gain_db` and `phase_deg` must be sampled on `freqs` (hertz, ascending);
-/// the phase is unwrapped internally and referenced so that the low-frequency
-/// phase is near 0° (the standard convention for loop-gain plots).
+/// `gain_db` and `phase_deg` must be sampled on `freqs` (hertz, ascending).
+/// The phase is only unwrapped (see [`unwrap_phase_deg`]), not re-referenced:
+/// the phase margin is `PM = 180° + φ(f_c)` at the gain crossover `f_c`, so
+/// the response must be a loop gain whose low-frequency phase is near 0°
+/// (the standard convention for loop-gain plots).
 ///
 /// ```
 /// use loopscope_math::{logspace, Complex64};

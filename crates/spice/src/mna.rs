@@ -10,9 +10,18 @@
 //! relation cannot be written as a nodal admittance: independent voltage
 //! sources, inductors, voltage-controlled voltage sources and
 //! current-controlled voltage sources. Ground (node 0) is eliminated.
+//!
+//! The DC, transient and AC systems share one element stamp body,
+//! `Stamper::stamp_elements`. It stamps the node-diagonal gmin and every
+//! element that is the same MNA stamp in all three analyses — resistors,
+//! the four controlled sources, and the branch incidences of voltage
+//! sources and inductors — and asks the analysis, through the crate-private
+//! `StampModel` trait, only for what differs: a capacitor's admittance and
+//! history current, an inductor's branch term and history, an independent
+//! source's value, and each nonlinear device's stamp.
 
 use crate::devices::NonlinearStamp;
-use loopscope_netlist::{Circuit, Element, NodeId};
+use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
 use loopscope_sparse::{Scalar, TripletMatrix};
 use std::collections::HashMap;
 
@@ -237,6 +246,41 @@ pub trait MatrixSink<T: Scalar> {
     }
 }
 
+/// What one analysis supplies to the shared stamp body
+/// ([`Stamper::stamp_elements`]): the stamps that differ between the DC,
+/// transient and AC systems. Arguments named `ei` are element positions in
+/// circuit order.
+pub(crate) trait StampModel<T: Scalar> {
+    /// The circuit whose elements are stamped.
+    fn circuit(&self) -> &Circuit;
+
+    /// The circuit's own layout: which elements a part stamps and which
+    /// unknowns their branches own. The stamper may address another layout
+    /// of the same dimension (a batched variant stamped over the batch
+    /// base's pattern); node unknowns are the same in every layout.
+    fn layout(&self) -> &MnaLayout;
+
+    /// The element stamped at position `ei`: the circuit's own `element`
+    /// unless the analysis substitutes a value override there.
+    fn element<'e>(&'e self, _ei: usize, element: &'e Element) -> &'e Element {
+        element
+    }
+
+    /// The capacitor's admittance and optional history current (injected
+    /// into `c.a`, drawn out of `c.b`); `None` leaves it open.
+    fn capacitor(&self, ei: usize, c: &Capacitor) -> Option<(T, Option<T>)>;
+
+    /// The inductor's term on its branch diagonal `br` and optional history
+    /// (the branch row's right-hand side); `None` leaves it a short.
+    fn inductor(&self, ei: usize, br: usize, l: &Inductor) -> Option<(T, Option<T>)>;
+
+    /// An independent source's value, or `None` when it stamps nothing.
+    fn source(&self, spec: &SourceSpec) -> Option<T>;
+
+    /// Stamps the nonlinear device `element` at position `ei`.
+    fn device<S: MatrixSink<T>>(&self, st: &mut Stamper<'_, T, S>, ei: usize, element: &Element);
+}
+
 impl<T: Scalar> MatrixSink<T> for TripletMatrix<T> {
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: T) {
@@ -371,6 +415,108 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
         self.add_rhs_node(out_of, -i);
     }
 
+    /// Stamps the elements of `part` of `model`'s system: the node-diagonal
+    /// `gmin` first (when the part stamps it), then every element of the
+    /// part in circuit order, positions and branches taken from the model's
+    /// own layout.
+    pub(crate) fn stamp_elements<M: StampModel<T>>(&mut self, part: StampPart, gmin: T, model: &M) {
+        let circuit = model.circuit();
+        if part.stamps_gmin() {
+            for node in circuit.signal_nodes_iter() {
+                self.add_node_node(node, node, gmin);
+            }
+        }
+        let layout = model.layout();
+        let branch = |ei: usize| layout.element_branch(ei).expect("element owns a branch");
+        for &ei in layout.part_elements(part) {
+            match model.element(ei, &circuit.elements()[ei]) {
+                Element::Resistor(r) => self.stamp_admittance(r.a, r.b, T::from_f64(1.0 / r.ohms)),
+                Element::Capacitor(c) => {
+                    if let Some((y, history)) = model.capacitor(ei, c) {
+                        self.stamp_admittance(c.a, c.b, y);
+                        if let Some(i) = history {
+                            self.stamp_current_injection(c.a, c.b, i);
+                        }
+                    }
+                }
+                Element::Inductor(l) => {
+                    let br = branch(ei);
+                    self.stamp_branch(br, l.a, l.b, |_| {});
+                    if let Some((z, history)) = model.inductor(ei, br, l) {
+                        self.add_var_var(br, br, z);
+                        if let Some(v) = history {
+                            self.add_rhs_var(br, v);
+                        }
+                    }
+                }
+                Element::Vsource(v) => {
+                    let br = branch(ei);
+                    self.stamp_branch(br, v.plus, v.minus, |_| {});
+                    if let Some(value) = model.source(&v.spec) {
+                        self.add_rhs_var(br, value);
+                    }
+                }
+                Element::Isource(i) => {
+                    // Current flows from `plus` through the source into `minus`.
+                    if let Some(value) = model.source(&i.spec) {
+                        self.stamp_current_injection(i.minus, i.plus, value);
+                    }
+                }
+                Element::Vcvs(e) => {
+                    let br = branch(ei);
+                    self.stamp_branch(br, e.out_plus, e.out_minus, |st| {
+                        st.add_var_node(br, e.ctrl_plus, T::from_f64(-e.gain));
+                        st.add_var_node(br, e.ctrl_minus, T::from_f64(e.gain));
+                    });
+                }
+                Element::Vccs(g) => self.stamp_vccs(
+                    g.out_plus,
+                    g.out_minus,
+                    g.ctrl_plus,
+                    g.ctrl_minus,
+                    T::from_f64(g.gm),
+                ),
+                Element::Cccs(f) => {
+                    let ctrl = layout
+                        .control_branch(ei)
+                        .expect("controlling source validated");
+                    self.add_node_var(f.out_plus, ctrl, T::from_f64(f.gain));
+                    self.add_node_var(f.out_minus, ctrl, T::from_f64(-f.gain));
+                }
+                Element::Ccvs(h) => {
+                    let br = branch(ei);
+                    let ctrl = layout
+                        .control_branch(ei)
+                        .expect("controlling source validated");
+                    self.stamp_branch(br, h.out_plus, h.out_minus, |st| {
+                        st.add_var_var(br, ctrl, T::from_f64(-h.rm));
+                    });
+                }
+                device @ (Element::Diode(_) | Element::Bjt(_) | Element::Mosfet(_)) => {
+                    model.device(self, ei, device)
+                }
+            }
+        }
+    }
+
+    /// Stamps the incidence of branch current `br`, which flows into its
+    /// element at `plus` and out at `minus`: the branch row's
+    /// `v(plus) − v(minus)`, then `row` (the rest of the branch row), then
+    /// the branch column in the two node rows.
+    fn stamp_branch(
+        &mut self,
+        br: usize,
+        plus: NodeId,
+        minus: NodeId,
+        row: impl FnOnce(&mut Self),
+    ) {
+        self.add_var_node(br, plus, T::ONE);
+        self.add_var_node(br, minus, -T::ONE);
+        row(self);
+        self.add_node_var(plus, br, T::ONE);
+        self.add_node_var(minus, br, -T::ONE);
+    }
+
     /// Stamps a voltage-controlled current source: a current
     /// `gm·(v(cp) − v(cm))` flowing out of node `op`, through the source, into
     /// node `om`.
@@ -383,9 +529,245 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use loopscope_netlist::SourceSpec;
+    use crate::ac::AcAnalysis;
+    use crate::assembly::{AssembleMna, NewtonJob};
+    use crate::batch::ParameterVariation;
+    use crate::dc::{self, solve_dc};
+    use crate::tran::{Integration, TransientAnalysis, TransientOptions};
+    use loopscope_math::Complex64;
+    use loopscope_netlist::{MosfetModel, MosfetPolarity, SourceSpec};
+
+    /// One circuit with every element kind (R, C, L, V, I, E, G, F, H, D,
+    /// Q, M), AC sources on V and I, and capacitances on every device.
+    pub(crate) fn every_element_kind() -> Circuit {
+        use loopscope_netlist::{BjtModel, BjtPolarity, DiodeModel, MosfetModel, MosfetPolarity};
+        let mut c = Circuit::new("every kind");
+        let vin = c.node("in");
+        let a = c.node("a");
+        let b = c.node("b");
+        let e = c.node("e");
+        let f = c.node("f");
+        let g = c.node("g");
+        let h = c.node("h");
+        let vcc = c.node("vcc");
+        let qb = c.node("qb");
+        let qc = c.node("qc");
+        let md = c.node("md");
+        c.add_vsource("V1", vin, Circuit::GROUND, SourceSpec::dc_ac(1.5, 1.0, 0.0));
+        c.add_vsource("VCC", vcc, Circuit::GROUND, SourceSpec::dc(5.0));
+        c.add_resistor("R1", vin, a, 1.0e3);
+        c.add_capacitor("C1", a, Circuit::GROUND, 1.0e-9);
+        c.add_inductor("L1", a, b, 1.0e-6);
+        c.add_resistor("R2", b, Circuit::GROUND, 2.0e3);
+        c.add_isource(
+            "I1",
+            Circuit::GROUND,
+            b,
+            SourceSpec::dc_ac(0.0, 1.0e-3, 30.0),
+        );
+        c.add_vcvs("E1", e, Circuit::GROUND, a, Circuit::GROUND, 3.0);
+        c.add_resistor("R3", e, Circuit::GROUND, 1.0e3);
+        c.add_vccs("G1", f, Circuit::GROUND, a, b, 1.0e-3);
+        c.add_resistor("R4", f, Circuit::GROUND, 1.0e3);
+        c.add_cccs("F1", g, Circuit::GROUND, "V1", 2.0);
+        c.add_resistor("R5", g, Circuit::GROUND, 1.0e3);
+        c.add_ccvs("H1", h, Circuit::GROUND, "V1", 5.0e2);
+        c.add_resistor("R6", h, Circuit::GROUND, 1.0e3);
+        c.add_diode(
+            "D1",
+            b,
+            Circuit::GROUND,
+            DiodeModel {
+                cj0: 2.0e-12,
+                ..Default::default()
+            },
+        );
+        c.add_resistor("RB", vcc, qb, 430.0e3);
+        c.add_resistor("RC", vcc, qc, 2.0e3);
+        c.add_bjt(
+            "Q1",
+            qc,
+            qb,
+            Circuit::GROUND,
+            BjtPolarity::Npn,
+            BjtModel {
+                cje: 1.0e-12,
+                cjc: 5.0e-13,
+                tf: 1.0e-10,
+                ..Default::default()
+            },
+        );
+        c.add_resistor("RD", vcc, md, 5.0e3);
+        c.add_mosfet(
+            "M1",
+            md,
+            vin,
+            Circuit::GROUND,
+            MosfetPolarity::Nmos,
+            10.0e-6,
+            1.0e-6,
+            MosfetModel {
+                cgs: 1.0e-14,
+                cgd: 5.0e-15,
+                cdb: 2.0e-15,
+                ..Default::default()
+            },
+        );
+        c
+    }
+
+    /// Records every matrix stamp in order — exactly what a
+    /// [`TripletMatrix`] pushes, since it implements only `add` — so a test
+    /// can compare the stamp sequence itself, signed zeros included.
+    struct Recorder<T>(Vec<(usize, usize, T)>);
+
+    impl<T: Scalar> MatrixSink<T> for Recorder<T> {
+        fn add(&mut self, row: usize, col: usize, value: T) {
+            self.0.push((row, col, value));
+        }
+    }
+
+    /// The bit patterns of a scalar's parts (`im` is 0 for `f64`).
+    trait Bits: Scalar {
+        fn bits(self) -> [u64; 2];
+    }
+
+    impl Bits for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+
+    impl Bits for Complex64 {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+
+    /// The stamp count and an FNV-1a hash of the `(row, col, value bits)`
+    /// sequence followed by the right-hand side's bits.
+    fn fingerprint<T: Bits>(st: Stamper<'_, T, Recorder<T>>) -> (usize, u64) {
+        let (stamps, rhs) = st.into_parts();
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for &(r, c, v) in &stamps.0 {
+            eat(r as u64);
+            eat(c as u64);
+            v.bits().into_iter().for_each(&mut eat);
+        }
+        for &v in &rhs {
+            v.bits().into_iter().for_each(&mut eat);
+        }
+        (stamps.0.len(), hash)
+    }
+
+    /// Every analysis's stamps of the every-kind circuit, and of the same
+    /// circuit plus a MOSFET that conducts with drain and source swapped at
+    /// its operating point: the DC job, both transient methods (each part),
+    /// and the AC system at two frequencies — probe system, and with the
+    /// circuit's sources and value overrides — against fingerprints of the
+    /// stamp sequences taken before the analyses shared one stamp body.
+    #[test]
+    fn stamps_of_every_analysis_are_pinned_bitwise() {
+        let base = every_element_kind();
+        let mut swapped = every_element_kind();
+        let vin = swapped.find_node("in").unwrap();
+        let md = swapped.find_node("md").unwrap();
+        swapped.add_mosfet(
+            "M2",
+            Circuit::GROUND,
+            vin,
+            md,
+            MosfetPolarity::Nmos,
+            10.0e-6,
+            1.0e-6,
+            MosfetModel::default(),
+        );
+        let variation = ParameterVariation::new(0x5EED)
+            .gaussian("R1", 0.1)
+            .uniform("C1", 0.2)
+            .uniform("L1", 0.2)
+            .gaussian("E1", 0.1)
+            .gaussian("G1", 0.1)
+            .uniform("F1", 0.2)
+            .uniform("H1", 0.2);
+        let mut got = Vec::new();
+        for c in [&base, &swapped] {
+            let layout = MnaLayout::new(c);
+            let op = solve_dc(c).unwrap();
+            let v = op.node_voltages();
+            let history: Vec<f64> = (0..c.elements().len().max(layout.dim()))
+                .map(|k| 1.0e-3 * (k as f64 + 1.0))
+                .collect();
+            let dc_job = dc::assembly_job(c, &layout, v);
+            let tran = TransientAnalysis::new(c, TransientOptions::new(1.0e-9, 1.0e-6)).unwrap();
+            for part in StampPart::ALL {
+                let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
+                dc_job.stamp_part(&mut st, part);
+                got.push(fingerprint(st));
+                for method in [Integration::BackwardEuler, Integration::Trapezoidal] {
+                    let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
+                    tran.assembly_job(2.0e-9, method, v, &history)
+                        .stamp_part(&mut st, part);
+                    got.push(fingerprint(st));
+                }
+            }
+            let ac = AcAnalysis::new(c, &op).unwrap();
+            let positions = variation.rule_positions(c).unwrap();
+            let overrides = variation.overrides_for(1, c, &positions).unwrap();
+            for f in [1.0e3, 1.0e7] {
+                let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
+                ac.assembly_job(f).stamp(&mut st);
+                got.push(fingerprint(st));
+                let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
+                ac.stamp_system_overridden(&mut st, f, true, &overrides);
+                got.push(fingerprint(st));
+            }
+        }
+        let pinned: [(usize, u64); 26] = [
+            // every-kind circuit — All: DC, BE, trapezoidal
+            (56, 0xb7a444a5c6df0b7d),
+            (58, 0x678ba6664eeb6829),
+            (58, 0x3a160d98aeb02ba2),
+            // every-kind circuit — Devices: DC, BE, trapezoidal
+            (7, 0x7b30c8ceec10ece0),
+            (7, 0x7b30c8ceec10ece0),
+            (7, 0x7b30c8ceec10ece0),
+            // every-kind circuit — LinearRhs: DC, BE, trapezoidal
+            (8, 0x3663e01ce2ccdaa4),
+            (10, 0xf7cf8d79603ac884),
+            (10, 0xd0e076b5b7ae9fd3),
+            // every-kind circuit — AC at 1 kHz, then 10 MHz: probe, sources + overrides
+            (70, 0xd47aa0d340129843),
+            (70, 0xceaaecbfb476fa96),
+            (70, 0xa1a10bfb56f600ac),
+            (70, 0x5882d6fdf175d6d9),
+            // with the swapped MOSFET — All: DC, BE, trapezoidal
+            (58, 0xba29dad86ebc2bbf),
+            (60, 0x0dd88278881df0bf),
+            (60, 0x950cc24683c1edac),
+            // with the swapped MOSFET — Devices: DC, BE, trapezoidal
+            (9, 0x8cbccdc030fa847e),
+            (9, 0x8cbccdc030fa847e),
+            (9, 0x8cbccdc030fa847e),
+            // with the swapped MOSFET — LinearRhs: DC, BE, trapezoidal
+            (8, 0x3663e01ce2ccdaa4),
+            (10, 0xf7cf8d79603ac884),
+            (10, 0xd0e076b5b7ae9fd3),
+            // with the swapped MOSFET — AC at 1 kHz, then 10 MHz: probe, sources + overrides
+            (72, 0x94a3ec1bcc8143f7),
+            (72, 0x52d16e9f0ae2355a),
+            (72, 0xfd727ccb781f334c),
+            (72, 0xcd6c283b5ecda211),
+        ];
+        assert_eq!(got, pinned);
+    }
 
     fn sample_circuit() -> Circuit {
         let mut c = Circuit::new("layout test");

@@ -36,6 +36,15 @@
 //! exactly on `t_stop`. Only a Newton failure can reject one of its steps,
 //! and the only rung left is the backward-Euler retry.
 //!
+//! # Device capacitances are not stamped
+//!
+//! Each Newton iteration stamps the diodes', BJTs' and MOSFETs' Newton
+//! conductances and companion currents only. Their capacitance parameters
+//! (`cj0`; `cje`, `cjc`, `tf`; `cgs`, `cgd`, `cdb`) enter the AC analysis
+//! alone, so an overshoot measured here — the ζ(overshoot) of Table 2 —
+//! comes from a circuit without the devices' charge: only explicit
+//! capacitors and inductors carry reactive history.
+//!
 //! The step sequence is a pure deterministic function of (circuit, options):
 //! every accept/reject decision is computed from residual-verified solutions
 //! that are themselves bitwise identical at any `LOOPSCOPE_THREADS`
@@ -46,10 +55,10 @@ use crate::assembly::{AssembleMna, NewtonJob, SolveContext, SolveStats};
 use crate::dc::OperatingPoint;
 use crate::devices;
 use crate::error::{SpiceError, StepRejectReason, StepRejection};
-use crate::mna::{MatrixSink, MnaLayout, StampPart, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
 use crate::GMIN;
 use loopscope_math::interp;
-use loopscope_netlist::{Circuit, Element, NodeId};
+use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
 
 /// Step-growth threshold: the next step doubles only when the worst LTE
 /// ratio of the accepted step is at or below this fraction of the tolerance.
@@ -823,135 +832,6 @@ impl<'c> TransientAnalysis<'c> {
             prev_solution: history,
         }
     }
-
-    /// Stamps `part` of the MNA system for one Newton iteration of one time
-    /// point.
-    ///
-    /// With `left_limit` set (a breakpoint-landing step), independent
-    /// sources are evaluated by their left limit at `t` so the step sees
-    /// only the pre-discontinuity waveform.
-    #[allow(clippy::too_many_arguments)]
-    fn stamp_timestep<S: MatrixSink<f64>>(
-        &self,
-        st: &mut Stamper<'_, f64, S>,
-        part: StampPart,
-        t: f64,
-        dt: f64,
-        method: Integration,
-        left_limit: bool,
-        trial: &[f64],
-        prev: &[f64],
-        prev_cap_current: &[f64],
-        prev_ind_voltage: &[f64],
-        prev_solution: &[f64],
-    ) {
-        let trapezoidal = method == Integration::Trapezoidal;
-        let source_value = |spec: &loopscope_netlist::SourceSpec| {
-            if left_limit {
-                spec.value_at_left(t)
-            } else {
-                spec.value_at(t)
-            }
-        };
-
-        if part.stamps_gmin() {
-            for node in self.circuit.signal_nodes_iter() {
-                st.add_node_node(node, node, GMIN);
-            }
-        }
-
-        let elements = self.circuit.elements();
-        for &ei in self.layout.part_elements(part) {
-            match &elements[ei] {
-                Element::Resistor(r) => st.stamp_admittance(r.a, r.b, 1.0 / r.ohms),
-                Element::Capacitor(c) => {
-                    let v_old = prev[c.a.index()] - prev[c.b.index()];
-                    if trapezoidal {
-                        let geq = 2.0 * c.farads / dt;
-                        let ieq = geq * v_old + prev_cap_current[ei];
-                        st.stamp_admittance(c.a, c.b, geq);
-                        st.add_rhs_node(c.a, ieq);
-                        st.add_rhs_node(c.b, -ieq);
-                    } else {
-                        let geq = c.farads / dt;
-                        let ieq = geq * v_old;
-                        st.stamp_admittance(c.a, c.b, geq);
-                        st.add_rhs_node(c.a, ieq);
-                        st.add_rhs_node(c.b, -ieq);
-                    }
-                }
-                Element::Inductor(l) => {
-                    let br = self.layout.element_branch(ei).expect("branch");
-                    let i_old = prev_solution[br];
-                    st.add_var_node(br, l.a, 1.0);
-                    st.add_var_node(br, l.b, -1.0);
-                    st.add_node_var(l.a, br, 1.0);
-                    st.add_node_var(l.b, br, -1.0);
-                    if trapezoidal {
-                        let req = 2.0 * l.henries / dt;
-                        st.add_var_var(br, br, -req);
-                        st.add_rhs_var(br, -req * i_old - prev_ind_voltage[ei]);
-                    } else {
-                        let req = l.henries / dt;
-                        st.add_var_var(br, br, -req);
-                        st.add_rhs_var(br, -req * i_old);
-                    }
-                }
-                Element::Vsource(v) => {
-                    let br = self.layout.element_branch(ei).expect("branch");
-                    st.add_var_node(br, v.plus, 1.0);
-                    st.add_var_node(br, v.minus, -1.0);
-                    st.add_node_var(v.plus, br, 1.0);
-                    st.add_node_var(v.minus, br, -1.0);
-                    st.add_rhs_var(br, source_value(&v.spec));
-                }
-                Element::Isource(i) => {
-                    st.stamp_current_injection(i.minus, i.plus, source_value(&i.spec));
-                }
-                Element::Vcvs(e) => {
-                    let br = self.layout.element_branch(ei).expect("branch");
-                    st.add_var_node(br, e.out_plus, 1.0);
-                    st.add_var_node(br, e.out_minus, -1.0);
-                    st.add_var_node(br, e.ctrl_plus, -e.gain);
-                    st.add_var_node(br, e.ctrl_minus, e.gain);
-                    st.add_node_var(e.out_plus, br, 1.0);
-                    st.add_node_var(e.out_minus, br, -1.0);
-                }
-                Element::Vccs(g) => {
-                    st.stamp_vccs(g.out_plus, g.out_minus, g.ctrl_plus, g.ctrl_minus, g.gm)
-                }
-                Element::Cccs(f) => {
-                    let ctrl = self
-                        .layout
-                        .control_branch(ei)
-                        .expect("controlling source validated");
-                    st.add_node_var(f.out_plus, ctrl, f.gain);
-                    st.add_node_var(f.out_minus, ctrl, -f.gain);
-                }
-                Element::Ccvs(h) => {
-                    let br = self.layout.element_branch(ei).expect("branch");
-                    let ctrl = self
-                        .layout
-                        .control_branch(ei)
-                        .expect("controlling source validated");
-                    st.add_var_node(br, h.out_plus, 1.0);
-                    st.add_var_node(br, h.out_minus, -1.0);
-                    st.add_var_var(br, ctrl, -h.rm);
-                    st.add_node_var(h.out_plus, br, 1.0);
-                    st.add_node_var(h.out_minus, br, -1.0);
-                }
-                Element::Diode(d) => {
-                    devices::stamp_diode(d, trial).apply(st);
-                }
-                Element::Bjt(q) => {
-                    devices::stamp_bjt(q, trial).apply(st);
-                }
-                Element::Mosfet(m) => {
-                    devices::stamp_mosfet(m, trial).apply(st);
-                }
-            }
-        }
-    }
 }
 
 /// The error for a run whose result rows cannot be allocated.
@@ -1004,19 +884,61 @@ impl NewtonJob for TimestepSystem<'_, '_> {
     }
 
     fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
-        self.analysis.stamp_timestep(
-            st,
-            part,
-            self.t,
-            self.dt,
-            self.method,
-            self.left_limit,
-            self.trial,
-            self.prev,
-            self.prev_cap_current,
-            self.prev_ind_voltage,
-            self.prev_solution,
-        );
+        st.stamp_elements(part, GMIN, self);
+    }
+}
+
+/// Capacitors and inductors stamp their companion models of the step;
+/// sources are evaluated at `t` (by their left limit on a breakpoint
+/// landing); devices are linearized at the trial point. Only the devices'
+/// Newton conductances are stamped: their capacitances enter the AC
+/// analysis only.
+impl StampModel<f64> for TimestepSystem<'_, '_> {
+    fn circuit(&self) -> &Circuit {
+        self.analysis.circuit
+    }
+
+    fn layout(&self) -> &MnaLayout {
+        &self.analysis.layout
+    }
+
+    fn capacitor(&self, ei: usize, c: &Capacitor) -> Option<(f64, Option<f64>)> {
+        let v_old = self.prev[c.a.index()] - self.prev[c.b.index()];
+        Some(if self.method == Integration::Trapezoidal {
+            let geq = 2.0 * c.farads / self.dt;
+            (geq, Some(geq * v_old + self.prev_cap_current[ei]))
+        } else {
+            let geq = c.farads / self.dt;
+            (geq, Some(geq * v_old))
+        })
+    }
+
+    fn inductor(&self, ei: usize, br: usize, l: &Inductor) -> Option<(f64, Option<f64>)> {
+        let i_old = self.prev_solution[br];
+        Some(if self.method == Integration::Trapezoidal {
+            let req = 2.0 * l.henries / self.dt;
+            (-req, Some(-req * i_old - self.prev_ind_voltage[ei]))
+        } else {
+            let req = l.henries / self.dt;
+            (-req, Some(-req * i_old))
+        })
+    }
+
+    fn source(&self, spec: &SourceSpec) -> Option<f64> {
+        Some(if self.left_limit {
+            spec.value_at_left(self.t)
+        } else {
+            spec.value_at(self.t)
+        })
+    }
+
+    fn device<S: MatrixSink<f64>>(
+        &self,
+        st: &mut Stamper<'_, f64, S>,
+        _ei: usize,
+        element: &Element,
+    ) {
+        st.add_device(&devices::stamp_device(element, self.trial));
     }
 }
 
