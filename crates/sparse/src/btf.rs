@@ -25,9 +25,10 @@
 //!    every cross-block entry point from an earlier block's row into a
 //!    later block's column — block *upper*-triangular form.
 //!
-//! Both phases are purely structural (values are never read), so a [`Btf`]
-//! is computed once per circuit structure and reused for every matrix
-//! assembled over it. Within each block the rows and columns are sorted
+//! Both phases are purely structural (values are never read); every fresh
+//! [`SparseLu::factor`] computes them, and the [`SymbolicLu`] it records
+//! carries the result to every refactorization over the pattern. Within each
+//! block the rows and columns are sorted
 //! ascending by original index, so an **irreducible matrix degenerates to a
 //! single block with identity permutations** and [`SparseLu::factor`]
 //! becomes exactly one minimum-degree ordered, threshold-pivoted
@@ -35,6 +36,7 @@
 //!
 //! [`SolveError::Singular`]: crate::SolveError::Singular
 //! [`SparseLu::factor`]: crate::SparseLu::factor
+//! [`SymbolicLu`]: crate::SymbolicLu
 //!
 //! # Example
 //!

@@ -1,7 +1,6 @@
 //! Compressed sparse row (CSR) matrix storage.
 
 use crate::scalar::Scalar;
-use std::collections::BTreeMap;
 
 /// An immutable sparse matrix in compressed sparse row format.
 ///
@@ -26,25 +25,22 @@ pub struct CsrMatrix<T: Scalar> {
 }
 
 impl<T: Scalar> CsrMatrix<T> {
-    /// Builds a CSR matrix from entries already sorted by `(row, col)` with no
-    /// duplicates (the `BTreeMap` ordering guarantees both).
-    pub(crate) fn from_sorted_entries(
+    /// Builds a CSR matrix from its arrays: `row_ptr` has `rows + 1`
+    /// offsets into `col_idx` / `values`, and each row's columns ascend with
+    /// no duplicates.
+    pub(crate) fn from_parts(
         rows: usize,
         cols: usize,
-        entries: BTreeMap<(usize, usize), T>,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<T>,
     ) -> Self {
-        let nnz = entries.len();
-        let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for (&(r, c), &v) in &entries {
-            row_ptr[r + 1] += 1;
-            col_idx.push(c);
-            values.push(v);
-        }
-        for r in 0..rows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(col_idx.len(), values.len());
+        debug_assert!((0..rows).all(|r| {
+            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&c| c < cols)
+        }));
         Self {
             rows,
             cols,

@@ -16,9 +16,10 @@
 //!   place ([`CsrMatrix::zero_values`], [`CsrMatrix::find_slot`]) so repeated
 //!   assemblies over a fixed pattern allocate nothing.
 //! * [`ordering`] — fill-reducing elimination orderings (minimum degree on
-//!   the `A + Aᵀ` pattern, as KLU applies to circuit matrices). Computed once
-//!   per circuit structure, they keep the LU fill — and therefore the cost of
-//!   every numeric refactorization — near the structural optimum.
+//!   the `A + Aᵀ` pattern, as KLU applies to circuit matrices). Every fresh
+//!   factorization computes one per diagonal block; they keep the LU fill —
+//!   and therefore the cost of every numeric refactorization — near the
+//!   structural optimum.
 //! * [`btf`] — block upper-triangular form (maximum transversal + Tarjan
 //!   SCC, KLU's outermost structural move). Block-structured circuits —
 //!   cascaded stages, buffered sub-circuits — factor as many small diagonal

@@ -14,9 +14,11 @@
 //!   threshold pivoting: the row the ordering prefers is accepted as long as
 //!   its pivot stays within [`ORDERED_PIVOT_THRESHOLD`] of the largest
 //!   candidate, and rows are swapped only when numerics demand it. Rows are
-//!   kept as flat sorted `(col, value)` vectors and elimination updates are
-//!   two-pointer merges, so there is no tree/map traversal in the hot loop.
-//!   [`SparseLu::extract_symbolic`] captures the result as a [`SymbolicLu`].
+//!   kept as flat sorted `(col, value)` vectors, each step's candidates come
+//!   from a column → rows list, and each row update runs in place, with the
+//!   fill merged in from the back. Every DC solve, AC plan and re-pivot pays
+//!   this analysis. [`SparseLu::extract_symbolic`] captures the result as a
+//!   [`SymbolicLu`].
 //! * [`SparseLu::refactor_into`] — the **numeric-only refactorization** that
 //!   reuses a [`SymbolicLu`] (row *and* column permutations, block partition
 //!   and fill pattern). It runs a left-looking pass driven by flat op lists
@@ -468,32 +470,376 @@ pub struct SparseLu<T: Scalar> {
     a_norm_inf: f64,
 }
 
-/// Computes `merged = a − factor·p` for two sorted sparse rows, keeping the
-/// full union pattern (entries that cancel to exact zero are preserved so the
-/// fill pattern stays value-independent).
-fn merge_sub<T: Scalar>(a: &[(usize, T)], p: &[(usize, T)], factor: T, out: &mut Vec<(usize, T)>) {
-    out.clear();
-    out.reserve(a.len() + p.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < p.len() {
-        let (ac, av) = a[i];
-        let (pc, pv) = p[j];
-        if ac == pc {
-            out.push((ac, av - factor * pv));
-            i += 1;
-            j += 1;
-        } else if ac < pc {
-            out.push((ac, av));
-            i += 1;
-        } else {
-            out.push((pc, -(factor * pv)));
-            j += 1;
+/// Marks an empty slot of the fresh factorization's index arrays: no next
+/// list entry, no active position, no column.
+const NONE: usize = usize::MAX;
+
+/// A fresh factorization under construction: the composed permutations and
+/// the `L` and `U` patterns and values, appended one elimination step at a
+/// time in elimination order (global step and column coordinates).
+#[derive(Debug)]
+struct FreshFactors<T: Scalar> {
+    perm: Vec<usize>,
+    cperm: Vec<usize>,
+    l_ptr: Vec<usize>,
+    l_cols: Vec<usize>,
+    l_vals: Vec<T>,
+    u_ptr: Vec<usize>,
+    u_cols: Vec<usize>,
+    u_vals: Vec<T>,
+}
+
+impl<T: Scalar> FreshFactors<T> {
+    fn new(n: usize) -> Self {
+        Self {
+            perm: Vec::with_capacity(n),
+            cperm: Vec::with_capacity(n),
+            l_ptr: vec![0],
+            l_cols: Vec::new(),
+            l_vals: Vec::new(),
+            u_ptr: vec![0],
+            u_cols: Vec::new(),
+            u_vals: Vec::new(),
         }
     }
-    out.extend_from_slice(&a[i..]);
-    for &(pc, pv) in &p[j..] {
-        out.push((pc, -(factor * pv)));
+
+    /// The finished factorization of `matrix` over these factors, the
+    /// block partition and the raw off-diagonal block entries; `a_max` is
+    /// the recorded largest input modulus.
+    fn finish(
+        self,
+        matrix: &CsrMatrix<T>,
+        block_ptr: Vec<usize>,
+        (f_ptr, f_cols, f_vals): (Vec<usize>, Vec<usize>, Vec<T>),
+        a_max: f64,
+    ) -> SparseLu<T> {
+        let n = self.perm.len();
+        let mut cpos = vec![0usize; n];
+        for (k, &c) in self.cperm.iter().enumerate() {
+            cpos[c] = k;
+        }
+        let u_max = exact_max_modulus(&self.u_vals);
+        let mut vals = self.l_vals;
+        vals.reserve(self.u_vals.len() + f_vals.len());
+        vals.extend_from_slice(&self.u_vals);
+        vals.extend_from_slice(&f_vals);
+        SparseLu {
+            pattern: Arc::new(LuPattern {
+                n,
+                perm: self.perm,
+                cperm: self.cperm,
+                cpos,
+                l_ptr: self.l_ptr,
+                l_cols: self.l_cols,
+                u_ptr: self.u_ptr,
+                u_cols: self.u_cols,
+                block_ptr,
+                f_ptr,
+                f_cols,
+                inverse: OnceLock::new(),
+                program: OnceLock::new(),
+                scatter: OnceLock::new(),
+            }),
+            vals,
+            refactored: false,
+            a_max_modulus: a_max,
+            u_max_modulus: u_max,
+            a_norm_inf: norm_inf(matrix),
+        }
     }
+}
+
+/// One candidate row of the pivot column at its elimination step.
+#[derive(Debug, Clone, Copy)]
+struct Candidate<T> {
+    /// Position of the row in the active list, the order candidates are
+    /// weighed in.
+    at: usize,
+    row: usize,
+    value: T,
+    modulus: f64,
+    /// Entries of the row not yet eliminated, the pivot column's included.
+    len: usize,
+}
+
+/// Scratch of the block eliminations of one fresh factorization, reused
+/// from block to block, every buffer sized by the block.
+#[derive(Debug)]
+struct BlockScratch<T: Scalar> {
+    /// Elimination step of every block column.
+    cpos: Vec<usize>,
+    /// Per elimination column, the largest input modulus (and its argmax
+    /// scratch): the reference scale of the singularity test.
+    col_max: Vec<f64>,
+    col_arg: Vec<T>,
+    /// Working rows, each sorted by elimination column: the row's finished
+    /// `L` entries `(column, multiplier)`, then from `live[r]` on its entries
+    /// not yet eliminated.
+    rows: Vec<Vec<(usize, T)>>,
+    live: Vec<usize>,
+    /// Column → rows index: each unfinished row sits in the list of its
+    /// first column not yet eliminated — `head[c]`, then `next[r]` until
+    /// [`NONE`] — so step `k`'s list holds exactly its candidates. An
+    /// updated row moves to the list of its new first column.
+    head: Vec<usize>,
+    next: Vec<usize>,
+    /// Rows not yet pivotal, and each row's position in that list.
+    active: Vec<usize>,
+    at: Vec<usize>,
+    cands: Vec<Candidate<T>>,
+    /// Per column, the step whose pivot row holds it and its index among
+    /// that row's off-diagonal entries.
+    pivot_at: Vec<(usize, usize)>,
+}
+
+impl<T: Scalar> BlockScratch<T> {
+    fn new() -> Self {
+        Self {
+            cpos: Vec::new(),
+            col_max: Vec::new(),
+            col_arg: Vec::new(),
+            rows: Vec::new(),
+            live: Vec::new(),
+            head: Vec::new(),
+            next: Vec::new(),
+            active: Vec::new(),
+            at: Vec::new(),
+            cands: Vec::new(),
+            pivot_at: Vec::new(),
+        }
+    }
+
+    /// Eliminates one irreducible diagonal block `matrix` (block-local
+    /// coordinates) in the column order `col_order`, appending its steps to
+    /// `out`. `row_map` / `col_map` name the original row and column of
+    /// every block-local index; errors carry original indices.
+    ///
+    /// At step `k` the candidates are the active rows holding column `k` —
+    /// the rows whose first column not yet eliminated is `k`, listed by the
+    /// column → rows index — weighed in active-list order, so ties and the
+    /// reported row are those of a scan over the active list. Each other candidate row `r` is updated in place: its entries
+    /// in the pivot row's columns become `a − f·p`, and each pivot column
+    /// it lacks is merged in as fill `−(f·p)`, where `f = a_rk / pivot` —
+    /// per entry the same operations, in step order, as merging the row
+    /// with the scaled pivot row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col_order` is not a permutation of `0..matrix.rows()`.
+    fn eliminate(
+        &mut self,
+        matrix: &CsrMatrix<T>,
+        col_order: &[usize],
+        row_map: &[usize],
+        col_map: &[usize],
+        out: &mut FreshFactors<T>,
+    ) -> Result<(), SolveError> {
+        let n = matrix.rows();
+        let start = out.perm.len();
+        assert_eq!(
+            col_order.len(),
+            n,
+            "column order must be a permutation of 0..n"
+        );
+        self.cpos.clear();
+        self.cpos.resize(n, NONE);
+        for (k, &c) in col_order.iter().enumerate() {
+            assert!(
+                c < n && self.cpos[c] == NONE,
+                "column order must be a permutation of 0..n"
+            );
+            self.cpos[c] = k;
+        }
+        // Per-elimination-column reference scales for the relative
+        // singularity test; also rejects non-finite input up front.
+        column_max_moduli_into(matrix, &self.cpos, &mut self.col_max, &mut self.col_arg).map_err(
+            |err| match err {
+                SolveError::NonFinite { row, col } => SolveError::NonFinite {
+                    row: row_map[row],
+                    col: col_map[col],
+                },
+                other => other,
+            },
+        )?;
+
+        self.rows.resize_with(n, Vec::new);
+        self.head.clear();
+        self.head.resize(n, NONE);
+        self.next.clear();
+        self.next.resize(n, NONE);
+        for r in 0..n {
+            let row = &mut self.rows[r];
+            row.clear();
+            // Room for about as much fill again as the row's input entries
+            // saves most reallocations.
+            row.reserve(2 * matrix.row_pattern(r).len() + 4);
+            row.extend(matrix.row_entries(r).map(|(c, v)| (self.cpos[c], v)));
+            row.sort_unstable_by_key(|&(c, _)| c);
+            if let Some(&(c, _)) = row.first() {
+                self.next[r] = self.head[c];
+                self.head[c] = r;
+            }
+        }
+        self.live.clear();
+        self.live.resize(n, 0);
+        self.active.clear();
+        self.active.extend(0..n);
+        self.at.clear();
+        self.at.extend(0..n);
+        self.pivot_at.clear();
+        self.pivot_at.resize(n, (NONE, 0));
+
+        for k in 0..n {
+            // Report failures against the ORIGINAL column index: callers
+            // see the unknown they can map back to the circuit, not the
+            // position some fill-reducing permutation moved it to.
+            let col = col_map[col_order[k]];
+            self.cands.clear();
+            let mut r = self.head[k];
+            while r != NONE {
+                let row = &self.rows[r];
+                let (c, value) = row[self.live[r]];
+                debug_assert_eq!(c, k, "a row in list k starts at column k");
+                self.cands.push(Candidate {
+                    at: self.at[r],
+                    row: r,
+                    value,
+                    modulus: value.modulus(),
+                    len: row.len() - self.live[r],
+                });
+                r = self.next[r];
+            }
+            self.cands.sort_unstable_by_key(|c| c.at);
+            let (pivot_row, pivot_mod) = select_threshold_pivot(&self.cands, col_order[k])
+                .ok_or(SolveError::Singular(col))?;
+            // Elimination can overflow into ±∞/NaN even when the input was
+            // finite; NaN would pass the threshold checks below (every
+            // comparison false), so reject it explicitly.
+            if !pivot_mod.is_finite() {
+                return Err(SolveError::NonFinite {
+                    row: row_map[pivot_row],
+                    col,
+                });
+            }
+            if pivot_mod <= self.col_max[k] * SINGULARITY_RELATIVE || pivot_mod == 0.0 {
+                return Err(SolveError::Singular(col));
+            }
+            let ai = self.at[pivot_row];
+            self.active.swap_remove(ai);
+            if let Some(&moved) = self.active.get(ai) {
+                self.at[moved] = ai;
+            }
+            self.at[pivot_row] = NONE;
+
+            // The pivot row is finished: its L entries, then its U row.
+            let pivot = std::mem::take(&mut self.rows[pivot_row]);
+            let (l_part, u_part) = pivot.split_at(self.live[pivot_row]);
+            out.perm.push(row_map[pivot_row]);
+            out.cperm.push(col);
+            out.l_cols.extend(l_part.iter().map(|&(c, _)| start + c));
+            out.l_vals.extend(l_part.iter().map(|&(_, v)| v));
+            out.l_ptr.push(out.l_cols.len());
+            out.u_cols.extend(u_part.iter().map(|&(c, _)| start + c));
+            out.u_vals.extend(u_part.iter().map(|&(_, v)| v));
+            out.u_ptr.push(out.u_cols.len());
+            let pivot_val = u_part[0].1;
+            let pivot_off = &u_part[1..];
+            for (j, &(c, _)) in pivot_off.iter().enumerate() {
+                self.pivot_at[c] = (k, j);
+            }
+
+            // Eliminate column k from the other candidates. Rows are
+            // independent, so their order does not matter.
+            for cand in &self.cands {
+                let r = cand.row;
+                if r == pivot_row {
+                    continue;
+                }
+                let factor = cand.value / pivot_val;
+                let row = &mut self.rows[r];
+                let at = self.live[r];
+                // Record even exact-zero multipliers: the L pattern must
+                // not depend on the numeric values.
+                row[at].1 = factor;
+                self.live[r] = at + 1;
+                let mut hits = 0;
+                for entry in &mut row[at + 1..] {
+                    let (step, j) = self.pivot_at[entry.0];
+                    if step == k {
+                        entry.1 -= factor * pivot_off[j].1;
+                        hits += 1;
+                    }
+                }
+                // Merge the fill in from the back: entries past the last
+                // fill column move up, the rest stay put.
+                let fill = pivot_off.len() - hits;
+                let old_len = row.len();
+                row.resize(old_len + fill, (0, T::ZERO));
+                let (mut i, mut w, mut j) = (old_len, row.len(), pivot_off.len());
+                while w > i {
+                    // Row entry `at` is column k, left of every pivot column.
+                    let (pc, pv) = pivot_off[j - 1];
+                    let rc = row[i - 1].0;
+                    w -= 1;
+                    if rc >= pc {
+                        i -= 1;
+                        j -= usize::from(rc == pc);
+                        row[w] = row[i];
+                    } else {
+                        j -= 1;
+                        row[w] = (pc, -(factor * pv));
+                    }
+                }
+                // A row with nothing left to eliminate is never a
+                // candidate again (the block is singular).
+                if let Some(&(c, _)) = row.get(at + 1) {
+                    self.next[r] = self.head[c];
+                    self.head[c] = r;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// KLU-style pivot selection among the candidates of one elimination step,
+/// in active-list order: the row the ordering prefers (`preferred_row`, the
+/// symmetric-diagonal choice) wins while its modulus stays within
+/// [`ORDERED_PIVOT_THRESHOLD`] of the best candidate; otherwise the
+/// shortest (least fill-producing) candidate above the threshold wins, with
+/// modulus and then row index breaking ties deterministically. Returns the
+/// pivot row and its modulus.
+fn select_threshold_pivot<T: Scalar>(
+    cands: &[Candidate<T>],
+    preferred_row: usize,
+) -> Option<(usize, f64)> {
+    let max_mod = cands.iter().fold(0.0f64, |m, c| m.max(c.modulus));
+    if max_mod == 0.0 {
+        return None;
+    }
+    let acceptance = ORDERED_PIVOT_THRESHOLD * max_mod;
+    // (modulus, row length, row index)
+    let mut best: Option<(f64, usize, usize)> = None;
+    for c in cands {
+        let (m, len, r) = (c.modulus, c.len, c.row);
+        if m == 0.0 || m < acceptance {
+            continue;
+        }
+        if r == preferred_row {
+            // Numerics did not force a swap: respect the ordering.
+            return Some((r, m));
+        }
+        let better = match best {
+            None => true,
+            Some((bm, blen, brow)) => {
+                len < blen || (len == blen && (m > bm || (m == bm && r < brow)))
+            }
+        };
+        if better {
+            best = Some((m, len, r));
+        }
+    }
+    best.map(|(m, _, r)| (r, m))
 }
 
 impl<T: Scalar> SparseLu<T> {
@@ -572,126 +918,78 @@ impl<T: Scalar> SparseLu<T> {
             btf_cpos[c] = k;
         }
 
-        let mut perm = Vec::with_capacity(n);
-        let mut cperm = Vec::with_capacity(n);
-        let mut l_ptr = Vec::with_capacity(n + 1);
-        let mut l_cols = Vec::new();
-        let mut l_vals = Vec::new();
-        let mut u_ptr = Vec::with_capacity(n + 1);
-        let mut u_cols = Vec::new();
-        let mut u_vals = Vec::new();
-        l_ptr.push(0);
-        u_ptr.push(0);
+        let mut out = FreshFactors::new(n);
+        let mut scratch = BlockScratch::new();
+        let mut row_entries: Vec<(usize, T)> = Vec::new();
         for b in 0..form.block_count() {
             let range = form.block_range(b);
             let (start, end) = (range.start, range.end);
-            let dim = end - start;
             // The diagonal block in block-local coordinates. Entries in
             // later blocks are collected afterwards as the off-diagonal F
             // pattern; entries in earlier blocks cannot exist — the BTF
             // analysis of this very matrix guarantees upper form.
-            let mut triplets = crate::triplet::TripletMatrix::new(dim, dim);
-            for local_row in 0..dim {
-                let row = form.row_perm()[start + local_row];
+            let mut row_ptr = Vec::with_capacity(range.len() + 1);
+            let mut col_idx = Vec::new();
+            let mut values = Vec::new();
+            row_ptr.push(0);
+            for &row in &form.row_perm()[range.clone()] {
+                row_entries.clear();
                 for (c, v) in matrix.row_entries(row) {
                     let p = btf_cpos[c];
                     debug_assert!(p >= start, "BTF left an entry below its diagonal block");
                     if p < end {
-                        triplets.push(local_row, p - start, v);
+                        row_entries.push((p - start, v));
                     }
                 }
+                row_entries.sort_unstable_by_key(|&(c, _)| c);
+                col_idx.extend(row_entries.iter().map(|&(c, _)| c));
+                values.extend(row_entries.iter().map(|&(_, v)| v));
+                row_ptr.push(col_idx.len());
             }
-            let local = triplets.to_csr();
+            let local = CsrMatrix::from_parts(range.len(), range.len(), row_ptr, col_idx, values);
             let order = crate::ordering::min_degree_order(&local);
-            let block_lu = Self::factor_block(&local, &order).map_err(|err| match err {
-                // Map block-local indices back to the original ones.
-                SolveError::Singular(col) => SolveError::Singular(form.col_perm()[start + col]),
-                SolveError::NonFinite { row, col } => SolveError::NonFinite {
-                    row: form.row_perm()[start + row],
-                    col: form.col_perm()[start + col],
-                },
-                other => other,
-            })?;
-            let bp = &block_lu.pattern;
-            let (block_l, block_u, _) = block_lu.factors();
-            for k in 0..dim {
-                perm.push(form.row_perm()[start + bp.perm[k]]);
-                cperm.push(form.col_perm()[start + bp.cperm[k]]);
-                let lr = bp.l_ptr[k]..bp.l_ptr[k + 1];
-                l_cols.extend(bp.l_cols[lr.clone()].iter().map(|&c| start + c));
-                l_vals.extend_from_slice(&block_l[lr]);
-                l_ptr.push(l_cols.len());
-                let ur = bp.u_ptr[k]..bp.u_ptr[k + 1];
-                u_cols.extend(bp.u_cols[ur.clone()].iter().map(|&c| start + c));
-                u_vals.extend_from_slice(&block_u[ur]);
-                u_ptr.push(u_cols.len());
-            }
+            scratch.eliminate(
+                &local,
+                &order,
+                &form.row_perm()[range.clone()],
+                &form.col_perm()[range],
+                &mut out,
+            )?;
         }
 
-        // Composed inverse column permutation, then the off-diagonal block
-        // pattern: the raw entries of each pivot row in later blocks, in
-        // ascending elimination-column order.
+        // The off-diagonal block pattern: the raw entries of each pivot row
+        // in later blocks, in ascending elimination-column order.
         let mut cpos = vec![0usize; n];
-        for (k, &c) in cperm.iter().enumerate() {
+        for (k, &c) in out.cperm.iter().enumerate() {
             cpos[c] = k;
-        }
-        let mut block_end_of_step = vec![0usize; n];
-        for b in 0..form.block_count() {
-            let range = form.block_range(b);
-            for step in range.clone() {
-                block_end_of_step[step] = range.end;
-            }
         }
         let mut f_ptr = Vec::with_capacity(n + 1);
         let mut f_cols = Vec::new();
         let mut f_vals = Vec::new();
         f_ptr.push(0);
-        let mut f_row: Vec<(usize, T)> = Vec::new();
-        for (step, &pivot_row) in perm.iter().enumerate() {
-            f_row.clear();
-            let end = block_end_of_step[step];
-            for (c, v) in matrix.row_entries(pivot_row) {
-                let p = cpos[c];
-                if p >= end {
-                    f_row.push((p, v));
+        for b in 0..form.block_count() {
+            let end = form.block_range(b).end;
+            for &pivot_row in &out.perm[form.block_range(b)] {
+                row_entries.clear();
+                for (c, v) in matrix.row_entries(pivot_row) {
+                    let p = cpos[c];
+                    if p >= end {
+                        row_entries.push((p, v));
+                    }
                 }
+                row_entries.sort_unstable_by_key(|&(p, _)| p);
+                f_cols.extend(row_entries.iter().map(|&(p, _)| p));
+                f_vals.extend(row_entries.iter().map(|&(_, v)| v));
+                f_ptr.push(f_cols.len());
             }
-            f_row.sort_unstable_by_key(|&(p, _)| p);
-            for &(p, v) in &f_row {
-                f_cols.push(p);
-                f_vals.push(v);
-            }
-            f_ptr.push(f_cols.len());
         }
-
         let a_max = matrix.max_modulus();
-        let u_max = exact_max_modulus(&u_vals);
-        let mut vals = l_vals;
-        vals.extend_from_slice(&u_vals);
-        vals.extend_from_slice(&f_vals);
-        Ok(Self {
-            pattern: Arc::new(LuPattern {
-                n,
-                perm,
-                cperm,
-                cpos,
-                l_ptr,
-                l_cols,
-                u_ptr,
-                u_cols,
-                block_ptr: form.block_ptr().to_vec(),
-                f_ptr,
-                f_cols,
-                inverse: OnceLock::new(),
-                program: OnceLock::new(),
-                scatter: OnceLock::new(),
-            }),
-            vals,
-            refactored: false,
-            a_max_modulus: a_max,
-            u_max_modulus: u_max,
-            a_norm_inf: norm_inf(matrix),
-        })
+        Ok(out.finish(
+            matrix,
+            form.block_ptr().to_vec(),
+            (f_ptr, f_cols, f_vals),
+            a_max,
+        ))
     }
 
     /// Factors one irreducible diagonal block (the whole matrix when BTF
@@ -705,197 +1003,17 @@ impl<T: Scalar> SparseLu<T> {
     /// Panics if `col_order` is not a permutation of `0..matrix.rows()`.
     fn factor_block(matrix: &CsrMatrix<T>, col_order: &[usize]) -> Result<Self, SolveError> {
         let n = matrix.rows();
-        // Column permutation: cperm[k] = original column eliminated at step
-        // k; cpos is its inverse.
-        let mut cpos = vec![usize::MAX; n];
-        assert_eq!(
-            col_order.len(),
-            n,
-            "column order must be a permutation of 0..n"
-        );
-        for (k, &c) in col_order.iter().enumerate() {
-            assert!(
-                c < n && cpos[c] == usize::MAX,
-                "column order must be a permutation of 0..n"
-            );
-            cpos[c] = k;
-        }
-        let cperm = col_order.to_vec();
-
-        // Per-elimination-column reference scales for the relative
-        // singularity test; also rejects non-finite input up front.
-        let mut col_max = Vec::new();
-        let mut col_arg = Vec::new();
-        column_max_moduli_into(matrix, &cpos, &mut col_max, &mut col_arg)?;
-
-        // Working rows as (elimination-column, value) vectors sorted by
-        // column. After step k every still-active row starts at a column > k,
-        // so "row contains the pivot column" is a check of its first entry.
-        let mut rows: Vec<Vec<(usize, T)>> = (0..n)
-            .map(|r| {
-                let mut row: Vec<(usize, T)> =
-                    matrix.row_entries(r).map(|(c, v)| (cpos[c], v)).collect();
-                row.sort_unstable_by_key(|&(c, _)| c);
-                row
-            })
-            .collect();
-        let mut active: Vec<usize> = (0..n).collect();
-        // L entries per ORIGINAL row index, pushed in ascending step order.
-        let mut l_rows: Vec<Vec<(usize, T)>> = vec![Vec::new(); n];
-        let mut u_rows: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
-        let mut perm = Vec::with_capacity(n);
-        let mut scratch: Vec<(usize, T)> = Vec::new();
-
-        // The loop is over elimination steps, not col_max; indexing is
-        // clearer than iterating the threshold table.
-        #[allow(clippy::needless_range_loop)]
-        for k in 0..n {
-            let (active_idx, pivot_mod) = Self::select_threshold_pivot(&rows, &active, k, cperm[k])
-                // Report singularity against the ORIGINAL column index: callers
-                // see the unknown they can map back to the circuit, not the
-                // position some fill-reducing permutation moved it to.
-                .ok_or(SolveError::Singular(cperm[k]))?;
-            // Elimination can overflow into ±∞/NaN even when the input was
-            // finite; NaN would pass the threshold checks below (every
-            // comparison false), so reject it explicitly.
-            if !pivot_mod.is_finite() {
-                return Err(SolveError::NonFinite {
-                    row: active[active_idx],
-                    col: cperm[k],
-                });
-            }
-            if pivot_mod <= col_max[k] * SINGULARITY_RELATIVE || pivot_mod == 0.0 {
-                return Err(SolveError::Singular(cperm[k]));
-            }
-            let pivot_row = active.swap_remove(active_idx);
-            let pivot = std::mem::take(&mut rows[pivot_row]);
-            let pivot_val = pivot[0].1;
-
-            // Eliminate column k from the remaining active rows.
-            for &r in &active {
-                let Some(&(c, a_rk)) = rows[r].first() else {
-                    continue;
-                };
-                if c != k {
-                    continue;
-                }
-                let factor = a_rk / pivot_val;
-                merge_sub(&rows[r][1..], &pivot[1..], factor, &mut scratch);
-                std::mem::swap(&mut rows[r], &mut scratch);
-                // Record even exact-zero multipliers: the L pattern must not
-                // depend on the numeric values.
-                l_rows[r].push((k, factor));
-            }
-
-            perm.push(pivot_row);
-            u_rows.push(pivot);
-        }
-
-        // Flatten into CSR-style arrays ordered by elimination step.
-        let mut l_ptr = Vec::with_capacity(n + 1);
-        let mut l_cols = Vec::new();
-        let mut l_vals = Vec::new();
-        let mut u_ptr = Vec::with_capacity(n + 1);
-        let mut u_cols = Vec::new();
-        let mut u_vals = Vec::new();
-        l_ptr.push(0);
-        u_ptr.push(0);
-        for (i, u_row) in u_rows.into_iter().enumerate() {
-            for (c, v) in std::mem::take(&mut l_rows[perm[i]]) {
-                l_cols.push(c);
-                l_vals.push(v);
-            }
-            l_ptr.push(l_cols.len());
-            debug_assert_eq!(u_row[0].0, i, "pivot row must start at its diagonal");
-            for (c, v) in u_row {
-                u_cols.push(c);
-                u_vals.push(v);
-            }
-            u_ptr.push(u_cols.len());
-        }
-
-        let a_max = col_max.iter().fold(0.0f64, |a, &b| a.max(b));
-        let u_max = exact_max_modulus(&u_vals);
-        let mut vals = l_vals;
-        vals.extend_from_slice(&u_vals);
-        Ok(Self {
-            pattern: Arc::new(LuPattern {
-                n,
-                perm,
-                cperm,
-                cpos,
-                l_ptr,
-                l_cols,
-                u_ptr,
-                u_cols,
-                block_ptr: LuPattern::single_block(n),
-                f_ptr: LuPattern::empty_f(n),
-                f_cols: Vec::new(),
-                inverse: OnceLock::new(),
-                program: OnceLock::new(),
-                scatter: OnceLock::new(),
-            }),
-            vals,
-            refactored: false,
-            a_max_modulus: a_max,
-            u_max_modulus: u_max,
-            a_norm_inf: norm_inf(matrix),
-        })
-    }
-
-    /// KLU-style pivot selection for the ordered factorization at step `k`:
-    /// the row the ordering prefers (`preferred_row`, the symmetric-diagonal
-    /// choice) wins while its modulus stays within
-    /// [`ORDERED_PIVOT_THRESHOLD`] of the best candidate; otherwise the
-    /// shortest (least fill-producing) candidate above the threshold wins,
-    /// with modulus and then row index breaking ties deterministically.
-    fn select_threshold_pivot(
-        rows: &[Vec<(usize, T)>],
-        active: &[usize],
-        k: usize,
-        preferred_row: usize,
-    ) -> Option<(usize, f64)> {
-        let mut max_mod = 0.0f64;
-        for &r in active {
-            if let Some(&(c, v)) = rows[r].first() {
-                if c == k {
-                    max_mod = max_mod.max(v.modulus());
-                }
-            }
-        }
-        if max_mod == 0.0 {
-            return None;
-        }
-        let acceptance = ORDERED_PIVOT_THRESHOLD * max_mod;
-        // (active index, modulus, row length, original row index)
-        let mut best: Option<(usize, f64, usize, usize)> = None;
-        for (ai, &r) in active.iter().enumerate() {
-            let Some(&(c, v)) = rows[r].first() else {
-                continue;
-            };
-            if c != k {
-                continue;
-            }
-            let m = v.modulus();
-            if m == 0.0 || m < acceptance {
-                continue;
-            }
-            if r == preferred_row {
-                // Numerics did not force a swap: respect the ordering.
-                return Some((ai, m));
-            }
-            let len = rows[r].len();
-            let better = match best {
-                None => true,
-                Some((_, bm, blen, brow)) => {
-                    len < blen || (len == blen && (m > bm || (m == bm && r < brow)))
-                }
-            };
-            if better {
-                best = Some((ai, m, len, r));
-            }
-        }
-        best.map(|(ai, m, _, _)| (ai, m))
+        let identity: Vec<usize> = (0..n).collect();
+        let mut out = FreshFactors::new(n);
+        let mut scratch = BlockScratch::new();
+        scratch.eliminate(matrix, col_order, &identity, &identity, &mut out)?;
+        let a_max = scratch.col_max.iter().fold(0.0f64, |a, &b| a.max(b));
+        Ok(out.finish(
+            matrix,
+            LuPattern::single_block(n),
+            (LuPattern::empty_f(n), Vec::new(), Vec::new()),
+            a_max,
+        ))
     }
 
     /// Captures this factorization's permutations, block partition and fill

@@ -86,21 +86,21 @@ const SINGULARITY_SQR: f64 = SINGULARITY_RELATIVE * SINGULARITY_RELATIVE;
 /// slot) of some row `i`: the entry becomes `value / pivot`, then `count`
 /// updates subtract `multiplier · U[k][j]` from row `i`'s slots. The `U` row
 /// of the pivot supplies the sources: slots `pivot + 1 .. pivot + 1 + count`.
-#[derive(Debug, Clone, Copy)]
-struct ElimOp {
-    pivot: u32,
-    count: u32,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct ElimOp {
+    pub(super) pivot: u32,
+    pub(super) count: u32,
 }
 
 /// The pattern-only op lists of the compiled refactorization, built once per
 /// [`LuPattern`] on first use.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct Program {
     /// One op per `L` entry, in elimination order: row `i`'s ops are
     /// `ops[l_ptr[i]..l_ptr[i + 1]]`, and op `t`'s multiplier is slot `t`.
-    ops: Vec<ElimOp>,
+    pub(super) ops: Vec<ElimOp>,
     /// Destination slots of every op's updates, concatenated in op order.
-    dst: Vec<u32>,
+    pub(super) dst: Vec<u32>,
 }
 
 impl Program {
@@ -111,7 +111,7 @@ impl Program {
     /// Panics when the pattern is not closed under elimination — impossible
     /// for patterns recorded by [`SparseLu::factor`](super::SparseLu::factor)
     /// — or holds more than `u32::MAX` factor entries.
-    fn build(p: &LuPattern) -> Self {
+    pub(super) fn build(p: &LuPattern) -> Self {
         assert!(
             u32::try_from(p.factor_len()).is_ok(),
             "the compiled refactorization supports at most u32::MAX factor entries"
@@ -124,7 +124,9 @@ impl Program {
             .sum();
         let mut ops = Vec::with_capacity(nl);
         let mut dst = Vec::with_capacity(updates);
+        let mut slots = RowSlots::new(p.n);
         for i in 0..p.n {
+            slots.load(p, i);
             for t in p.l_ptr[i]..p.l_ptr[i + 1] {
                 let k = p.l_cols[t];
                 let row = (p.u_ptr[k] + 1)..p.u_ptr[k + 1];
@@ -133,7 +135,8 @@ impl Program {
                     count: row.len() as u32,
                 });
                 dst.extend(p.u_cols[row].iter().map(|&c| {
-                    p.slot_of(i, c)
+                    slots
+                        .get(c)
                         .expect("LU pattern must be closed under elimination")
                         as u32
                 }));
@@ -151,24 +154,24 @@ impl Program {
 
 /// Where every stored entry of one CSR structure lands in the factor
 /// buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct ScatterMap {
     /// The structure the map was compiled against (empty for a throwaway
     /// map, which is never compared).
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
+    pub(super) row_ptr: Vec<usize>,
+    pub(super) col_idx: Vec<usize>,
     /// Factor slot of every stored entry, in storage order. An entry outside
     /// the pattern maps to the pivot slot of its own row: that row, and every
     /// later one, is past the first mismatch and never read.
-    slot: Vec<u32>,
+    pub(super) slot: Vec<u32>,
     /// The first elimination step whose input row leaves the pattern.
-    mismatch: Option<usize>,
+    pub(super) mismatch: Option<usize>,
 }
 
 impl ScatterMap {
     /// Compiles the map of `matrix`'s structure over `p`; `keyed` keeps a
     /// copy of the structure so the map can be cached and matched later.
-    fn build<T: Scalar>(p: &LuPattern, matrix: &CsrMatrix<T>, keyed: bool) -> Self {
+    pub(super) fn build<T: Scalar>(p: &LuPattern, matrix: &CsrMatrix<T>, keyed: bool) -> Self {
         let (row_ptr, col_idx, _) = matrix.parts();
         let nl = p.l_cols.len();
         // Elimination step of every original row (the inverse of `perm`).
@@ -178,9 +181,11 @@ impl ScatterMap {
         }
         let mut mismatch: Option<usize> = None;
         let mut slot = Vec::with_capacity(col_idx.len());
+        let mut slots = RowSlots::new(p.n);
         for (r, &i) in ppos.iter().enumerate() {
+            slots.load(p, i);
             for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-                let s = p.slot_of(i, p.cpos[c]).unwrap_or_else(|| {
+                let s = slots.get(p.cpos[c]).unwrap_or_else(|| {
                     mismatch = Some(mismatch.map_or(i, |m| m.min(i)));
                     nl + p.u_ptr[i]
                 });
@@ -214,25 +219,6 @@ impl LuPattern {
         self.l_cols.len() + self.u_cols.len() + self.f_cols.len()
     }
 
-    /// The factor slot of entry `(step i, elimination column c)`, if the
-    /// pattern stores it: an `L` slot left of the diagonal, else a `U` slot
-    /// within the block, else an `F` slot in a later block.
-    pub(super) fn slot_of(&self, i: usize, c: usize) -> Option<usize> {
-        let find = |ptr: &[usize], cols: &[usize]| {
-            cols[ptr[i]..ptr[i + 1]]
-                .binary_search(&c)
-                .ok()
-                .map(|t| ptr[i] + t)
-        };
-        let nl = self.l_cols.len();
-        if c < i {
-            return find(&self.l_ptr, &self.l_cols);
-        }
-        find(&self.u_ptr, &self.u_cols)
-            .map(|t| nl + t)
-            .or_else(|| find(&self.f_ptr, &self.f_cols).map(|t| nl + self.u_cols.len() + t))
-    }
-
     /// The elimination op lists, compiled on the first call.
     pub(super) fn program(&self) -> &Program {
         self.program.get_or_init(|| Program::build(self))
@@ -261,6 +247,54 @@ impl LuPattern {
                 _ => Cow::Owned(mine),
             },
         }
+    }
+}
+
+/// Dense slot lookup over one elimination row at a time: after
+/// [`load`](RowSlots::load)`(p, i)`, [`get`](RowSlots::get)`(c)` is the
+/// factor slot of entry `(step i, elimination column c)` — an `L` slot left
+/// of the diagonal, a `U` slot within the block, an `F` slot in a later
+/// block — or `None` when the pattern does not store it. Loading costs the
+/// row's length and each lookup `O(1)`; the two arrays are sized by the
+/// dimension.
+pub(super) struct RowSlots {
+    /// Per elimination column: the step whose row marked it, and its slot
+    /// there.
+    marks: Vec<(usize, usize)>,
+    row: usize,
+}
+
+impl RowSlots {
+    pub(super) fn new(n: usize) -> Self {
+        Self {
+            marks: vec![(usize::MAX, 0); n],
+            row: 0,
+        }
+    }
+
+    /// Marks every stored entry of step `i`'s row of `p`.
+    pub(super) fn load(&mut self, p: &LuPattern, i: usize) {
+        self.row = i;
+        let nl = p.l_cols.len();
+        let nu = p.u_cols.len();
+        let parts = [
+            (&p.l_ptr, &p.l_cols, 0),
+            (&p.u_ptr, &p.u_cols, nl),
+            (&p.f_ptr, &p.f_cols, nl + nu),
+        ];
+        for (ptr, cols, base) in parts {
+            let range = ptr[i]..ptr[i + 1];
+            for (t, &c) in range.clone().zip(&cols[range]) {
+                self.marks[c] = (i, base + t);
+            }
+        }
+    }
+
+    /// The slot of column `c` in the loaded row, if stored.
+    #[inline]
+    pub(super) fn get(&self, c: usize) -> Option<usize> {
+        let (row, slot) = self.marks[c];
+        (row == self.row).then_some(slot)
     }
 }
 

@@ -1,20 +1,31 @@
-//! Test oracle of the compiled refactorization: the scatter/gather
-//! refactorizations (scalar and batched) the op lists replaced, kept
-//! verbatim in their arithmetic, and the properties that pin the compiled
-//! paths to them bit for bit — factor values, lane statuses and the
-//! recorded scales — on random patterns with BTF blocks, fill-in,
-//! exact-zero multipliers, non-finite entries, pivots straddling both
-//! pivot thresholds, off-pattern input and wrong dimensions.
+//! Test oracle of the compiled refactorization and of the one-time
+//! analysis.
+//!
+//! * The scatter/gather refactorizations (scalar and batched) the op lists
+//!   replaced, kept verbatim in their arithmetic, and the properties that
+//!   pin the compiled paths to them bit for bit — factor values, lane
+//!   statuses and the recorded scales — on random patterns with BTF blocks,
+//!   fill-in, exact-zero multipliers, non-finite entries, pivots straddling
+//!   both pivot thresholds, off-pattern input and wrong dimensions.
+//! * The one-time analysis the near-linear versions replaced, kept
+//!   verbatim: the `BTreeSet` minimum-degree ordering, the fresh
+//!   factorization by full-row merges over a scan of the active rows, and
+//!   the op-list, scatter-map and selected-inversion index builds by a
+//!   binary search per lookup. A property pins orders, patterns, factor
+//!   values, errors and index arrays to them on random square matrices.
 
+use super::selinv::{DiagEntry, InverseIndex};
 use super::{
     column_max_moduli_into, compiled, exact_max_modulus, norm_inf, BatchLaneStatus, BatchedLu,
     LanePlanes, LuPattern, LuWorkspace, RefactorFailure, RefactorScales, SolveError, SparseLu,
-    REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
+    ORDERED_PIVOT_THRESHOLD, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
 };
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
 use crate::triplet::TripletMatrix;
 use loopscope_math::Complex64;
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 /// The lane-interleaved update of the batched oracle, `dst[w] -= a[w] *
 /// b[w]` over the common length: a private copy of the arithmetic the
@@ -310,6 +321,636 @@ fn refactor_batched<T: Scalar>(
     (statuses, l_vals)
 }
 
+// ---------------------------------------------------------------------------
+// The one-time analysis: fresh factorization, ordering and index builds.
+// ---------------------------------------------------------------------------
+
+/// The minimum-degree ordering over `BTreeSet` adjacency that
+/// [`crate::ordering::min_degree_order`] replaced: an `O(n)` selection scan
+/// per step and set inserts for the clique.
+fn min_degree_order_by_sets<T: Scalar>(matrix: &CsrMatrix<T>) -> Vec<usize> {
+    assert_eq!(
+        matrix.rows(),
+        matrix.cols(),
+        "fill-reducing ordering requires a square matrix"
+    );
+    let n = matrix.rows();
+    // Adjacency of A + Aᵀ, diagonal excluded.
+    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    for r in 0..n {
+        for &c in matrix.row_pattern(r) {
+            if r != c {
+                adj[r].insert(c);
+                adj[c].insert(r);
+            }
+        }
+    }
+
+    let mut eliminated = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    for _ in 0..n {
+        // Smallest degree, smallest index on ties: deterministic and cheap.
+        let mut pivot = usize::MAX;
+        let mut pivot_deg = usize::MAX;
+        for (v, nbrs) in adj.iter().enumerate() {
+            if !eliminated[v] && nbrs.len() < pivot_deg {
+                pivot_deg = nbrs.len();
+                pivot = v;
+            }
+        }
+        debug_assert!(pivot < n, "selection must find an uneliminated vertex");
+        eliminated[pivot] = true;
+        order.push(pivot);
+
+        // Eliminating `pivot` connects its remaining neighbours into a
+        // clique; `pivot` itself leaves the graph.
+        let nbrs: Vec<usize> = adj[pivot].iter().copied().collect();
+        for &u in &nbrs {
+            adj[u].remove(&pivot);
+        }
+        for (i, &u) in nbrs.iter().enumerate() {
+            for &w in &nbrs[i + 1..] {
+                adj[u].insert(w);
+                adj[w].insert(u);
+            }
+        }
+        adj[pivot].clear();
+    }
+    order
+}
+
+/// Computes `merged = a − factor·p` for two sorted sparse rows, keeping the
+/// full union pattern (entries that cancel to exact zero are preserved so the
+/// fill pattern stays value-independent).
+fn merge_sub<T: Scalar>(a: &[(usize, T)], p: &[(usize, T)], factor: T, out: &mut Vec<(usize, T)>) {
+    out.clear();
+    out.reserve(a.len() + p.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < p.len() {
+        let (ac, av) = a[i];
+        let (pc, pv) = p[j];
+        if ac == pc {
+            out.push((ac, av - factor * pv));
+            i += 1;
+            j += 1;
+        } else if ac < pc {
+            out.push((ac, av));
+            i += 1;
+        } else {
+            out.push((pc, -(factor * pv)));
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    for &(pc, pv) in &p[j..] {
+        out.push((pc, -(factor * pv)));
+    }
+}
+
+impl<T: Scalar> SparseLu<T> {
+    /// The fresh factorization [`SparseLu::factor`] replaced: per-block
+    /// triplet → CSR copies, a scan of the whole active list per pivot
+    /// column, and a full-row `merge_sub` copy per row update.
+    fn factor_by_merge(matrix: &CsrMatrix<T>) -> Result<Self, SolveError> {
+        let n = matrix.rows();
+        if matrix.cols() != n {
+            return Err(SolveError::NotSquare {
+                rows: n,
+                cols: matrix.cols(),
+            });
+        }
+        // Each block factorization vets only its own block's entries; the
+        // raw off-diagonal ones are checked here, like `refactor_into` does.
+        if let Some((row, col, _)) = matrix.iter().find(|&(_, _, v)| !v.is_finite()) {
+            return Err(SolveError::NonFinite { row, col });
+        }
+        let form = crate::btf::analyze(matrix)?;
+        if form.is_single_block() {
+            // Irreducible: no permutation shuffling, no F storage.
+            let order = min_degree_order_by_sets(matrix);
+            return Self::factor_block_by_merge(matrix, &order);
+        }
+        // Position of every original column in the BTF order.
+        let mut btf_cpos = vec![0usize; n];
+        for (k, &c) in form.col_perm().iter().enumerate() {
+            btf_cpos[c] = k;
+        }
+
+        let mut perm = Vec::with_capacity(n);
+        let mut cperm = Vec::with_capacity(n);
+        let mut l_ptr = Vec::with_capacity(n + 1);
+        let mut l_cols = Vec::new();
+        let mut l_vals = Vec::new();
+        let mut u_ptr = Vec::with_capacity(n + 1);
+        let mut u_cols = Vec::new();
+        let mut u_vals = Vec::new();
+        l_ptr.push(0);
+        u_ptr.push(0);
+        for b in 0..form.block_count() {
+            let range = form.block_range(b);
+            let (start, end) = (range.start, range.end);
+            let dim = end - start;
+            // The diagonal block in block-local coordinates. Entries in
+            // later blocks are collected afterwards as the off-diagonal F
+            // pattern; entries in earlier blocks cannot exist — the BTF
+            // analysis of this very matrix guarantees upper form.
+            let mut triplets = crate::triplet::TripletMatrix::new(dim, dim);
+            for local_row in 0..dim {
+                let row = form.row_perm()[start + local_row];
+                for (c, v) in matrix.row_entries(row) {
+                    let p = btf_cpos[c];
+                    debug_assert!(p >= start, "BTF left an entry below its diagonal block");
+                    if p < end {
+                        triplets.push(local_row, p - start, v);
+                    }
+                }
+            }
+            let local = triplets.to_csr();
+            let order = min_degree_order_by_sets(&local);
+            let block_lu =
+                Self::factor_block_by_merge(&local, &order).map_err(|err| match err {
+                    // Map block-local indices back to the original ones.
+                    SolveError::Singular(col) => SolveError::Singular(form.col_perm()[start + col]),
+                    SolveError::NonFinite { row, col } => SolveError::NonFinite {
+                        row: form.row_perm()[start + row],
+                        col: form.col_perm()[start + col],
+                    },
+                    other => other,
+                })?;
+            let bp = &block_lu.pattern;
+            let (block_l, block_u, _) = block_lu.factors();
+            for k in 0..dim {
+                perm.push(form.row_perm()[start + bp.perm[k]]);
+                cperm.push(form.col_perm()[start + bp.cperm[k]]);
+                let lr = bp.l_ptr[k]..bp.l_ptr[k + 1];
+                l_cols.extend(bp.l_cols[lr.clone()].iter().map(|&c| start + c));
+                l_vals.extend_from_slice(&block_l[lr]);
+                l_ptr.push(l_cols.len());
+                let ur = bp.u_ptr[k]..bp.u_ptr[k + 1];
+                u_cols.extend(bp.u_cols[ur.clone()].iter().map(|&c| start + c));
+                u_vals.extend_from_slice(&block_u[ur]);
+                u_ptr.push(u_cols.len());
+            }
+        }
+
+        // Composed inverse column permutation, then the off-diagonal block
+        // pattern: the raw entries of each pivot row in later blocks, in
+        // ascending elimination-column order.
+        let mut cpos = vec![0usize; n];
+        for (k, &c) in cperm.iter().enumerate() {
+            cpos[c] = k;
+        }
+        let mut block_end_of_step = vec![0usize; n];
+        for b in 0..form.block_count() {
+            let range = form.block_range(b);
+            for step in range.clone() {
+                block_end_of_step[step] = range.end;
+            }
+        }
+        let mut f_ptr = Vec::with_capacity(n + 1);
+        let mut f_cols = Vec::new();
+        let mut f_vals = Vec::new();
+        f_ptr.push(0);
+        let mut f_row: Vec<(usize, T)> = Vec::new();
+        for (step, &pivot_row) in perm.iter().enumerate() {
+            f_row.clear();
+            let end = block_end_of_step[step];
+            for (c, v) in matrix.row_entries(pivot_row) {
+                let p = cpos[c];
+                if p >= end {
+                    f_row.push((p, v));
+                }
+            }
+            f_row.sort_unstable_by_key(|&(p, _)| p);
+            for &(p, v) in &f_row {
+                f_cols.push(p);
+                f_vals.push(v);
+            }
+            f_ptr.push(f_cols.len());
+        }
+
+        let a_max = matrix.max_modulus();
+        let u_max = exact_max_modulus(&u_vals);
+        let mut vals = l_vals;
+        vals.extend_from_slice(&u_vals);
+        vals.extend_from_slice(&f_vals);
+        Ok(Self {
+            pattern: Arc::new(LuPattern {
+                n,
+                perm,
+                cperm,
+                cpos,
+                l_ptr,
+                l_cols,
+                u_ptr,
+                u_cols,
+                block_ptr: form.block_ptr().to_vec(),
+                f_ptr,
+                f_cols,
+                inverse: OnceLock::new(),
+                program: OnceLock::new(),
+                scatter: OnceLock::new(),
+            }),
+            vals,
+            refactored: false,
+            a_max_modulus: a_max,
+            u_max_modulus: u_max,
+            a_norm_inf: norm_inf(matrix),
+        })
+    }
+
+    /// Factors one irreducible diagonal block (the whole matrix when BTF
+    /// degenerates), eliminating columns in `col_order` with threshold
+    /// pivoting. `col_order[k]` names the original column — and,
+    /// preferentially, the original row: MNA orderings are symmetric —
+    /// eliminated at step `k`. The caller has checked that `matrix` is square.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col_order` is not a permutation of `0..matrix.rows()`.
+    fn factor_block_by_merge(
+        matrix: &CsrMatrix<T>,
+        col_order: &[usize],
+    ) -> Result<Self, SolveError> {
+        let n = matrix.rows();
+        // Column permutation: cperm[k] = original column eliminated at step
+        // k; cpos is its inverse.
+        let mut cpos = vec![usize::MAX; n];
+        assert_eq!(
+            col_order.len(),
+            n,
+            "column order must be a permutation of 0..n"
+        );
+        for (k, &c) in col_order.iter().enumerate() {
+            assert!(
+                c < n && cpos[c] == usize::MAX,
+                "column order must be a permutation of 0..n"
+            );
+            cpos[c] = k;
+        }
+        let cperm = col_order.to_vec();
+
+        // Per-elimination-column reference scales for the relative
+        // singularity test; also rejects non-finite input up front.
+        let mut col_max = Vec::new();
+        let mut col_arg = Vec::new();
+        column_max_moduli_into(matrix, &cpos, &mut col_max, &mut col_arg)?;
+
+        // Working rows as (elimination-column, value) vectors sorted by
+        // column. After step k every still-active row starts at a column > k,
+        // so "row contains the pivot column" is a check of its first entry.
+        let mut rows: Vec<Vec<(usize, T)>> = (0..n)
+            .map(|r| {
+                let mut row: Vec<(usize, T)> =
+                    matrix.row_entries(r).map(|(c, v)| (cpos[c], v)).collect();
+                row.sort_unstable_by_key(|&(c, _)| c);
+                row
+            })
+            .collect();
+        let mut active: Vec<usize> = (0..n).collect();
+        // L entries per ORIGINAL row index, pushed in ascending step order.
+        let mut l_rows: Vec<Vec<(usize, T)>> = vec![Vec::new(); n];
+        let mut u_rows: Vec<Vec<(usize, T)>> = Vec::with_capacity(n);
+        let mut perm = Vec::with_capacity(n);
+        let mut scratch: Vec<(usize, T)> = Vec::new();
+
+        // The loop is over elimination steps, not col_max; indexing is
+        // clearer than iterating the threshold table.
+        #[allow(clippy::needless_range_loop)]
+        for k in 0..n {
+            let (active_idx, pivot_mod) = Self::select_by_scan(&rows, &active, k, cperm[k])
+                // Report singularity against the ORIGINAL column index: callers
+                // see the unknown they can map back to the circuit, not the
+                // position some fill-reducing permutation moved it to.
+                .ok_or(SolveError::Singular(cperm[k]))?;
+            // Elimination can overflow into ±∞/NaN even when the input was
+            // finite; NaN would pass the threshold checks below (every
+            // comparison false), so reject it explicitly.
+            if !pivot_mod.is_finite() {
+                return Err(SolveError::NonFinite {
+                    row: active[active_idx],
+                    col: cperm[k],
+                });
+            }
+            if pivot_mod <= col_max[k] * SINGULARITY_RELATIVE || pivot_mod == 0.0 {
+                return Err(SolveError::Singular(cperm[k]));
+            }
+            let pivot_row = active.swap_remove(active_idx);
+            let pivot = std::mem::take(&mut rows[pivot_row]);
+            let pivot_val = pivot[0].1;
+
+            // Eliminate column k from the remaining active rows.
+            for &r in &active {
+                let Some(&(c, a_rk)) = rows[r].first() else {
+                    continue;
+                };
+                if c != k {
+                    continue;
+                }
+                let factor = a_rk / pivot_val;
+                merge_sub(&rows[r][1..], &pivot[1..], factor, &mut scratch);
+                std::mem::swap(&mut rows[r], &mut scratch);
+                // Record even exact-zero multipliers: the L pattern must not
+                // depend on the numeric values.
+                l_rows[r].push((k, factor));
+            }
+
+            perm.push(pivot_row);
+            u_rows.push(pivot);
+        }
+
+        // Flatten into CSR-style arrays ordered by elimination step.
+        let mut l_ptr = Vec::with_capacity(n + 1);
+        let mut l_cols = Vec::new();
+        let mut l_vals = Vec::new();
+        let mut u_ptr = Vec::with_capacity(n + 1);
+        let mut u_cols = Vec::new();
+        let mut u_vals = Vec::new();
+        l_ptr.push(0);
+        u_ptr.push(0);
+        for (i, u_row) in u_rows.into_iter().enumerate() {
+            for (c, v) in std::mem::take(&mut l_rows[perm[i]]) {
+                l_cols.push(c);
+                l_vals.push(v);
+            }
+            l_ptr.push(l_cols.len());
+            debug_assert_eq!(u_row[0].0, i, "pivot row must start at its diagonal");
+            for (c, v) in u_row {
+                u_cols.push(c);
+                u_vals.push(v);
+            }
+            u_ptr.push(u_cols.len());
+        }
+
+        let a_max = col_max.iter().fold(0.0f64, |a, &b| a.max(b));
+        let u_max = exact_max_modulus(&u_vals);
+        let mut vals = l_vals;
+        vals.extend_from_slice(&u_vals);
+        Ok(Self {
+            pattern: Arc::new(LuPattern {
+                n,
+                perm,
+                cperm,
+                cpos,
+                l_ptr,
+                l_cols,
+                u_ptr,
+                u_cols,
+                block_ptr: LuPattern::single_block(n),
+                f_ptr: LuPattern::empty_f(n),
+                f_cols: Vec::new(),
+                inverse: OnceLock::new(),
+                program: OnceLock::new(),
+                scatter: OnceLock::new(),
+            }),
+            vals,
+            refactored: false,
+            a_max_modulus: a_max,
+            u_max_modulus: u_max,
+            a_norm_inf: norm_inf(matrix),
+        })
+    }
+
+    /// KLU-style pivot selection for the ordered factorization at step `k`:
+    /// the row the ordering prefers (`preferred_row`, the symmetric-diagonal
+    /// choice) wins while its modulus stays within
+    /// [`ORDERED_PIVOT_THRESHOLD`] of the best candidate; otherwise the
+    /// shortest (least fill-producing) candidate above the threshold wins,
+    /// with modulus and then row index breaking ties deterministically.
+    fn select_by_scan(
+        rows: &[Vec<(usize, T)>],
+        active: &[usize],
+        k: usize,
+        preferred_row: usize,
+    ) -> Option<(usize, f64)> {
+        let mut max_mod = 0.0f64;
+        for &r in active {
+            if let Some(&(c, v)) = rows[r].first() {
+                if c == k {
+                    max_mod = max_mod.max(v.modulus());
+                }
+            }
+        }
+        if max_mod == 0.0 {
+            return None;
+        }
+        let acceptance = ORDERED_PIVOT_THRESHOLD * max_mod;
+        // (active index, modulus, row length, original row index)
+        let mut best: Option<(usize, f64, usize, usize)> = None;
+        for (ai, &r) in active.iter().enumerate() {
+            let Some(&(c, v)) = rows[r].first() else {
+                continue;
+            };
+            if c != k {
+                continue;
+            }
+            let m = v.modulus();
+            if m == 0.0 || m < acceptance {
+                continue;
+            }
+            if r == preferred_row {
+                // Numerics did not force a swap: respect the ordering.
+                return Some((ai, m));
+            }
+            let len = rows[r].len();
+            let better = match best {
+                None => true,
+                Some((_, bm, blen, brow)) => {
+                    len < blen || (len == blen && (m > bm || (m == bm && r < brow)))
+                }
+            };
+            if better {
+                best = Some((ai, m, len, r));
+            }
+        }
+        best.map(|(ai, m, _, _)| (ai, m))
+    }
+}
+
+/// The binary-search slot lookup the row marker replaced: the factor slot
+/// of entry `(step i, elimination column c)`, if the
+/// pattern stores it: an `L` slot left of the diagonal, else a `U` slot
+/// within the block, else an `F` slot in a later block.
+fn slot_of(p: &LuPattern, i: usize, c: usize) -> Option<usize> {
+    let find = |ptr: &[usize], cols: &[usize]| {
+        cols[ptr[i]..ptr[i + 1]]
+            .binary_search(&c)
+            .ok()
+            .map(|t| ptr[i] + t)
+    };
+    let nl = p.l_cols.len();
+    if c < i {
+        return find(&p.l_ptr, &p.l_cols);
+    }
+    find(&p.u_ptr, &p.u_cols)
+        .map(|t| nl + t)
+        .or_else(|| find(&p.f_ptr, &p.f_cols).map(|t| nl + p.u_cols.len() + t))
+}
+
+/// [`compiled::Program::build`] by a binary search per update.
+fn program_by_search(p: &LuPattern) -> compiled::Program {
+    assert!(
+        u32::try_from(p.factor_len()).is_ok(),
+        "the compiled refactorization supports at most u32::MAX factor entries"
+    );
+    let nl = p.l_cols.len();
+    let updates: usize = p
+        .l_cols
+        .iter()
+        .map(|&k| p.u_ptr[k + 1] - p.u_ptr[k] - 1)
+        .sum();
+    let mut ops = Vec::with_capacity(nl);
+    let mut dst = Vec::with_capacity(updates);
+    for i in 0..p.n {
+        for t in p.l_ptr[i]..p.l_ptr[i + 1] {
+            let k = p.l_cols[t];
+            let row = (p.u_ptr[k] + 1)..p.u_ptr[k + 1];
+            ops.push(compiled::ElimOp {
+                pivot: (nl + p.u_ptr[k]) as u32,
+                count: row.len() as u32,
+            });
+            dst.extend(p.u_cols[row].iter().map(|&c| {
+                slot_of(p, i, c).expect("LU pattern must be closed under elimination") as u32
+            }));
+        }
+    }
+    compiled::Program { ops, dst }
+}
+
+/// [`compiled::ScatterMap::build`] by a binary search per entry.
+fn scatter_by_search<T: Scalar>(
+    p: &LuPattern,
+    matrix: &CsrMatrix<T>,
+    keyed: bool,
+) -> compiled::ScatterMap {
+    let (row_ptr, col_idx, _) = matrix.parts();
+    let nl = p.l_cols.len();
+    // Elimination step of every original row (the inverse of `perm`).
+    let mut ppos = vec![0usize; p.n];
+    for (k, &r) in p.perm.iter().enumerate() {
+        ppos[r] = k;
+    }
+    let mut mismatch: Option<usize> = None;
+    let mut slot = Vec::with_capacity(col_idx.len());
+    for (r, &i) in ppos.iter().enumerate() {
+        for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
+            let s = slot_of(p, i, p.cpos[c]).unwrap_or_else(|| {
+                mismatch = Some(mismatch.map_or(i, |m| m.min(i)));
+                nl + p.u_ptr[i]
+            });
+            slot.push(s as u32);
+        }
+    }
+    compiled::ScatterMap {
+        row_ptr: if keyed { row_ptr.to_vec() } else { Vec::new() },
+        col_idx: if keyed { col_idx.to_vec() } else { Vec::new() },
+        slot,
+        mismatch,
+    }
+}
+
+/// [`InverseIndex::build`] by a binary search per product.
+fn inverse_by_search(p: &LuPattern) -> InverseIndex {
+    let n = p.n;
+    let n_l = p.l_cols.len();
+    assert!(
+        u32::try_from(n_l + p.u_cols.len()).is_ok(),
+        "selected inversion supports at most u32::MAX factor entries"
+    );
+    // Slot of pattern entry (row r, col c) of L+U; rows are ascending
+    // in L and (diagonal first) in U.
+    let slot = |r: usize, c: usize| -> Option<usize> {
+        if c < r {
+            let cols = &p.l_cols[p.l_ptr[r]..p.l_ptr[r + 1]];
+            cols.binary_search(&c).ok().map(|t| p.l_ptr[r] + t)
+        } else {
+            let cols = &p.u_cols[p.u_ptr[r]..p.u_ptr[r + 1]];
+            cols.binary_search(&c).ok().map(|t| n_l + p.u_ptr[r] + t)
+        }
+    };
+    let closed = |r: usize, c: usize| {
+        slot(r, c).expect("LU pattern must be closed under elimination") as u32
+    };
+
+    // Transpose of the L pattern, keeping each entry's row.
+    let mut lt_ptr = vec![0usize; n + 1];
+    for &c in &p.l_cols {
+        lt_ptr[c + 1] += 1;
+    }
+    for i in 0..n {
+        lt_ptr[i + 1] += lt_ptr[i];
+    }
+    let mut next = lt_ptr.clone();
+    let mut lt_slot = vec![0usize; n_l];
+    let mut lt_row = vec![0usize; n_l];
+    for j in 0..n {
+        for t in p.l_ptr[j]..p.l_ptr[j + 1] {
+            let s = &mut next[p.l_cols[t]];
+            lt_slot[*s] = t;
+            lt_row[*s] = j;
+            *s += 1;
+        }
+    }
+
+    // Both source lists hold Σᵢ |L column i|·|U row i off-diagonal|
+    // products; sizing them exactly keeps growth from doubling the
+    // peak memory of the build.
+    let products = (0..n)
+        .map(|i| (lt_ptr[i + 1] - lt_ptr[i]) * (p.u_ptr[i + 1] - p.u_ptr[i] - 1))
+        .sum();
+    let mut upper_ptr = Vec::with_capacity(n_l + 1);
+    let mut upper_src = Vec::with_capacity(products);
+    upper_ptr.push(0);
+    for i in 0..n {
+        let u_off = &p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]];
+        for &j in &lt_row[lt_ptr[i]..lt_ptr[i + 1]] {
+            upper_src.extend(u_off.iter().map(|&k| closed(j, k)));
+            upper_ptr.push(upper_src.len());
+        }
+    }
+    let mut lower_ptr = Vec::with_capacity(p.u_cols.len() + 1);
+    let mut lower_src = Vec::with_capacity(products);
+    lower_ptr.push(0);
+    for i in 0..n {
+        let l_col = &lt_row[lt_ptr[i]..lt_ptr[i + 1]];
+        lower_ptr.push(lower_src.len()); // the diagonal
+        for &j in &p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]] {
+            lower_src.extend(l_col.iter().map(|&k| closed(k, j)));
+            lower_ptr.push(lower_src.len());
+        }
+    }
+
+    // (A⁻¹)_vv = Z[cpos[v]][ppos[v]], stored at pattern entry
+    // (ppos[v], cpos[v]) when both steps share a block.
+    let mut ppos = vec![0usize; n];
+    for (k, &r) in p.perm.iter().enumerate() {
+        ppos[r] = k;
+    }
+    let mut block_of = vec![0usize; n];
+    for b in 0..p.block_ptr.len() - 1 {
+        block_of[p.block_ptr[b]..p.block_ptr[b + 1]].fill(b);
+    }
+    let diag = (0..n)
+        .map(|v| {
+            let (a, c) = (p.cpos[v], ppos[v]);
+            match slot(c, a) {
+                Some(z) => DiagEntry::Slot(z),
+                None if block_of[a] > block_of[c] => DiagEntry::Zero,
+                None => DiagEntry::Unselected,
+            }
+        })
+        .collect();
+    InverseIndex {
+        lt_ptr,
+        lt_slot,
+        upper_ptr,
+        upper_src,
+        lower_ptr,
+        lower_src,
+        diag,
+    }
+}
+
 /// SplitMix64: the case generator of the properties below.
 struct Rng(u64);
 
@@ -603,6 +1244,157 @@ fn check_case<T: Sample>(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Exact bit patterns of a value slice (`NaN` payloads and signed zeros
+/// included).
+fn exact_bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
+    v.iter()
+        .map(|x| (x.re().to_bits(), x.im().to_bits()))
+        .collect()
+}
+
+/// Whether two fresh factorizations are identical: every pattern array,
+/// every factor value and every recorded scale, bit for bit.
+fn same_factorization<T: Scalar>(want: &SparseLu<T>, got: &SparseLu<T>) -> Result<(), String> {
+    let (a, b) = (&*want.pattern, &*got.pattern);
+    let arrays = [
+        ("perm", &a.perm, &b.perm),
+        ("cperm", &a.cperm, &b.cperm),
+        ("cpos", &a.cpos, &b.cpos),
+        ("l_ptr", &a.l_ptr, &b.l_ptr),
+        ("l_cols", &a.l_cols, &b.l_cols),
+        ("u_ptr", &a.u_ptr, &b.u_ptr),
+        ("u_cols", &a.u_cols, &b.u_cols),
+        ("block_ptr", &a.block_ptr, &b.block_ptr),
+        ("f_ptr", &a.f_ptr, &b.f_ptr),
+        ("f_cols", &a.f_cols, &b.f_cols),
+    ];
+    for (name, x, y) in arrays {
+        if x != y {
+            return Err(format!("{name}: {x:?} vs {y:?}"));
+        }
+    }
+    if a.n != b.n || exact_bits(&want.vals) != exact_bits(&got.vals) {
+        return Err(format!("factor values {:?} vs {:?}", want.vals, got.vals));
+    }
+    let scales = |lu: &SparseLu<T>| {
+        [
+            lu.a_max_modulus.to_bits(),
+            lu.u_max_modulus.to_bits(),
+            lu.a_norm_inf.to_bits(),
+        ]
+    };
+    if scales(want) != scales(got) || want.refactored != got.refactored {
+        return Err("recorded scales differ".to_string());
+    }
+    Ok(())
+}
+
+/// A random square matrix of dimension at most 60 for the one-time
+/// analysis: a symmetric or unsymmetric pattern; diagonals healthy, tiny
+/// (a threshold swap, or a pivot below the singularity rule), zero or
+/// missing; values from a continuous range, from small dyadic numbers
+/// (exact cancellation to signed zeros, exact-zero multipliers) or now and
+/// then near the overflow threshold (∞ and NaN produced mid-elimination);
+/// and sometimes an empty row or column (structurally singular).
+fn analysis_matrix<T: Sample>(rng: &mut Rng) -> CsrMatrix<T> {
+    const DYADIC: [f64; 10] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 0.25, 4.0, 0.0, -0.0];
+    let n = 1 + rng.below(60);
+    let density = 1 + rng.below(20);
+    let symmetric = rng.chance(50);
+    let values = rng.below(3);
+    let diagonals = rng.below(5);
+    let empty = rng.chance(10).then(|| (rng.below(n), rng.chance(50)));
+    let part = |rng: &mut Rng| match values {
+        0 => rng.value(),
+        1 => DYADIC[rng.below(DYADIC.len())],
+        _ if rng.chance(15) => 1.0e300 * rng.value(),
+        _ => DYADIC[rng.below(DYADIC.len())],
+    };
+    let value = |rng: &mut Rng| {
+        let re = part(rng);
+        let im = if rng.chance(50) { part(rng) } else { 0.0 };
+        T::sample(re, im)
+    };
+    let mut t = TripletMatrix::new(n, n);
+    for r in 0..n {
+        for c in 0..n {
+            if let Some((k, row)) = empty {
+                if (row && r == k) || (!row && c == k) {
+                    continue;
+                }
+            }
+            if r == c {
+                let d = match diagonals {
+                    0 => Some(T::sample(8.0 + 4.0 * rng.value().abs(), 0.0)),
+                    1 => {
+                        let tiny = [1.0e-6, 1.0e-17][rng.below(2)];
+                        Some(T::sample(tiny * rng.value(), 0.0))
+                    }
+                    2 => rng.chance(50).then(|| value(rng)),
+                    3 => Some(if rng.chance(30) { T::ZERO } else { value(rng) }),
+                    _ => Some(value(rng)),
+                };
+                if let Some(d) = d {
+                    t.push(r, c, d);
+                }
+            } else if (!symmetric || r < c) && rng.chance(density) {
+                t.push(r, c, value(rng));
+                if symmetric {
+                    t.push(c, r, value(rng));
+                }
+            }
+        }
+    }
+    t.to_csr()
+}
+
+/// The one-time analysis against its oracle on one random matrix: the
+/// minimum-degree order; the fresh factorization — pattern arrays, factor
+/// values and scales bitwise, or the same error (variant and index); and
+/// over a successful pattern the op lists, the scatter maps of the matrix
+/// (keyed and throwaway) and of a structure with one more entry, and the
+/// selected-inversion index.
+fn check_analysis<T: Sample>(seed: u64) -> Result<(), String> {
+    let mut rng = Rng(seed);
+    let m: CsrMatrix<T> = analysis_matrix(&mut rng);
+    let order = crate::ordering::min_degree_order(&m);
+    if order != min_degree_order_by_sets(&m) {
+        return Err(format!("min-degree order {order:?}"));
+    }
+    let (want, got) = match (SparseLu::factor_by_merge(&m), SparseLu::factor(&m)) {
+        (Ok(want), Ok(got)) => (want, got),
+        (Err(want), Err(got)) if want == got => return Ok(()),
+        (want, got) => {
+            return Err(format!("outcome {:?} vs {:?}", want.err(), got.err()));
+        }
+    };
+    same_factorization(&want, &got)?;
+    let p = &*got.pattern;
+    if compiled::Program::build(p) != program_by_search(p) {
+        return Err("op lists differ".to_string());
+    }
+    let n = m.rows();
+    let (r, c) = (rng.below(n), rng.below(n));
+    let mut wider = TripletMatrix::new(n, n);
+    for (i, j, v) in m.iter() {
+        wider.push(i, j, v);
+    }
+    wider.push(r, c, T::ONE);
+    for structure in [&m, &wider.to_csr()] {
+        for keyed in [false, true] {
+            if compiled::ScatterMap::build(p, structure, keyed)
+                != scatter_by_search(p, structure, keyed)
+            {
+                return Err(format!("scatter maps differ (keyed {keyed})"));
+            }
+        }
+    }
+    if InverseIndex::build(p) != inverse_by_search(p) {
+        return Err("selected-inversion index differs".to_string());
+    }
+    Ok(())
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;
@@ -618,6 +1410,16 @@ mod properties {
         #[test]
         fn compiled_complex_refactor_is_the_scatter_gather_oracle(seed in 0u64..u64::MAX) {
             check_case::<Complex64>(seed)?;
+        }
+
+        #[test]
+        fn real_analysis_is_the_oracle_analysis(seed in 0u64..u64::MAX) {
+            check_analysis::<f64>(seed)?;
+        }
+
+        #[test]
+        fn complex_analysis_is_the_oracle_analysis(seed in 0u64..u64::MAX) {
+            check_analysis::<Complex64>(seed)?;
         }
     }
 }
@@ -645,7 +1447,7 @@ fn each_lane_keeps_its_first_failure_in_row_order() {
     let p = &*symbolic.pattern;
     // Original coordinates of a stored-nowhere entry in step 2's row.
     let extra = {
-        let j = (0..n).find(|&j| p.slot_of(2, j).is_none()).unwrap();
+        let j = (0..n).find(|&j| slot_of(p, 2, j).is_none()).unwrap();
         (p.perm[2], p.cperm[j])
     };
     // Base values plus the extra entry, with step `zeroed`'s input row all

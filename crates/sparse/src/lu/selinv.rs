@@ -26,12 +26,13 @@
 //! needed for a diagonal entry of `A⁻¹` whose `A_vv` is stored (see
 //! [`SparseLu::diag_inverse_into`]).
 
+use super::compiled::RowSlots;
 use super::{LuPattern, SolveError, SparseLu};
 use crate::scalar::Scalar;
 
 /// Where `(A⁻¹)_vv` of one unknown lives after the recurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DiagEntry {
+pub(super) enum DiagEntry {
     /// Slot of the selected-set value buffer.
     Slot(usize),
     /// A lower block of the block upper-triangular `B⁻¹`: exactly zero.
@@ -47,25 +48,25 @@ enum DiagEntry {
 /// is `L` entry `t` at `(row j, col i)` and holds `Z_ij`; slot
 /// `nnz(L) + t` is `U` entry `t` at `(row i, col j)` and holds `Z_ji`
 /// (`Z_ii` on the diagonal).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct InverseIndex {
     /// The `L` slots of column `i`, rows ascending:
     /// `lt_slot[lt_ptr[i]..lt_ptr[i + 1]]`.
-    lt_ptr: Vec<usize>,
-    lt_slot: Vec<usize>,
+    pub(super) lt_ptr: Vec<usize>,
+    pub(super) lt_slot: Vec<usize>,
     /// Per entry `s` of the `L` transpose (row `j` of column `i`): the `Z`
     /// slots of `Z_kj` for every off-diagonal `k` of `U` row `i`, in `U`
     /// order — `upper_src[upper_ptr[s]..upper_ptr[s + 1]]`. The two source
     /// lists hold one entry per product and dominate the index size, hence
     /// `u32`.
-    upper_ptr: Vec<usize>,
-    upper_src: Vec<u32>,
+    pub(super) upper_ptr: Vec<usize>,
+    pub(super) upper_src: Vec<u32>,
     /// Per `U` slot `t` (row `i`, col `j`): the `Z` slots of `Z_jk` for
     /// every `k` of `L` column `i`, in `lt` order; empty on diagonals.
-    lower_ptr: Vec<usize>,
-    lower_src: Vec<u32>,
+    pub(super) lower_ptr: Vec<usize>,
+    pub(super) lower_src: Vec<u32>,
     /// Per original unknown `v`: where `(A⁻¹)_vv` lives.
-    diag: Vec<DiagEntry>,
+    pub(super) diag: Vec<DiagEntry>,
 }
 
 impl InverseIndex {
@@ -79,26 +80,14 @@ impl InverseIndex {
     pub(super) fn build(p: &LuPattern) -> Self {
         let n = p.n;
         let n_l = p.l_cols.len();
+        let n_lu = n_l + p.u_cols.len();
         assert!(
-            u32::try_from(n_l + p.u_cols.len()).is_ok(),
+            u32::try_from(n_lu).is_ok(),
             "selected inversion supports at most u32::MAX factor entries"
         );
-        // Slot of pattern entry (row r, col c) of L+U; rows are ascending
-        // in L and (diagonal first) in U.
-        let slot = |r: usize, c: usize| -> Option<usize> {
-            if c < r {
-                let cols = &p.l_cols[p.l_ptr[r]..p.l_ptr[r + 1]];
-                cols.binary_search(&c).ok().map(|t| p.l_ptr[r] + t)
-            } else {
-                let cols = &p.u_cols[p.u_ptr[r]..p.u_ptr[r + 1]];
-                cols.binary_search(&c).ok().map(|t| n_l + p.u_ptr[r] + t)
-            }
-        };
-        let closed = |r: usize, c: usize| {
-            slot(r, c).expect("LU pattern must be closed under elimination") as u32
-        };
 
-        // Transpose of the L pattern, keeping each entry's row.
+        // Transpose of the L pattern: per entry `s` of column `i` its slot,
+        // and per L slot `t` its entry `s`.
         let mut lt_ptr = vec![0usize; n + 1];
         for &c in &p.l_cols {
             lt_ptr[c + 1] += 1;
@@ -108,64 +97,71 @@ impl InverseIndex {
         }
         let mut next = lt_ptr.clone();
         let mut lt_slot = vec![0usize; n_l];
-        let mut lt_row = vec![0usize; n_l];
-        for j in 0..n {
-            for t in p.l_ptr[j]..p.l_ptr[j + 1] {
-                let s = &mut next[p.l_cols[t]];
-                lt_slot[*s] = t;
-                lt_row[*s] = j;
-                *s += 1;
-            }
+        let mut lt_of = vec![0usize; n_l];
+        for t in 0..n_l {
+            let s = &mut next[p.l_cols[t]];
+            lt_slot[*s] = t;
+            lt_of[t] = *s;
+            *s += 1;
         }
 
-        // Both source lists hold Σᵢ |L column i|·|U row i off-diagonal|
-        // products; sizing them exactly keeps growth from doubling the
-        // peak memory of the build.
-        let products = (0..n)
-            .map(|i| (lt_ptr[i + 1] - lt_ptr[i]) * (p.u_ptr[i + 1] - p.u_ptr[i] - 1))
-            .sum();
+        // Both source lists hold one entry per product, Σᵢ |L column i|·|U
+        // row i off-diagonal|: entry `s` (row j of column i) of the upper
+        // list reads `Z_kj` for each `k` of U row i, and the lower list of
+        // U entry `(i, k)` reads `Z_jk` at position `s` of column i — the
+        // same `(j, k)` slots, laid out once by `s` and once by `(i, k)`.
+        let u_off = |i: usize| p.u_ptr[i + 1] - p.u_ptr[i] - 1;
         let mut upper_ptr = Vec::with_capacity(n_l + 1);
-        let mut upper_src = Vec::with_capacity(products);
-        upper_ptr.push(0);
-        for i in 0..n {
-            let u_off = &p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]];
-            for &j in &lt_row[lt_ptr[i]..lt_ptr[i + 1]] {
-                upper_src.extend(u_off.iter().map(|&k| closed(j, k)));
-                upper_ptr.push(upper_src.len());
-            }
-        }
         let mut lower_ptr = Vec::with_capacity(p.u_cols.len() + 1);
-        let mut lower_src = Vec::with_capacity(products);
+        let (mut upper_len, mut lower_len) = (0, 0);
+        upper_ptr.push(0);
         lower_ptr.push(0);
         for i in 0..n {
-            let l_col = &lt_row[lt_ptr[i]..lt_ptr[i + 1]];
-            lower_ptr.push(lower_src.len()); // the diagonal
-            for &j in &p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]] {
-                lower_src.extend(l_col.iter().map(|&k| closed(k, j)));
-                lower_ptr.push(lower_src.len());
+            let l_col = lt_ptr[i + 1] - lt_ptr[i];
+            for _ in 0..l_col {
+                upper_len += u_off(i);
+                upper_ptr.push(upper_len);
+            }
+            lower_ptr.push(lower_len); // the diagonal
+            for _ in 0..u_off(i) {
+                lower_len += l_col;
+                lower_ptr.push(lower_len);
             }
         }
+        let products = upper_len;
+        let mut upper_src = vec![0u32; products];
+        let mut lower_src = vec![0u32; products];
 
+        // One pass over the rows fills both lists and the diagonal map.
         // (A⁻¹)_vv = Z[cpos[v]][ppos[v]], stored at pattern entry
         // (ppos[v], cpos[v]) when both steps share a block.
-        let mut ppos = vec![0usize; n];
-        for (k, &r) in p.perm.iter().enumerate() {
-            ppos[r] = k;
-        }
         let mut block_of = vec![0usize; n];
         for b in 0..p.block_ptr.len() - 1 {
             block_of[p.block_ptr[b]..p.block_ptr[b + 1]].fill(b);
         }
-        let diag = (0..n)
-            .map(|v| {
-                let (a, c) = (p.cpos[v], ppos[v]);
-                match slot(c, a) {
-                    Some(z) => DiagEntry::Slot(z),
-                    None if block_of[a] > block_of[c] => DiagEntry::Zero,
-                    None => DiagEntry::Unselected,
+        let mut diag = vec![DiagEntry::Unselected; n];
+        let mut slots = RowSlots::new(n);
+        for j in 0..n {
+            slots.load(p, j);
+            // Slots of L+U only: an F entry is no selected-set slot.
+            let slot = |c: usize| slots.get(c).filter(|&z| z < n_lu);
+            let row = p.l_ptr[j]..p.l_ptr[j + 1];
+            for (&i, &s) in p.l_cols[row.clone()].iter().zip(&lt_of[row]) {
+                let lower_at = s - lt_ptr[i];
+                for (m, &k) in p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]].iter().enumerate() {
+                    let z = slot(k).expect("LU pattern must be closed under elimination") as u32;
+                    upper_src[upper_ptr[s] + m] = z;
+                    lower_src[lower_ptr[p.u_ptr[i] + 1 + m] + lower_at] = z;
                 }
-            })
-            .collect();
+            }
+            let v = p.perm[j];
+            let a = p.cpos[v];
+            diag[v] = match slot(a) {
+                Some(z) => DiagEntry::Slot(z),
+                None if block_of[a] > block_of[j] => DiagEntry::Zero,
+                None => DiagEntry::Unselected,
+            };
+        }
         Self {
             lt_ptr,
             lt_slot,

@@ -14,12 +14,12 @@
 //! symmetric ordering is the natural fit.
 //!
 //! The ordering is purely structural: it looks only at the sparsity pattern,
-//! never at values, so it can be computed once per circuit structure and
-//! reused for every matrix assembled over that structure. Numeric safety is
-//! restored at factorization time by [`SparseLu::factor`](crate::SparseLu::factor),
-//! which computes the ordering per diagonal block and follows it **unless a
-//! pivot fails a relative magnitude threshold**, in which case it swaps rows
-//! exactly like partial pivoting would.
+//! never at values. [`SparseLu::factor`](crate::SparseLu::factor) computes
+//! it for every diagonal block of every fresh factorization — each DC solve,
+//! each AC plan and each re-pivot pays it — and follows it **unless a pivot
+//! fails a relative magnitude threshold**, in which case it swaps rows
+//! exactly like partial pivoting would. Refactorizations reuse the recorded
+//! order and never recompute it.
 //!
 //! # Example
 //!
@@ -49,7 +49,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
-use std::collections::BTreeSet;
 
 /// Computes a fill-reducing elimination order by the minimum-degree
 /// heuristic on the pattern of `A + Aᵀ`.
@@ -63,13 +62,17 @@ use std::collections::BTreeSet;
 /// uneliminated vertex of smallest degree is removed and its neighbours are
 /// connected into a clique (the structural effect of one elimination step on
 /// a symmetric pattern). Ties break toward the smallest index, so the order
-/// is deterministic. The cost is `O(n²)` in the selection scans plus the size
-/// of the fill it predicts — negligible next to factorization for circuit
-/// matrices, and only paid once per circuit structure.
+/// is deterministic. Each adjacency list is kept sorted; eliminating a
+/// vertex `v` marks its neighbours, then one pass over each neighbour's
+/// list drops `v` and counts the clique members already present, and only
+/// the missing ones are merged in. A tournament tree keyed by
+/// `(degree, index)` finds the next vertex. The cost is
+/// `O(Σ deg(u) + deg(v)²)` over the neighbours `u` of each eliminated `v`,
+/// plus `O(log n)` per degree change.
 ///
 /// # Panics
 ///
-/// Panics if the matrix is not square.
+/// Panics if the matrix is not square or has more than `u32::MAX` rows.
 pub fn min_degree_order<T: Scalar>(matrix: &CsrMatrix<T>) -> Vec<usize> {
     assert_eq!(
         matrix.rows(),
@@ -77,47 +80,112 @@ pub fn min_degree_order<T: Scalar>(matrix: &CsrMatrix<T>) -> Vec<usize> {
         "fill-reducing ordering requires a square matrix"
     );
     let n = matrix.rows();
-    // Adjacency of A + Aᵀ, diagonal excluded.
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+    assert!(
+        u32::try_from(n).is_ok(),
+        "minimum-degree ordering supports at most u32::MAX unknowns"
+    );
+    // Adjacency of A + Aᵀ, diagonal excluded, each list sorted and unique,
+    // with room to grow before reallocating (twice the row's length, about
+    // twice its degree on the structurally symmetric MNA patterns).
+    let mut adj: Vec<Vec<usize>> = (0..n)
+        .map(|r| Vec::with_capacity(2 * matrix.row_pattern(r).len().saturating_sub(1)))
+        .collect();
     for r in 0..n {
         for &c in matrix.row_pattern(r) {
             if r != c {
-                adj[r].insert(c);
-                adj[c].insert(r);
+                adj[r].push(c);
+                adj[c].push(r);
             }
         }
     }
+    for nbrs in &mut adj {
+        nbrs.sort_unstable();
+        nbrs.dedup();
+    }
 
-    let mut eliminated = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        // Smallest degree, smallest index on ties: deterministic and cheap.
-        let mut pivot = usize::MAX;
-        let mut pivot_deg = usize::MAX;
-        for (v, nbrs) in adj.iter().enumerate() {
-            if !eliminated[v] && nbrs.len() < pivot_deg {
-                pivot_deg = nbrs.len();
-                pivot = v;
-            }
+    // A tournament tree over the vertices: leaf `v` holds the key
+    // `(degree << 32) | v` of an uneliminated vertex (`u64::MAX` once it is
+    // eliminated), each inner node the smaller key of its children, so the
+    // root names the vertex of smallest degree, smallest index on ties.
+    let leaves = n.next_power_of_two();
+    let mut tree = vec![u64::MAX; 2 * leaves];
+    let key = |deg: usize, v: usize| ((deg as u64) << 32) | v as u64;
+    for (v, nbrs) in adj.iter().enumerate() {
+        tree[leaves + v] = key(nbrs.len(), v);
+    }
+    for i in (1..leaves).rev() {
+        tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+    }
+    let set = |tree: &mut [u64], v: usize, k: u64| {
+        let mut i = leaves + v;
+        tree[i] = k;
+        while i > 1 {
+            i /= 2;
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
         }
-        debug_assert!(pivot < n, "selection must find an uneliminated vertex");
-        eliminated[pivot] = true;
+    };
+
+    let mut order = Vec::with_capacity(n);
+    // Per vertex w, `(mark, seen)`: mark == v while w is a neighbour of the
+    // vertex v being eliminated; seen == u once w is known adjacent to u.
+    // Lists only lose eliminated vertices, so a `seen` stamp left by an
+    // earlier visit of u stays true for every vertex still in the graph.
+    let mut stamps = vec![(usize::MAX, usize::MAX); n];
+    while tree[1] != u64::MAX {
+        // Smallest degree, smallest index on ties: deterministic.
+        let pivot = (tree[1] & u64::from(u32::MAX)) as usize;
+        set(&mut tree, pivot, u64::MAX);
         order.push(pivot);
 
         // Eliminating `pivot` connects its remaining neighbours into a
         // clique; `pivot` itself leaves the graph.
-        let nbrs: Vec<usize> = adj[pivot].iter().copied().collect();
-        for &u in &nbrs {
-            adj[u].remove(&pivot);
+        let nbrs = std::mem::take(&mut adj[pivot]);
+        for &w in &nbrs {
+            stamps[w].0 = pivot;
         }
-        for (i, &u) in nbrs.iter().enumerate() {
-            for &w in &nbrs[i + 1..] {
-                adj[u].insert(w);
-                adj[w].insert(u);
+        for &u in &nbrs {
+            let list = &mut adj[u];
+            let before = list.len();
+            // Drop `pivot` and count the clique members `u` already has.
+            let mut hits = 0;
+            let mut keep = 0;
+            for t in 0..list.len() {
+                let w = list[t];
+                if w == pivot {
+                    continue;
+                }
+                hits += usize::from(stamps[w].0 == pivot);
+                stamps[w].1 = u;
+                list[keep] = w;
+                keep += 1;
+            }
+            list.truncate(keep);
+            // Merge the missing members in from the back, keeping the list
+            // sorted.
+            let missing = nbrs.len() - 1 - hits;
+            let (mut i, mut at) = (keep, keep + missing);
+            list.resize(at, 0);
+            for &w in nbrs.iter().rev() {
+                if i == at {
+                    break;
+                }
+                if w == u || stamps[w].1 == u {
+                    continue;
+                }
+                while i > 0 && list[i - 1] > w {
+                    at -= 1;
+                    i -= 1;
+                    list[at] = list[i];
+                }
+                at -= 1;
+                list[at] = w;
+            }
+            if list.len() != before {
+                set(&mut tree, u, key(list.len(), u));
             }
         }
-        adj[pivot].clear();
     }
+    debug_assert_eq!(order.len(), n, "every vertex is eliminated once");
     order
 }
 
@@ -125,6 +193,7 @@ pub fn min_degree_order<T: Scalar>(matrix: &CsrMatrix<T>) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::{SparseLu, TripletMatrix};
+    use std::collections::BTreeSet;
 
     fn tridiagonal(n: usize) -> CsrMatrix<f64> {
         let mut t = TripletMatrix::<f64>::new(n, n);

@@ -2,7 +2,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
-use std::collections::BTreeMap;
 
 /// A coordinate-format sparse matrix accumulator.
 ///
@@ -90,14 +89,45 @@ impl<T: Scalar> TripletMatrix<T> {
     }
 
     /// Converts to compressed sparse row form, summing duplicate entries.
+    ///
+    /// Duplicates are summed in push order, `((v₁ + v₂) + v₃) + …`, so the
+    /// result does not depend on anything but the pushes. A counting sort by
+    /// row keeps each row's pushes in order, and a stable sort by column
+    /// brings each position's pushes together, still in order.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        // BTreeMap keyed by (row, col) gives deterministic ordering and
-        // accumulation in one pass.
-        let mut acc: BTreeMap<(usize, usize), T> = BTreeMap::new();
-        for &(r, c, v) in &self.entries {
-            acc.entry((r, c)).and_modify(|e| *e += v).or_insert(v);
+        let mut starts = vec![0usize; self.rows + 1];
+        for &(r, _, _) in &self.entries {
+            starts[r + 1] += 1;
         }
-        CsrMatrix::from_sorted_entries(self.rows, self.cols, acc)
+        for r in 0..self.rows {
+            starts[r + 1] += starts[r];
+        }
+        let mut by_row = vec![(0usize, T::ZERO); self.entries.len()];
+        let mut next = starts.clone();
+        for &(r, c, v) in &self.entries {
+            by_row[next[r]] = (c, v);
+            next[r] += 1;
+        }
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        let mut col_idx = Vec::with_capacity(self.entries.len());
+        let mut values: Vec<T> = Vec::with_capacity(self.entries.len());
+        row_ptr.push(0);
+        for r in 0..self.rows {
+            let row = &mut by_row[starts[r]..starts[r + 1]];
+            row.sort_by_key(|&(c, _)| c);
+            let first = col_idx.len();
+            for &(c, v) in row.iter() {
+                match values.last_mut() {
+                    Some(sum) if col_idx.len() > first && col_idx.last() == Some(&c) => *sum += v,
+                    _ => {
+                        col_idx.push(c);
+                        values.push(v);
+                    }
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::from_parts(self.rows, self.cols, row_ptr, col_idx, values)
     }
 }
 
@@ -143,6 +173,40 @@ mod tests {
         t.push(0, 1, Complex64::new(0.5, -1.0));
         let m = t.to_csr();
         assert_eq!(m.get(0, 1), Complex64::new(1.5, 1.0));
+    }
+
+    /// The `BTreeMap` accumulation `to_csr` replaced.
+    fn to_csr_by_map<T: Scalar>(t: &TripletMatrix<T>) -> Vec<(usize, usize, u64, u64)> {
+        let mut acc = std::collections::BTreeMap::<(usize, usize), T>::new();
+        for &(r, c, v) in &t.entries {
+            acc.entry((r, c)).and_modify(|e| *e += v).or_insert(v);
+        }
+        acc.into_iter()
+            .map(|((r, c), v)| (r, c, v.re().to_bits(), v.im().to_bits()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        /// Sums in push order, bit for bit: duplicates, signed zeros and
+        /// rounding-sensitive magnitudes, any push order.
+        #[test]
+        fn duplicates_sum_in_push_order(
+            pushes in proptest::collection::vec((0usize..7, 0usize..5, 0usize..8), 0..60)
+        ) {
+            let values = [1.0, -1.0, 0.0, -0.0, 1.0e16, 3.0, -1.0e-16, 0.1];
+            let mut t = TripletMatrix::<f64>::new(7, 5);
+            for &(r, c, v) in &pushes {
+                t.push(r, c, values[v]);
+            }
+            let m = t.to_csr();
+            let got: Vec<(usize, usize, u64, u64)> = m
+                .iter()
+                .map(|(r, c, v)| (r, c, v.to_bits(), 0.0f64.to_bits()))
+                .collect();
+            proptest::prop_assert_eq!(got, to_csr_by_map(&t));
+        }
     }
 
     #[test]
