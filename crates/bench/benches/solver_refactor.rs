@@ -22,10 +22,9 @@
 //! matched accuracy. (S9) times one assembly per point, layer by layer:
 //! the AC system stamped element by element against a load from the
 //! compiled `G + jω·C` image, and the DC Newton system assembled with a
-//! `find_slot` search per stamp against a replay of the slot tape and a
-//! load from its Newton image — on the Table 2 circuit and the 16×16 power
-//! grid — plus Table 2's transient Newton system, slot tape against Newton
-//! image. (S10) times one numeric
+//! `find_slot` search per stamp against a load from its Newton image — on
+//! the Table 2 circuit and the 16×16 power grid — plus Table 2's transient
+//! Newton system, stamped against its Newton image. (S10) times one numeric
 //! refactorization per call on the same two circuits: Table 2's real
 //! transient Newton system, its complex AC systems through the batched
 //! lanes at widths 1 and 4, and the 16×16 grid's AC system, with the size
@@ -53,10 +52,10 @@ use loopscope_sparse::{
     RefineWorkspace, SparseLu, SymbolicLu, TripletMatrix, REFINE_BACKWARD_TOLERANCE,
 };
 use loopscope_spice::ac::AcAnalysis;
-use loopscope_spice::assembly::{AssembleMna, NewtonJob, SlotSink, SolveContext, StampTape};
+use loopscope_spice::assembly::{AssembleMna, NewtonJob, SlotSink, SolveContext};
 use loopscope_spice::batch::{driving_point_monte_carlo, ParameterVariation};
 use loopscope_spice::dc::{self, solve_dc};
-use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
+use loopscope_spice::mna::{MnaLayout, Stamper};
 use loopscope_spice::par;
 use loopscope_spice::tran::{Integration, TransientAnalysis, TransientOptions, TransientResult};
 use std::time::Instant;
@@ -1028,26 +1027,14 @@ fn print_adaptive_transient(records: &mut Vec<Record>) {
     );
 }
 
-/// The slot sink before the slot tape: a binary search per stamp.
-struct SearchSink<'m, T: loopscope_sparse::Scalar>(&'m mut CsrMatrix<T>);
-
-impl<T: loopscope_sparse::Scalar> MatrixSink<T> for SearchSink<'_, T> {
-    #[inline]
-    fn add(&mut self, row: usize, col: usize, value: T) {
-        let slot = self.0.find_slot(row, col).expect("stamp on the pattern");
-        self.0.values_mut()[slot] += value;
-    }
-}
-
-/// Best-of-blocks ns per assembly of `job(k)` into `matrix`, cycling
-/// `points` jobs with a hoisted RHS: through a [`SlotSink`] replaying
-/// `tape`, or with a `find_slot` search per stamp when `tape` is `None`.
+/// Best-of-blocks ns per assembly of `job(k)` into `matrix` through a
+/// [`SlotSink`] (a `find_slot` search per stamp), cycling `points` jobs with
+/// a hoisted RHS.
 fn assembly_ns<T, J>(
     layout: &MnaLayout,
     matrix: &mut CsrMatrix<T>,
     points: usize,
     reps: usize,
-    mut tape: Option<&mut StampTape>,
     job: impl Fn(usize) -> J,
 ) -> f64
 where
@@ -1061,27 +1048,19 @@ where
         let buf = std::mem::take(&mut rhs);
         let job = job(k % points);
         k += 1;
-        rhs = match tape.as_deref_mut() {
-            Some(tape) => {
-                let sink = SlotSink::new(&mut *matrix, tape);
-                let mut st = Stamper::with_sink_reusing(layout, sink, buf);
-                job.stamp(&mut st);
-                st.into_parts().1
-            }
-            None => {
-                let mut st = Stamper::with_sink_reusing(layout, SearchSink(&mut *matrix), buf);
-                job.stamp(&mut st);
-                st.into_parts().1
-            }
-        };
+        let mut st = Stamper::with_sink_reusing(layout, SlotSink::new(&mut *matrix), buf);
+        job.stamp(&mut st);
+        let (sink, out) = st.into_parts();
+        assert!(!sink.missed(), "stamp off the pattern");
+        rhs = out;
     })
 }
 
 /// Times one Newton assembly of `job` through an adopting context: the
-/// full stamped assembly replaying the slot tape, and the load from the
-/// job's Newton image (device stamps only, over the compiled linear
-/// prefix). Asserts first that the image compiles and that its load is bit
-/// for bit the stamped assembly. Returns `(tape_ns, image_ns)`.
+/// full stamped assembly, and the load from the job's Newton image (device
+/// stamps only, over the compiled linear prefix). Asserts first that the
+/// image compiles and that its load is bit for bit the stamped assembly.
+/// Returns `(stamped_ns, image_ns)`.
 fn newton_assembly_ns(
     label: &str,
     layout: &MnaLayout,
@@ -1105,7 +1084,7 @@ fn newton_assembly_ns(
         bits(imaged.matrix()) == bits(stamped.matrix()) && rhs_bits(&image_rhs) == rhs_bits(&rhs),
         "{label}: Newton image load differs from the stamped assembly"
     );
-    let tape_ns = time_ns_best(5, reps, || {
+    let stamped_ns = time_ns_best(5, reps, || {
         stamped.assemble_into(job, &mut rhs);
         std::hint::black_box(&mut rhs);
     });
@@ -1113,21 +1092,20 @@ fn newton_assembly_ns(
         imaged.assemble_newton_into(job, &mut image_rhs);
         std::hint::black_box(&mut image_rhs);
     });
-    (tape_ns, image_ns)
+    (stamped_ns, image_ns)
 }
 
 /// Experiment S9 — assembly per point, stamped vs compiled. For the AC
 /// system of each circuit: every element stamp through a `find_slot`
-/// search (the path before compiled images), the same stamps replaying a
-/// slot tape (what a point whose image failed its self-check runs), and
+/// search (what a point whose image failed its self-check runs) against
 /// the load from the compiled `G + jω·C` image. For the DC Newton system
-/// at the operating point: `find_slot` against the slot tape and the load
-/// from the Newton image; for Table 2's transient Newton system (a
-/// trapezoidal 2 ns step), the slot tape against the Newton image. Every
-/// image load is also checked bit for bit against the stamped values.
+/// at the operating point and Table 2's transient Newton system (a
+/// trapezoidal 2 ns step): the stamped assembly against the load from the
+/// Newton image. Every image load is also checked bit for bit against the
+/// stamped values.
 fn print_assembly_table(records: &mut Vec<Record>) {
     println!(
-        "\n=== S9: assembly per point — stamped vs compiled G + jωC image (AC), find_slot vs slot tape vs Newton image (DC, transient) ==="
+        "\n=== S9: assembly per point — stamped vs compiled G + jωC image (AC), stamped vs Newton image (DC, transient) ==="
     );
     let (table2, _, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
     let (mesh, _) = power_grid(16, 16);
@@ -1147,11 +1125,10 @@ fn print_assembly_table(records: &mut Vec<Record>) {
         let mut matrix = ac.admittance_matrix(freqs[0]);
 
         // Bitwise parity of the load with a stamped assembly on every point.
-        let mut tape = StampTape::new();
         let mut loaded = matrix.clone();
         for &f in freqs {
             matrix.zero_values();
-            let mut st = Stamper::with_sink(layout, SlotSink::new(&mut matrix, &mut tape));
+            let mut st = Stamper::with_sink(layout, SlotSink::new(&mut matrix));
             ac.assembly_job(f).stamp(&mut st);
             image.load_into(f, loaded.values_mut());
             let same = loaded
@@ -1167,8 +1144,7 @@ fn print_assembly_table(records: &mut Vec<Record>) {
         }
 
         let job = |k: usize| ac.assembly_job(freqs[k]);
-        let search_ns = assembly_ns(layout, &mut matrix, freqs.len(), reps, None, job);
-        let tape_ns = assembly_ns(layout, &mut matrix, freqs.len(), reps, Some(&mut tape), job);
+        let search_ns = assembly_ns(layout, &mut matrix, freqs.len(), reps, job);
         let mut k = 0usize;
         let image_ns = time_ns_best(5, reps, || {
             image.load_into(freqs[k % freqs.len()], loaded.values_mut());
@@ -1176,12 +1152,11 @@ fn print_assembly_table(records: &mut Vec<Record>) {
             std::hint::black_box(&mut loaded);
         });
         println!(
-            "{label:<11} AC ({} unknowns, {} slots, {} C terms): stamped {:>8.2} µs   stamped+tape {:>8.2} µs   image load {:>8.2} µs   speedup {:>5.1}x",
+            "{label:<11} AC ({} unknowns, {} slots, {} C terms): stamped {:>8.2} µs   image load {:>8.2} µs   speedup {:>5.1}x",
             layout.dim(),
             matrix.nnz(),
             image.c_terms().len(),
             search_ns / 1.0e3,
-            tape_ns / 1.0e3,
             image_ns / 1.0e3,
             search_ns / image_ns
         );
@@ -1193,7 +1168,6 @@ fn print_assembly_table(records: &mut Vec<Record>) {
             format!("{label}_ac_assembly_stamped"),
             search_ns,
         ));
-        records.push(Record::new(format!("{label}_ac_assembly_tape"), tape_ns));
         records.push(Record::new(format!("{label}_ac_assembly_image"), image_ns));
 
         let dc_layout = MnaLayout::new(circuit);
@@ -1202,30 +1176,18 @@ fn print_assembly_table(records: &mut Vec<Record>) {
         let mut st = Stamper::new(&dc_layout);
         dc_job(0).stamp(&mut st);
         let mut dc_matrix = st.finish().0.to_csr();
-        let mut dc_tape = StampTape::new();
-        let dc_search_ns = assembly_ns(&dc_layout, &mut dc_matrix, 1, reps, None, dc_job);
-        let dc_tape_ns = assembly_ns(
-            &dc_layout,
-            &mut dc_matrix,
-            1,
-            reps,
-            Some(&mut dc_tape),
-            dc_job,
-        );
+        let dc_search_ns = assembly_ns(&dc_layout, &mut dc_matrix, 1, reps, dc_job);
         let (_, dc_image_ns) = newton_assembly_ns(label, &dc_layout, &dc_job(0), reps);
         println!(
-            "{label:<11} DC Newton system ({} stamps): find_slot {:>8.2} µs   slot tape {:>8.2} µs   Newton image {:>8.2} µs   tape/image {:>5.2}x",
-            dc_tape.len(),
+            "{label:<11} DC Newton system: find_slot {:>8.2} µs   Newton image {:>8.2} µs   speedup {:>5.2}x",
             dc_search_ns / 1.0e3,
-            dc_tape_ns / 1.0e3,
             dc_image_ns / 1.0e3,
-            dc_tape_ns / dc_image_ns
+            dc_search_ns / dc_image_ns
         );
         records.push(Record::new(
             format!("{label}_dc_assembly_find_slot"),
             dc_search_ns,
         ));
-        records.push(Record::new(format!("{label}_dc_assembly_tape"), dc_tape_ns));
         records.push(Record::new(
             format!("{label}_dc_assembly_image"),
             dc_image_ns,
@@ -1245,18 +1207,19 @@ fn print_assembly_table(records: &mut Vec<Record>) {
         op.node_voltages(),
         &history,
     );
-    let (tape_ns, image_ns) = newton_assembly_ns("table2 transient", &layout, &job, iters(20_000));
+    let (stamped_ns, image_ns) =
+        newton_assembly_ns("table2 transient", &layout, &job, iters(20_000));
     println!(
-        "table2      transient Newton system: slot tape {:>8.2} µs   Newton image {:>8.2} µs   speedup {:>5.2}x",
-        tape_ns / 1.0e3,
+        "table2      transient Newton system: stamped {:>8.2} µs   Newton image {:>8.2} µs   speedup {:>5.2}x",
+        stamped_ns / 1.0e3,
         image_ns / 1.0e3,
-        tape_ns / image_ns
+        stamped_ns / image_ns
     );
     assert_timing(
-        image_ns < tape_ns,
+        image_ns < stamped_ns,
         "table2: the Newton image load must beat the stamped transient assembly",
     );
-    records.push(Record::new("table2_tran_assembly_tape", tape_ns));
+    records.push(Record::new("table2_tran_assembly_stamped", stamped_ns));
     records.push(Record::new("table2_tran_assembly_image", image_ns));
 }
 

@@ -48,7 +48,7 @@
 //! [`AcAnalysis::solve_stats`]).
 
 use crate::assembly::{
-    AffineImage, AffineSink, AssembleMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
+    AffineImage, AffineSink, AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan,
 };
 use crate::dc::OperatingPoint;
 use crate::devices::{self, NonlinearStamp};
@@ -544,8 +544,7 @@ impl<'c> AcAnalysis<'c> {
         check_freq: f64,
     ) -> Option<AffineImage> {
         let mut stamped = pattern.clone();
-        let mut tape = StampTape::new();
-        let mut st = Stamper::with_sink(&self.layout, SlotSink::new(&mut stamped, &mut tape));
+        let mut st = Stamper::with_sink(&self.layout, SlotSink::new(&mut stamped));
         self.system(check_freq, true, overrides).stamp(&mut st);
         let (sink, rhs) = st.into_parts();
         let hit = !sink.missed();
@@ -621,17 +620,21 @@ impl<'c> AcAnalysis<'c> {
         }
     }
 
-    /// Test shorthand: stamps [`system`](AcAnalysis::system) into `st`.
-    #[cfg(test)]
-    pub(crate) fn stamp_system_overridden<S: MatrixSink<Complex64>>(
-        &self,
-        st: &mut Stamper<'_, Complex64, S>,
-        freq_hz: f64,
-        use_circuit_sources: bool,
-        overrides: &[(usize, Element)],
-    ) {
-        self.system(freq_hz, use_circuit_sources, overrides)
-            .stamp(st);
+    /// The unknown a unit current injected at `node` enters: an error for
+    /// the ground node, then for a node outside the circuit.
+    pub(crate) fn injection_var(&self, node: NodeId) -> Result<usize, SpiceError> {
+        let Some(var) = self.layout.node_var(node) else {
+            return Err(SpiceError::UnknownReference(
+                "cannot inject at the ground node".to_string(),
+            ));
+        };
+        if node.index() >= self.circuit.node_count() {
+            return Err(SpiceError::UnknownReference(format!(
+                "node index {} outside circuit",
+                node.index()
+            )));
+        }
+        Ok(var)
     }
 
     fn solve_into_node_row(&self, solution: &[Complex64]) -> Vec<Complex64> {
@@ -695,17 +698,7 @@ impl<'c> AcAnalysis<'c> {
         node: NodeId,
         grid: &FrequencyGrid,
     ) -> Result<Vec<Complex64>, SpiceError> {
-        let Some(var) = self.layout.node_var(node) else {
-            return Err(SpiceError::UnknownReference(
-                "cannot inject at the ground node".to_string(),
-            ));
-        };
-        if node.index() >= self.circuit.node_count() {
-            return Err(SpiceError::UnknownReference(format!(
-                "node index {} outside circuit",
-                node.index()
-            )));
-        }
+        let var = self.injection_var(node)?;
         let freqs = grid.freqs();
         if freqs.is_empty() {
             return Ok(Vec::new());
@@ -1099,7 +1092,7 @@ mod tests {
     }
 
     /// The stamped assembly at `freq_hz` over `pattern`, with the circuit's
-    /// AC sources, as a SlotSink assembly with a fresh tape.
+    /// AC sources, as a SlotSink assembly.
     fn stamped(
         ac: &AcAnalysis<'_>,
         pattern: &CsrMatrix<Complex64>,
@@ -1107,8 +1100,7 @@ mod tests {
         overrides: &[(usize, Element)],
     ) -> (CsrMatrix<Complex64>, Vec<Complex64>) {
         let mut m = pattern.clone();
-        let mut tape = StampTape::new();
-        let mut st = Stamper::with_sink(&ac.layout, SlotSink::new(&mut m, &mut tape));
+        let mut st = Stamper::with_sink(&ac.layout, SlotSink::new(&mut m));
         ac.system(freq_hz, true, overrides).stamp(&mut st);
         let (sink, rhs) = st.into_parts();
         assert!(!sink.missed());

@@ -13,12 +13,11 @@
 //! its solves through it:
 //!
 //! 1. **Assembly** zeroes the CSR values and replays the element stamps
-//!    through a [`SlotSink`], which routes each stamp to the value slot its
-//!    context's [`StampTape`] recorded for it (a binary search within the
-//!    row only when the tape has no matching entry). No allocation, no
-//!    sorting, no BTreeMap. A stamp that misses the pattern (a nonlinear
-//!    device changed operating region, say) rebuilds the system from
-//!    scratch through a [`TripletMatrix`](loopscope_sparse::TripletMatrix).
+//!    through a [`SlotSink`], which adds each stamp into its value slot,
+//!    found by a binary search within the row. No allocation, no sorting,
+//!    no BTreeMap. A stamp that misses the pattern (a nonlinear device
+//!    changed operating region, say) rebuilds the system from scratch
+//!    through a [`TripletMatrix`](loopscope_sparse::TripletMatrix).
 //!    An AC sweep point skips the stamps altogether and loads its values
 //!    from the analysis's compiled [`AffineImage`] `G + jω·C`, bit for bit
 //!    the values a stamped assembly produces.
@@ -101,71 +100,20 @@ pub trait AssembleMna<T: Scalar> {
     fn stamp<S: MatrixSink<T>>(&self, stamper: &mut Stamper<'_, T, S>);
 }
 
-/// The slot of every matrix stamp of one assembly, in stamp order — the
-/// SPICE3 `TSTALLOC` idiom (each device binds its matrix-element pointers
-/// once) applied to an unchanged stamp loop.
-///
-/// The first assembly over a pattern records `(row, col, slot)` for every
-/// [`MatrixSink::add`] a [`SlotSink`] receives. Later assemblies replay it:
-/// a stamp whose position matches its tape entry (two integer compares) goes
-/// straight to the recorded slot instead of a binary search. A stamp that
-/// differs — a conditional stamp, a MOSFET swapping drain and source — cuts
-/// the tape there and records the rest of the sequence again. Since a slot
-/// is a pure function of `(row, col)` and the pattern, a replayed assembly
-/// accumulates exactly what a searched one would, in the same order, so the
-/// tape never changes a value. A stamp outside the pattern clears it (the
-/// context rebuilds its pattern), and so does an adopting context taking a
-/// new pattern.
-#[derive(Debug, Clone, Default)]
-pub struct StampTape {
-    entries: Vec<(u32, u32, u32)>,
-}
-
-impl StampTape {
-    /// An empty tape: the next assembly records.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of recorded stamps.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Forgets every recorded slot (the pattern changed).
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 /// Matrix sink that accumulates stamps into the value slots of an existing
-/// CSR pattern, replaying (and recording) a [`StampTape`] of their slots.
-/// Records (instead of panicking on) stamps that fall outside the pattern so
-/// the caller can rebuild.
+/// CSR pattern, finding each stamp's slot by a binary search within its row
+/// ([`CsrMatrix::find_slot`]). Records (instead of panicking on) stamps that
+/// fall outside the pattern so the caller can rebuild.
 #[derive(Debug)]
 pub struct SlotSink<'m, T: Scalar> {
     csr: &'m mut CsrMatrix<T>,
-    tape: &'m mut StampTape,
-    cursor: usize,
     missed: bool,
 }
 
 impl<'m, T: Scalar> SlotSink<'m, T> {
-    /// Wraps a CSR matrix whose values have already been zeroed, replaying
-    /// `tape` — which must have been recorded over the same pattern, or be
-    /// empty.
-    pub fn new(csr: &'m mut CsrMatrix<T>, tape: &'m mut StampTape) -> Self {
-        Self {
-            csr,
-            tape,
-            cursor: 0,
-            missed: false,
-        }
+    /// Wraps a CSR matrix whose values have already been zeroed.
+    pub fn new(csr: &'m mut CsrMatrix<T>) -> Self {
+        Self { csr, missed: false }
     }
 
     /// `true` when at least one stamp addressed a position outside the
@@ -173,35 +121,15 @@ impl<'m, T: Scalar> SlotSink<'m, T> {
     pub fn missed(&self) -> bool {
         self.missed
     }
-
-    /// Finds the slot of a stamp the tape does not predict and records it
-    /// at the cursor, cutting the rest of the tape.
-    fn record(&mut self, row: usize, col: usize) -> Option<usize> {
-        let slot = self.csr.find_slot(row, col)?;
-        let entry = |v: usize| u32::try_from(v).expect("pattern index fits u32");
-        self.tape.entries.truncate(self.cursor);
-        self.tape
-            .entries
-            .push((entry(row), entry(col), entry(slot)));
-        Some(slot)
-    }
 }
 
 impl<T: Scalar> MatrixSink<T> for SlotSink<'_, T> {
     #[inline]
     fn add(&mut self, row: usize, col: usize, value: T) {
-        let slot = match self.tape.entries.get(self.cursor) {
-            Some(&(r, c, slot)) if r as usize == row && c as usize == col => slot as usize,
-            _ => match self.record(row, col) {
-                Some(slot) => slot,
-                None => {
-                    self.missed = true;
-                    return;
-                }
-            },
-        };
-        self.cursor += 1;
-        self.csr.values_mut()[slot] += value;
+        match self.csr.find_slot(row, col) {
+            Some(slot) => self.csr.values_mut()[slot] += value,
+            None => self.missed = true,
+        }
     }
 }
 
@@ -1037,8 +965,6 @@ pub struct SolveContext<'p, T: Scalar> {
     /// assembly clears it (the plan and the context's slot map stay
     /// untouched). An adopting context replaces `csr` instead.
     off_pattern: Option<CsrMatrix<T>>,
-    /// The slots of the previous assembly's stamps over `csr`'s pattern.
-    tape: StampTape,
     /// The compiled linear part of the latest Newton key over `csr`'s
     /// pattern (see [`assemble_newton_into`](SolveContext::assemble_newton_into)).
     newton: Option<NewtonImage>,
@@ -1120,7 +1046,6 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             refine_ws: RefineWorkspace::for_dim(n),
             rhs_backup: Vec::with_capacity(n),
             off_pattern: None,
-            tape: StampTape::new(),
             newton: None,
             newton_seen: None,
             factored: false,
@@ -1176,7 +1101,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         if let Some(csr) = self.csr.as_mut() {
             csr.zero_values();
             let buf = std::mem::take(rhs);
-            let sink = SlotSink::new(csr, &mut self.tape);
+            let sink = SlotSink::new(csr);
             let mut stamper = Stamper::with_sink_reusing(self.layout, sink, buf);
             job.stamp(&mut stamper);
             let (sink, out) = stamper.into_parts();
@@ -1187,7 +1112,6 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                 return;
             }
             self.stats.pattern_rebuilds += 1;
-            self.tape.clear();
             self.newton = None;
             self.newton_seen = None;
         }
@@ -2169,30 +2093,24 @@ mod tests {
         }
     }
 
-    /// The pre-tape slot sink: a binary search per stamp.
-    struct SearchSink<'m>(&'m mut CsrMatrix<f64>);
-
-    impl MatrixSink<f64> for SearchSink<'_> {
-        fn add(&mut self, row: usize, col: usize, value: f64) {
-            let slot = self.0.find_slot(row, col).expect("on pattern");
-            self.0.values_mut()[slot] += value;
-        }
+    /// The triplet → CSR assembly of `job`, independent of any slot sink:
+    /// `(row, col, value bits)` in pattern order, and the right-hand side.
+    fn reference(
+        layout: &MnaLayout,
+        job: &impl AssembleMna<f64>,
+    ) -> (Vec<(usize, usize, u64)>, Vec<f64>) {
+        let mut st = Stamper::new(layout);
+        job.stamp(&mut st);
+        let (triplets, rhs) = st.finish();
+        (bits(&triplets.to_csr()), rhs)
     }
 
-    fn searched(
-        layout: &MnaLayout,
-        pattern: &CsrMatrix<f64>,
-        job: &impl AssembleMna<f64>,
-    ) -> Vec<u64> {
-        let mut m = pattern.clone();
-        m.zero_values();
-        let mut st = Stamper::with_sink(layout, SearchSink(&mut m));
-        job.stamp(&mut st);
-        m.iter().map(|(_, _, v)| v.to_bits()).collect()
+    fn bits(m: &CsrMatrix<f64>) -> Vec<(usize, usize, u64)> {
+        m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
     }
 
     #[test]
-    fn tape_replays_a_changing_stamp_sequence_exactly() {
+    fn slot_sink_assembles_a_changing_stamp_sequence_exactly() {
         let (_c, layout) = two_node_layout();
         let mut ctx = SolveContext::<f64>::adopting(&layout);
         let jobs = [
@@ -2221,40 +2139,28 @@ mod tests {
                 extra: false,
             },
         ];
-        // The first assembly builds the pattern; the tape records from the
-        // second on, and every later assembly replays or re-records it.
+        // The first assembly builds the pattern; reordered and extra stamps
+        // over it are value-only assemblies summing in stamp order.
         ctx.assemble(&jobs[0]);
-        assert!(ctx.tape.is_empty());
-        let pattern = ctx.matrix().clone();
-        // A mismatch cuts the tape and records the rest; a sequence that is
-        // a prefix of the tape (the last job) replays it as it stands.
-        let tape_lens = [5, 5, 6, 6, 6];
-        for (job, &len) in jobs[1..].iter().zip(&tape_lens) {
-            ctx.assemble(job);
-            let got: Vec<u64> = ctx.matrix().iter().map(|(_, _, v)| v.to_bits()).collect();
-            assert_eq!(got, searched(&layout, &pattern, job));
-            assert_eq!(ctx.tape.len(), len);
+        for job in &jobs[1..] {
+            let rhs = ctx.assemble(job);
+            assert_eq!((bits(ctx.matrix()), rhs), reference(&layout, job));
         }
         assert_eq!(ctx.stats().cached_assemblies, jobs.len() - 1);
         assert_eq!(ctx.stats().pattern_rebuilds, 0);
 
-        // A stamp outside the pattern clears the tape; the rebuilt
-        // pattern's next assembly records afresh.
+        // A stamp outside the pattern rebuilds it once; the next assembly
+        // over the rebuilt pattern is a hit.
         let mut narrow = SolveContext::<f64>::adopting(&layout);
         narrow.assemble(&DiagOnly);
         narrow.assemble(&DiagOnly);
-        assert_eq!(narrow.tape.len(), 2);
         narrow.assemble(&jobs[0]);
         assert_eq!(narrow.stats().pattern_rebuilds, 1);
-        assert!(narrow.tape.is_empty());
-        narrow.assemble(&jobs[2]);
-        assert_eq!(narrow.tape.len(), 5);
-        let got: Vec<u64> = narrow
-            .matrix()
-            .iter()
-            .map(|(_, _, v)| v.to_bits())
-            .collect();
-        assert_eq!(got, searched(&layout, narrow.matrix(), &jobs[2]));
+        assert_eq!(narrow.stats().cached_assemblies, 1);
+        let rhs = narrow.assemble(&jobs[2]);
+        assert_eq!(narrow.stats().pattern_rebuilds, 1);
+        assert_eq!(narrow.stats().cached_assemblies, 2);
+        assert_eq!((bits(narrow.matrix()), rhs), reference(&layout, &jobs[2]));
     }
 
     #[test]

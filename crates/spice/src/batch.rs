@@ -48,9 +48,7 @@
 //! which is the entire point.
 
 use crate::ac::AcAnalysis;
-use crate::assembly::{
-    AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
-};
+use crate::assembly::{AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan};
 use crate::dc::OperatingPoint;
 use crate::error::SpiceError;
 use crate::mna::Stamper;
@@ -399,6 +397,15 @@ pub struct BatchedSweep {
 }
 
 impl BatchedSweep {
+    /// A batch that solved nothing: the given outcomes and zero counters.
+    fn unsolved(freqs: &[f64], outcomes: Vec<VariantOutcome>) -> Self {
+        Self {
+            freqs: freqs.to_vec(),
+            outcomes,
+            stats: SolveStats::default(),
+        }
+    }
+
     /// The frequency grid the batch was swept over.
     pub fn freqs(&self) -> &[f64] {
         &self.freqs
@@ -533,8 +540,6 @@ struct GroupRunner<'p> {
     errors: Vec<f64>,
     /// Scratch RHS recycled through the stampers.
     rhs_scratch: Vec<Complex64>,
-    /// Slot tape of the lanes that stamp (every lane shares the pattern).
-    tape: StampTape,
     /// Per-point lane statuses and pattern-miss flags.
     statuses: Vec<BatchLaneStatus>,
     missed: Vec<bool>,
@@ -568,7 +573,6 @@ impl<'p> GroupRunner<'p> {
             solution: LanePlanes::new(n, width),
             errors: vec![0.0; width],
             rhs_scratch: Vec::with_capacity(n),
-            tape: StampTape::new(),
             statuses: Vec::with_capacity(width),
             missed: vec![false; width],
             ctx: plan.context(),
@@ -604,18 +608,14 @@ impl<'p> GroupRunner<'p> {
                 None => {
                     self.lane_csr.zero_values();
                     let rhs = std::mem::take(&mut self.rhs_scratch);
-                    let sink = SlotSink::new(&mut self.lane_csr, &mut self.tape);
+                    let sink = SlotSink::new(&mut self.lane_csr);
                     let mut st = Stamper::with_sink_reusing(self.ctx.layout(), sink, rhs);
                     lane.analysis
                         .system(freq_hz, false, lane.overrides)
                         .stamp(&mut st);
                     let (sink, rhs) = st.into_parts();
-                    let missed = sink.missed();
                     self.rhs_scratch = rhs;
-                    if missed {
-                        self.tape.clear();
-                    }
-                    missed
+                    sink.missed()
                 }
             };
             self.values.load_lane(k, self.lane_csr.values());
@@ -728,11 +728,7 @@ pub fn driving_point_batch(
         })
         .collect();
     if variants.is_empty() {
-        return Ok(BatchedSweep {
-            freqs: freqs.to_vec(),
-            outcomes,
-            stats: SolveStats::default(),
-        });
+        return Ok(BatchedSweep::unsolved(freqs, outcomes));
     }
 
     // Per-variant analysis construction; failures become that variant's
@@ -754,50 +750,30 @@ pub fn driving_point_batch(
         for &i in &healthy {
             outcomes[i].response = Some(Vec::new());
         }
-        return Ok(BatchedSweep {
-            freqs: Vec::new(),
-            outcomes,
-            stats: SolveStats::default(),
-        });
+        return Ok(BatchedSweep::unsolved(freqs, outcomes));
     }
 
     // One symbolic analysis for the whole batch, from the first variant
     // whose representative system factors.
     let mut plan = None;
-    let mut plan_owner = usize::MAX;
     for &i in &healthy {
         let analysis = analyses[i].as_ref().expect("healthy index");
         match analysis.plan_for(freqs[0]) {
             Ok(planned) => {
-                plan = Some(planned);
-                plan_owner = i;
+                plan = Some((planned, analysis));
                 break;
             }
             Err(e) => outcomes[i].error = Some(e),
         }
     }
-    let Some(planned) = plan else {
+    let Some((planned, owner)) = plan else {
         // Every variant failed before a plan could be built.
-        return Ok(BatchedSweep {
-            freqs: freqs.to_vec(),
-            outcomes,
-            stats: SolveStats::default(),
-        });
+        return Ok(BatchedSweep::unsolved(freqs, outcomes));
     };
     healthy.retain(|&i| outcomes[i].error.is_none());
     let plan = &planned.plan;
 
-    let Some(var) = plan.layout().node_var(node) else {
-        return Err(SpiceError::UnknownReference(
-            "cannot inject at the ground node".to_string(),
-        ));
-    };
-    if node.index() >= variants[plan_owner].circuit.node_count() {
-        return Err(SpiceError::UnknownReference(format!(
-            "node index {} outside circuit",
-            node.index()
-        )));
-    }
+    let var = owner.injection_var(node)?;
 
     // Structural guard: every lane must address the plan's layout — the
     // same node and branch counts, so the probed unknown is the same node
@@ -828,21 +804,7 @@ pub fn driving_point_batch(
             )
         })
         .collect();
-    let (results, drive_stats) = drive_lanes(plan, &jobs, freqs, var);
-    let mut stats = plan.stats();
-    stats.merge(&drive_stats);
-    for (vi, result) in results {
-        match result {
-            Ok(resp) => outcomes[vi].response = Some(resp),
-            Err(e) => outcomes[vi].error = Some(e),
-        }
-    }
-
-    Ok(BatchedSweep {
-        freqs: freqs.to_vec(),
-        outcomes,
-        stats,
-    })
+    Ok(drive_lanes(plan, &jobs, freqs, var, outcomes))
 }
 
 /// One variant's outcome inside [`drive_lanes`]: the original variant index
@@ -861,17 +823,18 @@ type VariantResult = (usize, Result<Vec<Complex64>, SpiceError>);
 /// group first compiles one admittance image per lane over the plan's
 /// pattern, self-checked at `freqs[0]`; its frequency points load from them.
 ///
-/// Returns per-variant results plus the merged runner counters (**without**
-/// the plan-build counters — the caller owns the plan). Counters live in the
-/// pooled runners, accumulated across every group a runner served and merged
-/// once at the end, so the totals are exact sums — invariant under chunking,
-/// lane width and worker count.
+/// Writes each variant's response or error into its entry of `outcomes`
+/// and returns the finished sweep, whose counters are the plan's plus the
+/// runners'. Counters live in the pooled runners, accumulated across every
+/// group a runner served and merged once at the end, so the totals are
+/// exact sums — invariant under chunking, lane width and worker count.
 fn drive_lanes(
     plan: &SweepPlan<Complex64>,
     jobs: &[(usize, Lane<'_, '_>)],
     freqs: &[f64],
     var: usize,
-) -> (Vec<VariantResult>, SolveStats) {
+    mut outcomes: Vec<VariantOutcome>,
+) -> BatchedSweep {
     let width = effective_width(configured_batch_width(), jobs.len());
     let groups: Vec<Vec<(usize, Lane<'_, '_>)>> = jobs
         .chunks(width)
@@ -943,18 +906,22 @@ fn drive_lanes(
         },
     );
 
-    let mut stats = SolveStats::default();
-    for pool in &worker_pools {
-        for runner in pool {
-            stats.merge(&runner.stats());
+    let mut stats = plan.stats();
+    for runner in worker_pools.iter().flatten() {
+        stats.merge(&runner.stats());
+    }
+    let results = group_results.expect("group driver is infallible");
+    for (vi, result) in results.into_iter().flatten() {
+        match result {
+            Ok(resp) => outcomes[vi].response = Some(resp),
+            Err(e) => outcomes[vi].error = Some(e),
         }
     }
-    let results = group_results
-        .expect("group driver is infallible")
-        .into_iter()
-        .flatten()
-        .collect();
-    (results, stats)
+    BatchedSweep {
+        freqs: freqs.to_vec(),
+        outcomes,
+        stats,
+    }
 }
 
 /// Monte Carlo driving-point sweep: generates `count` variants of `circuit`
@@ -1008,11 +975,7 @@ pub fn driving_point_monte_carlo(
         })
         .collect();
     if count == 0 {
-        return Ok(BatchedSweep {
-            freqs: freqs.to_vec(),
-            outcomes,
-            stats: SolveStats::default(),
-        });
+        return Ok(BatchedSweep::unsolved(freqs, outcomes));
     }
 
     // Validation is purely topological, so a base-analysis failure is every
@@ -1024,22 +987,14 @@ pub fn driving_point_monte_carlo(
             for o in &mut outcomes {
                 o.error = Some(e.clone());
             }
-            return Ok(BatchedSweep {
-                freqs: freqs.to_vec(),
-                outcomes,
-                stats: SolveStats::default(),
-            });
+            return Ok(BatchedSweep::unsolved(freqs, outcomes));
         }
     };
     if freqs.is_empty() {
         for o in &mut outcomes {
             o.response = Some(Vec::new());
         }
-        return Ok(BatchedSweep {
-            freqs: Vec::new(),
-            outcomes,
-            stats: SolveStats::default(),
-        });
+        return Ok(BatchedSweep::unsolved(freqs, outcomes));
     }
 
     // One symbolic analysis from the base values. The plan's pattern depends
@@ -1070,17 +1025,7 @@ pub fn driving_point_monte_carlo(
     };
     let plan = &planned.plan;
 
-    let Some(var) = plan.layout().node_var(node) else {
-        return Err(SpiceError::UnknownReference(
-            "cannot inject at the ground node".to_string(),
-        ));
-    };
-    if node.index() >= circuit.node_count() {
-        return Err(SpiceError::UnknownReference(format!(
-            "node index {} outside circuit",
-            node.index()
-        )));
-    }
+    let var = base.injection_var(node)?;
 
     let jobs: Vec<(usize, Lane<'_, '_>)> = overrides
         .iter()
@@ -1095,21 +1040,7 @@ pub fn driving_point_monte_carlo(
             )
         })
         .collect();
-    let (results, drive_stats) = drive_lanes(plan, &jobs, freqs, var);
-    let mut stats = plan.stats();
-    stats.merge(&drive_stats);
-    for (vi, result) in results {
-        match result {
-            Ok(resp) => outcomes[vi].response = Some(resp),
-            Err(e) => outcomes[vi].error = Some(e),
-        }
-    }
-
-    Ok(BatchedSweep {
-        freqs: freqs.to_vec(),
-        outcomes,
-        stats,
-    })
+    Ok(drive_lanes(plan, &jobs, freqs, var, outcomes))
 }
 
 #[cfg(test)]
@@ -1410,6 +1341,66 @@ mod tests {
             let response = outcome.response.as_ref().expect("variant solved");
             assert_eq!(bits(response), bits(&reference), "variant {k}");
         }
+    }
+
+    #[test]
+    fn stamped_lanes_match_image_lanes_bitwise() {
+        let mut c = Circuit::new("rlc ladder");
+        let a = c.node("a");
+        let b = c.node("b");
+        let d = c.node("d");
+        c.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(1.0));
+        c.add_resistor("R1", a, b, 1.0e3);
+        c.add_capacitor("C1", b, Circuit::GROUND, 1.0e-9);
+        c.add_inductor("L1", b, d, 1.0e-6);
+        c.add_resistor("R2", d, Circuit::GROUND, 2.0e3);
+        c.add_capacitor("C2", d, Circuit::GROUND, 2.0e-12);
+        let op = solve_dc(&c).unwrap();
+        let ac = AcAnalysis::new(&c, &op).unwrap();
+        let freqs = FrequencyGrid::log_decade(1.0e3, 1.0e9, 4).freqs().to_vec();
+        let planned = ac.plan_for(freqs[0]).unwrap();
+        let var = ac.injection_var(d).unwrap();
+        let variation = ParameterVariation::new(0xD00D)
+            .gaussian("R1", 0.05)
+            .uniform("C2", 0.1)
+            .gaussian("L1", 0.1);
+        let positions = variation.rule_positions(&c).unwrap();
+        let overrides: Vec<Vec<(usize, Element)>> = (0..2)
+            .map(|i| variation.overrides_for(i, &c, &positions).unwrap())
+            .collect();
+        // The base circuit and two Monte Carlo variants, in a ragged group.
+        let mut lanes = vec![Lane {
+            analysis: &ac,
+            overrides: &[],
+        }];
+        lanes.extend(overrides.iter().map(|o| Lane {
+            analysis: &ac,
+            overrides: o,
+        }));
+        let images: Vec<Option<AffineImage>> = lanes
+            .iter()
+            .map(|l| ac.compile_image(planned.plan.pattern(), l.overrides, freqs[0]))
+            .collect();
+        assert!(images.iter().all(Option::is_some));
+
+        let solve = |images: &[Option<AffineImage>]| {
+            let mut runner = GroupRunner::new(&planned.plan, 4, var, freqs.len());
+            for &f in &freqs {
+                runner.solve_point(&lanes, images, f);
+            }
+            let rows: Vec<(u64, u64)> = runner
+                .rows
+                .iter()
+                .map(|point| {
+                    let z = point.as_ref().expect("lane solved");
+                    (z.re.to_bits(), z.im.to_bits())
+                })
+                .collect();
+            (rows, runner.stats().cached_assemblies)
+        };
+        let stamped = solve(&vec![None; lanes.len()]);
+        assert_eq!(stamped.0.len(), lanes.len() * freqs.len());
+        assert_eq!(stamped, solve(&images));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! [`mna`] and [`devices`]; measurement helpers (overshoot, gain/phase
 //! margins, crossovers) live in [`measure`]. The solver pipeline builds the
 //! sparsity pattern and the LU pivot order once per circuit structure and
-//! then restamps values in place (replaying a slot tape; a frequency point
-//! loads them from a compiled [`assembly::AffineImage`] instead) and
+//! then restamps values in place (a frequency point loads them from a
+//! compiled [`assembly::AffineImage`] instead) and
 //! refactors numerically for every further frequency point, Newton
 //! iteration or timestep, all through one driver, [`assembly::SolveContext`]. The sequential analyses (DC Newton,
 //! transient stepping) use an adopting context that re-plans from its own
@@ -67,9 +67,7 @@ pub mod solver;
 pub mod tran;
 
 pub use ac::{AcAnalysis, AcSweep, SolverStructure};
-pub use assembly::{
-    AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, StampTape, SweepPlan,
-};
+pub use assembly::{AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan};
 pub use batch::{
     driving_point_batch, driving_point_monte_carlo, BatchVariant, BatchedSweep, ParameterVariation,
     VariantOutcome,

@@ -726,7 +726,7 @@ pub(crate) mod tests {
                 ac.assembly_job(f).stamp(&mut st);
                 got.push(fingerprint(st));
                 let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
-                ac.stamp_system_overridden(&mut st, f, true, &overrides);
+                ac.system(f, true, &overrides).stamp(&mut st);
                 got.push(fingerprint(st));
             }
         }

@@ -5,7 +5,7 @@ use loopscope_math::FrequencyGrid;
 use loopscope_netlist::{Circuit, SourceSpec};
 use loopscope_sparse::SparseLu;
 use loopscope_spice::ac::AcAnalysis;
-use loopscope_spice::assembly::{AssembleMna, SlotSink, SolveContext, StampTape, SweepPlan};
+use loopscope_spice::assembly::{AssembleMna, SlotSink, SolveContext, SweepPlan};
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::mna::{MatrixSink, MnaLayout, Stamper};
 use proptest::prelude::*;
@@ -195,10 +195,9 @@ proptest! {
             .expect("the self-check passes on affine stamps");
         let mut pattern = ac.admittance_matrix(f0);
         pattern.zero_values();
-        let mut tape = StampTape::new();
         for f in freqs.into_iter().chain([0.0, f0]) {
             let mut stamped = pattern.clone();
-            let mut st = Stamper::with_sink(ac.layout(), SlotSink::new(&mut stamped, &mut tape));
+            let mut st = Stamper::with_sink(ac.layout(), SlotSink::new(&mut stamped));
             ac.assembly_job(f).stamp(&mut st);
             let mut loaded = pattern.clone();
             image.load_into(f, loaded.values_mut());
