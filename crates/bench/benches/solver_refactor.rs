@@ -19,7 +19,8 @@
 //! buffered op-amp cascade is pinned by the unit tests of
 //! `loopscope-bench`. (S8) compares the LTE-controlled adaptive transient
 //! stepper against the fixed grid on a stiff two-time-constant RC at
-//! matched accuracy. (S9) times one assembly per point, layer by layer:
+//! matched accuracy, and times the whole Table 2 transient with its
+//! bypassed-iteration and reused-factor counters. (S9) times one assembly per point, layer by layer:
 //! the AC system stamped element by element against a load from the
 //! compiled `G + jω·C` image, and the DC Newton system assembled with a
 //! `find_slot` search per stamp against a load from its Newton image — on
@@ -1027,6 +1028,45 @@ fn print_adaptive_transient(records: &mut Vec<Record>) {
     );
 }
 
+/// Experiment S8, Table 2 row — the whole Table 2 transient of the
+/// overshoot baseline (2 ns fixed trapezoidal grid to 8 µs), timed per run,
+/// with the counters of the work it skipped: Newton iterations whose
+/// devices were bypassed and factorizations replaced by reused factors.
+/// Both counters are deterministic, so their floors are hard asserts in
+/// quick mode too: they catch bypass or reuse switching off silently.
+fn print_table2_transient(records: &mut Vec<Record>) {
+    let (table2, _, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
+    let op = solve_dc(&table2).expect("Table 2 operating point");
+    let tran = TransientAnalysis::new(&table2, TransientOptions::new(2.0e-9, 8.0e-6))
+        .expect("valid options");
+    let stats = *tran.run(&op).expect("Table 2 transient").stats();
+    let ns = time_ns_best(3, iters(10), || {
+        std::hint::black_box(tran.run(&op).expect("Table 2 transient"));
+    });
+    println!(
+        "table2 transient  accepted {:>5}  newton {:>5}  bypassed {:>5}  \
+         refactor {:>5}  reused {:>5}  wall {:>6.2} ms",
+        stats.accepted_steps,
+        stats.newton_iterations,
+        stats.bypassed_iterations,
+        stats.solve.numeric_refactor,
+        stats.solve.factor_reuses,
+        ns / 1.0e6,
+    );
+    records.push(
+        Record::new("table2_tran_run", ns).with_steps(stats.accepted_steps, stats.rejected_steps),
+    );
+    assert!(
+        stats.bypassed_iterations >= stats.newton_iterations / 2,
+        "Table 2 transient: at least half the Newton iterations must bypass \
+         their devices: {stats:?}"
+    );
+    assert!(
+        stats.solve.factor_reuses > 0,
+        "Table 2 transient: bypassed iterations must reuse their factors: {stats:?}"
+    );
+}
+
 /// Best-of-blocks ns per assembly of `job(k)` into `matrix` through a
 /// [`SlotSink`] (a `find_slot` search per stamp), cycling `points` jobs with
 /// a hoisted RHS.
@@ -1477,6 +1517,7 @@ fn bench(c: &mut Criterion) {
     print_monte_carlo_scan(&mut records);
 
     print_adaptive_transient(&mut records);
+    print_table2_transient(&mut records);
 
     print_assembly_table(&mut records);
 

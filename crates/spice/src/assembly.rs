@@ -27,7 +27,8 @@
 //!    minimum-degree column order per block and threshold pivoting).
 //!    `refactor_into` never re-pivots; when it reports a degraded pivot,
 //!    the context re-pivots with a fresh `factor` — this module is the only
-//!    place that does.
+//!    place that does. An adopting context skips the refactorization when
+//!    the values repeat its last one bit for bit.
 //! 3. **Verified solve** runs one retry ladder — iterative refinement, a
 //!    fresh factorization, then the gmin bumps of [`GMIN_BUMP_LADDER`] —
 //!    and returns a [`SolveQuality`] or a name-enriched [`SpiceError`].
@@ -693,6 +694,13 @@ pub struct SolveStats {
     pub symbolic: usize,
     /// Numeric-only refactorizations that reused the pattern.
     pub numeric_refactor: usize,
+    /// Factorizations an adopting context skipped because the assembled
+    /// values were bit for bit the values of its last numeric
+    /// refactorization, whose factors it kept (see
+    /// [`SolveContext::factor`]). Not a factorization, so
+    /// [`factorizations`](SolveStats::factorizations) leaves it out; sweep
+    /// contexts never reuse, so it is zero for every AC analysis.
+    pub factor_reuses: usize,
     /// Fresh pivoting factorizations forced by a degraded pivot.
     pub fresh_fallback: usize,
     /// Pattern rebuilds forced by a stamp outside the cached pattern.
@@ -736,6 +744,7 @@ impl SolveStats {
     pub fn merge(&mut self, other: &SolveStats) {
         self.symbolic += other.symbolic;
         self.numeric_refactor += other.numeric_refactor;
+        self.factor_reuses += other.factor_reuses;
         self.fresh_fallback += other.fresh_fallback;
         self.pattern_rebuilds += other.pattern_rebuilds;
         self.cached_assemblies += other.cached_assemblies;
@@ -971,8 +980,54 @@ pub struct SolveContext<'p, T: Scalar> {
     /// The matrix key of the latest Newton assembly stamped in full, and
     /// whether an image compiled for it failed its self-check.
     newton_seen: Option<([u64; 2], bool)>,
+    /// The values the current factors were refactored from, while they
+    /// still are (adopting contexts only; see
+    /// [`factor`](SolveContext::factor)).
+    factored_values: FactoredValues<T>,
     factored: bool,
     stats: SolveStats,
+}
+
+/// The assembled values behind an adopting context's current factors,
+/// recorded by each successful numeric refactorization and dropped whenever
+/// the factors stop being theirs: a fresh factorization (symbolic, re-pivot,
+/// residual retry or gmin rung, the last of which factors bumped values), a
+/// failed factorization and a pattern rebuild. The buffer keeps its
+/// capacity across records, so recording allocates only once per pattern.
+#[derive(Debug)]
+struct FactoredValues<T: Scalar> {
+    values: Vec<T>,
+    valid: bool,
+}
+
+impl<T: Scalar> FactoredValues<T> {
+    fn new() -> Self {
+        Self {
+            values: Vec::new(),
+            valid: false,
+        }
+    }
+
+    /// Whether `values` are bit for bit the recorded ones (`re` and `im`
+    /// bits, so a NaN matches only the same NaN and `-0.0` never `+0.0`).
+    fn matches(&self, values: &[T]) -> bool {
+        let same = |a: &T, b: &T| {
+            a.re().to_bits() == b.re().to_bits() && a.im().to_bits() == b.im().to_bits()
+        };
+        self.valid
+            && self.values.len() == values.len()
+            && self.values.iter().zip(values).all(|(a, b)| same(a, b))
+    }
+
+    fn record(&mut self, values: &[T]) {
+        self.values.clear();
+        self.values.extend_from_slice(values);
+        self.valid = true;
+    }
+
+    fn clear(&mut self) {
+        self.valid = false;
+    }
 }
 
 impl<'p, T: Scalar> SolveContext<'p, T> {
@@ -1048,6 +1103,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             off_pattern: None,
             newton: None,
             newton_seen: None,
+            factored_values: FactoredValues::new(),
             factored: false,
             stats: SolveStats::default(),
         }
@@ -1114,6 +1170,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             self.stats.pattern_rebuilds += 1;
             self.newton = None;
             self.newton_seen = None;
+            self.factored_values.clear();
         }
         let mut stamper = Stamper::new(self.layout);
         job.stamp(&mut stamper);
@@ -1139,6 +1196,16 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// counted in `fresh_fallback`: an adopting context keeps that pivot
     /// order as its plan, a sweep context uses it for this point only.
     ///
+    /// An adopting context also skips the refactorization, counted in
+    /// `factor_reuses`, when the assembled values are bit for bit those of
+    /// its last successful refactorization and its factors are still that
+    /// refactorization's: they are then exactly the factors a refactor would
+    /// produce. Any fresh factorization, failed factorization or pattern
+    /// rebuild forgets the values, and a hook that poisons them changes
+    /// their bits, so both refactor as before. A sweep context never reuses,
+    /// which keeps every point's cost and counters independent of the points
+    /// before it.
+    ///
     /// # Errors
     ///
     /// Returns the underlying [`SolveError`] when the system is singular.
@@ -1151,12 +1218,21 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             .csr
             .as_ref()
             .expect("SolveContext::assemble must run first");
+        let adopts = self.plan.is_none();
         let outcome = match (&self.off_pattern, &self.symbolic, &mut self.lu) {
+            (None, Some(_), Some(_)) if self.factored_values.matches(csr.values()) => {
+                self.stats.factor_reuses += 1;
+                self.factored = true;
+                Ok(())
+            }
             (None, Some(symbolic), Some(lu)) => {
                 match lu.refactor_into(symbolic, csr, &mut self.workspace) {
                     Ok(true) => {
                         self.stats.numeric_refactor += 1;
                         self.factored = true;
+                        if adopts {
+                            self.factored_values.record(csr.values());
+                        }
                         Ok(())
                     }
                     Ok(false) => self.fresh_factor(true),
@@ -1166,7 +1242,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             _ => self.fresh_factor(false),
         };
         if let Err(e) = outcome {
-            if self.adopts() {
+            self.factored_values.clear();
+            if adopts {
                 // The failed factors are unusable; the next attempt
                 // re-analyzes from scratch.
                 self.lu = None;
@@ -1428,6 +1505,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// a sweep context uses it for this point only, and the next point
     /// refactors against the shared plan as usual.
     fn fresh_factor(&mut self, repivot: bool) -> Result<(), SolveError> {
+        self.factored_values.clear();
         let lu = SparseLu::factor(self.matrix())?;
         if self.adopts() {
             self.symbolic = Some(lu.extract_symbolic());
@@ -1841,11 +1919,184 @@ mod tests {
         assert_eq!(ctx.stats().numeric_refactor, 1);
     }
 
+    /// A ladder job that varies only its first conductance.
+    fn ladder(g1: f64) -> LadderJob {
+        LadderJob {
+            g1,
+            g2: 2.0e-3,
+            extra_entry: false,
+        }
+    }
+
+    fn solution_bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn bitwise_repeated_values_reuse_the_refactored_factors() {
+        let (_c, layout) = two_node_layout();
+        let job = ladder(1.0e-3);
+        // Symbolic, then a refactorization that records the values.
+        let mut reference = SolveContext::<f64>::adopting(&layout);
+        reference.solve(&ladder(3.0e-3)).unwrap();
+        let (want, _) = reference.solve_verified(&job).unwrap();
+        assert_eq!(reference.stats().numeric_refactor, 1);
+        assert_eq!(reference.stats().factor_reuses, 0);
+
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
+        ctx.solve(&ladder(3.0e-3)).unwrap();
+        ctx.solve_verified(&job).unwrap();
+        for _ in 0..3 {
+            let (x, q) = ctx.solve_verified(&job).unwrap();
+            assert!(q.converged);
+            assert_eq!(solution_bits(&x), solution_bits(&want));
+        }
+        let stats = ctx.stats();
+        assert_eq!(stats.symbolic, 1);
+        assert_eq!(stats.numeric_refactor, 1);
+        assert_eq!(stats.factor_reuses, 3);
+        assert_eq!(stats.factorizations(), 2, "a reuse is no factorization");
+        // New values refactor, and the record follows them.
+        ctx.solve(&ladder(2.0e-3)).unwrap();
+        ctx.solve(&ladder(2.0e-3)).unwrap();
+        assert_eq!(ctx.stats().numeric_refactor, 2);
+        assert_eq!(ctx.stats().factor_reuses, 4);
+    }
+
+    #[test]
+    fn sweep_contexts_never_reuse_factors() {
+        let (_c, layout) = two_node_layout();
+        let job = ladder(1.0e-3);
+        let plan = SweepPlan::<f64>::build(&layout, &job).unwrap();
+        let mut ctx = plan.context();
+        let first = ctx.solve(&job).unwrap();
+        let second = ctx.solve(&job).unwrap();
+        assert_eq!(solution_bits(&first), solution_bits(&second));
+        assert_eq!(ctx.stats().numeric_refactor, 2);
+        assert_eq!(ctx.stats().factor_reuses, 0);
+    }
+
+    /// An adopting context whose last refactorization recorded the values
+    /// of `job`, and whose next assembly of `job` would reuse its factors.
+    fn recorded<'p>(layout: &'p MnaLayout, job: &LadderJob) -> SolveContext<'p, f64> {
+        let mut ctx = SolveContext::<f64>::adopting(layout);
+        ctx.solve(&ladder(3.0e-3)).unwrap();
+        ctx.solve(job).unwrap();
+        assert_eq!(ctx.stats().numeric_refactor, 1);
+        ctx
+    }
+
+    #[test]
+    fn poisoned_values_refactor_instead_of_reusing() {
+        let (_c, layout) = two_node_layout();
+        let job = ladder(1.0e-3);
+        let mut ctx = recorded(&layout, &job);
+        let mut rhs = ctx.assemble(&job);
+        let slot = ctx.matrix_mut().find_slot(0, 0).unwrap();
+        ctx.matrix_mut().values_mut()[slot] *= 2.0;
+        ctx.solve_verified_in_place(&mut rhs).unwrap();
+        assert_eq!(ctx.stats().numeric_refactor, 2);
+        assert_eq!(ctx.stats().factor_reuses, 0);
+        // The answer is the poisoned system's.
+        let mut st = Stamper::new(&layout);
+        job.stamp(&mut st);
+        let (trip, b) = st.finish();
+        let mut csr = trip.to_csr();
+        let s = csr.find_slot(0, 0).unwrap();
+        csr.values_mut()[s] *= 2.0;
+        let want = SparseLu::factor(&csr).unwrap().solve(&b).unwrap();
+        for (a, w) in rhs.iter().zip(&want) {
+            assert!((a - w).abs() <= 1e-15 * w.abs().max(1.0), "{a} vs {w}");
+        }
+        // The clean values differ from the poisoned record: refactor again.
+        ctx.solve(&job).unwrap();
+        assert_eq!(ctx.stats().numeric_refactor, 3);
+        assert_eq!(ctx.stats().factor_reuses, 0);
+    }
+
+    #[test]
+    fn a_gmin_rescue_forgets_the_recorded_values() {
+        let (_c, layout) = two_node_layout();
+        let job = ladder(1.0e-3);
+        let mut ctx = recorded(&layout, &job);
+        // The values match the record, so the factors are reused; a dead
+        // column poisoned after the factor makes the residual check fail,
+        // and the ladder rescues the point with a gmin bump over factors of
+        // the bumped values.
+        let mut rhs = ctx.assemble(&job);
+        ctx.factor().unwrap();
+        assert_eq!(ctx.stats().factor_reuses, 1);
+        let m = ctx.matrix_mut();
+        for (r, c) in [(0usize, 1usize), (1, 1)] {
+            let slot = m.find_slot(r, c).unwrap();
+            m.values_mut()[slot] = 0.0;
+        }
+        assert!(ctx.solve_verified_in_place(&mut rhs).unwrap().converged);
+        assert_eq!(ctx.stats().gmin_bumps, 1);
+        // The clean values are the recorded ones, but the factors are the
+        // rescue's: the next factor refactors.
+        let (reuses, refactors) = (ctx.stats().factor_reuses, ctx.stats().numeric_refactor);
+        let (x, q) = ctx.solve_verified(&job).unwrap();
+        assert!(q.converged);
+        assert_eq!(ctx.stats().factor_reuses, reuses);
+        assert_eq!(ctx.stats().numeric_refactor, refactors + 1);
+        let want = SolveContext::<f64>::adopting(&layout).solve(&job).unwrap();
+        for (a, w) in x.iter().zip(&want) {
+            assert!((a - w).abs() <= 1e-15 * w.abs().max(1.0), "{a} vs {w}");
+        }
+    }
+
+    #[test]
+    fn a_pattern_rebuild_forgets_the_recorded_values() {
+        let (_c, layout) = two_node_layout();
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
+        ctx.solve(&DiagOnly).unwrap();
+        ctx.solve(&DiagOnly).unwrap();
+        ctx.solve(&DiagOnly).unwrap();
+        assert_eq!(ctx.stats().factor_reuses, 1);
+        // The ladder misses the diagonal pattern: rebuild and re-analyze.
+        let job = ladder(1.0e-3);
+        ctx.solve(&job).unwrap();
+        assert_eq!(ctx.stats().pattern_rebuilds, 1);
+        assert_eq!(ctx.stats().symbolic, 2);
+        // The diagonal job over the rebuilt pattern is new values.
+        ctx.solve(&DiagOnly).unwrap();
+        assert_eq!(ctx.stats().numeric_refactor, 2);
+        assert_eq!(ctx.stats().factor_reuses, 1);
+    }
+
+    #[test]
+    fn a_failed_factorization_forgets_the_recorded_values() {
+        let (_c, layout) = two_node_layout();
+        let job = ladder(1.0e-3);
+        let mut ctx = recorded(&layout, &job);
+        // An exactly singular system fails the refactorization.
+        ctx.assemble(&job);
+        let m = ctx.matrix_mut();
+        for (r, c) in [(0usize, 1usize), (1, 1)] {
+            let slot = m.find_slot(r, c).unwrap();
+            m.values_mut()[slot] = 0.0;
+        }
+        assert!(ctx.factor().is_err());
+        // The clean values match the record, but the factors are gone: the
+        // next factor re-analyzes.
+        ctx.solve(&job).unwrap();
+        assert_eq!(ctx.stats().symbolic, 2);
+        assert_eq!(ctx.stats().factor_reuses, 0);
+        // And that fresh factorization recorded nothing either.
+        ctx.solve(&job).unwrap();
+        assert_eq!(ctx.stats().numeric_refactor, 2);
+        assert_eq!(ctx.stats().factor_reuses, 0);
+        ctx.solve(&job).unwrap();
+        assert_eq!(ctx.stats().factor_reuses, 1);
+    }
+
     #[test]
     fn merged_stats_are_chunking_invariant() {
         let mut a = SolveStats {
             symbolic: 1,
             numeric_refactor: 3,
+            factor_reuses: 4,
             fresh_fallback: 0,
             pattern_rebuilds: 0,
             cached_assemblies: 4,
@@ -1857,6 +2108,7 @@ mod tests {
         let b = SolveStats {
             symbolic: 0,
             numeric_refactor: 5,
+            factor_reuses: 7,
             fresh_fallback: 1,
             pattern_rebuilds: 2,
             cached_assemblies: 6,
@@ -1868,6 +2120,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.symbolic, 1);
         assert_eq!(a.numeric_refactor, 8);
+        assert_eq!(a.factor_reuses, 11);
         assert_eq!(a.fresh_fallback, 1);
         assert_eq!(a.pattern_rebuilds, 2);
         assert_eq!(a.cached_assemblies, 10);

@@ -45,6 +45,22 @@
 //! comes from a circuit without the devices' charge: only explicit
 //! capacitors and inductors carry reactive history.
 //!
+//! # Device bypass
+//!
+//! A Newton iteration whose trial point is within `vntol` of the node
+//! voltages the devices were last evaluated at, at every signal node,
+//! reuses every device's last stamp instead of evaluating the devices
+//! again (SPICE2's bypass; Nagel, UCB/ERL M520, 1975). The first iteration
+//! of a step starts from the previous step's converged point and is
+//! usually bypassed; with an unchanged `(dt, method)` key it then assembles
+//! bitwise the values last factored, and the solver reuses its factors
+//! ([`SolveContext::factor`]). The verified solve runs at every iteration.
+//! Bypass is a tolerance contract: a bypassed device is linearized up to
+//! `vntol` away from its trial point, which moves a converged solution by
+//! at most about `1.5·H·vntol²` of current per terminal row (`H` the row's
+//! second derivatives; the derivation is in the provenance of the
+//! `tran_table2_step` golden).
+//!
 //! The step sequence is a pure deterministic function of (circuit, options):
 //! every accept/reject decision is computed from residual-verified solutions
 //! that are themselves bitwise identical at any `LOOPSCOPE_THREADS`
@@ -53,7 +69,7 @@
 
 use crate::assembly::{AssembleMna, NewtonJob, SolveContext, SolveStats};
 use crate::dc::OperatingPoint;
-use crate::devices;
+use crate::devices::{self, NonlinearStamp};
 use crate::error::{SpiceError, StepRejectReason, StepRejection};
 use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
 use crate::GMIN;
@@ -181,6 +197,11 @@ pub struct TransientStats {
     pub forced_accepts: usize,
     /// Total Newton iterations across all attempts (accepted and rejected).
     pub newton_iterations: usize,
+    /// Newton iterations that reused every device's last stamp instead of
+    /// evaluating the devices again, because every signal node sat within
+    /// `vntol` of the voltages the stamps were evaluated at (device bypass;
+    /// see the [module docs](crate::tran)). Always zero on a linear circuit.
+    pub bypassed_iterations: usize,
     /// Smallest accepted step width, seconds (`+∞` before any step).
     pub min_dt: f64,
     /// Largest accepted step width, seconds (`0` before any step).
@@ -201,6 +222,7 @@ impl Default for TransientStats {
             rejected_steps: 0,
             forced_accepts: 0,
             newton_iterations: 0,
+            bypassed_iterations: 0,
             min_dt: f64::INFINITY,
             max_dt: 0.0,
             breakpoints_hit: 0,
@@ -536,6 +558,12 @@ impl<'c> TransientAnalysis<'c> {
         let mut trial = voltages.clone();
         let mut next = vec![0.0; node_count];
         let mut solution = vec![0.0; self.layout.dim()];
+        // Device bypass: each device's latest stamp, in stamp order, and the
+        // node voltages they were evaluated at (NaN until the first
+        // evaluation, so that one never bypasses).
+        let device_elements = self.layout.part_elements(StampPart::Devices);
+        let mut stamps: Vec<NonlinearStamp> = Vec::with_capacity(device_elements.len());
+        let mut evaluated_at = vec![f64::NAN; node_count];
         let mut stats = TransientStats::default();
         let mut solve_ordinal = 0usize;
         // Newton runs started: every attempt restamps its linear
@@ -623,6 +651,27 @@ impl<'c> TransientAnalysis<'c> {
                 let mut worst_node = None;
                 runs += 1;
                 for _ in 0..opts.max_newton {
+                    // Bypass: a trial point within `vntol` of the last
+                    // evaluation at every node reuses every stamp. The
+                    // matrix then repeats bitwise for an unchanged
+                    // `(dt, method)` key, and the solver reuses its factors.
+                    let bypass = !device_elements.is_empty()
+                        && self.circuit.signal_nodes_iter().all(|node| {
+                            let i = node.index();
+                            (trial[i] - evaluated_at[i]).abs() < opts.vntol
+                        });
+                    if bypass {
+                        stats.bypassed_iterations += 1;
+                    } else {
+                        let elements = self.circuit.elements();
+                        stamps.clear();
+                        stamps.extend(
+                            device_elements
+                                .iter()
+                                .map(|&ei| devices::stamp_device(&elements[ei], &trial)),
+                        );
+                        evaluated_at.copy_from_slice(&trial);
+                    }
                     let job = TimestepSystem {
                         analysis: self,
                         run: runs,
@@ -630,7 +679,7 @@ impl<'c> TransientAnalysis<'c> {
                         dt: h_c,
                         method,
                         left_limit: landing,
-                        trial: &trial,
+                        devices: Devices::Stamps(&stamps),
                         prev: &voltages,
                         prev_cap_current: &prev_cap_current,
                         prev_ind_voltage: &prev_ind_voltage,
@@ -825,7 +874,7 @@ impl<'c> TransientAnalysis<'c> {
             dt: self.options.dt_min,
             method,
             left_limit: false,
-            trial: voltages,
+            devices: Devices::At(voltages),
             prev: voltages,
             prev_cap_current: history,
             prev_ind_voltage: history,
@@ -857,11 +906,21 @@ struct TimestepSystem<'a, 'c> {
     method: Integration,
     /// Evaluate sources by their left limit at `t` (breakpoint landing).
     left_limit: bool,
-    trial: &'a [f64],
+    devices: Devices<'a>,
     prev: &'a [f64],
     prev_cap_current: &'a [f64],
     prev_ind_voltage: &'a [f64],
     prev_solution: &'a [f64],
+}
+
+/// Where a [`TimestepSystem`] takes its device stamps from.
+#[derive(Debug, Clone, Copy)]
+enum Devices<'a> {
+    /// Evaluate every device at these node voltages (the trial point).
+    At(&'a [f64]),
+    /// Stamps the Newton loop evaluated (or bypassed) before the assembly,
+    /// one per device in stamp order.
+    Stamps(&'a [NonlinearStamp]),
 }
 
 impl AssembleMna<f64> for TimestepSystem<'_, '_> {
@@ -935,10 +994,20 @@ impl StampModel<f64> for TimestepSystem<'_, '_> {
     fn device<S: MatrixSink<f64>>(
         &self,
         st: &mut Stamper<'_, f64, S>,
-        _ei: usize,
+        ei: usize,
         element: &Element,
     ) {
-        st.add_device(&devices::stamp_device(element, self.trial));
+        match self.devices {
+            Devices::At(voltages) => st.add_device(&devices::stamp_device(element, voltages)),
+            Devices::Stamps(stamps) => {
+                let device = self
+                    .layout()
+                    .part_elements(StampPart::Devices)
+                    .binary_search(&ei)
+                    .expect("a device element");
+                st.add_device(&stamps[device]);
+            }
+        }
     }
 }
 
@@ -1669,7 +1738,7 @@ mod tests {
                     dt,
                     method,
                     left_limit,
-                    trial: &trial,
+                    devices: Devices::At(&trial),
                     prev: &base,
                     prev_cap_current: &cap_current,
                     prev_ind_voltage: &ind_voltage,
@@ -1745,6 +1814,65 @@ mod tests {
         ctx.assemble_newton_into(&job, &mut rhs);
         assert!(ctx.newton_image().is_some());
         assert_eq!(values(&ctx), clean);
+    }
+
+    #[test]
+    fn linear_fixed_grid_reuses_its_factors_once_the_key_settles() {
+        // dt = 2^-20 s and t_stop = 64·dt are exact, so every step after
+        // the backward-Euler start-up has the same `(dt, method)` key.
+        let mut c = Circuit::new("rc reuse");
+        let vin = c.node("in");
+        let vout = c.node("out");
+        c.add_vsource("V1", vin, Circuit::GROUND, SourceSpec::step(0.0, 1.0, 0.0));
+        c.add_resistor("R1", vin, vout, 1.0e3);
+        c.add_capacitor("C1", vout, Circuit::GROUND, 1.0e-9);
+        let op = solve_dc(&c).unwrap();
+        let dt = 1.0 / 1_048_576.0;
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(dt, 64.0 * dt)).unwrap();
+        let stats = *tran.run(&op).unwrap().stats();
+        assert_eq!(stats.accepted_steps, 64);
+        assert_eq!(stats.newton_iterations, 64);
+        // A linear circuit has no devices to bypass.
+        assert_eq!(stats.bypassed_iterations, 0);
+        // Step 1 (backward Euler) is the symbolic analysis, step 2 the one
+        // refactorization of the trapezoidal key, and every later step
+        // assembles bitwise the same matrix and reuses its factors.
+        assert_eq!(stats.solve.symbolic, 1);
+        assert_eq!(stats.solve.numeric_refactor, 1);
+        assert_eq!(stats.solve.factor_reuses, 62);
+        assert_eq!(stats.solve.factorizations(), 2);
+    }
+
+    #[test]
+    fn a_settled_step_start_bypasses_the_devices_and_reuses_the_factors() {
+        // A diode clamp charging through an RC: the first Newton iteration
+        // of each step starts from the previous step's converged point,
+        // within vntol of that step's last device evaluation.
+        use loopscope_netlist::DiodeModel;
+        let mut c = Circuit::new("bypass");
+        let vin = c.node("in");
+        let vout = c.node("out");
+        c.add_vsource("V1", vin, Circuit::GROUND, SourceSpec::step(0.0, 2.0, 0.0));
+        c.add_resistor("R1", vin, vout, 1.0e3);
+        c.add_capacitor("C1", vout, Circuit::GROUND, 1.0e-9);
+        c.add_diode("D1", vout, Circuit::GROUND, DiodeModel::default());
+        let op = solve_dc(&c).unwrap();
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(10.0e-9, 5.0e-6)).unwrap();
+        let stats = *tran.run(&op).unwrap().stats();
+        assert!(stats.bypassed_iterations > 0, "{stats:?}");
+        // Every step after the first has one first iteration at most.
+        assert!(
+            stats.bypassed_iterations < stats.accepted_steps,
+            "{stats:?}"
+        );
+        // A bypassed iteration with the step's key loads the factored
+        // values again, so its factor is reused.
+        assert!(stats.solve.factor_reuses > 0, "{stats:?}");
+        assert_eq!(
+            stats.solve.factorizations() + stats.solve.factor_reuses,
+            stats.newton_iterations,
+            "{stats:?}"
+        );
     }
 
     #[test]

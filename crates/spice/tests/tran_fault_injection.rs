@@ -44,6 +44,15 @@ fn circuit() -> Circuit {
     c
 }
 
+/// The adaptive run or the fixed grid of every scenario.
+fn options(adaptive: bool) -> TransientOptions {
+    if adaptive {
+        TransientOptions::adaptive(10.0e-9, 0.5e-6, 10.0e-6)
+    } else {
+        TransientOptions::new(0.1e-6, 10.0e-6)
+    }
+}
+
 /// One run under the current env knobs with `fault` injected at Newton-solve
 /// ordinal `at` (`usize::MAX` = no fault), reduced to bit patterns.
 fn run(
@@ -54,12 +63,7 @@ fn run(
 ) -> Result<(Vec<u64>, Vec<Vec<u64>>), SpiceError> {
     let c = circuit();
     let op = solve_dc(&c).unwrap();
-    let opts = if adaptive {
-        TransientOptions::adaptive(10.0e-9, 0.5e-6, 10.0e-6)
-    } else {
-        TransientOptions::new(0.1e-6, 10.0e-6)
-    };
-    let tran = TransientAnalysis::new(&c, opts).unwrap();
+    let tran = TransientAnalysis::new(&c, options(adaptive)).unwrap();
     let r = tran.run_with_hook(&op, |ordinal, solver| {
         if ordinal == at {
             // Seeded by ordinal: the same fault lands on the same entry of
@@ -82,6 +86,33 @@ fn run(
     Ok((times, waves))
 }
 
+/// The Newton-solve ordinals of a fault-free run whose factorization was
+/// skipped because the assembled values repeated the last refactorization
+/// bit for bit: on this nonlinear circuit, first iterations of a step whose
+/// devices were bypassed.
+fn reused_ordinals(adaptive: bool) -> Vec<usize> {
+    let c = circuit();
+    let op = solve_dc(&c).unwrap();
+    let tran = TransientAnalysis::new(&c, options(adaptive)).unwrap();
+    let mut reuses = Vec::new();
+    let r = tran
+        .run_with_hook(&op, |_, solver| reuses.push(solver.stats().factor_reuses))
+        .unwrap();
+    reuses.push(r.stats().solve.factor_reuses);
+    reuses
+        .windows(2)
+        .enumerate()
+        .filter(|(_, w)| w[1] > w[0])
+        .map(|(ordinal, _)| ordinal)
+        .collect()
+}
+
+/// Solve ordinals the fault-free runs serve with a reused factor, on the
+/// fixed grid and the adaptive run: first iterations of a step after the
+/// input edge, while the diode still moves.
+const FIXED_REUSED: usize = 48;
+const ADAPTIVE_REUSED: usize = 101;
+
 /// The scenarios pinned across the config matrix:
 /// (adaptive?, fault, solve ordinal, seed).
 const SCENARIOS: &[(bool, FaultKind, usize, u64)] = &[
@@ -92,6 +123,11 @@ const SCENARIOS: &[(bool, FaultKind, usize, u64)] = &[
     // singular system — identical either way.
     (true, FaultKind::NearSingular, 11, 0xDEAD),
     (false, FaultKind::NearSingular, 11, 0xDEAD),
+    // Ordinals whose factor the fault-free run reuses (first iterations of
+    // a step, devices bypassed): the poisoned values must refactor and
+    // climb the same ladder as any other system.
+    (false, FaultKind::NearSingular, FIXED_REUSED, 0xBEEF),
+    (true, FaultKind::DegradedPivot, ADAPTIVE_REUSED, 0xFACE),
     // Control: no fault.
     (true, FaultKind::Nan, usize::MAX, 1),
     (false, FaultKind::Nan, usize::MAX, 1),
@@ -128,6 +164,17 @@ fn injected_transient_faults_are_config_invariant() {
             assert!(r.is_ok(), "control scenario {i} failed: {r:?}");
         }
     }
+
+    // The poisoned ordinals would have reused their factors. The dead
+    // column of the fixed grid is a branch column no gmin bump reaches,
+    // and the degraded pivot of the adaptive run is re-pivoted.
+    assert!(reused_ordinals(false).contains(&FIXED_REUSED));
+    assert!(reused_ordinals(true).contains(&ADAPTIVE_REUSED));
+    assert!(matches!(
+        references[4],
+        Err(SpiceError::SingularSystem { ref unknown, .. }) if unknown == "I(V1)"
+    ));
+    assert!(references[5].is_ok());
 
     for threads in ["1", "4"] {
         std::env::set_var(par::THREADS_ENV, threads);

@@ -6,7 +6,7 @@
 //! and transistor-level cases are expressed without duplicating their
 //! construction in JSON.
 
-use loopscope_circuits::blocks;
+use loopscope_circuits::{blocks, opamp_with_bias, BiasParams, OpAmpParams};
 use loopscope_netlist::{parse_netlist, Circuit};
 
 use crate::golden::CircuitSpec;
@@ -76,9 +76,12 @@ fn build_builtin(id: &str, params: &[(String, f64)]) -> Result<Circuit, String> 
             let cols = count_param(params, "cols", id)?;
             Ok(blocks::power_grid(rows, cols).0)
         }
+        // The paper's Table 2 circuit at its default parameters: the
+        // buffered op-amp and the zero-TC bias cell in one netlist.
+        "opamp_with_bias" => Ok(opamp_with_bias(&OpAmpParams::default(), &BiasParams::default()).0),
         other => Err(format!(
             "unknown builtin '{other}' (known: rc_ladder, opamp_cascade, series_rlc, \
-             source_follower, current_mirror, power_grid)"
+             source_follower, current_mirror, power_grid, opamp_with_bias)"
         )),
     }
 }
@@ -106,6 +109,18 @@ mod tests {
         };
         let c = build_circuit(&spec).unwrap();
         assert_eq!(c.elements().len(), 1 + 2 * 3);
+    }
+
+    #[test]
+    fn builds_table2_builtin() {
+        let spec = CircuitSpec::Builtin {
+            id: "opamp_with_bias".into(),
+            params: vec![],
+        };
+        let c = build_circuit(&spec).unwrap();
+        for node in ["out", "stage1", "bias_out", "bias_mirror"] {
+            assert!(c.find_node(node).is_some(), "{node}");
+        }
     }
 
     #[test]
