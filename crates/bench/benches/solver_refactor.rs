@@ -25,7 +25,8 @@
 //! compiled `G + jω·C` image, and the DC Newton system assembled with a
 //! `find_slot` search per stamp against a load from its Newton image — on
 //! the Table 2 circuit and the 16×16 power grid — plus Table 2's transient
-//! Newton system, stamped against its Newton image. (S10) times one numeric
+//! Newton system, stamped against its Newton image and against the
+//! right-hand-side load of a bypassed iteration. (S10) times one numeric
 //! refactorization per call on the same two circuits: Table 2's real
 //! transient Newton system, its complex AC systems through the batched
 //! lanes at widths 1 and 4, and the 16×16 grid's AC system, with the size
@@ -1135,14 +1136,52 @@ fn newton_assembly_ns(
     (stamped_ns, image_ns)
 }
 
+/// Times one Newton assembly of `job` that loads only its right-hand side:
+/// once a refactorization has recorded the job's keys, every assembly of
+/// it finds the factored values in place (what a bypassed transient
+/// iteration with an unchanged step key does). Asserts first that the load
+/// is right-hand side only — the next factor reuses the factors — and that
+/// its right-hand side is bit for bit the stamped assembly's. Returns ns
+/// per load.
+fn rhs_only_assembly_ns(label: &str, layout: &MnaLayout, job: &impl NewtonJob, reps: usize) -> f64 {
+    let mut ctx = SolveContext::<f64>::adopting(layout);
+    let mut rhs = Vec::new();
+    // A symbolic analysis, then the image compile and a refactorization
+    // that records the keys.
+    for _ in 0..2 {
+        ctx.assemble_newton_into(job, &mut rhs);
+        ctx.factor().expect("the system factors");
+    }
+    ctx.assemble_newton_into(job, &mut rhs);
+    ctx.factor().expect("the system factors");
+    assert_eq!(
+        ctx.stats().factor_reuses,
+        1,
+        "{label}: an assembly under the factored keys must reuse the factors"
+    );
+    let mut stamped = SolveContext::<f64>::adopting(layout);
+    let mut want = Vec::new();
+    stamped.assemble_into(job, &mut want);
+    let rhs_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        rhs_bits(&rhs) == rhs_bits(&want),
+        "{label}: the right-hand-side load differs from the stamped assembly"
+    );
+    time_ns_best(5, reps, || {
+        ctx.assemble_newton_into(job, &mut rhs);
+        std::hint::black_box(&mut rhs);
+    })
+}
+
 /// Experiment S9 — assembly per point, stamped vs compiled. For the AC
 /// system of each circuit: every element stamp through a `find_slot`
 /// search (what a point whose image failed its self-check runs) against
 /// the load from the compiled `G + jω·C` image. For the DC Newton system
 /// at the operating point and Table 2's transient Newton system (a
 /// trapezoidal 2 ns step): the stamped assembly against the load from the
-/// Newton image. Every image load is also checked bit for bit against the
-/// stamped values.
+/// Newton image, and for the transient also the right-hand-side load of a
+/// bypassed iteration over the factored values. Every image load is also
+/// checked bit for bit against the stamped values.
 fn print_assembly_table(records: &mut Vec<Record>) {
     println!(
         "\n=== S9: assembly per point — stamped vs compiled G + jωC image (AC), stamped vs Newton image (DC, transient) ==="
@@ -1249,18 +1288,26 @@ fn print_assembly_table(records: &mut Vec<Record>) {
     );
     let (stamped_ns, image_ns) =
         newton_assembly_ns("table2 transient", &layout, &job, iters(20_000));
+    let rhs_only_ns = rhs_only_assembly_ns("table2 transient", &layout, &job, iters(20_000));
     println!(
-        "table2      transient Newton system: stamped {:>8.2} µs   Newton image {:>8.2} µs   speedup {:>5.2}x",
+        "table2      transient Newton system: stamped {:>8.2} µs   Newton image {:>8.2} µs   right-hand side only {:>8.2} µs   speedup {:>5.2}x / {:>5.2}x",
         stamped_ns / 1.0e3,
         image_ns / 1.0e3,
-        stamped_ns / image_ns
+        rhs_only_ns / 1.0e3,
+        stamped_ns / image_ns,
+        image_ns / rhs_only_ns
     );
     assert_timing(
         image_ns < stamped_ns,
         "table2: the Newton image load must beat the stamped transient assembly",
     );
+    assert_timing(
+        rhs_only_ns < image_ns,
+        "table2: the right-hand-side load must beat the Newton image load",
+    );
     records.push(Record::new("table2_tran_assembly_stamped", stamped_ns));
     records.push(Record::new("table2_tran_assembly_image", image_ns));
+    records.push(Record::new("table2_tran_assembly_rhs_only", rhs_only_ns));
 }
 
 /// Experiment S10 — one numeric refactorization per call, the layer the

@@ -255,6 +255,28 @@ pub struct AcAnalysis<'c> {
     fault: Mutex<Option<AcFault>>,
 }
 
+/// What [`AcAnalysis::compile_image`] made of a system over a pattern.
+#[derive(Debug)]
+pub(crate) enum CompiledSystem {
+    /// An image whose loads reproduce the stamped system bit for bit.
+    Image(AffineImage),
+    /// The stamps fit the pattern but the image failed its self-check:
+    /// every point stamps.
+    Stamped,
+    /// A stamp falls outside the pattern.
+    OffPattern,
+}
+
+impl CompiledSystem {
+    /// The image, if the compile kept one.
+    pub(crate) fn image(self) -> Option<AffineImage> {
+        match self {
+            CompiledSystem::Image(image) => Some(image),
+            CompiledSystem::Stamped | CompiledSystem::OffPattern => None,
+        }
+    }
+}
+
 /// Assembly job for the complex admittance system at one `jω`.
 ///
 /// Crate-visible so the batched variant driver ([`crate::batch`]) can hand
@@ -323,6 +345,7 @@ impl StampModel<Complex64> for AcSystem<'_, '_> {
         &self,
         st: &mut Stamper<'_, Complex64, S>,
         ei: usize,
+        _device: usize,
         _element: &Element,
     ) {
         let (stamp, capacitances) = self.analysis.devices[ei].as_deref().expect("a device");
@@ -503,7 +526,7 @@ impl<'c> AcAnalysis<'c> {
         let job = self.system(first_freq, false, &[]);
         let plan = SweepPlan::build(&self.layout, &job).map_err(SpiceError::Linear)?;
         self.stats.lock().expect("stats lock").merge(&plan.stats());
-        let image = self.compile_image(plan.pattern(), &[], first_freq);
+        let image = self.compile_image(plan.pattern(), &[], first_freq).image();
         let planned = Arc::new(AcPlan { plan, image });
         *guard = Some(Arc::clone(&planned));
         Ok(planned)
@@ -511,16 +534,16 @@ impl<'c> AcAnalysis<'c> {
 
     /// Compiles the admittance system — with `overrides` stamped in place of
     /// their elements — into an [`AffineImage`] over `pattern` (zero
-    /// values), by stamping once at `jω = (0, 1)`. The image is returned
-    /// only when a load at `check_freq` reproduces a stamped assembly at
-    /// that frequency bit for bit; `None` (a stamp outside the pattern, or a
-    /// failed self-check) leaves the caller stamping every point.
+    /// values), by stamping once at `jω = (0, 1)`. The image is kept only
+    /// when a load at `check_freq` reproduces a stamped assembly at that
+    /// frequency bit for bit; otherwise the caller stamps every point, or
+    /// learns that a stamp falls outside the pattern.
     pub(crate) fn compile_image(
         &self,
         pattern: &CsrMatrix<Complex64>,
         overrides: &[(usize, Element)],
         check_freq: f64,
-    ) -> Option<AffineImage> {
+    ) -> CompiledSystem {
         let mut st = Stamper::with_sink(&self.layout, AffineSink::new(pattern));
         let unit = AcSystem {
             analysis: self,
@@ -530,8 +553,13 @@ impl<'c> AcAnalysis<'c> {
         };
         unit.stamp(&mut st);
         let (sink, rhs) = st.into_parts();
-        let image = sink.finish(rhs)?;
-        self.checked_image(image, pattern, overrides, check_freq)
+        match sink.finish(rhs) {
+            Some(image) => match self.checked_image(image, pattern, overrides, check_freq) {
+                Some(image) => CompiledSystem::Image(image),
+                None => CompiledSystem::Stamped,
+            },
+            None => CompiledSystem::OffPattern,
+        }
     }
 
     /// The compile-time self-check of [`compile_image`](AcAnalysis::compile_image):
@@ -1144,6 +1172,7 @@ mod tests {
             let overrides = variation.overrides_for(i, &c, &positions).unwrap();
             let image = ac
                 .compile_image(pattern, &overrides, grid.freqs()[0])
+                .image()
                 .expect("self-check passes with overrides");
             cases.push((overrides, image));
         }

@@ -28,7 +28,7 @@
 //!    `refactor_into` never re-pivots; when it reports a degraded pivot,
 //!    the context re-pivots with a fresh `factor` — this module is the only
 //!    place that does. An adopting context skips the refactorization when
-//!    the values repeat its last one bit for bit.
+//!    a Newton assembly's keys say its values are those it last refactored.
 //! 3. **Verified solve** runs one retry ladder — iterative refinement, a
 //!    fresh factorization, then the gmin bumps of [`GMIN_BUMP_LADDER`] —
 //!    and returns a [`SolveQuality`] or a name-enriched [`SpiceError`].
@@ -286,7 +286,10 @@ impl AffineImage {
 /// Between Newton iterations only the nonlinear devices move. The linear
 /// elements stamp the same matrix values for as long as the parameters
 /// behind [`matrix_key`](NewtonJob::matrix_key) stay put, and the same
-/// right-hand side for as long as [`rhs_key`](NewtonJob::rhs_key) does.
+/// right-hand side for as long as [`rhs_key`](NewtonJob::rhs_key) does. The
+/// devices arrive evaluated, as data ([`device_stamps`](NewtonJob::device_stamps)),
+/// and stamp the same values for as long as
+/// [`device_key`](NewtonJob::device_key) stays put.
 pub trait NewtonJob: AssembleMna<f64> {
     /// The bits of every parameter the linear elements' matrix stamps
     /// depend on: the step width and integration method of a transient
@@ -299,10 +302,32 @@ pub trait NewtonJob: AssembleMna<f64> {
     /// keys must stamp equal linear right-hand sides.
     fn rhs_key(&self) -> u64;
 
+    /// The evaluated stamp of every nonlinear device, one per device in
+    /// stamp order (the order of [`StampPart::Devices`]).
+    fn device_stamps(&self) -> &[NonlinearStamp];
+
+    /// Identifies [`device_stamps`](NewtonJob::device_stamps): two jobs
+    /// one context assembles with equal device keys must hand it equal
+    /// stamps. The transient numbers its device evaluations (a bypassed
+    /// iteration keeps the key of the stamps it reuses); a job that
+    /// evaluates its devices afresh takes a key no other job has.
+    fn device_key(&self) -> u64;
+
     /// Stamps `part` of the system. [`StampPart::All`] must be exactly
-    /// [`AssembleMna::stamp`], with every device's stamps added through
+    /// [`AssembleMna::stamp`], adding the
+    /// [`device_stamps`](NewtonJob::device_stamps) in order through
     /// [`Stamper::add_device`].
     fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart);
+}
+
+/// A device key no other job has: the key of a job that evaluates its
+/// devices afresh (a DC Newton iteration, a diagnostic assembly job).
+/// Drawn from the top half of the `u64` range, above any transient
+/// evaluation ordinal.
+pub(crate) fn fresh_device_key() -> u64 {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(1 << 63);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Destination of a linear right-hand-side stamp that folds into the prefix.
@@ -330,13 +355,15 @@ fn position(row: usize, col: usize) -> u64 {
 ///
 /// A [`SolveContext`] compiles one when a [`NewtonJob`]'s matrix key is
 /// assembled a second time. Every later iteration with that key copies the
-/// prefix into the value buffer, evaluates the devices alone
-/// ([`StampPart::Devices`]) and adds their stamps through the program,
-/// which interleaves the linear "tail" constants — linear stamps that come
-/// after a device stamp on the same slot — at their original places. The
-/// right-hand side follows the same rule; its linear values are restamped
-/// once per [`rhs_key`](NewtonJob::rhs_key) (once per Newton run) instead of
-/// once per iteration.
+/// prefix into the value buffer and walks the job's evaluated
+/// [`device_stamps`](NewtonJob::device_stamps), adding each at its
+/// compiled slots, with the linear "tail" constants — linear stamps that
+/// come after a device stamp on the same slot — interleaved at their
+/// original places. The right-hand side follows the same rule; its linear
+/// values are restamped once per [`rhs_key`](NewtonJob::rhs_key) (once per
+/// Newton run) instead of once per iteration. When the value buffer still
+/// holds the factored values of the iteration's keys, the load replays the
+/// right-hand side alone.
 ///
 /// # Why a load is bitwise identical to a stamped assembly
 ///
@@ -444,50 +471,84 @@ impl NewtonImage {
         ok
     }
 
-    /// Loads `job`'s system: the prefixes, then the device stamps and the
-    /// tail constants in stamp order. `false` when the devices' stamps do
-    /// not follow the compiled sequence (the values are then unusable).
-    fn load(
+    /// Loads a system with the devices' `stamps`: the prefixes, then the
+    /// stamps and the tail constants in stamp order, into `values` and
+    /// `rhs`. Without `MATRIX` it loads the right-hand side alone, by the
+    /// same operations in the same order, and leaves `values` untouched.
+    /// `false` when the stamps do not follow the compiled sequence (the
+    /// loaded values are then unusable).
+    fn load<const MATRIX: bool>(
         &self,
-        job: &impl NewtonJob,
-        layout: &MnaLayout,
+        stamps: &[NonlinearStamp],
         values: &mut [f64],
         rhs: &mut Vec<f64>,
     ) -> bool {
-        values.copy_from_slice(&self.prefix);
+        if stamps.len() != self.device_starts.len() {
+            return false;
+        }
+        if MATRIX {
+            values.copy_from_slice(&self.prefix);
+        }
         rhs.clear();
         rhs.extend_from_slice(&self.rhs_prefix);
-        let replay = NewtonReplay {
-            image: self,
-            values,
-            next: 0,
-            rhs_next: 0,
-            device: 0,
-            tail_next: 0,
-            rhs_tail_next: 0,
-            differs: false,
-        };
-        let mut st = Stamper::with_sink_over(layout, replay, std::mem::take(rhs));
-        job.stamp_part(&mut st, StampPart::Devices);
-        let (replay, out) = st.into_parts();
-        *rhs = out;
-        replay.finish(rhs)
+        let (mut tail, mut rhs_tail, mut next, mut rhs_next) = (0, 0, 0, 0);
+        // A local, so the position checks form no chain through memory.
+        let mut differs = false;
+        for (stamp, &(tail_end, rhs_tail_end)) in stamps.iter().zip(&self.device_starts) {
+            let (tail_end, rhs_tail_end) = (tail_end as usize, rhs_tail_end as usize);
+            if MATRIX {
+                for &(slot, value) in &self.tail[tail..tail_end] {
+                    values[slot as usize] += value;
+                }
+            }
+            tail = tail_end;
+            for &(row, value) in &self.rhs_tail[rhs_tail..rhs_tail_end] {
+                rhs[row as usize] += value;
+            }
+            rhs_tail = rhs_tail_end;
+            let (conductances, currents) = (stamp.conductances(), stamp.rhs_currents());
+            let (Some(slots), Some(rows)) = (
+                self.devices.get(next..next + conductances.len()),
+                self.rhs_devices.get(rhs_next..rhs_next + currents.len()),
+            ) else {
+                return false;
+            };
+            next += conductances.len();
+            rhs_next += currents.len();
+            if MATRIX {
+                for (&(r, c, value), &(pos, slot)) in conductances.iter().zip(slots) {
+                    differs |= pos != position(r.index(), c.index());
+                    if slot != GROUND {
+                        values[slot as usize] += value;
+                    }
+                }
+            }
+            for (&(node, value), &(n, row)) in currents.iter().zip(rows) {
+                differs |= n as usize != node.index();
+                if row != GROUND {
+                    rhs[row as usize] += value;
+                }
+            }
+        }
+        if MATRIX {
+            for &(slot, value) in &self.tail[tail..] {
+                values[slot as usize] += value;
+            }
+        }
+        for &(row, value) in &self.rhs_tail[rhs_tail..] {
+            rhs[row as usize] += value;
+        }
+        !differs && next == self.devices.len() && rhs_next == self.rhs_devices.len()
     }
 
     /// The self-check: whether a load of `job` reproduces `stamped` and
     /// `rhs` (its full stamped assembly over the same pattern) bit for bit.
-    fn reproduces(
-        &self,
-        job: &impl NewtonJob,
-        layout: &MnaLayout,
-        stamped: &CsrMatrix<f64>,
-        rhs: &[f64],
-    ) -> bool {
+    fn reproduces(&self, job: &impl NewtonJob, stamped: &CsrMatrix<f64>, rhs: &[f64]) -> bool {
         let mut values = vec![0.0; self.prefix.len()];
         let mut loaded_rhs = Vec::new();
         let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
         self.prefix.len() == stamped.nnz()
-            && self.load(job, layout, &mut values, &mut loaded_rhs)
+            && self.load::<true>(job.device_stamps(), &mut values, &mut loaded_rhs)
             && values
                 .iter()
                 .zip(stamped.iter())
@@ -596,97 +657,6 @@ impl MatrixSink<f64> for RhsRefresh<'_> {
     }
 }
 
-/// Sink of a [`StampPart::Devices`] pass that adds the device stamps onto
-/// a loaded prefix, each device preceded by the tail constants before it.
-/// A stamp is added at its compiled slot and its position only compared,
-/// without a branch; any difference fails the load.
-struct NewtonReplay<'m> {
-    image: &'m NewtonImage,
-    values: &'m mut [f64],
-    next: usize,
-    rhs_next: usize,
-    device: usize,
-    tail_next: usize,
-    rhs_tail_next: usize,
-    differs: bool,
-}
-
-impl NewtonReplay<'_> {
-    /// Adds the tail constants before `tail_end` and `rhs_tail_end`.
-    #[inline]
-    fn add_tails(&mut self, rhs: &mut [f64], tail_end: usize, rhs_tail_end: usize) {
-        let image = self.image;
-        for &(slot, value) in &image.tail[self.tail_next..tail_end] {
-            self.values[slot as usize] += value;
-        }
-        self.tail_next = tail_end;
-        for &(row, value) in &image.rhs_tail[self.rhs_tail_next..rhs_tail_end] {
-            rhs[row as usize] += value;
-        }
-        self.rhs_tail_next = rhs_tail_end;
-    }
-
-    /// Adds the tail constants after the last device; `true` when every
-    /// device stamp arrived in its compiled place.
-    fn finish(mut self, rhs: &mut [f64]) -> bool {
-        let image = self.image;
-        self.add_tails(rhs, image.tail.len(), image.rhs_tail.len());
-        !self.differs
-            && self.next == image.devices.len()
-            && self.rhs_next == image.rhs_devices.len()
-            && self.device == image.device_starts.len()
-    }
-}
-
-impl MatrixSink<f64> for NewtonReplay<'_> {
-    /// A device pass stamps nothing else.
-    fn add(&mut self, _row: usize, _col: usize, _value: f64) {
-        self.differs = true;
-    }
-
-    fn add_rhs(&mut self, _rhs: &mut [f64], _row: usize, _value: f64) {
-        self.differs = true;
-    }
-
-    #[inline]
-    fn add_device(&mut self, _layout: &MnaLayout, rhs: &mut [f64], stamp: &NonlinearStamp) {
-        let (conductances, currents) = (stamp.conductances(), stamp.rhs_currents());
-        let image = self.image;
-        let Some(&(tail_end, rhs_tail_end)) = image.device_starts.get(self.device) else {
-            self.differs = true;
-            return;
-        };
-        self.device += 1;
-        self.add_tails(rhs, tail_end as usize, rhs_tail_end as usize);
-        let (Some(stamps), Some(rows)) = (
-            image.devices.get(self.next..self.next + conductances.len()),
-            image
-                .rhs_devices
-                .get(self.rhs_next..self.rhs_next + currents.len()),
-        ) else {
-            self.differs = true;
-            return;
-        };
-        self.next += conductances.len();
-        self.rhs_next += currents.len();
-        // Locals, so the position checks form no chain through memory.
-        let mut differs = false;
-        for (&(r, c, value), &(pos, slot)) in conductances.iter().zip(stamps) {
-            differs |= pos != position(r.index(), c.index());
-            if slot != GROUND {
-                self.values[slot as usize] += value;
-            }
-        }
-        for (&(node, value), &(n, row)) in currents.iter().zip(rows) {
-            differs |= n as usize != node.index();
-            if row != GROUND {
-                rhs[row as usize] += value;
-            }
-        }
-        self.differs |= differs;
-    }
-}
-
 /// Counters describing how a [`SolveContext`] served its solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
@@ -694,12 +664,12 @@ pub struct SolveStats {
     pub symbolic: usize,
     /// Numeric-only refactorizations that reused the pattern.
     pub numeric_refactor: usize,
-    /// Factorizations an adopting context skipped because the assembled
-    /// values were bit for bit the values of its last numeric
-    /// refactorization, whose factors it kept (see
-    /// [`SolveContext::factor`]). Not a factorization, so
-    /// [`factorizations`](SolveStats::factorizations) leaves it out; sweep
-    /// contexts never reuse, so it is zero for every AC analysis.
+    /// Factorizations an adopting context skipped because the Newton
+    /// assembly's keys were those of its last numeric refactorization,
+    /// whose factors it kept (see [`SolveContext::factor`]). Not a
+    /// factorization, so [`factorizations`](SolveStats::factorizations)
+    /// leaves it out; sweep contexts never reuse, so it is zero for every
+    /// AC analysis.
     pub factor_reuses: usize,
     /// Fresh pivoting factorizations forced by a degraded pivot.
     pub fresh_fallback: usize,
@@ -980,55 +950,21 @@ pub struct SolveContext<'p, T: Scalar> {
     /// The matrix key of the latest Newton assembly stamped in full, and
     /// whether an image compiled for it failed its self-check.
     newton_seen: Option<([u64; 2], bool)>,
-    /// The values the current factors were refactored from, while they
-    /// still are (adopting contexts only; see
-    /// [`factor`](SolveContext::factor)).
-    factored_values: FactoredValues<T>,
+    /// The keys of the Newton assembly the value buffer holds, until
+    /// anything else writes the buffer.
+    assembled_keys: Option<NewtonKeys>,
+    /// The keys of the values the current factors were refactored from
+    /// (adopting contexts only; see [`factor`](SolveContext::factor)).
+    factored_keys: Option<NewtonKeys>,
     factored: bool,
     stats: SolveStats,
 }
 
-/// The assembled values behind an adopting context's current factors,
-/// recorded by each successful numeric refactorization and dropped whenever
-/// the factors stop being theirs: a fresh factorization (symbolic, re-pivot,
-/// residual retry or gmin rung, the last of which factors bumped values), a
-/// failed factorization and a pattern rebuild. The buffer keeps its
-/// capacity across records, so recording allocates only once per pattern.
-#[derive(Debug)]
-struct FactoredValues<T: Scalar> {
-    values: Vec<T>,
-    valid: bool,
-}
-
-impl<T: Scalar> FactoredValues<T> {
-    fn new() -> Self {
-        Self {
-            values: Vec::new(),
-            valid: false,
-        }
-    }
-
-    /// Whether `values` are bit for bit the recorded ones (`re` and `im`
-    /// bits, so a NaN matches only the same NaN and `-0.0` never `+0.0`).
-    fn matches(&self, values: &[T]) -> bool {
-        let same = |a: &T, b: &T| {
-            a.re().to_bits() == b.re().to_bits() && a.im().to_bits() == b.im().to_bits()
-        };
-        self.valid
-            && self.values.len() == values.len()
-            && self.values.iter().zip(values).all(|(a, b)| same(a, b))
-    }
-
-    fn record(&mut self, values: &[T]) {
-        self.values.clear();
-        self.values.extend_from_slice(values);
-        self.valid = true;
-    }
-
-    fn clear(&mut self) {
-        self.valid = false;
-    }
-}
+/// The keys of one Newton assembly: its
+/// [`matrix_key`](NewtonJob::matrix_key) and
+/// [`device_key`](NewtonJob::device_key), which together fix its matrix
+/// values.
+type NewtonKeys = ([u64; 2], u64);
 
 impl<'p, T: Scalar> SolveContext<'p, T> {
     /// Creates an **adopting** context over `layout`, the driver of DC
@@ -1103,7 +1039,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             off_pattern: None,
             newton: None,
             newton_seen: None,
-            factored_values: FactoredValues::new(),
+            assembled_keys: None,
+            factored_keys: None,
             factored: false,
             stats: SolveStats::default(),
         }
@@ -1153,6 +1090,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// `cached_assemblies` or `pattern_rebuilds`.
     pub fn assemble_into(&mut self, job: &impl AssembleMna<T>, rhs: &mut Vec<T>) {
         self.off_pattern = None;
+        self.assembled_keys = None;
         self.factored = false;
         if let Some(csr) = self.csr.as_mut() {
             csr.zero_values();
@@ -1170,7 +1108,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             self.stats.pattern_rebuilds += 1;
             self.newton = None;
             self.newton_seen = None;
-            self.factored_values.clear();
+            self.factored_keys = None;
         }
         let mut stamper = Stamper::new(self.layout);
         job.stamp(&mut stamper);
@@ -1197,14 +1135,19 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// order as its plan, a sweep context uses it for this point only.
     ///
     /// An adopting context also skips the refactorization, counted in
-    /// `factor_reuses`, when the assembled values are bit for bit those of
-    /// its last successful refactorization and its factors are still that
-    /// refactorization's: they are then exactly the factors a refactor would
-    /// produce. Any fresh factorization, failed factorization or pattern
-    /// rebuild forgets the values, and a hook that poisons them changes
-    /// their bits, so both refactor as before. A sweep context never reuses,
-    /// which keeps every point's cost and counters independent of the points
-    /// before it.
+    /// `factor_reuses`, when the value buffer holds a Newton assembly
+    /// ([`assemble_newton_into`](SolveContext::assemble_newton_into)) whose
+    /// matrix and device keys are those of its last successful
+    /// refactorization, and its factors are still that refactorization's:
+    /// equal keys promise equal values, so the factors are exactly the ones
+    /// a refactor would produce, and the check is O(1). Each successful
+    /// refactorization records the keys of the values it factored (none,
+    /// when the buffer holds no Newton assembly). Any other write to the
+    /// buffer (a plain assembly, the `matrix_mut` hook, a gmin bump), a
+    /// pattern rebuild, a fresh factorization or a failed one forgets them,
+    /// so each of those refactors as before. A sweep context never reuses,
+    /// which keeps every point's cost and counters independent of the
+    /// points before it.
     ///
     /// # Errors
     ///
@@ -1219,8 +1162,9 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             .as_ref()
             .expect("SolveContext::assemble must run first");
         let adopts = self.plan.is_none();
+        let reuse = self.assembled_keys.is_some() && self.assembled_keys == self.factored_keys;
         let outcome = match (&self.off_pattern, &self.symbolic, &mut self.lu) {
-            (None, Some(_), Some(_)) if self.factored_values.matches(csr.values()) => {
+            (None, Some(_), Some(_)) if reuse => {
                 self.stats.factor_reuses += 1;
                 self.factored = true;
                 Ok(())
@@ -1231,7 +1175,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                         self.stats.numeric_refactor += 1;
                         self.factored = true;
                         if adopts {
-                            self.factored_values.record(csr.values());
+                            self.factored_keys = self.assembled_keys;
                         }
                         Ok(())
                     }
@@ -1242,7 +1186,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             _ => self.fresh_factor(false),
         };
         if let Err(e) = outcome {
-            self.factored_values.clear();
+            self.factored_keys = None;
             if adopts {
                 // The failed factors are unusable; the next attempt
                 // re-analyzes from scratch.
@@ -1505,7 +1449,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// a sweep context uses it for this point only, and the next point
     /// refactors against the shared plan as usual.
     fn fresh_factor(&mut self, repivot: bool) -> Result<(), SolveError> {
-        self.factored_values.clear();
+        self.factored_keys = None;
         let lu = SparseLu::factor(self.matrix())?;
         if self.adopts() {
             self.symbolic = Some(lu.extract_symbolic());
@@ -1539,12 +1483,14 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         self.factors().condition_estimate(self.matrix())
     }
 
-    /// Mutable access to the most recently assembled matrix.
+    /// Mutable access to the most recently assembled matrix, whose values
+    /// then no longer are the Newton assembly of any keys.
     ///
     /// # Panics
     ///
     /// Panics when called before any assembly.
     fn matrix_slot(&mut self) -> &mut CsrMatrix<T> {
+        self.assembled_keys = None;
         self.off_pattern
             .as_mut()
             .or(self.csr.as_mut())
@@ -1575,44 +1521,62 @@ impl SolveContext<'_, f64> {
     /// [`NewtonImage`] beside it, which is kept only when one load
     /// reproduces that assembly bit for bit. From then on an assembly with
     /// the key loads the image: it restamps the linear right-hand side when
-    /// the [`rhs_key`](NewtonJob::rhs_key) has changed, and evaluates only
-    /// the devices. A device stamp sequence the image did not record (a
-    /// MOSFET swapping drain and source, say) drops the image and stamps in
-    /// full; a pattern rebuild drops it too. So a one-iteration solve pays
-    /// nothing extra. Image loads count in `cached_assemblies` like pattern
-    /// hits, and the steady state allocates nothing.
+    /// the [`rhs_key`](NewtonJob::rhs_key) has changed, and adds the job's
+    /// [`device_stamps`](NewtonJob::device_stamps). When the value buffer
+    /// still holds the values the context last refactored, and their keys
+    /// are this job's matrix and [`device_key`](NewtonJob::device_key), the
+    /// load writes the right-hand side alone, and
+    /// [`factor`](SolveContext::factor) reuses the factors. A device stamp
+    /// sequence the image did not record (a MOSFET swapping drain and
+    /// source, say) drops the image and stamps in full; a pattern rebuild
+    /// drops it too. So a one-iteration solve pays nothing extra. Image
+    /// loads count in `cached_assemblies` like pattern hits, and the steady
+    /// state allocates nothing.
     pub fn assemble_newton_into(&mut self, job: &impl NewtonJob, rhs: &mut Vec<f64>) {
-        let key = job.matrix_key();
-        if self.load_newton(job, key, rhs) {
+        let keys = (job.matrix_key(), job.device_key());
+        if self.load_newton(job, keys, rhs) {
             self.stats.cached_assemblies += 1;
-            return;
+        } else {
+            let compile = self.newton_seen == Some((keys.0, false));
+            let hits = self.stats.cached_assemblies;
+            self.assemble_into(job, rhs);
+            self.newton_seen = Some((keys.0, false));
+            if compile && self.stats.cached_assemblies > hits {
+                let csr = self
+                    .csr
+                    .as_ref()
+                    .expect("a pattern hit fills the value buffer");
+                self.newton = NewtonImage::compile(job, self.layout, csr)
+                    .filter(|image| image.reproduces(job, csr, rhs));
+                self.newton_seen = Some((keys.0, self.newton.is_none()));
+            }
         }
-        let compile = self.newton_seen == Some((key, false));
-        let hits = self.stats.cached_assemblies;
-        self.assemble_into(job, rhs);
-        self.newton_seen = Some((key, false));
-        if compile && self.stats.cached_assemblies > hits {
-            let csr = self
-                .csr
-                .as_ref()
-                .expect("a pattern hit fills the value buffer");
-            self.newton = NewtonImage::compile(job, self.layout, csr)
-                .filter(|image| image.reproduces(job, self.layout, csr, rhs));
-            self.newton_seen = Some((key, self.newton.is_none()));
+        // The value buffer holds the job's values, unless a context that
+        // never re-plans rebuilt them off its pattern.
+        if self.off_pattern.is_none() {
+            self.assembled_keys = Some(keys);
         }
     }
 
-    /// Loads `job` from the Newton image of `key`, if there is one and the
-    /// devices replay in their compiled order; drops the image otherwise.
-    fn load_newton(&mut self, job: &impl NewtonJob, key: [u64; 2], rhs: &mut Vec<f64>) -> bool {
+    /// Loads `job` from the Newton image of its matrix key, if there is one
+    /// and the devices replay in their compiled order — the right-hand side
+    /// alone when the buffer holds the factored values of `keys`; drops the
+    /// image otherwise.
+    fn load_newton(&mut self, job: &impl NewtonJob, keys: NewtonKeys, rhs: &mut Vec<f64>) -> bool {
         let (Some(image), Some(csr)) = (self.newton.as_mut(), self.csr.as_mut()) else {
             return false;
         };
-        if image.key != key {
+        if image.key != keys.0 {
             return false;
         }
+        let unchanged = self.assembled_keys == Some(keys) && self.factored_keys == Some(keys);
+        let stamps = job.device_stamps();
         let loaded = (image.rhs_key == job.rhs_key() || image.refresh_rhs(job, self.layout))
-            && image.load(job, self.layout, csr.values_mut(), rhs);
+            && if unchanged {
+                image.load::<false>(stamps, &mut [], rhs)
+            } else {
+                image.load::<true>(stamps, csr.values_mut(), rhs)
+            };
         if loaded {
             self.off_pattern = None;
             self.factored = false;
@@ -1641,6 +1605,7 @@ impl SolveContext<'_, Complex64> {
     /// Panics on an adopting context that has not assembled yet.
     pub(crate) fn load_values(&mut self, image: &AffineImage, freq_hz: f64) {
         self.off_pattern = None;
+        self.assembled_keys = None;
         self.factored = false;
         let csr = self
             .csr
@@ -1928,6 +1893,60 @@ mod tests {
         }
     }
 
+    /// A device-free job as a Newton job under explicit keys. Every part
+    /// stamps the whole job: the right-hand-side refresh drops matrix
+    /// stamps, and no load asks for device stamps.
+    struct Keyed<J> {
+        job: J,
+        matrix_key: [u64; 2],
+        device_key: u64,
+    }
+
+    impl<J: AssembleMna<f64>> AssembleMna<f64> for Keyed<J> {
+        fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
+            self.job.stamp(st);
+        }
+    }
+
+    impl<J: AssembleMna<f64>> NewtonJob for Keyed<J> {
+        fn matrix_key(&self) -> [u64; 2] {
+            self.matrix_key
+        }
+
+        fn rhs_key(&self) -> u64 {
+            0
+        }
+
+        fn device_stamps(&self) -> &[NonlinearStamp] {
+            &[]
+        }
+
+        fn device_key(&self) -> u64 {
+            self.device_key
+        }
+
+        fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, _part: StampPart) {
+            self.job.stamp(st);
+        }
+    }
+
+    /// [`ladder`]`(g1)` under the matrix key of `g1` and `device_key`.
+    fn keyed(g1: f64, device_key: u64) -> Keyed<LadderJob> {
+        Keyed {
+            job: ladder(g1),
+            matrix_key: [g1.to_bits(), 0],
+            device_key,
+        }
+    }
+
+    /// Assembles `job` as a Newton iteration and runs the verified solve.
+    fn solve_newton(ctx: &mut SolveContext<'_, f64>, job: &impl NewtonJob) -> Vec<f64> {
+        let mut rhs = Vec::new();
+        ctx.assemble_newton_into(job, &mut rhs);
+        assert!(ctx.solve_verified_in_place(&mut rhs).unwrap().converged);
+        rhs
+    }
+
     fn solution_bits(x: &[f64]) -> Vec<u64> {
         x.iter().map(|v| v.to_bits()).collect()
     }
@@ -1935,53 +1954,63 @@ mod tests {
     #[test]
     fn bitwise_repeated_values_reuse_the_refactored_factors() {
         let (_c, layout) = two_node_layout();
-        let job = ladder(1.0e-3);
-        // Symbolic, then a refactorization that records the values.
-        let mut reference = SolveContext::<f64>::adopting(&layout);
-        reference.solve(&ladder(3.0e-3)).unwrap();
-        let (want, _) = reference.solve_verified(&job).unwrap();
-        assert_eq!(reference.stats().numeric_refactor, 1);
-        assert_eq!(reference.stats().factor_reuses, 0);
+        let job = keyed(1.0e-3, 7);
+        // Symbolic, then a refactorization that records the keys.
+        let mut first = SolveContext::<f64>::adopting(&layout);
+        solve_newton(&mut first, &keyed(3.0e-3, 1));
+        let want = solve_newton(&mut first, &job);
+        assert_eq!(first.stats().numeric_refactor, 1);
+        assert_eq!(first.stats().factor_reuses, 0);
 
         let mut ctx = SolveContext::<f64>::adopting(&layout);
-        ctx.solve(&ladder(3.0e-3)).unwrap();
-        ctx.solve_verified(&job).unwrap();
+        solve_newton(&mut ctx, &keyed(3.0e-3, 1));
+        solve_newton(&mut ctx, &job);
         for _ in 0..3 {
-            let (x, q) = ctx.solve_verified(&job).unwrap();
-            assert!(q.converged);
+            let x = solve_newton(&mut ctx, &job);
             assert_eq!(solution_bits(&x), solution_bits(&want));
+            assert_eq!(bits(ctx.matrix()), reference(&layout, &job).0);
         }
         let stats = ctx.stats();
         assert_eq!(stats.symbolic, 1);
         assert_eq!(stats.numeric_refactor, 1);
         assert_eq!(stats.factor_reuses, 3);
+        assert_eq!(stats.cached_assemblies, 4);
         assert_eq!(stats.factorizations(), 2, "a reuse is no factorization");
-        // New values refactor, and the record follows them.
-        ctx.solve(&ladder(2.0e-3)).unwrap();
-        ctx.solve(&ladder(2.0e-3)).unwrap();
+        // New keys refactor, and the record follows them.
+        solve_newton(&mut ctx, &keyed(2.0e-3, 8));
+        solve_newton(&mut ctx, &keyed(2.0e-3, 8));
         assert_eq!(ctx.stats().numeric_refactor, 2);
+        assert_eq!(ctx.stats().factor_reuses, 4);
+        // The same values under another device key are not known to be the
+        // same: they refactor. So does a plain assembly, which has no keys.
+        solve_newton(&mut ctx, &keyed(2.0e-3, 9));
+        ctx.solve(&ladder(2.0e-3)).unwrap();
+        assert_eq!(ctx.stats().numeric_refactor, 4);
         assert_eq!(ctx.stats().factor_reuses, 4);
     }
 
     #[test]
     fn sweep_contexts_never_reuse_factors() {
         let (_c, layout) = two_node_layout();
-        let job = ladder(1.0e-3);
+        let job = keyed(1.0e-3, 7);
         let plan = SweepPlan::<f64>::build(&layout, &job).unwrap();
         let mut ctx = plan.context();
-        let first = ctx.solve(&job).unwrap();
-        let second = ctx.solve(&job).unwrap();
+        let first = solve_newton(&mut ctx, &job);
+        let second = solve_newton(&mut ctx, &job);
+        let third = solve_newton(&mut ctx, &job);
         assert_eq!(solution_bits(&first), solution_bits(&second));
-        assert_eq!(ctx.stats().numeric_refactor, 2);
+        assert_eq!(solution_bits(&first), solution_bits(&third));
+        assert_eq!(ctx.stats().numeric_refactor, 3);
         assert_eq!(ctx.stats().factor_reuses, 0);
     }
 
-    /// An adopting context whose last refactorization recorded the values
-    /// of `job`, and whose next assembly of `job` would reuse its factors.
-    fn recorded<'p>(layout: &'p MnaLayout, job: &LadderJob) -> SolveContext<'p, f64> {
+    /// An adopting context whose last refactorization recorded the keys of
+    /// `job`, and whose next assembly of `job` loads only its right-hand
+    /// side and would reuse its factors.
+    fn recorded<'p>(layout: &'p MnaLayout, job: &Keyed<LadderJob>) -> SolveContext<'p, f64> {
         let mut ctx = SolveContext::<f64>::adopting(layout);
-        ctx.solve(&ladder(3.0e-3)).unwrap();
-        ctx.solve(job).unwrap();
+        solve_newton(&mut ctx, &keyed(3.0e-3, 1));
+        solve_newton(&mut ctx, job);
         assert_eq!(ctx.stats().numeric_refactor, 1);
         ctx
     }
@@ -1989,9 +2018,10 @@ mod tests {
     #[test]
     fn poisoned_values_refactor_instead_of_reusing() {
         let (_c, layout) = two_node_layout();
-        let job = ladder(1.0e-3);
+        let job = keyed(1.0e-3, 7);
         let mut ctx = recorded(&layout, &job);
-        let mut rhs = ctx.assemble(&job);
+        let mut rhs = Vec::new();
+        ctx.assemble_newton_into(&job, &mut rhs);
         let slot = ctx.matrix_mut().find_slot(0, 0).unwrap();
         ctx.matrix_mut().values_mut()[slot] *= 2.0;
         ctx.solve_verified_in_place(&mut rhs).unwrap();
@@ -2008,22 +2038,27 @@ mod tests {
         for (a, w) in rhs.iter().zip(&want) {
             assert!((a - w).abs() <= 1e-15 * w.abs().max(1.0), "{a} vs {w}");
         }
-        // The clean values differ from the poisoned record: refactor again.
-        ctx.solve(&job).unwrap();
+        // The poisoned refactorization recorded no keys: the clean job
+        // loads in full and refactors, and only then reuses again.
+        solve_newton(&mut ctx, &job);
         assert_eq!(ctx.stats().numeric_refactor, 3);
         assert_eq!(ctx.stats().factor_reuses, 0);
+        assert_eq!(bits(ctx.matrix()), reference(&layout, &job).0);
+        solve_newton(&mut ctx, &job);
+        assert_eq!(ctx.stats().factor_reuses, 1);
     }
 
     #[test]
     fn a_gmin_rescue_forgets_the_recorded_values() {
         let (_c, layout) = two_node_layout();
-        let job = ladder(1.0e-3);
+        let job = keyed(1.0e-3, 7);
         let mut ctx = recorded(&layout, &job);
-        // The values match the record, so the factors are reused; a dead
+        // The keys match the record, so the factors are reused; a dead
         // column poisoned after the factor makes the residual check fail,
         // and the ladder rescues the point with a gmin bump over factors of
         // the bumped values.
-        let mut rhs = ctx.assemble(&job);
+        let mut rhs = Vec::new();
+        ctx.assemble_newton_into(&job, &mut rhs);
         ctx.factor().unwrap();
         assert_eq!(ctx.stats().factor_reuses, 1);
         let m = ctx.matrix_mut();
@@ -2033,13 +2068,14 @@ mod tests {
         }
         assert!(ctx.solve_verified_in_place(&mut rhs).unwrap().converged);
         assert_eq!(ctx.stats().gmin_bumps, 1);
-        // The clean values are the recorded ones, but the factors are the
-        // rescue's: the next factor refactors.
+        // The keys are the recorded ones, but the factors are the rescue's
+        // and the buffer holds bumped values: the next assembly loads in
+        // full and refactors.
         let (reuses, refactors) = (ctx.stats().factor_reuses, ctx.stats().numeric_refactor);
-        let (x, q) = ctx.solve_verified(&job).unwrap();
-        assert!(q.converged);
+        let x = solve_newton(&mut ctx, &job);
         assert_eq!(ctx.stats().factor_reuses, reuses);
         assert_eq!(ctx.stats().numeric_refactor, refactors + 1);
+        assert_eq!(bits(ctx.matrix()), reference(&layout, &job).0);
         let want = SolveContext::<f64>::adopting(&layout).solve(&job).unwrap();
         for (a, w) in x.iter().zip(&want) {
             assert!((a - w).abs() <= 1e-15 * w.abs().max(1.0), "{a} vs {w}");
@@ -2049,18 +2085,23 @@ mod tests {
     #[test]
     fn a_pattern_rebuild_forgets_the_recorded_values() {
         let (_c, layout) = two_node_layout();
+        let diag = Keyed {
+            job: DiagOnly,
+            matrix_key: [0, 1],
+            device_key: 7,
+        };
         let mut ctx = SolveContext::<f64>::adopting(&layout);
-        ctx.solve(&DiagOnly).unwrap();
-        ctx.solve(&DiagOnly).unwrap();
-        ctx.solve(&DiagOnly).unwrap();
+        solve_newton(&mut ctx, &diag);
+        solve_newton(&mut ctx, &diag);
+        solve_newton(&mut ctx, &diag);
         assert_eq!(ctx.stats().factor_reuses, 1);
         // The ladder misses the diagonal pattern: rebuild and re-analyze.
-        let job = ladder(1.0e-3);
-        ctx.solve(&job).unwrap();
+        solve_newton(&mut ctx, &keyed(1.0e-3, 7));
         assert_eq!(ctx.stats().pattern_rebuilds, 1);
         assert_eq!(ctx.stats().symbolic, 2);
-        // The diagonal job over the rebuilt pattern is new values.
-        ctx.solve(&DiagOnly).unwrap();
+        // The diagonal job over the rebuilt pattern refactors, though its
+        // keys are the ones recorded before the rebuild.
+        solve_newton(&mut ctx, &diag);
         assert_eq!(ctx.stats().numeric_refactor, 2);
         assert_eq!(ctx.stats().factor_reuses, 1);
     }
@@ -2068,26 +2109,26 @@ mod tests {
     #[test]
     fn a_failed_factorization_forgets_the_recorded_values() {
         let (_c, layout) = two_node_layout();
-        let job = ladder(1.0e-3);
+        let job = keyed(1.0e-3, 7);
         let mut ctx = recorded(&layout, &job);
         // An exactly singular system fails the refactorization.
-        ctx.assemble(&job);
+        ctx.assemble_newton_into(&job, &mut Vec::new());
         let m = ctx.matrix_mut();
         for (r, c) in [(0usize, 1usize), (1, 1)] {
             let slot = m.find_slot(r, c).unwrap();
             m.values_mut()[slot] = 0.0;
         }
         assert!(ctx.factor().is_err());
-        // The clean values match the record, but the factors are gone: the
-        // next factor re-analyzes.
-        ctx.solve(&job).unwrap();
+        // The keys match the record, but the factors are gone: the next
+        // factor re-analyzes.
+        solve_newton(&mut ctx, &job);
         assert_eq!(ctx.stats().symbolic, 2);
         assert_eq!(ctx.stats().factor_reuses, 0);
         // And that fresh factorization recorded nothing either.
-        ctx.solve(&job).unwrap();
+        solve_newton(&mut ctx, &job);
         assert_eq!(ctx.stats().numeric_refactor, 2);
         assert_eq!(ctx.stats().factor_reuses, 0);
-        ctx.solve(&job).unwrap();
+        solve_newton(&mut ctx, &job);
         assert_eq!(ctx.stats().factor_reuses, 1);
     }
 

@@ -13,12 +13,13 @@
 //! currents, and is the linearization point for AC and the starting state for
 //! transient analysis.
 
-use crate::assembly::{AssembleMna, NewtonJob, SolveContext};
-use crate::devices;
+use crate::assembly::{fresh_device_key, AssembleMna, NewtonJob, SolveContext};
+use crate::devices::{self, NonlinearStamp};
 use crate::error::SpiceError;
 use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
 use crate::GMIN;
 use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
+use std::borrow::Cow;
 
 /// Options controlling the operating-point solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -201,11 +202,13 @@ impl OperatingPoint {
 /// iteration of every gmin/source-stepping phase — shares one cached pattern
 /// and (pivot health permitting) one symbolic LU analysis. The linear
 /// matrix stamps depend on `gshunt` alone and the linear right-hand side on
-/// `source_scale` alone: those are the job's Newton image keys.
+/// `source_scale` alone: those are the job's Newton image keys. The devices
+/// arrive evaluated at the trial solution, under a device key of their own.
 struct DcSystem<'a> {
     circuit: &'a Circuit,
     layout: &'a MnaLayout,
-    voltages: &'a [f64],
+    stamps: Cow<'a, [NonlinearStamp]>,
+    device_key: u64,
     source_scale: f64,
     gshunt: f64,
 }
@@ -223,6 +226,14 @@ impl NewtonJob for DcSystem<'_> {
 
     fn rhs_key(&self) -> u64 {
         self.source_scale.to_bits()
+    }
+
+    fn device_stamps(&self) -> &[NonlinearStamp] {
+        &self.stamps
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 
     fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
@@ -257,25 +268,30 @@ impl StampModel<f64> for DcSystem<'_> {
         &self,
         st: &mut Stamper<'_, f64, S>,
         _ei: usize,
-        element: &Element,
+        device: usize,
+        _element: &Element,
     ) {
-        st.add_device(&devices::stamp_device(element, self.voltages));
+        st.add_device(&self.stamps[device]);
     }
 }
 
 /// The assembly job of the DC system of `circuit` linearized at the node
 /// voltages `voltages` (indexed by [`NodeId::index`]) — what each plain
 /// Newton iteration of the operating-point search stamps. A diagnostic and
-/// benchmark entry point.
+/// benchmark entry point: the job owns its devices' stamps, evaluated here,
+/// under a device key no other job has.
 pub fn assembly_job<'a>(
     circuit: &'a Circuit,
     layout: &'a MnaLayout,
-    voltages: &'a [f64],
+    voltages: &[f64],
 ) -> impl NewtonJob + 'a {
+    let mut stamps = Vec::new();
+    devices::stamp_devices(circuit, layout, voltages, &mut stamps);
     DcSystem {
         circuit,
         layout,
-        voltages,
+        stamps: Cow::Owned(stamps),
+        device_key: fresh_device_key(),
         source_scale: 1.0,
         gshunt: 0.0,
     }
@@ -301,9 +317,11 @@ enum NewtonOutcome {
 
 /// Runs Newton-Raphson from the supplied initial node voltages.
 ///
-/// Every iteration assembles through the context's Newton image
-/// ([`SolveContext::assemble_newton_into`]) and solves through the
-/// residual-verified retry ladder
+/// Every iteration evaluates the devices into a reused buffer, assembles
+/// through the context's Newton image
+/// ([`SolveContext::assemble_newton_into`]) under a fresh device key — DC
+/// iterations never bypass their devices, so no two share their stamps —
+/// and solves through the residual-verified retry ladder
 /// ([`SolveContext::solve_verified_in_place`]), so solver failures arrive
 /// name-enriched and are genuine hard errors, not convergence noise.
 fn newton(
@@ -323,12 +341,15 @@ fn newton(
     let mut new_voltages = vec![0.0; node_count];
     let has_nonlinear = circuit.elements().iter().any(Element::is_nonlinear);
     let mut last_delta = f64::INFINITY;
+    let mut stamps = Vec::new();
 
     for iteration in 1..=opts.max_iterations {
+        devices::stamp_devices(circuit, layout, &voltages, &mut stamps);
         let job = DcSystem {
             circuit,
             layout,
-            voltages: &voltages,
+            stamps: Cow::Borrowed(&stamps),
+            device_key: fresh_device_key(),
             source_scale,
             gshunt,
         };
@@ -1029,13 +1050,16 @@ mod tests {
         let mut reference = SolveContext::adopting(&layout);
         let (mut rhs, mut want_rhs) = (Vec::new(), Vec::new());
         let mut loads = 0;
+        let mut stamps = Vec::new();
         for &(source_scale, gshunt) in &stages {
             for k in 0..4 {
                 let voltages = [0.0, 5.0, 0.6 + 0.01 * k as f64, 2.0 - 0.1 * k as f64];
+                devices::stamp_devices(&c, &layout, &voltages, &mut stamps);
                 let job = DcSystem {
                     circuit: &c,
                     layout: &layout,
-                    voltages: &voltages,
+                    stamps: Cow::Borrowed(&stamps),
+                    device_key: fresh_device_key(),
                     source_scale,
                     gshunt,
                 };

@@ -17,8 +17,11 @@
 //! only. The polarity handling (NPN/PNP, NMOS/PMOS) happens in here so the
 //! analyses never need to special-case device flavours.
 
+use crate::mna::{MnaLayout, StampPart};
 use crate::{GMIN, THERMAL_VOLTAGE};
-use loopscope_netlist::{Bjt, BjtPolarity, Diode, Element, Mosfet, MosfetPolarity, NodeId};
+use loopscope_netlist::{
+    Bjt, BjtPolarity, Circuit, Diode, Element, Mosfet, MosfetPolarity, NodeId,
+};
 
 /// Voltage beyond which the junction exponential is linearized to avoid
 /// floating-point overflow during badly scaled Newton steps.
@@ -98,6 +101,26 @@ pub(crate) fn stamp_device(element: &Element, voltages: &[f64]) -> NonlinearStam
         Element::Mosfet(m) => stamp_mosfet(m, voltages),
         other => panic!("element '{}' is not a nonlinear device", other.name()),
     }
+}
+
+/// Evaluates every nonlinear device of `circuit` at `voltages` into `out`,
+/// replacing its contents, one stamp per device in stamp order (the
+/// elements of [`StampPart::Devices`] in `layout`). Allocation-free once
+/// `out` has held as many stamps.
+pub(crate) fn stamp_devices(
+    circuit: &Circuit,
+    layout: &MnaLayout,
+    voltages: &[f64],
+    out: &mut Vec<NonlinearStamp>,
+) {
+    let elements = circuit.elements();
+    out.clear();
+    out.extend(
+        layout
+            .part_elements(StampPart::Devices)
+            .iter()
+            .map(|&ei| stamp_device(&elements[ei], voltages)),
+    );
 }
 
 /// Two-terminal capacitances `(a, b, farads)` of the nonlinear device

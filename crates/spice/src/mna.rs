@@ -25,13 +25,14 @@ use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpe
 use loopscope_sparse::{Scalar, TripletMatrix};
 use std::collections::HashMap;
 
-/// Which stamps of an assembly job one pass emits — the passes of a
-/// [`NewtonImage`](crate::assembly::NewtonImage).
+/// Which stamps of an assembly job one pass emits: the full assembly, and
+/// the parts a [`NewtonImage`](crate::assembly::NewtonImage) keeps apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StampPart {
     /// Every stamp in element order: the job's full assembly.
     All,
-    /// The nonlinear devices' stamps only, in the same order.
+    /// The nonlinear devices' stamps only, in the same order: the stamp
+    /// order of a Newton job's evaluated device stamps.
     Devices,
     /// The stamps of the linear elements that can stamp the right-hand
     /// side — independent sources, capacitors and inductors — in the same
@@ -218,7 +219,7 @@ pub trait MatrixSink<T: Scalar> {
     fn add(&mut self, row: usize, col: usize, value: T);
 
     /// Accumulates `value` into `rhs[row]`, the stamper's right-hand side.
-    /// Sinks that compile or replay a right-hand side of their own override
+    /// Sinks that compile or refresh a right-hand side of their own override
     /// it to see every right-hand-side stamp in order.
     #[inline]
     fn add_rhs(&mut self, rhs: &mut [T], row: usize, value: T) {
@@ -229,8 +230,8 @@ pub trait MatrixSink<T: Scalar> {
     /// conductances, then its companion currents into `rhs`, entries on
     /// the ground row or column dropped through `layout`. Every other stamp
     /// is a linear element's. The default adds the entries one by one, in
-    /// that order; sinks that compile or replay a Newton image take the
-    /// device as a whole.
+    /// that order; the sink that compiles a Newton image takes the device
+    /// as a whole.
     #[inline]
     fn add_device(&mut self, layout: &MnaLayout, rhs: &mut [T], stamp: &NonlinearStamp) {
         for &(r, c, g) in stamp.conductances() {
@@ -277,8 +278,16 @@ pub(crate) trait StampModel<T: Scalar> {
     /// An independent source's value, or `None` when it stamps nothing.
     fn source(&self, spec: &SourceSpec) -> Option<T>;
 
-    /// Stamps the nonlinear device `element` at position `ei`.
-    fn device<S: MatrixSink<T>>(&self, st: &mut Stamper<'_, T, S>, ei: usize, element: &Element);
+    /// Stamps the nonlinear device `element` at position `ei`, the
+    /// `device`-th of the circuit's devices in stamp order (the order of
+    /// [`StampPart::Devices`]).
+    fn device<S: MatrixSink<T>>(
+        &self,
+        st: &mut Stamper<'_, T, S>,
+        ei: usize,
+        device: usize,
+        element: &Element,
+    );
 }
 
 impl<T: Scalar> MatrixSink<T> for TripletMatrix<T> {
@@ -335,8 +344,9 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
     }
 
     /// Like [`with_sink_reusing`](Stamper::with_sink_reusing), but keeping
-    /// `rhs` exactly as it is: the caller has sized and seeded it (a Newton
-    /// image load starts the right-hand side from its compiled prefix).
+    /// `rhs` exactly as it is: the sink keeps a right-hand side of its own
+    /// (a Newton image's compile and right-hand-side refresh pass an empty
+    /// one, so neither allocates it).
     pub fn with_sink_over(layout: &'a MnaLayout, sink: S, rhs: Vec<T>) -> Self {
         Self {
             layout,
@@ -428,6 +438,7 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
         }
         let layout = model.layout();
         let branch = |ei: usize| layout.element_branch(ei).expect("element owns a branch");
+        let mut devices = 0;
         for &ei in layout.part_elements(part) {
             match model.element(ei, &circuit.elements()[ei]) {
                 Element::Resistor(r) => self.stamp_admittance(r.a, r.b, T::from_f64(1.0 / r.ohms)),
@@ -493,7 +504,8 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
                     });
                 }
                 device @ (Element::Diode(_) | Element::Bjt(_) | Element::Mosfet(_)) => {
-                    model.device(self, ei, device)
+                    model.device(self, ei, devices, device);
+                    devices += 1;
                 }
             }
         }

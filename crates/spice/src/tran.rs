@@ -52,9 +52,12 @@
 //! reuses every device's last stamp instead of evaluating the devices
 //! again (SPICE2's bypass; Nagel, UCB/ERL M520, 1975). The first iteration
 //! of a step starts from the previous step's converged point and is
-//! usually bypassed; with an unchanged `(dt, method)` key it then assembles
-//! bitwise the values last factored, and the solver reuses its factors
-//! ([`SolveContext::factor`]). The verified solve runs at every iteration.
+//! usually bypassed. The loop numbers its device evaluations and hands
+//! that ordinal to the solver as the job's device key, so a bypassed
+//! iteration with an unchanged `(dt, method)` key loads only its
+//! right-hand side over the values last factored, and the solver reuses
+//! its factors ([`SolveContext::assemble_newton_into`],
+//! [`SolveContext::factor`]). The verified solve runs at every iteration.
 //! Bypass is a tolerance contract: a bypassed device is linearized up to
 //! `vntol` away from its trial point, which moves a converged solution by
 //! at most about `1.5·H·vntol²` of current per terminal row (`H` the row's
@@ -67,7 +70,7 @@
 //! setting, so the produced grid — and every counter in
 //! [`TransientStats`] — is bit-identical across those configurations.
 
-use crate::assembly::{AssembleMna, NewtonJob, SolveContext, SolveStats};
+use crate::assembly::{fresh_device_key, AssembleMna, NewtonJob, SolveContext, SolveStats};
 use crate::dc::OperatingPoint;
 use crate::devices::{self, NonlinearStamp};
 use crate::error::{SpiceError, StepRejectReason, StepRejection};
@@ -75,6 +78,7 @@ use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
 use crate::GMIN;
 use loopscope_math::interp;
 use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
+use std::borrow::Cow;
 
 /// Step-growth threshold: the next step doubles only when the worst LTE
 /// ratio of the accepted step is at or below this fraction of the tolerance.
@@ -511,7 +515,6 @@ impl<'c> TransientAnalysis<'c> {
         let t_stop = opts.t_stop;
         let fixed = !opts.is_adaptive();
         let bps = &self.breakpoints;
-        let nonlinear = self.circuit.elements().iter().any(Element::is_nonlinear);
 
         // State carried between time points.
         let mut voltages = op.node_voltages().to_vec();
@@ -558,12 +561,14 @@ impl<'c> TransientAnalysis<'c> {
         let mut trial = voltages.clone();
         let mut next = vec![0.0; node_count];
         let mut solution = vec![0.0; self.layout.dim()];
-        // Device bypass: each device's latest stamp, in stamp order, and the
+        // Device bypass: each device's latest stamp, in stamp order, the
         // node voltages they were evaluated at (NaN until the first
-        // evaluation, so that one never bypasses).
-        let device_elements = self.layout.part_elements(StampPart::Devices);
-        let mut stamps: Vec<NonlinearStamp> = Vec::with_capacity(device_elements.len());
+        // evaluation, so that one never bypasses) and the ordinal of that
+        // evaluation, the jobs' device key.
+        let device_count = self.layout.part_elements(StampPart::Devices).len();
+        let mut stamps: Vec<NonlinearStamp> = Vec::with_capacity(device_count);
         let mut evaluated_at = vec![f64::NAN; node_count];
+        let mut evaluations = 0u64;
         let mut stats = TransientStats::default();
         let mut solve_ordinal = 0usize;
         // Newton runs started: every attempt restamps its linear
@@ -652,25 +657,23 @@ impl<'c> TransientAnalysis<'c> {
                 runs += 1;
                 for _ in 0..opts.max_newton {
                     // Bypass: a trial point within `vntol` of the last
-                    // evaluation at every node reuses every stamp. The
-                    // matrix then repeats bitwise for an unchanged
-                    // `(dt, method)` key, and the solver reuses its factors.
-                    let bypass = !device_elements.is_empty()
-                        && self.circuit.signal_nodes_iter().all(|node| {
+                    // evaluation at every node reuses every stamp, and
+                    // with them their device key. For an unchanged
+                    // `(dt, method)` key the solver then loads only the
+                    // right-hand side and reuses its factors. A linear
+                    // circuit has nothing to evaluate and one key.
+                    if device_count > 0 {
+                        let bypass = self.circuit.signal_nodes_iter().all(|node| {
                             let i = node.index();
                             (trial[i] - evaluated_at[i]).abs() < opts.vntol
                         });
-                    if bypass {
-                        stats.bypassed_iterations += 1;
-                    } else {
-                        let elements = self.circuit.elements();
-                        stamps.clear();
-                        stamps.extend(
-                            device_elements
-                                .iter()
-                                .map(|&ei| devices::stamp_device(&elements[ei], &trial)),
-                        );
-                        evaluated_at.copy_from_slice(&trial);
+                        if bypass {
+                            stats.bypassed_iterations += 1;
+                        } else {
+                            devices::stamp_devices(self.circuit, &self.layout, &trial, &mut stamps);
+                            evaluated_at.copy_from_slice(&trial);
+                            evaluations += 1;
+                        }
                     }
                     let job = TimestepSystem {
                         analysis: self,
@@ -679,7 +682,8 @@ impl<'c> TransientAnalysis<'c> {
                         dt: h_c,
                         method,
                         left_limit: landing,
-                        devices: Devices::Stamps(&stamps),
+                        stamps: Cow::Borrowed(&stamps),
+                        device_key: evaluations,
                         prev: &voltages,
                         prev_cap_current: &prev_cap_current,
                         prev_ind_voltage: &prev_ind_voltage,
@@ -706,7 +710,7 @@ impl<'c> TransientAnalysis<'c> {
                         next[node.index()] = v;
                     }
                     std::mem::swap(&mut trial, &mut next);
-                    if max_delta < opts.vntol || !nonlinear {
+                    if max_delta < opts.vntol || device_count == 0 {
                         converged = true;
                         break;
                     }
@@ -859,7 +863,8 @@ impl<'c> TransientAnalysis<'c> {
     /// as long as the element list and the MNA dimension. A diagnostic and
     /// benchmark entry point. Its right-hand-side key is `t`'s bits, so
     /// jobs for the same `t` that one context assembles must share
-    /// `voltages` and `history`.
+    /// `voltages` and `history`. The job owns its devices' stamps,
+    /// evaluated here, under a device key no other job has.
     pub fn assembly_job<'a>(
         &'a self,
         t: f64,
@@ -867,6 +872,8 @@ impl<'c> TransientAnalysis<'c> {
         voltages: &'a [f64],
         history: &'a [f64],
     ) -> impl NewtonJob + 'a {
+        let mut stamps = Vec::new();
+        devices::stamp_devices(self.circuit, &self.layout, voltages, &mut stamps);
         TimestepSystem {
             analysis: self,
             run: t.to_bits(),
@@ -874,7 +881,8 @@ impl<'c> TransientAnalysis<'c> {
             dt: self.options.dt_min,
             method,
             left_limit: false,
-            devices: Devices::At(voltages),
+            stamps: Cow::Owned(stamps),
+            device_key: fresh_device_key(),
             prev: voltages,
             prev_cap_current: history,
             prev_ind_voltage: history,
@@ -896,7 +904,8 @@ fn unallocatable_rows(options: &TransientOptions) -> SpiceError {
 /// The linear matrix stamps depend only on the step width and the
 /// integration method (the Newton image's matrix key). The linear
 /// right-hand side (sources at `t`, companion history) is fixed for a
-/// whole Newton run, which `run` numbers.
+/// whole Newton run, which `run` numbers. The devices arrive evaluated,
+/// one stamp per device in stamp order, under the key `device_key`.
 struct TimestepSystem<'a, 'c> {
     analysis: &'a TransientAnalysis<'c>,
     /// Ordinal of the Newton run (the step attempt) this iteration serves.
@@ -906,21 +915,12 @@ struct TimestepSystem<'a, 'c> {
     method: Integration,
     /// Evaluate sources by their left limit at `t` (breakpoint landing).
     left_limit: bool,
-    devices: Devices<'a>,
+    stamps: Cow<'a, [NonlinearStamp]>,
+    device_key: u64,
     prev: &'a [f64],
     prev_cap_current: &'a [f64],
     prev_ind_voltage: &'a [f64],
     prev_solution: &'a [f64],
-}
-
-/// Where a [`TimestepSystem`] takes its device stamps from.
-#[derive(Debug, Clone, Copy)]
-enum Devices<'a> {
-    /// Evaluate every device at these node voltages (the trial point).
-    At(&'a [f64]),
-    /// Stamps the Newton loop evaluated (or bypassed) before the assembly,
-    /// one per device in stamp order.
-    Stamps(&'a [NonlinearStamp]),
 }
 
 impl AssembleMna<f64> for TimestepSystem<'_, '_> {
@@ -940,6 +940,14 @@ impl NewtonJob for TimestepSystem<'_, '_> {
 
     fn rhs_key(&self) -> u64 {
         self.run
+    }
+
+    fn device_stamps(&self) -> &[NonlinearStamp] {
+        &self.stamps
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 
     fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
@@ -994,20 +1002,11 @@ impl StampModel<f64> for TimestepSystem<'_, '_> {
     fn device<S: MatrixSink<f64>>(
         &self,
         st: &mut Stamper<'_, f64, S>,
-        ei: usize,
-        element: &Element,
+        _ei: usize,
+        device: usize,
+        _element: &Element,
     ) {
-        match self.devices {
-            Devices::At(voltages) => st.add_device(&devices::stamp_device(element, voltages)),
-            Devices::Stamps(stamps) => {
-                let device = self
-                    .layout()
-                    .part_elements(StampPart::Devices)
-                    .binary_search(&ei)
-                    .expect("a device element");
-                st.add_device(&stamps[device]);
-            }
-        }
+        st.add_device(&self.stamps[device]);
     }
 }
 
@@ -1723,6 +1722,7 @@ mod tests {
         ];
         let mut loads = 0;
         let mut tails = 0;
+        let mut stamps = Vec::new();
         for (run, t, dt, method, left_limit) in steps {
             for k in 0..4 {
                 // Each Newton iteration moves the devices' operating point.
@@ -1731,6 +1731,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, v)| v + 1.0e-3 * (k * i) as f64 - 2.0e-3 * run as f64)
                     .collect();
+                devices::stamp_devices(&c, &tran.layout, &trial, &mut stamps);
                 let job = TimestepSystem {
                     analysis: &tran,
                     run,
@@ -1738,7 +1739,8 @@ mod tests {
                     dt,
                     method,
                     left_limit,
-                    devices: Devices::At(&trial),
+                    stamps: Cow::Borrowed(&stamps),
+                    device_key: 4 * run + k as u64,
                     prev: &base,
                     prev_cap_current: &cap_current,
                     prev_ind_voltage: &ind_voltage,
@@ -1758,6 +1760,115 @@ mod tests {
             ctx.stats().cached_assemblies,
             reference.stats().cached_assemblies
         );
+    }
+
+    /// Bitwise matrix and right-hand-side contents of `ctx`'s last
+    /// assembly.
+    fn assembled_bits(ctx: &SolveContext<'_, f64>, rhs: &[f64]) -> (Vec<u64>, Vec<u64>) {
+        (
+            ctx.matrix().iter().map(|e| e.2.to_bits()).collect(),
+            rhs.iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    #[test]
+    fn rhs_only_loads_are_bitwise_the_full_loads() {
+        let c = tail_circuit();
+        let op = solve_dc(&c).unwrap();
+        let dt = 10.0e-9;
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(dt, 2.0e-6)).unwrap();
+        let elements = c.elements().len();
+        let base = op.node_voltages().to_vec();
+        let cap_current: Vec<f64> = (0..elements).map(|k| 1.0e-6 * k as f64).collect();
+        let ind_voltage: Vec<f64> = (0..elements).map(|k| -1.0e-3 * k as f64).collect();
+        let mut branch = vec![0.0; tran.layout.dim()];
+        branch[tran.layout.branch_var("L1").unwrap()] = 2.0e-5;
+        let job = |run: u64, method, stamps: &[NonlinearStamp], device_key| TimestepSystem {
+            analysis: &tran,
+            run,
+            t: run as f64 * dt,
+            dt,
+            method,
+            left_limit: false,
+            stamps: Cow::Owned(stamps.to_vec()),
+            device_key,
+            prev: &base,
+            prev_cap_current: &cap_current,
+            prev_ind_voltage: &ind_voltage,
+            prev_solution: &branch,
+        };
+        let (be, trap) = (Integration::BackwardEuler, Integration::Trapezoidal);
+        // (run, method, device evaluation, whether the load is right-hand
+        // side only): a backward-Euler run whose key compiles on its second
+        // iteration, a new run under the same keys, a re-evaluated device,
+        // the switch to trapezoidal (a new matrix key), and the same again.
+        let iterations = [
+            (1, be, 1, false),
+            (1, be, 1, false),
+            (1, be, 1, true),
+            (2, be, 1, true),
+            (2, be, 2, false),
+            (2, be, 2, true),
+            (3, trap, 2, false),
+            (3, trap, 2, false),
+            (3, trap, 2, true),
+            (4, trap, 2, true),
+            (4, trap, 3, false),
+            (4, trap, 3, true),
+        ];
+        let mut ctx = SolveContext::adopting(&tran.layout);
+        let mut reference = SolveContext::adopting(&tran.layout);
+        let (mut rhs, mut want_rhs) = (Vec::new(), Vec::new());
+        let mut stamps = Vec::new();
+        let mut rhs_only = 0;
+        for (run, method, evaluation, only_rhs) in iterations {
+            let trial: Vec<f64> = base
+                .iter()
+                .enumerate()
+                .map(|(i, v)| v + 1.0e-3 * (evaluation as usize * i) as f64)
+                .collect();
+            devices::stamp_devices(&c, &tran.layout, &trial, &mut stamps);
+            let job = job(run, method, &stamps, evaluation);
+            let reuses = ctx.stats().factor_reuses;
+            let imaged = ctx
+                .newton_image()
+                .is_some_and(|image| image.key() == job.matrix_key());
+            ctx.assemble_newton_into(&job, &mut rhs);
+            reference.assemble_into(&job, &mut want_rhs);
+            assert_eq!(
+                assembled_bits(&ctx, &rhs),
+                assembled_bits(&reference, &want_rhs),
+                "run {run}, evaluation {evaluation}"
+            );
+            ctx.solve_verified_in_place(&mut rhs).unwrap();
+            // An assembly with the factored keys reuses the factors; one
+            // that found an image of the key in place loaded only the
+            // right-hand side. (The second trapezoidal iteration stamps in
+            // full to compile its image, and reuses too.)
+            let reused = ctx.stats().factor_reuses > reuses;
+            assert_eq!(
+                reused && imaged,
+                only_rhs,
+                "run {run}, evaluation {evaluation}"
+            );
+            rhs_only += usize::from(only_rhs);
+        }
+        assert_eq!(ctx.stats().factor_reuses, rhs_only + 1);
+
+        // A job that breaks the key promise shows what a right-hand-side
+        // load reads: the currents of the stamps it is handed, over the
+        // matrix last factored.
+        let factored = assembled_bits(&ctx, &rhs).0;
+        let moved: Vec<f64> = base.iter().map(|v| v + 0.05).collect();
+        devices::stamp_devices(&c, &tran.layout, &moved, &mut stamps);
+        let liar = job(4, trap, &stamps, 3);
+        ctx.assemble_newton_into(&liar, &mut rhs);
+        reference.assemble_into(&liar, &mut want_rhs);
+        let (matrix, loaded_rhs) = assembled_bits(&ctx, &rhs);
+        let (full_matrix, full_rhs) = assembled_bits(&reference, &want_rhs);
+        assert_eq!(matrix, factored);
+        assert_ne!(matrix, full_matrix);
+        assert_eq!(loaded_rhs, full_rhs);
     }
 
     #[test]

@@ -87,9 +87,9 @@ fn run(
 }
 
 /// The Newton-solve ordinals of a fault-free run whose factorization was
-/// skipped because the assembled values repeated the last refactorization
-/// bit for bit: on this nonlinear circuit, first iterations of a step whose
-/// devices were bypassed.
+/// skipped because the assembly's matrix and device keys were those of the
+/// last refactorization: on this nonlinear circuit, first iterations of a
+/// step whose devices were bypassed, which load only their right-hand side.
 fn reused_ordinals(adaptive: bool) -> Vec<usize> {
     let c = circuit();
     let op = solve_dc(&c).unwrap();
