@@ -141,12 +141,6 @@ impl<T: Scalar> CsrMatrix<T> {
         y
     }
 
-    /// Largest entry magnitude, or zero for an empty matrix. Useful for
-    /// conditioning diagnostics.
-    pub fn max_modulus(&self) -> f64 {
-        self.values.iter().map(|v| v.modulus()).fold(0.0, f64::max)
-    }
-
     /// Returns the storage index of the entry at `(row, col)`, or `None` when
     /// the position is not part of the sparsity pattern.
     ///
@@ -253,7 +247,6 @@ mod tests {
         let m = CsrMatrix::<f64>::zeros(2, 4);
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.mul_vec(&[1.0; 4]), vec![0.0, 0.0]);
-        assert_eq!(m.max_modulus(), 0.0);
     }
 
     #[test]
@@ -265,12 +258,6 @@ mod tests {
         let y = m.mul_vec(&[Complex64::ONE, Complex64::I]);
         assert_eq!(y[0], Complex64::I);
         assert_eq!(y[1], Complex64::new(0.0, 2.0));
-    }
-
-    #[test]
-    fn max_modulus() {
-        let m = sample();
-        assert_eq!(m.max_modulus(), 5.0);
     }
 
     #[test]

@@ -52,6 +52,7 @@
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 mod compiled;
@@ -120,11 +121,15 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// A pivot is declared numerically singular when its modulus falls below
+/// A pivot is declared numerically singular when its modulus is not above
 /// this fraction of **its column's** largest entry modulus in the input
 /// matrix. Column-relative (rather than absolute, or matrix-norm-relative)
 /// so uniformly scaled systems behave identically at any magnitude and a
 /// small-but-healthy column is not poisoned by large entries elsewhere.
+/// The fresh factorization compares moduli; the refactorization compares
+/// squares, `|p|² ≤ fl(q·fl(1e-14·1e-14))` with `q` the column's largest
+/// squared magnitude, and moduli only where squares degenerate (see
+/// `lu/compiled.rs`).
 const SINGULARITY_RELATIVE: f64 = 1.0e-14;
 
 /// During a refactorization the precomputed pivot order is trusted only while
@@ -346,45 +351,6 @@ fn column_max_moduli_into<T: Scalar>(
     Ok(())
 }
 
-/// Largest modulus over a value slice — squared-magnitude scan with one
-/// exact [`Scalar::modulus`] on the winner, falling back to a full exact
-/// scan when any square degenerates (same rule as
-/// [`column_max_moduli_into`]).
-fn exact_max_modulus<T: Scalar>(vals: &[T]) -> f64 {
-    let mut max_sqr = 0.0f64;
-    let mut arg = T::ZERO;
-    let mut exact = true;
-    for &v in vals {
-        let m2 = v.modulus_sqr();
-        if !(m2.is_normal() || v.is_zero()) {
-            exact = false;
-        }
-        if m2 > max_sqr {
-            max_sqr = m2;
-            arg = v;
-        }
-    }
-    if exact {
-        if max_sqr > 0.0 {
-            arg.modulus()
-        } else {
-            0.0
-        }
-    } else {
-        vals.iter().map(|v| v.modulus()).fold(0.0f64, f64::max)
-    }
-}
-
-/// The matrix scales a successful refactorization records on its
-/// factorization (see the `a_max_modulus`, `u_max_modulus` and
-/// `a_norm_inf` fields of [`SparseLu`]); all zero on an unfilled shell.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-struct RefactorScales {
-    a_max: f64,
-    u_max: f64,
-    norm_inf: f64,
-}
-
 /// Why a numeric-only refactorization could not be completed: the soft
 /// failures become [`SparseLu::refactor_into`]'s `Ok(false)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -399,15 +365,17 @@ enum RefactorFailure {
 }
 
 /// Reusable scratch of the allocation-free refactorization path
-/// ([`SparseLu::refactor_into`]): the per-column magnitude scan of the
-/// input matrix.
+/// ([`SparseLu::refactor_into`]): the scan of the input matrix that feeds
+/// the pivot rule — per column the largest squared magnitude, and the exact
+/// largest modulus where squares degenerate — and records `‖A‖∞`.
 ///
 /// Create one next to the [`SymbolicLu`] whose matrices it will serve and
 /// pass it to every `refactor_into` call; after the first call no further
 /// heap allocation happens (buffers are retained at matrix dimension).
 #[derive(Debug, Clone)]
 pub struct LuWorkspace<T: Scalar> {
-    scan: ColumnScan<T>,
+    scan: ColumnScan,
+    scalar: PhantomData<T>,
 }
 
 impl<T: Scalar> Default for LuWorkspace<T> {
@@ -429,6 +397,7 @@ impl<T: Scalar> LuWorkspace<T> {
     pub fn for_dim(n: usize) -> Self {
         Self {
             scan: ColumnScan::for_dim(n),
+            scalar: PhantomData,
         }
     }
 }
@@ -457,16 +426,10 @@ pub struct SparseLu<T: Scalar> {
     /// Whether this factorization was produced by pattern-reusing
     /// refactorization (`true`) or fresh pivoting (`false`).
     refactored: bool,
-    /// Largest entry modulus of the factored matrix, recorded at
-    /// factorization time so the pivot-growth report of
-    /// `solve_refined_into` costs O(1) per solve. Zero on an unfilled
-    /// `from_symbolic` shell.
-    a_max_modulus: f64,
-    /// Largest entry modulus of the U factor, recorded like `a_max_modulus`.
-    u_max_modulus: f64,
     /// `‖A‖∞` of the factored matrix (largest row sum of
-    /// [`Scalar::modulus_l1`] moduli), recorded like `a_max_modulus`: the
-    /// backward-error scale of `solve_refined_into`.
+    /// [`Scalar::modulus_l1`] moduli), recorded at factorization time: the
+    /// backward-error scale of `solve_refined_into`. Zero on an unfilled
+    /// `from_symbolic` shell.
     a_norm_inf: f64,
 }
 
@@ -504,21 +467,18 @@ impl<T: Scalar> FreshFactors<T> {
     }
 
     /// The finished factorization of `matrix` over these factors, the
-    /// block partition and the raw off-diagonal block entries; `a_max` is
-    /// the recorded largest input modulus.
+    /// block partition and the raw off-diagonal block entries.
     fn finish(
         self,
         matrix: &CsrMatrix<T>,
         block_ptr: Vec<usize>,
         (f_ptr, f_cols, f_vals): (Vec<usize>, Vec<usize>, Vec<T>),
-        a_max: f64,
     ) -> SparseLu<T> {
         let n = self.perm.len();
         let mut cpos = vec![0usize; n];
         for (k, &c) in self.cperm.iter().enumerate() {
             cpos[c] = k;
         }
-        let u_max = exact_max_modulus(&self.u_vals);
         let mut vals = self.l_vals;
         vals.reserve(self.u_vals.len() + f_vals.len());
         vals.extend_from_slice(&self.u_vals);
@@ -542,8 +502,6 @@ impl<T: Scalar> FreshFactors<T> {
             }),
             vals,
             refactored: false,
-            a_max_modulus: a_max,
-            u_max_modulus: u_max,
             a_norm_inf: norm_inf(matrix),
         }
     }
@@ -983,13 +941,7 @@ impl<T: Scalar> SparseLu<T> {
                 f_ptr.push(f_cols.len());
             }
         }
-        let a_max = matrix.max_modulus();
-        Ok(out.finish(
-            matrix,
-            form.block_ptr().to_vec(),
-            (f_ptr, f_cols, f_vals),
-            a_max,
-        ))
+        Ok(out.finish(matrix, form.block_ptr().to_vec(), (f_ptr, f_cols, f_vals)))
     }
 
     /// Factors one irreducible diagonal block (the whole matrix when BTF
@@ -1007,12 +959,10 @@ impl<T: Scalar> SparseLu<T> {
         let mut out = FreshFactors::new(n);
         let mut scratch = BlockScratch::new();
         scratch.eliminate(matrix, col_order, &identity, &identity, &mut out)?;
-        let a_max = scratch.col_max.iter().fold(0.0f64, |a, &b| a.max(b));
         Ok(out.finish(
             matrix,
             LuPattern::single_block(n),
             (LuPattern::empty_f(n), Vec::new(), Vec::new()),
-            a_max,
         ))
     }
 
@@ -1046,8 +996,6 @@ impl<T: Scalar> SparseLu<T> {
             pattern: Arc::clone(&symbolic.pattern),
             vals: Vec::with_capacity(symbolic.pattern.factor_len()),
             refactored: false,
-            a_max_modulus: 0.0,
-            u_max_modulus: 0.0,
             a_norm_inf: 0.0,
         }
     }
@@ -1115,8 +1063,8 @@ impl<T: Scalar> SparseLu<T> {
         ws: &mut LuWorkspace<T>,
     ) -> Result<bool, SolveError> {
         let outcome = compiled::refactor(&symbolic.pattern, matrix, &mut ws.scan, &mut self.vals);
-        let scales = match outcome {
-            Ok(scales) => Some(scales),
+        let norm_inf = match outcome {
+            Ok(norm_inf) => Some(norm_inf),
             // The hard checks run before any buffer is touched, so `self`
             // is still the previous, valid factorization.
             Err(RefactorFailure::Hard(e)) => return Err(e),
@@ -1130,15 +1078,8 @@ impl<T: Scalar> SparseLu<T> {
         if !Arc::ptr_eq(&self.pattern, &symbolic.pattern) {
             self.pattern = Arc::clone(&symbolic.pattern);
         }
-        self.refactored = scales.is_some();
-        let RefactorScales {
-            a_max,
-            u_max,
-            norm_inf,
-        } = scales.unwrap_or_default();
-        self.a_max_modulus = a_max;
-        self.u_max_modulus = u_max;
-        self.a_norm_inf = norm_inf;
+        self.refactored = norm_inf.is_some();
+        self.a_norm_inf = norm_inf.unwrap_or(0.0);
         Ok(self.refactored)
     }
 
@@ -1314,8 +1255,7 @@ impl<T: Scalar> SparseLu<T> {
     /// Performs no heap allocation once `ws` has reached matrix dimension.
     ///
     /// The returned [`SolveQuality`] reports the final residual norm,
-    /// backward error, number of corrections and the factorization's
-    /// pivot-growth factor; callers escalate on
+    /// backward error and number of corrections; callers escalate on
     /// [`converged`](SolveQuality::converged)` == false` (see the retry
     /// ladder in `loopscope-spice`).
     ///
@@ -1397,16 +1337,10 @@ impl<T: Scalar> SparseLu<T> {
             berr = backward_error(norm_r, norm_a, norms.x, norm_b);
         }
         rhs.copy_from_slice(&ws.x);
-        let pivot_growth = if self.a_max_modulus > 0.0 {
-            self.u_max_modulus / self.a_max_modulus
-        } else {
-            0.0
-        };
         Ok(SolveQuality {
             residual_norm: norm_r,
             backward_error: berr,
             refinement_steps: steps,
-            pivot_growth,
             converged: berr <= REFINE_BACKWARD_TOLERANCE,
         })
     }
@@ -1594,11 +1528,6 @@ pub struct SolveQuality {
     /// Number of refinement corrections folded into the solution (`0` when
     /// the direct solve already passed the tolerance).
     pub refinement_steps: usize,
-    /// Pivot growth `max|U| / max|A|` of the factorization — a cheap
-    /// conditioning smell test: growth far above 1 means elimination
-    /// amplified entries and the factors deserve suspicion even when the
-    /// backward error passes.
-    pub pivot_growth: f64,
     /// Whether the backward error reached [`REFINE_BACKWARD_TOLERANCE`].
     /// `false` is the escalation signal of the retry ladder in
     /// `loopscope-spice`.
@@ -3275,7 +3204,6 @@ mod tests {
         assert_eq!(q.refinement_steps, 0);
         assert!(q.backward_error <= REFINE_BACKWARD_TOLERANCE);
         assert!(q.residual_norm.is_finite());
-        assert!(q.pivot_growth > 0.0 && q.pivot_growth.is_finite());
         for (xi, ti) in rhs.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-12);
         }
@@ -3484,6 +3412,78 @@ mod tests {
         );
         let x = lu.solve(&[3.0e-200, 4.0e-200]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-10 && (x[1] - 1.0).abs() < 1e-10);
+    }
+
+    /// The singularity boundary of the refactorization on a column whose
+    /// largest square is `q`: the largest pivot with
+    /// `|p|² ≤ fl(q·fl(1e-14·1e-14))` is degraded and the next representable
+    /// pivot above it factors, through `refactor_into` and through
+    /// `refactor_lanes` at widths 1 and 3. Scaled by `1e-160` or `1e160`
+    /// the column's squares degenerate, and the boundary is that of the
+    /// exact moduli, `|p| ≤ 1e-14·max|a|`, where the squared rule would
+    /// call the pivot above it degraded.
+    #[test]
+    fn refactor_singularity_boundary_is_the_squared_rule() {
+        fn check<T: Scalar>(big: T, pivot: impl Fn(f64) -> T, scaled: bool) {
+            // Column 0 holds the pivot and `big`. BTF puts the pivot in a
+            // 1×1 block of its own, so it reaches the pivot check as it was
+            // loaded, alone in its `U` row.
+            let build = |d: T| {
+                let mut t = TripletMatrix::new(2, 2);
+                t.push(0, 0, d);
+                t.push(1, 0, big);
+                t.push(1, 1, T::ONE);
+                t.to_csr()
+            };
+            let (mut lu, symbolic) = factor_symbolic(&build(big));
+            assert_eq!(symbolic.block_count(), 2);
+            let sqr = SINGULARITY_RELATIVE * SINGULARITY_RELATIVE;
+            let squared = |x: f64| pivot(x).modulus_sqr() <= big.modulus_sqr() * sqr;
+            let exact = |x: f64| pivot(x).modulus() <= big.modulus() * SINGULARITY_RELATIVE;
+            let rule = |x: f64| if scaled { exact(x) } else { squared(x) };
+            // The largest degraded `x`, walked to from the threshold.
+            let mut x = big.modulus() * SINGULARITY_RELATIVE / pivot(1.0).modulus();
+            for _ in 0..64 {
+                if !rule(x) {
+                    break;
+                }
+                x = x.next_up();
+            }
+            for _ in 0..64 {
+                if rule(x) {
+                    break;
+                }
+                x = x.next_down();
+            }
+            let up = x.next_up();
+            assert!(rule(x) && !rule(up), "boundary at {x:e}");
+            if scaled {
+                assert!(squared(up), "the squares degenerate at {up:e}");
+            }
+            let (degraded, factors) = (build(pivot(x)), build(pivot(up)));
+            let mut ws = LuWorkspace::new();
+            assert_eq!(lu.refactor_into(&symbolic, &degraded, &mut ws), Ok(false));
+            assert_eq!(lu.refactor_into(&symbolic, &factors, &mut ws), Ok(true));
+            use BatchLaneStatus::{Degraded, Factored};
+            let mut one = BatchedLu::new(&symbolic, 1);
+            for (m, status) in [(&degraded, Degraded), (&factors, Factored)] {
+                assert_eq!(refactor_all(&mut one, std::slice::from_ref(m)), [status]);
+            }
+            let mut three = BatchedLu::new(&symbolic, 3);
+            let lanes = [degraded, factors, build(big)];
+            assert_eq!(
+                refactor_all(&mut three, &lanes),
+                [Degraded, Factored, Factored]
+            );
+        }
+        for (scale, scaled) in [(1.0, false), (1.0e-160, true), (1.0e160, true)] {
+            check(3.0 * scale, |x| x, scaled);
+            check(
+                Complex64::new(1.8 * scale, 2.4 * scale),
+                |x| Complex64::new(x, 0.5 * x),
+                scaled,
+            );
+        }
     }
 
     /// Loads per-variant vectors into the lane-major store
@@ -3723,9 +3723,9 @@ mod tests {
             ]
         };
         let scalar_status = |m: &CsrMatrix<f64>| {
-            let mut ws = LuWorkspace::new();
+            let mut scan = compiled::ColumnScan::for_dim(0);
             let mut vals = Vec::new();
-            match compiled::refactor(&symbolic.pattern, m, &mut ws.scan, &mut vals) {
+            match compiled::refactor(&symbolic.pattern, m, &mut scan, &mut vals) {
                 Ok(_) => BatchLaneStatus::Factored,
                 Err(RefactorFailure::Degraded) => BatchLaneStatus::Degraded,
                 Err(RefactorFailure::PatternMismatch) => BatchLaneStatus::PatternMismatch,

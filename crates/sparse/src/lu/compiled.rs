@@ -36,51 +36,47 @@
 //!
 //! Per lane, every IEEE operation — each divide, product and subtraction —
 //! runs in the order of the scatter/gather reference (no FMA, no
-//! reassociation), so factors, lane statuses and the recorded scales are
-//! bitwise those of the reference; the test oracle in this crate pins that.
+//! reassociation), so factors, lane statuses and `‖A‖∞` are bitwise those
+//! of the reference; the test oracle in this crate pins that.
 //!
-//! # Lazy column scales
+//! # The pivot rule
 //!
-//! The singularity test compares a pivot against `1e-14` times its column's
-//! largest input modulus. The scan keeps, per column, the squared-magnitude
-//! maximum `q` and its argmax entry; the exact scale is `c = hypot(argmax)`
-//! and the test the reference runs is `p² ≤ fl(fl(c·1e-14)²)`. With unit
-//! roundoff `u = 2⁻⁵³`, `q = |z|²(1 ± 2u)`, `hypot` within one ulp (`2u`) and
-//! three further roundings, the exact threshold `s²` and its cheap estimate
-//! `A = fl(q·fl(1e-14·1e-14))` satisfy
+//! A pivot `p` is degraded when it is not above `1e-14` times its column's
+//! largest input modulus (the relative threshold of KLU, Davis & Palamadai
+//! Natarajan, ACM TOMS 37(3), 2010), or is below `1e-8` times its `U` row's
+//! largest modulus. Both tests compare squared magnitudes:
 //!
 //! ```text
-//! |s² − A| ≤ 12u·A        whenever 1e-276 ≤ q (so s² and A are normal)
+//! |p|² ≤ fl(q·fl(1e-14·1e-14))    or    |p|² < fl(1e-8·1e-8)·max|u|²
 //! ```
 //!
-//! so deciding `p² > A·(1 + 2⁻³⁰)` (not singular) or `p² < A·(1 − 2⁻³⁰)`
-//! (singular) is exact; only a pivot inside that band — or a column scale
-//! outside the normal range — pays the `hypot`. The same band bounds the
-//! recorded `max |A|`: a column whose `q` lies below `(1 − 2⁻³⁰)` times the
-//! largest `q` cannot hold the largest `hypot`, so only near-ties are
-//! evaluated.
+//! with `q` the largest [`Scalar::modulus_sqr`] of the pivot's column. The
+//! scan keeps `q` per column, so no `hypot` is taken. Squares are trusted
+//! only when every one of them is normal or an exact zero's, and `q·1e-28`
+//! only when it is a normal number (`q` zero or at least
+//! [`SQUARED_SCALE_MIN`]). Anywhere else — a degenerate square in the input
+//! or in the pivot's `U` row, or a column scale below that range — the rule
+//! runs on exact moduli, `|p| ≤ 1e-14·max|a|` or `|p| < 1e-8·max|u|`, and
+//! the exact column maxima are computed on the first pivot that needs them.
 
 use super::loops::LaneSquares;
 use super::{
-    exact_max_modulus, lane_count, loops, slot_chunk, BatchLaneStatus, BatchedLu, LanePlanes,
-    LuPattern, RefactorFailure, RefactorScales, SolveError, REFACTOR_PIVOT_RELATIVE,
-    SINGULARITY_RELATIVE,
+    lane_count, loops, slot_chunk, BatchLaneStatus, BatchedLu, LanePlanes, LuPattern,
+    RefactorFailure, SolveError, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
 };
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
 use std::borrow::Cow;
 
-/// Relative half-width of the band around the singularity threshold inside
-/// which the lazy scale falls back to the exact `hypot` — far wider than the
-/// `12u` composed rounding error of the estimate (see the module docs).
-const LAZY_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+/// Column scale squares below this take the exact-moduli rule: the squared
+/// rule needs `q·1e-28` to be a normal number.
+const SQUARED_SCALE_MIN: f64 = 1.0e-276;
 
-/// Squared column scales below this take the exact path: the estimate's
-/// error bound needs `q·1e-28` to stay a normal number.
-const LAZY_MIN_SQR: f64 = 1.0e-276;
-
-/// `fl(1e-14·1e-14)`, the squared singularity ratio of the estimate.
+/// `fl(1e-14·1e-14)`, the squared singularity ratio.
 const SINGULARITY_SQR: f64 = SINGULARITY_RELATIVE * SINGULARITY_RELATIVE;
+
+/// `fl(1e-8·1e-8)`, the squared row ratio.
+const REFACTOR_PIVOT_SQR: f64 = REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE;
 
 /// One elimination op. Op `t` belongs to `L` entry `t` (its multiplier
 /// slot) of some row `i`: the entry becomes `value / pivot`, then `count`
@@ -298,49 +294,46 @@ impl RowSlots {
     }
 }
 
-/// One matrix's column scan: per elimination column the squared-magnitude
-/// maximum and its argmax entry (the lazy form of the reference scales),
-/// plus `‖A‖∞`. Held by [`LuWorkspace`](super::LuWorkspace); sized on first
-/// use and reused.
+/// One matrix's column scan: per elimination column the largest square `q`
+/// and, filled on the first pivot that needs them, the exact largest
+/// moduli; plus `‖A‖∞`. Held by [`LuWorkspace`](super::LuWorkspace); sized
+/// on first use and reused.
 #[derive(Debug, Clone)]
-pub(super) struct ColumnScan<T: Scalar> {
+pub(super) struct ColumnScan {
     sq: Vec<f64>,
-    arg: Vec<T>,
-    /// Exact per-column maxima, filled only when some square degenerated.
     exact: Vec<f64>,
+    /// Whether `exact` holds the maxima of the scanned matrix.
+    exact_filled: bool,
     /// Whether every square was normal or the square of an exact zero.
     squares_ok: bool,
     /// `‖A‖∞`: the largest row sum of [`Scalar::modulus_l1`] moduli.
-    pub(super) norm_inf: f64,
+    norm_inf: f64,
 }
 
-impl<T: Scalar> ColumnScan<T> {
+impl ColumnScan {
     /// A scan pre-sized for dimension `n` (empty for `n = 0`).
     pub(super) fn for_dim(n: usize) -> Self {
         Self {
             sq: vec![0.0; n],
-            arg: vec![T::ZERO; n],
             exact: vec![0.0; n],
+            exact_filled: false,
             squares_ok: true,
             norm_inf: 0.0,
         }
     }
 
     /// One flat pass over `matrix` in storage (row-major) order: the
-    /// squared-magnitude argmax per elimination column (`cpos` maps original
-    /// columns) and the row sums of `‖A‖∞`, accumulated exactly like the
-    /// refined solve's residual pass. When a square degenerates the exact
-    /// per-column maxima are recomputed as the reference does.
+    /// largest square per elimination column (`cpos` maps original columns)
+    /// and the row sums of `‖A‖∞`, accumulated exactly like the refined
+    /// solve's residual pass.
     ///
     /// Fails with [`SolveError::NonFinite`] on the first non-finite entry
     /// (row-major order, original coordinates).
-    pub(super) fn scan(&mut self, matrix: &CsrMatrix<T>, cpos: &[usize]) -> Result<(), SolveError> {
-        let n = matrix.cols();
+    fn scan<T: Scalar>(&mut self, matrix: &CsrMatrix<T>, cpos: &[usize]) -> Result<(), SolveError> {
         let (row_ptr, col_idx, values) = matrix.parts();
         self.sq.clear();
-        self.sq.resize(n, 0.0);
-        self.arg.clear();
-        self.arg.resize(n, T::ZERO);
+        self.sq.resize(matrix.cols(), 0.0);
+        self.exact_filled = false;
         let mut squares_ok = true;
         let mut norm = 0.0f64;
         for r in 0..matrix.rows() {
@@ -365,7 +358,6 @@ impl<T: Scalar> ColumnScan<T> {
                 let cc = cpos[col_idx[e]];
                 if m2 > self.sq[cc] {
                     self.sq[cc] = m2;
-                    self.arg[cc] = v;
                 }
                 row_sum += v.modulus_l1();
             }
@@ -375,114 +367,61 @@ impl<T: Scalar> ColumnScan<T> {
         }
         self.squares_ok = squares_ok;
         self.norm_inf = norm;
-        if !squares_ok {
-            self.exact.clear();
-            self.exact.resize(n, 0.0);
-            for (&c, &v) in col_idx.iter().zip(values) {
-                let m = v.modulus();
-                let cc = cpos[c];
-                if m > self.exact[cc] {
-                    self.exact[cc] = m;
-                }
-            }
-        }
         Ok(())
     }
 
-    /// The reference scale of column `i`: the exact modulus of its argmax.
-    fn col_max(&self, i: usize) -> f64 {
-        if !self.squares_ok {
-            self.exact[i]
-        } else if self.sq[i] > 0.0 {
-            self.arg[i].modulus()
-        } else {
-            0.0
+    /// The exact largest modulus of elimination column `i` of the scanned
+    /// `matrix`; the first call after a scan fills every column.
+    fn col_max<T: Scalar>(&mut self, i: usize, matrix: &CsrMatrix<T>, cpos: &[usize]) -> f64 {
+        if !self.exact_filled {
+            self.exact_filled = true;
+            self.exact.resize(matrix.cols(), 0.0);
+            let (_, col_idx, values) = matrix.parts();
+            column_maxima(
+                &mut self.exact,
+                col_idx.iter().zip(values.iter().copied()),
+                cpos,
+                T::modulus,
+            );
         }
-    }
-
-    /// The largest reference scale over all columns (the recorded
-    /// `max |A|`), taking `hypot` only for near-ties of the largest square.
-    fn a_max(&self) -> f64 {
-        if !self.squares_ok {
-            return self.exact.iter().fold(0.0f64, |a, &b| a.max(b));
-        }
-        let mut best = 0;
-        for (c, &q) in self.sq.iter().enumerate() {
-            if q > self.sq[best] {
-                best = c;
-            }
-        }
-        let Some(&top) = self.sq.get(best) else {
-            return 0.0;
-        };
-        if top == 0.0 {
-            return 0.0;
-        }
-        let lead = self.arg[best];
-        let mut a_max = lead.modulus();
-        let floor = top * (1.0 - LAZY_MARGIN);
-        for (&q, &v) in self.sq.iter().zip(&self.arg) {
-            // hypot is symmetric under negation, so equal or opposite
-            // entries share the leader's modulus.
-            if q >= floor && v != lead && v != -lead {
-                a_max = a_max.max(v.modulus());
-            }
-        }
-        a_max
+        self.exact[i]
     }
 }
 
-/// Whether the squared fast path of the reference pivot rule clears a
-/// pivot of square `pivot_sqr` (not degraded), given a column scale square
-/// `q` in the fast path's range (`0`, or at least [`LAZY_MIN_SQR`] with
-/// every square exact): nonzero, not below `1e-8` times the row's largest
-/// modulus, and the column scale zero or the pivot clear of the `1e-14`
-/// band. Written without short-circuits so a loop over lanes stays
-/// branch-free.
+/// `out[cpos[c]]`: the largest `f(v)` over the `entries` `(c, v)` of
+/// original column `c` (0 for a column without entries).
 #[inline]
-fn pivot_clears(q: f64, pivot_sqr: f64, row_max_sqr: f64, row_squares_ok: bool) -> bool {
-    let row_degraded = (pivot_sqr == 0.0)
-        | (pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr);
-    let col_clear = (q == 0.0) | (pivot_sqr > q * SINGULARITY_SQR * (1.0 + LAZY_MARGIN));
-    row_squares_ok & !row_degraded & col_clear
+fn column_maxima<'a, T: Scalar>(
+    out: &mut [f64],
+    entries: impl Iterator<Item = (&'a usize, T)>,
+    cpos: &[usize],
+    f: impl Fn(T) -> f64,
+) {
+    out.fill(0.0);
+    for (&c, v) in entries {
+        let m = f(v);
+        let cc = cpos[c];
+        if m > out[cc] {
+            out[cc] = m;
+        }
+    }
 }
 
-/// The squared fast path of the reference pivot rule (module docs):
-/// whether the pivot of square `pivot_sqr` is degraded, decided from the
-/// squares alone, or `None` when only the exact path can decide. `q` /
-/// `squares_ok` are the column's largest square and whether the matrix's
-/// squares were all exact; `row_max_sqr` / `row_squares_ok` describe the
-/// squares of the pivot's `U` row.
+/// The squared pivot rule (module docs): whether a pivot of square
+/// `pivot_sqr` is degraded against the column scale square `q` and its
+/// `U` row's largest square. Valid when every square involved is exact and
+/// `q` lies in the squared range. Written without short-circuits so a loop
+/// over lanes stays branch-free.
 #[inline]
-fn pivot_fast(
-    q: f64,
-    squares_ok: bool,
-    pivot_sqr: f64,
-    row_max_sqr: f64,
-    row_squares_ok: bool,
-) -> Option<bool> {
-    // The reference takes its squared path when the scale is 0 or its
-    // square is normal.
-    if !(row_squares_ok && squares_ok && (q == 0.0 || q >= LAZY_MIN_SQR)) {
-        return None;
-    }
-    if pivot_clears(q, pivot_sqr, row_max_sqr, true) {
-        return Some(false);
-    }
-    if pivot_sqr == 0.0
-        || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
-    {
-        return Some(true);
-    }
-    // Here `q != 0` and the pivot is not above the band.
-    (pivot_sqr < q * SINGULARITY_SQR * (1.0 - LAZY_MARGIN)).then_some(true)
+fn squared_degraded(q: f64, pivot_sqr: f64, row_max_sqr: f64) -> bool {
+    (pivot_sqr <= q * SINGULARITY_SQR) | (pivot_sqr < REFACTOR_PIVOT_SQR * row_max_sqr)
 }
 
-/// The reference pivot rule of one elimination step: degraded when the
-/// pivot is zero, not above `1e-14` times its column scale, or below `1e-8`
-/// times its row's largest modulus — [`pivot_fast`] where the squares
-/// decide, else the exact rule on `col_max()`, the exact column scale, and
-/// `exact_row_max()`, the row's exact largest modulus.
+/// The pivot rule of one elimination step (module docs). `q` / `squares_ok`
+/// are the column's largest input square and whether every input square was
+/// exact; `row_max_sqr` / `row_squares_ok` the same for the pivot's `U`
+/// row. Outside the squared range the rule runs on exact moduli: `col_max()`
+/// is the column's largest input modulus and `row_max()` the row's.
 #[inline]
 fn pivot_degraded<T: Scalar>(
     q: f64,
@@ -491,27 +430,18 @@ fn pivot_degraded<T: Scalar>(
     pivot: T,
     row_max_sqr: f64,
     row_squares_ok: bool,
-    exact_row_max: impl FnOnce() -> f64,
+    row_max: impl FnOnce() -> f64,
 ) -> bool {
-    let pivot_sqr = pivot.modulus_sqr();
-    if let Some(degraded) = pivot_fast(q, squares_ok, pivot_sqr, row_max_sqr, row_squares_ok) {
-        return degraded;
-    }
-    let scale = col_max() * SINGULARITY_RELATIVE;
-    let scale_sqr = scale * scale;
-    if row_squares_ok && (scale_sqr.is_normal() || scale == 0.0) {
-        pivot_sqr == 0.0
-            || pivot_sqr <= scale_sqr
-            || pivot_sqr < REFACTOR_PIVOT_RELATIVE * REFACTOR_PIVOT_RELATIVE * row_max_sqr
+    if squares_ok && row_squares_ok && (q == 0.0 || q >= SQUARED_SCALE_MIN) {
+        squared_degraded(q, pivot.modulus_sqr(), row_max_sqr)
     } else if !pivot.is_finite() {
         // The elimination overflowed; fresh pivoting may pick a healthier
         // order, so this is degraded (soft), not hard.
         true
     } else {
         let pivot_mod = pivot.modulus();
-        pivot_mod == 0.0
-            || pivot_mod <= scale
-            || pivot_mod < REFACTOR_PIVOT_RELATIVE * exact_row_max()
+        pivot_mod <= col_max() * SINGULARITY_RELATIVE
+            || pivot_mod < REFACTOR_PIVOT_RELATIVE * row_max()
     }
 }
 
@@ -519,13 +449,13 @@ fn pivot_degraded<T: Scalar>(
 /// [`SparseLu::refactor_into`](super::SparseLu::refactor_into): scan, then
 /// scatter `matrix` into `vals` (resized to the pattern's factor length),
 /// then eliminate and check row by row, stopping at the first failure. Hard
-/// failures are detected before `vals` is touched.
+/// failures are detected before `vals` is touched. Returns `‖A‖∞`.
 pub(super) fn refactor<T: Scalar>(
     p: &LuPattern,
     matrix: &CsrMatrix<T>,
-    scan: &mut ColumnScan<T>,
+    scan: &mut ColumnScan,
     vals: &mut Vec<T>,
-) -> Result<RefactorScales, RefactorFailure> {
+) -> Result<f64, RefactorFailure> {
     let n = p.n;
     if matrix.rows() != n || matrix.cols() != n {
         return Err(RefactorFailure::Hard(SolveError::NotSquare {
@@ -544,10 +474,6 @@ pub(super) fn refactor<T: Scalar>(
 
     let nl = p.l_cols.len();
     let mut next_dst = 0usize;
-    // Running U maximum for the recorded pivot-growth scale.
-    let mut u_max_sqr = 0.0f64;
-    let mut u_max_arg = T::ZERO;
-    let mut u_squares_ok = true;
     for i in 0..n {
         if map.mismatch == Some(i) {
             return Err(RefactorFailure::PatternMismatch);
@@ -572,20 +498,15 @@ pub(super) fn refactor<T: Scalar>(
             let m2 = v.modulus_sqr();
             if !(m2.is_normal() || v.is_zero()) {
                 row_squares_ok = false;
-                u_squares_ok = false;
             }
             if m2 > row_max_sqr {
                 row_max_sqr = m2;
-            }
-            if m2 > u_max_sqr {
-                u_max_sqr = m2;
-                u_max_arg = v;
             }
         }
         if pivot_degraded(
             scan.sq[i],
             scan.squares_ok,
-            || scan.col_max(i),
+            || scan.col_max(i, matrix, &p.cpos),
             row[0],
             row_max_sqr,
             row_squares_ok,
@@ -594,26 +515,14 @@ pub(super) fn refactor<T: Scalar>(
             return Err(RefactorFailure::Degraded);
         }
     }
-    let u_max = if !u_squares_ok {
-        exact_max_modulus(&vals[nl..nl + p.u_cols.len()])
-    } else if u_max_sqr > 0.0 {
-        u_max_arg.modulus()
-    } else {
-        0.0
-    };
-    Ok(RefactorScales {
-        a_max: scan.a_max(),
-        u_max,
-        norm_inf: scan.norm_inf,
-    })
+    Ok(scan.norm_inf)
 }
 
 /// The lane-major input scan of one batched refactorization: per lane the
 /// largest square of any entry and whether every square lies in the range
-/// where the squared pivot test is exact. Against that global scale a
-/// pivot is usually cleared at once; any other pivot takes the exact
-/// column scale of its own lane ([`column_scale`](LaneScans::column_scale))
-/// and the reference rule.
+/// of the squared pivot rule. Against that global scale a pivot is usually
+/// cleared at once; any other pivot takes the column scales of its own lane
+/// ([`column`](LaneScans::column)) and the pivot rule.
 #[derive(Debug, Clone)]
 pub(super) struct LaneScans {
     /// The squares of every entry of each lane.
@@ -624,11 +533,12 @@ pub(super) struct LaneScans {
     /// row, and whether the global scale cleared the pivot.
     row: LaneSquares,
     cleared: Vec<bool>,
-    /// Per lane, the reference scales `(q, col_max)` of its `n` elimination
-    /// columns (lane `w` at `w·n..(w + 1)·n`), valid where `scaled[w]`.
+    /// Per lane, the largest square and the exact largest modulus of each
+    /// of its `n` elimination columns (lane `w` at `w·n..(w + 1)·n`), valid
+    /// where `filled[w]` says so.
     col_sqr: Vec<f64>,
     col_max: Vec<f64>,
-    scaled: Vec<bool>,
+    filled: Vec<[bool; 2]>,
 }
 
 impl LaneScans {
@@ -641,7 +551,7 @@ impl LaneScans {
             cleared: vec![false; width],
             col_sqr: vec![0.0; n * width],
             col_max: vec![0.0; n * width],
-            scaled: vec![false; width],
+            filled: vec![[false; 2]; width],
         }
     }
 
@@ -664,7 +574,7 @@ impl LaneScans {
         let (row_ptr, col_idx, _) = structure.parts();
         self.input.reset(0..wdt);
         self.non_finite[..lanes].fill(None);
-        self.scaled[..lanes].fill(false);
+        self.filled[..lanes].fill([false; 2]);
         for (&s, chunk) in slot.iter().zip(values.vals.chunks_exact(stride)) {
             let at = s as usize * stride;
             factors[at..at + stride].copy_from_slice(chunk);
@@ -682,48 +592,38 @@ impl LaneScans {
         }
     }
 
-    /// The reference scale of elimination column `i` in lane `w`, as
-    /// [`ColumnScan`] records it: `(q, col_max)`, the largest square and the
-    /// exact modulus of its first argmax — or, when the lane's squares were
-    /// not all exact, the exact largest modulus. A lane's first call after a
-    /// scan fills all its columns in one pass over its entries, in storage
-    /// order.
-    fn column_scale<T: Scalar>(
+    /// A column scale of elimination column `i` in lane `w`: its largest
+    /// square or, with `EXACT`, its exact largest modulus. A lane's first
+    /// call of either kind after a scan fills all its columns of that kind
+    /// in one pass over its entries.
+    fn column<T: Scalar, const EXACT: bool>(
         &mut self,
         w: usize,
         i: usize,
         col_idx: &[usize],
         values: &LanePlanes<T>,
         cpos: &[usize],
-    ) -> (f64, f64) {
+    ) -> f64 {
         let n = cpos.len();
-        let lane = w * n..(w + 1) * n;
-        if !self.scaled[w] {
-            self.scaled[w] = true;
-            let squares_ok = self.input.exact(w, f64::MIN_POSITIVE);
-            let q = &mut self.col_sqr[lane.clone()];
-            let max = &mut self.col_max[lane.clone()];
-            q.fill(0.0);
-            max.fill(0.0);
-            for (chunk, &c) in values.chunks().zip(col_idx) {
-                let v: T = loops::lane(chunk, w);
-                let cc = cpos[c];
-                let m2 = v.modulus_sqr();
-                if m2 > q[cc] {
-                    q[cc] = m2;
-                    if squares_ok {
-                        max[cc] = v.modulus();
-                    }
-                }
-                if !squares_ok {
-                    let m = v.modulus();
-                    if m > max[cc] {
-                        max[cc] = m;
-                    }
-                }
+        let table = if EXACT {
+            &mut self.col_max
+        } else {
+            &mut self.col_sqr
+        };
+        let lane = &mut table[w * n..(w + 1) * n];
+        let filled = &mut self.filled[w][usize::from(EXACT)];
+        if !*filled {
+            *filled = true;
+            let entries = col_idx
+                .iter()
+                .zip(values.chunks().map(|chunk| loops::lane::<T>(chunk, w)));
+            if EXACT {
+                column_maxima(lane, entries, cpos, T::modulus);
+            } else {
+                column_maxima(lane, entries, cpos, T::modulus_sqr);
             }
         }
-        (self.col_sqr[lane.start + i], self.col_max[lane.start + i])
+        lane[i]
     }
 }
 
@@ -836,7 +736,7 @@ impl<T: Scalar> BatchedLu<T> {
     /// lane still live fails with a pattern mismatch. A pivot whose square
     /// clears `1e-14` times the lane's largest entry clears its own column
     /// scale too (monotone rounding); every other pivot is decided by the
-    /// reference rule on its lane's column scale.
+    /// pivot rule on its lane's column scales.
     fn check_pivots<const W: usize>(
         &mut self,
         p: &LuPattern,
@@ -875,14 +775,14 @@ impl<T: Scalar> BatchedLu<T> {
             let (pr, pi) = loops::lane_parts::<T>(pivots, 0..wdt);
             let mut all_cleared = true;
             for w in 0..wdt {
-                // Every square exact and at least `LAZY_MIN_SQR`: the global
-                // scale and every column scale take the squared path.
-                let cleared = scan.input.exact(w, LAZY_MIN_SQR)
-                    & pivot_clears(
+                // Every square exact and at least `SQUARED_SCALE_MIN`: the
+                // global scale and every column scale take the squared rule.
+                let cleared = scan.input.exact(w, SQUARED_SCALE_MIN)
+                    & scan.row.exact(w, f64::MIN_POSITIVE)
+                    & !squared_degraded(
                         scan.input.max(w),
                         T::from_parts(pr[w], pi[w]).modulus_sqr(),
                         scan.row.max(w),
-                        scan.row.exact(w, f64::MIN_POSITIVE),
                     );
                 scan.cleared[w] = cleared;
                 all_cleared &= cleared | !self.live[w];
@@ -894,16 +794,18 @@ impl<T: Scalar> BatchedLu<T> {
                 if !self.live[w] || scan.cleared[w] {
                     continue;
                 }
+                let q = scan.column::<T, false>(w, i, col_idx, values, &p.cpos);
                 let squares_ok = scan.input.exact(w, f64::MIN_POSITIVE);
-                let (q, col_max) = scan.column_scale(w, i, col_idx, values, &p.cpos);
+                let row_max_sqr = scan.row.max(w);
+                let row_squares_ok = scan.row.exact(w, f64::MIN_POSITIVE);
                 let lane = |s: usize| loops::lane::<T>(slot_chunk(vals, s, stride), w);
                 let degraded = pivot_degraded(
                     q,
                     squares_ok,
-                    || col_max,
+                    || scan.column::<T, true>(w, i, col_idx, values, &p.cpos),
                     lane(slots.start),
-                    scan.row.max(w),
-                    scan.row.exact(w, f64::MIN_POSITIVE),
+                    row_max_sqr,
+                    row_squares_ok,
                     || {
                         slots
                             .clone()

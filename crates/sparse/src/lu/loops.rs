@@ -75,7 +75,7 @@ pub(crate) fn set_lane<T: Scalar>(chunk: &mut [f64], w: usize, v: T) {
 /// Running per-lane statistics of the squares `|v|²` of a lane-major scan:
 /// the largest square, the smallest square of a nonzero value, and a
 /// finiteness accumulator that stays `0` while every square is finite. The
-/// range tests of the reference scans ("normal or an exact zero") read off
+/// range tests of the pivot rule ("normal or an exact zero") read off
 /// the last two ([`exact`](LaneSquares::exact)); keeping them as `f64`
 /// selects and sums instead of per-lane flags leaves the loop over lanes
 /// free of branches.

@@ -55,16 +55,14 @@ pub(super) struct InverseIndex {
     pub(super) lt_ptr: Vec<usize>,
     pub(super) lt_slot: Vec<usize>,
     /// Per entry `s` of the `L` transpose (row `j` of column `i`): the `Z`
-    /// slots of `Z_kj` for every off-diagonal `k` of `U` row `i`, in `U`
-    /// order — `upper_src[upper_ptr[s]..upper_ptr[s + 1]]`. The two source
-    /// lists hold one entry per product and dominate the index size, hence
-    /// `u32`.
+    /// slots of entries `(j, k)` for every off-diagonal `k` of `U` row `i`,
+    /// in `U` order — `upper_src[upper_ptr[s]..upper_ptr[s + 1]]`. Column
+    /// `i`'s lists are one row-major block of `|L column i|` rows by `|U row
+    /// i|` off-diagonal columns: the upper recurrence reads its rows, the
+    /// lower one its columns. One entry per product, so it dominates the
+    /// index size, hence `u32`.
     pub(super) upper_ptr: Vec<usize>,
     pub(super) upper_src: Vec<u32>,
-    /// Per `U` slot `t` (row `i`, col `j`): the `Z` slots of `Z_jk` for
-    /// every `k` of `L` column `i`, in `lt` order; empty on diagonals.
-    pub(super) lower_ptr: Vec<usize>,
-    pub(super) lower_src: Vec<u32>,
     /// Per original unknown `v`: where `(A⁻¹)_vv` lives.
     pub(super) diag: Vec<DiagEntry>,
 }
@@ -105,34 +103,22 @@ impl InverseIndex {
             *s += 1;
         }
 
-        // Both source lists hold one entry per product, Σᵢ |L column i|·|U
-        // row i off-diagonal|: entry `s` (row j of column i) of the upper
-        // list reads `Z_kj` for each `k` of U row i, and the lower list of
-        // U entry `(i, k)` reads `Z_jk` at position `s` of column i — the
-        // same `(j, k)` slots, laid out once by `s` and once by `(i, k)`.
+        // The source list holds one entry per product, Σᵢ |L column i|·|U
+        // row i off-diagonal|: entry `s` (row j of column i) reads the slot
+        // of `(j, k)` for each `k` of U row i.
         let u_off = |i: usize| p.u_ptr[i + 1] - p.u_ptr[i] - 1;
         let mut upper_ptr = Vec::with_capacity(n_l + 1);
-        let mut lower_ptr = Vec::with_capacity(p.u_cols.len() + 1);
-        let (mut upper_len, mut lower_len) = (0, 0);
+        let mut upper_len = 0;
         upper_ptr.push(0);
-        lower_ptr.push(0);
         for i in 0..n {
-            let l_col = lt_ptr[i + 1] - lt_ptr[i];
-            for _ in 0..l_col {
+            for _ in lt_ptr[i]..lt_ptr[i + 1] {
                 upper_len += u_off(i);
                 upper_ptr.push(upper_len);
             }
-            lower_ptr.push(lower_len); // the diagonal
-            for _ in 0..u_off(i) {
-                lower_len += l_col;
-                lower_ptr.push(lower_len);
-            }
         }
-        let products = upper_len;
-        let mut upper_src = vec![0u32; products];
-        let mut lower_src = vec![0u32; products];
+        let mut upper_src = vec![0u32; upper_len];
 
-        // One pass over the rows fills both lists and the diagonal map.
+        // One pass over the rows fills the list and the diagonal map.
         // (A⁻¹)_vv = Z[cpos[v]][ppos[v]], stored at pattern entry
         // (ppos[v], cpos[v]) when both steps share a block.
         let mut block_of = vec![0usize; n];
@@ -147,11 +133,12 @@ impl InverseIndex {
             let slot = |c: usize| slots.get(c).filter(|&z| z < n_lu);
             let row = p.l_ptr[j]..p.l_ptr[j + 1];
             for (&i, &s) in p.l_cols[row.clone()].iter().zip(&lt_of[row]) {
-                let lower_at = s - lt_ptr[i];
-                for (m, &k) in p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]].iter().enumerate() {
-                    let z = slot(k).expect("LU pattern must be closed under elimination") as u32;
-                    upper_src[upper_ptr[s] + m] = z;
-                    lower_src[lower_ptr[p.u_ptr[i] + 1 + m] + lower_at] = z;
+                let src = &mut upper_src[upper_ptr[s]..upper_ptr[s + 1]];
+                for (z, &k) in src
+                    .iter_mut()
+                    .zip(&p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]])
+                {
+                    *z = slot(k).expect("LU pattern must be closed under elimination") as u32;
                 }
             }
             let v = p.perm[j];
@@ -167,8 +154,6 @@ impl InverseIndex {
             lt_slot,
             upper_ptr,
             upper_src,
-            lower_ptr,
-            lower_src,
             diag,
         }
     }
@@ -261,15 +246,24 @@ impl<T: Scalar> SparseLu<T> {
             let inv_d = T::ONE / u_vals[p.u_ptr[i]];
             let u_off = (p.u_ptr[i] + 1)..p.u_ptr[i + 1];
             let l_col = ix.lt_ptr[i]..ix.lt_ptr[i + 1];
-            // Upper entries Z_ij, one per L entry (row j) of column i.
-            for s in l_col.clone() {
-                let src = &ix.upper_src[ix.upper_ptr[s]..ix.upper_ptr[s + 1]];
-                z[ix.lt_slot[s]] = neg_dot(&u_vals[u_off.clone()], src, z) * inv_d;
-            }
-            // Lower entries Z_ji, one per off-diagonal U entry of row i.
-            for t in u_off.clone() {
-                let src = &ix.lower_src[ix.lower_ptr[t]..ix.lower_ptr[t + 1]];
-                z[n_l + t] = neg_dot(&ws.l_by_col[l_col.clone()], src, z);
+            // One pass over column i's source block, row `s` the slots of
+            // `(j, k)` for L entry `s` (row j) and each off-diagonal `k` of
+            // U row i: each row yields the upper entry Z_ij, and each
+            // column accumulates the lower entry Z_ji of U entry `(i, k)`,
+            // every sum subtracting in index order from zero.
+            let lower = n_l + u_off.start..n_l + u_off.end;
+            z[lower.clone()].fill(T::ZERO);
+            let (width, base) = (u_off.len(), ix.upper_ptr[l_col.start]);
+            for (a, s) in l_col.enumerate() {
+                let src = &ix.upper_src[base + a * width..base + (a + 1) * width];
+                let l = ws.l_by_col[s];
+                let mut acc = T::ZERO;
+                for ((&u, &k), t) in u_vals[u_off.clone()].iter().zip(src).zip(lower.clone()) {
+                    let zk = z[k as usize];
+                    acc -= u * zk;
+                    z[t] -= l * zk;
+                }
+                z[ix.lt_slot[s]] = acc * inv_d;
             }
             let mut acc = T::ONE;
             for t in u_off {
@@ -286,13 +280,4 @@ impl<T: Scalar> SparseLu<T> {
         }
         Ok(())
     }
-}
-
-/// `−Σ vals[k]·z[src[k]]`, subtracting in index order.
-fn neg_dot<T: Scalar>(vals: &[T], src: &[u32], z: &[T]) -> T {
-    let mut acc = T::ZERO;
-    for (&v, &k) in vals.iter().zip(src) {
-        acc -= v * z[k as usize];
-    }
-    acc
 }

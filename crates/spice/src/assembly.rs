@@ -303,7 +303,7 @@ pub trait NewtonJob: AssembleMna<f64> {
     fn rhs_key(&self) -> u64;
 
     /// The evaluated stamp of every nonlinear device, one per device in
-    /// stamp order (the order of [`StampPart::Devices`]).
+    /// stamp order (the order of [`MnaLayout::device_elements`]).
     fn device_stamps(&self) -> &[NonlinearStamp];
 
     /// Identifies [`device_stamps`](NewtonJob::device_stamps): two jobs

@@ -17,7 +17,7 @@
 //! only. The polarity handling (NPN/PNP, NMOS/PMOS) happens in here so the
 //! analyses never need to special-case device flavours.
 
-use crate::mna::{MnaLayout, StampPart};
+use crate::mna::MnaLayout;
 use crate::{GMIN, THERMAL_VOLTAGE};
 use loopscope_netlist::{
     Bjt, BjtPolarity, Circuit, Diode, Element, Mosfet, MosfetPolarity, NodeId,
@@ -105,7 +105,7 @@ pub(crate) fn stamp_device(element: &Element, voltages: &[f64]) -> NonlinearStam
 
 /// Evaluates every nonlinear device of `circuit` at `voltages` into `out`,
 /// replacing its contents, one stamp per device in stamp order (the
-/// elements of [`StampPart::Devices`] in `layout`). Allocation-free once
+/// elements of [`MnaLayout::device_elements`]). Allocation-free once
 /// `out` has held as many stamps.
 pub(crate) fn stamp_devices(
     circuit: &Circuit,
@@ -117,7 +117,7 @@ pub(crate) fn stamp_devices(
     out.clear();
     out.extend(
         layout
-            .part_elements(StampPart::Devices)
+            .device_elements()
             .iter()
             .map(|&ei| stamp_device(&elements[ei], voltages)),
     );

@@ -565,7 +565,7 @@ impl<'c> TransientAnalysis<'c> {
         // node voltages they were evaluated at (NaN until the first
         // evaluation, so that one never bypasses) and the ordinal of that
         // evaluation, the jobs' device key.
-        let device_count = self.layout.part_elements(StampPart::Devices).len();
+        let device_count = self.layout.device_elements().len();
         let mut stamps: Vec<NonlinearStamp> = Vec::with_capacity(device_count);
         let mut evaluated_at = vec![f64::NAN; node_count];
         let mut evaluations = 0u64;
