@@ -1098,10 +1098,11 @@ where
 }
 
 /// Times one Newton assembly of `job` through an adopting context: the
-/// full stamped assembly, and the load from the job's Newton image (device
-/// stamps only, over the compiled linear prefix). Asserts first that the
-/// image compiles and that its load is bit for bit the stamped assembly.
-/// Returns `(stamped_ns, image_ns)`.
+/// full stamped assembly, and the load from the job's Newton image (the
+/// compiled linear prefix and tail with the device stamps, then the
+/// right-hand side stamped through a sink that drops the matrix stamps).
+/// Asserts first that the image compiles and that its load is bit for bit
+/// the stamped assembly. Returns `(stamped_ns, image_ns)`.
 fn newton_assembly_ns(
     label: &str,
     layout: &MnaLayout,
@@ -1139,8 +1140,9 @@ fn newton_assembly_ns(
 /// Times one Newton assembly of `job` that loads only its right-hand side:
 /// once a refactorization has recorded the job's keys, every assembly of
 /// it finds the factored values in place (what a bypassed transient
-/// iteration with an unchanged step key does). Asserts first that the load
-/// is right-hand side only — the next factor reuses the factors — and that
+/// iteration with an unchanged step key does), and only the job's stamp
+/// pass runs, for the right-hand side. Asserts first that the load is
+/// right-hand side only — the next factor reuses the factors — and that
 /// its right-hand side is bit for bit the stamped assembly's. Returns ns
 /// per load.
 fn rhs_only_assembly_ns(label: &str, layout: &MnaLayout, job: &impl NewtonJob, reps: usize) -> f64 {

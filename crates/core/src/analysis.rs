@@ -58,6 +58,11 @@ impl StabilityOptions {
                 "frequency sweep bounds must satisfy 0 < start < stop".to_string(),
             ));
         }
+        if !(self.f_start.is_finite() && self.f_stop.is_finite()) {
+            return Err(StabilityError::InvalidOptions(
+                "frequency sweep bounds must be finite".to_string(),
+            ));
+        }
         if self.points_per_decade < 10 {
             return Err(StabilityError::InvalidOptions(
                 "at least 10 points per decade are required for a usable second derivative"
@@ -276,6 +281,26 @@ mod tests {
             ..Default::default()
         };
         assert!(StabilityAnalyzer::new(Circuit::new("x"), o).is_err());
+    }
+
+    #[test]
+    fn non_finite_sweep_bounds_are_invalid() {
+        for (f_start, f_stop) in [
+            (1.0e3, f64::INFINITY),
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NAN, 1.0e9),
+            (1.0e3, f64::NAN),
+        ] {
+            let o = StabilityOptions {
+                f_start,
+                f_stop,
+                ..Default::default()
+            };
+            assert!(
+                matches!(o.validate(), Err(StabilityError::InvalidOptions(_))),
+                "{f_start} .. {f_stop}"
+            );
+        }
     }
 
     #[test]

@@ -91,13 +91,20 @@ impl FrequencyGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `start <= 0`, `stop <= start` or `points_per_decade == 0`.
+    /// Panics if `start <= 0`, `stop <= start`, either bound is not finite,
+    /// `points_per_decade == 0`, or the point count overflows `usize`.
     pub fn log_decade(start: Hertz, stop: Hertz, points_per_decade: usize) -> Self {
         assert!(start > 0.0, "start frequency must be positive");
         assert!(stop > start, "stop frequency must exceed start frequency");
+        assert!(stop.is_finite(), "sweep bounds must be finite");
         assert!(points_per_decade > 0, "need at least one point per decade");
         let decades = (stop / start).log10();
-        let n = ((decades * points_per_decade as f64).ceil() as usize).max(1) + 1;
+        // The float-to-integer cast saturates, so an overflowing count
+        // reads `usize::MAX` here and fails the checked add.
+        let n = ((decades * points_per_decade as f64).ceil() as usize)
+            .max(1)
+            .checked_add(1)
+            .expect("the sweep's point count overflows usize");
         Self {
             start,
             stop,
@@ -272,6 +279,19 @@ mod tests {
         assert_eq!(collected, grid.freqs());
         let by_ref: Vec<f64> = (&grid).into_iter().copied().collect();
         assert_eq!(by_ref, collected);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep bounds must be finite")]
+    fn decade_grid_rejects_an_infinite_stop() {
+        FrequencyGrid::log_decade(1e3, f64::INFINITY, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "point count overflows")]
+    fn decade_grid_rejects_a_saturated_point_count() {
+        // 600 decades at `usize::MAX` points each: the count saturates.
+        FrequencyGrid::log_decade(1e-300, 1e300, usize::MAX);
     }
 
     #[test]

@@ -856,15 +856,15 @@ fn inverse_by_search(p: &LuPattern) -> InverseIndex {
     let products = (0..n)
         .map(|i| (lt_ptr[i + 1] - lt_ptr[i]) * (p.u_ptr[i + 1] - p.u_ptr[i] - 1))
         .sum();
-    let mut upper_ptr = Vec::with_capacity(n_l + 1);
+    let mut upper_ptr = Vec::with_capacity(n + 1);
     let mut upper_src = Vec::with_capacity(products);
     upper_ptr.push(0);
     for i in 0..n {
         let u_off = &p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]];
         for &j in &lt_row[lt_ptr[i]..lt_ptr[i + 1]] {
             upper_src.extend(u_off.iter().map(|&k| closed(j, k)));
-            upper_ptr.push(upper_src.len());
         }
+        upper_ptr.push(upper_src.len());
     }
 
     // (A⁻¹)_vv = Z[cpos[v]][ppos[v]], stored at pattern entry

@@ -54,13 +54,14 @@ pub(super) struct InverseIndex {
     /// `lt_slot[lt_ptr[i]..lt_ptr[i + 1]]`.
     pub(super) lt_ptr: Vec<usize>,
     pub(super) lt_slot: Vec<usize>,
-    /// Per entry `s` of the `L` transpose (row `j` of column `i`): the `Z`
-    /// slots of entries `(j, k)` for every off-diagonal `k` of `U` row `i`,
-    /// in `U` order — `upper_src[upper_ptr[s]..upper_ptr[s + 1]]`. Column
-    /// `i`'s lists are one row-major block of `|L column i|` rows by `|U row
-    /// i|` off-diagonal columns: the upper recurrence reads its rows, the
-    /// lower one its columns. One entry per product, so it dominates the
-    /// index size, hence `u32`.
+    /// Per column `i`: one row-major block
+    /// `upper_src[upper_ptr[i]..upper_ptr[i + 1]]` of `|L column i|` rows
+    /// by `|U row i| − 1` columns. Row `a` belongs to entry
+    /// `s = lt_ptr[i] + a` of the `L` transpose (row `j` of column `i`) and
+    /// holds the `Z` slots of entries `(j, k)` for every off-diagonal `k`
+    /// of `U` row `i`, in `U` order. The upper recurrence reads the block's
+    /// rows, the lower one its columns. One entry per product, so it
+    /// dominates the index size, hence `u32`.
     pub(super) upper_ptr: Vec<usize>,
     pub(super) upper_src: Vec<u32>,
     /// Per original unknown `v`: where `(A⁻¹)_vv` lives.
@@ -107,16 +108,11 @@ impl InverseIndex {
         // row i off-diagonal|: entry `s` (row j of column i) reads the slot
         // of `(j, k)` for each `k` of U row i.
         let u_off = |i: usize| p.u_ptr[i + 1] - p.u_ptr[i] - 1;
-        let mut upper_ptr = Vec::with_capacity(n_l + 1);
-        let mut upper_len = 0;
-        upper_ptr.push(0);
+        let mut upper_ptr = vec![0usize; n + 1];
         for i in 0..n {
-            for _ in lt_ptr[i]..lt_ptr[i + 1] {
-                upper_len += u_off(i);
-                upper_ptr.push(upper_len);
-            }
+            upper_ptr[i + 1] = upper_ptr[i] + (lt_ptr[i + 1] - lt_ptr[i]) * u_off(i);
         }
-        let mut upper_src = vec![0u32; upper_len];
+        let mut upper_src = vec![0u32; upper_ptr[n]];
 
         // One pass over the rows fills the list and the diagonal map.
         // (A⁻¹)_vv = Z[cpos[v]][ppos[v]], stored at pattern entry
@@ -133,7 +129,8 @@ impl InverseIndex {
             let slot = |c: usize| slots.get(c).filter(|&z| z < n_lu);
             let row = p.l_ptr[j]..p.l_ptr[j + 1];
             for (&i, &s) in p.l_cols[row.clone()].iter().zip(&lt_of[row]) {
-                let src = &mut upper_src[upper_ptr[s]..upper_ptr[s + 1]];
+                let start = upper_ptr[i] + (s - lt_ptr[i]) * u_off(i);
+                let src = &mut upper_src[start..start + u_off(i)];
                 for (z, &k) in src
                     .iter_mut()
                     .zip(&p.u_cols[p.u_ptr[i] + 1..p.u_ptr[i + 1]])
@@ -253,7 +250,7 @@ impl<T: Scalar> SparseLu<T> {
             // every sum subtracting in index order from zero.
             let lower = n_l + u_off.start..n_l + u_off.end;
             z[lower.clone()].fill(T::ZERO);
-            let (width, base) = (u_off.len(), ix.upper_ptr[l_col.start]);
+            let (width, base) = (u_off.len(), ix.upper_ptr[i]);
             for (a, s) in l_col.enumerate() {
                 let src = &ix.upper_src[base + a * width..base + (a + 1) * width];
                 let l = ws.l_by_col[s];

@@ -53,7 +53,7 @@ use crate::assembly::{
 use crate::dc::OperatingPoint;
 use crate::devices::{self, NonlinearStamp};
 use crate::error::SpiceError;
-use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampModel, Stamper};
 use crate::par;
 use crate::solver::SolverBackend;
 use crate::GMIN;
@@ -298,7 +298,7 @@ pub(crate) struct AcSystem<'a, 'c> {
 
 impl AssembleMna<Complex64> for AcSystem<'_, '_> {
     fn stamp<S: MatrixSink<Complex64>>(&self, st: &mut Stamper<'_, Complex64, S>) {
-        st.stamp_elements(StampPart::All, Complex64::from_real(GMIN), self);
+        st.stamp_elements(Complex64::from_real(GMIN), self);
     }
 }
 

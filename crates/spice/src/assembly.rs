@@ -20,7 +20,10 @@
 //!    through a [`TripletMatrix`](loopscope_sparse::TripletMatrix).
 //!    An AC sweep point skips the stamps altogether and loads its values
 //!    from the analysis's compiled [`AffineImage`] `G + jω·C`, bit for bit
-//!    the values a stamped assembly produces.
+//!    the values a stamped assembly produces. A DC or transient Newton
+//!    iteration loads its matrix from a compiled [`NewtonImage`] and its
+//!    evaluated device stamps, and runs its stamp pass for the right-hand
+//!    side alone.
 //! 2. **Factorization** is the numeric-only, allocation-free
 //!    [`SparseLu::refactor_into`] against a [`SymbolicLu`] captured once
 //!    from a fresh [`SparseLu::factor`] (block-triangular form, a
@@ -58,7 +61,7 @@
 
 use crate::devices::NonlinearStamp;
 use crate::error::SpiceError;
-use crate::mna::{MatrixSink, MnaLayout, StampPart, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, Stamper};
 use loopscope_math::{Complex64, TWO_PI};
 use loopscope_sparse::{
     CsrMatrix, InverseWorkspace, LuWorkspace, RefineWorkspace, Scalar, SolveError, SolveQuality,
@@ -279,17 +282,17 @@ impl AffineImage {
     }
 }
 
-/// A Newton-iteration assembly job whose linear stamps a [`NewtonImage`]
-/// compiles once: the DC operating-point system and the transient
-/// time-point system.
+/// A Newton-iteration assembly job whose linear matrix stamps a
+/// [`NewtonImage`] compiles once: the DC operating-point system and the
+/// transient time-point system.
 ///
 /// Between Newton iterations only the nonlinear devices move. The linear
 /// elements stamp the same matrix values for as long as the parameters
-/// behind [`matrix_key`](NewtonJob::matrix_key) stay put, and the same
-/// right-hand side for as long as [`rhs_key`](NewtonJob::rhs_key) does. The
-/// devices arrive evaluated, as data ([`device_stamps`](NewtonJob::device_stamps)),
-/// and stamp the same values for as long as
-/// [`device_key`](NewtonJob::device_key) stays put.
+/// behind [`matrix_key`](NewtonJob::matrix_key) stay put. The devices arrive
+/// evaluated, as data ([`device_stamps`](NewtonJob::device_stamps)), and
+/// stamp the same values for as long as
+/// [`device_key`](NewtonJob::device_key) stays put. The right-hand side has
+/// no key: every assembly stamps it.
 pub trait NewtonJob: AssembleMna<f64> {
     /// The bits of every parameter the linear elements' matrix stamps
     /// depend on: the step width and integration method of a transient
@@ -297,13 +300,9 @@ pub trait NewtonJob: AssembleMna<f64> {
     /// stamp equal linear matrix values.
     fn matrix_key(&self) -> [u64; 2];
 
-    /// Identifies the linear right-hand side (independent sources and
-    /// reactive history): two jobs with equal matrix and right-hand-side
-    /// keys must stamp equal linear right-hand sides.
-    fn rhs_key(&self) -> u64;
-
     /// The evaluated stamp of every nonlinear device, one per device in
-    /// stamp order (the order of [`MnaLayout::device_elements`]).
+    /// stamp order (the order of [`MnaLayout::device_elements`]), which
+    /// [`AssembleMna::stamp`] adds in order through [`Stamper::add_device`].
     fn device_stamps(&self) -> &[NonlinearStamp];
 
     /// Identifies [`device_stamps`](NewtonJob::device_stamps): two jobs
@@ -312,12 +311,6 @@ pub trait NewtonJob: AssembleMna<f64> {
     /// iteration keeps the key of the stamps it reuses); a job that
     /// evaluates its devices afresh takes a key no other job has.
     fn device_key(&self) -> u64;
-
-    /// Stamps `part` of the system. [`StampPart::All`] must be exactly
-    /// [`AssembleMna::stamp`], adding the
-    /// [`device_stamps`](NewtonJob::device_stamps) in order through
-    /// [`Stamper::add_device`].
-    fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart);
 }
 
 /// A device key no other job has: the key of a job that evaluates its
@@ -330,14 +323,11 @@ pub(crate) fn fresh_device_key() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Destination of a linear right-hand-side stamp that folds into the prefix.
-const RHS_PREFIX: u32 = u32::MAX;
-
-/// Slot (or row) of a device entry on the ground row or column, which no
-/// assembly stores.
+/// Slot of a device entry on the ground row or column, which no assembly
+/// stores.
 const GROUND: u32 = u32::MAX;
 
-/// Narrows a pattern or unknown index for the compact image tables.
+/// Narrows a slot or table index for the compact image tables.
 fn index_u32(v: usize) -> u32 {
     u32::try_from(v).expect("pattern index fits u32")
 }
@@ -348,10 +338,10 @@ fn position(row: usize, col: usize) -> u64 {
     ((row as u64) << 32) | col as u64
 }
 
-/// The compiled linear part of a Newton system: per slot, the fold of the
-/// linear stamps that precede the slot's first device stamp, and a replay
-/// program for everything after it — SPICE2's constant `G + α·C` companion
-/// Jacobian (Nagel, UCB/ERL M520, 1975), kept bitwise.
+/// The compiled linear part of a Newton system's matrix: per slot, the fold
+/// of the linear stamps that precede the slot's first device stamp, and a
+/// replay program for everything after it — SPICE2's constant `G + α·C`
+/// companion Jacobian (Nagel, UCB/ERL M520, 1975), kept bitwise.
 ///
 /// A [`SolveContext`] compiles one when a [`NewtonJob`]'s matrix key is
 /// assembled a second time. Every later iteration with that key copies the
@@ -359,11 +349,8 @@ fn position(row: usize, col: usize) -> u64 {
 /// [`device_stamps`](NewtonJob::device_stamps), adding each at its
 /// compiled slots, with the linear "tail" constants — linear stamps that
 /// come after a device stamp on the same slot — interleaved at their
-/// original places. The right-hand side follows the same rule; its linear
-/// values are restamped once per [`rhs_key`](NewtonJob::rhs_key) (once per
-/// Newton run) instead of once per iteration. When the value buffer still
-/// holds the factored values of the iteration's keys, the load replays the
-/// right-hand side alone.
+/// original places. The image holds no right-hand side: the job's own
+/// stamp pass writes it, through a sink that drops the matrix stamps.
 ///
 /// # Why a load is bitwise identical to a stamped assembly
 ///
@@ -372,13 +359,13 @@ fn position(row: usize, col: usize) -> u64 {
 /// same order, and every later stamp is added in its original order, so
 /// each slot sees exactly the operations of a stamped assembly. The
 /// argument needs the linear stamps to be the ones the key promises; a
-/// context keeps an image only when one load reproduces the full stamped
-/// assembly it was compiled beside bit for bit, and stamps as before when
-/// it does not.
+/// context keeps an image only when one load reproduces the matrix of the
+/// full stamped assembly it was compiled beside bit for bit, and stamps as
+/// before when it does not. The right-hand side comes from the job's own
+/// stamp pass, so it is the full assembly's by construction.
 #[derive(Debug, Clone)]
 pub struct NewtonImage {
     key: [u64; 2],
-    rhs_key: u64,
     /// Per slot: the fold of the linear stamps before its first device stamp.
     prefix: Vec<f64>,
     /// Device conductances in stamp order, `(node position, slot)`; the
@@ -387,21 +374,9 @@ pub struct NewtonImage {
     /// Linear matrix stamps after a device stamp on their slot,
     /// `(slot, value)` in stamp order.
     tail: Vec<(u32, f64)>,
-    /// Per unknown: the fold of the linear right-hand-side stamps before
-    /// its first device stamp.
-    rhs_prefix: Vec<f64>,
-    /// Device companion currents in stamp order, `(node, row)`; the row is
-    /// [`GROUND`] for the ground node.
-    rhs_devices: Vec<(u32, u32)>,
-    /// Linear right-hand-side stamps after a device stamp on their row,
-    /// `(row, value)` in stamp order.
-    rhs_tail: Vec<(u32, f64)>,
-    /// Every linear right-hand-side stamp in stamp order, `(row, dest)`:
-    /// `dest` indexes `rhs_tail`, or is [`RHS_PREFIX`].
-    rhs_linear: Vec<(u32, u32)>,
-    /// Per device, in stamp order: how many `tail` and `rhs_tail`
-    /// constants precede its stamps (the load adds them first).
-    device_starts: Vec<(u32, u32)>,
+    /// Per device, in stamp order: how many `tail` constants precede its
+    /// stamps (the load adds them first).
+    device_starts: Vec<u32>,
 }
 
 impl NewtonImage {
@@ -412,27 +387,20 @@ impl NewtonImage {
         layout: &MnaLayout,
         pattern: &CsrMatrix<f64>,
     ) -> Option<NewtonImage> {
-        let n = layout.dim();
         let compiler = NewtonCompiler {
             pattern,
             touched: vec![false; pattern.nnz()],
-            rhs_touched: vec![false; n],
             missed: false,
             image: NewtonImage {
                 key: job.matrix_key(),
-                rhs_key: job.rhs_key(),
                 prefix: vec![0.0; pattern.nnz()],
                 devices: Vec::new(),
                 tail: Vec::new(),
-                rhs_prefix: vec![0.0; n],
-                rhs_devices: Vec::new(),
-                rhs_tail: Vec::new(),
-                rhs_linear: Vec::new(),
                 device_starts: Vec::new(),
             },
         };
-        let mut st = Stamper::with_sink_over(layout, compiler, Vec::new());
-        job.stamp_part(&mut st, StampPart::All);
+        let mut st = Stamper::with_sink(layout, compiler);
+        job.stamp(&mut st);
         let (compiler, _) = st.into_parts();
         (!compiler.missed).then_some(compiler.image)
     }
@@ -450,121 +418,61 @@ impl NewtonImage {
         self.tail.len()
     }
 
-    /// Restamps the linear right-hand side of `job` into the prefix and the
-    /// tail; `false` when its stamps do not follow the compiled sequence.
-    fn refresh_rhs(&mut self, job: &impl NewtonJob, layout: &MnaLayout) -> bool {
-        self.rhs_prefix.fill(0.0);
-        let refresh = RhsRefresh {
-            linear: &self.rhs_linear,
-            prefix: &mut self.rhs_prefix,
-            tail: &mut self.rhs_tail,
-            next: 0,
-            missed: false,
-        };
-        let mut st = Stamper::with_sink_over(layout, refresh, Vec::new());
-        job.stamp_part(&mut st, StampPart::LinearRhs);
-        let (refresh, _) = st.into_parts();
-        let ok = !refresh.missed && refresh.next == self.rhs_linear.len();
-        if ok {
-            self.rhs_key = job.rhs_key();
-        }
-        ok
-    }
-
-    /// Loads a system with the devices' `stamps`: the prefixes, then the
-    /// stamps and the tail constants in stamp order, into `values` and
-    /// `rhs`. Without `MATRIX` it loads the right-hand side alone, by the
-    /// same operations in the same order, and leaves `values` untouched.
+    /// Loads the matrix with the devices' `stamps` into `values`: the
+    /// prefix, then the stamps and the tail constants in stamp order.
     /// `false` when the stamps do not follow the compiled sequence (the
     /// loaded values are then unusable).
-    fn load<const MATRIX: bool>(
-        &self,
-        stamps: &[NonlinearStamp],
-        values: &mut [f64],
-        rhs: &mut Vec<f64>,
-    ) -> bool {
+    fn load(&self, stamps: &[NonlinearStamp], values: &mut [f64]) -> bool {
         if stamps.len() != self.device_starts.len() {
             return false;
         }
-        if MATRIX {
-            values.copy_from_slice(&self.prefix);
-        }
-        rhs.clear();
-        rhs.extend_from_slice(&self.rhs_prefix);
-        let (mut tail, mut rhs_tail, mut next, mut rhs_next) = (0, 0, 0, 0);
+        values.copy_from_slice(&self.prefix);
+        let (mut tail, mut next) = (0, 0);
         // A local, so the position checks form no chain through memory.
         let mut differs = false;
-        for (stamp, &(tail_end, rhs_tail_end)) in stamps.iter().zip(&self.device_starts) {
-            let (tail_end, rhs_tail_end) = (tail_end as usize, rhs_tail_end as usize);
-            if MATRIX {
-                for &(slot, value) in &self.tail[tail..tail_end] {
-                    values[slot as usize] += value;
-                }
+        for (stamp, &tail_end) in stamps.iter().zip(&self.device_starts) {
+            let tail_end = tail_end as usize;
+            for &(slot, value) in &self.tail[tail..tail_end] {
+                values[slot as usize] += value;
             }
             tail = tail_end;
-            for &(row, value) in &self.rhs_tail[rhs_tail..rhs_tail_end] {
-                rhs[row as usize] += value;
-            }
-            rhs_tail = rhs_tail_end;
-            let (conductances, currents) = (stamp.conductances(), stamp.rhs_currents());
-            let (Some(slots), Some(rows)) = (
-                self.devices.get(next..next + conductances.len()),
-                self.rhs_devices.get(rhs_next..rhs_next + currents.len()),
-            ) else {
+            let conductances = stamp.conductances();
+            let Some(slots) = self.devices.get(next..next + conductances.len()) else {
                 return false;
             };
             next += conductances.len();
-            rhs_next += currents.len();
-            if MATRIX {
-                for (&(r, c, value), &(pos, slot)) in conductances.iter().zip(slots) {
-                    differs |= pos != position(r.index(), c.index());
-                    if slot != GROUND {
-                        values[slot as usize] += value;
-                    }
-                }
-            }
-            for (&(node, value), &(n, row)) in currents.iter().zip(rows) {
-                differs |= n as usize != node.index();
-                if row != GROUND {
-                    rhs[row as usize] += value;
+            for (&(r, c, value), &(pos, slot)) in conductances.iter().zip(slots) {
+                differs |= pos != position(r.index(), c.index());
+                if slot != GROUND {
+                    values[slot as usize] += value;
                 }
             }
         }
-        if MATRIX {
-            for &(slot, value) in &self.tail[tail..] {
-                values[slot as usize] += value;
-            }
+        for &(slot, value) in &self.tail[tail..] {
+            values[slot as usize] += value;
         }
-        for &(row, value) in &self.rhs_tail[rhs_tail..] {
-            rhs[row as usize] += value;
-        }
-        !differs && next == self.devices.len() && rhs_next == self.rhs_devices.len()
+        !differs && next == self.devices.len()
     }
 
-    /// The self-check: whether a load of `job` reproduces `stamped` and
-    /// `rhs` (its full stamped assembly over the same pattern) bit for bit.
-    fn reproduces(&self, job: &impl NewtonJob, stamped: &CsrMatrix<f64>, rhs: &[f64]) -> bool {
+    /// The self-check: whether a load of `job` reproduces `stamped` (its
+    /// full stamped assembly over the same pattern) bit for bit.
+    fn reproduces(&self, job: &impl NewtonJob, stamped: &CsrMatrix<f64>) -> bool {
         let mut values = vec![0.0; self.prefix.len()];
-        let mut loaded_rhs = Vec::new();
-        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
         self.prefix.len() == stamped.nnz()
-            && self.load::<true>(job.device_stamps(), &mut values, &mut loaded_rhs)
+            && self.load(job.device_stamps(), &mut values)
             && values
                 .iter()
                 .zip(stamped.iter())
-                .all(|(a, (_, _, b))| same(a, &b))
-            && loaded_rhs.len() == rhs.len()
-            && loaded_rhs.iter().zip(rhs).all(|(a, b)| same(a, b))
+                .all(|(a, (_, _, b))| a.to_bits() == b.to_bits())
     }
 }
 
-/// Matrix sink that compiles a [`NewtonImage`] from a full
-/// ([`StampPart::All`]) pass over a fixed pattern.
+/// Matrix sink that compiles a [`NewtonImage`] from a full stamp pass over
+/// a fixed pattern.
 struct NewtonCompiler<'m> {
     pattern: &'m CsrMatrix<f64>,
-    /// Slots (and unknowns) a device stamp has reached so far.
+    /// Slots a device stamp has reached so far.
     touched: Vec<bool>,
-    rhs_touched: Vec<bool>,
     missed: bool,
     image: NewtonImage,
 }
@@ -583,22 +491,9 @@ impl MatrixSink<f64> for NewtonCompiler<'_> {
         }
     }
 
-    fn add_rhs(&mut self, _rhs: &mut [f64], row: usize, value: f64) {
+    fn add_device(&mut self, layout: &MnaLayout, stamp: &NonlinearStamp) {
         let image = &mut self.image;
-        if self.rhs_touched[row] {
-            let dest = index_u32(image.rhs_tail.len());
-            image.rhs_linear.push((index_u32(row), dest));
-            image.rhs_tail.push((index_u32(row), value));
-        } else {
-            image.rhs_linear.push((index_u32(row), RHS_PREFIX));
-            image.rhs_prefix[row] += value;
-        }
-    }
-
-    fn add_device(&mut self, layout: &MnaLayout, _rhs: &mut [f64], stamp: &NonlinearStamp) {
-        let image = &mut self.image;
-        let starts = (index_u32(image.tail.len()), index_u32(image.rhs_tail.len()));
-        image.device_starts.push(starts);
+        image.device_starts.push(index_u32(image.tail.len()));
         for &(r, c, _) in stamp.conductances() {
             let slot = match (layout.node_var(r), layout.node_var(c)) {
                 (Some(row), Some(col)) => {
@@ -613,48 +508,16 @@ impl MatrixSink<f64> for NewtonCompiler<'_> {
             };
             image.devices.push((position(r.index(), c.index()), slot));
         }
-        for &(node, _) in stamp.rhs_currents() {
-            let row = match layout.node_var(node) {
-                Some(row) => {
-                    self.rhs_touched[row] = true;
-                    index_u32(row)
-                }
-                None => GROUND,
-            };
-            image.rhs_devices.push((index_u32(node.index()), row));
-        }
     }
 }
 
-/// Sink of a [`StampPart::LinearRhs`] pass that rewrites an image's linear
-/// right-hand side in place; matrix stamps are the compiled constants and
-/// are dropped.
-struct RhsRefresh<'m> {
-    linear: &'m [(u32, u32)],
-    prefix: &'m mut [f64],
-    tail: &'m mut [(u32, f64)],
-    next: usize,
-    missed: bool,
-}
+/// Matrix sink that drops every stamp: a pass through it writes the job's
+/// right-hand side alone, by the operations of a full assembly's.
+struct RhsOnly;
 
-impl MatrixSink<f64> for RhsRefresh<'_> {
+impl MatrixSink<f64> for RhsOnly {
     #[inline]
     fn add(&mut self, _row: usize, _col: usize, _value: f64) {}
-
-    #[inline]
-    fn add_rhs(&mut self, _rhs: &mut [f64], row: usize, value: f64) {
-        match self.linear.get(self.next) {
-            Some(&(r, dest)) if r as usize == row => {
-                if dest == RHS_PREFIX {
-                    self.prefix[row] += value;
-                } else {
-                    self.tail[dest as usize].1 = value;
-                }
-                self.next += 1;
-            }
-            _ => self.missed = true,
-        }
-    }
 }
 
 /// Counters describing how a [`SolveContext`] served its solves.
@@ -1519,15 +1382,15 @@ impl SolveContext<'_, f64> {
     /// The first assembly of a [`matrix_key`](NewtonJob::matrix_key) stamps
     /// in full. The second stamps in full too and compiles the key's
     /// [`NewtonImage`] beside it, which is kept only when one load
-    /// reproduces that assembly bit for bit. From then on an assembly with
-    /// the key loads the image: it restamps the linear right-hand side when
-    /// the [`rhs_key`](NewtonJob::rhs_key) has changed, and adds the job's
-    /// [`device_stamps`](NewtonJob::device_stamps). When the value buffer
-    /// still holds the values the context last refactored, and their keys
-    /// are this job's matrix and [`device_key`](NewtonJob::device_key), the
-    /// load writes the right-hand side alone, and
-    /// [`factor`](SolveContext::factor) reuses the factors. A device stamp
-    /// sequence the image did not record (a MOSFET swapping drain and
+    /// reproduces that assembly's matrix bit for bit. From then on an
+    /// assembly with the key loads its matrix from the image, adding the
+    /// job's [`device_stamps`](NewtonJob::device_stamps), and stamps its
+    /// right-hand side through a sink that drops the matrix stamps. When the
+    /// value buffer still holds the values the context last refactored, and
+    /// their keys are this job's matrix and
+    /// [`device_key`](NewtonJob::device_key), the matrix load is skipped,
+    /// and [`factor`](SolveContext::factor) reuses the factors. A device
+    /// stamp sequence the image did not record (a MOSFET swapping drain and
     /// source, say) drops the image and stamps in full; a pattern rebuild
     /// drops it too. So a one-iteration solve pays nothing extra. Image
     /// loads count in `cached_assemblies` like pattern hits, and the steady
@@ -1547,7 +1410,7 @@ impl SolveContext<'_, f64> {
                     .as_ref()
                     .expect("a pattern hit fills the value buffer");
                 self.newton = NewtonImage::compile(job, self.layout, csr)
-                    .filter(|image| image.reproduces(job, csr, rhs));
+                    .filter(|image| image.reproduces(job, csr));
                 self.newton_seen = Some((keys.0, self.newton.is_none()));
             }
         }
@@ -1559,31 +1422,28 @@ impl SolveContext<'_, f64> {
     }
 
     /// Loads `job` from the Newton image of its matrix key, if there is one
-    /// and the devices replay in their compiled order — the right-hand side
-    /// alone when the buffer holds the factored values of `keys`; drops the
-    /// image otherwise.
+    /// and the devices replay in their compiled order, and stamps its
+    /// right-hand side; the matrix load is skipped when the buffer holds
+    /// the factored values of `keys`. Drops the image when the devices do
+    /// not replay.
     fn load_newton(&mut self, job: &impl NewtonJob, keys: NewtonKeys, rhs: &mut Vec<f64>) -> bool {
-        let (Some(image), Some(csr)) = (self.newton.as_mut(), self.csr.as_mut()) else {
+        let (Some(image), Some(csr)) = (self.newton.as_ref(), self.csr.as_mut()) else {
             return false;
         };
         if image.key != keys.0 {
             return false;
         }
         let unchanged = self.assembled_keys == Some(keys) && self.factored_keys == Some(keys);
-        let stamps = job.device_stamps();
-        let loaded = (image.rhs_key == job.rhs_key() || image.refresh_rhs(job, self.layout))
-            && if unchanged {
-                image.load::<false>(stamps, &mut [], rhs)
-            } else {
-                image.load::<true>(stamps, csr.values_mut(), rhs)
-            };
-        if loaded {
-            self.off_pattern = None;
-            self.factored = false;
-        } else {
+        if !unchanged && !image.load(job.device_stamps(), csr.values_mut()) {
             self.newton = None;
+            return false;
         }
-        loaded
+        let mut st = Stamper::with_sink_reusing(self.layout, RhsOnly, std::mem::take(rhs));
+        job.stamp(&mut st);
+        *rhs = st.into_parts().1;
+        self.off_pattern = None;
+        self.factored = false;
+        true
     }
 
     /// The Newton image the context loads its current key from, if any.
@@ -1893,9 +1753,7 @@ mod tests {
         }
     }
 
-    /// A device-free job as a Newton job under explicit keys. Every part
-    /// stamps the whole job: the right-hand-side refresh drops matrix
-    /// stamps, and no load asks for device stamps.
+    /// A device-free job as a Newton job under explicit keys.
     struct Keyed<J> {
         job: J,
         matrix_key: [u64; 2],
@@ -1913,20 +1771,12 @@ mod tests {
             self.matrix_key
         }
 
-        fn rhs_key(&self) -> u64 {
-            0
-        }
-
         fn device_stamps(&self) -> &[NonlinearStamp] {
             &[]
         }
 
         fn device_key(&self) -> u64 {
             self.device_key
-        }
-
-        fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, _part: StampPart) {
-            self.job.stamp(st);
         }
     }
 

@@ -16,7 +16,7 @@
 use crate::assembly::{fresh_device_key, AssembleMna, NewtonJob, SolveContext};
 use crate::devices::{self, NonlinearStamp};
 use crate::error::SpiceError;
-use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampModel, Stamper};
 use crate::GMIN;
 use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
 use std::borrow::Cow;
@@ -201,9 +201,9 @@ impl OperatingPoint {
 /// Newton trial voltages only move values, so the whole DC solve — every
 /// iteration of every gmin/source-stepping phase — shares one cached pattern
 /// and (pivot health permitting) one symbolic LU analysis. The linear
-/// matrix stamps depend on `gshunt` alone and the linear right-hand side on
-/// `source_scale` alone: those are the job's Newton image keys. The devices
-/// arrive evaluated at the trial solution, under a device key of their own.
+/// matrix stamps depend on `gshunt` alone, the job's Newton image key. The
+/// devices arrive evaluated at the trial solution, under a device key of
+/// their own.
 struct DcSystem<'a> {
     circuit: &'a Circuit,
     layout: &'a MnaLayout,
@@ -215,7 +215,7 @@ struct DcSystem<'a> {
 
 impl AssembleMna<f64> for DcSystem<'_> {
     fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-        self.stamp_part(st, StampPart::All);
+        st.stamp_elements(GMIN + self.gshunt, self);
     }
 }
 
@@ -224,20 +224,12 @@ impl NewtonJob for DcSystem<'_> {
         [self.gshunt.to_bits(), 0]
     }
 
-    fn rhs_key(&self) -> u64 {
-        self.source_scale.to_bits()
-    }
-
     fn device_stamps(&self) -> &[NonlinearStamp] {
         &self.stamps
     }
 
     fn device_key(&self) -> u64 {
         self.device_key
-    }
-
-    fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
-        st.stamp_elements(part, GMIN + self.gshunt, self);
     }
 }
 
@@ -1080,8 +1072,7 @@ mod tests {
             }
         }
         // Each gmin stage compiles on its second iteration and loads after;
-        // the source-stepping stages share the zero-shunt key and restamp
-        // only the right-hand side.
+        // the source-stepping stages share the zero-shunt key's image.
         assert!(loads >= 2 * (opts.gmin_decades + 1) + 3 * opts.source_steps);
         let image = ctx.newton_image().unwrap();
         assert!(

@@ -19,48 +19,17 @@
 //! `StampModel` trait, only for what differs: a capacitor's admittance and
 //! history current, an inductor's branch term and history, an independent
 //! source's value, and each nonlinear device's stamp.
+//!
+//! A pass writes the matrix stamps into a [`MatrixSink`] and the right-hand
+//! side into the [`Stamper`]'s own vector. A Newton iteration that loads its
+//! matrix from a compiled image still runs the whole pass, through a sink
+//! that drops the matrix stamps, so its right-hand side is the one a full
+//! assembly builds.
 
 use crate::devices::NonlinearStamp;
 use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
 use loopscope_sparse::{Scalar, TripletMatrix};
 use std::collections::HashMap;
-
-/// Which stamps of an assembly job one pass emits: the full assembly, and
-/// the parts a [`NewtonImage`](crate::assembly::NewtonImage) keeps apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StampPart {
-    /// Every stamp in element order: the job's full assembly.
-    All,
-    /// The stamps of the linear elements that can stamp the right-hand
-    /// side — independent sources, capacitors and inductors — in the same
-    /// order: what a Newton image restamps once per Newton run.
-    LinearRhs,
-}
-
-impl StampPart {
-    /// Every part, in declaration order.
-    pub const ALL: [StampPart; 2] = [StampPart::All, StampPart::LinearRhs];
-
-    /// Whether the pass stamps the gmin conductances of the node
-    /// diagonals (linear stamps outside any element).
-    pub fn stamps_gmin(self) -> bool {
-        self == StampPart::All
-    }
-
-    /// Whether the pass stamps `element`.
-    pub fn stamps(self, element: &Element) -> bool {
-        match self {
-            StampPart::All => true,
-            StampPart::LinearRhs => matches!(
-                element,
-                Element::Vsource(_)
-                    | Element::Isource(_)
-                    | Element::Capacitor(_)
-                    | Element::Inductor(_)
-            ),
-        }
-    }
-}
 
 /// Index assignment for the MNA unknown vector of a circuit.
 #[derive(Debug, Clone)]
@@ -74,10 +43,6 @@ pub struct MnaLayout {
     /// the controlling source's branch — resolved once here so stamp loops
     /// index a table instead of hashing element names.
     element_branches: Vec<(Option<u32>, Option<u32>)>,
-    /// Per [`StampPart`] (in declaration order): the positions of the
-    /// elements that pass stamps, so a right-hand-side pass visits only its
-    /// own elements.
-    part_elements: [Vec<usize>; 2],
     /// The positions of the nonlinear devices, in circuit order: the stamp
     /// order of a Newton job's evaluated device stamps.
     device_elements: Vec<usize>,
@@ -120,22 +85,19 @@ impl MnaLayout {
                 (var_of(el.name()), control)
             })
             .collect();
-        let positions = |keep: &dyn Fn(&Element) -> bool| {
-            let elements = circuit.elements().iter().enumerate();
-            elements
-                .filter(|(_, el)| keep(el))
-                .map(|(ei, _)| ei)
-                .collect()
-        };
-        let part_elements = StampPart::ALL.map(|part| positions(&|el| part.stamps(el)));
-        let device_elements = positions(&Element::is_nonlinear);
+        let device_elements = circuit
+            .elements()
+            .iter()
+            .enumerate()
+            .filter(|(_, el)| el.is_nonlinear())
+            .map(|(ei, _)| ei)
+            .collect();
         Self {
             node_count: circuit.node_count(),
             node_names,
             branch_names,
             branch_index,
             element_branches,
-            part_elements,
             device_elements,
         }
     }
@@ -172,12 +134,6 @@ impl MnaLayout {
     #[inline]
     pub fn element_branch(&self, element: usize) -> Option<usize> {
         self.element_branches[element].0.map(|v| v as usize)
-    }
-
-    /// Positions, in circuit order, of the elements a `part` pass stamps.
-    #[inline]
-    pub fn part_elements(&self, part: StampPart) -> &[usize] {
-        &self.part_elements[part as usize]
     }
 
     /// Positions, in circuit order, of the nonlinear devices: the stamp
@@ -222,35 +178,23 @@ impl MnaLayout {
 /// coordinate entry) and by [`crate::assembly::SlotSink`] (in-place
 /// re-assembly: every stamp accumulates into a precomputed CSR value slot).
 /// Element stamping code is written once against [`Stamper`] and works with
-/// either destination.
+/// either destination. A sink sees the matrix stamps only: the stamper adds
+/// the right-hand side into its own vector, so every pass of a job builds
+/// the same right-hand side whatever its sink.
 pub trait MatrixSink<T: Scalar> {
     /// Accumulates `value` at `(row, col)`.
     fn add(&mut self, row: usize, col: usize, value: T);
 
-    /// Accumulates `value` into `rhs[row]`, the stamper's right-hand side.
-    /// Sinks that compile or refresh a right-hand side of their own override
-    /// it to see every right-hand-side stamp in order.
+    /// Accumulates one nonlinear device's linearized conductances, entries
+    /// on the ground row or column dropped through `layout`. Every other
+    /// matrix stamp is a linear element's. The default adds the entries
+    /// one by one, in order; the sink that compiles a Newton image takes
+    /// the device as a whole.
     #[inline]
-    fn add_rhs(&mut self, rhs: &mut [T], row: usize, value: T) {
-        rhs[row] += value;
-    }
-
-    /// Accumulates one nonlinear device's linearized stamp: its
-    /// conductances, then its companion currents into `rhs`, entries on
-    /// the ground row or column dropped through `layout`. Every other stamp
-    /// is a linear element's. The default adds the entries one by one, in
-    /// that order; the sink that compiles a Newton image takes the device
-    /// as a whole.
-    #[inline]
-    fn add_device(&mut self, layout: &MnaLayout, rhs: &mut [T], stamp: &NonlinearStamp) {
+    fn add_device(&mut self, layout: &MnaLayout, stamp: &NonlinearStamp) {
         for &(r, c, g) in stamp.conductances() {
             if let (Some(r), Some(c)) = (layout.node_var(r), layout.node_var(c)) {
                 self.add(r, c, T::from_f64(g));
-            }
-        }
-        for &(node, i) in stamp.rhs_currents() {
-            if let Some(r) = layout.node_var(node) {
-                self.add_rhs(rhs, r, T::from_f64(i));
             }
         }
     }
@@ -264,8 +208,8 @@ pub(crate) trait StampModel<T: Scalar> {
     /// The circuit whose elements are stamped.
     fn circuit(&self) -> &Circuit;
 
-    /// The circuit's own layout: which elements a part stamps and which
-    /// unknowns their branches own. The stamper may address another layout
+    /// The circuit's own layout: which unknowns the elements' branches
+    /// own. The stamper may address another layout
     /// of the same dimension (a batched variant stamped over the batch
     /// base's pattern); node unknowns are the same in every layout.
     fn layout(&self) -> &MnaLayout;
@@ -352,21 +296,13 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
         }
     }
 
-    /// Like [`with_sink_reusing`](Stamper::with_sink_reusing), but keeping
-    /// `rhs` exactly as it is: the sink keeps a right-hand side of its own
-    /// (a Newton image's compile and right-hand-side refresh pass an empty
-    /// one, so neither allocates it).
-    pub fn with_sink_over(layout: &'a MnaLayout, sink: S, rhs: Vec<T>) -> Self {
-        Self {
-            layout,
-            matrix: sink,
-            rhs,
-        }
-    }
-
-    /// Adds one nonlinear device's stamp; see [`MatrixSink::add_device`].
+    /// Adds one nonlinear device's stamp: its conductances through
+    /// [`MatrixSink::add_device`], then its companion currents.
     pub fn add_device(&mut self, stamp: &NonlinearStamp) {
-        self.matrix.add_device(self.layout, &mut self.rhs, stamp);
+        self.matrix.add_device(self.layout, stamp);
+        for &(node, i) in stamp.rhs_currents() {
+            self.add_rhs_node(node, T::from_f64(i));
+        }
     }
 
     /// The layout this stamper addresses.
@@ -409,13 +345,13 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
     /// Adds `val` to the right-hand side entry of a node-voltage row.
     pub fn add_rhs_node(&mut self, node: NodeId, val: T) {
         if let Some(r) = self.layout.node_var(node) {
-            self.matrix.add_rhs(&mut self.rhs, r, val);
+            self.rhs[r] += val;
         }
     }
 
     /// Adds `val` to the right-hand side entry of a raw unknown row.
     pub fn add_rhs_var(&mut self, row: usize, val: T) {
-        self.matrix.add_rhs(&mut self.rhs, row, val);
+        self.rhs[row] += val;
     }
 
     /// Stamps a two-terminal admittance `y` between nodes `a` and `b`
@@ -434,22 +370,19 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
         self.add_rhs_node(out_of, -i);
     }
 
-    /// Stamps the elements of `part` of `model`'s system: the node-diagonal
-    /// `gmin` first (when the part stamps it), then every element of the
-    /// part in circuit order, positions and branches taken from the model's
-    /// own layout.
-    pub(crate) fn stamp_elements<M: StampModel<T>>(&mut self, part: StampPart, gmin: T, model: &M) {
+    /// Stamps `model`'s system: the node-diagonal `gmin` first, then every
+    /// element in circuit order, positions and branches taken from the
+    /// model's own layout.
+    pub(crate) fn stamp_elements<M: StampModel<T>>(&mut self, gmin: T, model: &M) {
         let circuit = model.circuit();
-        if part.stamps_gmin() {
-            for node in circuit.signal_nodes_iter() {
-                self.add_node_node(node, node, gmin);
-            }
+        for node in circuit.signal_nodes_iter() {
+            self.add_node_node(node, node, gmin);
         }
         let layout = model.layout();
         let branch = |ei: usize| layout.element_branch(ei).expect("element owns a branch");
         let mut devices = 0;
-        for &ei in layout.part_elements(part) {
-            match model.element(ei, &circuit.elements()[ei]) {
+        for (ei, element) in circuit.elements().iter().enumerate() {
+            match model.element(ei, element) {
                 Element::Resistor(r) => self.stamp_admittance(r.a, r.b, T::from_f64(1.0 / r.ohms)),
                 Element::Capacitor(c) => {
                     if let Some((y, history)) = model.capacitor(ei, c) {
@@ -553,7 +486,7 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
 pub(crate) mod tests {
     use super::*;
     use crate::ac::AcAnalysis;
-    use crate::assembly::{AssembleMna, NewtonJob};
+    use crate::assembly::AssembleMna;
     use crate::batch::ParameterVariation;
     use crate::dc::{self, solve_dc};
     use crate::tran::{Integration, TransientAnalysis, TransientOptions};
@@ -690,7 +623,7 @@ pub(crate) mod tests {
 
     /// Every analysis's stamps of the every-kind circuit, and of the same
     /// circuit plus a MOSFET that conducts with drain and source swapped at
-    /// its operating point: the DC job, both transient methods (each part),
+    /// its operating point: the DC job, both transient methods,
     /// and the AC system at two frequencies — probe system, and with the
     /// circuit's sources and value overrides — against fingerprints of the
     /// stamp sequences taken before the analyses shared one stamp body.
@@ -728,16 +661,14 @@ pub(crate) mod tests {
                 .collect();
             let dc_job = dc::assembly_job(c, &layout, v);
             let tran = TransientAnalysis::new(c, TransientOptions::new(1.0e-9, 1.0e-6)).unwrap();
-            for part in StampPart::ALL {
+            let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
+            dc_job.stamp(&mut st);
+            got.push(fingerprint(st));
+            for method in [Integration::BackwardEuler, Integration::Trapezoidal] {
                 let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
-                dc_job.stamp_part(&mut st, part);
+                tran.assembly_job(2.0e-9, method, v, &history)
+                    .stamp(&mut st);
                 got.push(fingerprint(st));
-                for method in [Integration::BackwardEuler, Integration::Trapezoidal] {
-                    let mut st = Stamper::with_sink(&layout, Recorder(Vec::new()));
-                    tran.assembly_job(2.0e-9, method, v, &history)
-                        .stamp_part(&mut st, part);
-                    got.push(fingerprint(st));
-                }
             }
             let ac = AcAnalysis::new(c, &op).unwrap();
             let positions = variation.rule_positions(c).unwrap();
@@ -751,28 +682,20 @@ pub(crate) mod tests {
                 got.push(fingerprint(st));
             }
         }
-        let pinned: [(usize, u64); 20] = [
-            // every-kind circuit — All: DC, BE, trapezoidal
+        let pinned: [(usize, u64); 14] = [
+            // every-kind circuit — DC, BE, trapezoidal
             (56, 0xb7a444a5c6df0b7d),
             (58, 0x678ba6664eeb6829),
             (58, 0x3a160d98aeb02ba2),
-            // every-kind circuit — LinearRhs: DC, BE, trapezoidal
-            (8, 0x3663e01ce2ccdaa4),
-            (10, 0xf7cf8d79603ac884),
-            (10, 0xd0e076b5b7ae9fd3),
             // every-kind circuit — AC at 1 kHz, then 10 MHz: probe, sources + overrides
             (70, 0xd47aa0d340129843),
             (70, 0xceaaecbfb476fa96),
             (70, 0xa1a10bfb56f600ac),
             (70, 0x5882d6fdf175d6d9),
-            // with the swapped MOSFET — All: DC, BE, trapezoidal
+            // with the swapped MOSFET — DC, BE, trapezoidal
             (58, 0xba29dad86ebc2bbf),
             (60, 0x0dd88278881df0bf),
             (60, 0x950cc24683c1edac),
-            // with the swapped MOSFET — LinearRhs: DC, BE, trapezoidal
-            (8, 0x3663e01ce2ccdaa4),
-            (10, 0xf7cf8d79603ac884),
-            (10, 0xd0e076b5b7ae9fd3),
             // with the swapped MOSFET — AC at 1 kHz, then 10 MHz: probe, sources + overrides
             (72, 0x94a3ec1bcc8143f7),
             (72, 0x52d16e9f0ae2355a),

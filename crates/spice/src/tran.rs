@@ -74,7 +74,7 @@ use crate::assembly::{fresh_device_key, AssembleMna, NewtonJob, SolveContext, So
 use crate::dc::OperatingPoint;
 use crate::devices::{self, NonlinearStamp};
 use crate::error::{SpiceError, StepRejectReason, StepRejection};
-use crate::mna::{MatrixSink, MnaLayout, StampModel, StampPart, Stamper};
+use crate::mna::{MatrixSink, MnaLayout, StampModel, Stamper};
 use crate::GMIN;
 use loopscope_math::interp;
 use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
@@ -571,9 +571,6 @@ impl<'c> TransientAnalysis<'c> {
         let mut evaluations = 0u64;
         let mut stats = TransientStats::default();
         let mut solve_ordinal = 0usize;
-        // Newton runs started: every attempt restamps its linear
-        // right-hand side once.
-        let mut runs = 0u64;
 
         // Predictor history: the accepted solution *before* `voltages` and
         // the step width that led from it to `voltages`. Invalidated across
@@ -654,7 +651,6 @@ impl<'c> TransientAnalysis<'c> {
                 // Newton iteration — named in the non-convergence error so
                 // the user knows which unknown refused to settle.
                 let mut worst_node = None;
-                runs += 1;
                 for _ in 0..opts.max_newton {
                     // Bypass: a trial point within `vntol` of the last
                     // evaluation at every node reuses every stamp, and
@@ -677,7 +673,6 @@ impl<'c> TransientAnalysis<'c> {
                     }
                     let job = TimestepSystem {
                         analysis: self,
-                        run: runs,
                         t: t_new,
                         dt: h_c,
                         method,
@@ -861,10 +856,8 @@ impl<'c> TransientAnalysis<'c> {
     /// with every reactive history value (capacitor current, inductor
     /// voltage, branch current) read from `history`, which must be at least
     /// as long as the element list and the MNA dimension. A diagnostic and
-    /// benchmark entry point. Its right-hand-side key is `t`'s bits, so
-    /// jobs for the same `t` that one context assembles must share
-    /// `voltages` and `history`. The job owns its devices' stamps,
-    /// evaluated here, under a device key no other job has.
+    /// benchmark entry point. The job owns its devices' stamps, evaluated
+    /// here, under a device key no other job has.
     pub fn assembly_job<'a>(
         &'a self,
         t: f64,
@@ -876,7 +869,6 @@ impl<'c> TransientAnalysis<'c> {
         devices::stamp_devices(self.circuit, &self.layout, voltages, &mut stamps);
         TimestepSystem {
             analysis: self,
-            run: t.to_bits(),
             t,
             dt: self.options.dt_min,
             method,
@@ -902,14 +894,11 @@ fn unallocatable_rows(options: &TransientOptions) -> SpiceError {
 /// Assembly job for one Newton iteration of one transient time point.
 ///
 /// The linear matrix stamps depend only on the step width and the
-/// integration method (the Newton image's matrix key). The linear
-/// right-hand side (sources at `t`, companion history) is fixed for a
-/// whole Newton run, which `run` numbers. The devices arrive evaluated,
-/// one stamp per device in stamp order, under the key `device_key`.
+/// integration method (the Newton image's matrix key). The devices arrive
+/// evaluated, one stamp per device in stamp order, under the key
+/// `device_key`.
 struct TimestepSystem<'a, 'c> {
     analysis: &'a TransientAnalysis<'c>,
-    /// Ordinal of the Newton run (the step attempt) this iteration serves.
-    run: u64,
     t: f64,
     dt: f64,
     method: Integration,
@@ -925,7 +914,7 @@ struct TimestepSystem<'a, 'c> {
 
 impl AssembleMna<f64> for TimestepSystem<'_, '_> {
     fn stamp<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>) {
-        self.stamp_part(st, StampPart::All);
+        st.stamp_elements(GMIN, self);
     }
 }
 
@@ -938,20 +927,12 @@ impl NewtonJob for TimestepSystem<'_, '_> {
         [self.dt.to_bits(), method]
     }
 
-    fn rhs_key(&self) -> u64 {
-        self.run
-    }
-
     fn device_stamps(&self) -> &[NonlinearStamp] {
         &self.stamps
     }
 
     fn device_key(&self) -> u64 {
         self.device_key
-    }
-
-    fn stamp_part<S: MatrixSink<f64>>(&self, st: &mut Stamper<'_, f64, S>, part: StampPart) {
-        st.stamp_elements(part, GMIN, self);
     }
 }
 
@@ -1705,7 +1686,7 @@ mod tests {
         let ind_voltage: Vec<f64> = (0..elements).map(|k| -1.0e-3 * k as f64).collect();
         let mut branch = vec![0.0; tran.layout.dim()];
         branch[tran.layout.branch_var("L1").unwrap()] = 2.0e-5;
-        // (run, t, dt, method, left limit): the backward-Euler start-up
+        // (step, t, dt, method, left limit): the backward-Euler start-up
         // step, three trapezoidal steps, the step landing on the 1 µs
         // breakpoint by its left limit, the backward-Euler restart after
         // it, and a shortened final step.
@@ -1723,24 +1704,23 @@ mod tests {
         let mut loads = 0;
         let mut tails = 0;
         let mut stamps = Vec::new();
-        for (run, t, dt, method, left_limit) in steps {
+        for (step, t, dt, method, left_limit) in steps {
             for k in 0..4 {
                 // Each Newton iteration moves the devices' operating point.
                 let trial: Vec<f64> = base
                     .iter()
                     .enumerate()
-                    .map(|(i, v)| v + 1.0e-3 * (k * i) as f64 - 2.0e-3 * run as f64)
+                    .map(|(i, v)| v + 1.0e-3 * (k * i) as f64 - 2.0e-3 * step as f64)
                     .collect();
                 devices::stamp_devices(&c, &tran.layout, &trial, &mut stamps);
                 let job = TimestepSystem {
                     analysis: &tran,
-                    run,
                     t,
                     dt,
                     method,
                     left_limit,
                     stamps: Cow::Borrowed(&stamps),
-                    device_key: 4 * run + k as u64,
+                    device_key: 4 * step + k as u64,
                     prev: &base,
                     prev_cap_current: &cap_current,
                     prev_ind_voltage: &ind_voltage,
@@ -1783,13 +1763,12 @@ mod tests {
         let ind_voltage: Vec<f64> = (0..elements).map(|k| -1.0e-3 * k as f64).collect();
         let mut branch = vec![0.0; tran.layout.dim()];
         branch[tran.layout.branch_var("L1").unwrap()] = 2.0e-5;
-        let job = |run: u64, method, stamps: &[NonlinearStamp], device_key| TimestepSystem {
+        let job = |t, left_limit, method, stamps: &[NonlinearStamp], device_key| TimestepSystem {
             analysis: &tran,
-            run,
-            t: run as f64 * dt,
+            t,
             dt,
             method,
-            left_limit: false,
+            left_limit,
             stamps: Cow::Owned(stamps.to_vec()),
             device_key,
             prev: &base,
@@ -1798,10 +1777,12 @@ mod tests {
             prev_solution: &branch,
         };
         let (be, trap) = (Integration::BackwardEuler, Integration::Trapezoidal);
-        // (run, method, device evaluation, whether the load is right-hand
-        // side only): a backward-Euler run whose key compiles on its second
-        // iteration, a new run under the same keys, a re-evaluated device,
+        // (step, method, device evaluation, whether the load is right-hand
+        // side only): a backward-Euler step whose key compiles on its second
+        // iteration, a new step under the same keys, a re-evaluated device,
         // the switch to trapezoidal (a new matrix key), and the same again.
+        // Step `k` ends at `k·dt`; step 100 lands on VG's 1 µs step by its
+        // left limit.
         let iterations = [
             (1, be, 1, false),
             (1, be, 1, false),
@@ -1815,20 +1796,28 @@ mod tests {
             (4, trap, 2, true),
             (4, trap, 3, false),
             (4, trap, 3, true),
+            (100, trap, 3, true),
         ];
+        let landing = 1.0e-6;
         let mut ctx = SolveContext::adopting(&tran.layout);
         let mut reference = SolveContext::adopting(&tran.layout);
         let (mut rhs, mut want_rhs) = (Vec::new(), Vec::new());
         let mut stamps = Vec::new();
         let mut rhs_only = 0;
-        for (run, method, evaluation, only_rhs) in iterations {
+        for (step, method, evaluation, only_rhs) in iterations {
             let trial: Vec<f64> = base
                 .iter()
                 .enumerate()
                 .map(|(i, v)| v + 1.0e-3 * (evaluation as usize * i) as f64)
                 .collect();
             devices::stamp_devices(&c, &tran.layout, &trial, &mut stamps);
-            let job = job(run, method, &stamps, evaluation);
+            let left_limit = step == 100;
+            let t = if left_limit {
+                landing
+            } else {
+                step as f64 * dt
+            };
+            let job = job(t, left_limit, method, &stamps, evaluation);
             let reuses = ctx.stats().factor_reuses;
             let imaged = ctx
                 .newton_image()
@@ -1838,7 +1827,7 @@ mod tests {
             assert_eq!(
                 assembled_bits(&ctx, &rhs),
                 assembled_bits(&reference, &want_rhs),
-                "run {run}, evaluation {evaluation}"
+                "step {step}, evaluation {evaluation}"
             );
             ctx.solve_verified_in_place(&mut rhs).unwrap();
             // An assembly with the factored keys reuses the factors; one
@@ -1849,11 +1838,18 @@ mod tests {
             assert_eq!(
                 reused && imaged,
                 only_rhs,
-                "run {run}, evaluation {evaluation}"
+                "step {step}, evaluation {evaluation}"
             );
             rhs_only += usize::from(only_rhs);
         }
         assert_eq!(ctx.stats().factor_reuses, rhs_only + 1);
+        // The landing's sources are VG's left limit, not its stepped value.
+        let stepped = job(landing, false, trap, &stamps, 3);
+        reference.assemble_into(&stepped, &mut want_rhs);
+        let vg = tran.layout.branch_var("VG").unwrap();
+        let mut landed = Vec::new();
+        reference.assemble_into(&job(landing, true, trap, &stamps, 3), &mut landed);
+        assert_ne!(landed[vg].to_bits(), want_rhs[vg].to_bits());
 
         // A job that breaks the key promise shows what a right-hand-side
         // load reads: the currents of the stamps it is handed, over the
@@ -1861,7 +1857,7 @@ mod tests {
         let factored = assembled_bits(&ctx, &rhs).0;
         let moved: Vec<f64> = base.iter().map(|v| v + 0.05).collect();
         devices::stamp_devices(&c, &tran.layout, &moved, &mut stamps);
-        let liar = job(4, trap, &stamps, 3);
+        let liar = job(landing, true, trap, &stamps, 3);
         ctx.assemble_newton_into(&liar, &mut rhs);
         reference.assemble_into(&liar, &mut want_rhs);
         let (matrix, loaded_rhs) = assembled_bits(&ctx, &rhs);
