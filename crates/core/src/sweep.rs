@@ -87,13 +87,13 @@ impl NodeSweep {
 /// Corner variants share the circuit *topology* — they differ only in
 /// component values — so the frequency sweeps of all variants run through
 /// the batched engine ([`loopscope_spice::batch`]): **one** symbolic
-/// analysis serves the entire sweep, variants are packed
-/// [`LOOPSCOPE_BATCH`](loopscope_spice::batch::BATCH_ENV) lanes wide through
-/// the batched refactor/solve, and variant groups × frequency points are
-/// chunked across worker threads (`LOOPSCOPE_THREADS`). Each variant still
-/// gets its own DC operating point. Results are in input order and bitwise
-/// identical to analysing each variant independently, at any worker count
-/// and batch lane width.
+/// analysis serves the entire sweep, variants are packed up to
+/// [`MAX_LANES`](loopscope_sparse::MAX_LANES) lanes wide through the batched
+/// refactor/solve, and variant groups × frequency points are chunked across
+/// worker threads (`LOOPSCOPE_THREADS`). Each variant still gets its own DC
+/// operating point. Results are in input order and bitwise identical to
+/// analysing each variant independently, at any worker count and batch
+/// size.
 ///
 /// Variants whose topology differs from the first variant's (different
 /// nodes, different system dimension) are analysed per-variant through

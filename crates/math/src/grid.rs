@@ -117,9 +117,14 @@ impl FrequencyGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `stop <= start` or `points < 2`.
+    /// Panics if `stop <= start`, either bound is not finite, or
+    /// `points < 2`.
     pub fn linear(start: Hertz, stop: Hertz, points: usize) -> Self {
         assert!(stop > start, "stop frequency must exceed start frequency");
+        assert!(
+            start.is_finite() && stop.is_finite(),
+            "sweep bounds must be finite"
+        );
         assert!(points >= 2, "need at least two points");
         Self {
             start,
@@ -292,6 +297,12 @@ mod tests {
     fn decade_grid_rejects_a_saturated_point_count() {
         // 600 decades at `usize::MAX` points each: the count saturates.
         FrequencyGrid::log_decade(1e-300, 1e300, usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep bounds must be finite")]
+    fn linear_grid_rejects_an_infinite_start() {
+        FrequencyGrid::linear(f64::NEG_INFINITY, 1.0, 3);
     }
 
     #[test]

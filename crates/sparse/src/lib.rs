@@ -97,8 +97,8 @@ pub use csr::CsrMatrix;
 pub use kernels::KernelBackend;
 pub use lu::{
     normwise_backward_error, BatchLaneStatus, BatchedLu, InverseWorkspace, LanePlanes, LuWorkspace,
-    RefineWorkspace, SolveError, SolveQuality, SparseLu, SymbolicLu, ORDERED_PIVOT_THRESHOLD,
-    REFINE_BACKWARD_TOLERANCE, REFINE_MAX_STEPS,
+    RefineWorkspace, SolveError, SolveQuality, SparseLu, SymbolicLu, MAX_LANES,
+    ORDERED_PIVOT_THRESHOLD, REFINE_BACKWARD_TOLERANCE, REFINE_MAX_STEPS,
 };
 pub use scalar::Scalar;
 pub use triplet::TripletMatrix;

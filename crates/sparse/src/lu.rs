@@ -1950,21 +1950,15 @@ fn slot_chunk(v: &[f64], t: usize, stride: usize) -> &[f64] {
     &v[t * stride..(t + 1) * stride]
 }
 
-/// The lane count of a batched pass specialized to `W` lanes: `W`, or the
-/// runtime `width` for the generic pass `W = 0`.
-#[inline(always)]
-fn lane_count<const W: usize>(width: usize) -> usize {
-    if W == 0 {
-        width
-    } else {
-        W
-    }
-}
+/// The most variant lanes one [`BatchedLu`] carries: the widest lane width
+/// with a specialized pass. A batch of more variants runs in groups of this
+/// many lanes.
+pub const MAX_LANES: usize = 8;
 
-/// Calls `$s.$f::<W>(..)` with the lane width of `$s` as the compile-time
-/// constant `W` for widths 1 to 8 (`W = 0`, the runtime width, for any
-/// wider batch), so every lane loop of those widths has a fixed trip count
-/// and every chunk copy a fixed length.
+/// Calls `$s.$f::<W>(..)` with the lane width of `$s` (one of
+/// `1..=`[`MAX_LANES`], checked by [`BatchedLu::new`]) as the compile-time
+/// constant `W`, so every lane loop has a fixed trip count and every chunk
+/// copy a fixed length.
 macro_rules! by_width {
     ($s:ident . $f:ident ( $($arg:expr),* $(,)? )) => {
         match $s.width {
@@ -1976,7 +1970,7 @@ macro_rules! by_width {
             6 => $s.$f::<6>($($arg),*),
             7 => $s.$f::<7>($($arg),*),
             8 => $s.$f::<8>($($arg),*),
-            _ => $s.$f::<0>($($arg),*),
+            w => unreachable!("lane width {w} outside 1..={MAX_LANES}"),
         }
     };
 }
@@ -1993,8 +1987,8 @@ macro_rules! by_width {
 /// the scalar order (no FMA, no reassociation, no cross-lane math), **each
 /// lane's factors and solutions are bitwise identical to a scalar
 /// [`SparseLu::refactor_into`] / [`SparseLu::solve_into`] run on that lane's
-/// matrix alone**, at any batch width. `width == 1` is therefore not a special
-/// case but the serial reference the determinism suite compares against.
+/// matrix alone**, at any width in `1..=`[`MAX_LANES`]. `width == 1` is
+/// therefore not a special case.
 ///
 /// The point is lane-major from the load to the acceptance test:
 /// [`refactor_lanes`](BatchedLu::refactor_lanes) takes every lane's values
@@ -2049,9 +2043,12 @@ impl<T: Scalar> BatchedLu<T> {
     ///
     /// # Panics
     ///
-    /// Panics when `width` is zero.
+    /// Panics when `width` is outside `1..=`[`MAX_LANES`].
     pub fn new(symbolic: &SymbolicLu, width: usize) -> Self {
-        assert!(width > 0, "batch width must be at least 1");
+        assert!(
+            (1..=MAX_LANES).contains(&width),
+            "batch width {width} outside 1..={MAX_LANES}"
+        );
         let p = Arc::clone(&symbolic.pattern);
         let n = p.n;
         p.program();
@@ -2177,14 +2174,14 @@ impl<T: Scalar> BatchedLu<T> {
     }
 
     /// The substitutions of [`solve_lanes`](BatchedLu::solve_lanes) at `W`
-    /// lanes (see [`lane_count`]).
+    /// lanes.
     fn substitute<const W: usize>(&mut self, b: &LanePlanes<T>, x: &mut LanePlanes<T>) {
         let p = &*self.pattern;
         // The traversal of the scalar `solve_into`, one slot streaming over
         // every lane: F and U sources live in later elimination rows than
         // the destination, L sources in earlier ones, so the borrow splits
         // are valid, and every lane multiplies its *own* factor value.
-        let st = T::PLANES * lane_count::<W>(self.width);
+        let st = T::PLANES * W;
         let (l_vals, rest) = self.vals.vals.split_at(p.l_cols.len() * st);
         let (u_vals, f_vals) = rest.split_at(p.u_cols.len() * st);
         let work = &mut self.work.vals;
@@ -2272,7 +2269,7 @@ impl<T: Scalar> BatchedLu<T> {
     }
 
     /// The residual pass of [`backward_errors`](BatchedLu::backward_errors)
-    /// at `W` lanes (see [`lane_count`]). It runs every lane of the width;
+    /// at `W` lanes. It runs every lane of the width;
     /// a surplus lane's result is never read.
     fn residual_pass<const W: usize>(
         &mut self,
@@ -2282,14 +2279,13 @@ impl<T: Scalar> BatchedLu<T> {
         b: &LanePlanes<T>,
         errors: &mut [f64],
     ) {
-        let wdt = lane_count::<W>(self.width);
-        let stride = T::PLANES * wdt;
+        let stride = T::PLANES * W;
         let (row_ptr, col_idx, _) = structure.parts();
         for scan in &mut self.norms {
-            scan.reset(0..wdt);
+            scan.reset(0..W);
         }
-        let norm_a = &mut self.norm_a[..wdt];
-        let row_sum = &mut self.row_sum[..wdt];
+        let norm_a = &mut self.norm_a[..W];
+        let row_sum = &mut self.row_sum[..W];
         norm_a.fill(0.0);
         let rows = self.residual.vals.chunks_exact_mut(stride);
         let mut entries = values.vals.chunks_exact(stride).zip(col_idx);
@@ -2306,7 +2302,7 @@ impl<T: Scalar> BatchedLu<T> {
                 }
             }
             for (scan, v) in self.norms.iter_mut().zip([&*r, xr, br]) {
-                scan.fold::<T>(v, 0..wdt);
+                scan.fold::<T>(v, 0..W);
             }
         }
         let norm = |k: usize, w: usize, v: &LanePlanes<T>| {
@@ -3804,6 +3800,22 @@ mod tests {
         // A structure off the pattern marks every lane.
         let statuses = refactor_all(&mut batched, &[stray.clone(), stray]);
         assert_eq!(statuses, [BatchLaneStatus::PatternMismatch; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch width 0 outside 1..=8")]
+    fn batched_lu_rejects_zero_lanes() {
+        let a = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let (_, symbolic) = factor_symbolic(&a);
+        BatchedLu::<f64>::new(&symbolic, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch width 9 outside 1..=8")]
+    fn batched_lu_rejects_more_lanes_than_the_widest_pass() {
+        let a = csr_from_dense(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let (_, symbolic) = factor_symbolic(&a);
+        BatchedLu::<f64>::new(&symbolic, MAX_LANES + 1);
     }
 
     #[test]

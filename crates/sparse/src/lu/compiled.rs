@@ -61,8 +61,8 @@
 
 use super::loops::LaneSquares;
 use super::{
-    lane_count, loops, slot_chunk, BatchLaneStatus, BatchedLu, LanePlanes, LuPattern,
-    RefactorFailure, SolveError, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
+    loops, slot_chunk, BatchLaneStatus, BatchedLu, LanePlanes, LuPattern, RefactorFailure,
+    SolveError, REFACTOR_PIVOT_RELATIVE, SINGULARITY_RELATIVE,
 };
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
@@ -557,7 +557,7 @@ impl LaneScans {
 
     /// One pass over the stored entries of `structure`, whose entry `e` in
     /// lane `w` is `values.get(e, w)`, that scans every lane of the width
-    /// `W` (see [`lane_count`](super::lane_count)) and copies the chunk of
+    /// `W` and copies the chunk of
     /// entry `e` to factor slot `slot[e]`. Each of lanes `0..lanes` with a
     /// non-finite square then takes one pass of its own for its first
     /// non-finite entry.
@@ -569,16 +569,15 @@ impl LaneScans {
         slot: &[u32],
         factors: &mut [f64],
     ) {
-        let wdt = lane_count::<W>(values.width());
-        let stride = T::PLANES * wdt;
+        let stride = T::PLANES * W;
         let (row_ptr, col_idx, _) = structure.parts();
-        self.input.reset(0..wdt);
+        self.input.reset(0..W);
         self.non_finite[..lanes].fill(None);
         self.filled[..lanes].fill([false; 2]);
         for (&s, chunk) in slot.iter().zip(values.vals.chunks_exact(stride)) {
             let at = s as usize * stride;
             factors[at..at + stride].copy_from_slice(chunk);
-            self.input.fold::<T>(chunk, 0..wdt);
+            self.input.fold::<T>(chunk, 0..W);
         }
         for w in 0..lanes {
             if self.input.finite(w) {
@@ -704,7 +703,7 @@ impl<T: Scalar> BatchedLu<T> {
     /// One pass of the elimination ops over every lane.
     fn eliminate<const W: usize>(&mut self, p: &LuPattern) {
         let prog = p.program();
-        let stride = T::PLANES * lane_count::<W>(self.width);
+        let stride = T::PLANES * W;
         let vals = &mut self.vals.vals;
         // A multiplier that is exactly zero in some lane takes the per-lane
         // loop, which preserves the scalar path's `is_zero` skip bit for
@@ -744,8 +743,7 @@ impl<T: Scalar> BatchedLu<T> {
         col_idx: &[usize],
         values: &LanePlanes<T>,
     ) {
-        let wdt = lane_count::<W>(self.width);
-        let stride = T::PLANES * wdt;
+        let stride = T::PLANES * W;
         let vals = &self.vals.vals;
         let nl = p.l_cols.len();
         let mut alive = self.live.iter().filter(|&&l| l).count();
@@ -768,13 +766,13 @@ impl<T: Scalar> BatchedLu<T> {
             // pivot is the row's first chunk.
             let row = &vals[slots.start * stride..slots.end * stride];
             let (pivots, rest) = row.split_at(stride);
-            scan.row.start::<T>(pivots, 0..wdt);
+            scan.row.start::<T>(pivots, 0..W);
             for chunk in rest.chunks_exact(stride) {
-                scan.row.fold::<T>(chunk, 0..wdt);
+                scan.row.fold::<T>(chunk, 0..W);
             }
-            let (pr, pi) = loops::lane_parts::<T>(pivots, 0..wdt);
+            let (pr, pi) = loops::lane_parts::<T>(pivots, 0..W);
             let mut all_cleared = true;
-            for w in 0..wdt {
+            for w in 0..W {
                 // Every square exact and at least `SQUARED_SCALE_MIN`: the
                 // global scale and every column scale take the squared rule.
                 let cleared = scan.input.exact(w, SQUARED_SCALE_MIN)
@@ -790,7 +788,7 @@ impl<T: Scalar> BatchedLu<T> {
             if all_cleared {
                 continue;
             }
-            for w in 0..wdt {
+            for w in 0..W {
                 if !self.live[w] || scan.cleared[w] {
                     continue;
                 }

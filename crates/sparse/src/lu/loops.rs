@@ -117,7 +117,10 @@ impl LaneSquares {
         self.fold_from::<T, true>(chunk, lanes);
     }
 
-    #[inline]
+    // Always inlined, so each width-specialized pass folds over its
+    // constant lane range: the out-of-line copy the input scan otherwise
+    // calls made the 64-corner batched sweep about 3% slower.
+    #[inline(always)]
     fn fold_from<T: Scalar, const FIRST: bool>(&mut self, chunk: &[f64], lanes: Range<usize>) {
         let (vr, vi) = lane_parts::<T>(chunk, lanes.clone());
         let n = vr.len();

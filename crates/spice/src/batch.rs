@@ -14,20 +14,22 @@
 //!   pattern, in a [`loopscope_sparse::LanePlanes`] store: per stored
 //!   entry the real parts of every lane, then their imaginary parts. Each
 //!   frequency point loads lane `k`'s system from its compiled admittance
-//!   image ([`AffineImage`](crate::AffineImage), one image per lane per
+//!   image ([`AffineImage`], one image per lane per
 //!   variant group, self-checked like the serial analysis's own) — or,
 //!   without an image, stamps it — into a scratch CSR, and copies it into
-//!   the next batched column; a lane whose stamps leave the pattern takes
-//!   no column and escalates. [`loopscope_sparse::BatchedLu`] then matches the shared
+//!   the next batched column. A variant whose stamps leave the pattern
+//!   takes no lane: it runs its own [`AcAnalysis::driving_point_response`].
+//!   [`loopscope_sparse::BatchedLu`] then matches the shared
 //!   structure once per point, scans and scatters every lane in one pass,
 //!   and keeps its factors in the same split `re`/`im` planes, so one
 //!   traversal of the shared index structure drives `W` lanes of
-//!   `Complex64` arithmetic.
+//!   `Complex64` arithmetic. `W` is the batch size, capped at
+//!   [`MAX_LANES`]; nothing configures it.
 //! * Per lane, every operation runs in exactly the order of the scalar
 //!   refactor/solve — no FMA, no reassociation, no cross-lane math — so a
 //!   healthy lane's solution is **bitwise identical** to the serial
-//!   per-variant path at any lane width; `LOOPSCOPE_BATCH=1` *is* the serial
-//!   reference, not an approximation of it.
+//!   per-variant path at any lane width; a one-variant batch runs the
+//!   1-lane pass, which is no special case.
 //! * Lanes fail independently. A variant whose values degrade a pivot, drift
 //!   off the shared pattern, or fail validation is carried as a structured
 //!   per-variant error in its [`VariantOutcome`] — the batch never aborts.
@@ -42,7 +44,7 @@
 //! * The driver parallelizes over **two axes** — variant groups × frequency
 //!   points — through [`par::sweep_chunks`], and is chunking-invariant: the
 //!   results and the merged [`SolveStats`] totals are identical at any
-//!   `LOOPSCOPE_THREADS` and `LOOPSCOPE_BATCH` setting.
+//!   `LOOPSCOPE_THREADS` setting.
 //!
 //! Yield semantics: [`BatchedSweep::yield_count`] is the number of variants
 //! whose entire sweep converged. A healthy batch performs **exactly one**
@@ -50,52 +52,33 @@
 //! which is the entire point.
 
 use crate::ac::{AcAnalysis, CompiledSystem};
-use crate::assembly::{AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan};
+use crate::assembly::{AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan};
 use crate::dc::OperatingPoint;
 use crate::error::SpiceError;
 use crate::mna::Stamper;
 use crate::par;
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, Element, NodeId};
-use loopscope_sparse::{
-    BatchLaneStatus, BatchedLu, CsrMatrix, LanePlanes, REFINE_BACKWARD_TOLERANCE,
-};
+use loopscope_sparse::{BatchedLu, CsrMatrix, LanePlanes, MAX_LANES, REFINE_BACKWARD_TOLERANCE};
 
-/// Environment knob selecting the variant-lane width of batched sweeps.
-///
-/// Re-read on every batched call (like `LOOPSCOPE_THREADS`), so tests and
-/// benches can switch it. `1` runs the serial per-variant reference — which
-/// is bitwise identical to every other width, not merely close.
+/// Name of the environment variable that once chose the variant-lane width
+/// of batched sweeps. It is accepted and ignored: the width is the batch
+/// size capped at [`MAX_LANES`], and every width gives bitwise the same
+/// answer.
 pub const BATCH_ENV: &str = "LOOPSCOPE_BATCH";
 
-/// Default variant-lane width when [`BATCH_ENV`] is unset: the widest
-/// width with a specialized lane loop (wider ones take the slower run-time
-/// width path), so the shared index traversal and the per-point
-/// bookkeeping are amortized over the most lanes. The 64-corner
-/// `corners_mc` benchmark ran about 12% faster at 8 lanes than at 4 on a
-/// 2-vCPU x86-64 guest.
-pub const DEFAULT_BATCH_WIDTH: usize = 8;
-
-/// Parses a batch-width override; `None`/garbage/`0` fall back to the
-/// default (same policy as `par::configured_workers`).
-fn parse_batch_width(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(DEFAULT_BATCH_WIDTH)
-}
-
-/// The variant-lane width batched sweeps run at: [`BATCH_ENV`] when set to a
-/// positive integer, [`DEFAULT_BATCH_WIDTH`] otherwise.
+/// The widest variant-lane group a batched sweep runs: [`MAX_LANES`].
+/// Kept for configuration records; it reads no environment.
 pub fn configured_batch_width() -> usize {
-    parse_batch_width(std::env::var(BATCH_ENV).ok().as_deref())
+    MAX_LANES
 }
 
-/// The lane width a batch of `jobs` variants runs at: the configured width,
-/// but never more lanes than variants (and at least one). Results do not
-/// depend on the width, so the clamp only spares the lane buffers a group
-/// could never fill.
-fn effective_width(configured: usize, jobs: usize) -> usize {
-    configured.min(jobs).max(1)
+/// The lane width a batch of `jobs` variants runs at: [`MAX_LANES`], but
+/// never more lanes than variants (and at least one). Results do not depend
+/// on the width, so the clamp only spares the lane buffers a group could
+/// never fill.
+fn effective_width(jobs: usize) -> usize {
+    jobs.clamp(1, MAX_LANES)
 }
 
 // ---------------------------------------------------------------------------
@@ -544,11 +527,6 @@ struct GroupRunner<'p> {
     errors: Vec<f64>,
     /// Scratch RHS recycled through the stampers.
     rhs_scratch: Vec<Complex64>,
-    /// Per-point statuses of the batched columns, and per lane of the
-    /// group its column (`None` for a lane whose values miss the pattern,
-    /// which takes no batched work).
-    statuses: Vec<BatchLaneStatus>,
-    columns: Vec<Option<usize>>,
     /// Scalar escalation context over the same plan: lanes that fail the
     /// batched fast path rerun through the exact serial verified ladder.
     ctx: SolveContext<'p, Complex64>,
@@ -579,8 +557,6 @@ impl<'p> GroupRunner<'p> {
             solution: LanePlanes::new(n, width),
             errors: vec![0.0; width],
             rhs_scratch: Vec::with_capacity(n),
-            statuses: Vec::with_capacity(width),
-            columns: vec![None; width],
             ctx: plan.context(),
             esc_x: vec![Complex64::ZERO; n],
             rows: Vec::with_capacity(points * width),
@@ -593,22 +569,22 @@ impl<'p> GroupRunner<'p> {
     /// [`rows`](GroupRunner::rows). The group may be
     /// ragged (`group.len() < width`): surplus lanes carry unspecified
     /// values that are never read — every batched operation is elementwise
-    /// per lane, so dead lanes cannot disturb live ones. `systems[k]` is
-    /// lane `k`'s compiled system: an image to load, a system to stamp, or
-    /// one off the pattern, which skips the batched work and escalates.
-    fn solve_point(&mut self, group: &[Lane<'_, '_>], systems: &[CompiledSystem], freq_hz: f64) {
+    /// per lane, so dead lanes cannot disturb live ones. `images[k]` is
+    /// lane `k`'s admittance image to load, or `None` to stamp the lane.
+    fn solve_point(
+        &mut self,
+        group: &[Lane<'_, '_>],
+        images: &[Option<AffineImage>],
+        freq_hz: f64,
+    ) {
         debug_assert!(group.len() <= self.width);
-        // Reload (or, without an image, restamp) every live lane's values
-        // over the shared pattern, then copy them into the next batched
-        // column.
-        let mut live = 0;
+        // Reload (or, without an image, restamp) every lane's values over
+        // the shared pattern, then copy them into the lane's batched column.
+        let m = group.len();
         for (k, lane) in group.iter().enumerate() {
-            let missed = match &systems[k] {
-                CompiledSystem::Image(image) => {
-                    image.load_into(freq_hz, self.lane_csr.values_mut());
-                    false
-                }
-                CompiledSystem::Stamped => {
+            match &images[k] {
+                Some(image) => image.load_into(freq_hz, self.lane_csr.values_mut()),
+                None => {
                     self.lane_csr.zero_values();
                     let rhs = std::mem::take(&mut self.rhs_scratch);
                     let sink = SlotSink::new(&mut self.lane_csr);
@@ -618,29 +594,18 @@ impl<'p> GroupRunner<'p> {
                         .stamp(&mut st);
                     let (sink, rhs) = st.into_parts();
                     self.rhs_scratch = rhs;
-                    sink.missed()
+                    // Stamp positions do not depend on the frequency.
+                    assert!(!sink.missed(), "a lane left the pattern it compiled on");
                 }
-                CompiledSystem::OffPattern => true,
-            };
-            self.columns[k] = (!missed).then_some(live);
-            if !missed {
-                self.values.load_lane(live, self.lane_csr.values());
-                self.stats.cached_assemblies += 1;
-                live += 1;
             }
+            self.values.load_lane(k, self.lane_csr.values());
+            self.stats.cached_assemblies += 1;
         }
-        // One batched numeric refactorization over the live columns, one
-        // batched solve of the unit injections and one lane-major residual
-        // pass: the exact residual rule of the serial verified solve, lane
-        // by lane.
-        self.statuses.clear();
-        if live > 0 {
-            let statuses = self
-                .batched
-                .refactor_lanes(self.pattern, &self.values, live);
-            self.statuses.extend_from_slice(statuses);
-        }
-        let factored = self.statuses.iter().filter(|s| s.is_factored()).count();
+        // One batched numeric refactorization, one batched solve of the unit
+        // injections and one lane-major residual pass: the exact residual
+        // rule of the serial verified solve, lane by lane.
+        let statuses = self.batched.refactor_lanes(self.pattern, &self.values, m);
+        let factored = statuses.iter().filter(|s| s.is_factored()).count();
         self.stats.numeric_refactor += factored;
         if factored > 0 {
             self.batched
@@ -651,17 +616,17 @@ impl<'p> GroupRunner<'p> {
                 &self.values,
                 &self.solution,
                 &self.injection,
-                &mut self.errors[..live],
+                &mut self.errors[..m],
             );
         }
         // Per lane: accept, or escalate through the scalar verified ladder.
         for (k, &lane) in group.iter().enumerate() {
-            let accepted = self.columns[k].filter(|&c| {
-                self.statuses[c].is_factored() && self.errors[c] <= REFINE_BACKWARD_TOLERANCE
-            });
-            let point = match accepted {
-                Some(c) => Ok(self.solution.get(self.var, c)),
-                None => self.escalate(lane, &systems[k], freq_hz),
+            let point = if self.batched.statuses()[k].is_factored()
+                && self.errors[k] <= REFINE_BACKWARD_TOLERANCE
+            {
+                Ok(self.solution.get(self.var, k))
+            } else {
+                self.escalate(lane, images[k].as_ref(), freq_hz)
             };
             self.rows.push(point);
         }
@@ -672,10 +637,15 @@ impl<'p> GroupRunner<'p> {
     /// retry ladder — the exact procedure of the serial
     /// [`AcAnalysis::driving_point_response`] worker, so escalated values
     /// stay bitwise identical to the serial path at any configuration.
-    fn escalate(&mut self, lane: Lane<'_, '_>, system: &CompiledSystem, freq_hz: f64) -> LanePoint {
-        match system {
-            CompiledSystem::Image(image) => self.ctx.load_values(image, freq_hz),
-            CompiledSystem::Stamped | CompiledSystem::OffPattern => {
+    fn escalate(
+        &mut self,
+        lane: Lane<'_, '_>,
+        image: Option<&AffineImage>,
+        freq_hz: f64,
+    ) -> LanePoint {
+        match image {
+            Some(image) => self.ctx.load_values(image, freq_hz),
+            None => {
                 let _ = self
                     .ctx
                     .assemble(&lane.analysis.system(freq_hz, false, lane.overrides));
@@ -700,16 +670,18 @@ impl<'p> GroupRunner<'p> {
 /// variants sharing one topology, amortizing **one** symbolic analysis over
 /// the whole batch.
 ///
-/// Variants are grouped into lanes of [`configured_batch_width`] and run
+/// Variants are grouped into lanes of up to [`MAX_LANES`] and run
 /// through the batched refactor/solve; groups and frequency points are both
 /// chunked across worker threads. Per-variant failures (validation errors,
 /// singular systems, residual-check failures) are carried in that variant's
 /// [`VariantOutcome`] — the batch itself only errors on inputs that are
 /// wrong for *every* variant (injecting at the ground node).
 ///
-/// Results are bitwise identical to the serial per-variant reference at any
-/// `LOOPSCOPE_THREADS` × `LOOPSCOPE_BATCH` configuration, and the merged
-/// [`BatchedSweep::solve_stats`] totals are identical too.
+/// Each variant's response is bitwise its serial per-variant reference,
+/// [`AcAnalysis::driving_point_response`] on that variant alone: a variant
+/// whose stamps leave the batch's pattern runs exactly that analysis. The
+/// results and the merged [`BatchedSweep::solve_stats`] totals are identical
+/// at any `LOOPSCOPE_THREADS`.
 ///
 /// # Errors
 ///
@@ -808,7 +780,7 @@ pub fn driving_point_batch(
             )
         })
         .collect();
-    Ok(drive_lanes(plan, &jobs, freqs, var, outcomes))
+    Ok(drive_lanes(plan, &jobs, node, var, grid, outcomes))
 }
 
 /// One variant's outcome inside [`drive_lanes`]: the original variant index
@@ -817,32 +789,36 @@ pub fn driving_point_batch(
 type VariantResult = (usize, Result<Vec<Complex64>, SpiceError>);
 
 /// The shared two-axis drive of both batch entry points: chunks `jobs`
-/// (variant index + lane) into groups of [`configured_batch_width`] lanes
-/// (at most `jobs.len()`, see [`effective_width`]), sweeps
-/// every group over `freqs` — variant groups outside, frequency points
-/// inside, so both a many-group and a single-group batch saturate the
-/// machine — and transposes the per-point lane rows into per-variant sweeps
-/// (a variant's error is the one at its lowest failing frequency) once per
-/// group, from the rows the runners filled in place. Each
-/// group first compiles one admittance image per lane over the plan's
-/// pattern, self-checked at `freqs[0]`; its frequency points load from them
-/// (or stamp, for a lane whose image failed the check), and a lane whose
-/// stamps leave the pattern skips the batched work and escalates at every
-/// point.
+/// (variant index + lane) into groups of at most [`MAX_LANES`] lanes (see
+/// [`effective_width`]), sweeps every group over the grid — variant groups
+/// outside, frequency points inside, so both a many-group and a
+/// single-group batch saturate the machine — and transposes the per-point
+/// lane rows into per-variant sweeps (a variant's error is the one at its
+/// lowest failing frequency) once per group, from the rows the runners
+/// filled in place. Each group first compiles one admittance image per lane
+/// over the plan's pattern, self-checked at the first frequency; its
+/// frequency points load from them (or stamp, for a lane whose image failed
+/// the check). A variant whose stamps leave the pattern takes no lane: it
+/// runs its own [`AcAnalysis::driving_point_response`] at `node`, whose
+/// pivots are chosen from its own values, exactly as its serial reference
+/// does.
 ///
 /// Writes each variant's response or error into its entry of `outcomes`
 /// and returns the finished sweep, whose counters are the plan's plus the
-/// runners'. Counters live in the pooled runners, accumulated across every
-/// group a runner served and merged once at the end, so the totals are
-/// exact sums — invariant under chunking, lane width and worker count.
+/// runners' plus those own analyses'. Runner counters live in the pooled
+/// runners, accumulated across every group a runner served and merged once
+/// at the end, so the totals are exact sums — invariant under chunking,
+/// lane width and worker count.
 fn drive_lanes(
     plan: &SweepPlan<Complex64>,
     jobs: &[(usize, Lane<'_, '_>)],
-    freqs: &[f64],
+    node: NodeId,
     var: usize,
+    grid: &FrequencyGrid,
     mut outcomes: Vec<VariantOutcome>,
 ) -> BatchedSweep {
-    let width = effective_width(configured_batch_width(), jobs.len());
+    let freqs = grid.freqs();
+    let width = effective_width(jobs.len());
     let groups: Vec<Vec<(usize, Lane<'_, '_>)>> = jobs
         .chunks(width)
         .map(<[(usize, Lane<'_, '_>)]>::to_vec)
@@ -853,15 +829,32 @@ fn drive_lanes(
         |pool: &mut Vec<GroupRunner<'_>>,
          _gi,
          group: &Vec<(usize, Lane<'_, '_>)>|
-         -> Result<Vec<VariantResult>, SpiceError> {
-            let lanes: Vec<Lane<'_, '_>> = group.iter().map(|&(_, lane)| lane).collect();
-            let systems: Vec<CompiledSystem> = lanes
-                .iter()
-                .map(|lane| {
-                    lane.analysis
-                        .compile_image(plan.pattern(), lane.overrides, freqs[0])
-                })
-                .collect();
+         -> Result<(Vec<VariantResult>, SolveStats), SpiceError> {
+            let mut out = Vec::with_capacity(group.len());
+            let mut own_stats = SolveStats::default();
+            let (mut kept, mut lanes, mut images) = (Vec::new(), Vec::new(), Vec::new());
+            for &(vi, lane) in group {
+                match lane
+                    .analysis
+                    .compile_image(plan.pattern(), lane.overrides, freqs[0])
+                {
+                    CompiledSystem::OffPattern => {
+                        // Only a materialized variant can leave the
+                        // pattern: override lanes change values only.
+                        assert!(lane.overrides.is_empty(), "override lane off the pattern");
+                        out.push((vi, lane.analysis.driving_point_response(node, grid)));
+                        own_stats.merge(&lane.analysis.solve_stats());
+                    }
+                    system => {
+                        kept.push(vi);
+                        lanes.push(lane);
+                        images.push(system.image());
+                    }
+                }
+            }
+            if lanes.is_empty() {
+                return Ok((out, own_stats));
+            }
             // Runners (factor buffers, escalation context) are pooled across
             // groups: each inner worker takes one from the pool — or mints
             // one at the batch's lane width on first use — and returns it
@@ -880,7 +873,7 @@ fn drive_lanes(
                     runner
                 },
                 |runner: &mut GroupRunner<'_>, _fi, &f| -> Result<(), SpiceError> {
-                    runner.solve_point(&lanes, &systems, f);
+                    runner.solve_point(&lanes, &images, f);
                     Ok(())
                 },
             );
@@ -888,28 +881,24 @@ fn drive_lanes(
             // Runners come back in chunk order and every chunk is a
             // contiguous run of points, so their rows concatenate to the
             // points in order.
-            let m = group.len();
-            let out = group
-                .iter()
-                .enumerate()
-                .map(|(k, &(vi, _))| {
-                    let mut resp = Vec::with_capacity(freqs.len());
-                    let mut first_err = None;
-                    for point in runners.iter().flat_map(|r| r.rows.chunks(m)) {
-                        match &point[k] {
-                            Ok(z) => resp.push(*z),
-                            Err(e) => {
-                                first_err = Some(e.clone());
-                                break;
-                            }
+            let m = lanes.len();
+            out.extend(kept.iter().enumerate().map(|(k, &vi)| {
+                let mut resp = Vec::with_capacity(freqs.len());
+                let mut first_err = None;
+                for point in runners.iter().flat_map(|r| r.rows.chunks(m)) {
+                    match &point[k] {
+                        Ok(z) => resp.push(*z),
+                        Err(e) => {
+                            first_err = Some(e.clone());
+                            break;
                         }
                     }
-                    (vi, first_err.map_or(Ok(resp), Err))
-                })
-                .collect();
+                }
+                (vi, first_err.map_or(Ok(resp), Err))
+            }));
             *pool = shared_pool.into_inner().expect("runner pool lock");
             pool.extend(runners);
-            Ok(out)
+            Ok((out, own_stats))
         },
     );
 
@@ -918,10 +907,13 @@ fn drive_lanes(
         stats.merge(&runner.stats());
     }
     let results = group_results.expect("group driver is infallible");
-    for (vi, result) in results.into_iter().flatten() {
-        match result {
-            Ok(resp) => outcomes[vi].response = Some(resp),
-            Err(e) => outcomes[vi].error = Some(e),
+    for (rows, own_stats) in results {
+        stats.merge(&own_stats);
+        for (vi, result) in rows {
+            match result {
+                Ok(resp) => outcomes[vi].response = Some(resp),
+                Err(e) => outcomes[vi].error = Some(e),
+            }
         }
     }
     BatchedSweep {
@@ -1047,7 +1039,7 @@ pub fn driving_point_monte_carlo(
             )
         })
         .collect();
-    Ok(drive_lanes(plan, &jobs, freqs, var, outcomes))
+    Ok(drive_lanes(plan, &jobs, node, var, grid, outcomes))
 }
 
 #[cfg(test)]
@@ -1067,23 +1059,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_width_parsing_defaults_and_bounds() {
-        assert_eq!(parse_batch_width(None), DEFAULT_BATCH_WIDTH);
-        assert_eq!(parse_batch_width(Some("")), DEFAULT_BATCH_WIDTH);
-        assert_eq!(parse_batch_width(Some("junk")), DEFAULT_BATCH_WIDTH);
-        assert_eq!(parse_batch_width(Some("0")), DEFAULT_BATCH_WIDTH);
-        assert_eq!(parse_batch_width(Some("1")), 1);
-        assert_eq!(parse_batch_width(Some(" 8 ")), 8);
-    }
-
-    #[test]
     fn lane_width_is_clamped_to_the_batch() {
-        assert_eq!(effective_width(4, 64), 4);
-        assert_eq!(effective_width(64, 3), 3);
-        assert_eq!(effective_width(8, 8), 8);
-        assert_eq!(effective_width(1, 11), 1);
+        assert_eq!(effective_width(64), MAX_LANES);
+        assert_eq!(effective_width(9), MAX_LANES);
+        assert_eq!(effective_width(8), 8);
+        assert_eq!(effective_width(3), 3);
+        assert_eq!(effective_width(1), 1);
         // An empty batch still chunks at a valid width.
-        assert_eq!(effective_width(4, 0), 1);
+        assert_eq!(effective_width(0), 1);
     }
 
     #[test]
@@ -1340,25 +1323,143 @@ mod tests {
         let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
             v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
         };
+        // The two variants off the base's pattern take no lane: each runs
+        // its own analysis, so the batch's counters are the base lane's
+        // (the plan, one load and one refactor per point) plus exactly
+        // those of the two serial references.
+        let points = grid.freqs().len();
+        let mut expected = SolveStats {
+            symbolic: 1,
+            cached_assemblies: points,
+            numeric_refactor: points,
+            ..SolveStats::default()
+        };
         for (k, outcome) in sweep.outcomes().iter().enumerate() {
-            let reference = AcAnalysis::new(&circuits[k], &ops[k])
-                .unwrap()
-                .driving_point_response(node, &grid)
-                .unwrap();
+            let analysis = AcAnalysis::new(&circuits[k], &ops[k]).unwrap();
+            let reference = analysis.driving_point_response(node, &grid).unwrap();
             let response = outcome.response.as_ref().expect("variant solved");
             assert_eq!(bits(response), bits(&reference), "variant {k}");
+            if k > 0 {
+                expected.merge(&analysis.solve_stats());
+            }
         }
-        // The two variants off the base's pattern take no batched work:
-        // every one of their points escalates straight to a rebuilt,
-        // freshly factored system. Only the base lane loads and refactors
-        // in the batch.
-        let points = grid.freqs().len();
         let stats = sweep.solve_stats();
-        assert_eq!(stats.cached_assemblies, points);
-        assert_eq!(stats.numeric_refactor, points);
-        assert_eq!(stats.pattern_rebuilds, 2 * points);
-        assert_eq!(stats.symbolic, 1 + 2 * points);
+        assert_eq!(stats, expected);
+        assert_eq!(stats.pattern_rebuilds, 0);
+        assert_eq!(stats.symbolic, 1 + 2);
         assert_eq!(stats.residual_retries + stats.gmin_bumps, 0);
+    }
+
+    #[test]
+    fn off_pattern_variant_keeps_the_pivots_of_its_own_plan() {
+        // Node a's diagonal is a weak conductance plus a capacitor, while
+        // G1 couples a into b a thousand times more strongly. The variant
+        // adds G2 (b into a), which the base's pattern lacks, closing the
+        // loop so that column a has a pivot to choose.
+        let build = |feedback: bool| {
+            let mut c = Circuit::new("coupled pair");
+            let a = c.node("a");
+            let b = c.node("b");
+            c.add_resistor("RA", a, Circuit::GROUND, 1.0e6);
+            c.add_capacitor("CA", a, Circuit::GROUND, 1.0e-12);
+            c.add_vccs("G1", b, Circuit::GROUND, a, Circuit::GROUND, 1.0e-2);
+            c.add_resistor("RB", b, Circuit::GROUND, 1.0e3);
+            if feedback {
+                c.add_vccs("G2", a, Circuit::GROUND, b, Circuit::GROUND, 1.0e-3);
+            }
+            c
+        };
+        let circuits = [build(false), build(true)];
+        let ops: Vec<OperatingPoint> = circuits.iter().map(|c| solve_dc(c).unwrap()).collect();
+        let node = circuits[1].find_node("a").unwrap();
+        let grid = FrequencyGrid::log_decade(1.0e3, 1.0e9, 4);
+        let variant = AcAnalysis::new(&circuits[1], &ops[1]).unwrap();
+        // The premise: a fresh factorization pivots column a off the
+        // diagonal at the grid's first frequency, where the coupling
+        // dominates, and on it at the last, where the capacitor does.
+        let freqs = grid.freqs();
+        let pivots = |f: f64| {
+            loopscope_sparse::SparseLu::factor(&variant.admittance_matrix(f))
+                .unwrap()
+                .extract_symbolic()
+                .pivot_order()
+                .to_vec()
+        };
+        assert_ne!(pivots(freqs[0]), pivots(freqs[freqs.len() - 1]));
+
+        // The variant's serial reference refactors over its own plan, whose
+        // pivots come from the first frequency; the batch must give it
+        // exactly that analysis.
+        let reference = variant.driving_point_response(node, &grid).unwrap();
+        let variants: Vec<BatchVariant<'_>> = circuits
+            .iter()
+            .zip(&ops)
+            .map(|(circuit, op)| BatchVariant {
+                label: "variant",
+                circuit,
+                op,
+            })
+            .collect();
+        let sweep = driving_point_batch(&variants, node, &grid).unwrap();
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let response = sweep.outcomes()[1].response.as_ref().expect("solved");
+        assert_eq!(bits(response), bits(&reference));
+        assert_eq!(sweep.solve_stats().pattern_rebuilds, 0);
+    }
+
+    #[test]
+    fn monte_carlo_falls_back_to_materialized_variants_on_a_singular_base() {
+        // E1 is a unity-gain buffer of its own output: its branch row reads
+        // (1 − gain)·v(n) = 0, exactly singular at the base gain and regular
+        // for every perturbed one.
+        let mut c = Circuit::new("self-buffered");
+        let n = c.node("n");
+        let m = c.node("m");
+        c.add_vcvs("E1", n, Circuit::GROUND, n, Circuit::GROUND, 1.0);
+        c.add_resistor("R1", m, n, 1.0e3);
+        c.add_capacitor("C1", m, Circuit::GROUND, 1.0e-9);
+        let variation = ParameterVariation::new(0x5EED).uniform("E1", 0.05);
+        let count = 5;
+        let materialized: Vec<Circuit> = (0..count)
+            .map(|i| {
+                let mut vc = c.clone();
+                variation.apply(i, &mut vc).unwrap();
+                vc
+            })
+            .collect();
+        // The base has no operating point; a perturbed sibling's serves.
+        assert!(solve_dc(&c).is_err());
+        let op = solve_dc(&materialized[0]).unwrap();
+        let grid = FrequencyGrid::log_decade(1.0e3, 1.0e7, 4);
+        let base = AcAnalysis::new(&c, &op).unwrap();
+        assert!(base.plan_for(grid.freqs()[0]).is_err());
+
+        let sweep = driving_point_monte_carlo(&c, &op, m, &grid, &variation, count).unwrap();
+        assert_eq!(sweep.yield_count(), count);
+        let labels: Vec<String> = (0..count).map(|i| format!("mc#{i}")).collect();
+        let variants: Vec<BatchVariant<'_>> = materialized
+            .iter()
+            .zip(&labels)
+            .map(|(circuit, label)| BatchVariant {
+                label,
+                circuit,
+                op: &op,
+            })
+            .collect();
+        let expected = driving_point_batch(&variants, m, &grid).unwrap();
+        let bits = |o: &VariantOutcome| -> Vec<(u64, u64)> {
+            let resp = o.response.as_ref().expect("variant solved");
+            resp.iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        for (got, want) in sweep.outcomes().iter().zip(expected.outcomes()) {
+            assert_eq!(got.label, want.label);
+            assert_eq!(bits(got), bits(want));
+        }
+        assert_eq!(sweep.solve_stats(), expected.solve_stats());
     }
 
     #[test]
@@ -1395,16 +1496,19 @@ mod tests {
             analysis: &ac,
             overrides: o,
         }));
-        let images: Vec<CompiledSystem> = lanes
+        let images: Vec<Option<AffineImage>> = lanes
             .iter()
-            .map(|l| ac.compile_image(planned.plan.pattern(), l.overrides, freqs[0]))
+            .map(|l| {
+                ac.compile_image(planned.plan.pattern(), l.overrides, freqs[0])
+                    .image()
+            })
             .collect();
-        assert!(images.iter().all(|s| matches!(s, CompiledSystem::Image(_))));
+        assert!(images.iter().all(Option::is_some));
 
-        let solve = |systems: &[CompiledSystem]| {
+        let solve = |images: &[Option<AffineImage>]| {
             let mut runner = GroupRunner::new(&planned.plan, 4, var, freqs.len());
             for &f in &freqs {
-                runner.solve_point(&lanes, systems, f);
+                runner.solve_point(&lanes, images, f);
             }
             let rows: Vec<(u64, u64)> = runner
                 .rows
@@ -1416,8 +1520,7 @@ mod tests {
                 .collect();
             (rows, runner.stats().cached_assemblies)
         };
-        let stamped: Vec<CompiledSystem> = lanes.iter().map(|_| CompiledSystem::Stamped).collect();
-        let stamped = solve(&stamped);
+        let stamped = solve(&vec![None; lanes.len()]);
         assert_eq!(stamped.0.len(), lanes.len() * freqs.len());
         assert_eq!(stamped, solve(&images));
     }

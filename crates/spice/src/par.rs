@@ -56,21 +56,16 @@ type ChunkResult<R, S, E> = (Vec<R>, S, Option<(usize, E)>);
 /// (any integer ≥ 1; unset or invalid falls back to available parallelism).
 pub const THREADS_ENV: &str = "LOOPSCOPE_THREADS";
 
-/// Environment variable that used to name the panel width of the all-nodes
-/// scan's blocked multi-RHS solves. **Vestigial**: the scan now reads every
-/// node's impedance off one selected inversion per frequency, so nothing
-/// batches right-hand sides any more. The name is kept, accepted and
-/// ignored, because external tools still set and report it.
+/// Name of the environment variable that once chose the panel width of the
+/// all-nodes scan's blocked multi-RHS solves. It is accepted and ignored:
+/// the scan reads every node's impedance off one selected inversion per
+/// frequency, so nothing batches right-hand sides any more.
 pub const PANEL_ENV: &str = "LOOPSCOPE_PANEL";
 
-/// The value [`configured_panel_width`] reports when [`PANEL_ENV`] is unset.
-const DEFAULT_PANEL_WIDTH: usize = 16;
-
-/// The panel width [`PANEL_ENV`] names (an integer ≥ 1), else 16.
-/// **Vestigial**, like the variable: reported for configuration records,
-/// read by no solve path.
+/// The panel width configuration records report: always 16, the width the
+/// retired panel solves defaulted to. It reads no environment.
 pub fn configured_panel_width() -> usize {
-    parse_workers(std::env::var(PANEL_ENV).ok().as_deref()).unwrap_or(DEFAULT_PANEL_WIDTH)
+    16
 }
 
 thread_local! {
@@ -256,11 +251,7 @@ mod tests {
 
     #[test]
     fn configured_panel_width_is_at_least_one() {
-        // NOTE: does not mutate the environment (other tests in this binary
-        // run concurrently); the parsing rules themselves are covered by
-        // `parse_workers_accepts_integers_and_rejects_garbage`, which this
-        // knob shares.
-        assert!(configured_panel_width() >= 1);
+        assert_eq!(configured_panel_width(), 16);
     }
 
     #[test]

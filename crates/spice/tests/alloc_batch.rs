@@ -98,7 +98,8 @@ fn batched_point_loop_is_allocation_free() {
     let extra_points = (large_points - small_points) as f64;
     let per_point = large.saturating_sub(small) as f64 / extra_points;
     // A per-point lane-result vector would show here as one allocation per
-    // point per variant group (3 groups: 3 per point).
+    // point per variant group (9 variants make groups of 8 and 1: 2 per
+    // point).
     assert!(
         per_point == 0.0,
         "the batched point loop allocates {per_point:.3} times per frequency point \
