@@ -27,7 +27,7 @@ pub struct StabilityOptions {
     pub points_per_decade: usize,
     /// Peaks shallower than this value are ignored. The default of `−1`
     /// corresponds to ζ = 1 (critically damped): anything above it cannot be
-    /// an under-damped loop.
+    /// an under-damped loop. Must be finite and negative.
     pub peak_threshold: f64,
     /// Relative tolerance used to cluster nodes into loops by natural
     /// frequency in the all-nodes report.
@@ -69,9 +69,11 @@ impl StabilityOptions {
                     .to_string(),
             ));
         }
-        if self.peak_threshold >= 0.0 {
+        // `local_minima` compares every sample against the threshold: NaN
+        // and −∞ fail every comparison and would silently hide every loop.
+        if !(self.peak_threshold < 0.0 && self.peak_threshold.is_finite()) {
             return Err(StabilityError::InvalidOptions(
-                "the peak threshold must be negative".to_string(),
+                "the peak threshold must be finite and negative".to_string(),
             ));
         }
         if !(self.group_tolerance > 0.0 && self.group_tolerance < 1.0) {
@@ -271,11 +273,16 @@ mod tests {
             StabilityAnalyzer::new(Circuit::new("x"), o),
             Err(StabilityError::InvalidOptions(_))
         ));
-        let o = StabilityOptions {
-            peak_threshold: 0.5,
-            ..Default::default()
-        };
-        assert!(StabilityAnalyzer::new(Circuit::new("x"), o).is_err());
+        for peak_threshold in [0.5, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            let o = StabilityOptions {
+                peak_threshold,
+                ..Default::default()
+            };
+            assert!(
+                matches!(o.validate(), Err(StabilityError::InvalidOptions(_))),
+                "{peak_threshold}"
+            );
+        }
         let o = StabilityOptions {
             group_tolerance: 1.5,
             ..Default::default()

@@ -277,11 +277,8 @@ impl CompiledSystem {
     }
 }
 
-/// Assembly job for the complex admittance system at one `jω`.
-///
-/// Crate-visible so the batched variant driver ([`crate::batch`]) can hand
-/// the exact same assembly job to its escalation [`SolveContext`], keeping
-/// the escalated path bitwise identical to the serial sweep path. Every
+/// Assembly job for the complex admittance system at one `jω`, stamped by
+/// [`AcAnalysis::assemble_point`] for a point without an image. Every
 /// entry is either independent of `jω` or a multiple `jω·x` of it, which is
 /// what lets [`AcAnalysis::compile_image`] stamp it once at `jω = (0, 1)`.
 pub(crate) struct AcSystem<'a, 'c> {
@@ -411,16 +408,18 @@ impl<'c> AcAnalysis<'c> {
     }
 
     /// Assembles the unit-injection system (every AC stimulus off) of point
-    /// `idx` of `freqs` into `ctx` — loaded from `image` when there is one —
-    /// and applies a planted matrix fault.
+    /// `idx` of `freqs` into `ctx` through
+    /// [`assemble_point`](AcAnalysis::assemble_point) and applies a planted
+    /// matrix fault.
     fn assemble_probe(
         &self,
         ctx: &mut SolveContext<'_, Complex64>,
         image: Option<&AffineImage>,
         freqs: &[f64],
         idx: usize,
+        rhs: &mut Vec<Complex64>,
     ) {
-        self.assemble_point(ctx, image, freqs[idx], false);
+        self.assemble_point(ctx, image, freqs[idx], false, &[], rhs);
         #[cfg(feature = "fault-inject")]
         if let Some(AcFault::Matrix { point, kind, seed }) = self.fault() {
             if point == idx {
@@ -429,27 +428,33 @@ impl<'c> AcAnalysis<'c> {
         }
     }
 
-    /// Assembles the system at `freq_hz` into `ctx`: a load from `image`
-    /// when the analysis has one, else the element stamps. Returns the
-    /// right-hand side (the circuit's AC sources when `use_circuit_sources`
-    /// is set; a probe ignores it).
-    fn assemble_point(
+    /// Assembles the system at `freq_hz` into `ctx`, a context minted from
+    /// the plan `image` was compiled over — the one assembly of every AC
+    /// point, serial or batched. With an image it loads the values and, when
+    /// `use_circuit_sources` is set, copies the image's right-hand side into
+    /// `rhs`; a probe's `rhs` is left as it was, for
+    /// [`solve_injection`] to overwrite. Without one it stamps the elements,
+    /// with `overrides` in place of theirs, and the right-hand side into
+    /// `rhs`.
+    #[inline]
+    pub(crate) fn assemble_point(
         &self,
         ctx: &mut SolveContext<'_, Complex64>,
         image: Option<&AffineImage>,
         freq_hz: f64,
         use_circuit_sources: bool,
-    ) -> Vec<Complex64> {
+        overrides: &[(usize, Element)],
+        rhs: &mut Vec<Complex64>,
+    ) {
         match image {
             Some(image) => {
                 ctx.load_values(image, freq_hz);
                 if use_circuit_sources {
-                    image.rhs().to_vec()
-                } else {
-                    Vec::new()
+                    rhs.clear();
+                    rhs.extend_from_slice(image.rhs());
                 }
             }
-            None => ctx.assemble(&self.system(freq_hz, use_circuit_sources, &[])),
+            None => ctx.assemble_into(&self.system(freq_hz, use_circuit_sources, overrides), rhs),
         }
     }
 
@@ -491,11 +496,13 @@ impl<'c> AcAnalysis<'c> {
         let planned = self.plan_for(representative_freq_hz)?;
         let symbolic = planned.plan.symbolic();
         let mut probe = planned.plan.context();
-        let _ = self.assemble_point(
+        self.assemble_point(
             &mut probe,
             planned.image.as_ref(),
             representative_freq_hz,
             false,
+            &[],
+            &mut Vec::new(),
         );
         probe
             .factor()
@@ -695,18 +702,21 @@ impl<'c> AcAnalysis<'c> {
         let image = planned.image.as_ref();
         let (result, workers) = par::sweep_chunks(
             freqs,
-            || planned.plan.context(),
-            |ctx: &mut SolveContext<'_, Complex64>, _, &f| -> Result<Vec<Complex64>, SpiceError> {
+            || (planned.plan.context(), Vec::new()),
+            |(ctx, x): &mut (SolveContext<'_, Complex64>, Vec<Complex64>),
+             _,
+             &f|
+             -> Result<Vec<Complex64>, SpiceError> {
                 // The assembled RHS becomes the solution in place; the
                 // per-point verified retry ladder enriches failures with
                 // circuit names.
-                let mut solution = self.assemble_point(ctx, image, f, true);
-                ctx.solve_verified_in_place(&mut solution)?;
-                Ok(self.solve_into_node_row(&solution))
+                self.assemble_point(ctx, image, f, true, &[], x);
+                ctx.solve_verified_in_place(x)?;
+                Ok(self.solve_into_node_row(x))
             },
         );
         // Counters survive failures: merge before propagating any error.
-        self.absorb_worker_stats(workers.iter().map(|c| c.stats()));
+        self.absorb_worker_stats(workers.iter().map(|(c, _)| c.stats()));
         Ok(AcSweep {
             freqs: freqs.to_vec(),
             data: result?,
@@ -742,13 +752,8 @@ impl<'c> AcAnalysis<'c> {
              idx,
              _|
              -> Result<Complex64, SpiceError> {
-                self.assemble_probe(ctx, image, freqs, idx);
-                // Unit current injection at `node`, solved in place through
-                // the verified retry ladder, which factors first.
-                x.fill(Complex64::ZERO);
-                x[var] = Complex64::ONE;
-                ctx.solve_verified_in_place(x)?;
-                Ok(x[var])
+                self.assemble_probe(ctx, image, freqs, idx, x);
+                solve_injection(ctx, var, x)
             },
         );
         self.absorb_worker_stats(workers.iter().map(|(c, _)| c.stats()));
@@ -832,18 +837,15 @@ impl<'c> AcAnalysis<'c> {
              idx,
              _|
              -> Result<Vec<Complex64>, SpiceError> {
-                self.assemble_probe(ctx, image, freqs, idx);
+                self.assemble_probe(ctx, image, freqs, idx, x);
                 if let Some(row) = self.selected_inverse_row(ctx, &vars, idx, x, diag) {
                     return Ok(row);
                 }
                 ctx.count_inverse_fallback();
                 vars.iter()
                     .map(|&var| {
-                        self.assemble_probe(ctx, image, freqs, idx);
-                        x.fill(Complex64::ZERO);
-                        x[var] = Complex64::ONE;
-                        ctx.solve_verified_in_place(x)?;
-                        Ok(x[var])
+                        self.assemble_probe(ctx, image, freqs, idx, x);
+                        solve_injection(ctx, var, x)
                     })
                     .collect()
             },
@@ -878,11 +880,9 @@ impl<'c> AcAnalysis<'c> {
         let count = INVERSE_SAMPLES.min(vars.len());
         for (j, sample) in samples[..count].iter_mut().enumerate() {
             let var = vars[(INVERSE_SAMPLES * idx + j) % vars.len()];
-            x.fill(Complex64::ZERO);
-            x[var] = Complex64::ONE;
-            ctx.solve_verified_in_place(x).ok()?;
+            let solved = solve_injection(ctx, var, x).ok()?;
             let norm = x.iter().map(|v| v.modulus_l1()).fold(0.0f64, f64::max);
-            *sample = (var, x[var], norm);
+            *sample = (var, solved, norm);
         }
         let after = ctx.stats();
         if after.residual_retries != before.residual_retries
@@ -913,6 +913,21 @@ impl<'c> AcAnalysis<'c> {
         let row: Vec<Complex64> = vars.iter().map(|&v| diag[v]).collect();
         row.iter().all(|v| v.is_finite()).then_some(row)
     }
+}
+
+/// Solves the system assembled in `ctx` for a unit current injected at
+/// unknown `var` — in place in the dimension-sized `x`, through the verified
+/// retry ladder, which factors first — and returns the response at `var`,
+/// the driving-point value. `x` is left holding the whole solution.
+pub(crate) fn solve_injection(
+    ctx: &mut SolveContext<'_, Complex64>,
+    var: usize,
+    x: &mut [Complex64],
+) -> Result<Complex64, SpiceError> {
+    x.fill(Complex64::ZERO);
+    x[var] = Complex64::ONE;
+    ctx.solve_verified_in_place(x)?;
+    Ok(x[var])
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@
 //! 1. **Assembly** zeroes the CSR values and replays the element stamps
 //!    through a [`SlotSink`], which adds each stamp into its value slot,
 //!    found by a binary search within the row. No allocation, no sorting,
-//!    no BTreeMap. A stamp that misses the pattern (a nonlinear device
-//!    changed operating region, say) rebuilds the system from scratch
-//!    through a [`TripletMatrix`](loopscope_sparse::TripletMatrix).
+//!    no BTreeMap. In an adopting context, a stamp that misses the pattern
+//!    (a nonlinear device changed operating region, say) rebuilds the
+//!    system from scratch through a
+//!    [`TripletMatrix`](loopscope_sparse::TripletMatrix).
 //!    An AC sweep point skips the stamps altogether and loads its values
 //!    from the analysis's compiled [`AffineImage`] `G + jω·C`, bit for bit
 //!    the values a stamped assembly produces. A DC or transient Newton
@@ -43,9 +44,9 @@
 //! # Two re-plan policies
 //!
 //! A context differs from another only in what it does when its symbolic
-//! analysis stops serving — a pattern miss, a degraded pivot, a residual
-//! retry or a gmin rescue each produce a fresh pattern or pivot order. The
-//! policy is fixed by the constructor:
+//! analysis stops serving — a degraded pivot, a residual retry or a gmin
+//! rescue each produce a fresh pivot order, and a pattern miss a fresh
+//! pattern. The policy is fixed by the constructor:
 //!
 //! * [`SweepPlan::context`] **never re-plans**: the same pipeline split into
 //!   an immutable, shareable plan (slot maps, CSR pattern, symbolic
@@ -53,7 +54,9 @@
 //!   fresh factorization serves its one point only, so each point's result
 //!   is a pure function of its job and [`crate::par::sweep_chunks`] can chunk
 //!   a sweep across worker threads with bitwise-identical results at any
-//!   worker count.
+//!   worker count. Its value buffer is the only matrix it holds: the stamp
+//!   positions of a sweep do not depend on the swept value, so an assembly
+//!   outside the plan's pattern is a caller bug and panics.
 //! * [`SolveContext::adopting`] **adopts** every fresh pattern and pivot
 //!   order as its new plan. That is the right shape for DC Newton loops and
 //!   transient stepping, where operating regions drift and each solve
@@ -536,7 +539,9 @@ pub struct SolveStats {
     pub factor_reuses: usize,
     /// Fresh pivoting factorizations forced by a degraded pivot.
     pub fresh_fallback: usize,
-    /// Pattern rebuilds forced by a stamp outside the cached pattern.
+    /// Pattern rebuilds of an adopting context, forced by a stamp outside
+    /// its cached pattern. Zero for every sweep context, which never leaves
+    /// its plan's pattern.
     pub pattern_rebuilds: usize,
     /// In-place (value-only) assemblies served from the cached pattern.
     pub cached_assemblies: usize,
@@ -725,11 +730,10 @@ impl<T: Scalar> SweepPlan<T> {
         self.build_stats
     }
 
-    /// The shared zero-valued sparsity pattern. Each batched `GroupRunner`
-    /// clones it once as a scratch CSR, loads (or stamps) one lane's values
-    /// at a time into that copy and keeps every lane's values in its
-    /// `LanePlanes`; [`context`](SweepPlan::context) clones it for its single
-    /// value CSR.
+    /// The shared zero-valued sparsity pattern, which
+    /// [`context`](SweepPlan::context) clones for its value buffer. Each
+    /// batched `GroupRunner` keeps every lane's values over it in its
+    /// `LanePlanes`.
     pub(crate) fn pattern(&self) -> &CsrMatrix<T> {
         &self.pattern
     }
@@ -739,6 +743,13 @@ impl<T: Scalar> SweepPlan<T> {
     /// shell over the shared symbolic analysis, a pre-sized workspace and
     /// solve scratch. All allocation happens here; the context's sweep loop
     /// is allocation-free on the factor/solve side from its very first point.
+    ///
+    /// The context's value buffer is the only matrix it ever holds.
+    ///
+    /// # Panics
+    ///
+    /// The context panics when an assembly stamps outside the plan's pattern
+    /// (see [`SolveContext::assemble_into`]): build a plan per pattern.
     pub fn context(&self) -> SolveContext<'_, T> {
         SolveContext {
             symbolic: Some(SymbolicLu::clone(&self.symbolic)),
@@ -765,15 +776,17 @@ impl<T: Scalar> SweepPlan<T> {
 /// The constructor fixes the context's **re-plan policy** (see the
 /// [module docs](self)):
 ///
-/// * [`SweepPlan::context`] never re-plans: every point refactors against
-///   the plan's fixed symbolic analysis, and an off-pattern assembly, a
-///   degraded pivot, a residual retry or a gmin rescue runs a fresh
-///   factorization **for that point only**. Results at a point are
-///   therefore a pure function of the job — independent of the points the
-///   context processed before — which is what makes chunked parallel sweeps
-///   bitwise identical to the serial run.
-/// * [`SolveContext::adopting`] adopts each of those fresh factorizations
-///   as its own plan, so the next system refactors against it.
+/// * [`SweepPlan::context`] never re-plans: every point assembles into the
+///   plan's pattern (an assembly outside it panics) and refactors against
+///   the plan's fixed symbolic analysis, and a degraded pivot, a residual
+///   retry or a gmin rescue runs a fresh factorization **for that point
+///   only**. Results at a point are therefore a pure function of the job —
+///   independent of the points the context processed before — which is
+///   what makes chunked parallel sweeps bitwise identical to the serial
+///   run.
+/// * [`SolveContext::adopting`] adopts each of those fresh factorizations,
+///   and each pattern a missed stamp rebuilds, as its own plan, so the next
+///   system refactors against it.
 #[derive(Debug)]
 pub struct SolveContext<'p, T: Scalar> {
     layout: &'p MnaLayout,
@@ -801,12 +814,6 @@ pub struct SolveContext<'p, T: Scalar> {
     /// Pristine copy of the right-hand side, so retry-ladder escalations can
     /// restart the solve from `b` after a failed attempt overwrote it.
     rhs_backup: Vec<T>,
-    /// A from-scratch matrix built when a stamp missed the shared pattern of
-    /// a context that never re-plans; used by [`factor`](SolveContext::factor)
-    /// and the verified-solve path as a one-point fallback until the next
-    /// assembly clears it (the plan and the context's slot map stay
-    /// untouched). An adopting context replaces `csr` instead.
-    off_pattern: Option<CsrMatrix<T>>,
     /// The compiled linear part of the latest Newton key over `csr`'s
     /// pattern (see [`assemble_newton_into`](SolveContext::assemble_newton_into)).
     newton: Option<NewtonImage>,
@@ -899,7 +906,6 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             inverse_ws: InverseWorkspace::new(),
             refine_ws: RefineWorkspace::for_dim(n),
             rhs_backup: Vec::with_capacity(n),
-            off_pattern: None,
             newton: None,
             newton_seen: None,
             assembled_keys: None,
@@ -942,17 +948,19 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// Newton loop relies on, where the same buffer cycles through
     /// assemble → solve at every iteration of every timestep.
     ///
-    /// A job stamping outside the pattern is rebuilt from scratch (which
-    /// allocates, as it must). A context that never re-plans keeps the
-    /// rebuilt system for this point only, and its next
-    /// [`factor`](SolveContext::factor) runs a fresh analysis of it, leaving
-    /// the shared plan (and later points) untouched — this cannot happen in
-    /// the frequency sweeps the plan exists for, whose pattern is
-    /// frequency-independent. An adopting context takes the rebuilt pattern
-    /// as its own; so does its first assembly, which is not counted in
-    /// `cached_assemblies` or `pattern_rebuilds`.
+    /// An adopting context rebuilds a job stamping outside its pattern from
+    /// scratch (which allocates, as it must) and takes the rebuilt pattern
+    /// as its own, counted in `pattern_rebuilds`; so does its first
+    /// assembly, which is counted in neither `cached_assemblies` nor
+    /// `pattern_rebuilds`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `job` stamps outside the pattern of a context minted by
+    /// [`SweepPlan::context`]: a sweep's stamp positions do not depend on the
+    /// swept value, so a job that leaves its plan's pattern needs a plan of
+    /// its own.
     pub fn assemble_into(&mut self, job: &impl AssembleMna<T>, rhs: &mut Vec<T>) {
-        self.off_pattern = None;
         self.assembled_keys = None;
         self.factored = false;
         if let Some(csr) = self.csr.as_mut() {
@@ -968,6 +976,10 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                 self.stats.cached_assemblies += 1;
                 return;
             }
+            assert!(
+                self.adopts(),
+                "a sweep context's assembly left the pattern of its plan"
+            );
             self.stats.pattern_rebuilds += 1;
             self.newton = None;
             self.newton_seen = None;
@@ -977,23 +989,19 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
         job.stamp(&mut stamper);
         let (triplets, out) = stamper.finish();
         *rhs = out;
-        let rebuilt = triplets.to_csr();
-        if self.adopts() {
-            // The symbolic analysis belonged to the old pattern: the next
-            // factorization re-analyzes and adopts.
-            self.csr = Some(rebuilt);
-            self.symbolic = None;
-        } else {
-            self.off_pattern = Some(rebuilt);
-        }
+        // The symbolic analysis belonged to the old pattern: the next
+        // factorization re-analyzes and adopts.
+        self.csr = Some(triplets.to_csr());
+        self.symbolic = None;
     }
 
     /// Factors the most recently assembled system: a numeric-only
     /// refactorization against the current symbolic analysis (the hot
     /// path), or a fresh [`SparseLu::factor`] when there is none for this
-    /// system (an adopting context's first factorization, or a pattern
-    /// miss), counted in `symbolic`. When the refactorization reports a
-    /// degraded pivot, the context re-pivots with a fresh factorization,
+    /// system (an adopting context's first factorization, or its first after
+    /// a pattern rebuild or a failed factorization), counted in `symbolic`.
+    /// When the refactorization reports a degraded pivot, the context
+    /// re-pivots with a fresh factorization,
     /// counted in `fresh_fallback`: an adopting context keeps that pivot
     /// order as its plan, a sweep context uses it for this point only.
     ///
@@ -1026,13 +1034,13 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             .expect("SolveContext::assemble must run first");
         let adopts = self.plan.is_none();
         let reuse = self.assembled_keys.is_some() && self.assembled_keys == self.factored_keys;
-        let outcome = match (&self.off_pattern, &self.symbolic, &mut self.lu) {
-            (None, Some(_), Some(_)) if reuse => {
+        let outcome = match (&self.symbolic, &mut self.lu) {
+            (Some(_), Some(_)) if reuse => {
                 self.stats.factor_reuses += 1;
                 self.factored = true;
                 Ok(())
             }
-            (None, Some(symbolic), Some(lu)) => {
+            (Some(symbolic), Some(lu)) => {
                 match lu.refactor_into(symbolic, csr, &mut self.workspace) {
                     Ok(true) => {
                         self.stats.numeric_refactor += 1;
@@ -1071,16 +1079,15 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             .expect("SolveContext::factor must succeed first")
     }
 
-    /// The most recently assembled matrix: the one-point rebuild of an
-    /// off-pattern sweep point, else the value buffer.
+    /// The most recently assembled matrix: the value buffer.
     ///
     /// # Panics
     ///
     /// Panics when called before any assembly.
+    #[inline]
     pub fn matrix(&self) -> &CsrMatrix<T> {
-        self.off_pattern
+        self.csr
             .as_ref()
-            .or(self.csr.as_ref())
             .expect("SolveContext::assemble must run first")
     }
 
@@ -1293,9 +1300,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// One residual-verified solve over the current factors and matrix.
     fn refined_attempt(&mut self, rhs: &mut [T]) -> Result<SolveQuality, SpiceError> {
         let matrix = self
-            .off_pattern
+            .csr
             .as_ref()
-            .or(self.csr.as_ref())
             .expect("SolveContext::assemble must run first");
         let lu = self
             .lu
@@ -1354,9 +1360,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// Panics when called before any assembly.
     fn matrix_slot(&mut self) -> &mut CsrMatrix<T> {
         self.assembled_keys = None;
-        self.off_pattern
+        self.csr
             .as_mut()
-            .or(self.csr.as_mut())
             .expect("SolveContext::assemble must run first")
     }
 
@@ -1414,11 +1419,7 @@ impl SolveContext<'_, f64> {
                 self.newton_seen = Some((keys.0, self.newton.is_none()));
             }
         }
-        // The value buffer holds the job's values, unless a context that
-        // never re-plans rebuilt them off its pattern.
-        if self.off_pattern.is_none() {
-            self.assembled_keys = Some(keys);
-        }
+        self.assembled_keys = Some(keys);
     }
 
     /// Loads `job` from the Newton image of its matrix key, if there is one
@@ -1441,7 +1442,6 @@ impl SolveContext<'_, f64> {
         let mut st = Stamper::with_sink_reusing(self.layout, RhsOnly, std::mem::take(rhs));
         job.stamp(&mut st);
         *rhs = st.into_parts().1;
-        self.off_pattern = None;
         self.factored = false;
         true
     }
@@ -1463,8 +1463,8 @@ impl SolveContext<'_, Complex64> {
     /// # Panics
     ///
     /// Panics on an adopting context that has not assembled yet.
+    #[inline]
     pub(crate) fn load_values(&mut self, image: &AffineImage, freq_hz: f64) {
-        self.off_pattern = None;
         self.assembled_keys = None;
         self.factored = false;
         let csr = self
@@ -1711,37 +1711,18 @@ mod tests {
     }
 
     #[test]
-    fn off_pattern_point_falls_back_without_poisoning_later_points() {
+    #[should_panic(expected = "left the pattern of its plan")]
+    fn plan_context_panics_on_an_assembly_off_its_pattern() {
         let (_c, layout) = two_node_layout();
         // Plan built over a diagonal-only pattern...
         let plan = SweepPlan::<f64>::build(&layout, &DiagOnly).unwrap();
         let mut ctx = plan.context();
-        // ...hit with an off-diagonal job: the point must still solve right.
-        let off = LadderJob {
+        // ...handed an off-diagonal job: the plan cannot serve it.
+        ctx.assemble(&LadderJob {
             g1: 1.0e-3,
             g2: 2.0e-3,
             extra_entry: false,
-        };
-        let x = ctx.solve(&off).unwrap();
-        let mut st = Stamper::new(&layout);
-        off.stamp(&mut st);
-        let (trip, rhs) = st.finish();
-        let reference = SparseLu::factor(&trip.to_csr())
-            .unwrap()
-            .solve(&rhs)
-            .unwrap();
-        for (a, b) in x.iter().zip(&reference) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        assert_eq!(ctx.stats().pattern_rebuilds, 1);
-        assert_eq!(ctx.stats().symbolic, 1);
-        // An on-plan point afterwards goes back to the shared fast path and
-        // matches a context that never saw the off-pattern job.
-        let on = DiagOnly;
-        let after = ctx.solve(&on).unwrap();
-        let fresh = plan.context().solve(&on).unwrap();
-        assert_eq!(after, fresh);
-        assert_eq!(ctx.stats().numeric_refactor, 1);
+        });
     }
 
     /// A ladder job that varies only its first conductance.

@@ -16,9 +16,11 @@
 //!   frequency point loads lane `k`'s system from its compiled admittance
 //!   image ([`AffineImage`], one image per lane per
 //!   variant group, self-checked like the serial analysis's own) — or,
-//!   without an image, stamps it — into a scratch CSR, and copies it into
-//!   the next batched column. A variant whose stamps leave the pattern
-//!   takes no lane: it runs its own [`AcAnalysis::driving_point_response`].
+//!   without an image, stamps it — into a scalar [`SolveContext`] through
+//!   `AcAnalysis::assemble_point`, the assembly of every serial AC point,
+//!   and copies its values into the next batched column. A variant whose
+//!   stamps leave the pattern takes no lane: it runs its own
+//!   [`AcAnalysis::driving_point_response`].
 //!   [`loopscope_sparse::BatchedLu`] then matches the shared
 //!   structure once per point, scans and scatters every lane in one pass,
 //!   and keeps its factors in the same split `re`/`im` planes, so one
@@ -51,11 +53,10 @@
 //! symbolic analysis total ([`BatchedSweep::solve_stats`]`.symbolic == 1`),
 //! which is the entire point.
 
-use crate::ac::{AcAnalysis, CompiledSystem};
-use crate::assembly::{AffineImage, AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan};
+use crate::ac::{solve_injection, AcAnalysis, CompiledSystem};
+use crate::assembly::{AffineImage, SolveContext, SolveStats, SweepPlan};
 use crate::dc::OperatingPoint;
 use crate::error::SpiceError;
-use crate::mna::Stamper;
 use crate::par;
 use loopscope_math::{Complex64, FrequencyGrid};
 use loopscope_netlist::{Circuit, Element, NodeId};
@@ -500,8 +501,9 @@ struct Lane<'a, 'c> {
 
 /// Mutable per-worker state of the batched frequency sweep: the lane-major
 /// values of every lane's system, the batched factorization, the lane
-/// right-hand sides and solutions, the scalar escalation context and the
-/// result rows of the points it solved. Runners are allocated at the
+/// right-hand sides and solutions, the scalar context every lane is
+/// assembled in (and escalates through) and the result rows of the points
+/// it solved. Runners are allocated at the
 /// group's lane width, pooled per outer worker and reused across variant
 /// groups — a ragged group simply drives fewer lanes (`m ≤ width`), so the
 /// per-point loop is allocation-free and the factorization buffers are
@@ -515,9 +517,6 @@ struct GroupRunner<'p> {
     /// Every lane's system values over [`pattern`](GroupRunner::pattern),
     /// lane-major.
     values: LanePlanes<Complex64>,
-    /// Value CSR a lane's system is loaded (from its image) or stamped
-    /// into before its values are copied into the lane's column.
-    lane_csr: CsrMatrix<Complex64>,
     batched: BatchedLu<Complex64>,
     /// The unit injection at [`var`](GroupRunner::var) in every lane.
     injection: LanePlanes<Complex64>,
@@ -525,12 +524,14 @@ struct GroupRunner<'p> {
     solution: LanePlanes<Complex64>,
     /// Every lane's backward error of the current point.
     errors: Vec<f64>,
-    /// Scratch RHS recycled through the stampers.
-    rhs_scratch: Vec<Complex64>,
-    /// Scalar escalation context over the same plan: lanes that fail the
-    /// batched fast path rerun through the exact serial verified ladder.
+    /// Scalar context over the same plan: each lane's system is assembled
+    /// in it before its values are copied into the lane's column, and lanes
+    /// that fail the batched fast path rerun through the exact serial
+    /// verified ladder in it.
     ctx: SolveContext<'p, Complex64>,
-    esc_x: Vec<Complex64>,
+    /// The right-hand side of a stamped lane and the injection (then the
+    /// solution) of an escalated one.
+    x: Vec<Complex64>,
     /// The lane results of every point this runner solved in the current
     /// group, point-major (`m` per point, in point order); sized for every
     /// point of the sweep at mint, cleared per group.
@@ -551,14 +552,12 @@ impl<'p> GroupRunner<'p> {
             var,
             pattern,
             values: LanePlanes::new(pattern.nnz(), width),
-            lane_csr: pattern.clone(),
             batched: BatchedLu::new(plan.symbolic(), width),
             injection,
             solution: LanePlanes::new(n, width),
             errors: vec![0.0; width],
-            rhs_scratch: Vec::with_capacity(n),
             ctx: plan.context(),
-            esc_x: vec![Complex64::ZERO; n],
+            x: vec![Complex64::ZERO; n],
             rows: Vec::with_capacity(points * width),
             stats: SolveStats::default(),
         }
@@ -582,24 +581,15 @@ impl<'p> GroupRunner<'p> {
         // the shared pattern, then copy them into the lane's batched column.
         let m = group.len();
         for (k, lane) in group.iter().enumerate() {
-            match &images[k] {
-                Some(image) => image.load_into(freq_hz, self.lane_csr.values_mut()),
-                None => {
-                    self.lane_csr.zero_values();
-                    let rhs = std::mem::take(&mut self.rhs_scratch);
-                    let sink = SlotSink::new(&mut self.lane_csr);
-                    let mut st = Stamper::with_sink_reusing(self.ctx.layout(), sink, rhs);
-                    lane.analysis
-                        .system(freq_hz, false, lane.overrides)
-                        .stamp(&mut st);
-                    let (sink, rhs) = st.into_parts();
-                    self.rhs_scratch = rhs;
-                    // Stamp positions do not depend on the frequency.
-                    assert!(!sink.missed(), "a lane left the pattern it compiled on");
-                }
-            }
-            self.values.load_lane(k, self.lane_csr.values());
-            self.stats.cached_assemblies += 1;
+            lane.analysis.assemble_point(
+                &mut self.ctx,
+                images[k].as_ref(),
+                freq_hz,
+                false,
+                lane.overrides,
+                &mut self.x,
+            );
+            self.values.load_lane(k, self.ctx.matrix().values());
         }
         // One batched numeric refactorization, one batched solve of the unit
         // injections and one lane-major residual pass: the exact residual
@@ -632,9 +622,8 @@ impl<'p> GroupRunner<'p> {
         }
     }
 
-    /// Reruns one lane's point through the scalar context — assemble (a
-    /// load from the lane's image when it has one), unit injection, verified
-    /// retry ladder — the exact procedure of the serial
+    /// Reruns one lane's point through the scalar context — assemble, unit
+    /// injection, verified retry ladder — the exact procedure of the serial
     /// [`AcAnalysis::driving_point_response`] worker, so escalated values
     /// stay bitwise identical to the serial path at any configuration.
     fn escalate(
@@ -643,22 +632,20 @@ impl<'p> GroupRunner<'p> {
         image: Option<&AffineImage>,
         freq_hz: f64,
     ) -> LanePoint {
-        match image {
-            Some(image) => self.ctx.load_values(image, freq_hz),
-            None => {
-                let _ = self
-                    .ctx
-                    .assemble(&lane.analysis.system(freq_hz, false, lane.overrides));
-            }
-        }
-        self.esc_x.fill(Complex64::ZERO);
-        self.esc_x[self.var] = Complex64::ONE;
-        self.ctx.solve_verified_in_place(&mut self.esc_x)?;
-        Ok(self.esc_x[self.var])
+        lane.analysis.assemble_point(
+            &mut self.ctx,
+            image,
+            freq_hz,
+            false,
+            lane.overrides,
+            &mut self.x,
+        );
+        solve_injection(&mut self.ctx, self.var, &mut self.x)
     }
 
-    /// Counters accumulated by this runner (stamps, batched refactors, and
-    /// everything the escalation context did).
+    /// Counters accumulated by this runner (batched refactors, plus every
+    /// lane assembly and everything the escalation ladder did in the scalar
+    /// context).
     fn stats(&self) -> SolveStats {
         let mut total = self.stats;
         total.merge(&self.ctx.stats());
