@@ -15,10 +15,13 @@
 //! 1. **Assembly** zeroes the CSR values and replays the element stamps
 //!    through a [`SlotSink`], which adds each stamp into its value slot,
 //!    found by a binary search within the row. No allocation, no sorting,
-//!    no BTreeMap. In an adopting context, a stamp that misses the pattern
-//!    (a nonlinear device changed operating region, say) rebuilds the
-//!    system from scratch through a
-//!    [`TripletMatrix`](loopscope_sparse::TripletMatrix).
+//!    no BTreeMap. Only an adopting context's first assembly builds the
+//!    pattern, through a [`TripletMatrix`](loopscope_sparse::TripletMatrix);
+//!    a later stamp outside it panics in every context. Stamp positions
+//!    depend only on the element kinds and the layout: a capacitor is open
+//!    at DC and a companion model in every transient step, sources stamp
+//!    the right-hand side alone, a diode stamps a 2×2 block, a BJT a 3×3
+//!    block, and a MOSFET `{d,s}×{g,d,s}` whichever terminal acts as drain.
 //!    An AC sweep point skips the stamps altogether and loads its values
 //!    from the analysis's compiled [`AffineImage`] `G + jω·C`, bit for bit
 //!    the values a stamped assembly produces. A DC or transient Newton
@@ -45,8 +48,8 @@
 //!
 //! A context differs from another only in what it does when its symbolic
 //! analysis stops serving — a degraded pivot, a residual retry or a gmin
-//! rescue each produce a fresh pivot order, and a pattern miss a fresh
-//! pattern. The policy is fixed by the constructor:
+//! rescue each produce a fresh pivot order. The policy is fixed by the
+//! constructor:
 //!
 //! * [`SweepPlan::context`] **never re-plans**: the same pipeline split into
 //!   an immutable, shareable plan (slot maps, CSR pattern, symbolic
@@ -55,12 +58,14 @@
 //!   is a pure function of its job and [`crate::par::sweep_chunks`] can chunk
 //!   a sweep across worker threads with bitwise-identical results at any
 //!   worker count. Its value buffer is the only matrix it holds: the stamp
-//!   positions of a sweep do not depend on the swept value, so an assembly
-//!   outside the plan's pattern is a caller bug and panics.
-//! * [`SolveContext::adopting`] **adopts** every fresh pattern and pivot
-//!   order as its new plan. That is the right shape for DC Newton loops and
-//!   transient stepping, where operating regions drift and each solve
-//!   follows the previous one on a single thread.
+//!   positions of a sweep do not depend on the swept value.
+//! * [`SolveContext::adopting`] **adopts** every fresh pivot order as its
+//!   new plan. That is the right shape for DC Newton loops and transient
+//!   stepping, where operating regions drift and each solve follows the
+//!   previous one on a single thread.
+//!
+//! Neither re-plans a pattern: an assembly outside the context's pattern is
+//! a caller bug and panics.
 
 use crate::devices::NonlinearStamp;
 use crate::error::SpiceError;
@@ -101,7 +106,8 @@ fn bump_node_diagonals<T: Scalar>(matrix: &mut CsrMatrix<T>, node_vars: usize, b
 ///
 /// Implementations must be **pure**: calling [`stamp`](AssembleMna::stamp)
 /// twice with equivalent sinks must produce the same entries, because the
-/// context replays the job when it needs to rebuild the pattern.
+/// compiled images ([`NewtonImage`], [`AffineImage`]) replay one pass of a
+/// job for the assemblies that follow it.
 pub trait AssembleMna<T: Scalar> {
     /// Stamps the matrix entries and right-hand side for this job.
     fn stamp<S: MatrixSink<T>>(&self, stamper: &mut Stamper<'_, T, S>);
@@ -110,7 +116,7 @@ pub trait AssembleMna<T: Scalar> {
 /// Matrix sink that accumulates stamps into the value slots of an existing
 /// CSR pattern, finding each stamp's slot by a binary search within its row
 /// ([`CsrMatrix::find_slot`]). Records (instead of panicking on) stamps that
-/// fall outside the pattern so the caller can rebuild.
+/// fall outside the pattern so the caller can report them.
 #[derive(Debug)]
 pub struct SlotSink<'m, T: Scalar> {
     csr: &'m mut CsrMatrix<T>,
@@ -124,7 +130,7 @@ impl<'m, T: Scalar> SlotSink<'m, T> {
     }
 
     /// `true` when at least one stamp addressed a position outside the
-    /// pattern (the assembly is then incomplete and must be rebuilt).
+    /// pattern (the assembly is then incomplete).
     pub fn missed(&self) -> bool {
         self.missed
     }
@@ -383,17 +389,16 @@ pub struct NewtonImage {
 }
 
 impl NewtonImage {
-    /// Compiles `job`'s image over `pattern`, or `None` when a stamp falls
-    /// outside it.
-    fn compile(
-        job: &impl NewtonJob,
-        layout: &MnaLayout,
-        pattern: &CsrMatrix<f64>,
-    ) -> Option<NewtonImage> {
+    /// Compiles `job`'s image over `pattern`, which an assembly of `job`
+    /// has just filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a stamp falls outside `pattern`.
+    fn compile(job: &impl NewtonJob, layout: &MnaLayout, pattern: &CsrMatrix<f64>) -> NewtonImage {
         let compiler = NewtonCompiler {
             pattern,
             touched: vec![false; pattern.nnz()],
-            missed: false,
             image: NewtonImage {
                 key: job.matrix_key(),
                 prefix: vec![0.0; pattern.nnz()],
@@ -404,8 +409,7 @@ impl NewtonImage {
         };
         let mut st = Stamper::with_sink(layout, compiler);
         job.stamp(&mut st);
-        let (compiler, _) = st.into_parts();
-        (!compiler.missed).then_some(compiler.image)
+        st.into_parts().0.image
     }
 
     /// The matrix key the image was compiled for.
@@ -476,16 +480,20 @@ struct NewtonCompiler<'m> {
     pattern: &'m CsrMatrix<f64>,
     /// Slots a device stamp has reached so far.
     touched: Vec<bool>,
-    missed: bool,
     image: NewtonImage,
+}
+
+impl NewtonCompiler<'_> {
+    fn slot(&self, row: usize, col: usize) -> usize {
+        self.pattern
+            .find_slot(row, col)
+            .expect("a compiled job stamps on the pattern its assembly filled")
+    }
 }
 
 impl MatrixSink<f64> for NewtonCompiler<'_> {
     fn add(&mut self, row: usize, col: usize, value: f64) {
-        let Some(slot) = self.pattern.find_slot(row, col) else {
-            self.missed = true;
-            return;
-        };
+        let slot = self.slot(row, col);
         let image = &mut self.image;
         if self.touched[slot] {
             image.tail.push((index_u32(slot), value));
@@ -495,21 +503,20 @@ impl MatrixSink<f64> for NewtonCompiler<'_> {
     }
 
     fn add_device(&mut self, layout: &MnaLayout, stamp: &NonlinearStamp) {
-        let image = &mut self.image;
-        image.device_starts.push(index_u32(image.tail.len()));
+        let tail = index_u32(self.image.tail.len());
+        self.image.device_starts.push(tail);
         for &(r, c, _) in stamp.conductances() {
             let slot = match (layout.node_var(r), layout.node_var(c)) {
                 (Some(row), Some(col)) => {
-                    let Some(slot) = self.pattern.find_slot(row, col) else {
-                        self.missed = true;
-                        return;
-                    };
+                    let slot = self.slot(row, col);
                     self.touched[slot] = true;
                     index_u32(slot)
                 }
                 _ => GROUND,
             };
-            image.devices.push((position(r.index(), c.index()), slot));
+            self.image
+                .devices
+                .push((position(r.index(), c.index()), slot));
         }
     }
 }
@@ -539,10 +546,6 @@ pub struct SolveStats {
     pub factor_reuses: usize,
     /// Fresh pivoting factorizations forced by a degraded pivot.
     pub fresh_fallback: usize,
-    /// Pattern rebuilds of an adopting context, forced by a stamp outside
-    /// its cached pattern. Zero for every sweep context, which never leaves
-    /// its plan's pattern.
-    pub pattern_rebuilds: usize,
     /// In-place (value-only) assemblies served from the cached pattern.
     pub cached_assemblies: usize,
     /// Retry-ladder escalations to a fresh threshold-pivoted factorization
@@ -584,7 +587,6 @@ impl SolveStats {
         self.numeric_refactor += other.numeric_refactor;
         self.factor_reuses += other.factor_reuses;
         self.fresh_fallback += other.fresh_fallback;
-        self.pattern_rebuilds += other.pattern_rebuilds;
         self.cached_assemblies += other.cached_assemblies;
         self.residual_retries += other.residual_retries;
         self.gmin_bumps += other.gmin_bumps;
@@ -749,7 +751,8 @@ impl<T: Scalar> SweepPlan<T> {
     /// # Panics
     ///
     /// The context panics when an assembly stamps outside the plan's pattern
-    /// (see [`SolveContext::assemble_into`]): build a plan per pattern.
+    /// (see [`SolveContext::assemble_into`]), as every context does outside
+    /// its own: build a plan per pattern.
     pub fn context(&self) -> SolveContext<'_, T> {
         SolveContext {
             symbolic: Some(SymbolicLu::clone(&self.symbolic)),
@@ -777,16 +780,16 @@ impl<T: Scalar> SweepPlan<T> {
 /// [module docs](self)):
 ///
 /// * [`SweepPlan::context`] never re-plans: every point assembles into the
-///   plan's pattern (an assembly outside it panics) and refactors against
-///   the plan's fixed symbolic analysis, and a degraded pivot, a residual
-///   retry or a gmin rescue runs a fresh factorization **for that point
-///   only**. Results at a point are therefore a pure function of the job —
+///   plan's pattern and refactors against the plan's fixed symbolic
+///   analysis, and a degraded pivot, a residual retry or a gmin rescue runs
+///   a fresh factorization **for that point only**. Results at a point are therefore a pure function of the job —
 ///   independent of the points the context processed before — which is
 ///   what makes chunked parallel sweeps bitwise identical to the serial
 ///   run.
-/// * [`SolveContext::adopting`] adopts each of those fresh factorizations,
-///   and each pattern a missed stamp rebuilds, as its own plan, so the next
-///   system refactors against it.
+/// * [`SolveContext::adopting`] adopts each of those fresh factorizations
+///   as its own plan, so the next system refactors against it.
+///
+/// In both, an assembly outside the context's pattern panics.
 #[derive(Debug)]
 pub struct SolveContext<'p, T: Scalar> {
     layout: &'p MnaLayout,
@@ -794,8 +797,7 @@ pub struct SolveContext<'p, T: Scalar> {
     /// adopting context, which plans from its own systems.
     plan: Option<&'p SweepPlan<T>>,
     /// The symbolic analysis refactorizations run against: the plan's, or
-    /// an adopting context's latest re-plan (`None` until it first factors,
-    /// and after a pattern miss).
+    /// an adopting context's latest re-plan (`None` until it first factors).
     symbolic: Option<SymbolicLu>,
     /// Value buffer over the current sparsity pattern; `None` only before
     /// an adopting context's first assembly.
@@ -840,15 +842,16 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// Creates an **adopting** context over `layout`, the driver of DC
     /// Newton loops and transient stepping.
     ///
-    /// Its first assembly builds the sparsity pattern from that job's own
-    /// values, and its first factorization — a block-triangular,
-    /// minimum-degree, threshold-pivoted analysis — becomes its plan. Every
-    /// later factorization is a numeric-only refactorization into buffers
-    /// the context owns, so the steady state performs no factorization-side
-    /// heap allocation. Whenever a fresh analysis runs anyway (a pattern
-    /// miss, a degraded-pivot fallback, a residual retry or a gmin rescue),
-    /// the context adopts its pattern and pivot order for the systems that
-    /// follow.
+    /// Its first assembly builds the sparsity pattern from that job's
+    /// stamps, and every later assembly must stay on it (see
+    /// [`assemble_into`](SolveContext::assemble_into)). Its first
+    /// factorization — a block-triangular, minimum-degree, threshold-pivoted
+    /// analysis — becomes its plan. Every later factorization is a
+    /// numeric-only refactorization into buffers the context owns, so the
+    /// steady state performs no factorization-side heap allocation. Whenever
+    /// a fresh analysis runs anyway (a degraded-pivot fallback, a residual
+    /// retry or a gmin rescue), the context adopts its pivot order for the
+    /// systems that follow.
     ///
     /// ```
     /// use loopscope_netlist::{Circuit, SourceSpec};
@@ -942,64 +945,51 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
 
     /// Assembles the MNA system for `job` into the context's value buffer —
     /// a value-only restamp over the current slot map — writing the
-    /// right-hand side into a caller-held buffer. On a pattern hit, once
-    /// `rhs`'s capacity has reached the layout dimension, the assembly
-    /// performs **zero heap allocations**: the property the transient
-    /// Newton loop relies on, where the same buffer cycles through
-    /// assemble → solve at every iteration of every timestep.
+    /// right-hand side into a caller-held buffer, counted in
+    /// `cached_assemblies`. Once `rhs`'s capacity has reached the layout
+    /// dimension, the assembly performs **zero heap allocations**: the
+    /// property the transient Newton loop relies on, where the same buffer
+    /// cycles through assemble → solve at every iteration of every timestep.
     ///
-    /// An adopting context rebuilds a job stamping outside its pattern from
-    /// scratch (which allocates, as it must) and takes the rebuilt pattern
-    /// as its own, counted in `pattern_rebuilds`; so does its first
-    /// assembly, which is counted in neither `cached_assemblies` nor
-    /// `pattern_rebuilds`.
+    /// An adopting context's first assembly builds its pattern from the
+    /// job's stamps instead (which allocates, as it must) and is not counted.
     ///
     /// # Panics
     ///
-    /// Panics when `job` stamps outside the pattern of a context minted by
-    /// [`SweepPlan::context`]: a sweep's stamp positions do not depend on the
-    /// swept value, so a job that leaves its plan's pattern needs a plan of
-    /// its own.
+    /// Panics when `job` stamps outside the context's pattern. Stamp
+    /// positions depend on the element kinds and the layout, never on the
+    /// swept value, the Newton iterate or the time step (see the
+    /// [module docs](self)), so a job that leaves the pattern needs a
+    /// context of its own.
     pub fn assemble_into(&mut self, job: &impl AssembleMna<T>, rhs: &mut Vec<T>) {
         self.assembled_keys = None;
         self.factored = false;
-        if let Some(csr) = self.csr.as_mut() {
-            csr.zero_values();
-            let buf = std::mem::take(rhs);
-            let sink = SlotSink::new(csr);
-            let mut stamper = Stamper::with_sink_reusing(self.layout, sink, buf);
+        let Some(csr) = self.csr.as_mut() else {
+            let mut stamper = Stamper::new(self.layout);
             job.stamp(&mut stamper);
-            let (sink, out) = stamper.into_parts();
-            let missed = sink.missed();
+            let (triplets, out) = stamper.finish();
             *rhs = out;
-            if !missed {
-                self.stats.cached_assemblies += 1;
-                return;
-            }
-            assert!(
-                self.adopts(),
-                "a sweep context's assembly left the pattern of its plan"
-            );
-            self.stats.pattern_rebuilds += 1;
-            self.newton = None;
-            self.newton_seen = None;
-            self.factored_keys = None;
-        }
-        let mut stamper = Stamper::new(self.layout);
+            self.csr = Some(triplets.to_csr());
+            return;
+        };
+        csr.zero_values();
+        let sink = SlotSink::new(csr);
+        let mut stamper = Stamper::with_sink_reusing(self.layout, sink, std::mem::take(rhs));
         job.stamp(&mut stamper);
-        let (triplets, out) = stamper.finish();
+        let (sink, out) = stamper.into_parts();
+        assert!(
+            !sink.missed(),
+            "an assembly left the pattern of its context"
+        );
         *rhs = out;
-        // The symbolic analysis belonged to the old pattern: the next
-        // factorization re-analyzes and adopts.
-        self.csr = Some(triplets.to_csr());
-        self.symbolic = None;
+        self.stats.cached_assemblies += 1;
     }
 
     /// Factors the most recently assembled system: a numeric-only
     /// refactorization against the current symbolic analysis (the hot
     /// path), or a fresh [`SparseLu::factor`] when there is none for this
     /// system (an adopting context's first factorization, or its first after
-    /// a pattern rebuild or a failed factorization), counted in `symbolic`.
+    /// a failed factorization), counted in `symbolic`.
     /// When the refactorization reports a degraded pivot, the context
     /// re-pivots with a fresh factorization,
     /// counted in `fresh_fallback`: an adopting context keeps that pivot
@@ -1015,8 +1005,8 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// refactorization records the keys of the values it factored (none,
     /// when the buffer holds no Newton assembly). Any other write to the
     /// buffer (a plain assembly, the `matrix_mut` hook, a gmin bump), a
-    /// pattern rebuild, a fresh factorization or a failed one forgets them,
-    /// so each of those refactors as before. A sweep context never reuses,
+    /// fresh factorization or a failed one forgets them, so each of those
+    /// refactors as before. A sweep context never reuses,
     /// which keeps every point's cost and counters independent of the
     /// points before it.
     ///
@@ -1396,8 +1386,8 @@ impl SolveContext<'_, f64> {
     /// [`device_key`](NewtonJob::device_key), the matrix load is skipped,
     /// and [`factor`](SolveContext::factor) reuses the factors. A device
     /// stamp sequence the image did not record (a MOSFET swapping drain and
-    /// source, say) drops the image and stamps in full; a pattern rebuild
-    /// drops it too. So a one-iteration solve pays nothing extra. Image
+    /// source, say) drops the image and stamps in full. So a one-iteration
+    /// solve pays nothing extra. Image
     /// loads count in `cached_assemblies` like pattern hits, and the steady
     /// state allocates nothing.
     pub fn assemble_newton_into(&mut self, job: &impl NewtonJob, rhs: &mut Vec<f64>) {
@@ -1406,15 +1396,14 @@ impl SolveContext<'_, f64> {
             self.stats.cached_assemblies += 1;
         } else {
             let compile = self.newton_seen == Some((keys.0, false));
-            let hits = self.stats.cached_assemblies;
             self.assemble_into(job, rhs);
             self.newton_seen = Some((keys.0, false));
-            if compile && self.stats.cached_assemblies > hits {
+            if compile {
                 let csr = self
                     .csr
                     .as_ref()
-                    .expect("a pattern hit fills the value buffer");
-                self.newton = NewtonImage::compile(job, self.layout, csr)
+                    .expect("an assembly fills the value buffer");
+                self.newton = Some(NewtonImage::compile(job, self.layout, csr))
                     .filter(|image| image.reproduces(job, csr));
                 self.newton_seen = Some((keys.0, self.newton.is_none()));
             }
@@ -1533,9 +1522,8 @@ mod tests {
             extra_entry: false,
         };
         ctx.assemble(&job);
-        // The first assembly builds the pattern and is counted as neither.
+        // The first assembly builds the pattern and is not counted.
         assert_eq!(ctx.stats().cached_assemblies, 0);
-        assert_eq!(ctx.stats().pattern_rebuilds, 0);
         let first = ctx.matrix().clone();
         let job2 = LadderJob {
             g1: 4.0e-3,
@@ -1545,37 +1533,9 @@ mod tests {
         let rhs = ctx.assemble(&job2);
         assert!(ctx.matrix().same_pattern(&first));
         assert_eq!(ctx.stats().cached_assemblies, 1);
-        assert_eq!(ctx.stats().pattern_rebuilds, 0);
         assert!((ctx.matrix().get(0, 0) - 4.5e-3).abs() < 1e-18);
         assert!((ctx.matrix().get(0, 1) + 0.5e-3).abs() < 1e-18);
         assert_eq!(rhs[0], 1.0e-3);
-    }
-
-    #[test]
-    fn pattern_miss_triggers_rebuild() {
-        let (_c, layout) = two_node_layout();
-        let ladder = LadderJob {
-            g1: 1.0,
-            g2: 1.0,
-            extra_entry: false,
-        };
-        let mut ctx = SolveContext::<f64>::adopting(&layout);
-        ctx.assemble(&DiagOnly);
-        ctx.factor().unwrap();
-        assert_eq!(ctx.stats().symbolic, 1);
-        // The ladder stamps (0,1) and (1,0), which the diagonal pattern
-        // lacks: the adopting context rebuilds and keeps the new pattern.
-        ctx.assemble(&ladder);
-        assert_eq!(ctx.stats().pattern_rebuilds, 1);
-        assert_eq!(ctx.matrix().get(0, 1), -1.0);
-        // The symbolic analysis was invalidated: next factor re-analyzes.
-        ctx.factor().unwrap();
-        assert_eq!(ctx.stats().symbolic, 2);
-        // The rebuilt pattern and its analysis are now the context's plan.
-        ctx.solve(&ladder).unwrap();
-        assert_eq!(ctx.stats().cached_assemblies, 1);
-        assert_eq!(ctx.stats().numeric_refactor, 1);
-        assert_eq!(ctx.stats().symbolic, 2);
     }
 
     #[test]
@@ -1680,7 +1640,6 @@ mod tests {
         assert_eq!(ctx_a.stats().symbolic, 0);
         assert_eq!(ctx_a.stats().numeric_refactor, jobs.len());
         assert_eq!(ctx_a.stats().cached_assemblies, jobs.len());
-        assert_eq!(ctx_a.stats().pattern_rebuilds, 0);
     }
 
     /// An adopting context (the DC/transient driver) plans from its own
@@ -1710,19 +1669,31 @@ mod tests {
         assert_eq!(adopting.stats().numeric_refactor, jobs.len() - 1);
     }
 
-    #[test]
-    #[should_panic(expected = "left the pattern of its plan")]
-    fn plan_context_panics_on_an_assembly_off_its_pattern() {
-        let (_c, layout) = two_node_layout();
-        // Plan built over a diagonal-only pattern...
-        let plan = SweepPlan::<f64>::build(&layout, &DiagOnly).unwrap();
-        let mut ctx = plan.context();
-        // ...handed an off-diagonal job: the plan cannot serve it.
+    /// Hands a context over a diagonal-only pattern the off-diagonal
+    /// ladder, which its pattern cannot serve.
+    fn assemble_off_the_diagonal_pattern(mut ctx: SolveContext<'_, f64>) {
         ctx.assemble(&LadderJob {
             g1: 1.0e-3,
             g2: 2.0e-3,
             extra_entry: false,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "an assembly left the pattern of its context")]
+    fn plan_context_panics_on_an_assembly_off_its_pattern() {
+        let (_c, layout) = two_node_layout();
+        let plan = SweepPlan::<f64>::build(&layout, &DiagOnly).unwrap();
+        assemble_off_the_diagonal_pattern(plan.context());
+    }
+
+    #[test]
+    #[should_panic(expected = "an assembly left the pattern of its context")]
+    fn adopting_context_panics_on_an_assembly_off_its_pattern() {
+        let (_c, layout) = two_node_layout();
+        let mut ctx = SolveContext::<f64>::adopting(&layout);
+        ctx.assemble(&DiagOnly);
+        assemble_off_the_diagonal_pattern(ctx);
     }
 
     /// A ladder job that varies only its first conductance.
@@ -1914,30 +1885,6 @@ mod tests {
     }
 
     #[test]
-    fn a_pattern_rebuild_forgets_the_recorded_values() {
-        let (_c, layout) = two_node_layout();
-        let diag = Keyed {
-            job: DiagOnly,
-            matrix_key: [0, 1],
-            device_key: 7,
-        };
-        let mut ctx = SolveContext::<f64>::adopting(&layout);
-        solve_newton(&mut ctx, &diag);
-        solve_newton(&mut ctx, &diag);
-        solve_newton(&mut ctx, &diag);
-        assert_eq!(ctx.stats().factor_reuses, 1);
-        // The ladder misses the diagonal pattern: rebuild and re-analyze.
-        solve_newton(&mut ctx, &keyed(1.0e-3, 7));
-        assert_eq!(ctx.stats().pattern_rebuilds, 1);
-        assert_eq!(ctx.stats().symbolic, 2);
-        // The diagonal job over the rebuilt pattern refactors, though its
-        // keys are the ones recorded before the rebuild.
-        solve_newton(&mut ctx, &diag);
-        assert_eq!(ctx.stats().numeric_refactor, 2);
-        assert_eq!(ctx.stats().factor_reuses, 1);
-    }
-
-    #[test]
     fn a_failed_factorization_forgets_the_recorded_values() {
         let (_c, layout) = two_node_layout();
         let job = keyed(1.0e-3, 7);
@@ -1970,7 +1917,6 @@ mod tests {
             numeric_refactor: 3,
             factor_reuses: 4,
             fresh_fallback: 0,
-            pattern_rebuilds: 0,
             cached_assemblies: 4,
             residual_retries: 1,
             gmin_bumps: 0,
@@ -1982,7 +1928,6 @@ mod tests {
             numeric_refactor: 5,
             factor_reuses: 7,
             fresh_fallback: 1,
-            pattern_rebuilds: 2,
             cached_assemblies: 6,
             residual_retries: 2,
             gmin_bumps: 3,
@@ -1994,7 +1939,6 @@ mod tests {
         assert_eq!(a.numeric_refactor, 8);
         assert_eq!(a.factor_reuses, 11);
         assert_eq!(a.fresh_fallback, 1);
-        assert_eq!(a.pattern_rebuilds, 2);
         assert_eq!(a.cached_assemblies, 10);
         assert_eq!(a.residual_retries, 3);
         assert_eq!(a.gmin_bumps, 3);
@@ -2272,20 +2216,6 @@ mod tests {
             assert_eq!((bits(ctx.matrix()), rhs), reference(&layout, job));
         }
         assert_eq!(ctx.stats().cached_assemblies, jobs.len() - 1);
-        assert_eq!(ctx.stats().pattern_rebuilds, 0);
-
-        // A stamp outside the pattern rebuilds it once; the next assembly
-        // over the rebuilt pattern is a hit.
-        let mut narrow = SolveContext::<f64>::adopting(&layout);
-        narrow.assemble(&DiagOnly);
-        narrow.assemble(&DiagOnly);
-        narrow.assemble(&jobs[0]);
-        assert_eq!(narrow.stats().pattern_rebuilds, 1);
-        assert_eq!(narrow.stats().cached_assemblies, 1);
-        let rhs = narrow.assemble(&jobs[2]);
-        assert_eq!(narrow.stats().pattern_rebuilds, 1);
-        assert_eq!(narrow.stats().cached_assemblies, 2);
-        assert_eq!((bits(narrow.matrix()), rhs), reference(&layout, &jobs[2]));
     }
 
     #[test]

@@ -1,13 +1,20 @@
 //! Nonlinear DC operating-point analysis.
 //!
 //! The operating point is found by Newton-Raphson iteration on the MNA
-//! system, with two convergence aids borrowed from production SPICE engines
-//! when plain iteration fails:
+//! system, run along one continuation ladder (Nagel's SPICE2 aids, UCB/ERL
+//! M520, 1975) whose phases are tried in order until one converges:
 //!
+//! * **plain Newton** from a zero guess;
 //! * **gmin stepping** — a shunt conductance from every node to ground is
-//!   started large and reduced decade by decade, re-converging at every step;
+//!   started large and reduced decade by decade, then removed, re-converging
+//!   at every stage;
 //! * **source stepping** — all independent DC sources are ramped from 0 to
 //!   100 % while re-converging.
+//!
+//! Each phase starts from zero, each later stage of a phase from the
+//! voltages the previous stage converged to, and a stage that fails to
+//! converge ends its phase. Every Newton run of the search is recorded in
+//! the [`ConvergenceReport`].
 //!
 //! The result ([`OperatingPoint`]) carries the node voltages and branch
 //! currents, and is the linearization point for AC and the starting state for
@@ -32,11 +39,17 @@ pub struct DcOptions {
     pub reltol: f64,
     /// Largest per-iteration node-voltage update in volts (damping).
     pub max_step: f64,
-    /// Number of decades used by gmin stepping when plain Newton fails.
+    /// The last shunt decade of gmin stepping when plain Newton fails
+    /// (decades `0..=gmin_decades`, at most 305).
     pub gmin_decades: usize,
     /// Number of ramp points used by source stepping as a last resort.
     pub source_steps: usize,
 }
+
+/// The most decades gmin stepping may take: decade `k` shunts `1e-2·10⁻ᵏ` S,
+/// and decade 305 (`1e-307` S) is the last whose shunt is a normal `f64`
+/// (at least `f64::MIN_POSITIVE ≈ 2.2e-308`).
+const MAX_GMIN_DECADES: usize = 305;
 
 impl Default for DcOptions {
     fn default() -> Self {
@@ -54,7 +67,8 @@ impl Default for DcOptions {
 impl DcOptions {
     /// Checks the options for internal consistency before any work happens:
     /// at least one Newton iteration, finite positive tolerances and damping
-    /// step, and at least one source-stepping ramp point.
+    /// step, at most 305 gmin decades (the last whose shunt is a normal
+    /// `f64`) and at least one source-stepping ramp point.
     ///
     /// # Errors
     ///
@@ -75,6 +89,12 @@ impl DcOptions {
                     "{name} must be finite and positive (got {value})"
                 )));
             }
+        }
+        if self.gmin_decades > MAX_GMIN_DECADES {
+            return Err(SpiceError::InvalidOptions(format!(
+                "gmin_decades must be at most {MAX_GMIN_DECADES} (got {})",
+                self.gmin_decades
+            )));
         }
         if self.source_steps == 0 {
             return Err(SpiceError::InvalidOptions(
@@ -289,25 +309,19 @@ pub fn assembly_job<'a>(
     }
 }
 
-/// A converged Newton run: the final node voltages, the full unknown vector
-/// and the iterations it took.
+/// One Newton run of the operating-point search: its final node voltages,
+/// the full unknown vector, the iterations it took and its last update.
 struct NewtonRun {
     voltages: Vec<f64>,
     solution: Vec<f64>,
     iterations: usize,
     final_delta: f64,
-}
-
-/// Outcome of one Newton run. Non-convergence is an ordinary outcome here —
-/// the caller escalates to the next continuation phase — while hard solver
-/// failures (singular system, non-finite stamp, exhausted retry ladder)
-/// surface as `Err` and abort the whole operating-point search.
-enum NewtonOutcome {
-    Converged(NewtonRun),
-    NoConvergence { iterations: usize, final_delta: f64 },
+    converged: bool,
 }
 
 /// Runs Newton-Raphson from the supplied initial node voltages.
+/// Non-convergence is an ordinary outcome (the search escalates to its next
+/// phase); `Err` is a hard solver failure that aborts the search.
 ///
 /// Every iteration evaluates the devices into a reused buffer, assembles
 /// through the context's Newton image
@@ -324,15 +338,11 @@ fn newton(
     source_scale: f64,
     gshunt: f64,
     opts: &DcOptions,
-) -> Result<NewtonOutcome, SpiceError> {
-    let node_count = circuit.node_count();
+) -> Result<NewtonRun, SpiceError> {
     let mut voltages = initial_voltages.to_vec();
     let mut solution = vec![0.0; layout.dim()];
-    // Reused across iterations: ground (index 0) stays zero, every other
-    // entry is rewritten below.
-    let mut new_voltages = vec![0.0; node_count];
     let has_nonlinear = circuit.elements().iter().any(Element::is_nonlinear);
-    let mut last_delta = f64::INFINITY;
+    let mut final_delta = f64::INFINITY;
     let mut stamps = Vec::new();
 
     for iteration in 1..=opts.max_iterations {
@@ -348,50 +358,58 @@ fn newton(
         solver.assemble_newton_into(&job, &mut solution);
         solver.solve_verified_in_place(&mut solution)?;
 
-        // Extract and damp the node-voltage update.
-        let mut max_delta: f64 = 0.0;
-        for idx in 1..node_count {
-            let node = NodeId::from_index(idx);
-            let var = layout.node_var(node).expect("non-ground node");
-            let target = solution[var];
-            let delta = target - voltages[idx];
-            let limited = delta.clamp(-opts.max_step, opts.max_step);
-            new_voltages[idx] = voltages[idx] + limited;
-            max_delta = max_delta.max(delta.abs());
+        // Test every node's update against the tolerances and damp it, in
+        // one pass: node `i`'s unknown is `i − 1` (`MnaLayout::node_var`).
+        let mut converged = true;
+        final_delta = 0.0;
+        for (v, &target) in voltages[1..].iter_mut().zip(&solution) {
+            let delta = target - *v;
+            converged &= delta.abs() <= opts.vntol + opts.reltol * target.abs();
+            final_delta = final_delta.max(delta.abs());
+            *v += delta.clamp(-opts.max_step, opts.max_step);
         }
-        last_delta = max_delta;
-
-        let converged = (1..node_count).all(|idx| {
-            let node = NodeId::from_index(idx);
-            let var = layout.node_var(node).expect("non-ground node");
-            let delta = (solution[var] - voltages[idx]).abs();
-            delta <= opts.vntol + opts.reltol * solution[var].abs()
-        });
-
-        std::mem::swap(&mut voltages, &mut new_voltages);
-
+        // Linear circuits converge in a single iteration by construction.
         if converged || !has_nonlinear {
-            // Linear circuits converge in a single iteration by construction.
-            // Re-read the exact node voltages from the solution (undo damping).
-            for (idx, v) in voltages.iter_mut().enumerate().skip(1) {
-                let var = layout
-                    .node_var(NodeId::from_index(idx))
-                    .expect("non-ground node");
-                *v = solution[var];
-            }
-            return Ok(NewtonOutcome::Converged(NewtonRun {
+            // Undo the damping: the run ends on the exact node voltages.
+            let nodes = voltages.len() - 1;
+            voltages[1..].copy_from_slice(&solution[..nodes]);
+            return Ok(NewtonRun {
                 voltages,
                 solution,
                 iterations: iteration,
-                final_delta: max_delta,
-            }));
+                final_delta,
+                converged: true,
+            });
         }
     }
-
-    Ok(NewtonOutcome::NoConvergence {
+    Ok(NewtonRun {
+        voltages,
+        solution,
         iterations: opts.max_iterations,
-        final_delta: last_delta,
+        final_delta,
+        converged: false,
     })
+}
+
+/// The shunt conductance of gmin stepping's decade `k`: `1e-2·10⁻ᵏ` S.
+fn gmin_shunt(decade: usize) -> f64 {
+    1.0e-2 * 10f64.powi(-(decade as i32))
+}
+
+/// The continuation ladder of the operating-point search, as
+/// `(phase, stage, source_scale, gshunt)` in run order: plain Newton; gmin
+/// stepping's `gmin_decades + 1` shrinking shunts, then one stage without a
+/// shunt; source stepping's ramp points `1..=source_steps`.
+fn continuation_stages(opts: &DcOptions) -> impl Iterator<Item = (DcPhase, usize, f64, f64)> {
+    let (decades, steps) = (opts.gmin_decades, opts.source_steps);
+    let gmin = (0..=decades + 1).map(move |k| {
+        let gshunt = if k <= decades { gmin_shunt(k) } else { 0.0 };
+        (DcPhase::GminStepping, k, 1.0, gshunt)
+    });
+    let ramp = (1..=steps).map(move |k| (DcPhase::SourceStepping, k, k as f64 / steps as f64, 0.0));
+    std::iter::once((DcPhase::Newton, 0, 1.0, 0.0))
+        .chain(gmin)
+        .chain(ramp)
 }
 
 /// Solves the DC operating point with default options.
@@ -410,10 +428,17 @@ pub fn solve_dc(circuit: &Circuit) -> Result<OperatingPoint, SpiceError> {
 
 /// Solves the DC operating point with explicit options.
 ///
+/// Runs the stages of the continuation ladder in order, each phase from a
+/// zero guess and each later stage of a phase from the voltages its
+/// predecessor converged to. The first phase whose stages all converge
+/// gives the operating point; a failed stage ends its phase.
+///
 /// # Errors
 ///
-/// See [`solve_dc`]; additionally returns [`SpiceError::InvalidOptions`] if
-/// `opts` fails [`DcOptions::validate`].
+/// See [`solve_dc`]; the [`SpiceError::DcNoConvergence`] carries the
+/// iterations and final update of the last failing stage. Additionally
+/// returns [`SpiceError::InvalidOptions`] if `opts` fails
+/// [`DcOptions::validate`].
 pub fn solve_dc_with(circuit: &Circuit, opts: &DcOptions) -> Result<OperatingPoint, SpiceError> {
     opts.validate()?;
     circuit.validate().map_err(SpiceError::Netlist)?;
@@ -421,159 +446,57 @@ pub fn solve_dc_with(circuit: &Circuit, opts: &DcOptions) -> Result<OperatingPoi
     let zero = vec![0.0; circuit.node_count()];
     let mut report = ConvergenceReport::default();
     // One adopting solve context for the entire operating-point search:
-    // gmin and source stepping only change values, never the pattern.
+    // the stages only change values, never the pattern.
     let mut solver = SolveContext::adopting(&layout);
-
-    // Attempt 1: plain Newton from a zero initial guess. Hard solver failures
-    // (`Err`) abort the whole search; only non-convergence escalates.
-    let direct = newton(circuit, &layout, &mut solver, &zero, 1.0, 0.0, opts)?;
-    let (voltages, solution) = match direct {
-        NewtonOutcome::Converged(run) => {
-            report.stages.push(StageReport {
-                phase: DcPhase::Newton,
-                stage: 0,
-                iterations: run.iterations,
-                final_delta: run.final_delta,
-                converged: true,
-            });
-            (run.voltages, run.solution)
-        }
-        NewtonOutcome::NoConvergence {
-            iterations,
-            final_delta,
-        } => {
-            report.stages.push(StageReport {
-                phase: DcPhase::Newton,
-                stage: 0,
-                iterations,
-                final_delta,
-                converged: false,
-            });
-            // Attempt 2: gmin stepping; attempt 3: source stepping.
-            match gmin_stepping(circuit, &layout, &mut solver, opts, &mut report)? {
-                Some(pair) => pair,
-                None => source_stepping(circuit, &layout, &mut solver, opts, &mut report)?,
-            }
-        }
-    };
-
+    let mut last: Option<(DcPhase, NewtonRun)> = None;
+    for (phase, stage, source_scale, gshunt) in continuation_stages(opts) {
+        let guess = match &last {
+            Some((p, run)) if *p == phase && !run.converged => continue,
+            Some((p, run)) if *p == phase => &run.voltages,
+            // The previous phase converged in every stage.
+            Some((_, run)) if run.converged => break,
+            _ => &zero,
+        };
+        let run = newton(
+            circuit,
+            &layout,
+            &mut solver,
+            guess,
+            source_scale,
+            gshunt,
+            opts,
+        )?;
+        report.stages.push(StageReport {
+            phase,
+            stage,
+            iterations: run.iterations,
+            final_delta: run.final_delta,
+            converged: run.converged,
+        });
+        last = Some((phase, run));
+    }
+    let (_, run) = last.expect("the ladder starts with plain Newton");
+    if !run.converged {
+        return Err(SpiceError::DcNoConvergence {
+            iterations: run.iterations,
+            max_delta: run.final_delta,
+        });
+    }
     let branch_currents = circuit
         .elements()
         .iter()
         .enumerate()
         .filter_map(|(ei, el)| {
             let var = layout.element_branch(ei)?;
-            Some((el.name().to_string(), solution[var]))
+            Some((el.name().to_string(), run.solution[var]))
         })
         .collect();
     Ok(OperatingPoint {
-        node_voltages: voltages,
+        node_voltages: run.voltages,
         branch_currents,
         iterations: report.total_iterations(),
         convergence: report,
     })
-}
-
-type DcSolution = (Vec<f64>, Vec<f64>);
-
-/// Gmin-stepping continuation. `Ok(None)` means a stage failed to converge
-/// and the caller should fall through to source stepping; `Err` is a hard
-/// solver failure that aborts the search.
-fn gmin_stepping(
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    solver: &mut SolveContext<'_, f64>,
-    opts: &DcOptions,
-    report: &mut ConvergenceReport,
-) -> Result<Option<DcSolution>, SpiceError> {
-    let mut guess = vec![0.0; circuit.node_count()];
-    for step in 0..=opts.gmin_decades + 1 {
-        // Decades of shrinking shunt conductance, then a final solve with no
-        // extra shunt at all.
-        let gshunt = if step <= opts.gmin_decades {
-            1.0e-2 * 10f64.powi(-(step as i32))
-        } else {
-            0.0
-        };
-        let outcome = newton(circuit, layout, solver, &guess, 1.0, gshunt, opts)?;
-        match outcome {
-            NewtonOutcome::Converged(run) => {
-                report.stages.push(StageReport {
-                    phase: DcPhase::GminStepping,
-                    stage: step,
-                    iterations: run.iterations,
-                    final_delta: run.final_delta,
-                    converged: true,
-                });
-                guess = run.voltages;
-                if step > opts.gmin_decades {
-                    return Ok(Some((guess, run.solution)));
-                }
-            }
-            NewtonOutcome::NoConvergence {
-                iterations,
-                final_delta,
-            } => {
-                report.stages.push(StageReport {
-                    phase: DcPhase::GminStepping,
-                    stage: step,
-                    iterations,
-                    final_delta,
-                    converged: false,
-                });
-                return Ok(None);
-            }
-        }
-    }
-    unreachable!("the zero-shunt stage always returns")
-}
-
-/// Source-stepping continuation — the last phase, so a stage that fails to
-/// converge is the overall [`SpiceError::DcNoConvergence`] (with the real
-/// iteration count and final voltage update of the failing stage).
-fn source_stepping(
-    circuit: &Circuit,
-    layout: &MnaLayout,
-    solver: &mut SolveContext<'_, f64>,
-    opts: &DcOptions,
-    report: &mut ConvergenceReport,
-) -> Result<DcSolution, SpiceError> {
-    let mut guess = vec![0.0; circuit.node_count()];
-    let mut result = None;
-    for step in 1..=opts.source_steps {
-        let scale = step as f64 / opts.source_steps as f64;
-        let outcome = newton(circuit, layout, solver, &guess, scale, 0.0, opts)?;
-        match outcome {
-            NewtonOutcome::Converged(run) => {
-                report.stages.push(StageReport {
-                    phase: DcPhase::SourceStepping,
-                    stage: step,
-                    iterations: run.iterations,
-                    final_delta: run.final_delta,
-                    converged: true,
-                });
-                guess = run.voltages.clone();
-                result = Some((run.voltages, run.solution));
-            }
-            NewtonOutcome::NoConvergence {
-                iterations,
-                final_delta,
-            } => {
-                report.stages.push(StageReport {
-                    phase: DcPhase::SourceStepping,
-                    stage: step,
-                    iterations,
-                    final_delta,
-                    converged: false,
-                });
-                return Err(SpiceError::DcNoConvergence {
-                    iterations,
-                    max_delta: final_delta,
-                });
-            }
-        }
-    }
-    Ok(result.expect("source_steps >= 1 is enforced by DcOptions::validate"))
 }
 
 #[cfg(test)]
@@ -962,7 +885,24 @@ mod tests {
             },
             "source_steps",
         );
+        for gmin_decades in [MAX_GMIN_DECADES + 1, usize::MAX] {
+            check(
+                DcOptions {
+                    gmin_decades,
+                    ..Default::default()
+                },
+                "gmin_decades",
+            );
+        }
         assert!(DcOptions::default().validate().is_ok());
+        let deepest = DcOptions {
+            gmin_decades: MAX_GMIN_DECADES,
+            ..Default::default()
+        };
+        assert!(deepest.validate().is_ok());
+        // The bound is the last decade whose shunt is a normal float.
+        assert!(gmin_shunt(MAX_GMIN_DECADES).is_normal());
+        assert!(!gmin_shunt(MAX_GMIN_DECADES + 1).is_normal());
     }
 
     #[test]
@@ -985,14 +925,20 @@ mod tests {
         assert_eq!(report.total_iterations(), op.iterations());
     }
 
-    #[test]
-    fn convergence_report_tracks_nonlinear_newton_iterations() {
-        let mut c = Circuit::new("diode report");
+    /// 5 V through 1 kΩ into a default diode.
+    fn diode_circuit() -> Circuit {
+        let mut c = Circuit::new("diode");
         let a = c.node("a");
         let k = c.node("k");
         c.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(5.0));
         c.add_resistor("R1", a, k, 1.0e3);
         c.add_diode("D1", k, Circuit::GROUND, DiodeModel::default());
+        c
+    }
+
+    #[test]
+    fn convergence_report_tracks_nonlinear_newton_iterations() {
+        let c = diode_circuit();
         let op = solve_dc(&c).unwrap();
         let report = op.convergence();
         // Direct Newton converges here, so there is exactly one stage, and a
@@ -1008,10 +954,68 @@ mod tests {
         assert_eq!(report.total_iterations(), op.iterations());
     }
 
-    /// Every stage of the gmin-stepping and source-stepping schedules, a
-    /// few Newton iterations each: the image-served assemblies are bitwise
-    /// the full stamped ones, on a circuit whose resistor and current
-    /// source stamp after a device into its slots and rows.
+    /// The search of [`diode_circuit`], which escalates deterministically
+    /// once its Newton runs are starved of iterations.
+    fn starved_diode_search(
+        opts: DcOptions,
+    ) -> (OperatingPoint, Vec<(DcPhase, usize, usize, bool)>) {
+        let c = diode_circuit();
+        let op = solve_dc_with(&c, &opts).unwrap();
+        assert_eq!(op.iterations(), op.convergence().total_iterations());
+        let trace = op
+            .convergence()
+            .stages()
+            .iter()
+            .map(|s| (s.phase, s.stage, s.iterations, s.converged))
+            .collect();
+        (op, trace)
+    }
+
+    #[test]
+    fn a_failed_newton_stage_escalates_to_a_converging_gmin_search() {
+        let (op, trace) = starved_diode_search(DcOptions {
+            max_iterations: 16,
+            ..Default::default()
+        });
+        let mut want = vec![(DcPhase::Newton, 0, 16, false)];
+        let gmin_iterations = [11, 16, 4, 3, 2, 2, 1, 1, 1, 1, 1, 1];
+        want.extend(
+            gmin_iterations
+                .iter()
+                .enumerate()
+                .map(|(stage, &n)| (DcPhase::GminStepping, stage, n, true)),
+        );
+        assert_eq!(trace, want);
+        assert_eq!(op.convergence().phase(), DcPhase::GminStepping);
+    }
+
+    #[test]
+    fn a_failed_gmin_search_escalates_to_a_converging_source_ramp() {
+        let (op, trace) = starved_diode_search(DcOptions {
+            max_iterations: 11,
+            gmin_decades: 1,
+            source_steps: 20,
+            ..Default::default()
+        });
+        let mut want = vec![
+            (DcPhase::Newton, 0, 11, false),
+            (DcPhase::GminStepping, 0, 11, true),
+            (DcPhase::GminStepping, 1, 11, false),
+        ];
+        let ramp = [2, 4, 10, 5, 5, 4, 4, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 3, 3, 3];
+        want.extend(
+            ramp.iter()
+                .enumerate()
+                .map(|(k, &n)| (DcPhase::SourceStepping, k + 1, n, true)),
+        );
+        assert_eq!(trace, want);
+        assert_eq!(op.convergence().phase(), DcPhase::SourceStepping);
+    }
+
+    /// Every stage of the continuation ladder, a few Newton iterations
+    /// each: the image-served assemblies are bitwise the full stamped ones,
+    /// on a circuit whose resistor and current source stamp after a device
+    /// into its slots and rows.
     #[test]
     fn newton_image_loads_match_every_stepping_stage() {
         let mut c = Circuit::new("stepping stages");
@@ -1033,17 +1037,12 @@ mod tests {
         c.add_isource("IB", Circuit::GROUND, b, SourceSpec::dc(1.0e-6));
         let layout = MnaLayout::new(&c);
         let opts = DcOptions::default();
-        let mut stages: Vec<(f64, f64)> = (0..=opts.gmin_decades)
-            .map(|k| (1.0, 1.0e-2 * 10f64.powi(-(k as i32))))
-            .collect();
-        stages.push((1.0, 0.0));
-        stages.extend((1..=opts.source_steps).map(|k| (k as f64 / opts.source_steps as f64, 0.0)));
         let mut ctx = SolveContext::adopting(&layout);
         let mut reference = SolveContext::adopting(&layout);
         let (mut rhs, mut want_rhs) = (Vec::new(), Vec::new());
         let mut loads = 0;
         let mut stamps = Vec::new();
-        for &(source_scale, gshunt) in &stages {
+        for (_, _, source_scale, gshunt) in continuation_stages(&opts) {
             for k in 0..4 {
                 let voltages = [0.0, 5.0, 0.6 + 0.01 * k as f64, 2.0 - 0.1 * k as f64];
                 devices::stamp_devices(&c, &layout, &voltages, &mut stamps);
@@ -1086,12 +1085,7 @@ mod tests {
         // A diode circuit given a single Newton iteration cannot converge;
         // the search runs through every phase and the final error must carry
         // the true iteration count and a finite final delta (never NaN).
-        let mut c = Circuit::new("starved");
-        let a = c.node("a");
-        let k = c.node("k");
-        c.add_vsource("V1", a, Circuit::GROUND, SourceSpec::dc(5.0));
-        c.add_resistor("R1", a, k, 1.0e3);
-        c.add_diode("D1", k, Circuit::GROUND, DiodeModel::default());
+        let c = diode_circuit();
         let opts = DcOptions {
             max_iterations: 1,
             gmin_decades: 2,
