@@ -20,7 +20,7 @@
 //! `loopscope-bench`. (S8) compares the LTE-controlled adaptive transient
 //! stepper against the fixed grid on a stiff two-time-constant RC at
 //! matched accuracy, and times the whole Table 2 transient with its
-//! bypassed-iteration and reused-factor counters. (S9) times one assembly per point, layer by layer:
+//! bypassed-iteration, device-evaluation and reused-factor counters. (S9) times one assembly per point, layer by layer:
 //! the AC system stamped element by element against a load from the
 //! compiled `G + jω·C` image, and the DC Newton system assembled with a
 //! `find_slot` search per stamp against a load from its Newton image — on
@@ -1031,10 +1031,14 @@ fn print_adaptive_transient(records: &mut Vec<Record>) {
 
 /// Experiment S8, Table 2 row — the whole Table 2 transient of the
 /// overshoot baseline (2 ns fixed trapezoidal grid to 8 µs), timed per run,
-/// with the counters of the work it skipped: Newton iterations whose
-/// devices were bypassed and factorizations replaced by reused factors.
-/// Both counters are deterministic, so their floors are hard asserts in
-/// quick mode too: they catch bypass or reuse switching off silently.
+/// with the counters of the work it skipped: Newton iterations that
+/// evaluated no device, device evaluations, and factorizations replaced by
+/// reused factors. The counters are deterministic, so their bounds are
+/// hard asserts in quick mode too: they catch the per-device bypass or
+/// factor reuse switching off silently. (With every device evaluated in
+/// every iteration, `device_evaluations` would be six times
+/// `newton_iterations`; with the per-device bypass it is the six first
+/// evaluations.)
 fn print_table2_transient(records: &mut Vec<Record>) {
     let (table2, _, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
     let op = solve_dc(&table2).expect("Table 2 operating point");
@@ -1046,10 +1050,11 @@ fn print_table2_transient(records: &mut Vec<Record>) {
     });
     println!(
         "table2 transient  accepted {:>5}  newton {:>5}  bypassed {:>5}  \
-         refactor {:>5}  reused {:>5}  wall {:>6.2} ms",
+         device evals {:>5}  refactor {:>5}  reused {:>5}  wall {:>6.2} ms",
         stats.accepted_steps,
         stats.newton_iterations,
         stats.bypassed_iterations,
+        stats.device_evaluations,
         stats.solve.numeric_refactor,
         stats.solve.factor_reuses,
         ns / 1.0e6,
@@ -1065,6 +1070,11 @@ fn print_table2_transient(records: &mut Vec<Record>) {
     assert!(
         stats.solve.factor_reuses > 0,
         "Table 2 transient: bypassed iterations must reuse their factors: {stats:?}"
+    );
+    assert!(
+        stats.device_evaluations < stats.newton_iterations,
+        "Table 2 transient: the devices the input step never moves must \
+         keep their stamps: {stats:?}"
     );
 }
 

@@ -521,11 +521,15 @@ impl MatrixSink<f64> for NewtonCompiler<'_> {
     }
 }
 
-/// Matrix sink that drops every stamp: a pass through it writes the job's
-/// right-hand side alone, by the operations of a full assembly's.
+/// Matrix sink that drops every stamp: a pass through it walks only the
+/// elements that stamp the right-hand side ([`MnaLayout::rhs_elements`])
+/// and writes the job's right-hand side alone, by the operations of a full
+/// assembly's.
 struct RhsOnly;
 
 impl MatrixSink<f64> for RhsOnly {
+    const KEEPS_MATRIX: bool = false;
+
     #[inline]
     fn add(&mut self, _row: usize, _col: usize, _value: f64) {}
 }
@@ -1384,7 +1388,8 @@ impl SolveContext<'_, f64> {
     /// value buffer still holds the values the context last refactored, and
     /// their keys are this job's matrix and
     /// [`device_key`](NewtonJob::device_key), the matrix load is skipped,
-    /// and [`factor`](SolveContext::factor) reuses the factors. A device
+    /// image or not, only the right-hand side is stamped, and
+    /// [`factor`](SolveContext::factor) reuses the factors. A device
     /// stamp sequence the image did not record (a MOSFET swapping drain and
     /// source, say) drops the image and stamps in full. So a one-iteration
     /// solve pays nothing extra. Image
@@ -1411,22 +1416,24 @@ impl SolveContext<'_, f64> {
         self.assembled_keys = Some(keys);
     }
 
-    /// Loads `job` from the Newton image of its matrix key, if there is one
-    /// and the devices replay in their compiled order, and stamps its
-    /// right-hand side; the matrix load is skipped when the buffer holds
-    /// the factored values of `keys`. Drops the image when the devices do
-    /// not replay.
+    /// Loads `job`'s matrix, unless the buffer already holds the factored
+    /// values of `keys`, from the Newton image of its matrix key, if there
+    /// is one and the devices replay in their compiled order, and stamps
+    /// its right-hand side. Drops the image when the devices do not
+    /// replay.
     fn load_newton(&mut self, job: &impl NewtonJob, keys: NewtonKeys, rhs: &mut Vec<f64>) -> bool {
-        let (Some(image), Some(csr)) = (self.newton.as_ref(), self.csr.as_mut()) else {
+        let Some(csr) = self.csr.as_mut() else {
             return false;
         };
-        if image.key != keys.0 {
-            return false;
-        }
         let unchanged = self.assembled_keys == Some(keys) && self.factored_keys == Some(keys);
-        if !unchanged && !image.load(job.device_stamps(), csr.values_mut()) {
-            self.newton = None;
-            return false;
+        if !unchanged {
+            let Some(image) = self.newton.as_ref().filter(|image| image.key == keys.0) else {
+                return false;
+            };
+            if !image.load(job.device_stamps(), csr.values_mut()) {
+                self.newton = None;
+                return false;
+            }
         }
         let mut st = Stamper::with_sink_reusing(self.layout, RhsOnly, std::mem::take(rhs));
         job.stamp(&mut st);

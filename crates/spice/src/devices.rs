@@ -88,6 +88,14 @@ impl NonlinearStamp {
     }
 }
 
+/// The empty stamp: no conductances, no currents. A placeholder for a
+/// device not evaluated yet.
+impl Default for NonlinearStamp {
+    fn default() -> Self {
+        Self::new(&[], &[])
+    }
+}
+
 /// Evaluates the nonlinear device `element` (a diode, BJT or MOSFET) at the
 /// given node voltages and returns its Newton stamp.
 ///

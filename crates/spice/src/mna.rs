@@ -22,9 +22,10 @@
 //!
 //! A pass writes the matrix stamps into a [`MatrixSink`] and the right-hand
 //! side into the [`Stamper`]'s own vector. A Newton iteration that loads its
-//! matrix from a compiled image still runs the whole pass, through a sink
-//! that drops the matrix stamps, so its right-hand side is the one a full
-//! assembly builds.
+//! matrix from a compiled image (or finds it factored already) runs the
+//! pass through a sink that drops the matrix stamps, which walks only the
+//! elements that stamp the right-hand side, in circuit order, so its
+//! right-hand side is the one a full assembly builds.
 
 use crate::devices::NonlinearStamp;
 use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
@@ -46,6 +47,10 @@ pub struct MnaLayout {
     /// The positions of the nonlinear devices, in circuit order: the stamp
     /// order of a Newton job's evaluated device stamps.
     device_elements: Vec<usize>,
+    /// The positions, in circuit order, of the elements that can stamp the
+    /// right-hand side: independent sources, capacitors, inductors and
+    /// nonlinear devices.
+    rhs_elements: Vec<usize>,
 }
 
 impl MnaLayout {
@@ -85,20 +90,31 @@ impl MnaLayout {
                 (var_of(el.name()), control)
             })
             .collect();
-        let device_elements = circuit
-            .elements()
-            .iter()
-            .enumerate()
-            .filter(|(_, el)| el.is_nonlinear())
-            .map(|(ei, _)| ei)
-            .collect();
+        let positions = |keep: fn(&Element) -> bool| {
+            circuit
+                .elements()
+                .iter()
+                .enumerate()
+                .filter(|(_, el)| keep(el))
+                .map(|(ei, _)| ei)
+                .collect()
+        };
         Self {
             node_count: circuit.node_count(),
             node_names,
             branch_names,
             branch_index,
             element_branches,
-            device_elements,
+            device_elements: positions(Element::is_nonlinear),
+            rhs_elements: positions(|el| {
+                matches!(
+                    el,
+                    Element::Vsource(_)
+                        | Element::Isource(_)
+                        | Element::Capacitor(_)
+                        | Element::Inductor(_)
+                ) || el.is_nonlinear()
+            }),
         }
     }
 
@@ -143,6 +159,14 @@ impl MnaLayout {
         &self.device_elements
     }
 
+    /// Positions, in circuit order, of the elements that can stamp the
+    /// right-hand side: independent sources, capacitors, inductors and
+    /// nonlinear devices. The rest stamp the matrix alone.
+    #[inline]
+    pub fn rhs_elements(&self) -> &[usize] {
+        &self.rhs_elements
+    }
+
     /// Unknown index of the controlling source's branch current for the
     /// current-controlled source (CCCS or CCVS) at position `element`.
     #[inline]
@@ -182,6 +206,12 @@ impl MnaLayout {
 /// the right-hand side into its own vector, so every pass of a job builds
 /// the same right-hand side whatever its sink.
 pub trait MatrixSink<T: Scalar> {
+    /// Whether the sink keeps matrix stamps. A sink that drops them all
+    /// makes the shared element stamp pass a right-hand-side pass, which
+    /// walks only the elements that stamp the right-hand side
+    /// ([`MnaLayout::rhs_elements`]).
+    const KEEPS_MATRIX: bool = true;
+
     /// Accumulates `value` at `(row, col)`.
     fn add(&mut self, row: usize, col: usize, value: T);
 
@@ -372,83 +402,105 @@ impl<'a, T: Scalar, S: MatrixSink<T>> Stamper<'a, T, S> {
 
     /// Stamps `model`'s system: the node-diagonal `gmin` first, then every
     /// element in circuit order, positions and branches taken from the
-    /// model's own layout.
+    /// model's own layout. Into a sink that drops the matrix stamps
+    /// ([`MatrixSink::KEEPS_MATRIX`]), only the elements that stamp the
+    /// right-hand side are walked, still in circuit order, so the
+    /// right-hand side is bitwise the full pass's.
     pub(crate) fn stamp_elements<M: StampModel<T>>(&mut self, gmin: T, model: &M) {
         let circuit = model.circuit();
-        for node in circuit.signal_nodes_iter() {
-            self.add_node_node(node, node, gmin);
+        let elements = circuit.elements();
+        let mut devices = 0;
+        if S::KEEPS_MATRIX {
+            for node in circuit.signal_nodes_iter() {
+                self.add_node_node(node, node, gmin);
+            }
+            for (ei, element) in elements.iter().enumerate() {
+                self.stamp_element(model, ei, element, &mut devices);
+            }
+        } else {
+            for &ei in model.layout().rhs_elements() {
+                self.stamp_element(model, ei, &elements[ei], &mut devices);
+            }
         }
+    }
+
+    /// Stamps the element at position `ei` of `model`'s circuit; `devices`
+    /// counts the nonlinear devices stamped so far, in stamp order.
+    fn stamp_element<M: StampModel<T>>(
+        &mut self,
+        model: &M,
+        ei: usize,
+        element: &Element,
+        devices: &mut usize,
+    ) {
         let layout = model.layout();
         let branch = |ei: usize| layout.element_branch(ei).expect("element owns a branch");
-        let mut devices = 0;
-        for (ei, element) in circuit.elements().iter().enumerate() {
-            match model.element(ei, element) {
-                Element::Resistor(r) => self.stamp_admittance(r.a, r.b, T::from_f64(1.0 / r.ohms)),
-                Element::Capacitor(c) => {
-                    if let Some((y, history)) = model.capacitor(ei, c) {
-                        self.stamp_admittance(c.a, c.b, y);
-                        if let Some(i) = history {
-                            self.stamp_current_injection(c.a, c.b, i);
-                        }
+        match model.element(ei, element) {
+            Element::Resistor(r) => self.stamp_admittance(r.a, r.b, T::from_f64(1.0 / r.ohms)),
+            Element::Capacitor(c) => {
+                if let Some((y, history)) = model.capacitor(ei, c) {
+                    self.stamp_admittance(c.a, c.b, y);
+                    if let Some(i) = history {
+                        self.stamp_current_injection(c.a, c.b, i);
                     }
                 }
-                Element::Inductor(l) => {
-                    let br = branch(ei);
-                    self.stamp_branch(br, l.a, l.b, |_| {});
-                    if let Some((z, history)) = model.inductor(ei, br, l) {
-                        self.add_var_var(br, br, z);
-                        if let Some(v) = history {
-                            self.add_rhs_var(br, v);
-                        }
+            }
+            Element::Inductor(l) => {
+                let br = branch(ei);
+                self.stamp_branch(br, l.a, l.b, |_| {});
+                if let Some((z, history)) = model.inductor(ei, br, l) {
+                    self.add_var_var(br, br, z);
+                    if let Some(v) = history {
+                        self.add_rhs_var(br, v);
                     }
                 }
-                Element::Vsource(v) => {
-                    let br = branch(ei);
-                    self.stamp_branch(br, v.plus, v.minus, |_| {});
-                    if let Some(value) = model.source(&v.spec) {
-                        self.add_rhs_var(br, value);
-                    }
+            }
+            Element::Vsource(v) => {
+                let br = branch(ei);
+                self.stamp_branch(br, v.plus, v.minus, |_| {});
+                if let Some(value) = model.source(&v.spec) {
+                    self.add_rhs_var(br, value);
                 }
-                Element::Isource(i) => {
-                    // Current flows from `plus` through the source into `minus`.
-                    if let Some(value) = model.source(&i.spec) {
-                        self.stamp_current_injection(i.minus, i.plus, value);
-                    }
+            }
+            Element::Isource(i) => {
+                // Current flows from `plus` through the source into `minus`.
+                if let Some(value) = model.source(&i.spec) {
+                    self.stamp_current_injection(i.minus, i.plus, value);
                 }
-                Element::Vcvs(e) => {
-                    let br = branch(ei);
-                    self.stamp_branch(br, e.out_plus, e.out_minus, |st| {
-                        st.add_var_node(br, e.ctrl_plus, T::from_f64(-e.gain));
-                        st.add_var_node(br, e.ctrl_minus, T::from_f64(e.gain));
-                    });
-                }
-                Element::Vccs(g) => self.stamp_vccs(
-                    g.out_plus,
-                    g.out_minus,
-                    g.ctrl_plus,
-                    g.ctrl_minus,
-                    T::from_f64(g.gm),
-                ),
-                Element::Cccs(f) => {
-                    let ctrl = layout
-                        .control_branch(ei)
-                        .expect("controlling source validated");
-                    self.add_node_var(f.out_plus, ctrl, T::from_f64(f.gain));
-                    self.add_node_var(f.out_minus, ctrl, T::from_f64(-f.gain));
-                }
-                Element::Ccvs(h) => {
-                    let br = branch(ei);
-                    let ctrl = layout
-                        .control_branch(ei)
-                        .expect("controlling source validated");
-                    self.stamp_branch(br, h.out_plus, h.out_minus, |st| {
-                        st.add_var_var(br, ctrl, T::from_f64(-h.rm));
-                    });
-                }
-                device @ (Element::Diode(_) | Element::Bjt(_) | Element::Mosfet(_)) => {
-                    model.device(self, ei, devices, device);
-                    devices += 1;
-                }
+            }
+            Element::Vcvs(e) => {
+                let br = branch(ei);
+                self.stamp_branch(br, e.out_plus, e.out_minus, |st| {
+                    st.add_var_node(br, e.ctrl_plus, T::from_f64(-e.gain));
+                    st.add_var_node(br, e.ctrl_minus, T::from_f64(e.gain));
+                });
+            }
+            Element::Vccs(g) => self.stamp_vccs(
+                g.out_plus,
+                g.out_minus,
+                g.ctrl_plus,
+                g.ctrl_minus,
+                T::from_f64(g.gm),
+            ),
+            Element::Cccs(f) => {
+                let ctrl = layout
+                    .control_branch(ei)
+                    .expect("controlling source validated");
+                self.add_node_var(f.out_plus, ctrl, T::from_f64(f.gain));
+                self.add_node_var(f.out_minus, ctrl, T::from_f64(-f.gain));
+            }
+            Element::Ccvs(h) => {
+                let br = branch(ei);
+                let ctrl = layout
+                    .control_branch(ei)
+                    .expect("controlling source validated");
+                self.stamp_branch(br, h.out_plus, h.out_minus, |st| {
+                    st.add_var_var(br, ctrl, T::from_f64(-h.rm));
+                });
+            }
+            device @ (Element::Diode(_) | Element::Bjt(_) | Element::Mosfet(_)) => {
+                model.device(self, ei, *devices, device);
+                *devices += 1;
             }
         }
     }

@@ -47,22 +47,32 @@
 //!
 //! # Device bypass
 //!
-//! A Newton iteration whose trial point is within `vntol` of the node
-//! voltages the devices were last evaluated at, at every signal node,
-//! reuses every device's last stamp instead of evaluating the devices
-//! again (SPICE2's bypass; Nagel, UCB/ERL M520, 1975). The first iteration
-//! of a step starts from the previous step's converged point and is
-//! usually bypassed. The loop numbers its device evaluations and hands
-//! that ordinal to the solver as the job's device key, so a bypassed
-//! iteration with an unchanged `(dt, method)` key loads only its
-//! right-hand side over the values last factored, and the solver reuses
-//! its factors ([`SolveContext::assemble_newton_into`],
-//! [`SolveContext::factor`]). The verified solve runs at every iteration.
-//! Bypass is a tolerance contract: a bypassed device is linearized up to
-//! `vntol` away from its trial point, which moves a converged solution by
-//! at most about `1.5·H·vntol²` of current per terminal row (`H` the row's
-//! second derivatives; the derivation is in the provenance of the
+//! Each device keeps its last stamp while each of its terminals sits
+//! within `vntol` of that terminal's voltage at the device's own last
+//! evaluation; a device with any terminal further away is evaluated again,
+//! alone (SPICE3's per-device bypass; Quarles, UCB/ERL M89/46, 1989). The
+//! first iteration of a step starts from the previous step's converged
+//! point and usually evaluates nothing, and a device the circuit's
+//! response never reaches (Table 2's bias cell under the input step) is
+//! evaluated once per run. The loop counts the iterations that evaluated
+//! a device and hands that ordinal to the solver as the job's device key,
+//! so an iteration that evaluated none, under an unchanged `(dt, method)`
+//! key, loads only its right-hand side over the values last factored, and
+//! the solver reuses its factors ([`SolveContext::assemble_newton_into`],
+//! [`SolveContext::factor`]). Bypass is a tolerance contract: a bypassed
+//! device is linearized up to `vntol` away from its trial point at each
+//! terminal, which moves a converged solution by at most about
+//! `1.5·H·vntol²` of current per terminal row (`H` the row's second
+//! derivatives; the derivation is in the provenance of the
 //! `tran_table2_step` golden).
+//!
+//! A Newton iteration after the first of a step that evaluates no device
+//! is not solved: its matrix key, device key, stamps and right-hand side
+//! are bitwise those of the iteration before it, so its solution would be
+//! bitwise that iteration's verified solution and its update exactly zero.
+//! The step is declared converged on that solution (the
+//! *identical-iteration skip*). This part is exact, not a tolerance; every
+//! solution the stepper accepts still comes from a verified solve.
 //!
 //! The step sequence is a pure deterministic function of (circuit, options):
 //! every accept/reject decision is computed from residual-verified solutions
@@ -199,13 +209,21 @@ pub struct TransientStats {
     /// width had already reached `dt_min` — graceful degradation instead of
     /// a hard abort. Always zero on a fixed grid, which has no LTE test.
     pub forced_accepts: usize,
-    /// Total Newton iterations across all attempts (accepted and rejected).
+    /// Newton iterations solved across all attempts (accepted and
+    /// rejected): one verified solve each. An iteration the
+    /// identical-iteration skip declares converged without a solve is not
+    /// counted (see the [module docs](crate::tran)).
     pub newton_iterations: usize,
-    /// Newton iterations that reused every device's last stamp instead of
-    /// evaluating the devices again, because every signal node sat within
-    /// `vntol` of the voltages the stamps were evaluated at (device bypass;
-    /// see the [module docs](crate::tran)). Always zero on a linear circuit.
+    /// Solved Newton iterations that evaluated no device: every device
+    /// kept its last stamp because each of its terminals sat within
+    /// `vntol` of its voltage at that device's last evaluation (per-device
+    /// bypass). At most `newton_iterations`; always zero on a linear
+    /// circuit, which has no device to bypass.
     pub bypassed_iterations: usize,
+    /// Device evaluations, one per device evaluated in a Newton iteration:
+    /// at most the device count times `newton_iterations`, and the device
+    /// count itself when no device ever leaves its first evaluation.
+    pub device_evaluations: usize,
     /// Smallest accepted step width, seconds (`+∞` before any step).
     pub min_dt: f64,
     /// Largest accepted step width, seconds (`0` before any step).
@@ -227,6 +245,7 @@ impl Default for TransientStats {
             forced_accepts: 0,
             newton_iterations: 0,
             bypassed_iterations: 0,
+            device_evaluations: 0,
             min_dt: f64::INFINITY,
             max_dt: 0.0,
             breakpoints_hit: 0,
@@ -484,7 +503,8 @@ impl<'c> TransientAnalysis<'c> {
 
     /// Like [`run`](TransientAnalysis::run), but invoking `hook` with the
     /// 0-based solve ordinal and the solver between assembly and the
-    /// verified solve of **every** Newton iteration — the seam the
+    /// verified solve of **every** solved Newton iteration (an iteration
+    /// the identical-iteration skip converges is not assembled) — the seam the
     /// fault-injection suites use to poison stamped values at a
     /// deterministic point of the run. Compiled only for tests and under the
     /// `fault-inject` feature; never part of the production surface.
@@ -561,13 +581,27 @@ impl<'c> TransientAnalysis<'c> {
         let mut trial = voltages.clone();
         let mut next = vec![0.0; node_count];
         let mut solution = vec![0.0; self.layout.dim()];
-        // Device bypass: each device's latest stamp, in stamp order, the
-        // node voltages they were evaluated at (NaN until the first
-        // evaluation, so that one never bypasses) and the ordinal of that
-        // evaluation, the jobs' device key.
+        // Per-device bypass, in stamp order: each device's latest stamp,
+        // its terminals' node indices (ground pads a two-terminal device),
+        // their voltages at its last evaluation (NaN until the first, so
+        // that one never bypasses), and the number of iterations that
+        // evaluated a device, the jobs' device key.
+        let elements = self.circuit.elements();
         let device_count = self.layout.device_elements().len();
-        let mut stamps: Vec<NonlinearStamp> = Vec::with_capacity(device_count);
-        let mut evaluated_at = vec![f64::NAN; node_count];
+        let mut stamps = vec![NonlinearStamp::default(); device_count];
+        let terminals: Vec<[usize; 3]> = self
+            .layout
+            .device_elements()
+            .iter()
+            .map(|&ei| {
+                let mut nodes = [0; 3];
+                for (slot, node) in nodes.iter_mut().zip(elements[ei].nodes()) {
+                    *slot = node.index();
+                }
+                nodes
+            })
+            .collect();
+        let mut evaluated_at = vec![[f64::NAN; 3]; device_count];
         let mut evaluations = 0u64;
         let mut stats = TransientStats::default();
         let mut solve_ordinal = 0usize;
@@ -651,25 +685,43 @@ impl<'c> TransientAnalysis<'c> {
                 // Newton iteration — named in the non-convergence error so
                 // the user knows which unknown refused to settle.
                 let mut worst_node = None;
-                for _ in 0..opts.max_newton {
-                    // Bypass: a trial point within `vntol` of the last
-                    // evaluation at every node reuses every stamp, and
-                    // with them their device key. For an unchanged
-                    // `(dt, method)` key the solver then loads only the
-                    // right-hand side and reuses its factors. A linear
-                    // circuit has nothing to evaluate and one key.
-                    if device_count > 0 {
-                        let bypass = self.circuit.signal_nodes_iter().all(|node| {
-                            let i = node.index();
-                            (trial[i] - evaluated_at[i]).abs() < opts.vntol
-                        });
-                        if bypass {
-                            stats.bypassed_iterations += 1;
-                        } else {
-                            devices::stamp_devices(self.circuit, &self.layout, &trial, &mut stamps);
-                            evaluated_at.copy_from_slice(&trial);
-                            evaluations += 1;
+                for iteration in 0..opts.max_newton {
+                    // Per-device bypass: a device whose terminals all sit
+                    // within `vntol` of their voltages at its last
+                    // evaluation keeps its stamp; any other is evaluated
+                    // again. The device key advances only when a device
+                    // was evaluated, so for an unchanged `(dt, method)`
+                    // key the solver then loads only the right-hand side
+                    // and reuses its factors. A linear circuit has nothing
+                    // to evaluate and one key.
+                    let mut evaluated = false;
+                    for (d, &ei) in self.layout.device_elements().iter().enumerate() {
+                        let (nodes, at) = (&terminals[d], &mut evaluated_at[d]);
+                        let settled = nodes
+                            .iter()
+                            .zip(at.iter())
+                            .all(|(&n, &v)| (trial[n] - v).abs() < opts.vntol);
+                        if !settled {
+                            stamps[d] = devices::stamp_device(&elements[ei], &trial);
+                            for (v, &n) in at.iter_mut().zip(nodes) {
+                                *v = trial[n];
+                            }
+                            stats.device_evaluations += 1;
+                            evaluated = true;
                         }
+                    }
+                    if evaluated {
+                        evaluations += 1;
+                    } else if iteration > 0 {
+                        // Identical-iteration skip: nothing this system
+                        // depends on changed since the iteration before, so
+                        // that iteration's verified solution (still in
+                        // `solution`, and in `trial` at the nodes) solves
+                        // this one too, with a zero update.
+                        converged = true;
+                        break;
+                    } else if device_count > 0 {
+                        stats.bypassed_iterations += 1;
                     }
                     let job = TimestepSystem {
                         analysis: self,
@@ -1780,9 +1832,11 @@ mod tests {
         // (step, method, device evaluation, whether the load is right-hand
         // side only): a backward-Euler step whose key compiles on its second
         // iteration, a new step under the same keys, a re-evaluated device,
-        // the switch to trapezoidal (a new matrix key), and the same again.
-        // Step `k` ends at `k·dt`; step 100 lands on VG's 1 µs step by its
-        // left limit.
+        // the switch to trapezoidal (a new matrix key, whose repeats load
+        // only their right-hand side before any image of it exists), and a
+        // re-evaluated device under it, which compiles its image. Step `k`
+        // ends at `k·dt`; step 100 lands on VG's 1 µs step by its left
+        // limit.
         let iterations = [
             (1, be, 1, false),
             (1, be, 1, false),
@@ -1791,7 +1845,7 @@ mod tests {
             (2, be, 2, false),
             (2, be, 2, true),
             (3, trap, 2, false),
-            (3, trap, 2, false),
+            (3, trap, 2, true),
             (3, trap, 2, true),
             (4, trap, 2, true),
             (4, trap, 3, false),
@@ -1803,7 +1857,7 @@ mod tests {
         let mut reference = SolveContext::adopting(&tran.layout);
         let (mut rhs, mut want_rhs) = (Vec::new(), Vec::new());
         let mut stamps = Vec::new();
-        let mut rhs_only = 0;
+        let (mut rhs_only, mut without_image) = (0, 0);
         for (step, method, evaluation, only_rhs) in iterations {
             let trial: Vec<f64> = base
                 .iter()
@@ -1830,19 +1884,16 @@ mod tests {
                 "step {step}, evaluation {evaluation}"
             );
             ctx.solve_verified_in_place(&mut rhs).unwrap();
-            // An assembly with the factored keys reuses the factors; one
-            // that found an image of the key in place loaded only the
-            // right-hand side. (The second trapezoidal iteration stamps in
-            // full to compile its image, and reuses too.)
+            // An assembly with the factored keys loads only the right-hand
+            // side, with or without an image of the key, and reuses the
+            // factors.
             let reused = ctx.stats().factor_reuses > reuses;
-            assert_eq!(
-                reused && imaged,
-                only_rhs,
-                "step {step}, evaluation {evaluation}"
-            );
+            assert_eq!(reused, only_rhs, "step {step}, evaluation {evaluation}");
             rhs_only += usize::from(only_rhs);
+            without_image += usize::from(only_rhs && !imaged);
         }
-        assert_eq!(ctx.stats().factor_reuses, rhs_only + 1);
+        assert_eq!(ctx.stats().factor_reuses, rhs_only);
+        assert_eq!(without_image, 3);
         // The landing's sources are VG's left limit, not its stepped value.
         let stepped = job(landing, false, trap, &stamps, 3);
         reference.assemble_into(&stepped, &mut want_rhs);
@@ -1950,11 +2001,10 @@ mod tests {
         assert_eq!(stats.solve.factorizations(), 2);
     }
 
-    #[test]
-    fn a_settled_step_start_bypasses_the_devices_and_reuses_the_factors() {
-        // A diode clamp charging through an RC: the first Newton iteration
-        // of each step starts from the previous step's converged point,
-        // within vntol of that step's last device evaluation.
+    /// A diode clamp charging through an RC: the first Newton iteration
+    /// of each step starts from the previous step's converged point,
+    /// within vntol of that step's last device evaluation.
+    fn diode_clamp() -> Circuit {
         use loopscope_netlist::DiodeModel;
         let mut c = Circuit::new("bypass");
         let vin = c.node("in");
@@ -1963,9 +2013,20 @@ mod tests {
         c.add_resistor("R1", vin, vout, 1.0e3);
         c.add_capacitor("C1", vout, Circuit::GROUND, 1.0e-9);
         c.add_diode("D1", vout, Circuit::GROUND, DiodeModel::default());
+        c
+    }
+
+    /// The diode clamp's run on a 10 ns grid to 5 µs.
+    fn diode_clamp_stats() -> TransientStats {
+        let c = diode_clamp();
         let op = solve_dc(&c).unwrap();
         let tran = TransientAnalysis::new(&c, TransientOptions::new(10.0e-9, 5.0e-6)).unwrap();
-        let stats = *tran.run(&op).unwrap().stats();
+        *tran.run(&op).unwrap().stats()
+    }
+
+    #[test]
+    fn a_settled_step_start_bypasses_the_devices_and_reuses_the_factors() {
+        let stats = diode_clamp_stats();
         assert!(stats.bypassed_iterations > 0, "{stats:?}");
         // Every step after the first has one first iteration at most.
         assert!(
@@ -1980,6 +2041,162 @@ mod tests {
             stats.newton_iterations,
             "{stats:?}"
         );
+    }
+
+    #[test]
+    fn transient_counters_count_solves_and_device_evaluations() {
+        let stats = diode_clamp_stats();
+        let devices = 1;
+        // Bypassed iterations are solved iterations, and no solved
+        // iteration evaluates a device twice.
+        assert!(
+            stats.bypassed_iterations <= stats.newton_iterations,
+            "{stats:?}"
+        );
+        assert!(
+            stats.device_evaluations <= devices * stats.newton_iterations,
+            "{stats:?}"
+        );
+        // Every solved iteration either bypassed the diode or evaluated it.
+        assert_eq!(
+            stats.bypassed_iterations + stats.device_evaluations,
+            stats.newton_iterations,
+            "{stats:?}"
+        );
+        assert_eq!(
+            stats.solve.factorizations() + stats.solve.factor_reuses,
+            stats.newton_iterations,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_device_on_a_still_node_is_evaluated_once() {
+        use loopscope_netlist::DiodeModel;
+        // D1 clamps a node stepped through an RC; D2 hangs on a node biased
+        // from a DC source, which the step never reaches.
+        let build = |biased: bool| {
+            let mut c = Circuit::new("two diodes");
+            let vin = c.node("in");
+            let vout = c.node("out");
+            c.add_vsource("V1", vin, Circuit::GROUND, SourceSpec::step(0.0, 2.0, 0.0));
+            c.add_resistor("R1", vin, vout, 1.0e3);
+            c.add_capacitor("C1", vout, Circuit::GROUND, 1.0e-9);
+            c.add_diode("D1", vout, Circuit::GROUND, DiodeModel::default());
+            if biased {
+                let vb = c.node("vb");
+                let bias = c.node("bias");
+                c.add_vsource("VB", vb, Circuit::GROUND, SourceSpec::dc(1.5));
+                c.add_resistor("RB", vb, bias, 10.0e3);
+                c.add_diode("D2", bias, Circuit::GROUND, DiodeModel::default());
+            }
+            c
+        };
+        let run = |c: &Circuit| {
+            let op = solve_dc(c).unwrap();
+            let opts = TransientOptions::new(10.0e-9, 5.0e-6);
+            *TransientAnalysis::new(c, opts)
+                .unwrap()
+                .run(&op)
+                .unwrap()
+                .stats()
+        };
+        let alone = run(&build(false));
+        let both = run(&build(true));
+        // The stepped diode is evaluated again and again, the biased one
+        // once: its first evaluation, in the first iteration.
+        assert!(
+            alone.device_evaluations > alone.accepted_steps / 10,
+            "{alone:?}"
+        );
+        assert_eq!(
+            both.device_evaluations,
+            alone.device_evaluations + 1,
+            "{both:?} vs {alone:?}"
+        );
+        assert_eq!(both.newton_iterations, alone.newton_iterations);
+    }
+
+    #[test]
+    fn one_moved_terminal_re_evaluates_its_device() {
+        use loopscope_netlist::Waveform;
+        // A MOSFET whose drain sits on a supply and whose source is ground,
+        // while a sine drives its gate: only the gate moves.
+        let mut c = Circuit::new("driven gate");
+        let vdd = c.node("vdd");
+        let gate = c.node("gate");
+        c.add_vsource("VDD", vdd, Circuit::GROUND, SourceSpec::dc(3.0));
+        c.add_vsource(
+            "VG",
+            gate,
+            Circuit::GROUND,
+            SourceSpec {
+                dc: 1.5,
+                ac_mag: 0.0,
+                ac_phase_deg: 0.0,
+                waveform: Waveform::Sine {
+                    offset: 1.5,
+                    amplitude: 0.5,
+                    freq_hz: 1.0e6,
+                    delay: 0.0,
+                },
+            },
+        );
+        c.add_mosfet(
+            "M1",
+            vdd,
+            gate,
+            Circuit::GROUND,
+            loopscope_netlist::MosfetPolarity::Nmos,
+            10.0e-6,
+            1.0e-6,
+            loopscope_netlist::MosfetModel::default(),
+        );
+        let op = solve_dc(&c).unwrap();
+        let opts = TransientOptions::new(10.0e-9, 2.0e-6);
+        let r = TransientAnalysis::new(&c, opts).unwrap().run(&op).unwrap();
+        let stats = r.stats();
+        // Every step whose gate moved by more than twice vntol moved the
+        // gate by more than vntol from wherever the device was last
+        // evaluated in the step before, so it re-evaluates the device.
+        let wave = r.waveform(gate).unwrap();
+        let moved = wave
+            .windows(2)
+            .filter(|w| (w[1] - w[0]).abs() > 2.0 * opts.vntol)
+            .count();
+        assert!(
+            moved > stats.accepted_steps * 9 / 10,
+            "{moved} of {stats:?}"
+        );
+        assert!(stats.device_evaluations >= moved, "{moved} vs {stats:?}");
+    }
+
+    #[test]
+    fn table2_fixed_grid_solves_once_per_step_and_repeats_bit_for_bit() {
+        use loopscope_circuits::{opamp_with_bias, BiasParams, OpAmpParams};
+        // The paper's Table 2 step response: the devices sit in the bias
+        // cell, which the input step never excites, so each step's first
+        // iteration bypasses every device and converges on its second,
+        // identical iteration without a solve.
+        let (c, nodes, _) = opamp_with_bias(&OpAmpParams::default(), &BiasParams::default());
+        let op = solve_dc(&c).unwrap();
+        let tran = TransientAnalysis::new(&c, TransientOptions::new(2.0e-9, 8.0e-6)).unwrap();
+        let first = tran.run(&op).unwrap();
+        let stats = first.stats();
+        assert_eq!(stats.newton_iterations, stats.accepted_steps, "{stats:?}");
+        assert_eq!(
+            stats.device_evaluations,
+            tran.layout.device_elements().len(),
+            "{stats:?}"
+        );
+        let bits = |r: &TransientResult| -> Vec<u64> {
+            r.waveform(nodes.output)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&first), bits(&tran.run(&op).unwrap()));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! parallel threads and would race it.
 
 use loopscope_netlist::{
-    BjtModel, BjtPolarity, Circuit, DiodeModel, MosfetModel, MosfetPolarity, SourceSpec,
+    BjtModel, BjtPolarity, Circuit, DiodeModel, MosfetModel, MosfetPolarity, SourceSpec, Waveform,
 };
 use loopscope_spice::dc::solve_dc;
 use loopscope_spice::tran::{TransientAnalysis, TransientOptions};
@@ -68,8 +68,9 @@ fn circuit() -> Circuit {
 }
 
 /// A MOSFET common-source stage with a diode clamp and a BJT follower, all
-/// stepped by the gate source: three nonlinear devices re-evaluated at
-/// every Newton iteration of every step.
+/// driven by a sine on the gate: three nonlinear devices whose terminals
+/// move at every step, so the per-device bypass re-evaluates them in every
+/// step of the run.
 fn nonlinear_circuit() -> Circuit {
     let mut c = Circuit::new("alloc tran nonlinear");
     let vdd = c.node("vdd");
@@ -77,7 +78,22 @@ fn nonlinear_circuit() -> Circuit {
     let drain = c.node("drain");
     let emitter = c.node("emitter");
     c.add_vsource("VDD", vdd, Circuit::GROUND, SourceSpec::dc(3.0));
-    c.add_vsource("VG", gate, Circuit::GROUND, SourceSpec::step(0.9, 1.2, 0.0));
+    c.add_vsource(
+        "VG",
+        gate,
+        Circuit::GROUND,
+        SourceSpec {
+            dc: 1.05,
+            ac_mag: 0.0,
+            ac_phase_deg: 0.0,
+            waveform: Waveform::Sine {
+                offset: 1.05,
+                amplitude: 0.15,
+                freq_hz: 1.0e3,
+                delay: 0.0,
+            },
+        },
+    );
     c.add_resistor("RD", vdd, drain, 5.0e3);
     c.add_capacitor("CD", drain, Circuit::GROUND, 1.0e-9);
     c.add_mosfet(
@@ -109,9 +125,10 @@ fn nonlinear_circuit() -> Circuit {
     c
 }
 
-/// Allocations of one whole transient run of `steps` steps (dt chosen so
-/// t_stop is a non-multiple, exercising the shortened final step too).
-fn run_allocations(circuit: fn() -> Circuit, steps: usize) -> usize {
+/// Allocations and device evaluations of one whole transient run of
+/// `steps` steps (dt chosen so t_stop is a non-multiple, exercising the
+/// shortened final step too).
+fn run_allocations(circuit: fn() -> Circuit, steps: usize) -> (usize, usize) {
     let c = circuit();
     let op = solve_dc(&c).unwrap();
     let dt = 10.0e-6;
@@ -123,7 +140,7 @@ fn run_allocations(circuit: fn() -> Circuit, steps: usize) -> usize {
     let after = allocation_count();
     assert_eq!(r.len(), steps + 1, "initial point + one row per step");
     assert_eq!(*r.times().last().unwrap(), t_stop);
-    after - before
+    (after - before, r.stats().device_evaluations)
 }
 
 #[test]
@@ -136,9 +153,18 @@ fn transient_steady_state_loop_allocates_nothing() {
         ("linear RC", circuit as fn() -> Circuit),
         ("nonlinear", nonlinear_circuit),
     ] {
-        let small = run_allocations(build, 50);
-        let large = run_allocations(build, 150);
+        let (small, small_evaluations) = run_allocations(build, 50);
+        let (large, large_evaluations) = run_allocations(build, 150);
         let extra_steps = 100;
+        // The extra steps of the nonlinear run evaluate devices, so the
+        // evaluation path is part of the measured steady state.
+        if name == "nonlinear" {
+            assert!(
+                large_evaluations - small_evaluations >= extra_steps,
+                "{name}: {small_evaluations} device evaluations @ 50 steps, \
+                 {large_evaluations} @ 150 steps"
+            );
+        }
         let per_step = (large.saturating_sub(small)) as f64 / extra_steps as f64;
 
         // An extra step allocates nothing: the Newton loop's assemble →

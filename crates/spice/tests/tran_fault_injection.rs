@@ -5,8 +5,8 @@
 //! like `tests/fault_injection.rs` pins for sweeps.
 //!
 //! The injection seam is [`TransientAnalysis::run_with_hook`]: the hook runs
-//! between assembly and the verified solve of every Newton iteration, on
-//! fixed grids and adaptive runs alike, so the fault lands on the same
+//! between assembly and the verified solve of every solved Newton
+//! iteration, on fixed grids and adaptive runs alike, so the fault lands on the same
 //! assembled system no matter which configuration is active.
 //!
 //! NOTE: this file mutates the process environment (the worker-count knob
@@ -109,7 +109,10 @@ fn reused_ordinals(adaptive: bool) -> Vec<usize> {
 
 /// Solve ordinals the fault-free runs serve with a reused factor, on the
 /// fixed grid and the adaptive run: first iterations of a step after the
-/// input edge, while the diode still moves.
+/// input edge, while the diode still moves. Ordinals count solved
+/// iterations only (an identical iteration the stepper skips calls no
+/// hook), so each value is read off [`reused_ordinals`] and asserted to be
+/// one of them below.
 const FIXED_REUSED: usize = 48;
 const ADAPTIVE_REUSED: usize = 101;
 
