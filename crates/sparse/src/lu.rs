@@ -273,6 +273,126 @@ impl SymbolicLu {
         &self.pattern.cperm
     }
 
+    /// The diagonal block that holds original row `row`: the block of the
+    /// elimination step that pivots on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` is not below the dimension.
+    pub fn block_of_row(&self, row: usize) -> usize {
+        let p = &*self.pattern;
+        let step = p
+            .perm
+            .iter()
+            .position(|&r| r == row)
+            .expect("row within the dimension");
+        p.block_ptr.partition_point(|&s| s <= step) - 1
+    }
+
+    /// Diagonal block `b` as a one-block pattern of its own, in local
+    /// elimination coordinates: local step `k` is step
+    /// `block_boundaries()[b] + k`, pivoting on original row
+    /// `pivot_order()[start + k]` and eliminating original column
+    /// `column_order()[start + k]`, and both permutations of the slice are
+    /// the identity. It keeps the block's `L` and `U` patterns entry for
+    /// entry, so a refactorization over it compiles the same op lists in
+    /// the same order as the block's rows of the whole pattern; it is not a
+    /// new ordering or factorization. Its matrix is
+    /// [`restrict_to_block`](SymbolicLu::restrict_to_block)'s.
+    ///
+    /// The block's rows read only the later blocks beyond it, through their
+    /// off-diagonal `F` entries. For a right-hand side that is zero outside
+    /// the block, every later block solves to exact zeros, so the slice's
+    /// solution is the block part of the whole system's, bit for bit, up
+    /// to the signs of exact zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b` is not below [`block_count`](SymbolicLu::block_count).
+    pub fn block(&self, b: usize) -> SymbolicLu {
+        let p = &*self.pattern;
+        let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
+        let slice = |ptr: &[usize], cols: &[usize]| -> (Vec<usize>, Vec<usize>) {
+            let (lo, hi) = (ptr[bs], ptr[be]);
+            (
+                ptr[bs..=be].iter().map(|&q| q - lo).collect(),
+                cols[lo..hi].iter().map(|&c| c - bs).collect(),
+            )
+        };
+        let (l_ptr, l_cols) = slice(&p.l_ptr, &p.l_cols);
+        let (u_ptr, u_cols) = slice(&p.u_ptr, &p.u_cols);
+        let m = be - bs;
+        let identity: Vec<usize> = (0..m).collect();
+        SymbolicLu {
+            pattern: Arc::new(LuPattern {
+                n: m,
+                perm: identity.clone(),
+                cperm: identity.clone(),
+                cpos: identity,
+                l_ptr,
+                l_cols,
+                u_ptr,
+                u_cols,
+                block_ptr: LuPattern::single_block(m),
+                f_ptr: LuPattern::empty_f(m),
+                f_cols: Vec::new(),
+                inverse: OnceLock::new(),
+                program: OnceLock::new(),
+                scatter: OnceLock::new(),
+            }),
+        }
+    }
+
+    /// The entries of `matrix` inside diagonal block `b`, as the matrix of
+    /// [`block`](SymbolicLu::block)`(b)` in its local elimination
+    /// coordinates, and for each of its stored entries, in storage order,
+    /// the index of that entry in `matrix`'s storage order — the gather map
+    /// that loads later values over the same structure.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `b` is not below the block count or `matrix` is not of
+    /// this pattern's dimension.
+    pub fn restrict_to_block<T: Scalar>(
+        &self,
+        b: usize,
+        matrix: &CsrMatrix<T>,
+    ) -> (CsrMatrix<T>, Vec<usize>) {
+        let p = &*self.pattern;
+        assert!(
+            matrix.rows() == p.n && matrix.cols() == p.n,
+            "the matrix must be of the pattern's dimension"
+        );
+        let (bs, be) = (p.block_ptr[b], p.block_ptr[b + 1]);
+        let (row_ptr, col_idx, values) = matrix.parts();
+        let mut local_ptr = Vec::with_capacity(be - bs + 1);
+        let (mut local_cols, mut local_values, mut gather) = (Vec::new(), Vec::new(), Vec::new());
+        let mut row: Vec<(usize, usize)> = Vec::new();
+        local_ptr.push(0);
+        for &r in &p.perm[bs..be] {
+            row.clear();
+            let span = row_ptr[r]..row_ptr[r + 1];
+            for (e, &c) in span.clone().zip(&col_idx[span]) {
+                let step = p.cpos[c];
+                if (bs..be).contains(&step) {
+                    row.push((step - bs, e));
+                }
+            }
+            row.sort_unstable();
+            for &(c, e) in &row {
+                local_cols.push(c);
+                local_values.push(values[e]);
+                gather.push(e);
+            }
+            local_ptr.push(local_cols.len());
+        }
+        let m = be - bs;
+        (
+            CsrMatrix::from_parts(m, m, local_ptr, local_cols, local_values),
+            gather,
+        )
+    }
+
     /// Heap bytes held by the compiled refactorization of this pattern —
     /// its elimination op lists and the cached scatter map — or 0 before
     /// the first refactorization over it compiles them (see

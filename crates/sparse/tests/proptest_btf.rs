@@ -291,3 +291,67 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A diagonal block sliced out of a BTF pattern refactors and solves a
+    /// unit injection into one of its rows to the block part of the whole
+    /// system's solution, bit for bit (`==`, so up to the signs of exact
+    /// zeros), and the gather map of its matrix addresses the whole
+    /// matrix's entries.
+    #[test]
+    fn block_slice_solves_to_the_block_part_of_the_whole_solve(
+        spec in (
+            prop::collection::vec(1usize..5, 1..5),
+            prop::collection::vec((0usize..8, 0usize..8, -3.0f64..3.0), 0..24),
+            prop::collection::vec((0usize..8, 0usize..8, -3.0f64..3.0), 0..12),
+        ),
+        scale in 0.25f64..4.0,
+        row_sel in 0usize..64,
+        scramble_sel in 0usize..2,
+    ) {
+        let first = build_cascade(&spec, 1.0, scramble_sel == 1);
+        let second = build_cascade(&spec, scale, scramble_sel == 1);
+        let n = first.rows();
+        let symbolic = SparseLu::factor(&first).expect("must factor").extract_symbolic();
+        let row = row_sel % n;
+        let b = symbolic.block_of_row(row);
+        let bounds = symbolic.block_boundaries();
+        let (start, end) = (bounds[b], bounds[b + 1]);
+        prop_assert!(symbolic.pivot_order()[start..end].contains(&row));
+
+        let slice = symbolic.block(b);
+        prop_assert_eq!(slice.dim(), end - start);
+        prop_assert_eq!(slice.block_count(), 1);
+        let (local, gather) = symbolic.restrict_to_block(b, &second);
+        prop_assert_eq!(gather.len(), local.nnz());
+        for (v, &e) in local.values().iter().zip(&gather) {
+            prop_assert_eq!(v.to_bits(), second.values()[e].to_bits());
+        }
+
+        let mut ws = LuWorkspace::for_dim(n);
+        let mut whole = SparseLu::from_symbolic(&symbolic);
+        prop_assert!(whole.refactor_into(&symbolic, &second, &mut ws).expect("refactor"));
+        let mut part = SparseLu::from_symbolic(&slice);
+        prop_assert!(part.refactor_into(&slice, &local, &mut ws).expect("refactor"));
+
+        let mut x = vec![0.0; n];
+        x[row] = 1.0;
+        whole.solve_into(&mut x, &mut vec![0.0; n]).expect("solve");
+        let local_row = symbolic.pivot_order()[start..end]
+            .iter()
+            .position(|&r| r == row)
+            .expect("the block holds the row");
+        let mut y = vec![0.0; end - start];
+        y[local_row] = 1.0;
+        part.solve_into(&mut y, &mut vec![0.0; end - start]).expect("solve");
+        for (k, &c) in symbolic.column_order()[start..end].iter().enumerate() {
+            prop_assert!(y[k] == x[c], "column {}: slice {} vs whole {}", c, y[k], x[c]);
+        }
+        // Every later block solves to exact zeros.
+        for &c in &symbolic.column_order()[end..] {
+            prop_assert!(x[c] == 0.0, "column {} of a later block reads {}", c, x[c]);
+        }
+    }
+}

@@ -11,7 +11,11 @@
 //!   [`AcAnalysis::driving_point_all_nodes`]) — the probe the stability
 //!   methodology of Milev & Burt is built on. The response at the injected
 //!   node is the driving-point impedance `Z_nn(jω)`, whose magnitude carries
-//!   the complex-pole signature the stability plot extracts.
+//!   the complex-pole signature the stability plot extracts. A single-node
+//!   probe (and the batched sweeps of [`crate::batch`]) solves only the
+//!   diagonal block of the block-triangular form that holds the node's
+//!   row — the node's loop — bitwise the whole-system value up to the sign
+//!   of an exact zero (see [`AcAnalysis::driving_point_response`]).
 //!
 //! For the all-nodes mode every node's driving-point impedance is a diagonal
 //! entry of `Y(jω)⁻¹`, and all of them are read off the one factorization
@@ -48,7 +52,7 @@
 //! [`AcAnalysis::solve_stats`]).
 
 use crate::assembly::{
-    AffineImage, AffineSink, AssembleMna, SlotSink, SolveContext, SolveStats, SweepPlan,
+    AffineImage, AffineSink, AssembleMna, Injection, SlotSink, SolveContext, SolveStats, SweepPlan,
 };
 use crate::dc::OperatingPoint;
 use crate::devices::{self, NonlinearStamp};
@@ -60,7 +64,7 @@ use crate::GMIN;
 use loopscope_math::{interp, Complex64, FrequencyGrid, TWO_PI};
 use loopscope_netlist::{Capacitor, Circuit, Element, Inductor, NodeId, SourceSpec};
 use loopscope_sparse::{CsrMatrix, KernelBackend, Scalar, REFINE_BACKWARD_TOLERANCE};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Verified sample injections per frequency point of the all-nodes scan
 /// (see [`AcAnalysis::driving_point_all_nodes`]).
@@ -217,11 +221,85 @@ pub struct SolverStructure {
 
 /// The shared sweep plan of an analysis and the admittance image compiled
 /// over its pattern (`None` when the self-check dropped it: every point then
-/// stamps).
+/// stamps), plus the probe of each BTF block, derived on first use.
 #[derive(Debug)]
 pub(crate) struct AcPlan {
     pub(crate) plan: SweepPlan<Complex64>,
     pub(crate) image: Option<AffineImage>,
+    probes: Vec<OnceLock<Probe>>,
+}
+
+/// What a driving-point probe solves: the plan of the BTF diagonal block
+/// that holds the injected row ([`SweepPlan::block_plan`]) and the
+/// analysis's image restricted to it.
+///
+/// A unit current injected into a row of block `b` leaves the right-hand
+/// side zero in every other block, so every later block solves to exact
+/// zeros and the earlier blocks never reach the injected unknown: its
+/// driving-point response is the block system's, computed by exactly the
+/// operations of the whole system's block back-substitution.
+#[derive(Debug)]
+pub(crate) struct Probe {
+    pub(crate) plan: SweepPlan<Complex64>,
+    pub(crate) image: Option<AffineImage>,
+}
+
+impl AcPlan {
+    pub(crate) fn new(plan: SweepPlan<Complex64>, image: Option<AffineImage>) -> Self {
+        let probes = (0..plan.symbolic().block_count())
+            .map(|_| OnceLock::new())
+            .collect();
+        Self {
+            plan,
+            image,
+            probes,
+        }
+    }
+
+    /// The probe of a unit current injected at unknown `var`, and the
+    /// injection in its block's coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics when column `var` lies in a block before row `var`'s. That
+    /// needs a structurally zero diagonal, and every node voltage's
+    /// diagonal carries gmin.
+    pub(crate) fn probe(&self, var: usize) -> (&Probe, Injection) {
+        let symbolic = self.plan.symbolic();
+        let b = symbolic.block_of_row(var);
+        let probe = self.probes[b].get_or_init(|| {
+            let plan = self.plan.block_plan(var);
+            let image = self.image.as_ref().map(|image| plan.restrict_image(image));
+            Probe { plan, image }
+        });
+        let injection = probe.plan.injection(var);
+        assert!(
+            injection.read.is_some()
+                || symbolic.column_order()[..symbolic.block_boundaries()[b]]
+                    .iter()
+                    .all(|&c| c != var),
+            "the probed column lies in a block before the injected row's"
+        );
+        (probe, injection)
+    }
+}
+
+/// A whole-system value buffer over an analysis's pattern and the
+/// right-hand side of its stamps: where a probe point without a block image
+/// is assembled before its block is gathered.
+#[derive(Debug)]
+pub(crate) struct FullScratch {
+    matrix: CsrMatrix<Complex64>,
+    rhs: Vec<Complex64>,
+}
+
+impl FullScratch {
+    pub(crate) fn new(plan: &SweepPlan<Complex64>) -> Self {
+        Self {
+            matrix: plan.pattern().clone(),
+            rhs: Vec::with_capacity(plan.dim()),
+        }
+    }
 }
 
 /// A nonlinear device linearized at the operating point: its Newton stamp,
@@ -278,7 +356,8 @@ impl CompiledSystem {
 }
 
 /// Assembly job for the complex admittance system at one `jω`, stamped by
-/// [`AcAnalysis::assemble_point`] for a point without an image. Every
+/// [`AcAnalysis::assemble_point`] or [`AcAnalysis::stamp_full`] for a point
+/// without an image. Every
 /// entry is either independent of `jω` or a multiple `jω·x` of it, which is
 /// what lets [`AcAnalysis::compile_image`] stamp it once at `jω = (0, 1)`.
 pub(crate) struct AcSystem<'a, 'c> {
@@ -407,11 +486,11 @@ impl<'c> AcAnalysis<'c> {
         *self.fault.lock().expect("fault lock")
     }
 
-    /// Assembles the unit-injection system (every AC stimulus off) of point
-    /// `idx` of `freqs` into `ctx` through
+    /// Assembles the whole unit-injection system (every AC stimulus off) of
+    /// point `idx` of `freqs` into `ctx` through
     /// [`assemble_point`](AcAnalysis::assemble_point) and applies a planted
-    /// matrix fault.
-    fn assemble_probe(
+    /// matrix fault: the all-nodes point.
+    fn assemble_unit(
         &self,
         ctx: &mut SolveContext<'_, Complex64>,
         image: Option<&AffineImage>,
@@ -419,7 +498,7 @@ impl<'c> AcAnalysis<'c> {
         idx: usize,
         rhs: &mut Vec<Complex64>,
     ) {
-        self.assemble_point(ctx, image, freqs[idx], false, &[], rhs);
+        self.assemble_point(ctx, image, freqs[idx], false, rhs);
         #[cfg(feature = "fault-inject")]
         if let Some(AcFault::Matrix { point, kind, seed }) = self.fault() {
             if point == idx {
@@ -428,22 +507,88 @@ impl<'c> AcAnalysis<'c> {
         }
     }
 
-    /// Assembles the system at `freq_hz` into `ctx`, a context minted from
-    /// the plan `image` was compiled over — the one assembly of every AC
-    /// point, serial or batched. With an image it loads the values and, when
-    /// `use_circuit_sources` is set, copies the image's right-hand side into
-    /// `rhs`; a probe's `rhs` is left as it was, for
-    /// [`solve_injection`] to overwrite. Without one it stamps the elements,
-    /// with `overrides` in place of theirs, and the right-hand side into
-    /// `rhs`.
+    /// Assembles the block system of `probe` at point `idx` of `freqs` into
+    /// `ctx`, a context of its block plan, through
+    /// [`assemble_block`](AcAnalysis::assemble_block). A matrix fault
+    /// planted at the point lands on the whole system's entry first: the
+    /// point is stamped in full into `full`, perturbed, then gathered.
+    fn assemble_probe(
+        &self,
+        probe: &Probe,
+        ctx: &mut SolveContext<'_, Complex64>,
+        full: &mut FullScratch,
+        freqs: &[f64],
+        idx: usize,
+    ) {
+        #[cfg(feature = "fault-inject")]
+        if let Some(AcFault::Matrix { point, kind, seed }) = self.fault() {
+            if point == idx {
+                self.stamp_full(full, freqs[idx], &[]);
+                loopscope_sparse::faults::FaultInjector::new(seed).inject(kind, &mut full.matrix);
+                ctx.gather_values(full.matrix.values());
+                return;
+            }
+        }
+        self.assemble_block(ctx, probe.image.as_ref(), freqs[idx], &[], full);
+    }
+
+    /// Assembles the probe system at `freq_hz` into `ctx`, a context of a
+    /// probe's block plan — the one assembly of every probe point, serial
+    /// or batched. With `image`, the analysis's image restricted to the
+    /// block, it loads the block's values; without one it stamps the whole
+    /// system, with `overrides` in place of their elements, into `full` and
+    /// gathers the block's entries from it.
     #[inline]
-    pub(crate) fn assemble_point(
+    pub(crate) fn assemble_block(
+        &self,
+        ctx: &mut SolveContext<'_, Complex64>,
+        image: Option<&AffineImage>,
+        freq_hz: f64,
+        overrides: &[(usize, Element)],
+        full: &mut FullScratch,
+    ) {
+        match image {
+            Some(image) => ctx.load_values(image, freq_hz),
+            None => {
+                self.stamp_full(full, freq_hz, overrides);
+                ctx.gather_values(full.matrix.values());
+            }
+        }
+    }
+
+    /// Stamps the whole unit-injection system at `freq_hz`, with
+    /// `overrides` in place of their elements, into `full`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a stamp falls outside the pattern of `full`.
+    fn stamp_full(&self, full: &mut FullScratch, freq_hz: f64, overrides: &[(usize, Element)]) {
+        full.matrix.zero_values();
+        let rhs = std::mem::take(&mut full.rhs);
+        let mut st = Stamper::with_sink_reusing(&self.layout, SlotSink::new(&mut full.matrix), rhs);
+        self.system(freq_hz, false, overrides).stamp(&mut st);
+        let (sink, rhs) = st.into_parts();
+        assert!(
+            !sink.missed(),
+            "an assembly left the pattern of its context"
+        );
+        full.rhs = rhs;
+    }
+
+    /// Assembles the whole system at `freq_hz` into `ctx`, a context minted
+    /// from the plan `image` was compiled over — the one assembly of every
+    /// whole-system AC point. With an image it loads the values and, when
+    /// `use_circuit_sources` is set, copies the image's right-hand side into
+    /// `rhs`; a unit injection's `rhs` is left as it was, for
+    /// [`solve_injection`] to overwrite. Without one it stamps the elements
+    /// and the right-hand side into `rhs`.
+    #[inline]
+    fn assemble_point(
         &self,
         ctx: &mut SolveContext<'_, Complex64>,
         image: Option<&AffineImage>,
         freq_hz: f64,
         use_circuit_sources: bool,
-        overrides: &[(usize, Element)],
         rhs: &mut Vec<Complex64>,
     ) {
         match image {
@@ -454,7 +599,7 @@ impl<'c> AcAnalysis<'c> {
                     rhs.extend_from_slice(image.rhs());
                 }
             }
-            None => ctx.assemble_into(&self.system(freq_hz, use_circuit_sources, overrides), rhs),
+            None => ctx.assemble_into(&self.system(freq_hz, use_circuit_sources, &[]), rhs),
         }
     }
 
@@ -501,7 +646,6 @@ impl<'c> AcAnalysis<'c> {
             planned.image.as_ref(),
             representative_freq_hz,
             false,
-            &[],
             &mut Vec::new(),
         );
         probe
@@ -534,7 +678,7 @@ impl<'c> AcAnalysis<'c> {
         let plan = SweepPlan::build(&self.layout, &job).map_err(SpiceError::Linear)?;
         self.stats.lock().expect("stats lock").merge(&plan.stats());
         let image = self.compile_image(plan.pattern(), &[], first_freq).image();
-        let planned = Arc::new(AcPlan { plan, image });
+        let planned = Arc::new(AcPlan::new(plan, image));
         *guard = Some(Arc::clone(&planned));
         Ok(planned)
     }
@@ -710,7 +854,7 @@ impl<'c> AcAnalysis<'c> {
                 // The assembled RHS becomes the solution in place; the
                 // per-point verified retry ladder enriches failures with
                 // circuit names.
-                self.assemble_point(ctx, image, f, true, &[], x);
+                self.assemble_point(ctx, image, f, true, x);
                 ctx.solve_verified_in_place(x)?;
                 Ok(self.solve_into_node_row(x))
             },
@@ -727,10 +871,35 @@ impl<'c> AcAnalysis<'c> {
     /// and returns the complex response **at the same node** across the sweep
     /// — the driving-point impedance used by the stability plot.
     ///
+    /// **Only the node's loop is solved.** `Z = e_vᵀY⁻¹e_v` depends only on
+    /// the diagonal block of the block-triangular form (BTF) that holds the
+    /// node's row: a loop of the circuit, in the paper's terms. The unit
+    /// injection leaves every later block at exactly zero, and the earlier
+    /// blocks never reach the node. So each point loads, refactors and
+    /// solves that block alone ([`SweepPlan`]'s block plan, sliced from the
+    /// analysis's one symbolic analysis — no new ordering or factorization),
+    /// through the verified retry ladder. The response is computed by
+    /// exactly the operations of the whole system's block back-substitution,
+    /// so a healthy point reads bitwise what a whole-system solve reads,
+    /// except for the sign of an exact zero. A node whose column lies in a
+    /// later block (a node pinned by a voltage source, say) reads an exact
+    /// `+0`. The verified solve certifies the block system: the whole
+    /// system's other residual rows are exactly zero, or belong to unknowns
+    /// the response never reads.
+    ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::UnknownReference`] when `node` is the ground node
-    /// and [`SpiceError::Linear`] when the system is singular.
+    /// Returns [`SpiceError::UnknownReference`] when `node` is the ground
+    /// node. The whole system is still factored once, at the first
+    /// frequency, to plan the analysis, so a structurally singular system
+    /// or a non-finite stamp anywhere fails there
+    /// ([`SpiceError::Linear`]). After that only the node's block is solved:
+    /// a point whose block is singular, holds a non-finite value or fails
+    /// its residual check returns [`SpiceError::SingularSystem`],
+    /// [`SpiceError::NonFiniteStamp`] or
+    /// [`SpiceError::ResidualCheckFailed`], naming the circuit's unknowns,
+    /// but another block that turns numerically singular at a later point
+    /// no longer fails the sweep.
     pub fn driving_point_response(
         &self,
         node: NodeId,
@@ -742,22 +911,50 @@ impl<'c> AcAnalysis<'c> {
             return Ok(Vec::new());
         }
         let planned = self.plan_for(freqs[0])?;
-        let image = planned.image.as_ref();
-        let dim = self.layout.dim();
+        let (probe, injection) = planned.probe(var);
         let (out, workers) = par::sweep_chunks(
             freqs,
-            // Per-worker state: a solve context plus the injection vector.
-            || (planned.plan.context(), vec![Complex64::ZERO; dim]),
-            |(ctx, x): &mut (SolveContext<'_, Complex64>, Vec<Complex64>),
+            // Per-worker state: a context of the probe's block plan, the
+            // injection vector and the whole-system scratch.
+            || {
+                (
+                    probe.plan.context(),
+                    vec![Complex64::ZERO; probe.plan.dim()],
+                    FullScratch::new(&planned.plan),
+                )
+            },
+            |(ctx, x, full): &mut (SolveContext<'_, Complex64>, Vec<Complex64>, FullScratch),
              idx,
              _|
              -> Result<Complex64, SpiceError> {
-                self.assemble_probe(ctx, image, freqs, idx, x);
-                solve_injection(ctx, var, x)
+                self.assemble_probe(probe, ctx, full, freqs, idx);
+                solve_injection(ctx, injection, x)
             },
         );
-        self.absorb_worker_stats(workers.iter().map(|(c, _)| c.stats()));
+        self.absorb_worker_stats(workers.iter().map(|(c, _, _)| c.stats()));
         out
+    }
+
+    /// [`driving_point_response`](AcAnalysis::driving_point_response) at
+    /// unknown `var` and point `idx` of `freqs` alone, in a context of its
+    /// own whose counters are merged into `stats`: the all-nodes per-node
+    /// fallback.
+    fn probe_point(
+        &self,
+        planned: &AcPlan,
+        var: usize,
+        freqs: &[f64],
+        idx: usize,
+        stats: &mut SolveStats,
+    ) -> Result<Complex64, SpiceError> {
+        let (probe, injection) = planned.probe(var);
+        let mut ctx = probe.plan.context();
+        let mut full = FullScratch::new(&planned.plan);
+        let mut x = vec![Complex64::ZERO; probe.plan.dim()];
+        self.assemble_probe(probe, &mut ctx, &mut full, freqs, idx);
+        let z = solve_injection(&mut ctx, injection, &mut x);
+        stats.merge(&ctx.stats());
+        z
     }
 
     /// Driving-point responses for **every** non-ground node: the workhorse of
@@ -791,7 +988,8 @@ impl<'c> AcAnalysis<'c> {
     /// A point whose samples disagree, whose sample solve climbed a rung of
     /// the ladder (a residual retry or a gmin bump) or failed, or whose
     /// inverse holds a non-finite value is recomputed with one verified
-    /// solve per node, from a fresh assembly each — exactly what
+    /// solve per node of the node's BTF block, from a fresh assembly each —
+    /// exactly what
     /// [`driving_point_response`](AcAnalysis::driving_point_response) does
     /// at that point, errors included — and counted in
     /// [`SolveStats::inverse_fallbacks`].
@@ -831,26 +1029,33 @@ impl<'c> AcAnalysis<'c> {
                     planned.plan.context(),
                     vec![Complex64::ZERO; dim],
                     vec![Complex64::ZERO; dim],
+                    SolveStats::default(),
                 )
             },
-            |(ctx, x, diag): &mut (SolveContext<'_, Complex64>, Vec<Complex64>, Vec<Complex64>),
+            |(ctx, x, diag, fallback): &mut (
+                SolveContext<'_, Complex64>,
+                Vec<Complex64>,
+                Vec<Complex64>,
+                SolveStats,
+            ),
              idx,
              _|
              -> Result<Vec<Complex64>, SpiceError> {
-                self.assemble_probe(ctx, image, freqs, idx, x);
+                self.assemble_unit(ctx, image, freqs, idx, x);
                 if let Some(row) = self.selected_inverse_row(ctx, &vars, idx, x, diag) {
                     return Ok(row);
                 }
                 ctx.count_inverse_fallback();
                 vars.iter()
-                    .map(|&var| {
-                        self.assemble_probe(ctx, image, freqs, idx, x);
-                        solve_injection(ctx, var, x)
-                    })
+                    .map(|&var| self.probe_point(&planned, var, freqs, idx, fallback))
                     .collect()
             },
         );
-        self.absorb_worker_stats(workers.iter().map(|(c, _, _)| c.stats()));
+        self.absorb_worker_stats(
+            workers
+                .iter()
+                .flat_map(|(c, _, _, fallback)| [c.stats(), *fallback]),
+        );
         // Transpose frequency-major worker rows into the node-major layout
         // the stability report consumes.
         let mut out = vec![Vec::with_capacity(freqs.len()); nodes.len()];
@@ -880,7 +1085,7 @@ impl<'c> AcAnalysis<'c> {
         let count = INVERSE_SAMPLES.min(vars.len());
         for (j, sample) in samples[..count].iter_mut().enumerate() {
             let var = vars[(INVERSE_SAMPLES * idx + j) % vars.len()];
-            let solved = solve_injection(ctx, var, x).ok()?;
+            let solved = solve_injection(ctx, Injection::at(var), x).ok()?;
             let norm = x.iter().map(|v| v.modulus_l1()).fold(0.0f64, f64::max);
             *sample = (var, solved, norm);
         }
@@ -915,19 +1120,20 @@ impl<'c> AcAnalysis<'c> {
     }
 }
 
-/// Solves the system assembled in `ctx` for a unit current injected at
-/// unknown `var` — in place in the dimension-sized `x`, through the verified
-/// retry ladder, which factors first — and returns the response at `var`,
-/// the driving-point value. `x` is left holding the whole solution.
+/// Solves the system assembled in `ctx` for a unit current `injection` —
+/// in place in the dimension-sized `x`, through the verified retry ladder,
+/// which factors first — and returns the response in its read column, the
+/// driving-point value (an exact `+0` when it has none). `x` is left
+/// holding the whole solution.
 pub(crate) fn solve_injection(
     ctx: &mut SolveContext<'_, Complex64>,
-    var: usize,
+    injection: Injection,
     x: &mut [Complex64],
 ) -> Result<Complex64, SpiceError> {
     x.fill(Complex64::ZERO);
-    x[var] = Complex64::ONE;
+    x[injection.row] = Complex64::ONE;
     ctx.solve_verified_in_place(x)?;
-    Ok(x[var])
+    Ok(injection.read.map_or(Complex64::ZERO, |c| x[c]))
 }
 
 #[cfg(test)]
@@ -1233,10 +1439,7 @@ mod tests {
         // An analysis whose image was dropped stamps every point — and
         // reads the same values and counters as one that loads.
         let stamping = AcAnalysis::new(&c, &op).unwrap();
-        *stamping.plan.lock().unwrap() = Some(Arc::new(AcPlan {
-            plan: planned.plan.clone(),
-            image: None,
-        }));
+        *stamping.plan.lock().unwrap() = Some(Arc::new(AcPlan::new(planned.plan.clone(), None)));
         let node = c.find_node("b").unwrap();
         let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
             v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()

@@ -58,7 +58,11 @@
 //!   is a pure function of its job and [`crate::par::sweep_chunks`] can chunk
 //!   a sweep across worker threads with bitwise-identical results at any
 //!   worker count. Its value buffer is the only matrix it holds: the stamp
-//!   positions of a sweep do not depend on the swept value.
+//!   positions of a sweep do not depend on the swept value. A sweep plan
+//!   can be narrowed to one diagonal block of its block-triangular form
+//!   (`SweepPlan::block_plan`, what a driving-point probe solves); a
+//!   context of that plan gathers its values from the whole system's and
+//!   names its errors after the whole system's unknowns.
 //! * [`SolveContext::adopting`] **adopts** every fresh pivot order as its
 //!   new plan. That is the right shape for DC Newton loops and transient
 //!   stepping, where operating regions drift and each solve follows the
@@ -100,6 +104,17 @@ fn bump_node_diagonals<T: Scalar>(matrix: &mut CsrMatrix<T>, node_vars: usize, b
         }
     }
     any
+}
+
+/// Adds `bump` to each of the stored `entries`, returning whether there is
+/// one: the gmin rung of a block context, whose node-voltage diagonals are
+/// the [`SweepPlan::block_plan`]'s.
+fn bump_entries<T: Scalar>(matrix: &mut CsrMatrix<T>, entries: &[usize], bump: f64) -> bool {
+    let values = matrix.values_mut();
+    for &e in entries {
+        values[e] += T::from_f64(bump);
+    }
+    !entries.is_empty()
 }
 
 /// A circuit-assembly job: stamps one MNA system into any matrix sink.
@@ -681,6 +696,60 @@ pub struct SweepPlan<T: Scalar> {
     symbolic: Arc<SymbolicLu>,
     /// Counters of the build itself (exactly one symbolic analysis).
     build_stats: SolveStats,
+    /// `None` for a plan over the whole system; for a
+    /// [`block_plan`](SweepPlan::block_plan), how its local system sits in
+    /// the whole one.
+    block: Option<BlockMap>,
+}
+
+/// Where the local system of a [`SweepPlan::block_plan`] sits in the whole
+/// system of its parent plan.
+#[derive(Debug, Clone)]
+struct BlockMap {
+    /// The original row of every local row, and the original column of
+    /// every local column: the circuit unknowns errors are named after.
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+    /// The parent-pattern entry of every local pattern entry.
+    gather: Vec<usize>,
+    /// The local entries of the node-voltage diagonals whose row and column
+    /// both lie in the block: the entries the gmin rung bumps.
+    node_diagonals: Vec<usize>,
+}
+
+/// A unit current injected into one unknown, in the coordinates of a plan's
+/// system (see [`SweepPlan::injection`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Injection {
+    /// The row the unit current enters.
+    pub(crate) row: usize,
+    /// The column the driving-point response is read from; `None` reads an
+    /// exact `+0`.
+    pub(crate) read: Option<usize>,
+}
+
+impl Injection {
+    /// The injection at unknown `var` of a system over every unknown.
+    pub(crate) fn at(var: usize) -> Self {
+        Self {
+            row: var,
+            read: Some(var),
+        }
+    }
+}
+
+impl BlockMap {
+    /// `e` with its local row and column indices mapped to the circuit's.
+    fn to_circuit(&self, e: SolveError) -> SolveError {
+        match e {
+            SolveError::Singular(col) => SolveError::Singular(self.cols[col]),
+            SolveError::NonFinite { row, col } => SolveError::NonFinite {
+                row: self.rows[row],
+                col: self.cols[col],
+            },
+            other => other,
+        }
+    }
 }
 
 impl<T: Scalar> SweepPlan<T> {
@@ -711,7 +780,80 @@ impl<T: Scalar> SweepPlan<T> {
                 symbolic: 1,
                 ..SolveStats::default()
             },
+            block: None,
         })
+    }
+
+    /// The plan of the BTF diagonal block of this plan's system that holds
+    /// original row `row`: the block's entries of the pattern in local
+    /// elimination coordinates ([`SymbolicLu::restrict_to_block`]), the
+    /// one-block slice of the symbolic analysis ([`SymbolicLu::block`]) —
+    /// no new ordering, no factorization, no counter — and the map back to
+    /// the whole system. A context of it loads its values from an image
+    /// restricted to the block ([`restrict_image`](SweepPlan::restrict_image))
+    /// or gathers them from a whole-system assembly
+    /// ([`SolveContext::gather_values`]); its gmin rung bumps the
+    /// node-voltage diagonals inside the block, and its errors name the
+    /// circuit's unknowns.
+    ///
+    /// For a right-hand side that is zero outside the block's rows, the
+    /// whole system's later blocks solve to exact zeros, so the block
+    /// system's solution is the whole solution's block part with the same
+    /// operations, up to the signs of exact zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a block plan, or when `row` is not below the dimension.
+    pub(crate) fn block_plan(&self, row: usize) -> SweepPlan<T> {
+        assert!(self.block.is_none(), "a block plan is not sliced again");
+        let b = self.symbolic.block_of_row(row);
+        let bounds = self.symbolic.block_boundaries();
+        let steps = bounds[b]..bounds[b + 1];
+        let (pattern, gather) = self.symbolic.restrict_to_block(b, &self.pattern);
+        let rows = self.symbolic.pivot_order()[steps.clone()].to_vec();
+        let cols = self.symbolic.column_order()[steps].to_vec();
+        let node_vars = self.layout.dim() - self.layout.branch_count();
+        let node_diagonals = rows
+            .iter()
+            .enumerate()
+            .filter(|&(_, &r)| r < node_vars)
+            .filter_map(|(i, &r)| {
+                let j = cols.iter().position(|&c| c == r)?;
+                pattern.find_slot(i, j)
+            })
+            .collect();
+        SweepPlan {
+            layout: self.layout.clone(),
+            pattern,
+            symbolic: Arc::new(self.symbolic.block(b)),
+            build_stats: SolveStats::default(),
+            block: Some(BlockMap {
+                rows,
+                cols,
+                gather,
+                node_diagonals,
+            }),
+        }
+    }
+
+    /// A unit current injected at unknown `var`, in this block plan's
+    /// system: the local row it enters and the local column its
+    /// driving-point response is read from — `None` when that column lies
+    /// outside the block.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a plan over the whole system, or when the block does not
+    /// hold row `var`.
+    pub(crate) fn injection(&self, var: usize) -> Injection {
+        let block = self.block.as_ref().expect("a block plan");
+        let row = block
+            .rows
+            .iter()
+            .position(|&r| r == var)
+            .expect("the block holds the injected row");
+        let read = block.cols.iter().position(|&c| c == var);
+        Injection { row, read }
     }
 
     /// The MNA layout whose slot assignment the plan's pattern was built for.
@@ -734,6 +876,34 @@ impl<T: Scalar> SweepPlan<T> {
     /// Merge with the workers' [`SolveContext::stats`] for sweep totals.
     pub fn stats(&self) -> SolveStats {
         self.build_stats
+    }
+
+    /// `image`, compiled over the parent pattern of this block plan,
+    /// restricted to the block's entries: each entry keeps its `G` value
+    /// and its `C` terms in stamp order, so a load is bit for bit the
+    /// block's entries of the parent image's load.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a plan over the whole system.
+    pub(crate) fn restrict_image(&self, image: &AffineImage) -> AffineImage {
+        let block = self.block.as_ref().expect("a block plan");
+        let mut local = vec![u32::MAX; image.g.len()];
+        for (k, &e) in block.gather.iter().enumerate() {
+            local[e] = index_u32(k);
+        }
+        AffineImage {
+            g: block.gather.iter().map(|&e| image.g[e]).collect(),
+            c_terms: image
+                .c_terms
+                .iter()
+                .filter_map(|&(slot, c)| {
+                    let k = local[slot as usize];
+                    (k != u32::MAX).then_some((k, c))
+                })
+                .collect(),
+            rhs: Vec::new(),
+        }
     }
 
     /// The shared zero-valued sparsity pattern, which
@@ -901,7 +1071,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// A context with pre-sized scratch but no pattern, symbolic analysis
     /// or factors yet.
     fn unplanned(layout: &'p MnaLayout, plan: Option<&'p SweepPlan<T>>) -> Self {
-        let n = layout.dim();
+        let n = plan.map_or(layout.dim(), SweepPlan::dim);
         Self {
             layout,
             plan,
@@ -925,6 +1095,23 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// Whether fresh factorizations become this context's plan.
     fn adopts(&self) -> bool {
         self.plan.is_none()
+    }
+
+    /// Where this context's system sits in the whole system, when its plan
+    /// is a [`block_plan`](SweepPlan::block_plan).
+    fn block(&self) -> Option<&'p BlockMap> {
+        self.plan.and_then(|plan| plan.block.as_ref())
+    }
+
+    /// The dimension of the system this context solves.
+    fn dim(&self) -> usize {
+        self.plan.map_or(self.layout.dim(), SweepPlan::dim)
+    }
+
+    /// `e` enriched with the circuit names of the unknowns it addresses.
+    fn named(&self, e: SolveError) -> SpiceError {
+        let e = self.block().map_or(e, |block| block.to_circuit(e));
+        SpiceError::from_solve(e, self.layout)
     }
 
     /// The MNA layout this context assembles over.
@@ -966,6 +1153,10 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
     /// [module docs](self)), so a job that leaves the pattern needs a
     /// context of its own.
     pub fn assemble_into(&mut self, job: &impl AssembleMna<T>, rhs: &mut Vec<T>) {
+        assert!(
+            self.block().is_none(),
+            "a block context gathers its values, it does not stamp them"
+        );
         self.assembled_keys = None;
         self.factored = false;
         let Some(csr) = self.csr.as_mut() else {
@@ -1222,7 +1413,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             match self.factor() {
                 Ok(_) => {}
                 Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                Err(e) => return Err(SpiceError::from_solve(e, self.layout)),
+                Err(e) => return Err(self.named(e)),
             }
         }
         if pending_singular.is_none() {
@@ -1243,14 +1434,19 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                         last_quality = Some(q);
                     }
                     Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                    Err(e) => return Err(SpiceError::from_solve(e, self.layout)),
+                    Err(e) => return Err(self.named(e)),
                 }
             }
         }
         let node_vars = self.layout.dim() - self.layout.branch_count();
+        let block = self.block();
         let mut bumps = 0usize;
         for &bump in GMIN_BUMP_LADDER.iter() {
-            if !bump_node_diagonals(self.matrix_slot(), node_vars, bump) {
+            let bumped = match block {
+                Some(block) => bump_entries(self.matrix_slot(), &block.node_diagonals, bump),
+                None => bump_node_diagonals(self.matrix_slot(), node_vars, bump),
+            };
+            if !bumped {
                 break;
             }
             self.stats.gmin_bumps += 1;
@@ -1266,11 +1462,11 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
                     pending_singular = None;
                 }
                 Err(e @ SolveError::Singular(_)) => pending_singular = Some(e),
-                Err(e) => return Err(SpiceError::from_solve(e, self.layout)),
+                Err(e) => return Err(self.named(e)),
             }
         }
         match pending_singular {
-            Some(e) => Err(SpiceError::from_solve(e, self.layout)),
+            Some(e) => Err(self.named(e)),
             None => Err(SpiceError::ResidualCheckFailed {
                 backward_error: last_quality.map_or(f64::INFINITY, |q| q.backward_error),
                 gmin_bumps: bumps,
@@ -1280,7 +1476,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
 
     /// Rejects a right-hand side whose length is not the system dimension.
     fn check_rhs(&self, rhs: &[T]) -> Result<(), SpiceError> {
-        let n = self.layout.dim();
+        let n = self.dim();
         if rhs.len() == n {
             Ok(())
         } else {
@@ -1302,7 +1498,7 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             .as_ref()
             .expect("SolveContext::factor must succeed first");
         lu.solve_refined_into(matrix, rhs, &mut self.refine_ws)
-            .map_err(|e| SpiceError::from_solve(e, self.layout))
+            .map_err(|e| self.named(e))
     }
 
     /// Fresh [`SparseLu::factor`] of the current system — the only place a
@@ -1344,6 +1540,26 @@ impl<'p, T: Scalar> SolveContext<'p, T> {
             "SolveContext::factor must succeed before estimating conditioning"
         );
         self.factors().condition_estimate(self.matrix())
+    }
+
+    /// Loads the values of a [`block_plan`](SweepPlan::block_plan) context's
+    /// system from `parent`, the values of a whole-system assembly over the
+    /// parent plan's pattern — the block's entries, gathered. Counted in
+    /// `cached_assemblies`, once, as the assembly of the point.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a context of a plan over the whole system, or when
+    /// `parent` is shorter than the parent pattern.
+    pub(crate) fn gather_values(&mut self, parent: &[T]) {
+        let block = self.block().expect("a block context");
+        self.assembled_keys = None;
+        self.factored = false;
+        let csr = self.csr.as_mut().expect("a sweep context owns its pattern");
+        for (v, &e) in csr.values_mut().iter_mut().zip(&block.gather) {
+            *v = parent[e];
+        }
+        self.stats.cached_assemblies += 1;
     }
 
     /// Mutable access to the most recently assembled matrix, whose values

@@ -10,16 +10,21 @@
 //!
 //! This module batches that per-variant work across **variant lanes**:
 //!
-//! * Every lane's values live lane-major over the plan's shared zero
+//! * Like the serial probe ([`AcAnalysis::driving_point_response`]), a
+//!   lane holds only the diagonal block of the block-triangular form that
+//!   holds the probed node's row — the node's loop, sliced from the plan's
+//!   symbolic analysis; on Table 2's `out` that is 3 of 13 unknowns. Every
+//!   lane's block values live lane-major over the block's shared zero
 //!   pattern, in a [`loopscope_sparse::LanePlanes`] store: per stored
 //!   entry the real parts of every lane, then their imaginary parts. Each
-//!   frequency point loads lane `k`'s system from its compiled admittance
-//!   image ([`AffineImage`], one image per lane per
-//!   variant group, self-checked like the serial analysis's own) — or,
-//!   without an image, stamps it — into a scalar [`SolveContext`] through
-//!   `AcAnalysis::assemble_point`, the assembly of every serial AC point,
-//!   and copies its values into the next batched column. A variant whose
-//!   stamps leave the pattern takes no lane: it runs its own
+//!   frequency point loads lane `k`'s block from its compiled admittance
+//!   image ([`AffineImage`], one image per lane per variant group,
+//!   self-checked like the serial analysis's own, then restricted to the
+//!   block) — or, without an image, stamps the whole system and gathers
+//!   the block — into a scalar [`SolveContext`] through
+//!   `AcAnalysis::assemble_block`, the assembly of every serial probe
+//!   point, and copies its values into the next batched column. A variant
+//!   whose stamps leave the pattern takes no lane: it runs its own
 //!   [`AcAnalysis::driving_point_response`].
 //!   [`loopscope_sparse::BatchedLu`] then matches the shared
 //!   structure once per point, scans and scatters every lane in one pass,
@@ -53,8 +58,8 @@
 //! symbolic analysis total ([`BatchedSweep::solve_stats`]`.symbolic == 1`),
 //! which is the entire point.
 
-use crate::ac::{solve_injection, AcAnalysis, CompiledSystem};
-use crate::assembly::{AffineImage, SolveContext, SolveStats, SweepPlan};
+use crate::ac::{solve_injection, AcAnalysis, AcPlan, CompiledSystem, FullScratch, Probe};
+use crate::assembly::{AffineImage, Injection, SolveContext, SolveStats, SweepPlan};
 use crate::dc::OperatingPoint;
 use crate::error::SpiceError;
 use crate::par;
@@ -499,9 +504,10 @@ struct Lane<'a, 'c> {
     overrides: &'a [(usize, Element)],
 }
 
-/// Mutable per-worker state of the batched frequency sweep: the lane-major
-/// values of every lane's system, the batched factorization, the lane
-/// right-hand sides and solutions, the scalar context every lane is
+/// Mutable per-worker state of the batched frequency sweep over the probe's
+/// block system (see [`AcAnalysis::driving_point_response`]): the
+/// lane-major values of every lane's system, the batched factorization, the
+/// lane right-hand sides and solutions, the scalar context every lane is
 /// assembled in (and escalates through) and the result rows of the points
 /// it solved. Runners are allocated at the
 /// group's lane width, pooled per outer worker and reused across variant
@@ -510,27 +516,31 @@ struct Lane<'a, 'c> {
 /// minted once per worker rather than once per group.
 struct GroupRunner<'p> {
     width: usize,
-    /// The injection unknown — constant for the whole batch.
-    var: usize,
-    /// The plan's shared structure, over which every lane's values live.
+    /// The unit injection in the block system — constant for the whole
+    /// batch.
+    target: Injection,
+    /// The block plan's shared structure, over which every lane's values
+    /// live.
     pattern: &'p CsrMatrix<Complex64>,
     /// Every lane's system values over [`pattern`](GroupRunner::pattern),
     /// lane-major.
     values: LanePlanes<Complex64>,
     batched: BatchedLu<Complex64>,
-    /// The unit injection at [`var`](GroupRunner::var) in every lane.
+    /// The unit injection of [`target`](GroupRunner::target) in every lane.
     injection: LanePlanes<Complex64>,
     /// Every lane's solution.
     solution: LanePlanes<Complex64>,
     /// Every lane's backward error of the current point.
     errors: Vec<f64>,
-    /// Scalar context over the same plan: each lane's system is assembled
-    /// in it before its values are copied into the lane's column, and lanes
-    /// that fail the batched fast path rerun through the exact serial
-    /// verified ladder in it.
+    /// Scalar context over the same block plan: each lane's system is
+    /// assembled in it before its values are copied into the lane's column,
+    /// and lanes that fail the batched fast path rerun through the exact
+    /// serial verified ladder in it.
     ctx: SolveContext<'p, Complex64>,
-    /// The right-hand side of a stamped lane and the injection (then the
-    /// solution) of an escalated one.
+    /// Where a lane without an image is stamped in full before its block
+    /// is gathered.
+    full: FullScratch,
+    /// The injection (then the solution) of an escalated lane.
     x: Vec<Complex64>,
     /// The lane results of every point this runner solved in the current
     /// group, point-major (`m` per point, in point order); sized for every
@@ -540,16 +550,23 @@ struct GroupRunner<'p> {
 }
 
 impl<'p> GroupRunner<'p> {
-    fn new(plan: &'p SweepPlan<Complex64>, width: usize, var: usize, points: usize) -> Self {
+    fn new(
+        probe: &'p Probe,
+        parent: &SweepPlan<Complex64>,
+        width: usize,
+        target: Injection,
+        points: usize,
+    ) -> Self {
+        let plan = &probe.plan;
         let n = plan.dim();
         let pattern = plan.pattern();
         let mut injection = LanePlanes::new(n, width);
         for w in 0..width {
-            injection.set(var, w, Complex64::ONE);
+            injection.set(target.row, w, Complex64::ONE);
         }
         Self {
             width,
-            var,
+            target,
             pattern,
             values: LanePlanes::new(pattern.nnz(), width),
             batched: BatchedLu::new(plan.symbolic(), width),
@@ -557,6 +574,7 @@ impl<'p> GroupRunner<'p> {
             solution: LanePlanes::new(n, width),
             errors: vec![0.0; width],
             ctx: plan.context(),
+            full: FullScratch::new(parent),
             x: vec![Complex64::ZERO; n],
             rows: Vec::with_capacity(points * width),
             stats: SolveStats::default(),
@@ -569,7 +587,8 @@ impl<'p> GroupRunner<'p> {
     /// ragged (`group.len() < width`): surplus lanes carry unspecified
     /// values that are never read — every batched operation is elementwise
     /// per lane, so dead lanes cannot disturb live ones. `images[k]` is
-    /// lane `k`'s admittance image to load, or `None` to stamp the lane.
+    /// lane `k`'s admittance image restricted to the block, or `None` to
+    /// stamp the lane and gather its block.
     fn solve_point(
         &mut self,
         group: &[Lane<'_, '_>],
@@ -577,17 +596,17 @@ impl<'p> GroupRunner<'p> {
         freq_hz: f64,
     ) {
         debug_assert!(group.len() <= self.width);
-        // Reload (or, without an image, restamp) every lane's values over
-        // the shared pattern, then copy them into the lane's batched column.
+        // Reload (or, without an image, restamp and gather) every lane's
+        // values over the shared block pattern, then copy them into the
+        // lane's batched column.
         let m = group.len();
         for (k, lane) in group.iter().enumerate() {
-            lane.analysis.assemble_point(
+            lane.analysis.assemble_block(
                 &mut self.ctx,
                 images[k].as_ref(),
                 freq_hz,
-                false,
                 lane.overrides,
-                &mut self.x,
+                &mut self.full,
             );
             self.values.load_lane(k, self.ctx.matrix().values());
         }
@@ -614,7 +633,10 @@ impl<'p> GroupRunner<'p> {
             let point = if self.batched.statuses()[k].is_factored()
                 && self.errors[k] <= REFINE_BACKWARD_TOLERANCE
             {
-                Ok(self.solution.get(self.var, k))
+                Ok(self
+                    .target
+                    .read
+                    .map_or(Complex64::ZERO, |c| self.solution.get(c, k)))
             } else {
                 self.escalate(lane, images[k].as_ref(), freq_hz)
             };
@@ -632,15 +654,14 @@ impl<'p> GroupRunner<'p> {
         image: Option<&AffineImage>,
         freq_hz: f64,
     ) -> LanePoint {
-        lane.analysis.assemble_point(
+        lane.analysis.assemble_block(
             &mut self.ctx,
             image,
             freq_hz,
-            false,
             lane.overrides,
-            &mut self.x,
+            &mut self.full,
         );
-        solve_injection(&mut self.ctx, self.var, &mut self.x)
+        solve_injection(&mut self.ctx, self.target, &mut self.x)
     }
 
     /// Counters accumulated by this runner (batched refactors, plus every
@@ -666,14 +687,22 @@ impl<'p> GroupRunner<'p> {
 ///
 /// Each variant's response is bitwise its serial per-variant reference,
 /// [`AcAnalysis::driving_point_response`] on that variant alone: a variant
-/// whose stamps leave the batch's pattern runs exactly that analysis. The
-/// results and the merged [`BatchedSweep::solve_stats`] totals are identical
-/// at any `LOOPSCOPE_THREADS`.
+/// whose stamps leave the batch's pattern runs exactly that analysis. Like
+/// it, the lanes solve only the BTF diagonal block that holds `node`'s row
+/// (its loop), sliced from the batch's one symbolic analysis, and the
+/// batched acceptance test and the escalation ladder certify that block
+/// system. The results and the merged [`BatchedSweep::solve_stats`] totals
+/// are identical at any `LOOPSCOPE_THREADS`.
 ///
 /// # Errors
 ///
 /// Returns [`SpiceError::UnknownReference`] when `node` is the ground node
-/// or out of range for the batch topology.
+/// or out of range for the batch topology. A variant's own errors land in
+/// its outcome, as [`AcAnalysis::driving_point_response`] reports them: the
+/// whole system is factored once at the first frequency to plan the batch
+/// (a structurally singular system or a non-finite stamp anywhere fails
+/// there), then only the block is solved, so another block that turns
+/// numerically singular at a later point no longer fails a variant.
 pub fn driving_point_batch(
     variants: &[BatchVariant<'_>],
     node: NodeId,
@@ -767,7 +796,7 @@ pub fn driving_point_batch(
             )
         })
         .collect();
-    Ok(drive_lanes(plan, &jobs, node, var, grid, outcomes))
+    Ok(drive_lanes(&planned, &jobs, node, var, grid, outcomes))
 }
 
 /// One variant's outcome inside [`drive_lanes`]: the original variant index
@@ -783,10 +812,11 @@ type VariantResult = (usize, Result<Vec<Complex64>, SpiceError>);
 /// lane rows into per-variant sweeps (a variant's error is the one at its
 /// lowest failing frequency) once per group, from the rows the runners
 /// filled in place. Each group first compiles one admittance image per lane
-/// over the plan's pattern, self-checked at the first frequency; its
-/// frequency points load from them (or stamp, for a lane whose image failed
-/// the check). A variant whose stamps leave the pattern takes no lane: it
-/// runs its own [`AcAnalysis::driving_point_response`] at `node`, whose
+/// over the plan's pattern, self-checked at the first frequency and
+/// restricted to the block of `var`'s probe ([`AcPlan::probe`]); its
+/// frequency points load from them (or stamp and gather, for a lane whose
+/// image failed the check). A variant whose stamps leave the pattern takes
+/// no lane: it runs its own [`AcAnalysis::driving_point_response`] at `node`, whose
 /// pivots are chosen from its own values, exactly as its serial reference
 /// does.
 ///
@@ -797,7 +827,7 @@ type VariantResult = (usize, Result<Vec<Complex64>, SpiceError>);
 /// at the end, so the totals are exact sums — invariant under chunking,
 /// lane width and worker count.
 fn drive_lanes(
-    plan: &SweepPlan<Complex64>,
+    planned: &AcPlan,
     jobs: &[(usize, Lane<'_, '_>)],
     node: NodeId,
     var: usize,
@@ -805,6 +835,8 @@ fn drive_lanes(
     mut outcomes: Vec<VariantOutcome>,
 ) -> BatchedSweep {
     let freqs = grid.freqs();
+    let plan = &planned.plan;
+    let (probe, target) = planned.probe(var);
     let width = effective_width(jobs.len());
     let groups: Vec<Vec<(usize, Lane<'_, '_>)>> = jobs
         .chunks(width)
@@ -835,7 +867,11 @@ fn drive_lanes(
                     system => {
                         kept.push(vi);
                         lanes.push(lane);
-                        images.push(system.image());
+                        images.push(
+                            system
+                                .image()
+                                .map(|image| probe.plan.restrict_image(&image)),
+                        );
                     }
                 }
             }
@@ -855,7 +891,9 @@ fn drive_lanes(
                         .lock()
                         .expect("runner pool lock")
                         .pop()
-                        .unwrap_or_else(|| GroupRunner::new(plan, width, var, freqs.len()));
+                        .unwrap_or_else(|| {
+                            GroupRunner::new(probe, plan, width, target, freqs.len())
+                        });
                     runner.rows.clear();
                     runner
                 },
@@ -935,7 +973,10 @@ fn drive_lanes(
 /// Returns the rule errors of [`ParameterVariation::apply`] (unknown element
 /// name, unscalable element kind) — those would fail every variant
 /// identically — and the batch-level errors of [`driving_point_batch`].
-/// Per-variant solver failures are **not** errors; they land in the yield.
+/// Per-variant solver failures are **not** errors; they land in the yield,
+/// with the block semantics of [`driving_point_batch`]: the whole system is
+/// factored once at the first frequency, then each lane solves only the
+/// block that holds `node`'s row.
 pub fn driving_point_monte_carlo(
     circuit: &Circuit,
     op: &OperatingPoint,
@@ -1009,8 +1050,6 @@ pub fn driving_point_monte_carlo(
             return driving_point_batch(&variants, node, grid);
         }
     };
-    let plan = &planned.plan;
-
     let var = base.injection_var(node)?;
 
     let jobs: Vec<(usize, Lane<'_, '_>)> = overrides
@@ -1026,7 +1065,7 @@ pub fn driving_point_monte_carlo(
             )
         })
         .collect();
-    Ok(drive_lanes(plan, &jobs, node, var, grid, outcomes))
+    Ok(drive_lanes(&planned, &jobs, node, var, grid, outcomes))
 }
 
 #[cfg(test)]
@@ -1463,7 +1502,7 @@ mod tests {
         let ac = AcAnalysis::new(&c, &op).unwrap();
         let freqs = FrequencyGrid::log_decade(1.0e3, 1.0e9, 4).freqs().to_vec();
         let planned = ac.plan_for(freqs[0]).unwrap();
-        let var = ac.injection_var(d).unwrap();
+        let (probe, target) = planned.probe(ac.injection_var(d).unwrap());
         let variation = ParameterVariation::new(0xD00D)
             .gaussian("R1", 0.05)
             .uniform("C2", 0.1)
@@ -1486,12 +1525,13 @@ mod tests {
             .map(|l| {
                 ac.compile_image(planned.plan.pattern(), l.overrides, freqs[0])
                     .image()
+                    .map(|image| probe.plan.restrict_image(&image))
             })
             .collect();
         assert!(images.iter().all(Option::is_some));
 
         let solve = |images: &[Option<AffineImage>]| {
-            let mut runner = GroupRunner::new(&planned.plan, 4, var, freqs.len());
+            let mut runner = GroupRunner::new(probe, &planned.plan, 4, target, freqs.len());
             for &f in &freqs {
                 runner.solve_point(&lanes, images, f);
             }
